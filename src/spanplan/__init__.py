@@ -36,9 +36,7 @@ from .enumerators import (
     exhaustive,
     goo,
     kruskal,
-    kruskal_from,
     prim,
-    prim_from,
     run_algorithm,
 )
 from .errors import (

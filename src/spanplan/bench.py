@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .cost import CardinalitySource, CostContext, CostParams
 from .enumerators import ALGORITHMS, este, run_algorithm
@@ -118,20 +116,12 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
 
 
 def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = None,
-                 timeout: float = 60.0, jobs: int = 1, backend: str = "auto"):
+                 timeout: float = 60.0, backend: str = "auto"):
     """One BenchRecord per (query, algorithm); per-query failures are
     recorded, never raised.  Output order is (query_id, algorithm)."""
     algorithms = list(algorithms)
-
-    def work(query):
-        return _run_query(query, algorithms, params, timeout, backend)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(work, queries))
-    else:
-        chunks = [work(q) for q in queries]
-    records = [rec for chunk in chunks for rec in chunk]
+    records = [rec for query in queries
+               for rec in _run_query(query, algorithms, params, timeout, backend)]
     order = {name: i for i, name in enumerate(algorithms)}
     records.sort(key=lambda r: (r.query_id, order[r.algorithm]))
     return records
@@ -139,7 +129,7 @@ def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = Non
 
 def topology_sweep(kind: TopologyKind | str, sizes, seeds_per_size: int,
                    algorithms=ALGORITHMS, params: CostParams | None = None,
-                   timeout: float = 60.0, jobs: int = 1, backend: str = "auto"):
+                   timeout: float = 60.0, backend: str = "auto"):
     """Generate graphs for every (size, seed) and run the workload on them."""
     kind = TopologyKind(kind)
     queries = []
@@ -156,7 +146,7 @@ def topology_sweep(kind: TopologyKind | str, sizes, seeds_per_size: int,
                     seed=seed,
                 )
             )
-    return run_workload(queries, algorithms, params, timeout=timeout, jobs=jobs, backend=backend)
+    return run_workload(queries, algorithms, params, timeout=timeout, backend=backend)
 
 
 def aggregate(records) -> dict:
@@ -230,11 +220,6 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def write_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(records_to_csv(records))
-
-
 def _parse_cell(col: str, text: str):
     if text == "":
         return None
@@ -263,12 +248,13 @@ def read_csv(path_or_text) -> list[BenchRecord]:
 
 
 def growth_exponent(sizes, counts) -> tuple[float, float]:
-    """Log-log regression slope and R^2 of counts against sizes."""
-    x = np.log(np.asarray(sizes, dtype=float))
-    y = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    """Log-log least-squares slope and R^2 of counts against sizes."""
+    x = [math.log(s) for s in sizes]
+    y = [math.log(c) for c in counts]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    sxx = sum((a - mx) ** 2 for a in x)
+    slope = sum((a - mx) * (b - my) for a, b in zip(x, y)) / sxx
+    ss_res = sum((b - my - slope * (a - mx)) ** 2 for a, b in zip(x, y))
+    ss_tot = sum((b - my) ** 2 for b in y)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
+    return slope, r2

@@ -13,7 +13,7 @@ import sys
 from . import bench as benchmod
 from . import oracle
 from .cost import CardinalitySource, CostParams
-from .enumerators import ALGORITHMS, este, run_algorithm
+from .enumerators import ALGORITHMS, run_algorithm
 from .errors import GraphFormatError, OptimizeTimeout, SpanPlanError
 from .graph import TopologyKind, gen_topology, graph_to_json, load_document
 from .plan import plan_to_json
@@ -82,12 +82,7 @@ def cmd_optimize(args) -> int:
     graph, embedded = _load_graph(args.graph)
     source = _resolve_source(graph, embedded, args.selection_catalog, "selection catalog")
     params = _params(args)
-    if args.algo == "este":
-        plan, stats, _distinct = este(graph, source, params, parallelism=args.jobs)
-    else:
-        plan, stats = run_algorithm(
-            args.algo, graph, source, params, timeout=args.timeout, parallelism=args.jobs
-        )
+    plan, stats = run_algorithm(args.algo, graph, source, params, timeout=args.timeout)
     _emit(plan_to_json(plan, graph, stats, timing=args.timing), args.out)
     return 0
 
@@ -147,14 +142,11 @@ def cmd_bench(args) -> int:
                     evaluation_source=evaluation,
                 )
             )
-        records = benchmod.run_workload(
-            queries, algorithms, params, timeout=args.timeout, jobs=args.jobs
-        )
+        records = benchmod.run_workload(queries, algorithms, params, timeout=args.timeout)
     elif args.topology:
         sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [4, 5, 6, 7]
         records = benchmod.topology_sweep(
-            args.topology, sizes, args.seeds, algorithms, params,
-            timeout=args.timeout, jobs=args.jobs,
+            args.topology, sizes, args.seeds, algorithms, params, timeout=args.timeout
         )
     else:
         raise GraphFormatError("bench needs --graph files or a --topology sweep")
@@ -196,8 +188,6 @@ def build_parser() -> _Parser:
     p_opt.add_argument("--graph", required=True, help="join-graph JSON file")
     p_opt.add_argument("--algo", choices=ALGORITHMS, default="este")
     p_opt.add_argument("--selection-catalog", help="cardinality catalog JSON file")
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--jobs", type=int, default=1)
     p_opt.add_argument("--timeout", type=float, default=60.0)
     p_opt.add_argument("--out", help="write the plan JSON here instead of stdout")
     p_opt.add_argument("--timing", action="store_true", help="report real elapsed times")
@@ -230,8 +220,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--topology", choices=[k.value for k in TopologyKind])
     p_bench.add_argument("--sizes", help="comma list of table counts for sweeps")
     p_bench.add_argument("--seeds", type=int, default=3, help="seeds per sweep size")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=1)
     p_bench.add_argument("--timeout", type=float, default=60.0)
     p_bench.add_argument("--out", help="CSV path; a .summary.json lands next to it")
     p_bench.add_argument("--timing", action="store_true")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
 from ._kernels import pure as _pure
-from .errors import GraphFormatError, MissingCardinalityError, UnknownTableError
-from .graph import JoinGraph, TableInfo, iter_bits
+from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
+from .graph import JoinGraph, TableInfo, is_row_count, iter_bits
 
 DEFAULT_TAU = 0.2
 DEFAULT_LAMBDA = 2.0
@@ -50,11 +50,13 @@ class CardinalityCatalog:
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict, kind: str = "true"):
         """Build from {"a,b,...": rows} with sorted comma-joined name keys."""
+        if not isinstance(entries, dict):
+            raise GraphFormatError("'cardinalities' must be an object")
         out = {}
         for key, rows in entries.items():
             names = [s for s in key.split(",") if s]
             mask = graph.mask_of_names(names)
-            if not isinstance(rows, int) or rows < 0:
+            if not is_row_count(rows, 0):
                 raise GraphFormatError(f"cardinality for {{{key}}} must be a non-negative integer")
             out[mask] = rows
         for v in range(graph.n_vertices):
@@ -89,6 +91,8 @@ class SelectivityModel:
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
+        if not isinstance(entries, dict):
+            raise GraphFormatError("'selectivities' must be an object")
         sels = [None] * graph.n_edges
         pair_to_edge = {}
         for e in graph.edges:
@@ -105,6 +109,8 @@ class SelectivityModel:
             pair = (ids[names[0]], ids[names[1]])
             if pair not in pair_to_edge:
                 raise GraphFormatError(f"selectivity key {key!r} matches no join edge")
+            if type(sel) not in (int, float) or not 0.0 < sel <= 1.0:
+                raise GraphFormatError(f"selectivity for {key!r} must be a number in (0, 1]")
             sels[pair_to_edge[pair]] = float(sel)
         for e in graph.edges:
             if sels[e.id] is None:
@@ -118,6 +124,9 @@ class SelectivityModel:
         for e in graph.edges:
             if (mask >> e.v1) & 1 and (mask >> e.v2) & 1:
                 prod *= self.selectivities[e.id]
+        if prod == math.inf:
+            raise LimitExceededError(
+                f"cardinality of {{{graph.subset_key(mask)}}} overflows a float")
         return math.ceil(prod)
 
     def document_section(self, graph: JoinGraph) -> dict:

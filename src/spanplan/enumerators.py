@@ -3,10 +3,10 @@
 Five enumerators over one cost context:
 
 * ``exhaustive`` — dynamic program over connected vertex subsets (optimal).
-* ``prim`` / ``prim_from`` — grow a single component by the cheapest
-  adjacent join; linear plans only.
-* ``kruskal`` / ``kruskal_from`` — min-heap of candidate joins across all
-  components with lazy invalidation; linear or bushy plans.
+* ``prim`` — grow a single component by the cheapest adjacent join;
+  linear plans only.
+* ``kruskal`` — min-heap of candidate joins across all components with
+  lazy invalidation; linear or bushy plans.
 * ``goo`` — greedy cheapest-merge over all component pairs (baseline).
 * ``este`` — ensemble: run prim and kruskal once seeded from every edge,
   keep the cheapest plan.
@@ -16,11 +16,8 @@ so their costs are exactly comparable.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
-import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import _kernels
 from .cost import CardinalitySource, CostContext, CostParams
@@ -46,11 +43,6 @@ class _Collector:
         key = (l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask)
         self.splits.add(key)
         self.masks.add(l_mask | r_mask)
-
-    def merge_from(self, other: "_Collector") -> None:
-        self.masks |= other.masks
-        self.splits |= other.splits
-        self.evals += other.evals
 
     def stats(self, plans: int, elapsed: float) -> EnumStats:
         return EnumStats(
@@ -78,35 +70,19 @@ def _eval(ctx: CostContext, col: _Collector, l_mask: int, r_mask: int):
     return ctx.merge(l_mask, r_mask)
 
 
-def _tie_rng(tie_seed: int | None, label: str) -> random.Random | None:
-    """Per-run RNG for equal-cost edge ties; None keeps min-edge-id order."""
-    if tie_seed is None:
-        return None
-    digest = hashlib.sha256(f"{tie_seed}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _pick(ties: list, rng: random.Random | None):
-    return ties[0] if rng is None else ties[rng.randrange(len(ties))]
-
-
 def _prim_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
-              col: _Collector, rng: random.Random | None = None) -> Plan:
+              col: _Collector) -> Plan:
     builder = PlanBuilder(graph, ctx, "prim")
     n_edges = graph.n_edges
     consumed = [False] * n_edges
 
     if start_edge is None:
         best_cost = None
-        ties: list[int] = []
         for e in graph.edges:
             res = _eval(ctx, col, 1 << e.v1, 1 << e.v2)
             if best_cost is None or res.step_cost < best_cost:
                 best_cost = res.step_cost
-                ties = [e.id]
-            elif res.step_cost == best_cost:
-                ties.append(e.id)
-        first = _pick(ties, rng)
+                first = e.id
     else:
         e = graph.edges[start_edge]
         _eval(ctx, col, 1 << e.v1, 1 << e.v2)
@@ -129,8 +105,7 @@ def _prim_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
                 remaining -= 1
         if not remaining:
             break
-        best_cost = None
-        ties = []
+        best = None
         for e in graph.edges:
             if consumed[e.id]:
                 continue
@@ -140,14 +115,11 @@ def _prim_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
                 continue  # either cyclic (handled above) or not adjacent yet
             outside = e.v2 if in1 else e.v1
             res = _eval(ctx, col, component, 1 << outside)
-            if best_cost is None or res.step_cost < best_cost:
-                best_cost = res.step_cost
-                ties = [(e.id, outside)]
-            elif res.step_cost == best_cost:
-                ties.append((e.id, outside))
-        if not ties:
+            if best is None or res.step_cost < best[0]:
+                best = (res.step_cost, e.id, outside)
+        if best is None:
             raise SpanPlanError("graph became non-adjacent during enumeration")
-        eid, outside = _pick(ties, rng)
+        _cost, eid, outside = best
         builder.add_step(eid, component, 1 << outside)
         component |= 1 << outside
         consumed[eid] = True
@@ -156,21 +128,18 @@ def _prim_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
 
 
 def _kruskal_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
-                 col: _Collector, rng: random.Random | None = None) -> Plan:
+                 col: _Collector) -> Plan:
     builder = PlanBuilder(graph, ctx, "kruskal")
     n_edges = graph.n_edges
     comp_of = {v: 1 << v for v in range(graph.n_vertices)}
     consumed = [False] * n_edges
     stamps = [0] * n_edges
-    heap: list[tuple[float, float, int, int]] = []
-
-    def push(cost: float, eid: int, stamp: int) -> None:
-        tiebreak = eid if rng is None else rng.random()
-        heapq.heappush(heap, (cost, tiebreak, eid, stamp))
+    # Entries are (cost, edge id, stamp): equal costs pop lowest edge id first.
+    heap: list[tuple[float, int, int]] = []
 
     for e in graph.edges:
         res = _eval(ctx, col, 1 << e.v1, 1 << e.v2)
-        push(res.step_cost, e.id, 0)
+        heapq.heappush(heap, (res.step_cost, e.id, 0))
 
     def do_merge(eid: int) -> None:
         e = graph.edges[eid]
@@ -190,13 +159,13 @@ def _kruskal_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
                 continue
             stamps[e2.id] += 1
             res2 = _eval(ctx, col, c1, c2)
-            push(res2.step_cost, e2.id, stamps[e2.id])
+            heapq.heappush(heap, (res2.step_cost, e2.id, stamps[e2.id]))
 
     if start_edge is not None:
         do_merge(start_edge)
 
     while heap:
-        _cost, _tiebreak, eid, stamp = heapq.heappop(heap)
+        _cost, eid, stamp = heapq.heappop(heap)
         if consumed[eid] or stamp != stamps[eid]:
             continue
         e = graph.edges[eid]
@@ -208,68 +177,35 @@ def _kruskal_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
     return builder.build()
 
 
-def prim_from(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-              start_edge: int = 0, tie_seed: int | None = None):
-    """Component-growing enumeration seeded with a forced first join."""
+def _greedy(run, algorithm: str, graph: JoinGraph, source: CardinalitySource,
+            params: CostParams | None, start_edge: int | None):
     ctx = _context(graph, source, params)
     col = _Collector()
     t0 = time.perf_counter()
     if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, "prim")
+        plan = _empty_plan(graph, ctx, algorithm)
     else:
-        plan = _prim_run(graph, ctx, start_edge, col, _tie_rng(tie_seed, f"prim:{start_edge}"))
+        plan = run(graph, ctx, start_edge, col)
     return plan, col.stats(1, time.perf_counter() - t0)
 
 
 def prim(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-         tie_seed: int | None = None):
-    """Component-growing enumeration from the cheapest two-way join."""
-    ctx = _context(graph, source, params)
-    col = _Collector()
-    t0 = time.perf_counter()
-    if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, "prim")
-    else:
-        plan = _prim_run(graph, ctx, None, col, _tie_rng(tie_seed, "prim"))
-    return plan, col.stats(1, time.perf_counter() - t0)
-
-
-def kruskal_from(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-                 start_edge: int = 0, tie_seed: int | None = None):
-    """Heap-driven enumeration over all components, first merge forced."""
-    ctx = _context(graph, source, params)
-    col = _Collector()
-    t0 = time.perf_counter()
-    if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, "kruskal")
-    else:
-        plan = _kruskal_run(graph, ctx, start_edge, col, _tie_rng(tie_seed, f"kruskal:{start_edge}"))
-    return plan, col.stats(1, time.perf_counter() - t0)
+         start_edge: int | None = None):
+    """Component-growing enumeration from start_edge, or by default from the
+    cheapest two-way join."""
+    return _greedy(_prim_run, "prim", graph, source, params, start_edge)
 
 
 def kruskal(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-            tie_seed: int | None = None):
-    """Heap-driven enumeration starting from the cheapest two-way join."""
-    ctx = _context(graph, source, params)
-    col = _Collector()
-    t0 = time.perf_counter()
-    if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, "kruskal")
-    else:
-        plan = _kruskal_run(graph, ctx, None, col, _tie_rng(tie_seed, "kruskal"))
-    return plan, col.stats(1, time.perf_counter() - t0)
+            start_edge: int | None = None):
+    """Heap-driven enumeration over all components; start_edge, when given,
+    forces the first merge."""
+    return _greedy(_kruskal_run, "kruskal", graph, source, params, start_edge)
 
 
-def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-        objective: str = "cost"):
-    """Greedy cheapest-merge baseline over all joinable component pairs.
-
-    objective="cost" ranks merges by operator step cost; "cardinality" ranks
-    by output row count (the classic greedy objective), while step costs are
-    still assigned for comparability.
-    """
-    if objective not in ("cost", "cardinality"):
-        raise ValueError("objective must be 'cost' or 'cardinality'")
+def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
+    """Greedy cheapest-merge baseline over all joinable component pairs,
+    ranked by operator step cost."""
     ctx = _context(graph, source, params)
     col = _Collector()
     t0 = time.perf_counter()
@@ -288,8 +224,7 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
                 if not crossing:
                     continue
                 res = _eval(ctx, col, lo, hi)
-                rank = res.step_cost if objective == "cost" else res.out_card
-                key = (rank, lo, hi)
+                key = (res.step_cost, lo, hi)
                 if best is None or key < best[0]:
                     best = (key, lo, hi, min(crossing), crossing)
         if best is None:
@@ -306,13 +241,12 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     return plan, col.stats(1, time.perf_counter() - t0)
 
 
-def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-         parallelism: int = 1, tie_seed: int | None = None):
+def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
     """Ensemble enumeration: prim and kruskal once from every edge.
 
     Returns (plan, stats, distinct_plans).  The winner is the member plan
     with the lowest cost, ties broken on the canonical plan encoding so the
-    result is independent of execution order and worker count.
+    result is independent of execution order.
     """
     ctx = _context(graph, source, params)
     t0 = time.perf_counter()
@@ -321,37 +255,18 @@ def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
         plan = _empty_plan(graph, ctx, "este")
         return plan, col.stats(1, time.perf_counter() - t0), 1
 
-    members = [("prim", e.id) for e in graph.edges] + [("kruskal", e.id) for e in graph.edges]
-
-    def run_member(member):
-        algo, eid = member
-        mcol = _Collector()
-        rng = _tie_rng(tie_seed, f"{algo}:{eid}")
-        # Each member gets its own context view but shares the memoized
-        # cardinalities; merge results are pure so sharing is safe.
-        if algo == "prim":
-            mplan = _prim_run(graph, ctx, eid, mcol, rng)
-        else:
-            mplan = _kruskal_run(graph, ctx, eid, mcol, rng)
-        return mplan, mcol
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(run_member, members))
-    else:
-        results = [run_member(m) for m in members]
-
     best_plan = None
     best_key = None
     encodings = set()
-    for mplan, mcol in results:
-        col.merge_from(mcol)
-        enc = canonical_encoding(mplan)
-        encodings.add(enc)
-        key = (mplan.internal_cost, enc)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_plan = mplan
+    for run in (_prim_run, _kruskal_run):
+        for e in graph.edges:
+            mplan = run(graph, ctx, e.id, col)
+            enc = canonical_encoding(mplan)
+            encodings.add(enc)
+            key = (mplan.internal_cost, enc)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_plan = mplan
     distinct = len(encodings)
     plan = Plan(
         algorithm="este",
@@ -431,19 +346,17 @@ ALGORITHMS = ("exhaustive", "prim", "kruskal", "goo", "este")
 
 def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
                   params: CostParams | None = None, *, timeout: float | None = None,
-                  parallelism: int = 1, backend: str = "auto",
-                  tie_seed: int | None = None, goo_objective: str = "cost"):
+                  backend: str = "auto"):
     """Dispatch by algorithm name; returns (plan, stats)."""
     if name == "exhaustive":
         return exhaustive(graph, source, params, timeout=timeout, backend=backend)
     if name == "prim":
-        return prim(graph, source, params, tie_seed=tie_seed)
+        return prim(graph, source, params)
     if name == "kruskal":
-        return kruskal(graph, source, params, tie_seed=tie_seed)
+        return kruskal(graph, source, params)
     if name == "goo":
-        return goo(graph, source, params, objective=goo_objective)
+        return goo(graph, source, params)
     if name == "este":
-        plan, stats, _distinct = este(graph, source, params, parallelism=parallelism,
-                                      tie_seed=tie_seed)
+        plan, stats, _distinct = este(graph, source, params)
         return plan, stats
     raise ValueError(f"unknown algorithm {name!r}")

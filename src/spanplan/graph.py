@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -26,6 +27,9 @@ from .errors import (
 MAX_VERTICES = 25
 
 SUBSET_ENUM_LIMIT = 20
+
+# Costs are computed in floats, so a row count must fit in one.
+MAX_CARDINALITY = int(sys.float_info.max)
 
 DEFAULT_BASE_RANGE = (1_000, 1_000_000)
 DEFAULT_SEL_RANGE = (1e-5, 1e-1)
@@ -121,10 +125,7 @@ class JoinGraph:
 
     def reachable_mask(self, seed_mask: int) -> int:
         """Vertices reachable from seed_mask (BFS over the whole graph)."""
-        adj = [0] * self.n_vertices
-        for e in self.edges:
-            adj[e.v1] |= 1 << e.v2
-            adj[e.v2] |= 1 << e.v1
+        adj = self.adjacency
         reach = seed_mask
         frontier = seed_mask
         while frontier:
@@ -151,16 +152,6 @@ class JoinGraph:
             frontier |= grow
         return reach == mask
 
-    def neighbors_of_mask(self, mask: int) -> int:
-        adj = self.adjacency
-        out = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            out |= adj[v]
-        return out & ~mask
-
     def crossing_edges(self, m1: int, m2: int) -> list[int]:
         """Edge ids with one endpoint in m1 and the other in m2."""
         out = []
@@ -184,6 +175,11 @@ class JoinGraph:
 
     def subset_key(self, mask: int) -> str:
         return ",".join(self.names_of_mask(mask))
+
+
+def is_row_count(value, lowest: int) -> bool:
+    """True for a JSON integer (not a boolean) in [lowest, MAX_CARDINALITY]."""
+    return type(value) is int and lowest <= value <= MAX_CARDINALITY
 
 
 def iter_bits(mask: int):
@@ -244,7 +240,7 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             raise GraphFormatError(f"table #{i} is missing {exc}") from exc
         if not isinstance(name, str) or not name:
             raise GraphFormatError(f"table #{i} has an invalid name")
-        if not isinstance(card, int) or card < 1:
+        if not is_row_count(card, 1):
             raise GraphFormatError(f"table {name} has an invalid cardinality")
         vertices.append(
             TableInfo(
@@ -266,6 +262,8 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             left, right = item["left"], item["right"]
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"join #{j} is missing {exc}") from exc
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise GraphFormatError(f"join #{j} must name its tables as strings")
         if left not in name_to_id:
             raise UnknownTableError(f"join #{j} references unknown table {left!r}")
         if right not in name_to_id:

@@ -70,9 +70,6 @@ class PlanBuilder:
         self.filters: list[int] = []
         self._cost: dict[int, float] = {1 << v: 0.0 for v in range(graph.n_vertices)}
 
-    def component_cost(self, mask: int) -> float:
-        return self._cost[mask]
-
     def add_step(self, edge_id: int, l_mask: int, r_mask: int) -> float:
         res = self.ctx.merge(l_mask, r_mask)
         new_mask = l_mask | r_mask

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import spanplan as sp
 from spanplan.cli import main
@@ -136,10 +139,9 @@ def test_bench_requires_input(capsys):
 
 def test_cli_byte_identical_reruns(capsys, tmp_path):
     outputs = []
-    for jobs in ("1", "8", "1"):
-        f = tmp_path / f"plan{len(outputs)}.json"
-        code, _, err = run(capsys, "optimize", "--graph", Q2A, "--algo", "este",
-                           "--jobs", jobs, "--seed", "0", "--out", str(f))
+    for i in range(3):
+        f = tmp_path / f"plan{i}.json"
+        code, _, err = run(capsys, "optimize", "--graph", Q2A, "--algo", "este", "--out", str(f))
         assert code == 0 and err == ""
         outputs.append(f.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
@@ -149,3 +151,25 @@ def test_cli_timing_flag_reports_real_time(capsys):
     code, out, _ = run(capsys, "optimize", "--graph", Q2A, "--algo", "prim", "--timing")
     assert code == 0
     assert json.loads(out)["stats"]["elapsed_ms"] > 0.0
+
+
+def test_optimize_malformed_value_exits_1_with_one_line(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "tables": [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 20}],
+        "joins": [{"left": "a", "right": "b"}],
+        "selectivities": {"a,b": "x"},
+    }))
+    code, out, err = run(capsys, "optimize", "--graph", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("spanplan: error: ")
+    assert err.count("\n") == 1
+
+
+def test_import_loads_neither_numpy_nor_thread_pools():
+    code = ("import sys, spanplan; "
+            "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
+    assert proc.stdout == "[]\n"

@@ -64,6 +64,47 @@ def test_parse_malformed_document_rejected():
         sp.parse_join_graph(json.dumps({"tables": [{"name": "a", "cardinality": 0}], "joins": []}))
 
 
+_B = {"name": "b", "cardinality": 20}
+_AB_JOINS = [{"left": "a", "right": "b"}]
+
+
+def _ab(**sections) -> dict:
+    """Two-table document a(10) -- b(20) with sections replaced or added."""
+    doc = {"tables": [{"name": "a", "cardinality": 10}, _B], "joins": _AB_JOINS}
+    doc.update(sections)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(_ab(selectivities={"a,b": "x"}), id="selectivity-string"),
+        pytest.param(_ab(selectivities={"a,b": None}), id="selectivity-null"),
+        pytest.param(_ab(selectivities={"a,b": True}), id="selectivity-true"),
+        pytest.param(_ab(selectivities={"a,b": 10**400}), id="selectivity-huge"),
+        pytest.param(_ab(selectivities=[0.5]), id="selectivities-array"),
+        pytest.param(_ab(cardinalities=[1, 2]), id="cardinalities-array"),
+        pytest.param(_ab(cardinalities={"a": True, "b": 20}), id="catalog-rows-true"),
+        pytest.param(_ab(cardinalities={"a": 10**400, "b": 20}), id="catalog-rows-huge"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10**400}, _B]),
+                     id="table-cardinality-huge"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": True}, _B]),
+                     id="table-cardinality-true"),
+        pytest.param(_ab(joins=[{"left": ["a"], "right": "b"}]), id="join-name-array"),
+    ],
+)
+def test_malformed_values_raise_graph_format_error(doc):
+    with pytest.raises(sp.GraphFormatError):
+        sp.load_document(json.dumps(doc))
+
+
+def test_overflowing_cardinality_estimate_is_a_planner_error():
+    big = [{"name": "a", "cardinality": 10**200}, {"name": "b", "cardinality": 10**200}]
+    graph, model = sp.load_document(json.dumps(_ab(tables=big, selectivities={"a,b": 1.0})))
+    with pytest.raises(sp.LimitExceededError):
+        sp.run_algorithm("prim", graph, model)
+
+
 def test_parallel_predicates_merge_into_one_edge():
     graph, _ = make_graph(
         [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 10}],
