@@ -3,7 +3,8 @@
 
 Runs the subset DP, the brute-force tree search, and the arrangement
 counter on seeded graphs with both backends, checks the results agree,
-and prints a timing table.
+and prints a timing table.  The compiled backend is kernels.c, built in
+place by ``python3 setup.py build_ext --inplace``.
 
 Usage: python benchmarks/kernel_bench.py [--repeat N]
 """

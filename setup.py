@@ -1,23 +1,16 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("SPANPLAN_PURE") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "spanplan._kernels._speedups",
-                    ["src/spanplan/_kernels/_speedups.pyx"],
-                )
-            ],
-            language_level="3",
+# kernels.c is a plain C library opened through ctypes, not a Python
+# extension module.  optional=True installs the pure-Python kernels alone
+# when no C compiler works; -ffp-contract=off keeps every a * b + c unfused,
+# so costs stay bit-for-bit equal to the pure kernels on FMA targets.
+setup(
+    ext_modules=[
+        Extension(
+            "spanplan._kernels._ckernels",
+            ["src/spanplan/_kernels/kernels.c"],
+            extra_compile_args=["-ffp-contract=off"],
+            optional=True,
         )
-    except ImportError:
-        # No Cython available: install the pure-Python kernels only.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+    ]
+)

@@ -1,29 +1,46 @@
 """Search-kernel backends.
 
-The compiled extension is preferred when the build produced it; the pure
-Python module is a drop-in fallback with identical semantics.
+``pure`` is the reference implementation.  ``compiled`` runs the same four
+kernels from ``kernels.c``, built next to this file as ``_ckernels`` by
+``python3 setup.py build_ext`` and opened through ctypes by ``loader``; it
+is preferred whenever the build produced it.  The library is opened on the
+first ``get_backend`` call, so ``import spanplan`` does not pay for ctypes
+in commands that run no kernel.
 """
+import os
+from importlib.machinery import EXTENSION_SUFFIXES
+
 from . import pure
 
-try:
-    from . import _speedups as compiled
 
-    HAVE_COMPILED = True
-except ImportError:  # extension not built
-    compiled = None
-    HAVE_COMPILED = False
+def _built_library():
+    here = os.path.dirname(__file__)
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_ckernels" + suffix)
+        if os.path.exists(path):
+            return path
+    return None
 
+
+_LIBRARY = _built_library()
+HAVE_COMPILED = _LIBRARY is not None
 DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "pure"
+_compiled = None
 
 
 def get_backend(name: str = "auto"):
     """Resolve a backend module by name: auto, pure, or compiled."""
+    global _compiled
     if name == "auto":
-        return compiled if HAVE_COMPILED else pure
+        name = DEFAULT_BACKEND
     if name == "pure":
         return pure
-    if name == "compiled":
-        if compiled is None:
-            raise RuntimeError("compiled kernels are not available in this install")
-        return compiled
-    raise ValueError(f"unknown kernel backend {name!r}")
+    if name != "compiled":
+        raise ValueError(f"unknown kernel backend {name!r}")
+    if not HAVE_COMPILED:
+        raise RuntimeError("compiled kernels are not built in this install")
+    if _compiled is None:
+        from .loader import open_library
+
+        _compiled = open_library(_LIBRARY)
+    return _compiled

@@ -2,9 +2,9 @@
 
 These are the reference implementations of the two hot paths: the subset
 dynamic program over connected vertex sets, and the depth-first enumeration
-of ordered spanning-tree edge arrangements.  The compiled extension in
-``_speedups.pyx`` mirrors this module operation-for-operation; equivalence
-is enforced by tests/test_kernels.py.
+of ordered spanning-tree edge arrangements.  The C kernels in ``kernels.c``
+mirror this module operation-for-operation; equivalence is enforced by
+tests/test_kernels.py.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
 base tables consumed by that join (an index-lookup inner table is never
@@ -25,7 +25,6 @@ SIDE_LEFT = 0
 SIDE_RIGHT = 1
 
 name = "pure"
-is_compiled = False
 
 
 @dataclass

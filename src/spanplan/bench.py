@@ -69,7 +69,7 @@ assert set(CSV_COLUMNS) == {f.name for f in fields(BenchRecord)}
 
 
 def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
-               timeout: float, backend: str) -> list[BenchRecord]:
+               timeout: float) -> list[BenchRecord]:
     group = complexity_group(query.graph.n_edges)
     base = dict(
         group=group,
@@ -97,9 +97,7 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
                 plan, stats, distinct = este(query.graph, sel_ctx, params)
                 rec.distinct_plans = distinct
             else:
-                plan, stats = run_algorithm(
-                    name, query.graph, sel_ctx, params, timeout=timeout, backend=backend
-                )
+                plan, stats = run_algorithm(name, query.graph, sel_ctx, params, timeout=timeout)
             rec.opt_time_ms = (time.perf_counter() - t0) * 1000.0
             rec.internal_cost = final_cost(plan)
             costs[name] = rec.internal_cost
@@ -116,12 +114,12 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
 
 
 def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = None,
-                 timeout: float = 60.0, backend: str = "auto"):
+                 timeout: float = 60.0):
     """One BenchRecord per (query, algorithm); per-query failures are
     recorded, never raised.  Output order is (query_id, algorithm)."""
     algorithms = list(algorithms)
     records = [rec for query in queries
-               for rec in _run_query(query, algorithms, params, timeout, backend)]
+               for rec in _run_query(query, algorithms, params, timeout)]
     order = {name: i for i, name in enumerate(algorithms)}
     records.sort(key=lambda r: (r.query_id, order[r.algorithm]))
     return records
@@ -129,7 +127,7 @@ def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = Non
 
 def topology_sweep(kind: TopologyKind | str, sizes, seeds_per_size: int,
                    algorithms=ALGORITHMS, params: CostParams | None = None,
-                   timeout: float = 60.0, backend: str = "auto"):
+                   timeout: float = 60.0):
     """Generate graphs for every (size, seed) and run the workload on them."""
     kind = TopologyKind(kind)
     queries = []
@@ -146,7 +144,7 @@ def topology_sweep(kind: TopologyKind | str, sizes, seeds_per_size: int,
                     seed=seed,
                 )
             )
-    return run_workload(queries, algorithms, params, timeout=timeout, backend=backend)
+    return run_workload(queries, algorithms, params, timeout=timeout)
 
 
 def aggregate(records) -> dict:
@@ -230,12 +228,8 @@ def _parse_cell(col: str, text: str):
     return text
 
 
-def read_csv(path_or_text) -> list[BenchRecord]:
-    if "\n" in str(path_or_text):
-        text = path_or_text
-    else:
-        with open(path_or_text, encoding="utf-8", newline="") as fh:
-            text = fh.read()
+def read_csv(text: str) -> list[BenchRecord]:
+    """Parse the CSV text that records_to_csv writes."""
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     if header != CSV_COLUMNS:

@@ -17,6 +17,7 @@ so their costs are exactly comparable.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 
 from . import _kernels
@@ -282,7 +283,7 @@ def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
 
 def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
                *, prune: bool = True, vertex_limit: int = EXHAUSTIVE_VERTEX_LIMIT,
-               timeout: float | None = None, backend: str = "auto"):
+               timeout: float | None = None):
     """Optimal plan by dynamic programming over connected vertex subsets.
 
     best(S) = min over connected splits (S1, S2) of
@@ -309,8 +310,10 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
         bound = greedy_plan.internal_cost
     deadline = t0 + timeout if timeout else 0.0
 
-    kern = _kernels.get_backend(backend)
-    root_cost, choices, subplans, splits, evals = kern.dp_search(ctx.instance, bound, deadline)
+    root_cost, choices, subplans, splits, evals = _kernels.get_backend().dp_search(
+        ctx.instance, bound, deadline)
+    if not math.isfinite(root_cost):
+        raise LimitExceededError("the optimal plan's cost overflows a float")
 
     builder = PlanBuilder(graph, ctx, "exhaustive")
 
@@ -345,11 +348,10 @@ ALGORITHMS = ("exhaustive", "prim", "kruskal", "goo", "este")
 
 
 def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
-                  params: CostParams | None = None, *, timeout: float | None = None,
-                  backend: str = "auto"):
+                  params: CostParams | None = None, *, timeout: float | None = None):
     """Dispatch by algorithm name; returns (plan, stats)."""
     if name == "exhaustive":
-        return exhaustive(graph, source, params, timeout=timeout, backend=backend)
+        return exhaustive(graph, source, params, timeout=timeout)
     if name == "prim":
         return prim(graph, source, params)
     if name == "kruskal":

@@ -48,16 +48,15 @@ class TreeCounts:
     bushy: int
 
 
-def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT,
-                            backend: str = "auto") -> TreeCounts:
+def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT) -> TreeCounts:
     """Count all ordered (|V|-1)-edge arrangements, classified."""
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     if bound > limit:
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")
-    kern = _kernels.get_backend(backend)
     edge_u = [e.v1 for e in graph.edges]
     edge_v = [e.v2 for e in graph.edges]
-    valid, invalid, linear, bushy = kern.count_trees(graph.n_vertices, edge_u, edge_v)
+    valid, invalid, linear, bushy = _kernels.get_backend().count_trees(
+        graph.n_vertices, edge_u, edge_v)
     return TreeCounts(bound=bound, valid=valid, invalid=invalid, linear=linear, bushy=bushy)
 
 
@@ -101,7 +100,7 @@ def iter_ordered_trees(graph: JoinGraph):
 def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
                         params: CostParams | None = None,
                         limit: int = DEFAULT_ARRANGEMENT_LIMIT,
-                        timeout: float | None = None, backend: str = "auto"):
+                        timeout: float | None = None):
     """Minimum-cost plan by walking every valid ordered spanning tree.
 
     Returns (plan, stats); stats.plans_enumerated is the exact number of
@@ -120,9 +119,10 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
 
     ctx.ensure_cards(connected_subset_masks(graph))
     deadline = t0 + timeout if timeout else 0.0
-    kern = _kernels.get_backend(backend)
     (best_cost, best_seq, valid, invalid, linear, bushy,
-     subplans, splits, evals) = kern.brute_search(ctx.instance, deadline)
+     subplans, splits, evals) = _kernels.get_backend().brute_search(ctx.instance, deadline)
+    if not math.isfinite(best_cost):
+        raise LimitExceededError("the optimal plan's cost overflows a float")
 
     builder = PlanBuilder(graph, ctx, "brute_force")
     comp_of = {v: 1 << v for v in range(graph.n_vertices)}

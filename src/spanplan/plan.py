@@ -8,10 +8,11 @@ subtrees.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .cost import CostContext, HJ, INL
-from .errors import PlanValidationError
+from .errors import LimitExceededError, PlanValidationError
 from .graph import JoinGraph, iter_bits
 
 LINEAR = "linear"
@@ -246,6 +247,9 @@ def si_display(x: float) -> str:
 
 def plan_document(plan: Plan, graph: JoinGraph, stats: EnumStats | None = None,
                   timing: bool = False) -> dict:
+    # The step costs sum to internal_cost <= total_cost, so they are finite too.
+    if not math.isfinite(plan.total_cost):
+        raise LimitExceededError(f"the {plan.algorithm} plan's cost overflows a float")
     doc = {
         "algorithm": plan.algorithm,
         "internal_cost": _num(plan.internal_cost),

@@ -173,3 +173,17 @@ def test_import_loads_neither_numpy_nor_thread_pools():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
     assert proc.stdout == "[]\n"
+
+
+def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):
+    doc = json.loads((DATA_DIR / "query_2a.json").read_text())
+    for key in doc["cardinalities"]:
+        if "," in key:
+            doc["cardinalities"][key] = 10**308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    for algo in sp.ALGORITHMS:
+        code, out, err = run(capsys, "optimize", "--graph", str(path), "--algo", algo)
+        assert code == 1, algo
+        assert out == ""
+        assert err.startswith("spanplan: error: ") and err.count("\n") == 1, err

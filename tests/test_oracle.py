@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -167,3 +168,18 @@ def test_brute_force_limit_guard():
     graph, model = sp.gen_topology("clique", 8, seed=1)
     with pytest.raises(sp.LimitExceededError):
         sp.brute_force_optimal(graph, model)
+
+
+def test_optimal_cost_overflow_is_a_limit_error(q2a_text):
+    doc = json.loads(q2a_text)
+    for key in doc["cardinalities"]:
+        if "," in key:
+            doc["cardinalities"][key] = 10**308
+    graph, catalog = sp.load_document(json.dumps(doc))
+    with pytest.raises(sp.LimitExceededError):
+        sp.brute_force_optimal(graph, catalog)
+    with pytest.raises(sp.LimitExceededError):
+        sp.exhaustive(graph, catalog)
+    plan, _stats, _distinct = sp.este(graph, catalog)
+    with pytest.raises(sp.LimitExceededError):
+        sp.plan_to_json(plan, graph)
