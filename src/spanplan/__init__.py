@@ -25,9 +25,6 @@ from .cost import (
     OperatorChoice,
     SelectivityModel,
     choose_operator,
-    hash_join_cost,
-    inl_join_cost,
-    leaf_cost,
     lookup_cardinality,
 )
 from .enumerators import (

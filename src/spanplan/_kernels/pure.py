@@ -1,9 +1,11 @@
 """Pure-Python search kernels.
 
-These are the reference implementations of the two hot paths: the subset
-dynamic program over connected vertex sets, and the depth-first enumeration
-of ordered spanning-tree edge arrangements.  The C kernels in ``kernels.c``
-mirror this module operation-for-operation; equivalence is enforced by
+These are the reference implementations of the per-join cost formula
+(``join_cost``, the only one in the package, and ``merge``, which chooses
+the operator with it) and of the two hot paths: the subset dynamic program
+over connected vertex sets, and the depth-first enumeration of ordered
+spanning-tree edge arrangements.  The C kernels in ``kernels.c`` mirror
+this module operation-for-operation; equivalence is enforced by
 tests/test_kernels.py.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
@@ -41,37 +43,51 @@ class Instance:
     pair_inner: dict[int, int]     # 2-vertex edge mask -> lookup-side vertex
 
 
-def merge(inst: Instance, l_mask: int, r_mask: int):
-    """Cost one join of two disjoint connected subsets.
+def join_cost(inst: Instance, l_mask: int, r_mask: int, op: int, side: int):
+    """Price one join of two disjoint connected subsets with a given operator.
 
-    Returns (step_cost, op, side, out_card).  ``side`` names the hash-build
-    side for OP_HJ and the index-lookup (inner) side for OP_INL, relative to
-    the (l_mask, r_mask) argument order.
+    ``side`` names the hash-build side for OP_HJ and the index-lookup (inner)
+    side for OP_INL, relative to the (l_mask, r_mask) argument order; an INL
+    inner is a base table and is not scanned.  This is the package's one
+    per-join cost formula.  Returns (step_cost, out_card).
     """
     cards = inst.cards
     out = cards[l_mask | r_mask]
+    if op == OP_HJ:
+        cost = out + cards[l_mask if side == SIDE_LEFT else r_mask]
+        if l_mask & (l_mask - 1) == 0:
+            cost = cost + inst.scan[l_mask.bit_length() - 1]
+        if r_mask & (r_mask - 1) == 0:
+            cost = cost + inst.scan[r_mask.bit_length() - 1]
+        return cost, out
+    outer_mask = r_mask if side == SIDE_LEFT else l_mask
+    outer_card = cards[outer_mask]
+    if outer_card > 0.0:
+        cost = inst.lam * (out if out >= outer_card else outer_card)
+    else:
+        cost = 0.0
+    if outer_mask & (outer_mask - 1) == 0:
+        cost = cost + inst.scan[outer_mask.bit_length() - 1]
+    return cost, out
+
+
+def merge(inst: Instance, l_mask: int, r_mask: int):
+    """Choose the operator and side for one join and price it with join_cost.
+
+    Returns (step_cost, op, side, out_card), ``side`` as in join_cost.
+    """
+    cards = inst.cards
     lc = cards[l_mask]
     rc = cards[r_mask]
-    l_single = l_mask & (l_mask - 1) == 0
-    r_single = r_mask & (r_mask - 1) == 0
-
     # Hash join: build on the smaller input, ties toward the smaller mask.
-    if lc < rc or (lc == rc and l_mask < r_mask):
-        build_card = lc
-        side = SIDE_LEFT
-    else:
-        build_card = rc
-        side = SIDE_RIGHT
-    cost = out + build_card
-    if l_single:
-        cost = cost + inst.scan[l_mask.bit_length() - 1]
-    if r_single:
-        cost = cost + inst.scan[r_mask.bit_length() - 1]
-    op = OP_HJ
+    side = SIDE_LEFT if lc < rc or (lc == rc and l_mask < r_mask) else SIDE_RIGHT
+    cost, out = join_cost(inst, l_mask, r_mask, OP_HJ, side)
 
     # Index nested-loop: the inner must be a base table.  When both sides
     # are base tables the edge orientation designates the inner (its right
     # endpoint); otherwise the singleton side is the inner.
+    l_single = l_mask & (l_mask - 1) == 0
+    r_single = r_mask & (r_mask - 1) == 0
     inner = -1
     if l_single and r_single:
         inner = inst.pair_inner.get(l_mask | r_mask, -1)
@@ -80,20 +96,11 @@ def merge(inst: Instance, l_mask: int, r_mask: int):
     elif l_single:
         inner = l_mask.bit_length() - 1
     if inner >= 0 and inst.indexed[inner]:
-        inner_mask = 1 << inner
-        outer_mask = r_mask if inner_mask == l_mask else l_mask
-        outer_card = cards[outer_mask]
-        if outer_card > 0.0:
-            inl = inst.lam * (out if out >= outer_card else outer_card)
-        else:
-            inl = 0.0
-        if outer_mask & (outer_mask - 1) == 0:
-            inl = inl + inst.scan[outer_mask.bit_length() - 1]
+        inner_side = SIDE_LEFT if 1 << inner == l_mask else SIDE_RIGHT
+        inl, _out = join_cost(inst, l_mask, r_mask, OP_INL, inner_side)
         if inl < cost:
-            cost = inl
-            op = OP_INL
-            side = SIDE_LEFT if inner_mask == l_mask else SIDE_RIGHT
-    return cost, op, side, out
+            return inl, OP_INL, inner_side, out
+    return cost, OP_HJ, side, out
 
 
 def _connectivity(n: int, adjacency: list[int]) -> list[bool]:
@@ -193,83 +200,22 @@ def dp_search(inst: Instance, prune_bound: float = float("inf"), deadline: float
     return root, choices, subplans, splits, splits
 
 
-def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
-    """Count ordered edge arrangements of length n-1: valid spanning trees
-    (split into linear/bushy) versus arrangements pruned for closing a cycle.
+def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: str):
+    """One depth-first walk over ordered edge arrangements of length n-1,
+    shared by count_trees and brute_search.  Arrangements that close a cycle
+    are counted, not walked.  Only with an Instance are joins priced and the
+    cheapest valid arrangement kept.
 
-    Returns (valid, invalid, linear, bushy).
+    Returns (counts, best_cost, best_seq, memo, evals) with counts =
+    [valid, invalid, linear, bushy] and memo mapping each costed
+    (smaller mask, larger mask) pair to its merge cost.
     """
     n_edges = len(edge_u)
     slots = n - 1
     if slots == 0:
-        return 1, 0, 1, 0
+        return [1, 0, 1, 0], 0.0, [], {}, 0
 
     # ff[u][s]: ordered ways to fill s slots from u distinct edges.
-    ff = [[1] * (slots + 1) for _ in range(n_edges + 1)]
-    for u in range(n_edges + 1):
-        for s in range(1, slots + 1):
-            ff[u][s] = 0 if u < s else ff[u - 1][s - 1] * u
-
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    used = [False] * n_edges
-    counts = [0, 0, 0, 0]  # valid, invalid, linear, bushy
-    state = {"nodes": 0}
-
-    def rec(depth: int, touched_mask: int, touched_cnt: int, linear: bool):
-        state["nodes"] += 1
-        if deadline and state["nodes"] % 4096 == 0 and time.perf_counter() > deadline:
-            raise OptimizeTimeout("tree enumeration ran past its deadline")
-        remaining = slots - depth
-        unused = n_edges - depth
-        for e in range(n_edges):
-            if used[e]:
-                continue
-            u, v = edge_u[e], edge_v[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                counts[1] += ff[unused - 1][remaining - 1]
-                continue
-            parent[ru] = rv
-            used[e] = True
-            new_touched = touched_mask | (1 << u) | (1 << v)
-            new_cnt = touched_cnt + ((touched_mask >> u) & 1 == 0) + ((touched_mask >> v) & 1 == 0)
-            new_linear = linear and (new_cnt - (depth + 1) == 1)
-            if depth + 1 == slots:
-                counts[0] += 1
-                if new_linear:
-                    counts[2] += 1
-                else:
-                    counts[3] += 1
-            else:
-                rec(depth + 1, new_touched, new_cnt, new_linear)
-            used[e] = False
-            parent[ru] = ru
-
-    rec(0, 0, 0, True)
-    return counts[0], counts[1], counts[2], counts[3]
-
-
-def brute_search(inst: Instance, deadline: float = 0.0):
-    """Exhaustive walk of every valid ordered spanning tree, tracking the
-    minimum-cost one.  No cost pruning: the valid/invalid/linear/bushy counts
-    stay exact and every complete plan is compared.
-
-    Returns (best_cost, best_seq, valid, invalid, linear, bushy,
-    subplans, splits, evals).
-    """
-    n = inst.n
-    edge_u, edge_v = inst.edge_u, inst.edge_v
-    n_edges = len(edge_u)
-    slots = n - 1
-    if slots == 0:
-        return 0.0, [], 1, 0, 1, 0, 0, 0, 0
-
     ff = [[1] * (slots + 1) for _ in range(n_edges + 1)]
     for u in range(n_edges + 1):
         for s in range(1, slots + 1):
@@ -288,12 +234,12 @@ def brute_search(inst: Instance, deadline: float = 0.0):
     seq: list[int] = []
     memo: dict[tuple[int, int], float] = {}
     counts = [0, 0, 0, 0]
-    state = {"best": float("inf"), "seq": None, "evals": 0, "nodes": 0}
+    state = {"best": float("inf"), "seq": [], "evals": 0, "nodes": 0}
 
     def rec(depth: int, touched_mask: int, touched_cnt: int, linear: bool):
         state["nodes"] += 1
         if deadline and state["nodes"] % 4096 == 0 and time.perf_counter() > deadline:
-            raise OptimizeTimeout("oracle enumeration ran past its deadline")
+            raise OptimizeTimeout(f"{what} ran past its deadline")
         remaining = slots - depth
         unused = n_edges - depth
         for e in range(n_edges):
@@ -304,19 +250,19 @@ def brute_search(inst: Instance, deadline: float = 0.0):
             if ru == rv:
                 counts[1] += ff[unused - 1][remaining - 1]
                 continue
-            lm, rm = comp_mask[ru], comp_mask[rv]
-            key = (lm, rm) if lm < rm else (rm, lm)
-            state["evals"] += 1
-            inc = memo.get(key)
-            if inc is None:
-                inc, _op, _side, _out = merge(inst, key[0], key[1])
-                memo[key] = inc
-            new_cost = inc + comp_cost[ru] + comp_cost[rv]
-
+            if inst is not None:
+                lm, rm = comp_mask[ru], comp_mask[rv]
+                key = (lm, rm) if lm < rm else (rm, lm)
+                state["evals"] += 1
+                inc = memo.get(key)
+                if inc is None:
+                    inc, _op, _side, _out = merge(inst, key[0], key[1])
+                    memo[key] = inc
+                new_cost = inc + comp_cost[ru] + comp_cost[rv]
+                saved_mask, saved_cost = rm, comp_cost[rv]
+                comp_mask[rv] = lm | rm
+                comp_cost[rv] = new_cost
             parent[ru] = rv
-            saved_mask, saved_cost = comp_mask[rv], comp_cost[rv]
-            comp_mask[rv] = lm | rm
-            comp_cost[rv] = new_cost
             used[e] = True
             seq.append(e)
             new_touched = touched_mask | (1 << u) | (1 << v)
@@ -328,27 +274,42 @@ def brute_search(inst: Instance, deadline: float = 0.0):
                     counts[2] += 1
                 else:
                     counts[3] += 1
-                if new_cost < state["best"]:
+                if inst is not None and new_cost < state["best"]:
                     state["best"] = new_cost
                     state["seq"] = list(seq)
             else:
                 rec(depth + 1, new_touched, new_cnt, new_linear)
             seq.pop()
             used[e] = False
-            comp_mask[rv] = saved_mask
-            comp_cost[rv] = saved_cost
             parent[ru] = ru
+            if inst is not None:
+                comp_mask[rv] = saved_mask
+                comp_cost[rv] = saved_cost
 
     rec(0, 0, 0, True)
+    return counts, state["best"], state["seq"], memo, state["evals"]
+
+
+def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
+    """Count ordered edge arrangements of length n-1: valid spanning trees
+    (split into linear/bushy) versus arrangements pruned for closing a cycle.
+
+    Returns (valid, invalid, linear, bushy).
+    """
+    counts, _best, _seq, _memo, _evals = _walk(
+        n, edge_u, edge_v, None, deadline, "tree enumeration")
+    return tuple(counts)
+
+
+def brute_search(inst: Instance, deadline: float = 0.0):
+    """Exhaustive walk of every valid ordered spanning tree, tracking the
+    minimum-cost one.  No cost pruning: the valid/invalid/linear/bushy counts
+    stay exact and every complete plan is compared.
+
+    Returns (best_cost, best_seq, valid, invalid, linear, bushy,
+    subplans, splits, evals).
+    """
+    counts, best, seq, memo, evals = _walk(
+        inst.n, inst.edge_u, inst.edge_v, inst, deadline, "oracle enumeration")
     subplans = len({a | b for a, b in memo})
-    return (
-        state["best"],
-        state["seq"] or [],
-        counts[0],
-        counts[1],
-        counts[2],
-        counts[3],
-        subplans,
-        len(memo),
-        state["evals"],
-    )
+    return (best, seq, *counts, subplans, len(memo), evals)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 from .cost import CardinalitySource, CostContext, CostParams
 from .enumerators import ALGORITHMS, este, run_algorithm
-from .errors import SpanPlanError
+from .errors import LimitExceededError, SpanPlanError
 from .graph import JoinGraph, TopologyKind, gen_topology
 from .plan import reevaluate_plan
 
@@ -83,9 +83,11 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
         eval_ctx = CostContext(query.graph, query.evaluation_source, params)
 
     def final_cost(plan) -> float:
-        if eval_ctx is None:
-            return plan.internal_cost
-        return reevaluate_plan(plan, query.graph, eval_ctx).internal_cost
+        if eval_ctx is not None:
+            plan = reevaluate_plan(plan, query.graph, eval_ctx)
+        if not math.isfinite(plan.total_cost):
+            raise LimitExceededError(f"the {plan.algorithm} plan's cost overflows a float")
+        return plan.internal_cost
 
     records: dict[str, BenchRecord] = {}
     costs: dict[str, float] = {}

@@ -144,9 +144,8 @@ def cmd_bench(args) -> int:
             )
         records = benchmod.run_workload(queries, algorithms, params, timeout=args.timeout)
     elif args.topology:
-        sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [4, 5, 6, 7]
         records = benchmod.topology_sweep(
-            args.topology, sizes, args.seeds, algorithms, params, timeout=args.timeout
+            args.topology, args.sizes, args.seeds, algorithms, params, timeout=args.timeout
         )
     else:
         raise GraphFormatError("bench needs --graph files or a --topology sweep")
@@ -173,6 +172,13 @@ def _strip_times(summary: dict) -> None:
     for section in list(summary.get("groups", {}).values()) + [summary.get("total", {})]:
         for algo_stats in section.values():
             algo_stats["opt_time_ms"] = 0.0
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
 def _common_cost_flags(p) -> None:
@@ -218,7 +224,8 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--evaluation-catalog")
     p_bench.add_argument("--algos", help="comma list; default all five")
     p_bench.add_argument("--topology", choices=[k.value for k in TopologyKind])
-    p_bench.add_argument("--sizes", help="comma list of table counts for sweeps")
+    p_bench.add_argument("--sizes", type=_int_list, default=[4, 5, 6, 7],
+                         help="comma list of table counts for sweeps")
     p_bench.add_argument("--seeds", type=int, default=3, help="seeds per sweep size")
     p_bench.add_argument("--timeout", type=float, default=60.0)
     p_bench.add_argument("--out", help="CSV path; a .summary.json lands next to it")

@@ -11,6 +11,13 @@ with the smaller output cardinality; the index-lookup inner side must be a
 base table and is never scanned.  A plan's reported ``internal_cost`` is the
 root cost of this recursion; per-step costs are the increments it adds on
 top of the child subtree costs.
+
+``_kernels.pure.join_cost`` is the one definition of a join's increment;
+``pure.merge`` picks the operator and side by calling it, and ``kernels.c``
+mirrors both operation for operation (tests/test_kernels.py holds them
+bit-for-bit equal).  ``CostContext.merge`` chooses; ``CostContext.join_cost``
+prices a given choice, which is how a re-evaluated plan keeps its operators
+and sides while its cardinalities change.
 """
 from __future__ import annotations
 
@@ -20,7 +27,7 @@ from typing import Iterable, NamedTuple, Union
 
 from ._kernels import pure as _pure
 from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
-from .graph import JoinGraph, TableInfo, is_row_count, iter_bits
+from .graph import JoinGraph, is_row_count, iter_bits
 
 DEFAULT_TAU = 0.2
 DEFAULT_LAMBDA = 2.0
@@ -216,6 +223,15 @@ class CostContext:
         self._merge_memo[key] = res
         return res
 
+    def join_cost(self, l_mask: int, r_mask: int, op: OperatorChoice) -> MergeResult:
+        """Price a join with its operator and side given, not chosen."""
+        self.card(l_mask | r_mask)
+        self.card(l_mask)
+        self.card(r_mask)
+        cost, out = _pure.join_cost(self._inst, l_mask, r_mask,
+                                    _OP_NAMES.index(op.kind), _SIDE_NAMES.index(op.side))
+        return MergeResult(cost, op, out)
+
 
 def _as_mask(graph: JoinGraph, subset) -> int:
     if isinstance(subset, int):
@@ -227,26 +243,6 @@ def _as_mask(graph: JoinGraph, subset) -> int:
     for v in ids:
         mask |= 1 << v
     return mask
-
-
-def leaf_cost(table: TableInfo, params: CostParams | None = None) -> float:
-    """Scan cost of a base table; selections still require the full scan."""
-    params = params or CostParams()
-    return params.tau * table.base_cardinality
-
-
-def hash_join_cost(out_card: float, build_card: float, build_cost: float, probe_cost: float) -> float:
-    return out_card + build_card + build_cost + probe_cost
-
-
-def inl_join_cost(outer_card: float, outer_cost: float, join_out_card: float,
-                  params: CostParams | None = None) -> float:
-    """Index-lookup join: lam * |outer| * max(|out| / |outer|, 1) on top of
-    the outer cost; zero lookups for an empty outer."""
-    params = params or CostParams()
-    if outer_card <= 0:
-        return outer_cost
-    return outer_cost + params.lam * max(join_out_card, outer_card)
 
 
 def lookup_cardinality(graph: JoinGraph, source: CardinalitySource, subset) -> int:

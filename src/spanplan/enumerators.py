@@ -282,8 +282,7 @@ def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
 
 
 def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
-               *, prune: bool = True, vertex_limit: int = EXHAUSTIVE_VERTEX_LIMIT,
-               timeout: float | None = None):
+               *, prune: bool = True, timeout: float | None = None):
     """Optimal plan by dynamic programming over connected vertex subsets.
 
     best(S) = min over connected splits (S1, S2) of
@@ -291,10 +290,9 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     pass supplies an upper bound and subsets costing more than it are never
     extended (safe: increments are non-negative).
     """
-    if graph.n_vertices > vertex_limit:
-        raise LimitExceededError(
-            f"exhaustive enumeration limited to {vertex_limit} tables; got {graph.n_vertices}"
-        )
+    if graph.n_vertices > EXHAUSTIVE_VERTEX_LIMIT:
+        raise LimitExceededError(f"exhaustive enumeration limited to {EXHAUSTIVE_VERTEX_LIMIT}"
+                                 f" tables; got {graph.n_vertices}")
     ctx = _context(graph, source, params)
     t0 = time.perf_counter()
     if graph.n_vertices == 1:

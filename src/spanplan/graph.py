@@ -368,6 +368,12 @@ def gen_topology(
         raise GraphFormatError("a cycle needs at least 3 tables")
     if n > MAX_VERTICES:
         raise LimitExceededError(f"at most {MAX_VERTICES} tables supported")
+    if not (is_row_count(base_range[0], 1) and is_row_count(base_range[1], base_range[0])):
+        raise GraphFormatError("base cardinality range LO HI must hold integers"
+                               " 1 <= LO <= HI that fit in a float")
+    if not all(0.0 < s <= 1.0 for s in sel_range):
+        raise GraphFormatError(f"selectivity range {sel_range[0]} {sel_range[1]}"
+                               " must lie inside (0, 1]")
     rng = random.Random(_derive_seed(kind.value, n, seed))
     width = len(str(n - 1))
     names = [f"t{str(i).zfill(max(2, width))}" for i in range(n)]

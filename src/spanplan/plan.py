@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .cost import CostContext, HJ, INL
+from .cost import INL, CostContext, OperatorChoice
 from .errors import LimitExceededError, PlanValidationError
 from .graph import JoinGraph, iter_bits
 
@@ -71,8 +71,14 @@ class PlanBuilder:
         self.filters: list[int] = []
         self._cost: dict[int, float] = {1 << v: 0.0 for v in range(graph.n_vertices)}
 
-    def add_step(self, edge_id: int, l_mask: int, r_mask: int) -> float:
-        res = self.ctx.merge(l_mask, r_mask)
+    def add_step(self, edge_id: int, l_mask: int, r_mask: int,
+                 op: OperatorChoice | None = None) -> float:
+        """Join two components; the context chooses the operator unless
+        ``op`` forces one."""
+        if op is None:
+            res = self.ctx.merge(l_mask, r_mask)
+        else:
+            res = self.ctx.join_cost(l_mask, r_mask, op)
         new_mask = l_mask | r_mask
         new_cost = res.step_cost + self._cost[l_mask] + self._cost[r_mask]
         del self._cost[l_mask]
@@ -190,45 +196,12 @@ def reevaluate_plan(plan: Plan, graph: JoinGraph, eval_ctx: CostContext) -> Plan
     Join order, operators, and build/inner sides stay as selected; output
     cardinalities and costs are recomputed from the evaluation source.
     """
-    lam = eval_ctx.params.lam
-    comp_cost: dict[int, float] = {1 << v: 0.0 for v in range(graph.n_vertices)}
-    new_steps = []
-    total_extra = 0.0
+    builder = PlanBuilder(graph, eval_ctx, plan.algorithm)
     for s in plan.steps:
-        out = eval_ctx.card(s.resulting_mask)
-        l_single = s.left_mask & (s.left_mask - 1) == 0
-        r_single = s.right_mask & (s.right_mask - 1) == 0
-        if s.operator == HJ:
-            build_card = eval_ctx.card(s.side_mask())
-            inc = out + build_card
-            if l_single:
-                inc = inc + eval_ctx.scan_cost(s.left_mask.bit_length() - 1)
-            if r_single:
-                inc = inc + eval_ctx.scan_cost(s.right_mask.bit_length() - 1)
-        else:
-            inner_mask = s.side_mask()
-            outer_mask = s.resulting_mask ^ inner_mask
-            outer_card = eval_ctx.card(outer_mask)
-            if outer_card > 0.0:
-                inc = lam * (out if out >= outer_card else outer_card)
-            else:
-                inc = 0.0
-            if outer_mask & (outer_mask - 1) == 0:
-                inc = inc + eval_ctx.scan_cost(outer_mask.bit_length() - 1)
-            if inner_mask & (inner_mask - 1) == 0:
-                total_extra = total_extra + eval_ctx.scan_cost(inner_mask.bit_length() - 1)
-        new_cost = inc + comp_cost[s.left_mask] + comp_cost[s.right_mask]
-        del comp_cost[s.left_mask]
-        del comp_cost[s.right_mask]
-        comp_cost[s.resulting_mask] = new_cost
-        new_steps.append(replace(s, out_card=out, step_cost=inc))
-    internal = comp_cost[graph.full_mask] if plan.steps else 0.0
-    return replace(
-        plan,
-        steps=tuple(new_steps),
-        internal_cost=internal,
-        total_cost=internal + total_extra,
-    )
+        builder.add_step(s.edge, s.left_mask, s.right_mask, OperatorChoice(s.operator, s.side))
+    for f in plan.filters:
+        builder.add_filter(f)
+    return builder.build()
 
 
 def _num(x: float):

@@ -77,6 +77,23 @@ def test_estimated_selection_can_beat_estimated_optimum():
     assert min(r for r in ratios.values() if r is not None) < 1.0
 
 
+@pytest.mark.parametrize("overflowing", ["selection", "evaluation"])
+def test_overflowing_cost_is_a_limit_error_in_every_row(q2a, overflowing):
+    graph, catalog = q2a
+    huge = CardinalityCatalog(
+        entries={m: (10**308 if m & (m - 1) else rows) for m, rows in catalog.entries.items()})
+    if overflowing == "selection":
+        query = WorkloadQuery(query_id="huge", graph=graph, selection_source=huge)
+    else:
+        query = WorkloadQuery(query_id="huge", graph=graph, selection_source=catalog,
+                              evaluation_source=huge)
+    records = run_workload([query])
+    assert [r.algorithm for r in records] == list(sp.ALGORITHMS)
+    for r in records:
+        assert r.error is not None and r.error.startswith("LimitExceededError: "), r
+        assert r.internal_cost is None and r.cost_ratio is None
+
+
 def test_aggregate_single_record_equals_itself():
     rec = BenchRecord(
         query_id="q", group="simple", algorithm="exhaustive",

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import spanplan as sp
 from spanplan.cli import main
 
@@ -187,3 +189,22 @@ def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):
         assert code == 1, algo
         assert out == ""
         assert err.startswith("spanplan: error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--topology", "chain", "--tables", "4", "--card-range", "5", "1"),
+    ("gen", "--topology", "chain", "--tables", "4", "--card-range", "1", "9" * 400),
+    ("gen", "--topology", "chain", "--tables", "4", "--sel-range", "0", "0.1"),
+    ("gen", "--topology", "chain", "--tables", "4", "--sel-range", "0.1", "2"),
+    ("bench", "--topology", "chain", "--sizes", "abc"),
+    ("bench", "--topology", "chain", "--sizes", "4,,5"),
+])
+def test_bad_generator_ranges_and_sizes_exit_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    if argv[0] == "gen":
+        assert err.startswith("spanplan: error: ") and err.count("\n") == 1, err
+    else:
+        # A malformed flag value prints the usage first, as for every flag.
+        assert err.splitlines()[-1].startswith("spanplan bench: error: argument --sizes: "), err

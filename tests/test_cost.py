@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanplan as sp
-from spanplan.cost import CardinalityCatalog, CostContext
+from spanplan._kernels import pure as _pure
+from spanplan.cost import CardinalityCatalog, CostContext, OperatorChoice
 
 from .conftest import make_graph
 
@@ -18,33 +19,62 @@ def test_params_validation():
 
 
 def test_leaf_cost_values():
-    assert sp.leaf_cost(sp.TableInfo("r", 1000)) == 200.0
-    assert sp.leaf_cost(sp.TableInfo("r", 1)) == pytest.approx(0.2)
-    assert sp.leaf_cost(sp.TableInfo("r", 4_520_000)) == 904_000.0
+    graph, catalog = make_graph(
+        [{"name": "r", "cardinality": 1000}, {"name": "s", "cardinality": 1},
+         {"name": "t", "cardinality": 4_520_000}],
+        [{"left": "r", "right": "s"}, {"left": "s", "right": "t"}],
+        cardinalities={"r": 1000, "s": 1, "t": 4_520_000},
+    )
+    ctx = CostContext(graph, catalog)
+    assert ctx.scan_cost(0) == 200.0
+    assert ctx.scan_cost(1) == pytest.approx(0.2)
+    assert ctx.scan_cost(2) == 904_000.0
 
 
 def test_leaf_cost_ignores_selection_flag():
-    plain = sp.TableInfo("r", 12345, selected=False)
-    selected = sp.TableInfo("r", 12345, selected=True)
-    assert sp.leaf_cost(plain) == sp.leaf_cost(selected)
+    graph, catalog = make_graph(
+        [{"name": "r", "cardinality": 12345, "selected": False},
+         {"name": "s", "cardinality": 12345, "selected": True}],
+        [{"left": "r", "right": "s"}],
+        cardinalities={"r": 12345, "s": 100},
+    )
+    ctx = CostContext(graph, catalog)
+    assert ctx.scan_cost(0) == ctx.scan_cost(1)
+
+
+def _pair(l_card, r_card, out, scan=(0.0, 0.0), indexed=(True, True)):
+    """Two base tables 0 -- 1 (inner 1 when both are base tables)."""
+    return _pure.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=scan, indexed=indexed, lam=2.0,
+                          cards={1: l_card, 2: r_card, 3: out}, pair_inner={3: 1})
 
 
 def test_hash_join_cost_arithmetic():
-    assert sp.hash_join_cost(0, 0, 0, 0) == 0
-    assert sp.hash_join_cost(10, 5, 3, 7) == 25
+    assert _pure.join_cost(_pair(0.0, 0.0, 0.0), 1, 2, _pure.OP_HJ, _pure.SIDE_LEFT) == (0.0, 0.0)
+    # out 10 + build 5 + both scans (3 and 7): base tables are scanned by their join.
+    inst = _pair(5.0, 8.0, 10.0, scan=(3.0, 7.0))
+    assert _pure.join_cost(inst, 1, 2, _pure.OP_HJ, _pure.SIDE_LEFT) == (25.0, 10.0)
+    assert _pure.join_cost(inst, 1, 2, _pure.OP_HJ, _pure.SIDE_RIGHT) == (28.0, 10.0)
 
 
-def test_hash_join_cost_2a_first_step(q2a):
+def test_hash_join_cost_2a_first_step(q2a_ctx):
     # mc joined with cn: out 150000, build on selected cn (245000 rows),
     # child scans 556000 and 50000.
-    assert sp.hash_join_cost(150_000, 245_000, 556_000, 50_000) == 1_001_000
+    mc, cn = 0b01000, 0b10000
+    hj = q2a_ctx.join_cost(mc, cn, OperatorChoice("HJ", "right"))
+    assert hj == (1_001_000.0, OperatorChoice("HJ", "right"), 150_000.0)
+    assert q2a_ctx.merge(mc, cn) == hj
 
 
-def test_inl_join_cost():
-    assert sp.inl_join_cost(0, 123.0, 99) == 123.0
-    assert sp.inl_join_cost(100, 50, 400) == 850.0
+def test_inl_join_cost(q2a_ctx):
+    # An empty outer makes no lookups; only its scan is paid.
+    inst = _pair(0.0, 5.0, 99.0, scan=(123.0, 7.0))
+    assert _pure.join_cost(inst, 1, 2, _pure.OP_INL, _pure.SIDE_RIGHT) == (123.0, 99.0)
+    # lam * max(|out|, |outer|) plus the outer's scan; the inner is not scanned.
+    inst = _pair(100.0, 5.0, 400.0, scan=(50.0, 7.0))
+    assert _pure.join_cost(inst, 1, 2, _pure.OP_INL, _pure.SIDE_RIGHT) == (850.0, 400.0)
     # ((mc join cn) looked up against t): 2 * max(150000, 150000)
-    assert sp.inl_join_cost(150_000, 0.0, 150_000) == 300_000.0
+    got = q2a_ctx.join_cost(0b11000, 0b00100, OperatorChoice("INL", "right"))
+    assert got.step_cost == 300_000.0
 
 
 def test_choose_operator_2a_two_way(q2a):
@@ -52,8 +82,8 @@ def test_choose_operator_2a_two_way(q2a):
     op, cost, out = sp.choose_operator(graph, catalog, None, ("mk",), ("k",))
     assert (op.kind, cost, out) == ("HJ", 1_100_001.0, 42_000.0)
     # The index-lookup alternative is an order of magnitude worse.
-    inl = sp.inl_join_cost(4_545_000, sp.leaf_cost(graph.vertices[0]), 42_000)
-    assert inl == 9_999_000.0
+    inl = CostContext(graph, catalog).join_cost(0b00001, 0b00010, OperatorChoice("INL", "right"))
+    assert inl.step_cost == 9_999_000.0
 
 
 def test_choose_operator_2a_final_step(q2a):
@@ -61,8 +91,8 @@ def test_choose_operator_2a_final_step(q2a):
     op, cost, out = sp.choose_operator(graph, catalog, None, ("mk", "k", "mc", "cn"), ("t",))
     assert op.kind == "INL"
     assert cost == 16_000.0
-    hj = sp.hash_join_cost(8_000, 1_000, 0.0, sp.leaf_cost(graph.vertices[2]))
-    assert hj == 499_000.0
+    hj = CostContext(graph, catalog).join_cost(0b11011, 0b00100, OperatorChoice("HJ", "left"))
+    assert hj.step_cost == 499_000.0
 
 
 def test_choose_operator_static_edge_weight(q2a):
@@ -113,8 +143,33 @@ def test_choose_operator_rejects_cross_join(q2a):
 )
 def test_cost_monotone_in_output_cardinality(out1, delta, build, outer):
     out2 = out1 + delta
-    assert sp.hash_join_cost(out2, build, 0, 0) >= sp.hash_join_cost(out1, build, 0, 0)
-    assert sp.inl_join_cost(outer, 0, out2) >= sp.inl_join_cost(outer, 0, out1)
+    # The left input is the hash build side, or the outer of an index lookup.
+    for op, side, l_card in ((_pure.OP_HJ, _pure.SIDE_LEFT, build),
+                             (_pure.OP_INL, _pure.SIDE_RIGHT, outer)):
+        low, _ = _pure.join_cost(_pair(float(l_card), 1e9, float(out1)), 1, 2, op, side)
+        high, _ = _pure.join_cost(_pair(float(l_card), 1e9, float(out2)), 1, 2, op, side)
+        assert high >= low
+
+
+@pytest.mark.parametrize("kind", ["chain", "cycle", "star", "clique"])
+def test_reevaluate_under_the_planning_source_is_identity(kind):
+    for n in (4, 6, 8, 10):
+        for seed in range(10):
+            graph, model = sp.gen_topology(kind, n, seed=seed)
+            ctx = CostContext(graph, model)
+            for algo in sp.ALGORITHMS:
+                plan, _ = sp.run_algorithm(algo, graph, ctx)
+                assert sp.reevaluate_plan(plan, graph, ctx) == plan, (kind, n, seed, algo)
+
+
+def test_reevaluate_keeps_operators_and_sides(q2a):
+    graph, catalog = q2a
+    plan, _ = sp.exhaustive(graph, catalog)
+    flat = CardinalityCatalog(entries={m: 1000 for m in catalog.entries})
+    again = sp.reevaluate_plan(plan, graph, CostContext(graph, flat))
+    assert [(s.operator, s.side) for s in again.steps] == [(s.operator, s.side) for s in plan.steps]
+    assert [s.out_card for s in again.steps] == [1000.0] * len(plan.steps)
+    assert again.internal_cost != plan.internal_cost
 
 
 def test_lookup_cardinality(q2a):
