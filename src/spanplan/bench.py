@@ -96,7 +96,7 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
         try:
             t0 = time.perf_counter()
             if name == "este":
-                plan, stats, distinct = este(query.graph, sel_ctx, params)
+                plan, stats, distinct = este(query.graph, sel_ctx, params, timeout=timeout)
                 rec.distinct_plans = distinct
             else:
                 plan, stats = run_algorithm(name, query.graph, sel_ctx, params, timeout=timeout)

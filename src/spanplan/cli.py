@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bench as benchmod
@@ -181,6 +182,18 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
 
 
+def _timeout(text: str) -> float:
+    """--timeout: a finite number of seconds above 0.  Raised as a planner
+    error, not an argparse one, so the diagnostic is one line."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not (0.0 < seconds < math.inf):
+        raise SpanPlanError(f"--timeout must be a finite number of seconds above 0, got {text!r}")
+    return seconds
+
+
 def _common_cost_flags(p) -> None:
     p.add_argument("--tau", type=float, default=0.2, help="scan discount factor")
     p.add_argument("--lambda", dest="lam", type=float, default=2.0, help="index-lookup factor")
@@ -194,7 +207,7 @@ def build_parser() -> _Parser:
     p_opt.add_argument("--graph", required=True, help="join-graph JSON file")
     p_opt.add_argument("--algo", choices=ALGORITHMS, default="este")
     p_opt.add_argument("--selection-catalog", help="cardinality catalog JSON file")
-    p_opt.add_argument("--timeout", type=float, default=60.0)
+    p_opt.add_argument("--timeout", type=_timeout, default=60.0)
     p_opt.add_argument("--out", help="write the plan JSON here instead of stdout")
     p_opt.add_argument("--timing", action="store_true", help="report real elapsed times")
     _common_cost_flags(p_opt)
@@ -227,7 +240,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--sizes", type=_int_list, default=[4, 5, 6, 7],
                          help="comma list of table counts for sweeps")
     p_bench.add_argument("--seeds", type=int, default=3, help="seeds per sweep size")
-    p_bench.add_argument("--timeout", type=float, default=60.0)
+    p_bench.add_argument("--timeout", type=_timeout, default=60.0)
     p_bench.add_argument("--out", help="CSV path; a .summary.json lands next to it")
     p_bench.add_argument("--timing", action="store_true")
     _common_cost_flags(p_bench)

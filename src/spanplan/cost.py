@@ -22,12 +22,12 @@ and sides while its cardinalities change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
 from ._kernels import pure as _pure
 from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
-from .graph import JoinGraph, is_row_count, iter_bits
+from .graph import JoinGraph, is_row_count
 
 DEFAULT_TAU = 0.2
 DEFAULT_LAMBDA = 2.0
@@ -88,6 +88,10 @@ class SelectivityModel:
 
     graph: JoinGraph
     selectivities: tuple
+    # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
+    # in the order lookup multiplies them.
+    _bases: tuple = field(init=False, repr=False, compare=False)
+    _edge_sels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.selectivities) != self.graph.n_edges:
@@ -95,6 +99,9 @@ class SelectivityModel:
         for s in self.selectivities:
             if not (0.0 < s <= 1.0):
                 raise GraphFormatError(f"selectivity {s} outside (0, 1]")
+        object.__setattr__(self, "_bases", tuple(t.base_cardinality for t in self.graph.vertices))
+        object.__setattr__(self, "_edge_sels", tuple(
+            (e.mask(), self.selectivities[e.id]) for e in self.graph.edges))
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
@@ -125,12 +132,18 @@ class SelectivityModel:
         return cls(graph=graph, selectivities=tuple(sels))
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
+        # Bases in ascending vertex order, then selectivities by edge id:
+        # the order fixes every product bit for bit.
+        bases = self._bases
         prod = 1.0
-        for v in iter_bits(mask):
-            prod *= graph.vertices[v].base_cardinality
-        for e in graph.edges:
-            if (mask >> e.v1) & 1 and (mask >> e.v2) & 1:
-                prod *= self.selectivities[e.id]
+        rest = mask
+        while rest:
+            low = rest & -rest
+            prod *= bases[low.bit_length() - 1]
+            rest ^= low
+        for edge_mask, sel in self._edge_sels:
+            if mask & edge_mask == edge_mask:
+                prod *= sel
         if prod == math.inf:
             raise LimitExceededError(
                 f"cardinality of {{{graph.subset_key(mask)}}} overflows a float")

@@ -9,10 +9,13 @@ Five enumerators over one cost context:
   lazy invalidation; linear or bushy plans.
 * ``goo`` — greedy cheapest-merge over all component pairs (baseline).
 * ``este`` — ensemble: run prim and kruskal once seeded from every edge,
-  keep the cheapest plan.
+  keep the cheapest plan.  The members share the choice made at each
+  state (see ``_Search``).
 
 All of them price candidate joins identically through CostContext.merge,
-so their costs are exactly comparable.
+so their costs are exactly comparable.  ``EnumStats.subplans_reached`` and
+``join_costs_computed`` count the distinct subsets and splits costed;
+``evaluations`` counts the evaluations actually performed.
 """
 from __future__ import annotations
 
@@ -22,32 +25,66 @@ import time
 
 from . import _kernels
 from .cost import CardinalitySource, CostContext, CostParams
-from .errors import LimitExceededError, SpanPlanError
+from .errors import LimitExceededError, OptimizeTimeout, SpanPlanError
 from .graph import JoinGraph, iter_bits
 from .plan import EnumStats, Plan, PlanBuilder, canonical_encoding
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 
 
-class _Collector:
-    """Tracks distinct costed subsets/splits and raw evaluation count."""
+class _Search:
+    """The state one enumeration shares between its greedy runs.
 
-    __slots__ = ("masks", "splits", "evals")
+    It holds the distinct splits costed, the evaluations performed, and
+    one memo per member kind of the choice made at each state.  A prim
+    run's next join depends only on its component, and a kruskal run's
+    only on the partition into components: every valid lazy-heap entry
+    prices ``merge(comp_of[v1], comp_of[v2])`` for the current components.
+    So a run that reaches a state an earlier run left replays the stored
+    choices through ``PlanBuilder``; the splits it would have costed are
+    recorded already.  ``prim`` and ``kruskal`` get a fresh one.
+    """
 
-    def __init__(self):
-        self.masks: set[int] = set()
+    __slots__ = ("graph", "ctx", "ends", "splits", "evals", "prim_next", "kruskal_next",
+                 "_opening")
+
+    def __init__(self, graph: JoinGraph, ctx: CostContext):
+        self.graph = graph
+        self.ctx = ctx
+        self.ends = tuple((e.id, e.v1, e.v2) for e in graph.edges)
         self.splits: set[tuple[int, int]] = set()
         self.evals = 0
+        self.prim_next: dict[int, tuple[int, int]] = {}  # component -> (edge, outside vertex mask)
+        self.kruskal_next: dict[tuple[int, ...], int] = {}  # comp_of -> edge
+        self._opening: list | None = None
 
-    def record(self, l_mask: int, r_mask: int) -> None:
-        self.evals += 1
-        key = (l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask)
-        self.splits.add(key)
-        self.masks.add(l_mask | r_mask)
+    def kruskal_opening(self) -> list:
+        """A copy of kruskal's first heap: every single-edge join, priced
+        once per enumeration.  Entries are (cost, edge id, stamp), so equal
+        costs pop lowest edge id first."""
+        if self._opening is None:
+            merge, splits = self.ctx.merge, self.splits
+            heap = []
+            for eid, v1, v2 in self.ends:
+                l_mask, r_mask = 1 << v1, 1 << v2
+                heap.append((merge(l_mask, r_mask).step_cost, eid, 0))
+                splits.add((l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask))
+            self.evals += len(heap)
+            heapq.heapify(heap)
+            self._opening = heap
+        return self._opening.copy()
+
+    def finish(self, builder: PlanBuilder) -> Plan:
+        """Every edge that is not a step is a filter."""
+        steps = {s.edge for s in builder.steps}
+        for eid, _v1, _v2 in self.ends:
+            if eid not in steps:
+                builder.add_filter(eid)
+        return builder.build()
 
     def stats(self, plans: int, elapsed: float) -> EnumStats:
         return EnumStats(
-            subplans_reached=len(self.masks),
+            subplans_reached=len({l_mask | r_mask for l_mask, r_mask in self.splits}),
             join_costs_computed=len(self.splits),
             plans_enumerated=plans,
             evaluations=self.evals,
@@ -66,128 +103,116 @@ def _empty_plan(graph: JoinGraph, ctx: CostContext, algorithm: str):
     return builder.build()
 
 
-def _eval(ctx: CostContext, col: _Collector, l_mask: int, r_mask: int):
-    col.record(l_mask, r_mask)
-    return ctx.merge(l_mask, r_mask)
+def _prim_run(search: _Search, start_edge: int | None) -> Plan:
+    ctx, ends, splits = search.ctx, search.ends, search.splits
+    merge = ctx.merge
+    builder = PlanBuilder(search.graph, ctx, "prim")
+    openings = ends if start_edge is None else (ends[start_edge],)
+    best_cost = None
+    for eid, v1, v2 in openings:
+        l_mask, r_mask = 1 << v1, 1 << v2
+        cost = merge(l_mask, r_mask).step_cost
+        splits.add((l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask))
+        if best_cost is None or cost < best_cost:
+            best_cost, first = cost, eid
+    evals = len(openings)
+    _eid, v1, v2 = ends[first]
+    l_mask, r_mask = 1 << v1, 1 << v2
+    builder.add_step(first, l_mask, r_mask)
+    component = l_mask | r_mask
+
+    memo = search.prim_next
+    full = search.graph.full_mask
+    while component != full:
+        choice = memo.get(component)
+        if choice is None:
+            # The first strictly cheapest candidate in edge-id order wins.
+            # Later edges to an outside vertex already priced repeat the
+            # same join, so they can never be strictly cheaper.
+            best_cost = None
+            seen = 0
+            for eid, v1, v2 in ends:
+                in1 = (component >> v1) & 1
+                if in1 == (component >> v2) & 1:
+                    continue  # inside the component or not adjacent to it
+                outside = 1 << (v2 if in1 else v1)
+                if outside & seen:
+                    continue
+                seen |= outside
+                cost = merge(component, outside).step_cost
+                evals += 1
+                splits.add((component, outside) if component < outside else (outside, component))
+                if best_cost is None or cost < best_cost:
+                    best_cost, choice = cost, (eid, outside)
+            memo[component] = choice
+        eid, outside = choice
+        builder.add_step(eid, component, outside)
+        component |= outside
+    search.evals += evals
+    return search.finish(builder)
 
 
-def _prim_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
-              col: _Collector) -> Plan:
-    builder = PlanBuilder(graph, ctx, "prim")
-    n_edges = graph.n_edges
-    consumed = [False] * n_edges
+def _kruskal_run(search: _Search, start_edge: int | None) -> Plan:
+    ctx, ends, splits = search.ctx, search.ends, search.splits
+    merge = ctx.merge
+    builder = PlanBuilder(search.graph, ctx, "kruskal")
+    comp_of = [1 << v for v in range(search.graph.n_vertices)]
+    stamps = [0] * len(ends)
+    heap = search.kruskal_opening()
+    memo = search.kruskal_next
+    full = search.graph.full_mask
 
-    if start_edge is None:
-        best_cost = None
-        for e in graph.edges:
-            res = _eval(ctx, col, 1 << e.v1, 1 << e.v2)
-            if best_cost is None or res.step_cost < best_cost:
-                best_cost = res.step_cost
-                first = e.id
-    else:
-        e = graph.edges[start_edge]
-        _eval(ctx, col, 1 << e.v1, 1 << e.v2)
-        first = start_edge
-
-    edge0 = graph.edges[first]
-    component = (1 << edge0.v1) | (1 << edge0.v2)
-    builder.add_step(first, 1 << edge0.v1, 1 << edge0.v2)
-    consumed[first] = True
-
-    remaining = n_edges - 1
-    while remaining:
-        # Cyclic edges become filters before the next selection.
-        for e in graph.edges:
-            if consumed[e.id]:
-                continue
-            if (component >> e.v1) & 1 and (component >> e.v2) & 1:
-                builder.add_filter(e.id)
-                consumed[e.id] = True
-                remaining -= 1
-        if not remaining:
-            break
-        best = None
-        for e in graph.edges:
-            if consumed[e.id]:
-                continue
-            in1 = (component >> e.v1) & 1
-            in2 = (component >> e.v2) & 1
-            if in1 == in2:
-                continue  # either cyclic (handled above) or not adjacent yet
-            outside = e.v2 if in1 else e.v1
-            res = _eval(ctx, col, component, 1 << outside)
-            if best is None or res.step_cost < best[0]:
-                best = (res.step_cost, e.id, outside)
-        if best is None:
-            raise SpanPlanError("graph became non-adjacent during enumeration")
-        _cost, eid, outside = best
-        builder.add_step(eid, component, 1 << outside)
-        component |= 1 << outside
-        consumed[eid] = True
-        remaining -= 1
-    return builder.build()
-
-
-def _kruskal_run(graph: JoinGraph, ctx: CostContext, start_edge: int | None,
-                 col: _Collector) -> Plan:
-    builder = PlanBuilder(graph, ctx, "kruskal")
-    n_edges = graph.n_edges
-    comp_of = {v: 1 << v for v in range(graph.n_vertices)}
-    consumed = [False] * n_edges
-    stamps = [0] * n_edges
-    # Entries are (cost, edge id, stamp): equal costs pop lowest edge id first.
-    heap: list[tuple[float, int, int]] = []
-
-    for e in graph.edges:
-        res = _eval(ctx, col, 1 << e.v1, 1 << e.v2)
-        heapq.heappush(heap, (res.step_cost, e.id, 0))
-
-    def do_merge(eid: int) -> None:
-        e = graph.edges[eid]
-        lm, rm = comp_of[e.v1], comp_of[e.v2]
-        builder.add_step(eid, lm, rm)
-        merged = lm | rm
+    def join(eid: int) -> int:
+        _eid, v1, v2 = ends[eid]
+        l_mask, r_mask = comp_of[v1], comp_of[v2]
+        builder.add_step(eid, l_mask, r_mask)
+        merged = l_mask | r_mask
         for v in iter_bits(merged):
             comp_of[v] = merged
-        consumed[eid] = True
-        # Refresh candidates adjacent to the merged component; entries for
-        # edges that fell inside one component resolve to filters on pop.
-        for e2 in graph.edges:
-            if consumed[e2.id]:
-                continue
-            c1, c2 = comp_of[e2.v1], comp_of[e2.v2]
-            if c1 == c2 or (c1 != merged and c2 != merged):
-                continue
-            stamps[e2.id] += 1
-            res2 = _eval(ctx, col, c1, c2)
-            heapq.heappush(heap, (res2.step_cost, e2.id, stamps[e2.id]))
+        return merged
 
-    if start_edge is not None:
-        do_merge(start_edge)
-
-    while heap:
-        _cost, eid, stamp = heapq.heappop(heap)
-        if consumed[eid] or stamp != stamps[eid]:
-            continue
-        e = graph.edges[eid]
-        if comp_of[e.v1] == comp_of[e.v2]:
-            builder.add_filter(eid)
-            consumed[eid] = True
-            continue
-        do_merge(eid)
-    return builder.build()
+    # The component made by the last join, whose candidates have not been
+    # re-priced yet; 0 before the first join.
+    merged = join(start_edge) if start_edge is not None else 0
+    evals = 0
+    while comp_of[0] != full:
+        state = tuple(comp_of)
+        eid = memo.get(state)
+        if eid is None:
+            if merged:
+                # Re-price the candidates adjacent to the merged component.
+                for e2, v1, v2 in ends:
+                    c1, c2 = comp_of[v1], comp_of[v2]
+                    if c1 == c2 or (c1 != merged and c2 != merged):
+                        continue
+                    stamps[e2] += 1
+                    heapq.heappush(heap, (merge(c1, c2).step_cost, e2, stamps[e2]))
+                    evals += 1
+                    splits.add((c1, c2) if c1 < c2 else (c2, c1))
+            # Skip stale entries and edges now inside one component (those
+            # become filters in finish).
+            while True:
+                _cost, eid, stamp = heapq.heappop(heap)
+                if stamp == stamps[eid]:
+                    _eid, v1, v2 = ends[eid]
+                    if comp_of[v1] != comp_of[v2]:
+                        break
+            memo[state] = eid
+        merged = join(eid)
+    search.evals += evals
+    return search.finish(builder)
 
 
 def _greedy(run, algorithm: str, graph: JoinGraph, source: CardinalitySource,
             params: CostParams | None, start_edge: int | None):
     ctx = _context(graph, source, params)
-    col = _Collector()
+    search = _Search(graph, ctx)
     t0 = time.perf_counter()
     if graph.n_vertices == 1:
         plan = _empty_plan(graph, ctx, algorithm)
     else:
-        plan = run(graph, ctx, start_edge, col)
-    return plan, col.stats(1, time.perf_counter() - t0)
+        plan = run(search, start_edge)
+    return plan, search.stats(1, time.perf_counter() - t0)
 
 
 def prim(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
@@ -208,11 +233,11 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     """Greedy cheapest-merge baseline over all joinable component pairs,
     ranked by operator step cost."""
     ctx = _context(graph, source, params)
-    col = _Collector()
+    search = _Search(graph, ctx)
     t0 = time.perf_counter()
     builder = PlanBuilder(graph, ctx, "goo")
     if graph.n_vertices == 1:
-        return builder.build(), col.stats(1, time.perf_counter() - t0)
+        return builder.build(), search.stats(1, time.perf_counter() - t0)
 
     comps = [1 << v for v in range(graph.n_vertices)]
     while len(comps) > 1:
@@ -224,7 +249,9 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
                 crossing = graph.crossing_edges(a, b)
                 if not crossing:
                     continue
-                res = _eval(ctx, col, lo, hi)
+                res = ctx.merge(lo, hi)
+                search.evals += 1
+                search.splits.add((lo, hi))
                 key = (res.step_cost, lo, hi)
                 if best is None or key < best[0]:
                     best = (key, lo, hi, min(crossing), crossing)
@@ -239,29 +266,35 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
         comps.remove(hi)
         comps.append(lo | hi)
     plan = builder.build()
-    return plan, col.stats(1, time.perf_counter() - t0)
+    return plan, search.stats(1, time.perf_counter() - t0)
 
 
-def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
+def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
+         *, timeout: float | None = None):
     """Ensemble enumeration: prim and kruskal once from every edge.
 
     Returns (plan, stats, distinct_plans).  The winner is the member plan
     with the lowest cost, ties broken on the canonical plan encoding so the
-    result is independent of execution order.
+    result is independent of execution order.  All members share one
+    ``_Search``.  The deadline, when ``timeout`` is given, is checked
+    between members.
     """
     ctx = _context(graph, source, params)
     t0 = time.perf_counter()
-    col = _Collector()
+    search = _Search(graph, ctx)
     if graph.n_vertices == 1:
         plan = _empty_plan(graph, ctx, "este")
-        return plan, col.stats(1, time.perf_counter() - t0), 1
+        return plan, search.stats(1, time.perf_counter() - t0), 1
 
+    deadline = None if timeout is None else t0 + timeout
     best_plan = None
     best_key = None
     encodings = set()
     for run in (_prim_run, _kruskal_run):
         for e in graph.edges:
-            mplan = run(graph, ctx, e.id, col)
+            if deadline is not None and time.perf_counter() > deadline:
+                raise OptimizeTimeout("este ran past its deadline")
+            mplan = run(search, e.id)
             enc = canonical_encoding(mplan)
             encodings.add(enc)
             key = (mplan.internal_cost, enc)
@@ -277,7 +310,7 @@ def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
         total_cost=best_plan.total_cost,
         shape=best_plan.shape,
     )
-    stats = col.stats(distinct, time.perf_counter() - t0)
+    stats = search.stats(distinct, time.perf_counter() - t0)
     return plan, stats, distinct
 
 
@@ -306,7 +339,7 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     if prune:
         greedy_plan, _ = goo(graph, ctx)
         bound = greedy_plan.internal_cost
-    deadline = t0 + timeout if timeout else 0.0
+    deadline = t0 + timeout if timeout is not None else 0.0
 
     root_cost, choices, subplans, splits, evals = _kernels.get_backend().dp_search(
         ctx.instance, bound, deadline)
@@ -357,6 +390,6 @@ def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
     if name == "goo":
         return goo(graph, source, params)
     if name == "este":
-        plan, stats, _distinct = este(graph, source, params)
+        plan, stats, _distinct = este(graph, source, params, timeout=timeout)
         return plan, stats
     raise ValueError(f"unknown algorithm {name!r}")

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import _kernels
 from .cost import INL, CostContext, OperatorChoice
 from .errors import LimitExceededError, PlanValidationError
 from .graph import JoinGraph, iter_bits
@@ -250,6 +251,11 @@ def plan_document(plan: Plan, graph: JoinGraph, stats: EnumStats | None = None,
             "plans": stats.plans_enumerated,
             "elapsed_ms": round(stats.elapsed * 1000.0, 3) if timing else 0.0,
         }
+        if timing:
+            # Which kernels ran and the raw evaluation count differ across
+            # builds and releases, so default output leaves them out.
+            doc["stats"]["backend"] = _kernels.DEFAULT_BACKEND
+            doc["stats"]["evaluations"] = stats.evaluations
     return doc
 
 

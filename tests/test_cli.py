@@ -93,6 +93,26 @@ def test_optimize_timeout_exit_code(capsys, tmp_path):
     assert "timeout" in err
 
 
+def test_optimize_este_timeout_exits_2_with_one_line(capsys, tmp_path):
+    graph, model = sp.gen_topology("clique", 14, seed=0)
+    path = tmp_path / "big.json"
+    path.write_text(sp.graph_to_json(graph, model))
+    code, out, err = run(capsys, "optimize", "--graph", str(path), "--algo", "este",
+                         "--timeout", "1e-9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spanplan: timeout: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["optimize", "bench"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+def test_timeout_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, command, value):
+    code, out, err = run(capsys, command, "--graph", Q2A, "--timeout", value)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("spanplan: error: --timeout ") and err.count("\n") == 1, err
+
+
 def test_gen_counts_and_determinism(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
@@ -153,6 +173,18 @@ def test_cli_timing_flag_reports_real_time(capsys):
     code, out, _ = run(capsys, "optimize", "--graph", Q2A, "--algo", "prim", "--timing")
     assert code == 0
     assert json.loads(out)["stats"]["elapsed_ms"] > 0.0
+
+
+def test_timing_adds_backend_and_evaluations_to_the_stats(capsys):
+    code, out, _ = run(capsys, "optimize", "--graph", Q2A, "--algo", "este", "--timing")
+    assert code == 0
+    stats = json.loads(out)["stats"]
+    assert stats["backend"] == sp.DEFAULT_BACKEND
+    assert stats["backend"] in ("pure", "compiled")
+    _plan, este_stats, _distinct = sp.este(*sp.load_document((DATA_DIR / "query_2a.json").read_text()))
+    assert stats["evaluations"] == este_stats.evaluations > 0
+    code, out, _ = run(capsys, "optimize", "--graph", Q2A, "--algo", "este")
+    assert set(json.loads(out)["stats"]) == {"subplans", "join_costs", "plans", "elapsed_ms"}
 
 
 def test_optimize_malformed_value_exits_1_with_one_line(capsys, tmp_path):

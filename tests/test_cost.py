@@ -208,6 +208,48 @@ def test_model_union_factorizes():
     assert sp.lookup_cardinality(graph, model, [0, 1, 2, 3]) == math.ceil(prod)
 
 
+def _lookup_by_loop(graph, model, mask):
+    """SelectivityModel.lookup as first written: bases in ascending vertex
+    order, then selectivities in edge-id order."""
+    prod = 1.0
+    for v in range(graph.n_vertices):
+        if (mask >> v) & 1:
+            prod *= graph.vertices[v].base_cardinality
+    for e in graph.edges:
+        if (mask >> e.v1) & 1 and (mask >> e.v2) & 1:
+            prod *= model.selectivities[e.id]
+    if prod == math.inf:
+        raise sp.LimitExceededError("overflow")
+    return math.ceil(prod)
+
+
+@pytest.mark.parametrize("kind,n,base_range,sel_range", [
+    ("clique", 10, (1_000, 1_000_000), (1e-5, 1e-1)),
+    ("star", 12, (1_000, 1_000_000), (1e-5, 1e-1)),
+    ("cycle", 12, (1, 10), (0.5, 1.0)),
+    # Near the float limit: some products land above 1e303, and the
+    # largest subsets overflow.
+    ("chain", 16, (10**19, 10**20), (0.5, 1.0)),
+    ("cycle", 16, (10**19, 10**21), (0.5, 1.0)),
+    ("clique", 12, (10**24, 10**27), (0.2, 1.0)),
+])
+def test_model_lookup_equals_the_plain_loop(kind, n, base_range, sel_range):
+    graph, model = sp.gen_topology(kind, n, seed=3, base_range=base_range, sel_range=sel_range)
+    finite = overflowed = 0
+    for mask in sp.graph.connected_subset_masks(graph):
+        try:
+            want = _lookup_by_loop(graph, model, mask)
+        except sp.LimitExceededError:
+            with pytest.raises(sp.LimitExceededError):
+                model.lookup(graph, mask)
+            overflowed += 1
+            continue
+        assert model.lookup(graph, mask) == want, mask
+        finite += 1
+    assert finite
+    assert overflowed or base_range[1] < 10**15
+
+
 def test_missing_cardinality_names_subset():
     graph, catalog = make_graph(
         [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 10}],

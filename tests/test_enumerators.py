@@ -260,6 +260,27 @@ def test_exhaustive_timeout():
         sp.exhaustive(graph, model, timeout=1e-9)
 
 
+def test_este_timeout():
+    graph, model = sp.gen_topology("clique", 14, seed=0)
+    with pytest.raises(sp.OptimizeTimeout):
+        sp.este(graph, model, timeout=1e-9)
+    with pytest.raises(sp.OptimizeTimeout):
+        sp.run_algorithm("este", graph, model, timeout=1e-9)
+
+
+@pytest.mark.parametrize("algo", ["exhaustive", "este"])
+def test_zero_timeout_is_a_deadline_not_none(algo):
+    graph, model = sp.gen_topology("clique", 14, seed=0)
+    with pytest.raises(sp.OptimizeTimeout):
+        sp.run_algorithm(algo, graph, model, timeout=0)
+
+
+def test_oracle_zero_timeout_is_a_deadline_not_none():
+    graph, model = sp.gen_topology("clique", 6, seed=0)
+    with pytest.raises(sp.OptimizeTimeout):
+        sp.brute_force_optimal(graph, model, timeout=0)
+
+
 def test_validator_rejects_corrupted_plans(q2a):
     graph, catalog = q2a
     plan, _ = sp.exhaustive(graph, catalog)
