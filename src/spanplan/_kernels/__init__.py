@@ -6,7 +6,10 @@ kernels from ``kernels.c``, built next to this file as ``_ckernels`` by
 is preferred whenever the build produced it.  The library is opened on the
 first ``get_backend`` call, so ``import spanplan`` does not pay for ctypes
 in commands that run no kernel.
+
+A kernel's ``deadline`` is a ``time.perf_counter`` time; 0.0 means none.
 """
+import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
 
@@ -44,3 +47,14 @@ def get_backend(name: str = "auto"):
 
         _compiled = open_library(_LIBRARY)
     return _compiled
+
+
+def deadline(t0: float, timeout: float | None) -> float:
+    """The deadline of a search started at t0 and given timeout seconds:
+    0.0 (none) for None, already past for 0 or less, never reached for inf.
+    Raises ValueError for NaN, which no clock time exceeds."""
+    if timeout is None:
+        return 0.0
+    if math.isnan(timeout):
+        raise ValueError("timeout must not be NaN")
+    return t0 + timeout

@@ -73,7 +73,7 @@ def _dp_search(lib, inst, prune_bound: float = math.inf, deadline: float = 0.0):
     subplans, splits, n_choices = counts
     it = iter(flat[:4 * n_choices])
     choices = {mask: (s1, op, side) for mask, s1, op, side in zip(it, it, it, it)}
-    return root.value, choices, subplans, splits, splits
+    return root.value, choices, subplans, splits
 
 
 def _count_trees(lib, n: int, edge_u, edge_v, deadline: float = 0.0):

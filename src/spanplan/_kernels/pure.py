@@ -131,8 +131,9 @@ def _adjacency(inst: Instance) -> list[int]:
 def dp_search(inst: Instance, prune_bound: float = float("inf"), deadline: float = 0.0):
     """Optimal join over every connected subset via dynamic programming.
 
-    Returns (root_cost, choices, subplans, splits, evals) where
-    choices[mask] = (left_submask, op, side) reconstructs the best plan.
+    Returns (root_cost, choices, subplans, splits) where
+    choices[mask] = (left_submask, op, side) reconstructs the best plan and
+    splits, the number of joins priced, is also its evaluation count.
     Subsets whose best cost already exceeds prune_bound are never used as
     children of larger subsets (cost-based pruning; increments are
     non-negative, so this cannot prune an optimal plan).
@@ -195,9 +196,9 @@ def dp_search(inst: Instance, prune_bound: float = float("inf"), deadline: float
     if full not in best and n > 1:
         # Pruning can only hide the root if the bound itself was a plan cost,
         # in which case a plan at exactly the bound exists; signal the caller.
-        return float("inf"), choices, subplans, splits, splits
+        return float("inf"), choices, subplans, splits
     root = best.get(full, 0.0)
-    return root, choices, subplans, splits, splits
+    return root, choices, subplans, splits
 
 
 def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: str):

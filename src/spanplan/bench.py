@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, fields
 
 from .cost import CardinalitySource, CostContext, CostParams
-from .enumerators import ALGORITHMS, este, run_algorithm
+from .enumerators import ALGORITHMS, run_algorithm
 from .errors import LimitExceededError, SpanPlanError
 from .graph import JoinGraph, TopologyKind, gen_topology
 from .plan import reevaluate_plan
@@ -95,12 +95,10 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
         rec = BenchRecord(query_id=query.query_id, algorithm=name, **base)
         try:
             t0 = time.perf_counter()
-            if name == "este":
-                plan, stats, distinct = este(query.graph, sel_ctx, params, timeout=timeout)
-                rec.distinct_plans = distinct
-            else:
-                plan, stats = run_algorithm(name, query.graph, sel_ctx, params, timeout=timeout)
+            plan, stats = run_algorithm(name, query.graph, sel_ctx, params, timeout=timeout)
             rec.opt_time_ms = (time.perf_counter() - t0) * 1000.0
+            if name == "este":
+                rec.distinct_plans = stats.plans_enumerated
             rec.internal_cost = final_cost(plan)
             costs[name] = rec.internal_cost
         except SpanPlanError as exc:

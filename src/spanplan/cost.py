@@ -52,10 +52,9 @@ class CardinalityCatalog:
     """Row counts for connected table subsets, keyed by vertex bitmask."""
 
     entries: dict
-    kind: str = "true"
 
     @classmethod
-    def from_key_map(cls, graph: JoinGraph, entries: dict, kind: str = "true"):
+    def from_key_map(cls, graph: JoinGraph, entries: dict):
         """Build from {"a,b,...": rows} with sorted comma-joined name keys."""
         if not isinstance(entries, dict):
             raise GraphFormatError("'cardinalities' must be an object")
@@ -69,7 +68,7 @@ class CardinalityCatalog:
         for v in range(graph.n_vertices):
             if (1 << v) not in out:
                 raise MissingCardinalityError(graph.vertices[v].name)
-        return cls(entries=out, kind=kind)
+        return cls(entries=out)
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
         try:

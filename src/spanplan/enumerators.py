@@ -12,6 +12,8 @@ Five enumerators over one cost context:
   keep the cheapest plan.  The members share the choice made at each
   state (see ``_Search``).
 
+Each returns ``(plan, stats)``.  A search only emits its joins:
+``PlanBuilder`` prices them, tracks the components and derives the filters.
 All of them price candidate joins identically through CostContext.merge,
 so their costs are exactly comparable.  ``EnumStats.subplans_reached`` and
 ``join_costs_computed`` count the distinct subsets and splits costed;
@@ -19,6 +21,7 @@ so their costs are exactly comparable.  ``EnumStats.subplans_reached`` and
 """
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import math
 import time
@@ -26,7 +29,7 @@ import time
 from . import _kernels
 from .cost import CardinalitySource, CostContext, CostParams
 from .errors import LimitExceededError, OptimizeTimeout, SpanPlanError
-from .graph import JoinGraph, iter_bits
+from .graph import JoinGraph
 from .plan import EnumStats, Plan, PlanBuilder, canonical_encoding
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
@@ -74,14 +77,6 @@ class _Search:
             self._opening = heap
         return self._opening.copy()
 
-    def finish(self, builder: PlanBuilder) -> Plan:
-        """Every edge that is not a step is a filter."""
-        steps = {s.edge for s in builder.steps}
-        for eid, _v1, _v2 in self.ends:
-            if eid not in steps:
-                builder.add_filter(eid)
-        return builder.build()
-
     def stats(self, plans: int, elapsed: float) -> EnumStats:
         return EnumStats(
             subplans_reached=len({l_mask | r_mask for l_mask, r_mask in self.splits}),
@@ -98,15 +93,12 @@ def _context(graph, source, params) -> CostContext:
     return CostContext(graph, source, params)
 
 
-def _empty_plan(graph: JoinGraph, ctx: CostContext, algorithm: str):
-    builder = PlanBuilder(graph, ctx, algorithm)
-    return builder.build()
-
-
 def _prim_run(search: _Search, start_edge: int | None) -> Plan:
     ctx, ends, splits = search.ctx, search.ends, search.splits
     merge = ctx.merge
     builder = PlanBuilder(search.graph, ctx, "prim")
+    if search.graph.n_vertices == 1:
+        return builder.build()  # no edge to open with
     openings = ends if start_edge is None else (ends[start_edge],)
     best_cost = None
     for eid, v1, v2 in openings:
@@ -149,31 +141,22 @@ def _prim_run(search: _Search, start_edge: int | None) -> Plan:
         builder.add_step(eid, component, outside)
         component |= outside
     search.evals += evals
-    return search.finish(builder)
+    return builder.build()
 
 
 def _kruskal_run(search: _Search, start_edge: int | None) -> Plan:
     ctx, ends, splits = search.ctx, search.ends, search.splits
     merge = ctx.merge
     builder = PlanBuilder(search.graph, ctx, "kruskal")
-    comp_of = [1 << v for v in range(search.graph.n_vertices)]
+    comp_of = builder.comp_of
     stamps = [0] * len(ends)
     heap = search.kruskal_opening()
     memo = search.kruskal_next
     full = search.graph.full_mask
 
-    def join(eid: int) -> int:
-        _eid, v1, v2 = ends[eid]
-        l_mask, r_mask = comp_of[v1], comp_of[v2]
-        builder.add_step(eid, l_mask, r_mask)
-        merged = l_mask | r_mask
-        for v in iter_bits(merged):
-            comp_of[v] = merged
-        return merged
-
     # The component made by the last join, whose candidates have not been
     # re-priced yet; 0 before the first join.
-    merged = join(start_edge) if start_edge is not None else 0
+    merged = builder.join(start_edge) if start_edge is not None else 0
     evals = 0
     while comp_of[0] != full:
         state = tuple(comp_of)
@@ -190,7 +173,7 @@ def _kruskal_run(search: _Search, start_edge: int | None) -> Plan:
                     evals += 1
                     splits.add((c1, c2) if c1 < c2 else (c2, c1))
             # Skip stale entries and edges now inside one component (those
-            # become filters in finish).
+            # become filters).
             while True:
                 _cost, eid, stamp = heapq.heappop(heap)
                 if stamp == stamps[eid]:
@@ -198,20 +181,17 @@ def _kruskal_run(search: _Search, start_edge: int | None) -> Plan:
                     if comp_of[v1] != comp_of[v2]:
                         break
             memo[state] = eid
-        merged = join(eid)
+        merged = builder.join(eid)
     search.evals += evals
-    return search.finish(builder)
+    return builder.build()
 
 
-def _greedy(run, algorithm: str, graph: JoinGraph, source: CardinalitySource,
-            params: CostParams | None, start_edge: int | None):
+def _greedy(run, graph: JoinGraph, source: CardinalitySource, params: CostParams | None,
+            start_edge: int | None):
     ctx = _context(graph, source, params)
     search = _Search(graph, ctx)
     t0 = time.perf_counter()
-    if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, algorithm)
-    else:
-        plan = run(search, start_edge)
+    plan = run(search, start_edge)
     return plan, search.stats(1, time.perf_counter() - t0)
 
 
@@ -219,14 +199,14 @@ def prim(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
          start_edge: int | None = None):
     """Component-growing enumeration from start_edge, or by default from the
     cheapest two-way join."""
-    return _greedy(_prim_run, "prim", graph, source, params, start_edge)
+    return _greedy(_prim_run, graph, source, params, start_edge)
 
 
 def kruskal(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
             start_edge: int | None = None):
     """Heap-driven enumeration over all components; start_edge, when given,
     forces the first merge."""
-    return _greedy(_kruskal_run, "kruskal", graph, source, params, start_edge)
+    return _greedy(_kruskal_run, graph, source, params, start_edge)
 
 
 def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
@@ -236,9 +216,6 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     search = _Search(graph, ctx)
     t0 = time.perf_counter()
     builder = PlanBuilder(graph, ctx, "goo")
-    if graph.n_vertices == 1:
-        return builder.build(), search.stats(1, time.perf_counter() - t0)
-
     comps = [1 << v for v in range(graph.n_vertices)]
     while len(comps) > 1:
         best = None
@@ -254,14 +231,11 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
                 search.splits.add((lo, hi))
                 key = (res.step_cost, lo, hi)
                 if best is None or key < best[0]:
-                    best = (key, lo, hi, min(crossing), crossing)
+                    best = (key, min(crossing))
         if best is None:
             raise SpanPlanError("graph became disconnected during enumeration")
-        _key, lo, hi, eid, crossing = best
+        (_cost, lo, hi), eid = best
         builder.add_step(eid, lo, hi)
-        for other in crossing:
-            if other != eid:
-                builder.add_filter(other)
         comps.remove(lo)
         comps.remove(hi)
         comps.append(lo | hi)
@@ -273,45 +247,34 @@ def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
          *, timeout: float | None = None):
     """Ensemble enumeration: prim and kruskal once from every edge.
 
-    Returns (plan, stats, distinct_plans).  The winner is the member plan
-    with the lowest cost, ties broken on the canonical plan encoding so the
-    result is independent of execution order.  All members share one
-    ``_Search``.  The deadline, when ``timeout`` is given, is checked
-    between members.
+    Returns (plan, stats); ``stats.plans_enumerated`` is the number of
+    distinct member plans.  The winner is the member plan with the lowest
+    cost, ties broken on the canonical plan encoding so the result is
+    independent of execution order.  All members share one ``_Search``.
+    The deadline, when ``timeout`` is given, is checked between members.
+    A one-table graph has no edge to seed a member from, so each member
+    runs once unseeded.
     """
     ctx = _context(graph, source, params)
     t0 = time.perf_counter()
     search = _Search(graph, ctx)
-    if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, "este")
-        return plan, search.stats(1, time.perf_counter() - t0), 1
-
-    deadline = None if timeout is None else t0 + timeout
+    deadline = _kernels.deadline(t0, timeout)
     best_plan = None
     best_key = None
     encodings = set()
     for run in (_prim_run, _kruskal_run):
-        for e in graph.edges:
-            if deadline is not None and time.perf_counter() > deadline:
+        for start_edge in range(graph.n_edges) or (None,):
+            if deadline and time.perf_counter() > deadline:
                 raise OptimizeTimeout("este ran past its deadline")
-            mplan = run(search, e.id)
+            mplan = run(search, start_edge)
             enc = canonical_encoding(mplan)
             encodings.add(enc)
             key = (mplan.internal_cost, enc)
             if best_key is None or key < best_key:
                 best_key = key
                 best_plan = mplan
-    distinct = len(encodings)
-    plan = Plan(
-        algorithm="este",
-        steps=best_plan.steps,
-        filters=best_plan.filters,
-        internal_cost=best_plan.internal_cost,
-        total_cost=best_plan.total_cost,
-        shape=best_plan.shape,
-    )
-    stats = search.stats(distinct, time.perf_counter() - t0)
-    return plan, stats, distinct
+    plan = dataclasses.replace(best_plan, algorithm="este")
+    return plan, search.stats(len(encodings), time.perf_counter() - t0)
 
 
 def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
@@ -328,9 +291,7 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
                                  f" tables; got {graph.n_vertices}")
     ctx = _context(graph, source, params)
     t0 = time.perf_counter()
-    if graph.n_vertices == 1:
-        plan = _empty_plan(graph, ctx, "exhaustive")
-        return plan, EnumStats(plans_enumerated=1, elapsed=time.perf_counter() - t0)
+    deadline = _kernels.deadline(t0, timeout)
 
     from .graph import connected_subset_masks
 
@@ -339,9 +300,8 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     if prune:
         greedy_plan, _ = goo(graph, ctx)
         bound = greedy_plan.internal_cost
-    deadline = t0 + timeout if timeout is not None else 0.0
 
-    root_cost, choices, subplans, splits, evals = _kernels.get_backend().dp_search(
+    root_cost, choices, subplans, splits = _kernels.get_backend().dp_search(
         ctx.instance, bound, deadline)
     if not math.isfinite(root_cost):
         raise LimitExceededError("the optimal plan's cost overflows a float")
@@ -358,10 +318,6 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
         builder.add_step(min(graph.crossing_edges(s1, s2)), s1, s2)
 
     emit(graph.full_mask)
-    tree_edges = {s.edge for s in builder.steps}
-    for e in graph.edges:
-        if e.id not in tree_edges:
-            builder.add_filter(e.id)
     plan = builder.build()
     if plan.internal_cost != root_cost:
         raise SpanPlanError("kernel cost does not match the reconstructed plan")
@@ -369,7 +325,7 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
         subplans_reached=subplans,
         join_costs_computed=splits,
         plans_enumerated=1,
-        evaluations=evals,
+        evaluations=splits,
         elapsed=time.perf_counter() - t0,
     )
     return plan, stats
@@ -390,6 +346,5 @@ def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
     if name == "goo":
         return goo(graph, source, params)
     if name == "este":
-        plan, stats, _distinct = este(graph, source, params, timeout=timeout)
-        return plan, stats
+        return este(graph, source, params, timeout=timeout)
     raise ValueError(f"unknown algorithm {name!r}")

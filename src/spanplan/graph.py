@@ -315,21 +315,17 @@ def graph_to_json(graph: JoinGraph, source=None) -> str:
     return json.dumps(graph_document(graph, source), indent=2) + "\n"
 
 
-def connected_subset_masks(graph: JoinGraph, min_size: int = 1) -> list[int]:
+def connected_subset_masks(graph: JoinGraph) -> list[int]:
     """All vertex bitmasks inducing a connected subgraph, ascending."""
     n = graph.n_vertices
     if n > SUBSET_ENUM_LIMIT:
         raise LimitExceededError(f"subset enumeration limited to {SUBSET_ENUM_LIMIT} tables")
-    out = []
-    for mask in range(1, 1 << n):
-        if bin(mask).count("1") >= min_size and graph.is_connected_mask(mask):
-            out.append(mask)
-    return out
+    return [mask for mask in range(1, 1 << n) if graph.is_connected_mask(mask)]
 
 
-def connected_subsets(graph: JoinGraph, min_size: int = 1) -> list[tuple[int, ...]]:
+def connected_subsets(graph: JoinGraph) -> list[tuple[int, ...]]:
     """Connected vertex subsets as sorted id tuples, smallest masks first."""
-    return [tuple(iter_bits(m)) for m in connected_subset_masks(graph, min_size)]
+    return [tuple(iter_bits(m)) for m in connected_subset_masks(graph)]
 
 
 def _topology_edges(kind: TopologyKind, n: int) -> list[tuple[int, int]]:

@@ -60,43 +60,6 @@ def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_L
     return TreeCounts(bound=bound, valid=valid, invalid=invalid, linear=linear, bushy=bushy)
 
 
-def iter_ordered_trees(graph: JoinGraph):
-    """Yield (edge_sequence, valid, linear) for every ordered arrangement.
-
-    Test-oracle generator: materializes invalid arrangements too, so use it
-    only on small graphs.
-    """
-    import itertools
-
-    n = graph.n_vertices
-    for seq in itertools.permutations(range(graph.n_edges), n - 1):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        valid = True
-        linear = True
-        touched = 0
-        touched_cnt = 0
-        for depth, eid in enumerate(seq, start=1):
-            e = graph.edges[eid]
-            ru, rv = find(e.v1), find(e.v2)
-            if ru == rv:
-                valid = False
-                break
-            parent[ru] = rv
-            for v in (e.v1, e.v2):
-                if not (touched >> v) & 1:
-                    touched |= 1 << v
-                    touched_cnt += 1
-            if touched_cnt - depth != 1:
-                linear = False
-        yield seq, valid, (linear if valid else False)
-
-
 def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
                         params: CostParams | None = None,
                         limit: int = DEFAULT_ARRANGEMENT_LIMIT,
@@ -111,33 +74,19 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")
     ctx = source if isinstance(source, CostContext) else CostContext(graph, source, params)
     t0 = time.perf_counter()
-    if graph.n_vertices == 1:
-        plan = PlanBuilder(graph, ctx, "brute_force").build()
-        return plan, EnumStats(plans_enumerated=1, elapsed=time.perf_counter() - t0)
+    deadline = _kernels.deadline(t0, timeout)
 
     from .graph import connected_subset_masks
 
     ctx.ensure_cards(connected_subset_masks(graph))
-    deadline = t0 + timeout if timeout is not None else 0.0
     (best_cost, best_seq, valid, invalid, linear, bushy,
      subplans, splits, evals) = _kernels.get_backend().brute_search(ctx.instance, deadline)
     if not math.isfinite(best_cost):
         raise LimitExceededError("the optimal plan's cost overflows a float")
 
     builder = PlanBuilder(graph, ctx, "brute_force")
-    comp_of = {v: 1 << v for v in range(graph.n_vertices)}
     for eid in best_seq:
-        e = graph.edges[eid]
-        lm, rm = comp_of[e.v1], comp_of[e.v2]
-        builder.add_step(eid, lm, rm)
-        merged = lm | rm
-        for v in range(graph.n_vertices):
-            if (merged >> v) & 1:
-                comp_of[v] = merged
-    in_tree = set(best_seq)
-    for e in graph.edges:
-        if e.id not in in_tree:
-            builder.add_filter(e.id)
+        builder.join(eid)
     plan = builder.build()
     if plan.internal_cost != best_cost:
         raise SpanPlanError("kernel cost does not match the reconstructed plan")

@@ -62,14 +62,22 @@ class EnumStats:
 
 
 class PlanBuilder:
-    """Replays merges into a Plan, accumulating component subtree costs."""
+    """The one code that turns a search's joins into a Plan.
+
+    ``add_step`` joins two components, priced by the context, and keeps
+    ``comp_of`` (vertex -> mask of the component holding it) current;
+    ``join(edge_id)`` joins the components of the edge's ``v1`` (left) and
+    ``v2`` (right).  ``build`` sums the subtree costs, and every edge that
+    is not a step becomes a filter, in edge-id order.  A search only emits
+    its joins.
+    """
 
     def __init__(self, graph: JoinGraph, ctx: CostContext, algorithm: str):
         self.graph = graph
         self.ctx = ctx
         self.algorithm = algorithm
         self.steps: list[PlanStep] = []
-        self.filters: list[int] = []
+        self.comp_of = [1 << v for v in range(graph.n_vertices)]
         self._cost: dict[int, float] = {1 << v: 0.0 for v in range(graph.n_vertices)}
 
     def add_step(self, edge_id: int, l_mask: int, r_mask: int,
@@ -85,6 +93,9 @@ class PlanBuilder:
         del self._cost[l_mask]
         del self._cost[r_mask]
         self._cost[new_mask] = new_cost
+        comp_of = self.comp_of
+        for v in iter_bits(new_mask):
+            comp_of[v] = new_mask
         self.steps.append(
             PlanStep(
                 edge=edge_id,
@@ -98,8 +109,13 @@ class PlanBuilder:
         )
         return new_cost
 
-    def add_filter(self, edge_id: int) -> None:
-        self.filters.append(edge_id)
+    def join(self, edge_id: int) -> int:
+        """Join the components of the edge's v1 (left) and v2 (right);
+        returns the merged component."""
+        edge = self.graph.edges[edge_id]
+        l_mask, r_mask = self.comp_of[edge.v1], self.comp_of[edge.v2]
+        self.add_step(edge_id, l_mask, r_mask)
+        return l_mask | r_mask
 
     def build(self) -> Plan:
         graph = self.graph
@@ -114,10 +130,11 @@ class PlanBuilder:
                 inner = step.side_mask()
                 if inner & (inner - 1) == 0:
                     total = total + self.ctx.scan_cost(inner.bit_length() - 1)
+        step_edges = {step.edge for step in self.steps}
         return Plan(
             algorithm=self.algorithm,
             steps=tuple(self.steps),
-            filters=tuple(sorted(self.filters)),
+            filters=tuple(e.id for e in graph.edges if e.id not in step_edges),
             internal_cost=internal,
             total_cost=total,
             shape=classify_shape(self.steps),
@@ -184,8 +201,6 @@ def validate_plan(graph: JoinGraph, plan: Plan, ctx: CostContext | None = None) 
             got = rebuilt.steps[-1]
             if got.step_cost != s.step_cost or got.operator != s.operator or got.side != s.side:
                 raise PlanValidationError(f"step over edge {s.edge} does not recompute")
-        for f in plan.filters:
-            rebuilt.add_filter(f)
         again = rebuilt.build()
         if again.internal_cost != plan.internal_cost or again.total_cost != plan.total_cost:
             raise PlanValidationError("plan costs do not recompute")
@@ -200,8 +215,6 @@ def reevaluate_plan(plan: Plan, graph: JoinGraph, eval_ctx: CostContext) -> Plan
     builder = PlanBuilder(graph, eval_ctx, plan.algorithm)
     for s in plan.steps:
         builder.add_step(s.edge, s.left_mask, s.right_mask, OperatorChoice(s.operator, s.side))
-    for f in plan.filters:
-        builder.add_filter(f)
     return builder.build()
 
 

@@ -31,6 +31,19 @@ def make_graph(tables, joins, **sections):
     return sp.load_document(json.dumps(doc))
 
 
+ONE_TABLE = {
+    "tables": [{"name": "A", "cardinality": 100, "selected": False, "indexed": True}],
+    "joins": [],
+    "cardinalities": {"A": 100},
+}
+
+
+@pytest.fixture()
+def one_table():
+    """A graph of one table and no joins, catalog included."""
+    return sp.load_document(json.dumps(ONE_TABLE))
+
+
 @pytest.fixture()
 def two_table():
     """Minimal connected graph: A(100) -- B(50), catalog included."""

@@ -68,8 +68,8 @@ def test_estimated_selection_can_beat_estimated_optimum():
     query = WorkloadQuery(
         query_id="distorted",
         graph=graph,
-        selection_source=CardinalityCatalog(entries=est_entries, kind="estimated"),
-        evaluation_source=CardinalityCatalog(entries=true_entries, kind="true"),
+        selection_source=CardinalityCatalog(entries=est_entries),
+        evaluation_source=CardinalityCatalog(entries=true_entries),
     )
     records = run_workload([query])
     ratios = {r.algorithm: r.cost_ratio for r in records}

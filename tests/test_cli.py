@@ -8,7 +8,7 @@ import pytest
 import spanplan as sp
 from spanplan.cli import main
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, ONE_TABLE
 
 Q2A = str(DATA_DIR / "query_2a.json")
 
@@ -62,6 +62,17 @@ def test_optimize_exhaustive_two_table(capsys, tmp_path):
     doc = json.loads(out)
     assert len(doc["steps"]) == 1
     assert doc["filters"] == []
+
+
+@pytest.mark.parametrize("algo", sp.ALGORITHMS)
+def test_optimize_one_table(capsys, tmp_path, algo):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(ONE_TABLE))
+    code, out, err = run(capsys, "optimize", "--graph", str(path), "--algo", algo)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["steps"], doc["filters"], doc["internal_cost"]) == ([], [], 0)
+    assert doc["stats"]["plans"] == 1
 
 
 def test_optimize_missing_graph_flag(capsys):
@@ -181,7 +192,7 @@ def test_timing_adds_backend_and_evaluations_to_the_stats(capsys):
     stats = json.loads(out)["stats"]
     assert stats["backend"] == sp.DEFAULT_BACKEND
     assert stats["backend"] in ("pure", "compiled")
-    _plan, este_stats, _distinct = sp.este(*sp.load_document((DATA_DIR / "query_2a.json").read_text()))
+    _plan, este_stats = sp.este(*sp.load_document((DATA_DIR / "query_2a.json").read_text()))
     assert stats["evaluations"] == este_stats.evaluations > 0
     code, out, _ = run(capsys, "optimize", "--graph", Q2A, "--algo", "este")
     assert set(json.loads(out)["stats"]) == {"subplans", "join_costs", "plans", "elapsed_ms"}

@@ -269,7 +269,3 @@ def test_catalog_requires_singletons():
     with pytest.raises(sp.MissingCardinalityError):
         CardinalityCatalog.from_key_map(graph, {"a": 10, "a,b": 3})
 
-
-def test_catalog_kind_label(q2a):
-    _, catalog = q2a
-    assert catalog.kind == "true"

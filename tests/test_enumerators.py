@@ -63,7 +63,7 @@ def test_goo_2a(q2a):
 
 def test_este_2a(q2a):
     graph, catalog = q2a
-    plan, stats, distinct = sp.este(graph, catalog)
+    plan, stats = sp.este(graph, catalog)
     assert plan.internal_cost == 1_692_001.0
     kru, _ = sp.kruskal(graph, catalog)
     assert plan.internal_cost <= kru.internal_cost
@@ -71,13 +71,12 @@ def test_este_2a(q2a):
     # reached; 24 of the 32 distinct splits are costed; 7 distinct plans.
     assert stats.subplans_reached == 14
     assert stats.join_costs_computed == 24
-    assert distinct == 7
-    assert stats.plans_enumerated == distinct
+    assert stats.plans_enumerated == 7
 
 
 def test_este_beats_both_seeds_everywhere(q2a):
     graph, catalog = q2a
-    e, _, _ = sp.este(graph, catalog)
+    e, _ = sp.este(graph, catalog)
     for eid in range(graph.n_edges):
         p, _ = sp.prim(graph, catalog, start_edge=eid)
         k, _ = sp.kruskal(graph, catalog, start_edge=eid)
@@ -221,7 +220,7 @@ def test_este_is_min_over_members():
             p, _ = sp.prim(graph, ctx, start_edge=eid)
             k, _ = sp.kruskal(graph, ctx, start_edge=eid)
             member_costs += [p.internal_cost, k.internal_cost]
-        e, _, _ = sp.este(graph, ctx)
+        e, _ = sp.este(graph, ctx)
         assert e.internal_cost == min(member_costs)
 
 
@@ -244,7 +243,7 @@ def test_prim_quadratic_evaluation_guardrail():
 def test_este_cubic_evaluation_guardrail():
     for n in (4, 6, 8):
         graph, model = sp.gen_topology("clique", n, seed=2)
-        _, stats, _ = sp.este(graph, model)
+        _, stats = sp.este(graph, model)
         assert stats.evaluations <= 2 * graph.n_edges**3
 
 
@@ -273,6 +272,32 @@ def test_zero_timeout_is_a_deadline_not_none(algo):
     graph, model = sp.gen_topology("clique", 14, seed=0)
     with pytest.raises(sp.OptimizeTimeout):
         sp.run_algorithm(algo, graph, model, timeout=0)
+
+
+@pytest.mark.parametrize("search", [sp.exhaustive, sp.este])
+def test_nan_timeout_is_rejected(search):
+    # Small enough to finish at once if NaN were taken as no deadline.
+    graph, model = sp.gen_topology("clique", 5, seed=0)
+    with pytest.raises(ValueError):
+        search(graph, model, timeout=float("nan"))
+
+
+@pytest.mark.parametrize("algo", ["exhaustive", "este"])
+def test_infinite_timeout_never_expires(algo):
+    graph, model = sp.gen_topology("clique", 6, seed=0)
+    assert (sp.run_algorithm(algo, graph, model, timeout=float("inf"))[0]
+            == sp.run_algorithm(algo, graph, model)[0])
+
+
+@pytest.mark.parametrize("algo", sp.ALGORITHMS)
+def test_one_table_graph_gives_the_empty_plan(one_table, algo):
+    graph, catalog = one_table
+    plan, stats = sp.run_algorithm(algo, graph, catalog)
+    assert (plan.algorithm, plan.steps, plan.filters) == (algo, (), ())
+    assert plan.internal_cost == plan.total_cost == 0
+    assert stats.plans_enumerated == 1
+    assert stats.subplans_reached == stats.join_costs_computed == stats.evaluations == 0
+    sp.validate_plan(graph, plan, CostContext(graph, catalog))
 
 
 def test_oracle_zero_timeout_is_a_deadline_not_none():

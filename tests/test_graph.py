@@ -208,25 +208,25 @@ def _independent_connected(graph, vertices) -> bool:
 
 def test_connected_subsets_2a(q2a):
     graph, _ = q2a
-    assert len(sp.connected_subsets(graph, 2)) == 14
+    assert len([s for s in sp.connected_subsets(graph) if len(s) > 1]) == 14
 
 
 def test_connected_subsets_chain3(chain3_model):
     graph, _ = chain3_model
-    subsets = sp.connected_subsets(graph, 2)
+    subsets = [s for s in sp.connected_subsets(graph) if len(s) > 1]
     assert subsets == [(0, 1), (1, 2), (0, 1, 2)]
 
 
 def test_connected_subsets_clique4():
     graph, _ = sp.gen_topology("clique", 4, seed=0)
-    assert len(sp.connected_subsets(graph, 2)) == 11  # 6 pairs + 4 triples + 1 full
+    assert len([s for s in sp.connected_subsets(graph) if len(s) > 1]) == 11  # 6 pairs + 4 triples + 1 full
 
 
 @pytest.mark.parametrize("kind,n", [("chain", 6), ("cycle", 7), ("star", 8), ("clique", 5)])
 def test_connected_subsets_match_independent_bruteforce(kind, n, q2a):
     graphs = [sp.gen_topology(kind, n, seed=11)[0], q2a[0]]
     for graph in graphs:
-        got = set(sp.connected_subsets(graph, 1))
+        got = set(sp.connected_subsets(graph))
         expected = set()
         for mask in range(1, 1 << graph.n_vertices):
             vertices = tuple(v for v in range(graph.n_vertices) if (mask >> v) & 1)
@@ -237,6 +237,6 @@ def test_connected_subsets_match_independent_bruteforce(kind, n, q2a):
 
 def test_every_connected_subset_passes_bfs(q2a):
     graph, _ = q2a
-    for mask in connected_subset_masks(graph, 2):
+    for mask in connected_subset_masks(graph):
         vertices = tuple(v for v in range(graph.n_vertices) if (mask >> v) & 1)
         assert _independent_connected(graph, vertices)

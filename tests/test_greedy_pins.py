@@ -44,8 +44,8 @@ def _runs(kind: str, n: int, seed: int):
     every start edge, on one generated graph."""
     graph, model = sp.gen_topology(kind, n, seed)
     name = f"{kind}-{n}-{seed}"
-    plan, stats, distinct = sp.este(graph, model)
-    yield f"{name}/este", _entry(plan, stats, distinct)
+    plan, stats = sp.este(graph, model)
+    yield f"{name}/este", _entry(plan, stats, stats.plans_enumerated)
     for algo, run in (("prim", sp.prim), ("kruskal", sp.kruskal)):
         for start in (None, *range(graph.n_edges)):
             plan, stats = run(graph, model, start_edge=start)
@@ -75,9 +75,9 @@ def test_este_plan_is_the_cheapest_standalone_member():
         members = [run(graph, ctx, start_edge=e.id)[0]
                    for run in (sp.prim, sp.kruskal) for e in graph.edges]
         best = min(members, key=lambda p: (p.internal_cost, canonical_encoding(p)))
-        plan, _stats, distinct = sp.este(graph, ctx)
+        plan, stats = sp.este(graph, ctx)
         assert plan == dataclasses.replace(best, algorithm="este")
-        assert distinct == len({canonical_encoding(p) for p in members})
+        assert stats.plans_enumerated == len({canonical_encoding(p) for p in members})
 
 
 if __name__ == "__main__":

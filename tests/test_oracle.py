@@ -98,9 +98,56 @@ def test_counts_limit_guard():
         sp.enumerate_ordered_trees(graph)
 
 
+def test_oracle_nan_timeout_is_rejected():
+    # Small enough to finish at once if NaN were taken as no deadline.
+    graph, model = sp.gen_topology("clique", 4, seed=0)
+    with pytest.raises(ValueError):
+        sp.brute_force_optimal(graph, model, timeout=float("nan"))
+
+
+def test_one_table_graph(one_table):
+    graph, catalog = one_table
+    assert sp.enumerate_ordered_trees(graph) == sp.TreeCounts(1, 1, 0, 1, 0)
+    plan, stats = sp.brute_force_optimal(graph, catalog)
+    assert (plan.steps, plan.filters, plan.internal_cost) == ((), (), 0)
+    assert stats.plans_enumerated == 1
+
+
+def iter_ordered_trees(graph):
+    """Yield (edge_sequence, valid, linear) for every ordered arrangement,
+    invalid ones included, so use it only on small graphs."""
+    n = graph.n_vertices
+    for seq in itertools.permutations(range(graph.n_edges), n - 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        valid = True
+        linear = True
+        touched = 0
+        touched_cnt = 0
+        for depth, eid in enumerate(seq, start=1):
+            e = graph.edges[eid]
+            ru, rv = find(e.v1), find(e.v2)
+            if ru == rv:
+                valid = False
+                break
+            parent[ru] = rv
+            for v in (e.v1, e.v2):
+                if not (touched >> v) & 1:
+                    touched |= 1 << v
+                    touched_cnt += 1
+            if touched_cnt - depth != 1:
+                linear = False
+        yield seq, valid, (linear if valid else False)
+
+
 def test_iter_ordered_trees_agrees_with_kernel(q2a):
     graph, _ = q2a
-    seqs = list(sp.oracle.iter_ordered_trees(graph))
+    seqs = list(iter_ordered_trees(graph))
     counts = sp.enumerate_ordered_trees(graph)
     assert len(seqs) == counts.bound
     assert sum(1 for _, valid, _ in seqs if valid) == counts.valid
@@ -180,6 +227,6 @@ def test_optimal_cost_overflow_is_a_limit_error(q2a_text):
         sp.brute_force_optimal(graph, catalog)
     with pytest.raises(sp.LimitExceededError):
         sp.exhaustive(graph, catalog)
-    plan, _stats, _distinct = sp.este(graph, catalog)
+    plan, _stats = sp.este(graph, catalog)
     with pytest.raises(sp.LimitExceededError):
         sp.plan_to_json(plan, graph)
