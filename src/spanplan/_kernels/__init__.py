@@ -1,6 +1,6 @@
 """Search-kernel backends.
 
-``pure`` is the reference implementation.  ``compiled`` runs the same four
+``pure`` is the reference implementation.  ``compiled`` runs the same five
 kernels from ``kernels.c``, built next to this file as ``_ckernels`` by
 ``python3 setup.py build_ext`` and opened through ctypes by ``loader``; it
 is preferred whenever the build produced it.  The library is opened on the

@@ -2,11 +2,13 @@
 
 These are the reference implementations of the per-join cost formula
 (``join_cost``, the only one in the package, and ``merge``, which chooses
-the operator with it) and of the two hot paths: the subset dynamic program
-over connected vertex sets, and the depth-first enumeration of ordered
-spanning-tree edge arrangements.  The C kernels in ``kernels.c`` mirror
-this module operation-for-operation; equivalence is enforced by
-tests/test_kernels.py.
+the operator with it), of the selectivity model's product
+(``model_product``), and of the three searches: the greedy prim/kruskal
+members behind ``prim``, ``kruskal`` and ``este`` (``greedy_search``), the
+subset dynamic program over connected vertex sets, and the depth-first
+enumeration of ordered spanning-tree edge arrangements.  The C kernels in
+``kernels.c`` mirror this module operation-for-operation; equivalence is
+enforced by tests/test_kernels.py.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
 base tables consumed by that join (an index-lookup inner table is never
@@ -16,6 +18,9 @@ identical everywhere makes costs bit-for-bit comparable across kernels.
 """
 from __future__ import annotations
 
+import dataclasses
+import heapq
+import math
 import time
 from dataclasses import dataclass
 
@@ -25,6 +30,8 @@ OP_HJ = 0
 OP_INL = 1
 SIDE_LEFT = 0
 SIDE_RIGHT = 1
+PRIM = 0
+KRUSKAL = 1
 
 name = "pure"
 
@@ -41,6 +48,28 @@ class Instance:
     lam: float
     cards: dict[int, float]        # mask -> output cardinality
     pair_inner: dict[int, int]     # 2-vertex edge mask -> lookup-side vertex
+    # The source greedy_search computes cardinalities from: a selectivity
+    # model as (bases, ((edge mask, selectivity), ...)), else a catalog.
+    model: tuple | None = None
+    catalog: dict[int, int] | None = None
+
+
+def model_product(bases, edge_sels, mask: int) -> float:
+    """The selectivity model's estimate of mask before rounding up.
+
+    Bases multiply in ascending vertex order, then selectivities by edge id:
+    the order fixes every product bit for bit.
+    """
+    prod = 1.0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        prod *= bases[low.bit_length() - 1]
+        rest ^= low
+    for edge_mask, sel in edge_sels:
+        if mask & edge_mask == edge_mask:
+            prod *= sel
+    return prod
 
 
 def join_cost(inst: Instance, l_mask: int, r_mask: int, op: int, side: int):
@@ -101,6 +130,234 @@ def merge(inst: Instance, l_mask: int, r_mask: int):
         if inl < cost:
             return inl, OP_INL, inner_side, out
     return cost, OP_HJ, side, out
+
+
+class _Cards(dict):
+    """greedy_search's sparse cardinality memo: a mask is computed when
+    first read, as ``ceil(model_product)`` or from the catalog.  A mask the
+    source cannot give (absent from the catalog, or past a float under the
+    model) raises KeyError(mask)."""
+
+    def __init__(self, inst: Instance):
+        super().__init__()
+        self.model = inst.model
+        self.catalog = inst.catalog or {}
+
+    def __missing__(self, mask: int) -> float:
+        if self.model is None:
+            card = float(self.catalog[mask])
+        else:
+            prod = model_product(*self.model, mask)
+            if prod == math.inf:
+                raise KeyError(mask)
+            card = float(math.ceil(prod))
+        self[mask] = card
+        return card
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Greedy:
+    """The state one greedy_search shares between its members.
+
+    It holds the distinct splits costed, the evaluations performed, and one
+    memo per member kind of the choice made at each state.  A prim member's
+    next join depends only on its component, and a kruskal member's only on
+    the partition into components: every valid heap entry prices
+    ``merge(comp_of[u], comp_of[v])`` for the current components.  So a
+    member that reaches a state an earlier member left takes the stored
+    choice without pricing anything.
+    """
+
+    def __init__(self, inst: Instance, deadline: float):
+        self.inst = dataclasses.replace(inst, cards=_Cards(inst))
+        self.deadline = deadline
+        self.full = (1 << inst.n) - 1
+        self.splits: set[tuple[int, int]] = set()
+        self.evals = 0
+        self.states = 0
+        self.prim_next: dict[int, tuple[int, int]] = {}  # component -> (edge, outside vertex mask)
+        self.kruskal_next: dict[tuple[int, ...], int] = {}  # comp_of -> edge
+        self.opening: list | None = None
+        # Per-vertex incident edges, as bitmasks of edge ids.
+        self.incident = [0] * inst.n
+        for e, (u, v) in enumerate(zip(inst.edge_u, inst.edge_v)):
+            self.incident[u] |= 1 << e
+            self.incident[v] |= 1 << e
+
+    def check_deadline(self) -> None:
+        if self.deadline and time.perf_counter() > self.deadline:
+            raise OptimizeTimeout("greedy search ran past its deadline")
+
+    def new_state(self) -> None:
+        """Count a state whose choice is priced; every 16th reads the clock."""
+        self.states += 1
+        if self.states % 16 == 0:
+            self.check_deadline()
+
+    def price(self, l_mask: int, r_mask: int) -> float:
+        """A candidate join's step cost, recorded as one evaluation of a split."""
+        cost = merge(self.inst, l_mask, r_mask)[0]
+        self.evals += 1
+        self.splits.add((l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask))
+        return cost
+
+    def step(self, joins: list, eid: int, l_mask: int, r_mask: int,
+             l_cost: float, r_cost: float) -> float:
+        """Append a join to a member's plan; returns the joined subtree's cost."""
+        cost, op, side, _out = merge(self.inst, l_mask, r_mask)
+        joins.append((eid, l_mask, r_mask, op, side))
+        return cost + l_cost + r_cost
+
+    def prim(self, start: int | None):
+        inst = self.inst
+        edge_u, edge_v = inst.edge_u, inst.edge_v
+        joins: list = []
+        if inst.n == 1:
+            return joins, 0.0  # no edge to open with
+        best_cost = None
+        for eid in range(len(edge_u)) if start is None else (start,):
+            cost = self.price(1 << edge_u[eid], 1 << edge_v[eid])
+            if best_cost is None or cost < best_cost:
+                best_cost, first = cost, eid
+        l_mask, r_mask = 1 << edge_u[first], 1 << edge_v[first]
+        total = self.step(joins, first, l_mask, r_mask, 0.0, 0.0)
+        component = l_mask | r_mask
+
+        memo = self.prim_next
+        while component != self.full:
+            choice = memo.get(component)
+            if choice is None:
+                self.new_state()
+                # The first strictly cheapest candidate in edge-id order wins.
+                # Later edges to an outside vertex already priced repeat the
+                # same join, so they can never be strictly cheaper.
+                best_cost = None
+                seen = 0
+                for eid, (u, v) in enumerate(zip(edge_u, edge_v)):
+                    in_u = (component >> u) & 1
+                    if in_u == (component >> v) & 1:
+                        continue  # inside the component or not adjacent to it
+                    outside = 1 << (v if in_u else u)
+                    if outside & seen:
+                        continue
+                    seen |= outside
+                    cost = self.price(component, outside)
+                    if best_cost is None or cost < best_cost:
+                        best_cost, choice = cost, (eid, outside)
+                memo[component] = choice
+            eid, outside = choice
+            total = self.step(joins, eid, component, outside, total, 0.0)
+            component |= outside
+        return joins, total
+
+    def kruskal_opening(self) -> list:
+        """A copy of kruskal's first heap: every single-edge join, priced
+        once per search.  Entries are (cost, edge id, stamp), so equal costs
+        pop lowest edge id first."""
+        if self.opening is None:
+            inst = self.inst
+            heap = [(self.price(1 << u, 1 << v), eid, 0)
+                    for eid, (u, v) in enumerate(zip(inst.edge_u, inst.edge_v))]
+            heapq.heapify(heap)
+            self.opening = heap
+        return self.opening.copy()
+
+    def kruskal(self, start: int | None):
+        inst = self.inst
+        edge_u, edge_v = inst.edge_u, inst.edge_v
+        comp_of = [1 << v for v in range(inst.n)]
+        cost_of = [0.0] * inst.n  # the cost of each vertex's component
+        stamps = [0] * len(edge_u)
+        heap = self.kruskal_opening()
+        memo = self.kruskal_next
+        joins: list = []
+
+        def join(eid: int) -> int:
+            u, v = edge_u[eid], edge_v[eid]
+            l_mask, r_mask = comp_of[u], comp_of[v]
+            cost = self.step(joins, eid, l_mask, r_mask, cost_of[u], cost_of[v])
+            merged = l_mask | r_mask
+            for w in _bits(merged):
+                comp_of[w] = merged
+                cost_of[w] = cost
+            return merged
+
+        # The component made by the last join, whose candidates have not been
+        # re-priced yet; 0 before the first join.
+        merged = join(start) if start is not None else 0
+        while comp_of[0] != self.full:
+            state = tuple(comp_of)
+            eid = memo.get(state)
+            if eid is None:
+                self.new_state()
+                if merged:
+                    # Re-price the edges leaving the merged component, in
+                    # edge-id order, through its vertices' incident edges.
+                    crossing = 0
+                    for w in _bits(merged):
+                        crossing |= self.incident[w]
+                    for e2 in _bits(crossing):
+                        c1, c2 = comp_of[edge_u[e2]], comp_of[edge_v[e2]]
+                        if c1 == c2:
+                            continue
+                        stamps[e2] += 1
+                        heapq.heappush(heap, (self.price(c1, c2), e2, stamps[e2]))
+                # Skip stale entries and edges now inside one component (those
+                # become filters).
+                while True:
+                    _cost, eid, stamp = heapq.heappop(heap)
+                    if stamp == stamps[eid] and comp_of[edge_u[eid]] != comp_of[edge_v[eid]]:
+                        break
+                memo[state] = eid
+            merged = join(eid)
+        return joins, cost_of[0]
+
+
+def _encoding(joins: list) -> tuple:
+    """plan.canonical_encoding of a member's joins, with operator codes for
+    names (OP_HJ < OP_INL as "HJ" < "INL")."""
+    return tuple(sorted((l_mask | r_mask, min(l_mask, r_mask), max(l_mask, r_mask), eid, op,
+                         l_mask if side == SIDE_LEFT else r_mask)
+                        for eid, l_mask, r_mask, op, side in joins))
+
+
+def greedy_search(inst: Instance, runs, deadline: float = 0.0):
+    """Run greedy members and keep the cheapest plan.
+
+    ``runs`` lists (PRIM or KRUSKAL, start edge or None); all members share
+    one ``_Greedy``.  Cardinalities come from ``inst.model`` or
+    ``inst.catalog``, never from ``inst.cards``; a mask the source cannot
+    give raises KeyError(mask).  The winner has the lowest (internal cost,
+    canonical encoding); the first member wins exact ties.  The deadline is
+    checked between members and after every 16th state priced, so a search
+    too small to reach either finishes.
+
+    Returns (joins, cost, subplans, splits, evals, plans): the winner's joins
+    as (edge, left mask, right mask) and its internal cost, the distinct
+    subsets and splits costed, the evaluations performed and the number of
+    distinct member plans.
+    """
+    search = _Greedy(inst, deadline)
+    best = None
+    encodings = set()
+    for k, (kind, start) in enumerate(runs):
+        if k:
+            search.check_deadline()
+        joins, cost = search.prim(start) if kind == PRIM else search.kruskal(start)
+        enc = _encoding(joins)
+        encodings.add(enc)
+        if best is None or (cost, enc) < best[:2]:
+            best = (cost, enc, joins)
+    cost, _enc, joins = best
+    subplans = len({l_mask | r_mask for l_mask, r_mask in search.splits})
+    return ([(eid, l_mask, r_mask) for eid, l_mask, r_mask, _op, _side in joins], cost,
+            subplans, len(search.splits), search.evals, len(encodings))
 
 
 def _connectivity(n: int, adjacency: list[int]) -> list[bool]:

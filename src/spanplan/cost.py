@@ -88,7 +88,7 @@ class SelectivityModel:
     graph: JoinGraph
     selectivities: tuple
     # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
-    # in the order lookup multiplies them.
+    # in the order pure.model_product multiplies them.
     _bases: tuple = field(init=False, repr=False, compare=False)
     _edge_sels: tuple = field(init=False, repr=False, compare=False)
 
@@ -131,18 +131,7 @@ class SelectivityModel:
         return cls(graph=graph, selectivities=tuple(sels))
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
-        # Bases in ascending vertex order, then selectivities by edge id:
-        # the order fixes every product bit for bit.
-        bases = self._bases
-        prod = 1.0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            prod *= bases[low.bit_length() - 1]
-            rest ^= low
-        for edge_mask, sel in self._edge_sels:
-            if mask & edge_mask == edge_mask:
-                prod *= sel
+        prod = _pure.model_product(self._bases, self._edge_sels, mask)
         if prod == math.inf:
             raise LimitExceededError(
                 f"cardinality of {{{graph.subset_key(mask)}}} overflows a float")
@@ -201,6 +190,8 @@ class CostContext:
             lam=self.params.lam,
             cards=self._cards,
             pair_inner=pair_inner,
+            model=(source._bases, source._edge_sels) if isinstance(source, SelectivityModel) else None,
+            catalog=source.entries if isinstance(source, CardinalityCatalog) else None,
         )
         self._merge_memo: dict[tuple[int, int], MergeResult] = {}
 

@@ -115,6 +115,20 @@ def test_optimize_este_timeout_exits_2_with_one_line(capsys, tmp_path):
     assert err.startswith("spanplan: timeout: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("algo", ["prim", "kruskal", "goo"])
+def test_optimize_greedy_timeout_exits_2_with_one_line(capsys, tmp_path, algo):
+    # On 20 tables one prim or kruskal run prices more than 16 states and goo
+    # runs more than one round, so each of them reads the clock.
+    graph, model = sp.gen_topology("clique", 20, seed=0)
+    path = tmp_path / "big.json"
+    path.write_text(sp.graph_to_json(graph, model))
+    code, out, err = run(capsys, "optimize", "--graph", str(path), "--algo", algo,
+                         "--timeout", "1e-9")
+    assert code == 2
+    assert out == ""
+    assert err == f"spanplan: timeout: {algo} ran past its deadline\n"
+
+
 @pytest.mark.parametrize("command", ["optimize", "bench"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
 def test_timeout_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, command, value):

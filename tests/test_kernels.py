@@ -26,14 +26,20 @@ from .conftest import mixed_instances
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _compiler() -> list[str]:
+    """sysconfig's CC as an argument list; skips the test when it is not on PATH."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) to build kernels.c")
+    return cc
+
+
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
     """The compiled backend: the in-place build, or a fresh one."""
     if _kernels.HAVE_COMPILED:
         return _kernels.get_backend("compiled")
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler ({compiler}) to build kernels.c")
+    _compiler()
     out = tmp_path_factory.mktemp("ckernels")
     subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
                     "--build-temp", str(out / "temp")],
@@ -41,6 +47,14 @@ def compiled(tmp_path_factory):
     built = list((out / "lib" / "spanplan" / "_kernels").glob("_ckernels*"))
     assert built, "setup.py build_ext did not build kernels.c"
     return open_library(built[0])
+
+
+def test_kernels_c_compiles_without_warnings(tmp_path):
+    source = ROOT / "src" / "spanplan" / "_kernels" / "kernels.c"
+    proc = subprocess.run([*_compiler(), "-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
+                           "-c", str(source), "-o", str(tmp_path / "kernels.o")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _instance(graph, model):
@@ -72,6 +86,89 @@ def test_merge_equivalence_on_equal_cardinalities(compiled):
         pair_inner={3: 1, 6: 2})
     for l, r in ((1, 2), (2, 1), (3, 4), (4, 3), (1, 6), (6, 1)):
         assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
+
+
+def _catalog(graph, model):
+    """The model's cardinalities as a catalog of every connected subset."""
+    return sp.CardinalityCatalog(
+        entries={m: model.lookup(graph, m) for m in connected_subset_masks(graph)})
+
+
+def _greedy_runs(graph):
+    """Every member este runs, each prim and kruskal run unseeded, and the
+    full ensemble, as greedy_search run lists."""
+    members = [(kind, e) for kind in (_kernels.pure.PRIM, _kernels.pure.KRUSKAL)
+               for e in range(graph.n_edges)]
+    return [[run] for run in members] + [[(_kernels.pure.PRIM, None)],
+                                         [(_kernels.pure.KRUSKAL, None)], members]
+
+
+def test_greedy_search_equivalence(compiled):
+    for kind, n, graph, model in mixed_instances(16, base_seed=6400):
+        for source in (model, _catalog(graph, model)):
+            inst = CostContext(graph, source).instance
+            for runs in _greedy_runs(graph):
+                pure = _kernels.pure.greedy_search(inst, runs)
+                assert pure == compiled.greedy_search(inst, runs), (kind, n, runs)
+                assert len(pure[0]) == graph.n_vertices - 1
+        assert not inst.cards, "greedy_search must not fill the context's cardinalities"
+
+
+def test_greedy_search_on_one_table(one_table, compiled):
+    graph, catalog = one_table
+    inst = CostContext(graph, catalog).instance
+    runs = [(_kernels.pure.PRIM, None), (_kernels.pure.KRUSKAL, None)]
+    assert _kernels.pure.greedy_search(inst, runs) == compiled.greedy_search(inst, runs) \
+        == ([], 0.0, 0, 0, 0, 1)
+
+
+def _on_each_backend(compiled, monkeypatch, run):
+    """What run() returns or raises on the pure and then the compiled backend."""
+    outcomes = []
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        try:
+            outcomes.append(run())
+        except sp.SpanPlanError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@pytest.mark.parametrize("algo", ["prim", "kruskal", "este"])
+def test_greedy_overflow_is_the_same_limit_error_on_both_backends(algo, compiled, monkeypatch):
+    graph, model = sp.gen_topology("clique", 7, seed=1, base_range=(10**80, 10**81),
+                                   sel_range=(0.5, 1.0))
+    pure, fast = _on_each_backend(compiled, monkeypatch,
+                                  lambda: sp.run_algorithm(algo, graph, model))
+    assert pure == fast
+    assert pure[0] is sp.LimitExceededError and "overflows a float" in pure[1]
+
+
+@pytest.mark.parametrize("algo", ["prim", "kruskal", "este"])
+def test_greedy_missing_entry_is_the_same_error_on_both_backends(algo, q2a, compiled,
+                                                                  monkeypatch):
+    graph, catalog = q2a
+    errors = 0
+    for missing in (m for m in catalog.entries if m & (m - 1)):
+        entries = {m: c for m, c in catalog.entries.items() if m != missing}
+        source = sp.CardinalityCatalog(entries=entries)
+        pure, fast = _on_each_backend(compiled, monkeypatch,
+                                      lambda: sp.run_algorithm(algo, graph, source)[0])
+        assert pure == fast
+        if isinstance(pure, tuple):
+            assert pure[0] is sp.MissingCardinalityError
+            assert graph.subset_key(missing) in pure[1]
+            errors += 1
+    assert errors > 0
+
+
+def test_greedy_search_timeout_on_both_backends(compiled):
+    graph, model = sp.gen_topology("clique", 6, seed=0)
+    inst = CostContext(graph, model).instance
+    runs = _greedy_runs(graph)[-1]
+    for backend in (_kernels.pure, compiled):
+        with pytest.raises(sp.OptimizeTimeout):
+            backend.greedy_search(inst, runs, deadline=1e-9)
 
 
 def test_dp_equivalence(compiled):
