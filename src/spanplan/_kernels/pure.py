@@ -25,6 +25,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import OptimizeTimeout
+from ..graph import iter_bits
 
 OP_HJ = 0
 OP_INL = 1
@@ -155,13 +156,6 @@ class _Cards(dict):
         return card
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _Greedy:
     """The state one greedy_search shares between its members.
 
@@ -283,7 +277,7 @@ class _Greedy:
             l_mask, r_mask = comp_of[u], comp_of[v]
             cost = self.step(joins, eid, l_mask, r_mask, cost_of[u], cost_of[v])
             merged = l_mask | r_mask
-            for w in _bits(merged):
+            for w in iter_bits(merged):
                 comp_of[w] = merged
                 cost_of[w] = cost
             return merged
@@ -300,9 +294,9 @@ class _Greedy:
                     # Re-price the edges leaving the merged component, in
                     # edge-id order, through its vertices' incident edges.
                     crossing = 0
-                    for w in _bits(merged):
+                    for w in iter_bits(merged):
                         crossing |= self.incident[w]
-                    for e2 in _bits(crossing):
+                    for e2 in iter_bits(crossing):
                         c1, c2 = comp_of[edge_u[e2]], comp_of[edge_v[e2]]
                         if c1 == c2:
                             continue

@@ -74,18 +74,26 @@ def _greedy(name: str, graph: JoinGraph, source: CardinalitySource, params: Cost
     return plan, stats
 
 
+def _one_run(kind: int, graph: JoinGraph, start_edge: int | None) -> list:
+    if start_edge is not None and not 0 <= start_edge < graph.n_edges:
+        raise IndexError(f"start_edge {start_edge} is not an edge id of this graph")
+    return [(kind, start_edge)]
+
+
 def prim(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
          start_edge: int | None = None, *, timeout: float | None = None):
     """Component-growing enumeration from start_edge, or by default from the
     cheapest two-way join."""
-    return _greedy("prim", graph, source, params, [(_pure.PRIM, start_edge)], timeout)
+    return _greedy("prim", graph, source, params, _one_run(_pure.PRIM, graph, start_edge),
+                   timeout)
 
 
 def kruskal(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
             start_edge: int | None = None, *, timeout: float | None = None):
     """Heap-driven enumeration over all components; start_edge, when given,
     forces the first merge."""
-    return _greedy("kruskal", graph, source, params, [(_pure.KRUSKAL, start_edge)], timeout)
+    return _greedy("kruskal", graph, source, params, _one_run(_pure.KRUSKAL, graph, start_edge),
+                   timeout)
 
 
 def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,

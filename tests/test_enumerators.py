@@ -107,6 +107,14 @@ def test_prim_from_sole_edge_equals_prim(two_table):
     assert a == b
 
 
+@pytest.mark.parametrize("start", [-1, 1])
+@pytest.mark.parametrize("run", [sp.prim, sp.kruskal])
+def test_start_edge_must_be_an_edge_id(two_table, run, start):
+    graph, catalog = two_table
+    with pytest.raises(IndexError):
+        run(graph, catalog, start_edge=start)
+
+
 def test_chain3_hand_rolled_cost(chain3_model):
     graph, model = chain3_model
     plan, _ = sp.prim(graph, model, start_edge=0)
