@@ -8,16 +8,14 @@ greedy planners adapted to changing edge weights, an ensemble strategy that
 reruns both greedies from every edge, a greedy-operator-ordering baseline,
 a brute-force oracle over the full arrangement space, and a benchmark
 harness.
+
+The benchmark harness (``bench``) and the brute-force oracle (``oracle``)
+and their names are imported on first access (PEP 562), so a process that
+only plans a query never loads them.
 """
+import importlib
+
 from ._kernels import DEFAULT_BACKEND, HAVE_COMPILED
-from .bench import (
-    BenchRecord,
-    WorkloadQuery,
-    aggregate,
-    complexity_group,
-    run_workload,
-    topology_sweep,
-)
 from .cost import (
     CardinalityCatalog,
     CostContext,
@@ -58,13 +56,6 @@ from .graph import (
     load_document,
     parse_join_graph,
 )
-from .oracle import (
-    TreeCounts,
-    arrangement_bound,
-    binary_tree_space_size,
-    brute_force_optimal,
-    enumerate_ordered_trees,
-)
 from .plan import (
     EnumStats,
     Plan,
@@ -76,3 +67,31 @@ from .plan import (
 )
 
 __version__ = "0.1.0"
+
+# Public names resolved on first access, by the submodule that defines them.
+_LAZY = {
+    "bench": "bench",
+    "BenchRecord": "bench",
+    "WorkloadQuery": "bench",
+    "aggregate": "bench",
+    "complexity_group": "bench",
+    "run_workload": "bench",
+    "topology_sweep": "bench",
+    "oracle": "oracle",
+    "TreeCounts": "oracle",
+    "arrangement_bound": "oracle",
+    "binary_tree_space_size": "oracle",
+    "brute_force_optimal": "oracle",
+    "enumerate_ordered_trees": "oracle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value

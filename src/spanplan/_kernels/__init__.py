@@ -1,19 +1,21 @@
 """Search-kernel backends.
 
-``pure`` is the reference implementation.  ``compiled`` runs the same five
-kernels from ``kernels.c``, built next to this file as ``_ckernels`` by
-``python3 setup.py build_ext`` and opened through ctypes by ``loader``; it
-is preferred whenever the build produced it.  The library is opened on the
-first ``get_backend`` call, so ``import spanplan`` does not pay for ctypes
-in commands that run no kernel.
+``formula`` holds the one Python cost formula (``join_cost``, ``merge``,
+``model_product``) and ``Instance``, which every backend takes.  ``pure``
+is the reference implementation of the five kernels.  ``compiled`` runs the
+same five kernels from ``kernels.c``, built next to this file as
+``_ckernels`` by ``python3 setup.py build_ext`` and opened through ctypes by
+``loader``; it is preferred whenever the build produced it.  A backend is
+loaded on the first ``get_backend`` call that names it, so ``import
+spanplan`` pays neither for ctypes nor for compiling ``pure``, and a process
+that runs the compiled searches never loads ``pure`` at all.
 
 A kernel's ``deadline`` is a ``time.perf_counter`` time; 0.0 means none.
 """
+import importlib
 import math
 import os
 from importlib.machinery import EXTENSION_SUFFIXES
-
-from . import pure
 
 
 def _built_library():
@@ -37,7 +39,7 @@ def get_backend(name: str = "auto"):
     if name == "auto":
         name = DEFAULT_BACKEND
     if name == "pure":
-        return pure
+        return importlib.import_module(".pure", __name__)
     if name != "compiled":
         raise ValueError(f"unknown kernel backend {name!r}")
     if not HAVE_COMPILED:
@@ -47,6 +49,13 @@ def get_backend(name: str = "auto"):
 
         _compiled = open_library(_LIBRARY)
     return _compiled
+
+
+def __getattr__(name: str):
+    # ``_kernels.pure`` imports the reference backend on first access.
+    if name == "pure":
+        return get_backend("pure")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def deadline(t0: float, timeout: float | None) -> float:

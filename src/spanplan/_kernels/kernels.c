@@ -1,8 +1,10 @@
 /* Compiled search kernels, opened through ctypes by loader.py.
  *
- * A mirror of pure.py: merge, model_product, greedy_search, dp_search,
- * count_trees and brute_search compute every cost with the same operations
- * in the same order, so results are bit-for-bit equal to the reference.
+ * A mirror of the Python kernels: merge (with the join_cost it inlines) and
+ * model_product mirror formula.py, the package's one Python cost formula;
+ * greedy_search, dp_search, count_trees and brute_search mirror pure.py.
+ * Every cost is computed with the same operations in the same order, so
+ * results are bit-for-bit equal to the reference.
  * Build with -ffp-contract=off so that no a * b + c is fused into one
  * rounding.  Vertex sets are bitmasks; the 25-table graph cap keeps them
  * below 2^32.  Every entry point returns one of the status codes below.
@@ -82,7 +84,7 @@ static int count_unions(const table *pairs, int64_t *count) {
     return rc;
 }
 
-typedef struct {               /* pure.Instance, flattened by loader.py */
+typedef struct {               /* formula.Instance, flattened by loader.py */
     int n, n_edges, n_cards, n_pairs;
     double lam;
     const int *edge_u, *edge_v;
@@ -132,7 +134,7 @@ static int close_cards(problem *p, int rc) {
     return rc;
 }
 
-/* pure.model_product */
+/* formula.model_product */
 static double model_product(const problem *p, mask_t m) {
     double prod = 1.0;
     for (mask_t rest = m; rest; rest &= rest - 1)
@@ -175,7 +177,7 @@ static int pair_inner(const problem *p, mask_t m) {
     return -1;
 }
 
-/* pure.merge */
+/* formula.merge and formula.join_cost */
 static int merge(problem *p, mask_t l, mask_t r, join *j) {
     int l_single = SINGLE(l), r_single = SINGLE(r), op = 0, side, inner = -1;
     double out, lc, rc, cost, outer_card, inl;

@@ -2,8 +2,10 @@
 
 ``open_library(path)`` opens a built copy of ``kernels.c`` and returns the
 ``compiled`` backend: a module with ``pure``'s five kernels, taking the same
-arguments and returning the same tuples.  Instances and results cross the
-boundary as flat ``array`` buffers.
+arguments and returning the same tuples.  Its ``merge`` is the C mirror of
+``formula.merge``, the one Python cost formula.  Instances
+(``formula.Instance``) and results cross the boundary as flat ``array``
+buffers.  Nothing here imports ``pure``.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ _TIMEOUT, _MISSING = 1, 2
 
 
 class _Problem(ctypes.Structure):
-    """kernels.c's ``problem``: a pure.Instance flattened into buffers."""
+    """kernels.c's ``problem``: a formula.Instance flattened into buffers."""
 
     _fields_ = [("n", c_int), ("n_edges", c_int), ("n_cards", c_int), ("n_pairs", c_int),
                 ("lam", c_double),

@@ -11,8 +11,6 @@ import json
 import math
 import sys
 
-from . import bench as benchmod
-from . import oracle
 from .cost import CardinalitySource, CostParams
 from .enumerators import ALGORITHMS, run_algorithm
 from .errors import GraphFormatError, OptimizeTimeout, SpanPlanError
@@ -52,6 +50,8 @@ def _load_catalog_file(graph, path: str) -> CardinalitySource:
         doc = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise GraphFormatError(f"invalid JSON in {path}: nested too deeply") from None
     if isinstance(doc, dict) and isinstance(doc.get("cardinalities"), dict):
         doc = doc["cardinalities"]
     if not isinstance(doc, dict):
@@ -89,8 +89,11 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import oracle
+
     graph, _ = _load_graph(args.graph)
-    counts = oracle.enumerate_ordered_trees(graph, limit=args.limit)
+    limit = oracle.DEFAULT_ARRANGEMENT_LIMIT if args.limit is None else args.limit
+    counts = oracle.enumerate_ordered_trees(graph, limit=limit, timeout=args.timeout)
     doc = {
         "bound": counts.bound,
         "valid": counts.valid,
@@ -120,6 +123,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench as benchmod
+
     params = _params(args)
     algorithms = args.algos.split(",") if args.algos else list(ALGORITHMS)
     for name in algorithms:
@@ -215,7 +220,9 @@ def build_parser() -> _Parser:
 
     p_cnt = sub.add_parser("count", help="count the ordered spanning-tree space")
     p_cnt.add_argument("--graph", required=True)
-    p_cnt.add_argument("--limit", type=int, default=oracle.DEFAULT_ARRANGEMENT_LIMIT)
+    p_cnt.add_argument("--limit", type=int,
+                       help="most arrangements to walk; default: the oracle's limit")
+    p_cnt.add_argument("--timeout", type=_timeout, default=60.0)
     p_cnt.add_argument("--out")
     p_cnt.set_defaults(func=cmd_count)
 

@@ -12,12 +12,14 @@ base table and is never scanned.  A plan's reported ``internal_cost`` is the
 root cost of this recursion; per-step costs are the increments it adds on
 top of the child subtree costs.
 
-``_kernels.pure.join_cost`` is the one definition of a join's increment;
-``pure.merge`` picks the operator and side by calling it, and ``kernels.c``
-mirrors both operation for operation (tests/test_kernels.py holds them
-bit-for-bit equal).  ``CostContext.merge`` chooses; ``CostContext.join_cost``
-prices a given choice, which is how a re-evaluated plan keeps its operators
-and sides while its cardinalities change.
+``_kernels.formula`` is the one Python cost formula: ``formula.join_cost``
+is the one definition of a join's increment, ``formula.merge`` picks the
+operator and side by calling it, and ``formula.model_product`` is the
+selectivity model's product.  ``kernels.c`` mirrors all three operation for
+operation (tests/test_kernels.py holds them bit-for-bit equal).
+``CostContext.merge`` chooses; ``CostContext.join_cost`` prices a given
+choice, which is how a re-evaluated plan keeps its operators and sides
+while its cardinalities change.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
-from ._kernels import pure as _pure
+from ._kernels import formula
 from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
 from .graph import JoinGraph, is_row_count
 
@@ -88,7 +90,7 @@ class SelectivityModel:
     graph: JoinGraph
     selectivities: tuple
     # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
-    # in the order pure.model_product multiplies them.
+    # in the order formula.model_product multiplies them.
     _bases: tuple = field(init=False, repr=False, compare=False)
     _edge_sels: tuple = field(init=False, repr=False, compare=False)
 
@@ -131,7 +133,7 @@ class SelectivityModel:
         return cls(graph=graph, selectivities=tuple(sels))
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
-        prod = _pure.model_product(self._bases, self._edge_sels, mask)
+        prod = formula.model_product(self._bases, self._edge_sels, mask)
         if prod == math.inf:
             raise LimitExceededError(
                 f"cardinality of {{{graph.subset_key(mask)}}} overflows a float")
@@ -169,8 +171,8 @@ class MergeResult(NamedTuple):
 class CostContext:
     """Binds a graph, a cardinality source, and cost parameters.
 
-    Cardinality lookups are memoized; merge evaluation delegates to the
-    reference kernel so every enumerator prices joins identically.
+    Cardinality lookups are memoized; merge evaluation delegates to
+    ``formula.merge`` so every enumerator prices joins identically.
     """
 
     def __init__(self, graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
@@ -181,7 +183,7 @@ class CostContext:
         pair_inner = {}
         for e in graph.edges:
             pair_inner[e.mask()] = e.v2
-        self._inst = _pure.Instance(
+        self._inst = formula.Instance(
             n=graph.n_vertices,
             edge_u=tuple(e.v1 for e in graph.edges),
             edge_v=tuple(e.v2 for e in graph.edges),
@@ -196,7 +198,7 @@ class CostContext:
         self._merge_memo: dict[tuple[int, int], MergeResult] = {}
 
     @property
-    def instance(self) -> _pure.Instance:
+    def instance(self) -> formula.Instance:
         return self._inst
 
     def card(self, mask: int) -> float:
@@ -221,7 +223,7 @@ class CostContext:
         self.card(l_mask | r_mask)
         self.card(l_mask)
         self.card(r_mask)
-        cost, op, side, out = _pure.merge(self._inst, l_mask, r_mask)
+        cost, op, side, out = formula.merge(self._inst, l_mask, r_mask)
         res = MergeResult(cost, OperatorChoice(_OP_NAMES[op], _SIDE_NAMES[side]), out)
         self._merge_memo[key] = res
         return res
@@ -231,7 +233,7 @@ class CostContext:
         self.card(l_mask | r_mask)
         self.card(l_mask)
         self.card(r_mask)
-        cost, out = _pure.join_cost(self._inst, l_mask, r_mask,
+        cost, out = formula.join_cost(self._inst, l_mask, r_mask,
                                     _OP_NAMES.index(op.kind), _SIDE_NAMES.index(op.side))
         return MergeResult(cost, op, out)
 

@@ -17,7 +17,7 @@ state, and replay only the winner's joins through ``PlanBuilder``; ``goo``
 and ``exhaustive`` hand their joins to it directly.  ``PlanBuilder`` prices
 the joins, tracks the components and derives the filters.  Each returns
 ``(plan, stats)``.  Every join is priced by the one cost formula
-(``pure.merge``, mirrored in ``kernels.c``), so costs are exactly
+(``formula.merge``, mirrored in ``kernels.c``), so costs are exactly
 comparable, and a replayed plan must cost what the kernel reported.
 ``EnumStats.subplans_reached`` and ``join_costs_computed`` count the
 distinct subsets and splits costed; ``evaluations`` counts the evaluations
@@ -29,7 +29,7 @@ import math
 import time
 
 from . import _kernels
-from ._kernels import pure as _pure
+from ._kernels import formula
 from .cost import CardinalitySource, CostContext, CostParams
 from .errors import LimitExceededError, OptimizeTimeout, SpanPlanError
 from .graph import JoinGraph
@@ -84,7 +84,7 @@ def prim(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
          start_edge: int | None = None, *, timeout: float | None = None):
     """Component-growing enumeration from start_edge, or by default from the
     cheapest two-way join."""
-    return _greedy("prim", graph, source, params, _one_run(_pure.PRIM, graph, start_edge),
+    return _greedy("prim", graph, source, params, _one_run(formula.PRIM, graph, start_edge),
                    timeout)
 
 
@@ -92,7 +92,7 @@ def kruskal(graph: JoinGraph, source: CardinalitySource, params: CostParams | No
             start_edge: int | None = None, *, timeout: float | None = None):
     """Heap-driven enumeration over all components; start_edge, when given,
     forces the first merge."""
-    return _greedy("kruskal", graph, source, params, _one_run(_pure.KRUSKAL, graph, start_edge),
+    return _greedy("kruskal", graph, source, params, _one_run(formula.KRUSKAL, graph, start_edge),
                    timeout)
 
 
@@ -152,7 +152,7 @@ def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
     a member from, so each member runs once unseeded.
     """
     starts = range(graph.n_edges) or (None,)
-    runs = [(kind, start) for kind in (_pure.PRIM, _pure.KRUSKAL) for start in starts]
+    runs = [(kind, start) for kind in (formula.PRIM, formula.KRUSKAL) for start in starts]
     return _greedy("este", graph, source, params, runs, timeout)
 
 
@@ -163,7 +163,9 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     best(S) = min over connected splits (S1, S2) of
     merge(S1, S2) + best(S1) + best(S2).  With prune=True, a first greedy
     pass supplies an upper bound and subsets costing more than it are never
-    extended (safe: increments are non-negative).
+    extended (safe: increments are non-negative).  The deadline is checked
+    after the subset scan, the cardinalities and the bound, and inside the
+    DP.
     """
     if graph.n_vertices > EXHAUSTIVE_VERTEX_LIMIT:
         raise LimitExceededError(f"exhaustive enumeration limited to {EXHAUSTIVE_VERTEX_LIMIT}"
@@ -172,13 +174,21 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     t0 = time.perf_counter()
     deadline = _kernels.deadline(t0, timeout)
 
+    def check_deadline() -> None:
+        if deadline and time.perf_counter() > deadline:
+            raise OptimizeTimeout("exhaustive enumeration ran past its deadline")
+
     from .graph import connected_subset_masks
 
-    ctx.ensure_cards(connected_subset_masks(graph))
+    masks = connected_subset_masks(graph)
+    check_deadline()
+    ctx.ensure_cards(masks)
+    check_deadline()
     bound = float("inf")
     if prune:
         greedy_plan, _ = goo(graph, ctx)
         bound = greedy_plan.internal_cost
+        check_deadline()
 
     root_cost, choices, subplans, splits = _kernels.get_backend().dp_search(
         ctx.instance, bound, deadline)

@@ -5,10 +5,8 @@ machinery works on vertex bitmasks (bit i set = vertex with id i present).
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -206,6 +204,8 @@ def load_document(document: str):
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphFormatError("document root must be an object")
     graph = _graph_from_dict(doc)
@@ -341,6 +341,8 @@ def _topology_edges(kind: TopologyKind, n: int) -> list[tuple[int, int]]:
 
 
 def _derive_seed(kind: str, n: int, seed: int) -> int:
+    import hashlib  # only generation needs it; OpenSSL is slow to load
+
     digest = hashlib.sha256(f"{kind}:{n}:{seed}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -370,6 +372,8 @@ def gen_topology(
     if not all(0.0 < s <= 1.0 for s in sel_range):
         raise GraphFormatError(f"selectivity range {sel_range[0]} {sel_range[1]}"
                                " must lie inside (0, 1]")
+    import random
+
     rng = random.Random(_derive_seed(kind.value, n, seed))
     width = len(str(n - 1))
     names = [f"t{str(i).zfill(max(2, width))}" for i in range(n)]

@@ -48,15 +48,18 @@ class TreeCounts:
     bushy: int
 
 
-def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT) -> TreeCounts:
-    """Count all ordered (|V|-1)-edge arrangements, classified."""
+def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT,
+                            timeout: float | None = None) -> TreeCounts:
+    """Count all ordered (|V|-1)-edge arrangements, classified.  Raises
+    OptimizeTimeout when the walk runs past timeout seconds."""
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     if bound > limit:
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")
+    deadline = _kernels.deadline(time.perf_counter(), timeout)
     edge_u = [e.v1 for e in graph.edges]
     edge_v = [e.v2 for e in graph.edges]
     valid, invalid, linear, bushy = _kernels.get_backend().count_trees(
-        graph.n_vertices, edge_u, edge_v)
+        graph.n_vertices, edge_u, edge_v, deadline)
     return TreeCounts(bound=bound, valid=valid, invalid=invalid, linear=linear, bushy=bushy)
 
 

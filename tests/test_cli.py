@@ -129,7 +129,43 @@ def test_optimize_greedy_timeout_exits_2_with_one_line(capsys, tmp_path, algo):
     assert err == f"spanplan: timeout: {algo} ran past its deadline\n"
 
 
-@pytest.mark.parametrize("command", ["optimize", "bench"])
+def test_optimize_exhaustive_deadline_between_phases_exits_2_with_one_line(capsys, tmp_path):
+    # The subset scan alone of a 16-table chain takes far longer than 1 ms.
+    graph, model = sp.gen_topology("chain", 16, seed=0)
+    path = tmp_path / "chain.json"
+    path.write_text(sp.graph_to_json(graph, model))
+    code, out, err = run(capsys, "optimize", "--graph", str(path), "--algo", "exhaustive",
+                         "--timeout", "1e-3")
+    assert code == 2
+    assert out == ""
+    assert err == "spanplan: timeout: exhaustive enumeration ran past its deadline\n"
+
+
+def test_count_timeout_exits_2_with_one_line(capsys, tmp_path):
+    graph, model = sp.gen_topology("cycle", 8, seed=0)
+    path = tmp_path / "cycle.json"
+    path.write_text(sp.graph_to_json(graph, model))
+    code, out, err = run(capsys, "count", "--graph", str(path), "--timeout", "1e-9")
+    assert code == 2
+    assert out == ""
+    assert err == "spanplan: timeout: tree enumeration ran past its deadline\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--graph", "{nested}"),
+    ("optimize", "--graph", Q2A, "--selection-catalog", "{nested}"),
+    ("bench", "--graph", Q2A, "--algos", "goo", "--evaluation-catalog", "{nested}"),
+])
+def test_deeply_nested_json_exits_1_with_one_line(capsys, tmp_path, argv):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run(capsys, *(a.format(nested=nested) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("spanplan: error: invalid JSON") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["optimize", "count", "bench"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
 def test_timeout_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, command, value):
     code, out, err = run(capsys, command, "--graph", Q2A, "--timeout", value)
@@ -232,6 +268,32 @@ def test_import_loads_neither_numpy_nor_thread_pools():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
     assert proc.stdout == "[]\n"
+
+
+def test_start_up_loads_only_what_the_command_runs():
+    # Neither the benchmark harness, the oracle, csv nor hashlib is loaded by
+    # the CLI's import or by an optimize run; with the compiled build, the
+    # pure-Python kernels are not either.  The lazy public names still resolve.
+    code = f"""if True:
+        import os, sys
+        import spanplan, spanplan.cli
+        unused = ("spanplan.bench", "spanplan.oracle", "csv", "hashlib", "spanplan._kernels.pure")
+        def loaded():
+            return [m for m in unused if m in sys.modules]
+        print(loaded())
+        spanplan.cli.main(["optimize", "--graph", {Q2A!r}, "--algo", "exhaustive",
+                           "--out", os.devnull])
+        print(loaded())
+        from spanplan import bench, oracle
+        assert spanplan.run_workload is bench.run_workload
+        assert spanplan.brute_force_optimal is oracle.brute_force_optimal
+        assert spanplan.TreeCounts is oracle.TreeCounts
+        print("resolved")
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
+    after_optimize = [] if sp.HAVE_COMPILED else ["spanplan._kernels.pure"]
+    assert proc.stdout == f"[]\n{after_optimize}\nresolved\n"
 
 
 def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):

@@ -267,6 +267,14 @@ def test_exhaustive_timeout():
         sp.exhaustive(graph, model, timeout=1e-9)
 
 
+def test_exhaustive_checks_its_deadline_between_phases():
+    # Only the DP read the clock, every 1024 subsets, so a 16-table chain
+    # used to finish long after a 1 ms budget.
+    graph, model = sp.gen_topology("chain", 16, seed=0)
+    with pytest.raises(sp.OptimizeTimeout, match="exhaustive enumeration ran past its deadline"):
+        sp.exhaustive(graph, model, timeout=1e-3)
+
+
 def test_este_timeout():
     graph, model = sp.gen_topology("clique", 14, seed=0)
     with pytest.raises(sp.OptimizeTimeout):
