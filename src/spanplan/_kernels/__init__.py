@@ -2,10 +2,12 @@
 
 ``formula`` holds the one Python cost formula (``join_cost``, ``merge``,
 ``model_product``) and ``Instance``, which every backend takes.  ``pure``
-is the reference implementation of the five kernels.  ``compiled`` runs the
-same five kernels from ``kernels.c``, built next to this file as
-``_ckernels`` by ``python3 setup.py build_ext`` and opened through ctypes by
-``loader``; it is preferred whenever the build produced it.  A backend is
+is the reference implementation of the six kernels (``merge``,
+``model_cards``, ``greedy_search``, ``dp_search``, ``count_trees`` and
+``brute_search``).  ``compiled`` runs the same six kernels from
+``kernels.c``, built next to this file as ``_ckernels`` by ``python3
+setup.py build_ext`` and opened through ctypes by ``loader``; it is
+preferred whenever the build produced it.  A backend is
 loaded on the first ``get_backend`` call that names it, so ``import
 spanplan`` pays neither for ctypes nor for compiling ``pure``, and a process
 that runs the compiled searches never loads ``pure`` at all.

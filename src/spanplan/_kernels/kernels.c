@@ -2,7 +2,8 @@
  *
  * A mirror of the Python kernels: merge (with the join_cost it inlines) and
  * model_product mirror formula.py, the package's one Python cost formula;
- * greedy_search, dp_search, count_trees and brute_search mirror pure.py.
+ * model_cards, greedy_search, dp_search, count_trees and brute_search
+ * mirror pure.py.
  * Every cost is computed with the same operations in the same order, so
  * results are bit-for-bit equal to the reference.
  * Build with -ffp-contract=off so that no a * b + c is fused into one
@@ -220,6 +221,20 @@ static int merge(problem *p, mask_t l, mask_t r, join *j) {
 int sp_merge(problem *p, mask_t l, mask_t r, join *j) {
     int rc = open_cards(p);
     return close_cards(p, rc ? rc : merge(p, l, r, j));
+}
+
+/* pure.model_cards: cards[i] = ceil(model_product(masks[i])), stopping at
+ * the first product that is inf. */
+int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *cards) {
+    for (int64_t i = 0; i < n_masks; i++) {
+        double prod = model_product(p, masks[i]);
+        if (prod == INFINITY) {
+            p->missing = masks[i];
+            return MISSING;
+        }
+        cards[i] = ceil(prod);
+    }
+    return OK;
 }
 
 /* Interned byte strings of one width, each with a value: greedy_search's

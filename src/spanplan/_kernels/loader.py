@@ -1,8 +1,8 @@
 """ctypes front end of the compiled kernels in ``kernels.c``.
 
 ``open_library(path)`` opens a built copy of ``kernels.c`` and returns the
-``compiled`` backend: a module with ``pure``'s five kernels, taking the same
-arguments and returning the same tuples.  Its ``merge`` is the C mirror of
+``compiled`` backend: a module with ``pure``'s six kernels, taking the same
+arguments and returning the same values.  Its ``merge`` is the C mirror of
 ``formula.merge``, the one Python cost formula.  Instances
 (``formula.Instance``) and results cross the boundary as flat ``array``
 buffers.  Nothing here imports ``pure``.
@@ -14,7 +14,7 @@ import math
 import os
 import types
 from array import array
-from ctypes import POINTER, byref, c_double, c_int, c_uint64, c_void_p
+from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64, c_void_p
 from functools import partial
 
 from ..errors import OptimizeTimeout
@@ -73,6 +73,13 @@ def _merge(lib, inst, l_mask: int, r_mask: int):
     return join.cost, join.op, join.side, join.out
 
 
+def _model_cards(lib, inst, masks) -> list[float]:
+    prob, flat = _problem(inst, {}), array("Q", masks)
+    cards = array("d", bytes(8 * len(flat)))
+    _check(lib.sp_model_cards(prob, _addr(flat), len(flat), _addr(cards)), prob, "model_cards")
+    return cards.tolist()
+
+
 def _greedy_search(lib, inst, runs, deadline: float = 0.0):
     prob = _problem(inst, {} if inst.model is not None else inst.catalog or {})
     flat = array("i", (-1 if x is None else x for run in runs for x in run))
@@ -116,6 +123,7 @@ def open_library(path) -> types.ModuleType:
     lib = ctypes.CDLL(os.fspath(path))
     problem = POINTER(_Problem)
     lib.sp_merge.argtypes = [problem, c_uint64, c_uint64, POINTER(_Join)]
+    lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p]
     lib.sp_greedy_search.argtypes = [problem, c_void_p, c_int, c_double, c_void_p, c_void_p,
                                      c_void_p]
     lib.sp_dp_search.argtypes = [problem, c_double, c_double, c_void_p, c_void_p, c_void_p]
@@ -123,6 +131,6 @@ def open_library(path) -> types.ModuleType:
     lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
-    for kernel in (_merge, _greedy_search, _dp_search, _count_trees, _brute_search):
+    for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _count_trees, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
     return backend

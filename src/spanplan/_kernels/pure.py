@@ -4,12 +4,13 @@ These are the reference implementations of the three searches: the greedy
 prim/kruskal members behind ``prim``, ``kruskal`` and ``este``
 (``greedy_search``), the subset dynamic program over connected vertex sets
 (``dp_search``), and the depth-first enumeration of ordered spanning-tree
-edge arrangements (``count_trees`` and ``brute_search``).  They price every
-join with ``formula.merge``, the package's one Python cost formula, which
-this module re-exports so that ``pure`` offers the same five kernels as the
-compiled backend.  The C kernels in ``kernels.c`` mirror this module and
-``formula`` operation-for-operation; equivalence is enforced by
-tests/test_kernels.py.  ``get_backend("pure")`` imports this module on first
+edge arrangements (``count_trees`` and ``brute_search``), plus
+``model_cards``, the selectivity model's cardinalities of many subsets in
+one call.  They price every join with ``formula.merge``, the package's one
+Python cost formula, which this module re-exports so that ``pure`` offers
+the same six kernels as the compiled backend.  The C kernels in
+``kernels.c`` mirror this module and ``formula`` operation-for-operation;
+equivalence is enforced by tests/test_kernels.py.  ``get_backend("pure")`` imports this module on first
 use, so a process that runs the compiled searches never compiles it.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
@@ -27,7 +28,7 @@ import time
 
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
-# The formula's names are re-exported: merge is one of pure's five kernels,
+# The formula's names are re-exported: merge is one of pure's six kernels,
 # and callers that build an Instance by hand find it here too.
 from .formula import (  # noqa: F401
     KRUSKAL,
@@ -43,6 +44,21 @@ from .formula import (  # noqa: F401
 )
 
 name = "pure"
+
+
+def model_cards(inst: Instance, masks) -> list[float]:
+    """``ceil(model_product)`` of each mask under ``inst.model``, in order:
+    the cardinalities ``SelectivityModel.lookup`` gives, for many subsets in
+    one call.  Raises KeyError(mask) at the first mask whose product is
+    inf, as greedy_search does."""
+    bases, edge_sels = inst.model
+    cards = []
+    for mask in masks:
+        prod = model_product(bases, edge_sels, mask)
+        if prod == math.inf:
+            raise KeyError(mask)
+        cards.append(float(math.ceil(prod)))
+    return cards
 
 
 class _Cards(dict):

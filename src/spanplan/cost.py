@@ -19,7 +19,10 @@ selectivity model's product.  ``kernels.c`` mirrors all three operation for
 operation (tests/test_kernels.py holds them bit-for-bit equal).
 ``CostContext.merge`` chooses; ``CostContext.join_cost`` prices a given
 choice, which is how a re-evaluated plan keeps its operators and sides
-while its cardinalities change.
+while its cardinalities change.  ``CostContext.ensure_cards`` fills a
+selectivity model's cardinalities of many subsets with one call of the
+backend's ``model_cards`` kernel (``model_product`` over every mask, pure
+or C); ``card`` and ``SelectivityModel.lookup`` price one mask at a time.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
+from . import _kernels
 from ._kernels import formula
 from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
 from .graph import JoinGraph, is_row_count
@@ -209,8 +213,20 @@ class CostContext:
         return got
 
     def ensure_cards(self, masks: Iterable[int]) -> None:
-        for m in masks:
-            self.card(m)
+        """Memoize the cardinality of every mask.  Under a selectivity model
+        they come from one ``model_cards`` kernel call, and the first mask
+        whose estimate overflows fails as ``source.lookup`` fails on it."""
+        if self._inst.model is None:
+            for m in masks:
+                self.card(m)
+            return
+        masks = list(masks)
+        try:
+            cards = _kernels.get_backend().model_cards(self._inst, masks)
+        except KeyError as exc:
+            self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
+            raise
+        self._cards.update(zip(masks, cards))
 
     def scan_cost(self, vertex: int) -> float:
         return self._inst.scan[vertex]

@@ -164,8 +164,8 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     merge(S1, S2) + best(S1) + best(S2).  With prune=True, a first greedy
     pass supplies an upper bound and subsets costing more than it are never
     extended (safe: increments are non-negative).  The deadline is checked
-    after the subset scan, the cardinalities and the bound, and inside the
-    DP.
+    inside the subset scan and the bound, between the phases, and inside
+    the DP.
     """
     if graph.n_vertices > EXHAUSTIVE_VERTEX_LIMIT:
         raise LimitExceededError(f"exhaustive enumeration limited to {EXHAUSTIVE_VERTEX_LIMIT}"
@@ -176,22 +176,25 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
 
     def check_deadline() -> None:
         if deadline and time.perf_counter() > deadline:
-            raise OptimizeTimeout("exhaustive enumeration ran past its deadline")
+            raise OptimizeTimeout
 
     from .graph import connected_subset_masks
 
-    masks = connected_subset_masks(graph)
-    check_deadline()
-    ctx.ensure_cards(masks)
-    check_deadline()
-    bound = float("inf")
-    if prune:
-        greedy_plan, _ = goo(graph, ctx)
-        bound = greedy_plan.internal_cost
+    try:
+        masks = connected_subset_masks(graph, deadline)
         check_deadline()
-
-    root_cost, choices, subplans, splits = _kernels.get_backend().dp_search(
-        ctx.instance, bound, deadline)
+        ctx.ensure_cards(masks)
+        check_deadline()
+        bound = float("inf")
+        if prune:
+            remaining = deadline - time.perf_counter() if deadline else None
+            greedy_plan, _ = goo(graph, ctx, timeout=remaining)
+            bound = greedy_plan.internal_cost
+            check_deadline()
+        root_cost, choices, subplans, splits = _kernels.get_backend().dp_search(
+            ctx.instance, bound, deadline)
+    except OptimizeTimeout:
+        raise OptimizeTimeout("exhaustive enumeration ran past its deadline") from None
     if not math.isfinite(root_cost):
         raise LimitExceededError("the optimal plan's cost overflows a float")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -17,6 +18,7 @@ from .errors import (
     DisconnectedGraphError,
     GraphFormatError,
     LimitExceededError,
+    OptimizeTimeout,
     SelfLoopError,
     UnknownTableError,
 )
@@ -25,6 +27,9 @@ from .errors import (
 MAX_VERTICES = 25
 
 SUBSET_ENUM_LIMIT = 20
+
+# connected_subset_masks reads the clock once per this many masks.
+_SCAN_CHUNK = 4096
 
 # Costs are computed in floats, so a row count must fit in one.
 MAX_CARDINALITY = int(sys.float_info.max)
@@ -242,14 +247,13 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             raise GraphFormatError(f"table #{i} has an invalid name")
         if not is_row_count(card, 1):
             raise GraphFormatError(f"table {name} has an invalid cardinality")
+        selected = t.get("selected", False)
+        indexed = t.get("indexed", True)
+        for flag, value in (("selected", selected), ("indexed", indexed)):
+            if type(value) is not bool:
+                raise GraphFormatError(f"table {name}: {flag!r} must be true or false")
         vertices.append(
-            TableInfo(
-                name=name,
-                base_cardinality=card,
-                selected=bool(t.get("selected", False)),
-                indexed=bool(t.get("indexed", True)),
-            )
-        )
+            TableInfo(name=name, base_cardinality=card, selected=selected, indexed=indexed))
     name_to_id = {t.name: i for i, t in enumerate(vertices)}
     if len(name_to_id) != len(vertices):
         raise GraphFormatError("duplicate table names")
@@ -315,12 +319,24 @@ def graph_to_json(graph: JoinGraph, source=None) -> str:
     return json.dumps(graph_document(graph, source), indent=2) + "\n"
 
 
-def connected_subset_masks(graph: JoinGraph) -> list[int]:
-    """All vertex bitmasks inducing a connected subgraph, ascending."""
+def connected_subset_masks(graph: JoinGraph, deadline: float = 0.0) -> list[int]:
+    """All vertex bitmasks inducing a connected subgraph, ascending.
+
+    Tests each mask once with ``is_connected_mask``.  The deadline (a
+    ``time.perf_counter`` time, 0.0 for none) is checked before every
+    4096 masks after the first, so a scan of at most 12 tables finishes.
+    """
     n = graph.n_vertices
     if n > SUBSET_ENUM_LIMIT:
         raise LimitExceededError(f"subset enumeration limited to {SUBSET_ENUM_LIMIT} tables")
-    return [mask for mask in range(1, 1 << n) if graph.is_connected_mask(mask)]
+    connected = graph.is_connected_mask
+    end = 1 << n
+    masks: list[int] = []
+    for start in range(1, end, _SCAN_CHUNK):
+        if start > 1 and deadline and time.perf_counter() > deadline:
+            raise OptimizeTimeout("connected subset scan ran past its deadline")
+        masks += [mask for mask in range(start, min(start + _SCAN_CHUNK, end)) if connected(mask)]
+    return masks
 
 
 def connected_subsets(graph: JoinGraph) -> list[tuple[int, ...]]:

@@ -81,7 +81,7 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
 
     from .graph import connected_subset_masks
 
-    ctx.ensure_cards(connected_subset_masks(graph))
+    ctx.ensure_cards(connected_subset_masks(graph, deadline))
     (best_cost, best_seq, valid, invalid, linear, bushy,
      subplans, splits, evals) = _kernels.get_backend().brute_search(ctx.instance, deadline)
     if not math.isfinite(best_cost):

@@ -1,12 +1,18 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanplan as sp
-from spanplan.cli import main
+from spanplan.cli import _load_catalog_file, main
 
 from .conftest import DATA_DIR, ONE_TABLE
 
@@ -260,6 +266,149 @@ def test_optimize_malformed_value_exits_1_with_one_line(capsys, tmp_path):
     assert out == ""
     assert err.startswith("spanplan: error: ")
     assert err.count("\n") == 1
+
+
+def test_table_flags_must_be_json_booleans(capsys, tmp_path):
+    # b is a large table: an index into it would make the join cost 22
+    # instead of a hash join's 200,022, so "false" must not read as true.
+    def plan(indexed):
+        path = tmp_path / "flags.json"
+        path.write_text(json.dumps({
+            "tables": [{"name": "a", "cardinality": 10},
+                       {"name": "b", "cardinality": 10**6, "indexed": indexed}],
+            "joins": [{"left": "a", "right": "b"}],
+            "selectivities": {"a,b": 1e-6},
+        }))
+        return run(capsys, "optimize", "--graph", str(path), "--algo", "exhaustive")
+
+    code, out, _ = plan(False)
+    assert code == 0 and json.loads(out)["internal_cost"] == 200_022
+    code, out, _ = plan(True)
+    assert code == 0 and json.loads(out)["internal_cost"] == 22
+    code, out, err = plan("false")
+    assert code == 1
+    assert out == ""
+    assert err == "spanplan: error: table b: 'indexed' must be true or false\n"
+
+
+# Any JSON value, and valid graph and catalog documents with one member
+# replaced by any JSON value or deleted.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+def _members(value, path=()):
+    """The path of every member of a JSON value, the value's own () first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) \
+        if isinstance(value, list) else ()
+    for key, member in items:
+        yield from _members(member, path + (key,))
+
+
+@st.composite
+def _damaged(draw, valid):
+    """A document from valid, returned as it is, or with one member
+    replaced by any JSON value or deleted."""
+    doc = draw(valid)
+    how = draw(st.sampled_from(["keep", "replace", "delete"]))
+    if how == "keep":
+        return doc
+    path = draw(st.sampled_from(list(_members(doc))))
+    if not path:
+        return draw(_JSON)
+    holder = doc
+    for key in path[:-1]:
+        holder = holder[key]
+    if how == "delete":
+        del holder[path[-1]]
+    else:
+        holder[path[-1]] = draw(_JSON)
+    return doc
+
+
+@st.composite
+def _catalogs(draw, names):
+    """A catalog of every subset of names, some left out."""
+    keys = [",".join(c) for k in range(1, len(names) + 1)
+            for c in itertools.combinations(names, k)]
+    return {key: draw(st.integers(0, 10**6)) for key in keys if draw(st.integers(0, 9))}
+
+
+@st.composite
+def _graphs(draw):
+    """A tree of 1 to 4 tables, with a catalog, a selectivity model or neither."""
+    names = "abcd"[:draw(st.integers(1, 4))]
+    tables = [{"name": name, "cardinality": draw(st.integers(1, 10**6)),
+               "selected": draw(st.booleans()), "indexed": draw(st.booleans())}
+              for name in names]
+    joins = [{"left": names[draw(st.integers(0, i - 1))], "right": names[i]}
+             for i in range(1, len(names))]
+    doc = {"tables": tables, "joins": joins}
+    section = draw(st.sampled_from(["none", "cardinalities", "selectivities"]))
+    if section == "cardinalities":
+        doc["cardinalities"] = draw(_catalogs(names))
+    elif section == "selectivities":
+        doc["selectivities"] = {f"{j['left']},{j['right']}": draw(st.floats(1e-6, 1.0))
+                                for j in joins}
+    return doc
+
+
+_CHAIN = {"tables": [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 20},
+                     {"name": "c", "cardinality": 30}],
+          "joins": [{"left": "a", "right": "b"}, {"left": "b", "right": "c"}]}
+_CATALOG = _catalogs("abc") | _catalogs("abc").map(lambda c: {"cardinalities": c})
+
+
+def _cli_outcome(argv) -> tuple[int, str]:
+    """main's exit code and stderr; any exception escaping main fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_exit_0_or_one_line(code: int, err: str) -> None:
+    assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1
+                                      and err.startswith("spanplan: error: ")), (code, err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON | _damaged(_graphs()), algo=st.sampled_from(sp.ALGORITHMS))
+def test_any_json_graph_document_loads_or_exits_1_with_one_line(doc, algo):
+    text = json.dumps(doc)
+    try:
+        sp.load_document(text)
+    except sp.SpanPlanError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _assert_exit_0_or_one_line(*_cli_outcome(["optimize", "--graph", path, "--algo", algo]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON | _damaged(_CATALOG), algo=st.sampled_from(sp.ALGORITHMS))
+def test_any_json_catalog_file_loads_or_exits_1_with_one_line(doc, algo):
+    graph, _ = sp.load_document(json.dumps(_CHAIN))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path = os.path.join(tmp, "graph.json")
+        catalog_path = os.path.join(tmp, "catalog.json")
+        with open(graph_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(_CHAIN))
+        with open(catalog_path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc))
+        try:
+            _load_catalog_file(graph, catalog_path)
+        except sp.SpanPlanError:
+            pass
+        _assert_exit_0_or_one_line(*_cli_outcome(
+            ["optimize", "--graph", graph_path, "--selection-catalog", catalog_path,
+             "--algo", algo]))
 
 
 def test_import_loads_neither_numpy_nor_thread_pools():

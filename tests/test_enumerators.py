@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 import spanplan as sp
+from spanplan import enumerators
 from spanplan.cost import CostContext
 from spanplan.plan import canonical_encoding
 
@@ -273,6 +276,40 @@ def test_exhaustive_checks_its_deadline_between_phases():
     graph, model = sp.gen_topology("chain", 16, seed=0)
     with pytest.raises(sp.OptimizeTimeout, match="exhaustive enumeration ran past its deadline"):
         sp.exhaustive(graph, model, timeout=1e-3)
+
+
+def test_exhaustive_stops_inside_the_subset_scan():
+    # The scan of a 20-table chain tests 2^20 masks and takes far longer
+    # than the budget; it reads the clock every 4096 masks.
+    graph, model = sp.gen_topology("chain", 20, seed=0)
+    t0 = time.perf_counter()
+    with pytest.raises(sp.OptimizeTimeout, match="exhaustive enumeration ran past its deadline"):
+        sp.exhaustive(graph, model, timeout=0.05)
+    assert time.perf_counter() - t0 < 0.3
+
+
+def test_oracle_stops_inside_the_subset_scan():
+    graph, model = sp.gen_topology("chain", 20, seed=0)
+    t0 = time.perf_counter()
+    with pytest.raises(sp.OptimizeTimeout):
+        sp.brute_force_optimal(graph, model, limit=10**18, timeout=0.05)
+    assert time.perf_counter() - t0 < 0.3
+
+
+def test_exhaustive_gives_the_bound_its_remaining_budget(q2a, monkeypatch):
+    graph, catalog = q2a
+    budgets = []
+    real_goo = enumerators.goo
+
+    def goo(*args, timeout=None):
+        budgets.append(timeout)
+        return real_goo(*args, timeout=timeout)
+
+    monkeypatch.setattr(enumerators, "goo", goo)
+    sp.exhaustive(graph, catalog, timeout=10.0)
+    sp.exhaustive(graph, catalog)
+    assert 0.0 < budgets[0] < 10.0
+    assert budgets[1] is None
 
 
 def test_este_timeout():

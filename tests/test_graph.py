@@ -1,4 +1,5 @@
 import json
+import time
 from collections import deque
 
 import pytest
@@ -91,6 +92,16 @@ def _ab(**sections) -> dict:
         pytest.param(_ab(tables=[{"name": "a", "cardinality": True}, _B]),
                      id="table-cardinality-true"),
         pytest.param(_ab(joins=[{"left": ["a"], "right": "b"}]), id="join-name-array"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10, "indexed": "false"}, _B]),
+                     id="indexed-string"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10, "indexed": 0}, _B]),
+                     id="indexed-zero"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10, "indexed": None}, _B]),
+                     id="indexed-null"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10, "selected": 1}, _B]),
+                     id="selected-one"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10, "selected": "true"}, _B]),
+                     id="selected-string"),
     ],
 )
 def test_malformed_values_raise_graph_format_error(doc):
@@ -240,3 +251,24 @@ def test_every_connected_subset_passes_bfs(q2a):
     for mask in connected_subset_masks(graph):
         vertices = tuple(v for v in range(graph.n_vertices) if (mask >> v) & 1)
         assert _independent_connected(graph, vertices)
+
+
+def test_subset_scan_reads_its_deadline_every_4096_masks(monkeypatch):
+    calls = []
+    real = sp.JoinGraph.is_connected_mask
+    monkeypatch.setattr(sp.JoinGraph, "is_connected_mask",
+                        lambda self, mask: calls.append(mask) or real(self, mask))
+    small, _ = sp.gen_topology("cycle", 12, seed=0)
+    big, _ = sp.gen_topology("cycle", 14, seed=0)
+    past = time.perf_counter() - 1.0
+    # 4095 masks are one chunk: the scan finishes with no clock read.
+    assert connected_subset_masks(small, past) == connected_subset_masks(small)
+    assert len(calls) == 2 * 4095
+    del calls[:]
+    with pytest.raises(sp.OptimizeTimeout):
+        connected_subset_masks(big, past)
+    assert len(calls) == 4096
+    del calls[:]
+    assert connected_subset_masks(big, time.perf_counter() + 60.0) == \
+        connected_subset_masks(big)
+    assert len(calls) == 2 * (2**14 - 1)

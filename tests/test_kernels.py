@@ -247,3 +247,77 @@ def test_import_defers_ctypes_until_a_kernel_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.stdout == f"False {_kernels.HAVE_COMPILED}\n"
+
+
+@pytest.mark.parametrize("kind,n,seed,base_range,sel_range,top", [
+    ("chain", 7, 5, (1_000, 1_000_000), (1e-5, 1e-1), 0.0),
+    ("cycle", 7, 5, (1_000, 1_000_000), (1e-5, 1e-1), 0.0),
+    ("star", 7, 5, (1_000, 1_000_000), (1e-5, 1e-1), 0.0),
+    ("clique", 7, 5, (1_000, 1_000_000), (1e-5, 1e-1), 0.0),
+    # Near the float limit: the largest finite products reach top (past
+    # 1e303 on the cycle and the star), and the largest subsets overflow.
+    ("chain", 16, 3, (10**19, 10**20), (0.5, 1.0), 1e293),
+    ("cycle", 16, 3, (10**19, 10**21), (0.5, 1.0), 1e303),
+    ("star", 14, 5, (10**22, 10**24), (0.5, 1.0), 1e303),
+    ("clique", 12, 3, (10**24, 10**27), (0.2, 1.0), 1e274),
+])
+def test_model_cards_equivalence(kind, n, seed, base_range, sel_range, top, compiled):
+    graph, model = sp.gen_topology(kind, n, seed=seed, base_range=base_range, sel_range=sel_range)
+    inst = CostContext(graph, model).instance
+    masks = connected_subset_masks(graph)
+    finite, want, overflowed = [], [], []
+    for mask in masks:
+        try:
+            want.append(float(model.lookup(graph, mask)))
+            finite.append(mask)
+        except sp.LimitExceededError:
+            overflowed.append(mask)
+    assert _kernels.pure.model_cards(inst, finite) == compiled.model_cards(inst, finite) == want
+    assert max(want) > top
+    assert bool(overflowed) == (top > 0)
+    for backend in (_kernels.pure, compiled):
+        if overflowed:
+            with pytest.raises(KeyError) as info:
+                backend.model_cards(inst, masks)
+            assert info.value.args == (overflowed[0],)
+        assert backend.model_cards(inst, []) == []
+
+
+@pytest.mark.parametrize("search", ["exhaustive", "brute_force_optimal"])
+def test_overflowing_model_is_the_per_mask_limit_error_on_both_backends(search, compiled,
+                                                                        monkeypatch):
+    # The first connected subset, in ascending mask order, whose estimate
+    # overflows names the error, as when each mask was looked up in turn.
+    graph, model = sp.gen_topology("cycle", 8, seed=2, base_range=(10**80, 10**81),
+                                   sel_range=(0.5, 1.0))
+    want = None
+    for mask in connected_subset_masks(graph):
+        try:
+            model.lookup(graph, mask)
+        except sp.LimitExceededError as exc:
+            want = (sp.LimitExceededError, str(exc))
+            break
+    assert want is not None
+    outcomes = _on_each_backend(compiled, monkeypatch,
+                                lambda: getattr(sp, search)(graph, model)[0])
+    assert outcomes == [want, want]
+
+
+def test_ensure_cards_calls_model_cards_once_and_never_for_a_catalog(q2a, compiled, monkeypatch):
+    graph, catalog = q2a
+    model_graph, model = sp.gen_topology("clique", 6, seed=4)
+    for backend in (_kernels.pure, compiled):
+        calls = []
+        real = backend.model_cards
+        monkeypatch.setattr(backend, "model_cards",
+                            lambda inst, masks: calls.append(len(masks)) or real(inst, masks))
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        ctx = CostContext(model_graph, model)
+        masks = connected_subset_masks(model_graph)
+        ctx.ensure_cards(iter(masks))
+        assert calls == [len(masks)]
+        assert ctx.instance.cards == {m: float(model.lookup(model_graph, m)) for m in masks}
+        del calls[:]
+        assert sp.exhaustive(graph, catalog)[0].internal_cost == 1_617_001
+        sp.brute_force_optimal(graph, catalog)
+        assert calls == []
