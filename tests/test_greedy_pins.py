@@ -1,9 +1,11 @@
-"""Greedy plans and counters pinned before este shared per-state choices
-between its members.
+"""Plans and counters pinned before este shared per-state choices between
+its members (prim, kruskal and este), and before the subset DP emitted its
+own joins (goo and exhaustive).
 
-Every prim, kruskal and este run on the graphs below must keep its cost,
-step edges, plan tree and distinct-split counters.  ``evaluations`` is not
-pinned: it counts the evaluations performed, which the shared memo cuts.
+Every prim, kruskal, este, goo and exhaustive run on the graphs below must
+keep its cost, step edges, plan tree and distinct-split counters.
+``evaluations`` is not pinned: it counts the evaluations performed, which
+the shared memo cuts.
 
 Regenerate the pins (only when a change is meant to alter plans) with
 
@@ -40,12 +42,13 @@ def _entry(plan, stats, distinct) -> list:
 
 
 def _runs(kind: str, n: int, seed: int):
-    """(key, entry) for este, and for prim and kruskal unseeded and from
-    every start edge, on one generated graph."""
+    """(key, entry) for este, goo and exhaustive, and for prim and kruskal
+    unseeded and from every start edge, on one generated graph."""
     graph, model = sp.gen_topology(kind, n, seed)
     name = f"{kind}-{n}-{seed}"
-    plan, stats = sp.este(graph, model)
-    yield f"{name}/este", _entry(plan, stats, stats.plans_enumerated)
+    for algo, run in (("este", sp.este), ("goo", sp.goo), ("exhaustive", sp.exhaustive)):
+        plan, stats = run(graph, model)
+        yield f"{name}/{algo}", _entry(plan, stats, stats.plans_enumerated)
     for algo, run in (("prim", sp.prim), ("kruskal", sp.kruskal)):
         for start in (None, *range(graph.n_edges)):
             plan, stats = run(graph, model, start_edge=start)
