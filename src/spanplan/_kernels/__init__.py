@@ -7,10 +7,12 @@ is the reference implementation of the six kernels (``merge``,
 ``brute_search``).  ``compiled`` runs the same six kernels from
 ``kernels.c``, built next to this file as ``_ckernels`` by ``python3
 setup.py build_ext`` and opened through ctypes by ``loader``; it is
-preferred whenever the build produced it.  A backend is
-loaded on the first ``get_backend`` call that names it, so ``import
-spanplan`` pays neither for ctypes nor for compiling ``pure``, and a process
-that runs the compiled searches never loads ``pure`` at all.
+preferred whenever the build produced it.  The three searches return
+``(cost, joins, counters...)``, with ``joins`` the winner's ``(edge, left
+mask, right mask)`` list in the order ``plan.replay`` builds it.  A
+backend is loaded on the first ``get_backend`` call that names it, so
+``import spanplan`` pays neither for ctypes nor for compiling ``pure``, and
+a process that runs the compiled searches never loads ``pure`` at all.
 
 A kernel's ``deadline`` is a ``time.perf_counter`` time; 0.0 means none.
 """

@@ -3,7 +3,8 @@
  * A mirror of the Python kernels: merge (with the join_cost it inlines) and
  * model_product mirror formula.py, the package's one Python cost formula;
  * model_cards, greedy_search, dp_search, count_trees and brute_search
- * mirror pure.py.
+ * mirror pure.py.  The three searches write the winner's cost and its
+ * joins as (edge, left mask, right mask) triples, in replay order.
  * Every cost is computed with the same operations in the same order, so
  * results are bit-for-bit equal to the reference.
  * Build with -ffp-contract=off so that no a * b + c is fused into one
@@ -659,60 +660,59 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
     return greedy_close(&g, rc);
 }
 
-static int connected(const mask_t *adj, mask_t mask) {
-    mask_t reach = mask & -mask, frontier = reach;
-    while (frontier) {
-        mask_t grow = adj[BIT(frontier)] & mask & ~reach;
-        frontier &= frontier - 1;
-        reach |= grow;
-        frontier |= grow;
-    }
-    return reach == mask;
+/* Write the optimal plan of mask as (edge, left, right) triples from *out
+ * on, children first; each join takes the lowest edge id between its sides. */
+static void emit(const problem *p, const mask_t *split, mask_t mask, mask_t **out) {
+    mask_t l, r, ends;
+    int e = -1;
+    if (SINGLE(mask))
+        return;
+    l = split[mask];
+    r = mask ^ l;
+    emit(p, split, l, out);
+    emit(p, split, r, out);
+    do {
+        e++;
+        ends = (mask_t)1 << p->edge_u[e] | (mask_t)1 << p->edge_v[e];
+    } while (!(ends & l) || !(ends & r));
+    (*out)[0] = (mask_t)e;
+    (*out)[1] = l;
+    (*out)[2] = r;
+    *out += 3;
 }
 
-/* pure.dp_search.  counts receives (subplans, splits, choices); choices
- * receives (mask, left submask, op, side) per subset with a plan, and has
- * room for one per entry of inst.cards, since each such subset has one. */
-int sp_dp_search(problem *p, double bound, double deadline, double *root,
-                 int64_t counts[3], mask_t *choices) {
-    mask_t full = ((mask_t)1 << p->n) - 1, mask, s1, low;
-    mask_t *adj = calloc(p->n, sizeof *adj), *nbr = malloc((full + 1) * sizeof *nbr);
-    double *best = malloc((full + 1) * sizeof *best);  /* INFINITY: no plan yet */
+/* pure.dp_search over the n_masks connected subsets in masks, ascending.
+ * counts receives (subplans, splits) and joins the optimal plan's n - 1
+ * joins, when it has one. */
+int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
+                 double deadline, double *root, int64_t counts[2], mask_t *joins) {
+    mask_t full = ((mask_t)1 << p->n) - 1;
+    mask_t *split = malloc((full + 1) * sizeof *split);  /* the left side of each best join */
+    double *best = malloc((full + 1) * sizeof *best);    /* INFINITY: no plan yet */
     int64_t checked = 0;
-    int rc = adj && nbr && best ? open_cards(p) : NOMEM;
+    int rc = split && best ? open_cards(p) : NOMEM;
 
-    counts[0] = counts[1] = counts[2] = 0;
-    if (rc == OK) {
-        for (int e = 0; e < p->n_edges; e++) {
-            adj[p->edge_u[e]] |= (mask_t)1 << p->edge_v[e];
-            adj[p->edge_v[e]] |= (mask_t)1 << p->edge_u[e];
-        }
-        nbr[0] = 0;
-        for (mask = 1; mask <= full; mask++) {
-            low = mask & -mask;
-            nbr[mask] = nbr[mask ^ low] | adj[BIT(low)];
+    counts[0] = counts[1] = 0;
+    if (rc == OK)
+        for (mask_t mask = 1; mask <= full; mask++)
             best[mask] = SINGLE(mask) ? 0.0 : INFINITY;
-        }
-    }
-    for (mask = 1; rc == OK && mask <= full; mask++) {
+    for (int64_t i = 0; rc == OK && i < n_masks; i++) {
+        mask_t mask = masks[i], low = mask & -mask, s1;
         double best_cost = INFINITY;
-        mask_t best_s1 = 0;
-        join j, best_j;
         int touched = 0;
-        if (SINGLE(mask) || !connected(adj, mask))
+        if (SINGLE(mask))
             continue;
         checked++;
         if (deadline != 0.0 && checked % 1024 == 0 && now() > deadline) {
             rc = TIMEOUT;
             break;
         }
-        low = mask & -mask;
         /* Canonical split order: s1 descends and always contains the low bit. */
         for (s1 = (mask - 1) & mask; s1; s1 = (s1 - 1) & mask) {
             mask_t s2 = mask ^ s1;
             double c1 = best[s1], c2 = best[s2], total;
-            if (!(s1 & low) || !(c1 < INFINITY && c2 < INFINITY && c1 <= bound
-                                 && c2 <= bound && (nbr[s1] & s2)))
+            join j;
+            if (!(s1 & low) || !(c1 < INFINITY && c2 < INFINITY && c1 <= bound && c2 <= bound))
                 continue;
             counts[1]++;
             touched = 1;
@@ -721,21 +721,18 @@ int sp_dp_search(problem *p, double bound, double deadline, double *root,
             total = j.cost + c1 + c2;
             if (total < best_cost) {
                 best_cost = total;
-                best_s1 = s1;
-                best_j = j;
+                split[mask] = s1;
             }
         }
         counts[0] += touched;
-        if (rc == OK && best_s1) {
-            mask_t choice[4] = { mask, best_s1, best_j.op, best_j.side };
-            memcpy(choices + 4 * counts[2]++, choice, sizeof choice);
-            best[mask] = best_cost;
-        }
+        best[mask] = best_cost;
     }
-    if (rc == OK)
+    if (rc == OK) {
         *root = best[full];
-    free(adj);
-    free(nbr);
+        if (*root < INFINITY)
+            emit(p, split, full, &joins);
+    }
+    free(split);
     free(best);
     return close_cards(p, rc);
 }
@@ -754,7 +751,7 @@ typedef struct {
     double deadline;
     mask_t *comp_mask;        /* brute search: each root's component and its cost */
     double *comp_cost;
-    int *seq, *best_seq;
+    mask_t *seq, *best_seq;   /* (edge, left, right) per depth: the walk's and the best */
     double best;
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
 } walk;
@@ -807,7 +804,9 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
             saved_cost = w->comp_cost[rv];
             w->comp_mask[rv] = lm | saved_mask;
             w->comp_cost[rv] = new_cost;
-            w->seq[depth] = e;
+            w->seq[3 * depth] = (mask_t)e;
+            w->seq[3 * depth + 1] = lm;
+            w->seq[3 * depth + 2] = saved_mask;
         }
         w->parent[ru] = rv;
         w->used[e] = 1;
@@ -818,7 +817,7 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
             w->counts[new_linear ? 2 : 3]++;
             if (w->p && new_cost < w->best) {
                 w->best = new_cost;
-                memcpy(w->best_seq, w->seq, w->slots * sizeof *w->seq);
+                memcpy(w->best_seq, w->seq, 3 * w->slots * sizeof *w->seq);
             }
         } else if ((rc = step(w, depth + 1, touched | (mask_t)1 << u | (mask_t)1 << v,
                               cnt, new_linear))) {
@@ -846,7 +845,7 @@ static int run_walk(walk *w) {
     w->ff = malloc((size_t)(n_edges + 1) * (slots + 1) * sizeof *w->ff);
     w->comp_mask = malloc(n * sizeof *w->comp_mask);
     w->comp_cost = malloc(n * sizeof *w->comp_cost);
-    w->seq = malloc(slots * sizeof *w->seq);
+    w->seq = malloc(3 * slots * sizeof *w->seq);
     if (!w->parent || !w->used || !w->ff || !w->comp_mask || !w->comp_cost || !w->seq)
         rc = NOMEM;
     else if (w->p)
@@ -887,11 +886,12 @@ int sp_count_trees(int n, int n_edges, const int *edge_u, const int *edge_v,
     return rc;
 }
 
-/* pure.brute_search; counts receives the seven counters after best_seq. */
-int sp_brute_search(problem *p, double deadline, double *best, int *best_seq,
+/* pure.brute_search; joins receives the best arrangement's (edge, left,
+ * right) triples and counts the seven counters after them. */
+int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
                     int64_t counts[7]) {
     walk w = { .p = p, .n_edges = p->n_edges, .slots = p->n - 1, .edge_u = p->edge_u,
-               .edge_v = p->edge_v, .deadline = deadline, .best_seq = best_seq,
+               .edge_v = p->edge_v, .deadline = deadline, .best_seq = joins,
                .best = INFINITY };
     int rc = run_walk(&w);
     *best = w.best;

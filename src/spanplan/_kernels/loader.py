@@ -80,27 +80,31 @@ def _model_cards(lib, inst, masks) -> list[float]:
     return cards.tolist()
 
 
+def _join_buffer(inst) -> array:
+    """Room for a plan's (edge, left mask, right mask) joins."""
+    return array("Q", bytes(24 * max(inst.n - 1, 0)))
+
+
+def _joins(buf: array) -> list:
+    it = iter(buf)
+    return list(zip(it, it, it))
+
+
 def _greedy_search(lib, inst, runs, deadline: float = 0.0):
     prob = _problem(inst, {} if inst.model is not None else inst.catalog or {})
     flat = array("i", (-1 if x is None else x for run in runs for x in run))
-    cost, counts = c_double(), array("q", bytes(32))
-    joins = array("Q", bytes(24 * max(inst.n - 1, 0)))
+    cost, joins, counts = c_double(), _join_buffer(inst), array("q", bytes(32))
     _check(lib.sp_greedy_search(prob, _addr(flat), len(runs), deadline, byref(cost), _addr(joins),
                                 _addr(counts)), prob, "greedy search")
-    it = iter(joins)
-    return ([(eid, l_mask, r_mask) for eid, l_mask, r_mask in zip(it, it, it)], cost.value,
-            *counts)
+    return (cost.value, _joins(joins), *counts)
 
 
-def _dp_search(lib, inst, prune_bound: float = math.inf, deadline: float = 0.0):
-    prob, root, counts = _problem(inst), c_double(), array("q", bytes(24))
-    flat = array("Q", bytes(32 * len(inst.cards)))
-    _check(lib.sp_dp_search(prob, prune_bound, deadline, byref(root), _addr(counts), _addr(flat)),
-           prob, "exhaustive enumeration")
-    subplans, splits, n_choices = counts
-    it = iter(flat[:4 * n_choices])
-    choices = {mask: (s1, op, side) for mask, s1, op, side in zip(it, it, it, it)}
-    return root.value, choices, subplans, splits
+def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float = 0.0):
+    prob, flat, root = _problem(inst), array("Q", masks), c_double()
+    joins, counts = _join_buffer(inst), array("q", bytes(16))
+    _check(lib.sp_dp_search(prob, _addr(flat), len(flat), prune_bound, deadline, byref(root),
+                            _addr(counts), _addr(joins)), prob, "exhaustive enumeration")
+    return (root.value, _joins(joins) if root.value < math.inf else [], *counts)
 
 
 def _count_trees(lib, n: int, edge_u, edge_v, deadline: float = 0.0):
@@ -111,11 +115,10 @@ def _count_trees(lib, n: int, edge_u, edge_v, deadline: float = 0.0):
 
 
 def _brute_search(lib, inst, deadline: float = 0.0):
-    prob, best, counts = _problem(inst), c_double(), array("q", bytes(56))
-    seq = array("i", bytes(4 * max(inst.n - 1, 0)))
-    _check(lib.sp_brute_search(prob, deadline, byref(best), _addr(seq), _addr(counts)),
+    prob, best, joins, counts = _problem(inst), c_double(), _join_buffer(inst), array("q", bytes(56))
+    _check(lib.sp_brute_search(prob, deadline, byref(best), _addr(joins), _addr(counts)),
            prob, "oracle enumeration")
-    return (best.value, list(seq) if best.value < math.inf else [], *counts)
+    return (best.value, _joins(joins) if best.value < math.inf else [], *counts)
 
 
 def open_library(path) -> types.ModuleType:
@@ -126,7 +129,8 @@ def open_library(path) -> types.ModuleType:
     lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p]
     lib.sp_greedy_search.argtypes = [problem, c_void_p, c_int, c_double, c_void_p, c_void_p,
                                      c_void_p]
-    lib.sp_dp_search.argtypes = [problem, c_double, c_double, c_void_p, c_void_p, c_void_p]
+    lib.sp_dp_search.argtypes = [problem, c_void_p, c_int64, c_double, c_double, c_void_p,
+                                 c_void_p, c_void_p]
     lib.sp_count_trees.argtypes = [c_int, c_int, c_void_p, c_void_p, c_double, c_void_p]
     lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
     backend = types.ModuleType("compiled", __doc__)

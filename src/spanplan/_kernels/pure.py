@@ -2,16 +2,19 @@
 
 These are the reference implementations of the three searches: the greedy
 prim/kruskal members behind ``prim``, ``kruskal`` and ``este``
-(``greedy_search``), the subset dynamic program over connected vertex sets
-(``dp_search``), and the depth-first enumeration of ordered spanning-tree
-edge arrangements (``count_trees`` and ``brute_search``), plus
-``model_cards``, the selectivity model's cardinalities of many subsets in
-one call.  They price every join with ``formula.merge``, the package's one
-Python cost formula, which this module re-exports so that ``pure`` offers
-the same six kernels as the compiled backend.  The C kernels in
-``kernels.c`` mirror this module and ``formula`` operation-for-operation;
-equivalence is enforced by tests/test_kernels.py.  ``get_backend("pure")`` imports this module on first
-use, so a process that runs the compiled searches never compiles it.
+(``greedy_search``), the subset dynamic program over the connected vertex
+sets it is given (``dp_search``), and the depth-first enumeration of
+ordered spanning-tree edge arrangements (``count_trees`` and
+``brute_search``), plus ``model_cards``, the selectivity model's
+cardinalities of many subsets in one call.  Each search returns
+``(cost, joins, counters...)``, ``joins`` being the winner's ``(edge, left
+mask, right mask)`` list in replay order.  They price every join with
+``formula.merge``, the package's one Python cost formula, which this module
+re-exports so that ``pure`` offers the same six kernels as the compiled
+backend.  The C kernels in ``kernels.c`` mirror this module and
+``formula`` operation-for-operation; equivalence is enforced by
+tests/test_kernels.py.  ``get_backend("pure")`` imports this module on
+first use, so a process that runs the compiled searches never compiles it.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
 base tables consumed by that join (an index-lookup inner table is never
@@ -260,10 +263,10 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     checked between members and after every 16th state priced, so a search
     too small to reach either finishes.
 
-    Returns (joins, cost, subplans, splits, evals, plans): the winner's joins
-    as (edge, left mask, right mask) and its internal cost, the distinct
-    subsets and splits costed, the evaluations performed and the number of
-    distinct member plans.
+    Returns (cost, joins, subplans, splits, evals, plans): the winner's
+    internal cost and its joins as (edge, left mask, right mask), the
+    distinct subsets and splits costed, the evaluations performed and the
+    number of distinct member plans.
     """
     search = _Greedy(inst, deadline)
     best = None
@@ -278,71 +281,45 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
             best = (cost, enc, joins)
     cost, _enc, joins = best
     subplans = len({l_mask | r_mask for l_mask, r_mask in search.splits})
-    return ([(eid, l_mask, r_mask) for eid, l_mask, r_mask, _op, _side in joins], cost,
+    return (cost, [(eid, l_mask, r_mask) for eid, l_mask, r_mask, _op, _side in joins],
             subplans, len(search.splits), search.evals, len(encodings))
 
 
-def _connectivity(n: int, adjacency: list[int]) -> list[bool]:
-    size = 1 << n
-    conn = [False] * size
-    for mask in range(1, size):
-        seed = mask & -mask
-        reach = seed
-        frontier = seed
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow = adjacency[v] & mask & ~reach
-            reach |= grow
-            frontier |= grow
-        conn[mask] = reach == mask
-    return conn
+def _lowest_edge(inst: Instance, s1: int, s2: int) -> int:
+    """The lowest edge id with one end in s1 and the other in s2."""
+    ends = (1 << u | 1 << v for u, v in zip(inst.edge_u, inst.edge_v))
+    return next(eid for eid, both in enumerate(ends) if both & s1 and both & s2)
 
 
-def _adjacency(inst: Instance) -> list[int]:
-    adj = [0] * inst.n
-    for u, v in zip(inst.edge_u, inst.edge_v):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline: float = 0.0):
+    """Optimal join over the connected subsets ``masks`` (ascending) via
+    dynamic programming.
 
-
-def dp_search(inst: Instance, prune_bound: float = float("inf"), deadline: float = 0.0):
-    """Optimal join over every connected subset via dynamic programming.
-
-    Returns (root_cost, choices, subplans, splits) where
-    choices[mask] = (left_submask, op, side) reconstructs the best plan and
-    splits, the number of joins priced, is also its evaluation count.
-    Subsets whose best cost already exceeds prune_bound are never used as
-    children of larger subsets (cost-based pruning; increments are
-    non-negative, so this cannot prune an optimal plan).
+    Returns (root_cost, joins, subplans, splits): the optimal plan's joins
+    as (edge, left mask, right mask), children first, each over the lowest
+    edge id between its two sides; splits, the number of joins priced, is
+    also its evaluation count.  Every split of a connected subset into two
+    subsets with plans is a join: some edge crosses it.  Subsets whose best
+    cost already exceeds prune_bound are never used as children of larger
+    subsets (cost-based pruning; increments are non-negative, so this
+    cannot prune an optimal plan).
     """
-    n = inst.n
-    full = (1 << n) - 1
-    adj = _adjacency(inst)
-    conn = _connectivity(n, adj)
-    nbr = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        nbr[mask] = nbr[mask ^ low] | adj[low.bit_length() - 1]
-
-    best: dict[int, float] = {}
-    choices: dict[int, tuple[int, int, int]] = {}
-    for v in range(n):
-        best[1 << v] = 0.0
+    full = (1 << inst.n) - 1
+    best: dict[int, float] = {1 << v: 0.0 for v in range(inst.n)}
+    split: dict[int, int] = {}  # mask -> the left side of its best join
 
     subplans = 0
     splits = 0
     checked = 0
-    for mask in range(1, full + 1):
-        if not conn[mask] or mask & (mask - 1) == 0:
+    for mask in masks:
+        if mask & (mask - 1) == 0:
             continue
         checked += 1
         if deadline and checked % 1024 == 0 and time.perf_counter() > deadline:
             raise OptimizeTimeout("exhaustive enumeration ran past its deadline")
         low = mask & -mask
         best_cost = float("inf")
-        best_choice = None
+        best_s1 = None
         touched = False
         # Canonical split order: s1 descends and always contains the low bit.
         s1 = (mask - 1) & mask
@@ -351,33 +328,36 @@ def dp_search(inst: Instance, prune_bound: float = float("inf"), deadline: float
                 s2 = mask ^ s1
                 c1 = best.get(s1)
                 c2 = best.get(s2)
-                if (
-                    c1 is not None
-                    and c2 is not None
-                    and c1 <= prune_bound
-                    and c2 <= prune_bound
-                    and nbr[s1] & s2
-                ):
+                if c1 is not None and c2 is not None and c1 <= prune_bound and c2 <= prune_bound:
                     splits += 1
                     touched = True
-                    inc, op, side, _out = merge(inst, s1, s2)
-                    total = inc + c1 + c2
+                    total = merge(inst, s1, s2)[0] + c1 + c2
                     if total < best_cost:
                         best_cost = total
-                        best_choice = (s1, op, side)
+                        best_s1 = s1
             s1 = (s1 - 1) & mask
         if touched:
             subplans += 1
-        if best_choice is not None:
+        if best_s1 is not None:
             best[mask] = best_cost
-            choices[mask] = best_choice
+            split[mask] = best_s1
 
-    if full not in best and n > 1:
+    if full not in best:
         # Pruning can only hide the root if the bound itself was a plan cost,
         # in which case a plan at exactly the bound exists; signal the caller.
-        return float("inf"), choices, subplans, splits
-    root = best.get(full, 0.0)
-    return root, choices, subplans, splits
+        return float("inf"), [], subplans, splits
+    joins: list = []
+
+    def emit(mask: int) -> None:
+        if mask in split:
+            s1 = split[mask]
+            s2 = mask ^ s1
+            emit(s1)
+            emit(s2)
+            joins.append((_lowest_edge(inst, s1, s2), s1, s2))
+
+    emit(full)
+    return best[full], joins, subplans, splits
 
 
 def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: str):
@@ -386,9 +366,10 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
     are counted, not walked.  Only with an Instance are joins priced and the
     cheapest valid arrangement kept.
 
-    Returns (counts, best_cost, best_seq, memo, evals) with counts =
-    [valid, invalid, linear, bushy] and memo mapping each costed
-    (smaller mask, larger mask) pair to its merge cost.
+    Returns (counts, best_cost, best_joins, memo, evals) with counts =
+    [valid, invalid, linear, bushy], best_joins the cheapest arrangement's
+    joins as (edge, component of its v1, component of its v2), and memo
+    mapping each costed (smaller mask, larger mask) pair to its merge cost.
     """
     n_edges = len(edge_u)
     slots = n - 1
@@ -411,7 +392,7 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
         return x
 
     used = [False] * n_edges
-    seq: list[int] = []
+    seq: list[tuple[int, int, int]] = []
     memo: dict[tuple[int, int], float] = {}
     counts = [0, 0, 0, 0]
     state = {"best": float("inf"), "seq": [], "evals": 0, "nodes": 0}
@@ -442,9 +423,9 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
                 saved_mask, saved_cost = rm, comp_cost[rv]
                 comp_mask[rv] = lm | rm
                 comp_cost[rv] = new_cost
+                seq.append((e, lm, rm))
             parent[ru] = rv
             used[e] = True
-            seq.append(e)
             new_touched = touched_mask | (1 << u) | (1 << v)
             new_cnt = touched_cnt + ((touched_mask >> u) & 1 == 0) + ((touched_mask >> v) & 1 == 0)
             new_linear = linear and (new_cnt - (depth + 1) == 1)
@@ -459,10 +440,10 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
                     state["seq"] = list(seq)
             else:
                 rec(depth + 1, new_touched, new_cnt, new_linear)
-            seq.pop()
             used[e] = False
             parent[ru] = ru
             if inst is not None:
+                seq.pop()
                 comp_mask[rv] = saved_mask
                 comp_cost[rv] = saved_cost
 
@@ -476,7 +457,7 @@ def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
 
     Returns (valid, invalid, linear, bushy).
     """
-    counts, _best, _seq, _memo, _evals = _walk(
+    counts, _best, _joins, _memo, _evals = _walk(
         n, edge_u, edge_v, None, deadline, "tree enumeration")
     return tuple(counts)
 
@@ -486,10 +467,11 @@ def brute_search(inst: Instance, deadline: float = 0.0):
     minimum-cost one.  No cost pruning: the valid/invalid/linear/bushy counts
     stay exact and every complete plan is compared.
 
-    Returns (best_cost, best_seq, valid, invalid, linear, bushy,
-    subplans, splits, evals).
+    Returns (best_cost, joins, valid, invalid, linear, bushy, subplans,
+    splits, evals): the cheapest arrangement's joins as (edge, component of
+    its v1, component of its v2), in order.
     """
-    counts, best, seq, memo, evals = _walk(
+    counts, best, joins, memo, evals = _walk(
         inst.n, inst.edge_u, inst.edge_v, inst, deadline, "oracle enumeration")
     subplans = len({a | b for a, b in memo})
-    return (best, seq, *counts, subplans, len(memo), evals)
+    return (best, joins, *counts, subplans, len(memo), evals)

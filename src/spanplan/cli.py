@@ -52,8 +52,12 @@ def _load_catalog_file(graph, path: str) -> CardinalitySource:
         raise GraphFormatError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
         raise GraphFormatError(f"invalid JSON in {path}: nested too deeply") from None
-    if isinstance(doc, dict) and isinstance(doc.get("cardinalities"), dict):
-        doc = doc["cardinalities"]
+    if isinstance(doc, dict) and "cardinalities" in doc:
+        section = doc["cardinalities"]
+        if isinstance(section, dict):
+            doc = section
+        elif "cardinalities" not in graph.name_to_id:  # else a key map naming that table
+            raise GraphFormatError(f"{path}: 'cardinalities' must be an object")
     if not isinstance(doc, dict):
         raise GraphFormatError(f"{path} does not hold a cardinality map")
     return CardinalityCatalog.from_key_map(graph, doc)

@@ -13,12 +13,13 @@ Five enumerators over one cost context:
 
 ``prim``, ``kruskal`` and ``este`` run their members in the backend's
 ``greedy_search`` kernel, where members share the choice made at each
-state, and replay only the winner's joins through ``PlanBuilder``; ``goo``
-and ``exhaustive`` hand their joins to it directly.  ``PlanBuilder`` prices
-the joins, tracks the components and derives the filters.  Each returns
-``(plan, stats)``.  Every join is priced by the one cost formula
-(``formula.merge``, mirrored in ``kernels.c``), so costs are exactly
-comparable, and a replayed plan must cost what the kernel reported.
+state, and ``exhaustive`` runs the ``dp_search`` kernel over the connected
+subsets; both build the kernel's winning joins with ``plan.replay``, which
+checks that the plan costs what the kernel reported.  ``goo`` hands its
+joins to ``PlanBuilder`` directly.  ``PlanBuilder`` prices the joins and
+derives the filters.  Each returns ``(plan, stats)``.  Every join is
+priced by the one cost formula (``formula.merge``, mirrored in
+``kernels.c``), so costs are exactly comparable.
 ``EnumStats.subplans_reached`` and ``join_costs_computed`` count the
 distinct subsets and splits costed; ``evaluations`` counts the evaluations
 actually performed.
@@ -33,7 +34,7 @@ from ._kernels import formula
 from .cost import CardinalitySource, CostContext, CostParams
 from .errors import LimitExceededError, OptimizeTimeout, SpanPlanError
 from .graph import JoinGraph
-from .plan import EnumStats, PlanBuilder
+from .plan import EnumStats, PlanBuilder, replay
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 
@@ -51,19 +52,14 @@ def _greedy(name: str, graph: JoinGraph, source: CardinalitySource, params: Cost
     t0 = time.perf_counter()
     deadline = _kernels.deadline(t0, timeout)
     try:
-        joins, cost, subplans, splits, evals, plans = _kernels.get_backend().greedy_search(
+        cost, joins, subplans, splits, evals, plans = _kernels.get_backend().greedy_search(
             ctx.instance, runs, deadline)
     except KeyError as exc:
         ctx.source.lookup(graph, exc.args[0])  # raises the source's own error
         raise
     except OptimizeTimeout:
         raise OptimizeTimeout(f"{name} ran past its deadline") from None
-    builder = PlanBuilder(graph, ctx, name)
-    for eid, l_mask, r_mask in joins:
-        builder.add_step(eid, l_mask, r_mask)
-    plan = builder.build()
-    if plan.internal_cost != cost:
-        raise SpanPlanError("kernel cost does not match the replayed plan")
+    plan = replay(graph, ctx, name, joins, cost)
     stats = EnumStats(
         subplans_reached=subplans,
         join_costs_computed=splits,
@@ -191,28 +187,13 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
             greedy_plan, _ = goo(graph, ctx, timeout=remaining)
             bound = greedy_plan.internal_cost
             check_deadline()
-        root_cost, choices, subplans, splits = _kernels.get_backend().dp_search(
-            ctx.instance, bound, deadline)
+        root_cost, joins, subplans, splits = _kernels.get_backend().dp_search(
+            ctx.instance, masks, bound, deadline)
     except OptimizeTimeout:
         raise OptimizeTimeout("exhaustive enumeration ran past its deadline") from None
     if not math.isfinite(root_cost):
         raise LimitExceededError("the optimal plan's cost overflows a float")
-
-    builder = PlanBuilder(graph, ctx, "exhaustive")
-
-    def emit(mask: int) -> None:
-        if mask & (mask - 1) == 0:
-            return
-        s1, _op, _side = choices[mask]
-        s2 = mask ^ s1
-        emit(s1)
-        emit(s2)
-        builder.add_step(min(graph.crossing_edges(s1, s2)), s1, s2)
-
-    emit(graph.full_mask)
-    plan = builder.build()
-    if plan.internal_cost != root_cost:
-        raise SpanPlanError("kernel cost does not match the reconstructed plan")
+    plan = replay(graph, ctx, "exhaustive", joins, root_cost)
     stats = EnumStats(
         subplans_reached=subplans,
         join_costs_computed=splits,

@@ -238,10 +238,12 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
 
     vertices = []
     for i, t in enumerate(tables):
+        if not isinstance(t, dict):
+            raise GraphFormatError(f"table #{i} must be an object")
         try:
             name = t["name"]
             card = t["cardinality"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise GraphFormatError(f"table #{i} is missing {exc}") from exc
         if not isinstance(name, str) or not name:
             raise GraphFormatError(f"table #{i} has an invalid name")
@@ -262,9 +264,11 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
     edges: list[JoinEdge] = []
     by_pair: dict[tuple[int, int], int] = {}
     for j, item in enumerate(joins):
+        if not isinstance(item, dict):
+            raise GraphFormatError(f"join #{j} must be an object")
         try:
             left, right = item["left"], item["right"]
-        except (TypeError, KeyError) as exc:
+        except KeyError as exc:
             raise GraphFormatError(f"join #{j} is missing {exc}") from exc
         if not isinstance(left, str) or not isinstance(right, str):
             raise GraphFormatError(f"join #{j} must name its tables as strings")

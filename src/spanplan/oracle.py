@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .cost import CardinalitySource, CostContext, CostParams
-from .errors import LimitExceededError, SpanPlanError
+from .errors import LimitExceededError
 from .graph import JoinGraph
-from .plan import EnumStats, PlanBuilder
+from .plan import EnumStats, replay
 
 DEFAULT_ARRANGEMENT_LIMIT = 10**7
 
@@ -82,17 +82,11 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
     from .graph import connected_subset_masks
 
     ctx.ensure_cards(connected_subset_masks(graph, deadline))
-    (best_cost, best_seq, valid, invalid, linear, bushy,
+    (best_cost, joins, valid, invalid, linear, bushy,
      subplans, splits, evals) = _kernels.get_backend().brute_search(ctx.instance, deadline)
     if not math.isfinite(best_cost):
         raise LimitExceededError("the optimal plan's cost overflows a float")
-
-    builder = PlanBuilder(graph, ctx, "brute_force")
-    for eid in best_seq:
-        builder.join(eid)
-    plan = builder.build()
-    if plan.internal_cost != best_cost:
-        raise SpanPlanError("kernel cost does not match the reconstructed plan")
+    plan = replay(graph, ctx, "brute_force", joins, best_cost)
     stats = EnumStats(
         subplans_reached=subplans,
         join_costs_computed=splits,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .cost import INL, CostContext, OperatorChoice
-from .errors import LimitExceededError, PlanValidationError
+from .errors import LimitExceededError, PlanValidationError, SpanPlanError
 from .graph import JoinGraph, iter_bits
 
 LINEAR = "linear"
@@ -64,12 +64,10 @@ class EnumStats:
 class PlanBuilder:
     """The one code that turns a search's joins into a Plan.
 
-    ``add_step`` joins two components, priced by the context, and keeps
-    ``comp_of`` (vertex -> mask of the component holding it) current;
-    ``join(edge_id)`` joins the components of the edge's ``v1`` (left) and
-    ``v2`` (right).  ``build`` sums the subtree costs, and every edge that
-    is not a step becomes a filter, in edge-id order.  A search only emits
-    its joins.
+    ``add_step`` joins two components, priced by the context.  ``build``
+    sums the subtree costs, and every edge that is not a step becomes a
+    filter, in edge-id order.  A search only emits its joins; ``replay``
+    builds a kernel's.
     """
 
     def __init__(self, graph: JoinGraph, ctx: CostContext, algorithm: str):
@@ -77,7 +75,6 @@ class PlanBuilder:
         self.ctx = ctx
         self.algorithm = algorithm
         self.steps: list[PlanStep] = []
-        self.comp_of = [1 << v for v in range(graph.n_vertices)]
         self._cost: dict[int, float] = {1 << v: 0.0 for v in range(graph.n_vertices)}
 
     def add_step(self, edge_id: int, l_mask: int, r_mask: int,
@@ -93,9 +90,6 @@ class PlanBuilder:
         del self._cost[l_mask]
         del self._cost[r_mask]
         self._cost[new_mask] = new_cost
-        comp_of = self.comp_of
-        for v in iter_bits(new_mask):
-            comp_of[v] = new_mask
         self.steps.append(
             PlanStep(
                 edge=edge_id,
@@ -108,14 +102,6 @@ class PlanBuilder:
             )
         )
         return new_cost
-
-    def join(self, edge_id: int) -> int:
-        """Join the components of the edge's v1 (left) and v2 (right);
-        returns the merged component."""
-        edge = self.graph.edges[edge_id]
-        l_mask, r_mask = self.comp_of[edge.v1], self.comp_of[edge.v2]
-        self.add_step(edge_id, l_mask, r_mask)
-        return l_mask | r_mask
 
     def build(self) -> Plan:
         graph = self.graph
@@ -139,6 +125,19 @@ class PlanBuilder:
             total_cost=total,
             shape=classify_shape(self.steps),
         )
+
+
+def replay(graph: JoinGraph, ctx: CostContext, algorithm: str, joins, cost: float) -> Plan:
+    """The plan of a search kernel's joins, (edge, left mask, right mask)
+    in order.  Raises SpanPlanError unless it costs what the kernel
+    reported."""
+    builder = PlanBuilder(graph, ctx, algorithm)
+    for edge_id, l_mask, r_mask in joins:
+        builder.add_step(edge_id, l_mask, r_mask)
+    plan = builder.build()
+    if plan.internal_cost != cost:
+        raise SpanPlanError("kernel cost does not match the replayed plan")
+    return plan
 
 
 def classify_shape(steps) -> str:

@@ -268,6 +268,38 @@ def test_optimize_malformed_value_exits_1_with_one_line(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"tables": [["a", 10]], "joins": []}, "table #0 must be an object"),
+    ({"tables": [{"name": "a", "cardinality": 10}, {"name": "b", "cardinality": 20}],
+      "joins": [["a", "b"]]}, "join #0 must be an object"),
+])
+def test_table_or_join_that_is_not_an_object_exits_1_naming_it(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "optimize", "--graph", str(path)) == (1, "", f"spanplan: error: {message}\n")
+
+
+@pytest.mark.parametrize("section", [5, None, "a", [["a", 10]]])
+def test_catalog_whose_cardinalities_member_is_not_an_object_exits_1(capsys, tmp_path, section):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"cardinalities": section}))
+    code, out, err = run(capsys, "optimize", "--graph", Q2A, "--selection-catalog", str(catalog))
+    assert (code, out) == (1, "")
+    assert err == f"spanplan: error: {catalog}: 'cardinalities' must be an object\n"
+
+
+def test_catalog_key_map_may_name_a_table_called_cardinalities(capsys, tmp_path):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"tables": [{"name": "cardinalities", "cardinality": 10}],
+                                 "joins": []}))
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps({"cardinalities": 10}))
+    code, out, err = run(capsys, "optimize", "--graph", str(graph),
+                         "--selection-catalog", str(catalog))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["internal_cost"] == 0
+
+
 def test_table_flags_must_be_json_booleans(capsys, tmp_path):
     # b is a large table: an index into it would make the join cost 22
     # instead of a hash join's 200,022, so "false" must not read as true.
@@ -311,15 +343,16 @@ def _members(value, path=()):
 
 @st.composite
 def _damaged(draw, valid):
-    """A document from valid, returned as it is, or with one member
-    replaced by any JSON value or deleted."""
+    """(doc, damage): a document from valid, returned as it is with damage
+    None, or with one member replaced by any JSON value or deleted and
+    damage (how, path of that member)."""
     doc = draw(valid)
     how = draw(st.sampled_from(["keep", "replace", "delete"]))
     if how == "keep":
-        return doc
+        return doc, None
     path = draw(st.sampled_from(list(_members(doc))))
     if not path:
-        return draw(_JSON)
+        return draw(_JSON), (how, path)
     holder = doc
     for key in path[:-1]:
         holder = holder[key]
@@ -327,7 +360,19 @@ def _damaged(draw, valid):
         del holder[path[-1]]
     else:
         holder[path[-1]] = draw(_JSON)
-    return doc
+    return doc, (how, path)
+
+
+_UNDAMAGED = _JSON.map(lambda doc: (doc, None))
+
+
+def _replaced_by_non_object(doc, damage, *path) -> bool:
+    """Whether damage replaced the member at path with a non-object."""
+    if damage != ("replace", path):
+        return False
+    for key in path:
+        doc = doc[key]
+    return not isinstance(doc, dict)
 
 
 @st.composite
@@ -377,8 +422,9 @@ def _assert_exit_0_or_one_line(code: int, err: str) -> None:
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=_JSON | _damaged(_graphs()), algo=st.sampled_from(sp.ALGORITHMS))
-def test_any_json_graph_document_loads_or_exits_1_with_one_line(doc, algo):
+@given(case=_UNDAMAGED | _damaged(_graphs()), algo=st.sampled_from(sp.ALGORITHMS))
+def test_any_json_graph_document_loads_or_exits_1_with_one_line(case, algo):
+    doc, damage = case
     text = json.dumps(doc)
     try:
         sp.load_document(text)
@@ -388,12 +434,20 @@ def test_any_json_graph_document_loads_or_exits_1_with_one_line(doc, algo):
         path = os.path.join(tmp, "graph.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _assert_exit_0_or_one_line(*_cli_outcome(["optimize", "--graph", path, "--algo", algo]))
+        outcome = _cli_outcome(["optimize", "--graph", path, "--algo", algo])
+    _assert_exit_0_or_one_line(*outcome)
+    # A table or join item that is no object is named by its position.
+    if damage is not None and len(damage[1]) == 2:
+        section, index = damage[1]
+        if section in ("tables", "joins") and _replaced_by_non_object(doc, damage, *damage[1]):
+            item = "table" if section == "tables" else "join"
+            assert outcome == (1, f"spanplan: error: {item} #{index} must be an object\n")
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=_JSON | _damaged(_CATALOG), algo=st.sampled_from(sp.ALGORITHMS))
-def test_any_json_catalog_file_loads_or_exits_1_with_one_line(doc, algo):
+@given(case=_UNDAMAGED | _damaged(_CATALOG), algo=st.sampled_from(sp.ALGORITHMS))
+def test_any_json_catalog_file_loads_or_exits_1_with_one_line(case, algo):
+    doc, damage = case
     graph, _ = sp.load_document(json.dumps(_CHAIN))
     with tempfile.TemporaryDirectory() as tmp:
         graph_path = os.path.join(tmp, "graph.json")
@@ -406,9 +460,12 @@ def test_any_json_catalog_file_loads_or_exits_1_with_one_line(doc, algo):
             _load_catalog_file(graph, catalog_path)
         except sp.SpanPlanError:
             pass
-        _assert_exit_0_or_one_line(*_cli_outcome(
-            ["optimize", "--graph", graph_path, "--selection-catalog", catalog_path,
-             "--algo", algo]))
+        outcome = _cli_outcome(["optimize", "--graph", graph_path, "--selection-catalog",
+                                catalog_path, "--algo", algo])
+        _assert_exit_0_or_one_line(*outcome)
+        if _replaced_by_non_object(doc, damage, "cardinalities"):
+            assert outcome == (
+                1, f"spanplan: error: {catalog_path}: 'cardinalities' must be an object\n")
 
 
 def test_import_loads_neither_numpy_nor_thread_pools():

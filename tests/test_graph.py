@@ -102,11 +102,30 @@ def _ab(**sections) -> dict:
                      id="selected-one"),
         pytest.param(_ab(tables=[{"name": "a", "cardinality": 10, "selected": "true"}, _B]),
                      id="selected-string"),
+        pytest.param(_ab(tables=[["a", 10], _B]), id="table-array"),
+        pytest.param(_ab(tables=["a", _B]), id="table-string"),
+        pytest.param(_ab(tables=[{"name": "a", "cardinality": 10}, None]), id="table-null"),
+        pytest.param(_ab(joins=[["a", "b"]]), id="join-array"),
+        pytest.param(_ab(joins=[7]), id="join-number"),
     ],
 )
 def test_malformed_values_raise_graph_format_error(doc):
     with pytest.raises(sp.GraphFormatError):
         sp.load_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_ab(tables=[["a", 10], _B]), "table #0 must be an object"),
+    (_ab(tables=[{"name": "a", "cardinality": 10}, "b"]), "table #1 must be an object"),
+    (_ab(joins=[["a", "b"]]), "join #0 must be an object"),
+    (_ab(joins=[*_AB_JOINS, None]), "join #1 must be an object"),
+    (_ab(tables=[{"name": "a"}, _B]), "table #0 is missing 'cardinality'"),
+    (_ab(joins=[{"left": "a"}]), "join #0 is missing 'right'"),
+])
+def test_a_table_or_join_that_is_not_an_object_is_named_by_position(doc, message):
+    with pytest.raises(sp.GraphFormatError) as info:
+        sp.load_document(json.dumps(doc))
+    assert str(info.value) == message
 
 
 def test_overflowing_cardinality_estimate_is_a_planner_error():

@@ -20,6 +20,7 @@ from spanplan import _kernels
 from spanplan.cost import CostContext
 from spanplan._kernels.loader import open_library
 from spanplan.graph import connected_subset_masks
+from spanplan.plan import replay
 
 from .conftest import mixed_instances
 
@@ -110,7 +111,7 @@ def test_greedy_search_equivalence(compiled):
             for runs in _greedy_runs(graph):
                 pure = _kernels.pure.greedy_search(inst, runs)
                 assert pure == compiled.greedy_search(inst, runs), (kind, n, runs)
-                assert len(pure[0]) == graph.n_vertices - 1
+                assert len(pure[1]) == graph.n_vertices - 1
         assert not inst.cards, "greedy_search must not fill the context's cardinalities"
 
 
@@ -119,7 +120,7 @@ def test_greedy_search_on_one_table(one_table, compiled):
     inst = CostContext(graph, catalog).instance
     runs = [(_kernels.pure.PRIM, None), (_kernels.pure.KRUSKAL, None)]
     assert _kernels.pure.greedy_search(inst, runs) == compiled.greedy_search(inst, runs) \
-        == ([], 0.0, 0, 0, 0, 1)
+        == (0.0, [], 0, 0, 0, 1)
 
 
 def _on_each_backend(compiled, monkeypatch, run):
@@ -174,8 +175,9 @@ def test_greedy_search_timeout_on_both_backends(compiled):
 def test_dp_equivalence(compiled):
     for kind, n, graph, model in mixed_instances(20, base_seed=6100):
         inst = _instance(graph, model)
-        pure = _kernels.pure.dp_search(inst)
-        fast = compiled.dp_search(inst)
+        masks = connected_subset_masks(graph)
+        pure = _kernels.pure.dp_search(inst, masks)
+        fast = compiled.dp_search(inst, masks)
         assert pure == fast
 
 
@@ -185,6 +187,57 @@ def test_brute_equivalence(compiled):
         pure = _kernels.pure.brute_search(inst)
         fast = compiled.brute_search(inst)
         assert pure == fast
+
+
+def _searches(backend, graph, model):
+    """Each search kernel's result on one instance, by the algorithm whose
+    plan it finds."""
+    inst = _instance(graph, model)
+    greedy = CostContext(graph, model).instance
+    return {"este": backend.greedy_search(greedy, _greedy_runs(graph)[-1]),
+            "exhaustive": backend.dp_search(inst, connected_subset_masks(graph)),
+            "brute_force": backend.brute_search(inst)}
+
+
+def test_search_kernels_return_cost_then_joins_of_their_two_sides(compiled):
+    for kind, n, graph, model in mixed_instances(16, base_seed=6500):
+        for backend in (_kernels.pure, compiled):
+            for algorithm, (cost, joins, *_counters) in _searches(backend, graph, model).items():
+                assert len(joins) == n - 1, (backend.name, algorithm)
+                components = {1 << v for v in range(n)}
+                for edge, left, right in joins:
+                    ends = 1 << graph.edges[edge].v1 | 1 << graph.edges[edge].v2
+                    assert left in components and right in components and left != right
+                    assert ends & left and ends & right
+                    components -= {left, right}
+                    components.add(left | right)
+                assert components == {graph.full_mask}
+                plan = replay(graph, CostContext(graph, model), algorithm, joins, cost)
+                assert plan.internal_cost == cost
+                with pytest.raises(sp.SpanPlanError):
+                    replay(graph, CostContext(graph, model), algorithm, joins, 2 * cost)
+
+
+def test_search_kernels_keep_the_result_positions_perfbench_reads(q2a, compiled):
+    # The perfbench tracer reads dp_search's root cost at [0], subplans at
+    # [2] and splits at [3], and brute_search's valid arrangements at [2].
+    cases = [q2a] + [(graph, model) for _k, _n, graph, model in mixed_instances(8, 6600)]
+    for graph, source in cases:
+        exhaustive, ex_stats = sp.exhaustive(graph, source, prune=False)
+        brute, brute_stats = sp.brute_force_optimal(graph, source)
+        trees = sp.enumerate_ordered_trees(graph)
+        for backend in (_kernels.pure, compiled):
+            inst = _instance(graph, source)
+            dp = backend.dp_search(inst, connected_subset_masks(graph))
+            assert (dp[0], dp[2], dp[3]) == (exhaustive.internal_cost, ex_stats.subplans_reached,
+                                             ex_stats.join_costs_computed)
+            walk = backend.brute_search(inst)
+            assert walk[0] == brute.internal_cost == exhaustive.internal_cost
+            assert walk[2] == brute_stats.plans_enumerated == trees.valid
+    graph, catalog = q2a
+    dp = compiled.dp_search(_instance(graph, catalog), connected_subset_masks(graph))
+    assert (dp[0], dp[2], dp[3]) == (1_617_001, 14, 32)
+    assert [edge for edge, _left, _right in dp[1]] == [0, 3, 4, 1]
 
 
 def test_count_equivalence(compiled):
@@ -208,23 +261,25 @@ def test_full_pipeline_equivalence(q2a, compiled, monkeypatch):
 def test_missing_cardinality_raises_key_error_on_both_backends(compiled):
     graph, model = sp.gen_topology("cycle", 6, seed=3)
     inst = _instance(graph, model)
+    masks = connected_subset_masks(graph)
     missing = 0b000111
     del inst.cards[missing]
-    for kernel in ("dp_search", "brute_search"):
+    for kernel, args in (("dp_search", (inst, masks)), ("brute_search", (inst,))):
         for backend in (_kernels.pure, compiled):
             with pytest.raises(KeyError) as info:
-                getattr(backend, kernel)(inst)
+                getattr(backend, kernel)(*args)
             assert info.value.args == (missing,)
 
 
 def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
     graph, model = sp.gen_topology("clique", 11, seed=0)  # over 1024 subsets, 4096 nodes
     inst = _instance(graph, model)
+    masks = connected_subset_masks(graph)
     edge_u = [e.v1 for e in graph.edges]
     edge_v = [e.v2 for e in graph.edges]
     for backend in (_kernels.pure, compiled):
         with pytest.raises(sp.OptimizeTimeout):
-            backend.dp_search(inst, deadline=1e-9)
+            backend.dp_search(inst, masks, deadline=1e-9)
         with pytest.raises(sp.OptimizeTimeout):
             backend.brute_search(inst, deadline=1e-9)
         with pytest.raises(sp.OptimizeTimeout):
