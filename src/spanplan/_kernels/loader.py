@@ -101,6 +101,8 @@ def _greedy_search(lib, inst, runs, deadline: float = 0.0):
 
 def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float = 0.0):
     prob, flat, root = _problem(inst), array("Q", masks), c_double()
+    if max(flat, default=0) >> inst.n:
+        raise ValueError("dp_search masks must be subsets of the instance's tables")
     joins, counts = _join_buffer(inst), array("q", bytes(16))
     _check(lib.sp_dp_search(prob, _addr(flat), len(flat), prune_bound, deadline, byref(root),
                             _addr(counts), _addr(joins)), prob, "exhaustive enumeration")

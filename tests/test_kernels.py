@@ -286,6 +286,14 @@ def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
             backend.count_trees(graph.n_vertices, edge_u, edge_v, deadline=1e-9)
 
 
+def test_compiled_dp_search_rejects_masks_beyond_the_instance(compiled):
+    # The C kernel indexes per-mask tables of 2^n entries by these masks.
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    inst = _instance(graph, model)
+    with pytest.raises(ValueError):
+        compiled.dp_search(inst, connected_subset_masks(graph) + [0b110000])
+
+
 def test_backend_selection():
     assert _kernels.get_backend("pure") is _kernels.pure
     auto = _kernels.get_backend("auto")
