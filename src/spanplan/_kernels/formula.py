@@ -36,8 +36,9 @@ class Instance:
     lam: float
     cards: dict[int, float]        # mask -> output cardinality
     pair_inner: dict[int, int]     # 2-vertex edge mask -> lookup-side vertex
-    # The source greedy_search computes cardinalities from: a selectivity
-    # model as (bases, ((edge mask, selectivity), ...)), else a catalog.
+    # The sources a kernel reads cardinalities from besides cards: a
+    # selectivity model as (bases, ((edge mask, selectivity), ...)), which
+    # computes the masks cards lacks, or else a catalog, read instead of cards.
     model: tuple | None = None
     catalog: dict[int, int] | None = None
 

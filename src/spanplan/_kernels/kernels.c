@@ -92,14 +92,13 @@ typedef struct {               /* formula.Instance, flattened by loader.py */
     const int *edge_u, *edge_v;
     const double *scan;
     const int8_t *indexed;
-    const mask_t *card_mask;   /* inst.cards (for greedy_search, inst.catalog) */
+    const mask_t *card_mask;   /* inst.catalog, or else inst.cards, */
     const double *card_val;    /* as parallel key/value arrays */
     const mask_t *pair_mask;   /* inst.pair_inner likewise */
     const int *pair_inner;
     const double *bases, *sels;  /* inst.model as per-vertex and per-edge arrays, or NULL */
     /* Set by the kernels: */
-    double *cards;             /* dense copy of inst.cards, NaN where absent, */
-    table *memo;               /* or else greedy_search's sparse cardinalities */
+    table *memo;               /* the cardinalities card() reads */
     mask_t missing;            /* the cardinality a kernel could not get */
 } problem;
 
@@ -115,24 +114,14 @@ static double now(void) {
     return (double)((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec) / 1e9;
 }
 
-/* Spread inst.cards over a table indexed by mask.  A cardinality is never
- * NaN, so NaN marks a mask that pure would raise KeyError on. */
-static int open_cards(problem *p) {
-    mask_t size = (mask_t)1 << p->n;
-    p->cards = malloc(size * sizeof *p->cards);
-    if (!p->cards)
-        return NOMEM;
-    for (mask_t m = 0; m < size; m++)
-        p->cards[m] = NAN;
-    for (int i = 0; i < p->n_cards; i++)
-        if (p->card_mask[i] < size)
-            p->cards[p->card_mask[i]] = p->card_val[i];
-    return OK;
-}
-
-static int close_cards(problem *p, int rc) {
-    free(p->cards);
-    p->cards = NULL;
+/* Seed memo, which card() then reads, with the shipped cardinalities
+ * (pure._Cards).  The kernel drops it when done. */
+static int open_memo(problem *p, table *memo) {
+    int rc = OK;
+    p->memo = memo;
+    for (int i = 0; rc == OK && i < p->n_cards; i++)
+        if (p->card_mask[i])  /* mask 0 would be a free slot */
+            rc = put(memo, p->card_mask[i], (value){ .d = p->card_val[i] });
     return rc;
 }
 
@@ -149,27 +138,20 @@ static double model_product(const problem *p, mask_t m) {
     return prod;
 }
 
-/* A cardinality from the dense table, or else from the sparse memo, which
- * computes a model's masks on first use (pure._Cards). */
+/* A cardinality from the memo; a model's mask is computed on first use
+ * (pure._Cards.__missing__). */
 static int card(problem *p, mask_t m, double *c) {
-    value *hit;
-    if (p->cards)
-        *c = p->cards[m];
-    else if ((hit = get(p->memo, m)))
+    value *hit = get(p->memo, m);
+    if (hit) {
         *c = hit->d;
-    else if (!p->bases)
-        *c = NAN;  /* absent from the catalog */
-    else if ((*c = model_product(p, m)) == INFINITY)
-        *c = NAN;
-    else {
+        return OK;
+    }
+    if (p->bases && (*c = model_product(p, m)) != INFINITY) {
         *c = ceil(*c);
         return put(p->memo, m, (value){ .d = *c });
     }
-    if (isnan(*c)) {
-        p->missing = m;
-        return MISSING;
-    }
-    return OK;
+    p->missing = m;
+    return MISSING;
 }
 
 static int pair_inner(const problem *p, mask_t m) {
@@ -220,22 +202,22 @@ static int merge(problem *p, mask_t l, mask_t r, join *j) {
 }
 
 int sp_merge(problem *p, mask_t l, mask_t r, join *j) {
-    int rc = open_cards(p);
-    return close_cards(p, rc ? rc : merge(p, l, r, j));
+    table memo = { 0 };
+    int rc = open_memo(p, &memo);
+    if (rc == OK)
+        rc = merge(p, l, r, j);
+    drop(&memo);
+    return rc;
 }
 
-/* pure.model_cards: cards[i] = ceil(model_product(masks[i])), stopping at
- * the first product that is inf. */
+/* pure.model_cards: each mask's cardinality, stopping at the first missing. */
 int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *cards) {
-    for (int64_t i = 0; i < n_masks; i++) {
-        double prod = model_product(p, masks[i]);
-        if (prod == INFINITY) {
-            p->missing = masks[i];
-            return MISSING;
-        }
-        cards[i] = ceil(prod);
-    }
-    return OK;
+    table memo = { 0 };
+    int rc = open_memo(p, &memo);
+    for (int64_t i = 0; rc == OK && i < n_masks; i++)
+        rc = card(p, masks[i], &cards[i]);
+    drop(&memo);
+    return rc;
 }
 
 /* Interned byte strings of one width, each with a value: greedy_search's
@@ -560,10 +542,8 @@ static int compare_encodings(const mask_t *a, const mask_t *b, int n) {
 }
 
 static int greedy_open(greedy *g) {
-    int n = g->n, n_edges = g->n_edges, rc = OK;
+    int n = g->n, n_edges = g->n_edges;
     size_t heap_cap = (size_t)n_edges * n + 1, enc_len = 6 * (size_t)(n - 1) + 1;
-    g->p->cards = NULL;
-    g->p->memo = &g->cards;
     g->words = (n_edges + 63) / 64;
     g->full = ((mask_t)1 << n) - 1;
     g->kruskal_next.width = n;
@@ -586,10 +566,7 @@ static int greedy_open(greedy *g) {
         g->incident[g->p->edge_u[e] * g->words + e / 64] |= (uint64_t)1 << (e % 64);
         g->incident[g->p->edge_v[e] * g->words + e / 64] |= (uint64_t)1 << (e % 64);
     }
-    for (int i = 0; rc == OK && i < g->p->n_cards; i++)  /* a catalog's entries */
-        if (g->p->card_mask[i] && !get(&g->cards, g->p->card_mask[i]))
-            rc = put(&g->cards, g->p->card_mask[i], (value){ .d = g->p->card_val[i] });
-    return rc;
+    return open_memo(g->p, &g->cards);
 }
 
 static int greedy_close(greedy *g, int rc) {
@@ -609,7 +586,6 @@ static int greedy_close(greedy *g, int rc) {
     free(g->best_enc);
     free(g->steps);
     free(g->best_steps);
-    g->p->memo = NULL;
     return rc;
 }
 
@@ -690,14 +666,15 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     mask_t *split = malloc((full + 1) * sizeof *split);  /* the left side of each best join */
     double *best = malloc((full + 1) * sizeof *best);    /* INFINITY: no plan yet */
     int64_t checked = 0;
-    int rc = split && best ? open_cards(p) : NOMEM;
+    table memo = { 0 };
+    int rc = split && best ? open_memo(p, &memo) : NOMEM;
 
     counts[0] = counts[1] = 0;
     if (rc == OK)
         for (mask_t mask = 1; mask <= full; mask++)
             best[mask] = SINGLE(mask) ? 0.0 : INFINITY;
     for (int64_t i = 0; rc == OK && i < n_masks; i++) {
-        mask_t mask = masks[i], low = mask & -mask, s1;
+        mask_t mask = masks[i], low = mask & -mask, rest = mask ^ low, t = rest;
         double best_cost = INFINITY;
         int touched = 0;
         if (SINGLE(mask))
@@ -707,12 +684,18 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
             rc = TIMEOUT;
             break;
         }
-        /* Canonical split order: s1 descends and always contains the low bit. */
-        for (s1 = (mask - 1) & mask; s1; s1 = (s1 - 1) & mask) {
-            mask_t s2 = mask ^ s1;
-            double c1 = best[s1], c2 = best[s2], total;
+        /* Canonical split order: s1 = t | low descends over the proper
+         * subsets of mask that hold its lowest table. */
+        do {
+            mask_t s1, s2;
+            double c1, c2, total;
             join j;
-            if (!(s1 & low) || !(c1 < INFINITY && c2 < INFINITY && c1 <= bound && c2 <= bound))
+            t = (t - 1) & rest;
+            s1 = t | low;
+            s2 = mask ^ s1;
+            c1 = best[s1];
+            c2 = best[s2];
+            if (!(c1 < INFINITY && c2 < INFINITY && c1 <= bound && c2 <= bound))
                 continue;
             counts[1]++;
             touched = 1;
@@ -723,7 +706,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
                 best_cost = total;
                 split[mask] = s1;
             }
-        }
+        } while (t);
         counts[0] += touched;
         best[mask] = best_cost;
     }
@@ -734,7 +717,8 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     }
     free(split);
     free(best);
-    return close_cards(p, rc);
+    drop(&memo);
+    return rc;
 }
 
 /* One depth-first walk over ordered edge arrangements, shared by
@@ -753,6 +737,7 @@ typedef struct {
     double *comp_cost;
     mask_t *seq, *best_seq;   /* (edge, left, right) per depth: the walk's and the best */
     double best;
+    table cards;              /* brute search: the cardinalities card() reads */
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
 } walk;
 
@@ -849,7 +834,7 @@ static int run_walk(walk *w) {
     if (!w->parent || !w->used || !w->ff || !w->comp_mask || !w->comp_cost || !w->seq)
         rc = NOMEM;
     else if (w->p)
-        rc = open_cards(w->p);
+        rc = open_memo(w->p, &w->cards);
     if (rc == OK) {
         for (int u = 0; u <= n_edges; u++) {
             w->ff[u * (slots + 1)] = 1;
@@ -866,6 +851,7 @@ static int run_walk(walk *w) {
     if (rc == OK)
         rc = count_unions(&w->memo, &w->counts[4]);
     w->counts[5] = (int64_t)w->memo.len;
+    drop(&w->cards);
     drop(&w->memo);
     free(w->parent);
     free(w->used);
@@ -873,7 +859,7 @@ static int run_walk(walk *w) {
     free(w->comp_mask);
     free(w->comp_cost);
     free(w->seq);
-    return w->p ? close_cards(w->p, rc) : rc;
+    return rc;
 }
 
 /* pure.count_trees; counts receives (valid, invalid, linear, bushy). */

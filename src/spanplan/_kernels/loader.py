@@ -31,7 +31,7 @@ class _Problem(ctypes.Structure):
                 ("indexed", c_void_p), ("card_mask", c_void_p), ("card_val", c_void_p),
                 ("pair_mask", c_void_p), ("pair_inner", c_void_p),
                 ("bases", c_void_p), ("sels", c_void_p),
-                ("cards", c_void_p), ("memo", c_void_p), ("missing", c_uint64)]
+                ("memo", c_void_p), ("missing", c_uint64)]
 
 
 class _Join(ctypes.Structure):
@@ -42,9 +42,10 @@ def _addr(buf: array) -> int:
     return buf.buffer_info()[0]
 
 
-def _problem(inst, cards=None) -> _Problem:
-    """Flatten inst, with cards (default inst.cards) as its cardinalities."""
-    cards = inst.cards if cards is None else cards
+def _problem(inst) -> _Problem:
+    """Flatten inst.  Its cardinalities are the catalog when it has one,
+    else inst.cards: what pure._Cards seeds from."""
+    cards = inst.cards if inst.catalog is None else inst.catalog
     buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
                array("b", inst.indexed), array("Q", cards), array("d", cards.values()),
                array("Q", inst.pair_inner), array("i", inst.pair_inner.values()))
@@ -74,7 +75,7 @@ def _merge(lib, inst, l_mask: int, r_mask: int):
 
 
 def _model_cards(lib, inst, masks) -> list[float]:
-    prob, flat = _problem(inst, {}), array("Q", masks)
+    prob, flat = _problem(inst), array("Q", masks)
     cards = array("d", bytes(8 * len(flat)))
     _check(lib.sp_model_cards(prob, _addr(flat), len(flat), _addr(cards)), prob, "model_cards")
     return cards.tolist()
@@ -91,7 +92,7 @@ def _joins(buf: array) -> list:
 
 
 def _greedy_search(lib, inst, runs, deadline: float = 0.0):
-    prob = _problem(inst, {} if inst.model is not None else inst.catalog or {})
+    prob = _problem(inst)
     flat = array("i", (-1 if x is None else x for run in runs for x in run))
     cost, joins, counts = c_double(), _join_buffer(inst), array("q", bytes(32))
     _check(lib.sp_greedy_search(prob, _addr(flat), len(runs), deadline, byref(cost), _addr(joins),

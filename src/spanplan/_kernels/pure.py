@@ -49,42 +49,32 @@ from .formula import (  # noqa: F401
 name = "pure"
 
 
-def model_cards(inst: Instance, masks) -> list[float]:
-    """``ceil(model_product)`` of each mask under ``inst.model``, in order:
-    the cardinalities ``SelectivityModel.lookup`` gives, for many subsets in
-    one call.  Raises KeyError(mask) at the first mask whose product is
-    inf, as greedy_search does."""
-    bases, edge_sels = inst.model
-    cards = []
-    for mask in masks:
-        prod = model_product(bases, edge_sels, mask)
-        if prod == math.inf:
-            raise KeyError(mask)
-        cards.append(float(math.ceil(prod)))
-    return cards
-
-
 class _Cards(dict):
-    """greedy_search's sparse cardinality memo: a mask is computed when
-    first read, as ``ceil(model_product)`` or from the catalog.  A mask the
-    source cannot give (absent from the catalog, or past a float under the
-    model) raises KeyError(mask)."""
+    """Every kernel's cardinality memo, seeded with a float copy of the
+    catalog when the instance has one, else of ``inst.cards``.  Under
+    ``inst.model`` a mask missing from it is computed when first read, as
+    ``ceil(model_product)``.  A mask neither source gives (absent from the
+    catalog, or past a float under the model) raises KeyError(mask)."""
 
     def __init__(self, inst: Instance):
-        super().__init__()
+        known = inst.cards if inst.catalog is None else inst.catalog
+        super().__init__(zip(known, map(float, known.values())))
         self.model = inst.model
-        self.catalog = inst.catalog or {}
 
     def __missing__(self, mask: int) -> float:
-        if self.model is None:
-            card = float(self.catalog[mask])
-        else:
-            prod = model_product(*self.model, mask)
-            if prod == math.inf:
-                raise KeyError(mask)
-            card = float(math.ceil(prod))
-        self[mask] = card
+        if self.model is None or (prod := model_product(*self.model, mask)) == math.inf:
+            raise KeyError(mask)
+        card = self[mask] = float(math.ceil(prod))
         return card
+
+
+def model_cards(inst: Instance, masks) -> list[float]:
+    """Each mask's cardinality, in order, read as every kernel reads it:
+    under ``inst.model`` the ones ``SelectivityModel.lookup`` gives, for
+    many subsets in one call.  Raises KeyError(mask) at the first mask
+    neither source gives, as greedy_search does."""
+    cards = _Cards(inst)
+    return [cards[mask] for mask in masks]
 
 
 class _Greedy:
@@ -256,12 +246,11 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     """Run greedy members and keep the cheapest plan.
 
     ``runs`` lists (PRIM or KRUSKAL, start edge or None); all members share
-    one ``_Greedy``.  Cardinalities come from ``inst.model`` or
-    ``inst.catalog``, never from ``inst.cards``; a mask the source cannot
-    give raises KeyError(mask).  The winner has the lowest (internal cost,
-    canonical encoding); the first member wins exact ties.  The deadline is
-    checked between members and after every 16th state priced, so a search
-    too small to reach either finishes.
+    one ``_Greedy``.  Cardinalities are read through ``_Cards``; a mask
+    neither source gives raises KeyError(mask).  The winner has the lowest
+    (internal cost, canonical encoding); the first member wins exact ties.
+    The deadline is checked between members and after every 16th state
+    priced, so a search too small to reach either finishes.
 
     Returns (cost, joins, subplans, splits, evals, plans): the winner's
     internal cost and its joins as (edge, left mask, right mask), the
@@ -302,8 +291,10 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
     subsets with plans is a join: some edge crosses it.  Subsets whose best
     cost already exceeds prune_bound are never used as children of larger
     subsets (cost-based pruning; increments are non-negative, so this
-    cannot prune an optimal plan).
+    cannot prune an optimal plan).  Cardinalities are read through
+    ``_Cards``.
     """
+    inst = dataclasses.replace(inst, cards=_Cards(inst))
     full = (1 << inst.n) - 1
     best: dict[int, float] = {1 << v: 0.0 for v in range(inst.n)}
     split: dict[int, int] = {}  # mask -> the left side of its best join
@@ -318,24 +309,26 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
         if deadline and checked % 1024 == 0 and time.perf_counter() > deadline:
             raise OptimizeTimeout("exhaustive enumeration ran past its deadline")
         low = mask & -mask
+        rest = mask ^ low
         best_cost = float("inf")
         best_s1 = None
         touched = False
-        # Canonical split order: s1 descends and always contains the low bit.
-        s1 = (mask - 1) & mask
-        while s1:
-            if s1 & low:
-                s2 = mask ^ s1
-                c1 = best.get(s1)
-                c2 = best.get(s2)
-                if c1 is not None and c2 is not None and c1 <= prune_bound and c2 <= prune_bound:
-                    splits += 1
-                    touched = True
-                    total = merge(inst, s1, s2)[0] + c1 + c2
-                    if total < best_cost:
-                        best_cost = total
-                        best_s1 = s1
-            s1 = (s1 - 1) & mask
+        # Canonical split order: s1 = t | low descends over the proper
+        # subsets of mask that hold its lowest table.
+        t = rest
+        while t:
+            t = (t - 1) & rest
+            s1 = t | low
+            s2 = mask ^ s1
+            c1 = best.get(s1)
+            c2 = best.get(s2)
+            if c1 is not None and c2 is not None and c1 <= prune_bound and c2 <= prune_bound:
+                splits += 1
+                touched = True
+                total = merge(inst, s1, s2)[0] + c1 + c2
+                if total < best_cost:
+                    best_cost = total
+                    best_s1 = s1
         if touched:
             subplans += 1
         if best_s1 is not None:
@@ -363,8 +356,9 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
 def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: str):
     """One depth-first walk over ordered edge arrangements of length n-1,
     shared by count_trees and brute_search.  Arrangements that close a cycle
-    are counted, not walked.  Only with an Instance are joins priced and the
-    cheapest valid arrangement kept.
+    are counted, not walked.  Only with an Instance are joins priced, its
+    cardinalities read through ``_Cards``, and the cheapest valid
+    arrangement kept.
 
     Returns (counts, best_cost, best_joins, memo, evals) with counts =
     [valid, invalid, linear, bushy], best_joins the cheapest arrangement's
@@ -375,6 +369,8 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
     slots = n - 1
     if slots == 0:
         return [1, 0, 1, 0], 0.0, [], {}, 0
+    if inst is not None:
+        inst = dataclasses.replace(inst, cards=_Cards(inst))
 
     # ff[u][s]: ordered ways to fill s slots from u distinct edges.
     ff = [[1] * (slots + 1) for _ in range(n_edges + 1)]

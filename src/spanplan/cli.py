@@ -165,8 +165,6 @@ def cmd_bench(args) -> int:
             rec.opt_time_ms = 0.0
     csv_text = benchmod.records_to_csv(records)
     summary = benchmod.aggregate(records)
-    if not args.timing:
-        _strip_times(summary)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)
@@ -176,12 +174,6 @@ def cmd_bench(args) -> int:
     else:
         sys.stdout.write(csv_text)
     return 0
-
-
-def _strip_times(summary: dict) -> None:
-    for section in list(summary.get("groups", {}).values()) + [summary.get("total", {})]:
-        for algo_stats in section.values():
-            algo_stats["opt_time_ms"] = 0.0
 
 
 def _int_list(text: str) -> list[int]:

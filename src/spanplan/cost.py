@@ -65,11 +65,18 @@ class CardinalityCatalog:
         if not isinstance(entries, dict):
             raise GraphFormatError("'cardinalities' must be an object")
         out = {}
+        key_of = {}
         for key, rows in entries.items():
-            names = [s for s in key.split(",") if s]
+            names = key.split(",")
+            if "" in names:
+                raise GraphFormatError(f"cardinality key {key!r} has an empty table name")
             mask = graph.mask_of_names(names)
             if not is_row_count(rows, 0):
                 raise GraphFormatError(f"cardinality for {{{key}}} must be a non-negative integer")
+            if mask in key_of:
+                raise GraphFormatError(
+                    f"cardinality keys {key_of[mask]!r} and {key!r} name the same subset")
+            key_of[mask] = key
             out[mask] = rows
         for v in range(graph.n_vertices):
             if (1 << v) not in out:
@@ -113,6 +120,7 @@ class SelectivityModel:
         if not isinstance(entries, dict):
             raise GraphFormatError("'selectivities' must be an object")
         sels = [None] * graph.n_edges
+        keys = [None] * graph.n_edges
         pair_to_edge = {}
         for e in graph.edges:
             pair_to_edge[(e.v1, e.v2)] = e.id
@@ -130,7 +138,12 @@ class SelectivityModel:
                 raise GraphFormatError(f"selectivity key {key!r} matches no join edge")
             if type(sel) not in (int, float) or not 0.0 < sel <= 1.0:
                 raise GraphFormatError(f"selectivity for {key!r} must be a number in (0, 1]")
-            sels[pair_to_edge[pair]] = float(sel)
+            eid = pair_to_edge[pair]
+            if keys[eid] is not None:
+                raise GraphFormatError(
+                    f"selectivity keys {keys[eid]!r} and {key!r} name the same join")
+            keys[eid] = key
+            sels[eid] = float(sel)
         for e in graph.edges:
             if sels[e.id] is None:
                 raise GraphFormatError(f"missing selectivity for edge {e.id}")

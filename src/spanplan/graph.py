@@ -247,6 +247,9 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             raise GraphFormatError(f"table #{i} is missing {exc}") from exc
         if not isinstance(name, str) or not name:
             raise GraphFormatError(f"table #{i} has an invalid name")
+        if "," in name:
+            # Catalog and selectivity keys join table names with commas.
+            raise GraphFormatError(f"table #{i} has a comma in its name")
         if not is_row_count(card, 1):
             raise GraphFormatError(f"table {name} has an invalid cardinality")
         selected = t.get("selected", False)

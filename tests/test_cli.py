@@ -209,6 +209,8 @@ def test_bench_2a_csv(capsys, tmp_path):
     assert set(times.values()) == {"0.0"}  # deterministic without --timing
     summary = json.loads((tmp_path / "bench.summary.json").read_text())
     assert summary["total"]["exhaustive"]["cost_ratio"] == 1.0
+    sections = [*summary["groups"].values(), summary["total"]]
+    assert {s["opt_time_ms"] for section in sections for s in section.values()} == {0.0}
 
 
 def test_bench_topology_sweep_rows(capsys, tmp_path):
@@ -277,6 +279,17 @@ def test_table_or_join_that_is_not_an_object_exits_1_naming_it(capsys, tmp_path,
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run(capsys, "optimize", "--graph", str(path)) == (1, "", f"spanplan: error: {message}\n")
+
+
+def test_table_name_with_a_comma_exits_1_naming_it(capsys, tmp_path):
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps({
+        "tables": [{"name": "a,b", "cardinality": 10}, {"name": "c", "cardinality": 20}],
+        "joins": [{"left": "a,b", "right": "c"}],
+        "cardinalities": {"a,b": 10, "c": 20, "a,b,c": 5},
+    }))
+    assert run(capsys, "optimize", "--graph", str(path)) == (
+        1, "", "spanplan: error: table #0 has a comma in its name\n")
 
 
 @pytest.mark.parametrize("section", [5, None, "a", [["a", 10]]])

@@ -1,9 +1,10 @@
 """Equivalence of the pure-Python and compiled kernels.
 
 The two backends must agree bit-for-bit: same costs, same reconstruction
-choices, same counters.  When kernels.c is not built in place, the
-compiled backend is built into a temporary directory with setup.py and
-opened from there; the tests skip only when no C compiler is found.
+choices, same counters.  When kernels.c is not built in place, or the
+in-place build is older than kernels.c, the compiled backend is built into
+a temporary directory with setup.py and opened from there; the tests skip
+only when no C compiler is found.
 """
 import os
 import shlex
@@ -25,6 +26,7 @@ from spanplan.plan import replay
 from .conftest import mixed_instances
 
 ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "spanplan" / "_kernels" / "kernels.c"
 
 
 def _compiler() -> list[str]:
@@ -37,8 +39,9 @@ def _compiler() -> list[str]:
 
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    """The compiled backend: the in-place build, or a fresh one."""
-    if _kernels.HAVE_COMPILED:
+    """The compiled backend: the in-place build if it is not older than
+    kernels.c, or else a fresh one."""
+    if _kernels.HAVE_COMPILED and os.path.getmtime(_kernels._LIBRARY) >= SOURCE.stat().st_mtime:
         return _kernels.get_backend("compiled")
     _compiler()
     out = tmp_path_factory.mktemp("ckernels")
@@ -51,9 +54,8 @@ def compiled(tmp_path_factory):
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
-    source = ROOT / "src" / "spanplan" / "_kernels" / "kernels.c"
     proc = subprocess.run([*_compiler(), "-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
-                           "-c", str(source), "-o", str(tmp_path / "kernels.o")],
+                           "-c", str(SOURCE), "-o", str(tmp_path / "kernels.o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -259,16 +261,59 @@ def test_full_pipeline_equivalence(q2a, compiled, monkeypatch):
 
 
 def test_missing_cardinality_raises_key_error_on_both_backends(compiled):
+    # A catalog is read as it is: a mask absent from it is missing, even
+    # when the context holds it.
     graph, model = sp.gen_topology("cycle", 6, seed=3)
-    inst = _instance(graph, model)
-    masks = connected_subset_masks(graph)
     missing = 0b000111
-    del inst.cards[missing]
-    for kernel, args in (("dp_search", (inst, masks)), ("brute_search", (inst,))):
+    entries = {m: c for m, c in _catalog(graph, model).entries.items() if m != missing}
+    inst = CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
+    inst.cards[missing] = float(model.lookup(graph, missing))
+    masks = connected_subset_masks(graph)
+    for kernel, args in (("dp_search", (inst, masks)), ("brute_search", (inst,)),
+                         ("model_cards", (inst, masks))):
         for backend in (_kernels.pure, compiled):
             with pytest.raises(KeyError) as info:
                 getattr(backend, kernel)(*args)
-            assert info.value.args == (missing,)
+            assert info.value.args == (missing,), (kernel, backend.name)
+
+
+def _card_reads(backend, graph, inst, masks):
+    """What each kernel that reads cardinalities returns on inst."""
+    return (backend.dp_search(inst, masks), backend.brute_search(inst),
+            backend.model_cards(inst, masks), backend.greedy_search(inst, _greedy_runs(graph)[-1]))
+
+
+def test_kernels_compute_model_masks_the_context_lacks_and_leave_it_as_it_was(compiled):
+    for kind, n, graph, model in mixed_instances(8, base_seed=6700):
+        masks = connected_subset_masks(graph)
+        full = _instance(graph, model)
+        lacking = _instance(graph, model)
+        del lacking.cards[graph.full_mask]
+        empty = CostContext(graph, model).instance
+        before = [dict(inst.cards) for inst in (full, lacking, empty)]
+        want = _card_reads(_kernels.pure, graph, full, masks)
+        for backend in (_kernels.pure, compiled):
+            for inst in (full, lacking, empty):
+                assert _card_reads(backend, graph, inst, masks) == want, (kind, n, backend.name)
+        assert [inst.cards for inst in (full, lacking, empty)] == before, \
+            "a kernel must not fill the context's cardinalities"
+
+
+def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_lowest_table(
+        compiled):
+    # A triangle with every cardinality equal: the three splits of the root
+    # into a pair and a table all total 43.0.  DPsub's rule keeps the first
+    # of them in descending order of the left side, {0, 2} | {1}.
+    inst = _kernels.pure.Instance(
+        n=3, edge_u=(0, 0, 1), edge_v=(1, 2, 2), scan=(1.0, 1.0, 1.0), indexed=(False,) * 3,
+        lam=2.0, cards={m: 10.0 for m in range(1, 8)}, pair_inner={3: 1, 5: 2, 6: 2})
+    step = _kernels.pure.merge
+    assert {step(inst, l, r)[0] for l, r in ((0b001, 0b010), (0b001, 0b100), (0b010, 0b100))} \
+        == {22.0}
+    assert {step(inst, s1, 0b111 ^ s1)[0] for s1 in (0b101, 0b011, 0b001)} == {21.0}
+    for backend in (_kernels.pure, compiled):
+        assert backend.dp_search(inst, range(1, 8)) == (
+            43.0, [(1, 0b001, 0b100), (0, 0b101, 0b010)], 4, 6)
 
 
 def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
