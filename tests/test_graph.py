@@ -109,12 +109,6 @@ def _ab(**sections) -> dict:
         pytest.param(_ab(joins=[7]), id="join-number"),
         pytest.param(_ab(tables=[{"name": "a,c", "cardinality": 10}, _B],
                          joins=[{"left": "a,c", "right": "b"}]), id="table-name-comma"),
-        pytest.param(_ab(cardinalities={"a": 10, "b": 20, "a,b": 5, "b,a": 50000}),
-                     id="catalog-keys-same-subset"),
-        pytest.param(_ab(cardinalities={"a": 10, "b": 20, "a,": 5}), id="catalog-key-empty-name"),
-        pytest.param(_ab(cardinalities={"": 5, "a": 10, "b": 20}), id="catalog-key-empty"),
-        pytest.param(_ab(selectivities={"a,b": 0.5, "b,a": 0.001}),
-                     id="selectivity-keys-same-join"),
     ],
 )
 def test_malformed_values_raise_graph_format_error(doc):
@@ -143,6 +137,8 @@ def test_a_table_or_join_that_is_not_an_object_is_named_by_position(doc, message
      "cardinality keys 'a,b' and 'b,a' name the same subset"),
     (_ab(cardinalities={"a": 10, "b": 20, ",a": 5}),
      "cardinality key ',a' has an empty table name"),
+    (_ab(cardinalities={"a": 10, "b": 20, "a,": 5}),
+     "cardinality key 'a,' has an empty table name"),
     (_ab(cardinalities={"": 5, "a": 10, "b": 20}), "cardinality key '' has an empty table name"),
     (_ab(selectivities={"a,b": 0.5, "b,a": 0.001}),
      "selectivity keys 'a,b' and 'b,a' name the same join"),
