@@ -13,8 +13,6 @@ is the backend asked for.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 OP_HJ = 0
 OP_INL = 1
 SIDE_LEFT = 0
@@ -24,23 +22,26 @@ PRIM = 0
 KRUSKAL = 1
 
 
-@dataclass
 class Instance:
     """Compact numeric view of one planning problem."""
 
-    n: int
-    edge_u: tuple[int, ...]
-    edge_v: tuple[int, ...]
-    scan: tuple[float, ...]        # per-vertex scan cost (tau * base size)
-    indexed: tuple[bool, ...]
-    lam: float
-    cards: dict[int, float]        # mask -> output cardinality
-    pair_inner: dict[int, int]     # 2-vertex edge mask -> lookup-side vertex
-    # The sources a kernel reads cardinalities from besides cards: a
-    # selectivity model as (bases, ((edge mask, selectivity), ...)), which
-    # computes the masks cards lacks, or else a catalog, read instead of cards.
-    model: tuple | None = None
-    catalog: dict[int, int] | None = None
+    def __init__(self, n: int, edge_u: tuple[int, ...], edge_v: tuple[int, ...],
+                 scan: tuple[float, ...], indexed: tuple[bool, ...], lam: float,
+                 cards: dict[int, float], pair_inner: dict[int, int],
+                 model: tuple | None = None, catalog: dict[int, int] | None = None):
+        self.n = n
+        self.edge_u = edge_u
+        self.edge_v = edge_v
+        self.scan = scan              # per-vertex scan cost (tau * base size)
+        self.indexed = indexed
+        self.lam = lam
+        self.cards = cards            # mask -> output cardinality
+        self.pair_inner = pair_inner  # 2-vertex edge mask -> lookup-side vertex
+        # The sources a kernel reads cardinalities from besides cards: a
+        # selectivity model as (bases, ((edge mask, selectivity), ...)), which
+        # computes the masks cards lacks, or else a catalog, read instead of cards.
+        self.model = model
+        self.catalog = catalog
 
 
 def model_product(bases, edge_sels, mask: int) -> float:

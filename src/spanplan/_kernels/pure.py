@@ -9,12 +9,13 @@ ordered spanning-tree edge arrangements (``count_trees`` and
 cardinalities of many subsets in one call.  Each search returns
 ``(cost, joins, counters...)``, ``joins`` being the winner's ``(edge, left
 mask, right mask)`` list in replay order.  They price every join with
-``formula.merge``, the package's one Python cost formula, which this module
-re-exports so that ``pure`` offers the same six kernels as the compiled
-backend.  The C kernels in ``kernels.c`` mirror this module and
-``formula`` operation-for-operation; equivalence is enforced by
-tests/test_kernels.py.  ``get_backend("pure")`` imports this module on
-first use, so a process that runs the compiled searches never compiles it.
+``formula.merge``, the package's one Python cost formula; pure's ``merge``
+kernel is that formula over the cardinalities every kernel reads
+(``_Cards``), as the compiled ``merge`` reads them.  The C kernels in
+``kernels.c`` mirror this module and ``formula`` operation-for-operation;
+equivalence is enforced by tests/test_kernels.py.  ``get_backend("pure")``
+imports this module on first use, so a process that runs the compiled
+searches never compiles it.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
 base tables consumed by that join (an index-lookup inner table is never
@@ -24,15 +25,15 @@ identical everywhere makes costs bit-for-bit comparable across kernels.
 """
 from __future__ import annotations
 
-import dataclasses
+import copy
 import heapq
 import math
 import time
 
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
-# The formula's names are re-exported: merge is one of pure's six kernels,
-# and callers that build an Instance by hand find it here too.
+# The formula's names are re-exported, so that callers that build an
+# Instance by hand find them here too.
 from .formula import (  # noqa: F401
     KRUSKAL,
     OP_HJ,
@@ -42,9 +43,9 @@ from .formula import (  # noqa: F401
     SIDE_RIGHT,
     Instance,
     join_cost,
-    merge,
     model_product,
 )
+from .formula import merge as _merge
 
 name = "pure"
 
@@ -66,6 +67,21 @@ class _Cards(dict):
             raise KeyError(mask)
         card = self[mask] = float(math.ceil(prod))
         return card
+
+
+def _view(inst: Instance) -> Instance:
+    """inst as every kernel reads it: a copy whose cards is a new _Cards,
+    so that a kernel never fills the caller's cardinalities."""
+    view = copy.copy(inst)
+    view.cards = _Cards(inst)
+    return view
+
+
+def merge(inst: Instance, l_mask: int, r_mask: int):
+    """``formula.merge`` with the cardinalities read through ``_Cards``, as
+    every kernel reads them.  Raises KeyError(mask) for a mask neither
+    source gives."""
+    return _merge(_view(inst), l_mask, r_mask)
 
 
 def model_cards(inst: Instance, masks) -> list[float]:
@@ -90,7 +106,7 @@ class _Greedy:
     """
 
     def __init__(self, inst: Instance, deadline: float):
-        self.inst = dataclasses.replace(inst, cards=_Cards(inst))
+        self.inst = _view(inst)
         self.deadline = deadline
         self.full = (1 << inst.n) - 1
         self.splits: set[tuple[int, int]] = set()
@@ -117,7 +133,7 @@ class _Greedy:
 
     def price(self, l_mask: int, r_mask: int) -> float:
         """A candidate join's step cost, recorded as one evaluation of a split."""
-        cost = merge(self.inst, l_mask, r_mask)[0]
+        cost = _merge(self.inst, l_mask, r_mask)[0]
         self.evals += 1
         self.splits.add((l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask))
         return cost
@@ -125,7 +141,7 @@ class _Greedy:
     def step(self, joins: list, eid: int, l_mask: int, r_mask: int,
              l_cost: float, r_cost: float) -> float:
         """Append a join to a member's plan; returns the joined subtree's cost."""
-        cost, op, side, _out = merge(self.inst, l_mask, r_mask)
+        cost, op, side, _out = _merge(self.inst, l_mask, r_mask)
         joins.append((eid, l_mask, r_mask, op, side))
         return cost + l_cost + r_cost
 
@@ -294,7 +310,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
     cannot prune an optimal plan).  Cardinalities are read through
     ``_Cards``.
     """
-    inst = dataclasses.replace(inst, cards=_Cards(inst))
+    inst = _view(inst)
     full = (1 << inst.n) - 1
     best: dict[int, float] = {1 << v: 0.0 for v in range(inst.n)}
     split: dict[int, int] = {}  # mask -> the left side of its best join
@@ -325,7 +341,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
             if c1 is not None and c2 is not None and c1 <= prune_bound and c2 <= prune_bound:
                 splits += 1
                 touched = True
-                total = merge(inst, s1, s2)[0] + c1 + c2
+                total = _merge(inst, s1, s2)[0] + c1 + c2
                 if total < best_cost:
                     best_cost = total
                     best_s1 = s1
@@ -370,7 +386,7 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
     if slots == 0:
         return [1, 0, 1, 0], 0.0, [], {}, 0
     if inst is not None:
-        inst = dataclasses.replace(inst, cards=_Cards(inst))
+        inst = _view(inst)
 
     # ff[u][s]: ordered ways to fill s slots from u distinct edges.
     ff = [[1] * (slots + 1) for _ in range(n_edges + 1)]
@@ -413,7 +429,7 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
                 state["evals"] += 1
                 inc = memo.get(key)
                 if inc is None:
-                    inc, _op, _side, _out = merge(inst, key[0], key[1])
+                    inc, _op, _side, _out = _merge(inst, key[0], key[1])
                     memo[key] = inc
                 new_cost = inc + comp_cost[ru] + comp_cost[rv]
                 saved_mask, saved_cost = rm, comp_cost[rv]

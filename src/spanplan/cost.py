@@ -27,7 +27,6 @@ or C); ``card`` and ``SelectivityModel.lookup`` price one mask at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Union
 
 from . import _kernels
@@ -39,25 +38,23 @@ DEFAULT_TAU = 0.2
 DEFAULT_LAMBDA = 2.0
 
 
-@dataclass(frozen=True)
 class CostParams:
     """Scan discount and index-lookup factors of the cost model."""
 
-    tau: float = DEFAULT_TAU
-    lam: float = DEFAULT_LAMBDA
+    def __init__(self, tau: float = DEFAULT_TAU, lam: float = DEFAULT_LAMBDA):
+        if not 0 < tau < math.inf:
+            raise GraphFormatError(f"tau must be a finite number above 0, got {tau!r}")
+        if not 0 < lam < math.inf:
+            raise GraphFormatError(f"lambda must be a finite number above 0, got {lam!r}")
+        self.tau = tau
+        self.lam = lam
 
-    def __post_init__(self):
-        if not (self.tau > 0):
-            raise GraphFormatError("tau must be positive")
-        if not (self.lam > 0):
-            raise GraphFormatError("lambda must be positive")
 
-
-@dataclass(frozen=True)
 class CardinalityCatalog:
     """Row counts for connected table subsets, keyed by vertex bitmask."""
 
-    entries: dict
+    def __init__(self, entries: dict):
+        self.entries = entries
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
@@ -94,26 +91,21 @@ class CardinalityCatalog:
         return {"cardinalities": {graph.subset_key(m): self.entries[m] for m in keys}}
 
 
-@dataclass(frozen=True)
 class SelectivityModel:
     """Independence model: |S| = ceil(prod bases * prod selectivities in S)."""
 
-    graph: JoinGraph
-    selectivities: tuple
-    # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
-    # in the order formula.model_product multiplies them.
-    _bases: tuple = field(init=False, repr=False, compare=False)
-    _edge_sels: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.selectivities) != self.graph.n_edges:
+    def __init__(self, graph: JoinGraph, selectivities: tuple):
+        if len(selectivities) != graph.n_edges:
             raise GraphFormatError("one selectivity per join edge required")
-        for s in self.selectivities:
+        for s in selectivities:
             if not (0.0 < s <= 1.0):
                 raise GraphFormatError(f"selectivity {s} outside (0, 1]")
-        object.__setattr__(self, "_bases", tuple(t.base_cardinality for t in self.graph.vertices))
-        object.__setattr__(self, "_edge_sels", tuple(
-            (e.mask(), self.selectivities[e.id]) for e in self.graph.edges))
+        self.graph = graph
+        self.selectivities = selectivities
+        # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
+        # in the order formula.model_product multiplies them.
+        self._bases = tuple(t.base_cardinality for t in graph.vertices)
+        self._edge_sels = tuple((e.mask(), selectivities[e.id]) for e in graph.edges)
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):

@@ -9,10 +9,9 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
@@ -45,8 +44,7 @@ class TopologyKind(str, Enum):
     CLIQUE = "clique"
 
 
-@dataclass(frozen=True)
-class TableInfo:
+class TableInfo(NamedTuple):
     """One base table: scan size plus selection/index flags."""
 
     name: str
@@ -55,8 +53,7 @@ class TableInfo:
     indexed: bool = True
 
 
-@dataclass(frozen=True)
-class JoinEdge:
+class JoinEdge(NamedTuple):
     """One equi-join predicate between vertices v1 (left) and v2 (right)."""
 
     id: int
@@ -68,15 +65,16 @@ class JoinEdge:
         return (1 << self.v1) | (1 << self.v2)
 
 
-@dataclass(frozen=True)
 class JoinGraph:
-    """Undirected, simple, connected graph of tables and join predicates."""
+    """Undirected, simple, connected graph of tables and join predicates.
 
-    vertices: tuple[TableInfo, ...]
-    edges: tuple[JoinEdge, ...]
+    Graphs compare equal when their tables and joins do.
+    """
 
-    def __post_init__(self):
-        n = len(self.vertices)
+    def __init__(self, vertices: tuple[TableInfo, ...], edges: tuple[JoinEdge, ...]):
+        self.vertices = vertices
+        self.edges = edges
+        n = len(vertices)
         if n == 0:
             raise GraphFormatError("graph has no tables")
         if n > MAX_VERTICES:
@@ -100,6 +98,14 @@ class JoinGraph:
         full = (1 << n) - 1
         if self.reachable_mask(1) != full:
             raise DisconnectedGraphError("join graph is not connected")
+
+    def __eq__(self, other):
+        if not isinstance(other, JoinGraph):
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
 
     @property
     def n_vertices(self) -> int:
@@ -282,7 +288,9 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
         v1, v2 = name_to_id[left], name_to_id[right]
         if v1 == v2:
             raise SelfLoopError(f"join #{j} joins table {left!r} to itself")
-        predicate = str(item.get("predicate", f"{left} = {right}"))
+        predicate = item.get("predicate", f"{left} = {right}")
+        if not isinstance(predicate, str):
+            raise GraphFormatError(f"join #{j} must give its predicate as a string")
         pair = (min(v1, v2), max(v1, v2))
         if pair in by_pair:
             eid = by_pair[pair]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .cost import CardinalitySource, CostContext, CostParams
@@ -39,8 +39,7 @@ def arrangement_bound(v: int, e: int) -> int:
     return math.perm(e, v - 1)
 
 
-@dataclass(frozen=True)
-class TreeCounts:
+class TreeCounts(NamedTuple):
     bound: int
     valid: int
     invalid: int

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels
 from .cost import INL, CostContext, OperatorChoice
@@ -20,8 +20,7 @@ LINEAR = "linear"
 BUSHY = "bushy"
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     """One join: the graph edge that triggered it plus the costed decision."""
 
     edge: int
@@ -40,8 +39,7 @@ class PlanStep:
         return self.left_mask if self.side == "left" else self.right_mask
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     algorithm: str
     steps: tuple[PlanStep, ...]
     filters: tuple[int, ...]
@@ -50,15 +48,16 @@ class Plan:
     shape: str
 
 
-@dataclass
 class EnumStats:
     """Search-effort counters for one enumeration run."""
 
-    subplans_reached: int = 0
-    join_costs_computed: int = 0
-    plans_enumerated: int = 0
-    evaluations: int = 0
-    elapsed: float = 0.0
+    def __init__(self, subplans_reached: int = 0, join_costs_computed: int = 0,
+                 plans_enumerated: int = 0, evaluations: int = 0, elapsed: float = 0.0):
+        self.subplans_reached = subplans_reached
+        self.join_costs_computed = join_costs_computed
+        self.plans_enumerated = plans_enumerated
+        self.evaluations = evaluations
+        self.elapsed = elapsed
 
 
 class PlanBuilder:

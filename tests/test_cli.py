@@ -180,6 +180,18 @@ def test_timeout_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, c
     assert err.startswith("spanplan: error: --timeout ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("command", ["optimize", "bench"])
+@pytest.mark.parametrize("flag", ["--tau", "--lambda"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_cost_factor_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, command, flag,
+                                                                           value):
+    code, out, err = run(capsys, command, "--graph", Q2A, flag, value)
+    assert code == 1
+    assert out == ""
+    name = flag[2:]
+    assert err == f"spanplan: error: {name} must be a finite number above 0, got {float(value)!r}\n"
+
+
 def test_gen_counts_and_determinism(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
@@ -492,17 +504,24 @@ def test_import_loads_neither_numpy_nor_thread_pools():
 def test_start_up_loads_only_what_the_command_runs():
     # Neither the benchmark harness, the oracle, csv nor hashlib is loaded by
     # the CLI's import or by an optimize run; with the compiled build, the
-    # pure-Python kernels are not either.  The lazy public names still resolve.
+    # pure-Python kernels are not either.  No module generates code while it
+    # is imported, so neither dataclasses nor inspect is loaded by the
+    # import, by optimize with any algorithm, or by count.  The lazy public
+    # names still resolve.
     code = f"""if True:
         import os, sys
         import spanplan, spanplan.cli
         unused = ("spanplan.bench", "spanplan.oracle", "csv", "hashlib", "spanplan._kernels.pure")
-        def loaded():
-            return [m for m in unused if m in sys.modules]
-        print(loaded())
-        spanplan.cli.main(["optimize", "--graph", {Q2A!r}, "--algo", "exhaustive",
-                           "--out", os.devnull])
-        print(loaded())
+        codegen = ("dataclasses", "inspect")
+        def loaded(names):
+            return [m for m in names if m in sys.modules]
+        print(loaded(unused + codegen))
+        for algo in spanplan.ALGORITHMS:
+            spanplan.cli.main(["optimize", "--graph", {Q2A!r}, "--algo", algo,
+                               "--out", os.devnull])
+            print(algo, loaded(unused + codegen))
+        spanplan.cli.main(["count", "--graph", {Q2A!r}, "--out", os.devnull])
+        print("count", loaded(codegen))
         from spanplan import bench, oracle
         assert spanplan.run_workload is bench.run_workload
         assert spanplan.brute_force_optimal is oracle.brute_force_optimal
@@ -512,7 +531,8 @@ def test_start_up_loads_only_what_the_command_runs():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
     after_optimize = [] if sp.HAVE_COMPILED else ["spanplan._kernels.pure"]
-    assert proc.stdout == f"[]\n{after_optimize}\nresolved\n"
+    runs = "".join(f"{algo} {after_optimize}\n" for algo in sp.ALGORITHMS)
+    assert proc.stdout == f"[]\n{runs}count []\nresolved\n"
 
 
 def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):

@@ -16,6 +16,11 @@ def test_params_validation():
         sp.CostParams(tau=0.0)
     with pytest.raises(sp.GraphFormatError):
         sp.CostParams(lam=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(sp.GraphFormatError, match="^tau "):
+            sp.CostParams(tau=bad)
+        with pytest.raises(sp.GraphFormatError, match="^lambda "):
+            sp.CostParams(lam=bad)
 
 
 def test_leaf_cost_values():

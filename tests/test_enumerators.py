@@ -362,14 +362,12 @@ def test_oracle_zero_timeout_is_a_deadline_not_none():
 def test_validator_rejects_corrupted_plans(q2a):
     graph, catalog = q2a
     plan, _ = sp.exhaustive(graph, catalog)
-    import dataclasses
-
-    missing_step = dataclasses.replace(plan, steps=plan.steps[:-1])
+    missing_step = plan._replace(steps=plan.steps[:-1])
     with pytest.raises(sp.PlanValidationError):
         sp.validate_plan(graph, missing_step)
-    wrong_shape = dataclasses.replace(plan, shape="bushy")
+    wrong_shape = plan._replace(shape="bushy")
     with pytest.raises(sp.PlanValidationError):
         sp.validate_plan(graph, wrong_shape)
-    wrong_cost = dataclasses.replace(plan, internal_cost=plan.internal_cost + 1)
+    wrong_cost = plan._replace(internal_cost=plan.internal_cost + 1)
     with pytest.raises(sp.PlanValidationError):
         sp.validate_plan(graph, wrong_cost, CostContext(graph, catalog))

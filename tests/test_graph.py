@@ -109,11 +109,23 @@ def _ab(**sections) -> dict:
         pytest.param(_ab(joins=[7]), id="join-number"),
         pytest.param(_ab(tables=[{"name": "a,c", "cardinality": 10}, _B],
                          joins=[{"left": "a,c", "right": "b"}]), id="table-name-comma"),
+        pytest.param(_ab(joins=[{"left": "a", "right": "b", "predicate": None}]),
+                     id="join-predicate-null"),
+        pytest.param(_ab(joins=[{"left": "a", "right": "b", "predicate": {"x": [1]}}]),
+                     id="join-predicate-object"),
     ],
 )
 def test_malformed_values_raise_graph_format_error(doc):
     with pytest.raises(sp.GraphFormatError):
         sp.load_document(json.dumps(doc))
+
+
+def test_a_join_predicate_that_is_not_a_string_is_named_by_position():
+    # A parallel join merges its predicate into the first join's with AND.
+    doc = _ab(joins=[*_AB_JOINS, {"left": "b", "right": "a", "predicate": 7}])
+    with pytest.raises(sp.GraphFormatError) as info:
+        sp.load_document(json.dumps(doc))
+    assert str(info.value) == "join #1 must give its predicate as a string"
 
 
 @pytest.mark.parametrize("doc,message", [

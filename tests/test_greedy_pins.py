@@ -11,7 +11,6 @@ Regenerate the pins (only when a change is meant to alter plans) with
 
     PYTHONPATH=src python -m tests.test_greedy_pins --write
 """
-import dataclasses
 import hashlib
 import json
 import sys
@@ -79,7 +78,7 @@ def test_este_plan_is_the_cheapest_standalone_member():
                    for run in (sp.prim, sp.kruskal) for e in graph.edges]
         best = min(members, key=lambda p: (p.internal_cost, canonical_encoding(p)))
         plan, stats = sp.este(graph, ctx)
-        assert plan == dataclasses.replace(best, algorithm="este")
+        assert plan == best._replace(algorithm="este")
         assert stats.plans_enumerated == len({canonical_encoding(p) for p in members})
 
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -66,19 +67,26 @@ def _instance(graph, model):
     return ctx.instance
 
 
-def test_merge_equivalence(compiled):
+def _joinable_pairs(graph):
+    """Every (left, right) pair of disjoint connected subsets that an edge joins."""
+    masks = connected_subset_masks(graph)
+    return [(l, r) for l in masks for r in masks
+            if not l & r and graph.crossing_edges(l, r) and graph.is_connected_mask(l | r)]
+
+
+def test_merge_equivalence(q2a, compiled):
     for kind, n, graph, model in mixed_instances(12, base_seed=6000):
         inst = _instance(graph, model)
-        masks = connected_subset_masks(graph)
-        for l in masks:
-            for r in masks:
-                if l & r:
-                    continue
-                if not graph.crossing_edges(l, r):
-                    continue
-                if not graph.is_connected_mask(l | r):
-                    continue
-                assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
+        for l, r in _joinable_pairs(graph):
+            assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
+    # A catalog instance whose context has priced nothing: both backends
+    # read the catalog, and neither fills the context's cardinalities.
+    graph, catalog = q2a
+    inst = CostContext(graph, catalog).instance
+    assert _kernels.pure.merge(inst, 1, 2) == (1100001.0, 0, 1, 42000.0)
+    for l, r in _joinable_pairs(graph):
+        assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
+    assert inst.cards == {}
 
 
 def test_merge_equivalence_on_equal_cardinalities(compiled):
@@ -125,6 +133,14 @@ def test_greedy_search_on_one_table(one_table, compiled):
         == (0.0, [], 0, 0, 0, 1)
 
 
+class Raised(NamedTuple):
+    """A SpanPlanError that a run raised.  A Plan is a tuple too, so errors
+    are told apart by this type, not by being tuples."""
+
+    type: type
+    message: str
+
+
 def _on_each_backend(compiled, monkeypatch, run):
     """What run() returns or raises on the pure and then the compiled backend."""
     outcomes = []
@@ -133,7 +149,7 @@ def _on_each_backend(compiled, monkeypatch, run):
         try:
             outcomes.append(run())
         except sp.SpanPlanError as exc:
-            outcomes.append((type(exc), str(exc)))
+            outcomes.append(Raised(type(exc), str(exc)))
     return outcomes
 
 
@@ -144,7 +160,7 @@ def test_greedy_overflow_is_the_same_limit_error_on_both_backends(algo, compiled
     pure, fast = _on_each_backend(compiled, monkeypatch,
                                   lambda: sp.run_algorithm(algo, graph, model))
     assert pure == fast
-    assert pure[0] is sp.LimitExceededError and "overflows a float" in pure[1]
+    assert pure.type is sp.LimitExceededError and "overflows a float" in pure.message
 
 
 @pytest.mark.parametrize("algo", ["prim", "kruskal", "este"])
@@ -158,9 +174,9 @@ def test_greedy_missing_entry_is_the_same_error_on_both_backends(algo, q2a, comp
         pure, fast = _on_each_backend(compiled, monkeypatch,
                                       lambda: sp.run_algorithm(algo, graph, source)[0])
         assert pure == fast
-        if isinstance(pure, tuple):
-            assert pure[0] is sp.MissingCardinalityError
-            assert graph.subset_key(missing) in pure[1]
+        if isinstance(pure, Raised):
+            assert pure.type is sp.MissingCardinalityError
+            assert graph.subset_key(missing) in pure.message
             errors += 1
     assert errors > 0
 
@@ -403,7 +419,7 @@ def test_overflowing_model_is_the_per_mask_limit_error_on_both_backends(search, 
         try:
             model.lookup(graph, mask)
         except sp.LimitExceededError as exc:
-            want = (sp.LimitExceededError, str(exc))
+            want = Raised(sp.LimitExceededError, str(exc))
             break
     assert want is not None
     outcomes = _on_each_backend(compiled, monkeypatch,
