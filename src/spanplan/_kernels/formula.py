@@ -43,6 +43,14 @@ class Instance:
         self.model = model
         self.catalog = catalog
 
+    def known_cards(self) -> dict:
+        """The cardinalities a kernel starts from: the catalog when there is
+        one; none under a model, since a kernel computes each mask on first
+        use exactly as the context did; else cards."""
+        if self.catalog is not None:
+            return self.catalog
+        return {} if self.model is not None else self.cards
+
 
 def model_product(bases, edge_sels, mask: int) -> float:
     """The selectivity model's estimate of mask before rounding up.

@@ -92,7 +92,7 @@ typedef struct {               /* formula.Instance, flattened by loader.py */
     const int *edge_u, *edge_v;
     const double *scan;
     const int8_t *indexed;
-    const mask_t *card_mask;   /* inst.catalog, or else inst.cards, */
+    const mask_t *card_mask;   /* inst.known_cards(), */
     const double *card_val;    /* as parallel key/value arrays */
     const mask_t *pair_mask;   /* inst.pair_inner likewise */
     const int *pair_inner;
@@ -161,13 +161,13 @@ static int pair_inner(const problem *p, mask_t m) {
     return -1;
 }
 
-/* formula.merge and formula.join_cost */
-static int merge(problem *p, mask_t l, mask_t r, join *j) {
+/* formula.merge and formula.join_cost, given out = card(l | r) */
+static int merge_into(problem *p, mask_t l, mask_t r, double out, join *j) {
     int l_single = SINGLE(l), r_single = SINGLE(r), op = 0, side, inner = -1;
-    double out, lc, rc, cost, outer_card, inl;
+    double lc, rc, cost, outer_card, inl;
     int status;
 
-    if ((status = card(p, l | r, &out)) || (status = card(p, l, &lc)) || (status = card(p, r, &rc)))
+    if ((status = card(p, l, &lc)) || (status = card(p, r, &rc)))
         return status;
     /* Hash join: build on the smaller input, ties toward the smaller mask. */
     side = !(lc < rc || (lc == rc && l < r));
@@ -199,6 +199,12 @@ static int merge(problem *p, mask_t l, mask_t r, join *j) {
     }
     *j = (join){ cost, out, op, side };
     return OK;
+}
+
+static int merge(problem *p, mask_t l, mask_t r, join *j) {
+    double out;
+    int status = card(p, l | r, &out);
+    return status ? status : merge_into(p, l, r, out, j);
 }
 
 int sp_merge(problem *p, mask_t l, mask_t r, join *j) {
@@ -675,7 +681,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
             best[mask] = SINGLE(mask) ? 0.0 : INFINITY;
     for (int64_t i = 0; rc == OK && i < n_masks; i++) {
         mask_t mask = masks[i], low = mask & -mask, rest = mask ^ low, t = rest;
-        double best_cost = INFINITY;
+        double best_cost = INFINITY, out = 0.0;
         int touched = 0;
         if (SINGLE(mask))
             continue;
@@ -697,9 +703,13 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
             c2 = best[s2];
             if (!(c1 < INFINITY && c2 < INFINITY && c1 <= bound && c2 <= bound))
                 continue;
+            /* The subset's own cardinality, read once, on its first priced
+             * split: a subset whose splits are all pruned needs none. */
+            if (!touched && (rc = card(p, mask, &out)))
+                break;
             counts[1]++;
             touched = 1;
-            if ((rc = merge(p, s1, s2, &j)))
+            if ((rc = merge_into(p, s1, s2, out, &j)))
                 break;
             total = j.cost + c1 + c2;
             if (total < best_cost) {

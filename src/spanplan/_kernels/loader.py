@@ -43,9 +43,9 @@ def _addr(buf: array) -> int:
 
 
 def _problem(inst) -> _Problem:
-    """Flatten inst.  Its cardinalities are the catalog when it has one,
-    else inst.cards: what pure._Cards seeds from."""
-    cards = inst.cards if inst.catalog is None else inst.catalog
+    """Flatten inst, shipping the cardinalities pure._Cards seeds from
+    (``inst.known_cards()``)."""
+    cards = inst.known_cards()
     buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
                array("b", inst.indexed), array("Q", cards), array("d", cards.values()),
                array("Q", inst.pair_inner), array("i", inst.pair_inner.values()))

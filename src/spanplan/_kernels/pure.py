@@ -51,14 +51,15 @@ name = "pure"
 
 
 class _Cards(dict):
-    """Every kernel's cardinality memo, seeded with a float copy of the
-    catalog when the instance has one, else of ``inst.cards``.  Under
-    ``inst.model`` a mask missing from it is computed when first read, as
-    ``ceil(model_product)``.  A mask neither source gives (absent from the
-    catalog, or past a float under the model) raises KeyError(mask)."""
+    """Every kernel's cardinality memo, seeded with a float copy of
+    ``inst.known_cards()``: the catalog when the instance has one, nothing
+    under ``inst.model``, else ``inst.cards``.  Under the model a mask is
+    computed when first read, as ``ceil(model_product)``.  A mask neither
+    source gives (absent from the catalog, or past a float under the model)
+    raises KeyError(mask)."""
 
     def __init__(self, inst: Instance):
-        known = inst.cards if inst.catalog is None else inst.catalog
+        known = inst.known_cards()
         super().__init__(zip(known, map(float, known.values())))
         self.model = inst.model
 

@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .cost import CardinalitySource, CostContext, CostParams
 from .enumerators import ALGORITHMS, run_algorithm
@@ -35,8 +35,7 @@ def complexity_group(n_joins: int) -> str:
     return COMPLEX
 
 
-@dataclass(frozen=True)
-class WorkloadQuery:
+class WorkloadQuery(NamedTuple):
     query_id: str
     graph: JoinGraph
     selection_source: CardinalitySource
@@ -46,26 +45,41 @@ class WorkloadQuery:
     seed: int | None = None
 
 
-@dataclass
 class BenchRecord:
-    query_id: str
-    group: str
-    algorithm: str
-    internal_cost: float | None = None
-    cost_ratio: float | None = None
-    opt_time_ms: float | None = None
-    distinct_plans: int | None = None
-    topology: str | None = None
-    n_tables: int | None = None
-    seed: int | None = None
-    error: str | None = None
+    """One CSV row: a (query, algorithm) outcome, filled in as it runs.
+    Records compare equal when all their fields do."""
+
+    def __init__(self, query_id: str, group: str, algorithm: str,
+                 internal_cost: float | None = None, cost_ratio: float | None = None,
+                 opt_time_ms: float | None = None, distinct_plans: int | None = None,
+                 topology: str | None = None, n_tables: int | None = None,
+                 seed: int | None = None, error: str | None = None):
+        self.query_id = query_id
+        self.group = group
+        self.algorithm = algorithm
+        self.internal_cost = internal_cost
+        self.cost_ratio = cost_ratio
+        self.opt_time_ms = opt_time_ms
+        self.distinct_plans = distinct_plans
+        self.topology = topology
+        self.n_tables = n_tables
+        self.seed = seed
+        self.error = error
+
+    def __eq__(self, other):
+        if not isinstance(other, BenchRecord):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        return f"BenchRecord({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 CSV_COLUMNS = [
     "query_id", "group", "algorithm", "internal_cost", "cost_ratio",
     "opt_time_ms", "distinct_plans", "topology", "n_tables", "seed", "error",
 ]
-assert set(CSV_COLUMNS) == {f.name for f in fields(BenchRecord)}
+assert set(CSV_COLUMNS) == set(vars(BenchRecord("", "", "")))
 
 
 def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,

@@ -114,23 +114,26 @@ class SelectivityModel:
         sels = [None] * graph.n_edges
         keys = [None] * graph.n_edges
         pair_to_edge = {}
-        for e in graph.edges:
-            pair_to_edge[(e.v1, e.v2)] = e.id
-            pair_to_edge[(e.v2, e.v1)] = e.id
+        for eid, v1, v2, _predicate in graph.edges:
+            pair_to_edge[(v1, v2)] = eid
+            pair_to_edge[(v2, v1)] = eid
+        ids = graph.name_to_id
         for key, sel in entries.items():
             names = key.split(",")
             if len(names) != 2:
                 raise GraphFormatError(f"selectivity key {key!r} must name two tables")
-            ids = graph.name_to_id
-            for nm in names:
-                if nm not in ids:
-                    raise UnknownTableError(f"unknown table {nm!r} in selectivities")
-            pair = (ids[names[0]], ids[names[1]])
-            if pair not in pair_to_edge:
+            left, right = names
+            v1 = ids.get(left)
+            if v1 is None:
+                raise UnknownTableError(f"unknown table {left!r} in selectivities")
+            v2 = ids.get(right)
+            if v2 is None:
+                raise UnknownTableError(f"unknown table {right!r} in selectivities")
+            eid = pair_to_edge.get((v1, v2))
+            if eid is None:
                 raise GraphFormatError(f"selectivity key {key!r} matches no join edge")
             if type(sel) not in (int, float) or not 0.0 < sel <= 1.0:
                 raise GraphFormatError(f"selectivity for {key!r} must be a number in (0, 1]")
-            eid = pair_to_edge[pair]
             if keys[eid] is not None:
                 raise GraphFormatError(
                     f"selectivity keys {keys[eid]!r} and {key!r} name the same join")

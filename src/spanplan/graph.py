@@ -36,6 +36,9 @@ MAX_CARDINALITY = int(sys.float_info.max)
 DEFAULT_BASE_RANGE = (1_000, 1_000_000)
 DEFAULT_SEL_RANGE = (1e-5, 1e-1)
 
+# Tells an absent optional key from one given as null.
+_ABSENT = object()
+
 
 class TopologyKind(str, Enum):
     CHAIN = "chain"
@@ -86,14 +89,14 @@ class JoinGraph:
             if t.base_cardinality < 1:
                 raise GraphFormatError(f"table {t.name} has cardinality < 1")
         seen_pairs = set()
-        for e in self.edges:
-            if not (0 <= e.v1 < n and 0 <= e.v2 < n):
-                raise UnknownTableError(f"edge {e.id} references an unknown vertex")
-            if e.v1 == e.v2:
-                raise SelfLoopError(f"edge {e.id} joins table {names[e.v1]} to itself")
-            pair = (min(e.v1, e.v2), max(e.v1, e.v2))
+        for eid, v1, v2, _predicate in self.edges:
+            if not (0 <= v1 < n and 0 <= v2 < n):
+                raise UnknownTableError(f"edge {eid} references an unknown vertex")
+            if v1 == v2:
+                raise SelfLoopError(f"edge {eid} joins table {names[v1]} to itself")
+            pair = (v1, v2) if v1 < v2 else (v2, v1)
             if pair in seen_pairs:
-                raise GraphFormatError(f"parallel edge {e.id} on {names[pair[0]]}-{names[pair[1]]}")
+                raise GraphFormatError(f"parallel edge {eid} on {names[pair[0]]}-{names[pair[1]]}")
             seen_pairs.add(pair)
         full = (1 << n) - 1
         if self.reachable_mask(1) != full:
@@ -281,17 +284,20 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             raise GraphFormatError(f"join #{j} is missing {exc}") from exc
         if not isinstance(left, str) or not isinstance(right, str):
             raise GraphFormatError(f"join #{j} must name its tables as strings")
-        if left not in name_to_id:
+        v1 = name_to_id.get(left)
+        if v1 is None:
             raise UnknownTableError(f"join #{j} references unknown table {left!r}")
-        if right not in name_to_id:
+        v2 = name_to_id.get(right)
+        if v2 is None:
             raise UnknownTableError(f"join #{j} references unknown table {right!r}")
-        v1, v2 = name_to_id[left], name_to_id[right]
         if v1 == v2:
             raise SelfLoopError(f"join #{j} joins table {left!r} to itself")
-        predicate = item.get("predicate", f"{left} = {right}")
-        if not isinstance(predicate, str):
+        predicate = item.get("predicate", _ABSENT)
+        if predicate is _ABSENT:
+            predicate = f"{left} = {right}"
+        elif not isinstance(predicate, str):
             raise GraphFormatError(f"join #{j} must give its predicate as a string")
-        pair = (min(v1, v2), max(v1, v2))
+        pair = (v1, v2) if v1 < v2 else (v2, v1)
         if pair in by_pair:
             eid = by_pair[pair]
             old = edges[eid]

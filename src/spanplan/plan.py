@@ -7,8 +7,8 @@ subtrees.
 """
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from . import _kernels
@@ -230,46 +230,59 @@ def si_display(x: float) -> str:
     return f"{x:.1f}"
 
 
-def plan_document(plan: Plan, graph: JoinGraph, stats: EnumStats | None = None,
-                  timing: bool = False) -> dict:
-    # The step costs sum to internal_cost <= total_cost, so they are finite too.
-    if not math.isfinite(plan.total_cost):
-        raise LimitExceededError(f"the {plan.algorithm} plan's cost overflows a float")
-    doc = {
-        "algorithm": plan.algorithm,
-        "internal_cost": _num(plan.internal_cost),
-        "internal_cost_display": si_display(plan.internal_cost),
-        "total_cost": _num(plan.total_cost),
-        "shape": plan.shape,
-        "steps": [
-            {
-                "edge": s.edge,
-                "left_subset": list(graph.names_of_mask(s.left_mask)),
-                "right_subset": list(graph.names_of_mask(s.right_mask)),
-                "operator": s.operator,
-                "build_side": s.side,
-                "out_card": _num(s.out_card),
-                "step_cost": _num(s.step_cost),
-            }
-            for s in plan.steps
-        ],
-        "filters": list(plan.filters),
-    }
-    if stats is not None:
-        doc["stats"] = {
-            "subplans": stats.subplans_reached,
-            "join_costs": stats.join_costs_computed,
-            "plans": stats.plans_enumerated,
-            "elapsed_ms": round(stats.elapsed * 1000.0, 3) if timing else 0.0,
-        }
-        if timing:
-            # Which kernels ran and the raw evaluation count differ across
-            # builds and releases, so default output leaves them out.
-            doc["stats"]["backend"] = _kernels.DEFAULT_BACKEND
-            doc["stats"]["evaluations"] = stats.evaluations
-    return doc
+def _array(items: list[str]) -> str:
+    """A top-level field's array of items already written as JSON, laid out
+    as ``json.dumps(..., indent=2)`` lays it out."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def plan_to_json(plan: Plan, graph: JoinGraph, stats: EnumStats | None = None,
                  timing: bool = False) -> str:
-    return json.dumps(plan_document(plan, graph, stats, timing), indent=2) + "\n"
+    """The plan as JSON text, written in one pass in the layout of
+    ``json.dumps(..., indent=2)`` (ASCII only, two-space indents) plus a
+    final newline.  Costs print as integers when integral, and each subset
+    lists its table names in sorted order.  With ``timing``, the stats also
+    carry real elapsed time, the kernel backend and the evaluation count."""
+    # The step costs sum to internal_cost <= total_cost, so they are finite too.
+    if not math.isfinite(plan.total_cost):
+        raise LimitExceededError(f"the {plan.algorithm} plan's cost overflows a float")
+    names = [t.name for t in graph.vertices]
+    # Sort the raw names: escaping changes the order of some characters.
+    quoted = [(1 << v, _quote(names[v])) for v in sorted(range(len(names)), key=names.__getitem__)]
+
+    def subset(mask: int) -> str:  # a step's sides are never empty
+        return "[\n        " + ",\n        ".join([q for bit, q in quoted if mask & bit]) + "\n      ]"
+
+    steps = [f'''{{
+      "edge": {s.edge!r},
+      "left_subset": {subset(s.left_mask)},
+      "right_subset": {subset(s.right_mask)},
+      "operator": {_quote(s.operator)},
+      "build_side": {_quote(s.side)},
+      "out_card": {_num(s.out_card)!r},
+      "step_cost": {_num(s.step_cost)!r}
+    }}''' for s in plan.steps]
+    text = f'''{{
+  "algorithm": {_quote(plan.algorithm)},
+  "internal_cost": {_num(plan.internal_cost)!r},
+  "internal_cost_display": {_quote(si_display(plan.internal_cost))},
+  "total_cost": {_num(plan.total_cost)!r},
+  "shape": {_quote(plan.shape)},
+  "steps": {_array(steps)},
+  "filters": {_array(list(map(repr, plan.filters)))}'''
+    if stats is not None:
+        elapsed_ms = round(stats.elapsed * 1000.0, 3) if timing else 0.0
+        text += f''',
+  "stats": {{
+    "subplans": {stats.subplans_reached!r},
+    "join_costs": {stats.join_costs_computed!r},
+    "plans": {stats.plans_enumerated!r},
+    "elapsed_ms": {elapsed_ms!r}'''
+        if timing:
+            # Which kernels ran and the raw evaluation count differ across
+            # builds and releases, so default output leaves them out.
+            text += f''',
+    "backend": {_quote(_kernels.DEFAULT_BACKEND)},
+    "evaluations": {stats.evaluations!r}'''
+        text += "\n  }"
+    return text + "\n}\n"

@@ -1,11 +1,45 @@
 import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
 
 import spanplan as sp
+from spanplan import _kernels
+from spanplan._kernels.loader import open_library
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data"
+SOURCE = ROOT / "src" / "spanplan" / "_kernels" / "kernels.c"
+
+
+def _compiler() -> list[str]:
+    """sysconfig's CC as an argument list; skips the test when it is not on PATH."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) to build kernels.c")
+    return cc
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled backend: the in-place build if it is not older than
+    kernels.c, or else a fresh one."""
+    if _kernels.HAVE_COMPILED and os.path.getmtime(_kernels._LIBRARY) >= SOURCE.stat().st_mtime:
+        return _kernels.get_backend("compiled")
+    _compiler()
+    out = tmp_path_factory.mktemp("ckernels")
+    subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
+                    "--build-temp", str(out / "temp")],
+                   cwd=ROOT, check=True, capture_output=True)
+    built = list((out / "lib" / "spanplan" / "_kernels").glob("_ckernels*"))
+    assert built, "setup.py build_ext did not build kernels.c"
+    return open_library(built[0])
 
 
 @pytest.fixture(scope="session")

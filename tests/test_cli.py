@@ -501,13 +501,13 @@ def test_import_loads_neither_numpy_nor_thread_pools():
     assert proc.stdout == "[]\n"
 
 
-def test_start_up_loads_only_what_the_command_runs():
+def test_start_up_loads_only_what_the_command_runs(tmp_path):
     # Neither the benchmark harness, the oracle, csv nor hashlib is loaded by
     # the CLI's import or by an optimize run; with the compiled build, the
     # pure-Python kernels are not either.  No module generates code while it
     # is imported, so neither dataclasses nor inspect is loaded by the
-    # import, by optimize with any algorithm, or by count.  The lazy public
-    # names still resolve.
+    # import, by optimize with any algorithm, by count, or by bench.  The
+    # lazy public names still resolve.
     code = f"""if True:
         import os, sys
         import spanplan, spanplan.cli
@@ -522,6 +522,8 @@ def test_start_up_loads_only_what_the_command_runs():
             print(algo, loaded(unused + codegen))
         spanplan.cli.main(["count", "--graph", {Q2A!r}, "--out", os.devnull])
         print("count", loaded(codegen))
+        spanplan.cli.main(["bench", "--graph", {Q2A!r}, "--out", {str(tmp_path / "b.csv")!r}])
+        print("bench", loaded(codegen))
         from spanplan import bench, oracle
         assert spanplan.run_workload is bench.run_workload
         assert spanplan.brute_force_optimal is oracle.brute_force_optimal
@@ -532,7 +534,7 @@ def test_start_up_loads_only_what_the_command_runs():
                           check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
     after_optimize = [] if sp.HAVE_COMPILED else ["spanplan._kernels.pure"]
     runs = "".join(f"{algo} {after_optimize}\n" for algo in sp.ALGORITHMS)
-    assert proc.stdout == f"[]\n{runs}count []\nresolved\n"
+    assert proc.stdout == f"[]\n{runs}count []\nbench []\nresolved\n"
 
 
 def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):

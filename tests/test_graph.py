@@ -161,6 +161,72 @@ def test_names_and_keys_must_name_each_table_subset_and_join_once(doc, message):
     assert str(info.value) == message
 
 
+_ABC = {"tables": [{"name": "a", "cardinality": 10}, _B, {"name": "c", "cardinality": 30}],
+        "joins": [*_AB_JOINS, {"left": "b", "right": "c"}]}
+
+
+@pytest.mark.parametrize("doc,error,message", [
+    # Joins, each check in the order the loader makes them (the cases of
+    # the two tests above are not repeated).
+    (_ab(joins=[{"right": "b"}]), sp.GraphFormatError, "join #0 is missing 'left'"),
+    (_ab(joins=[{"right": 7}]), sp.GraphFormatError, "join #0 is missing 'left'"),
+    (_ab(joins=[{"left": "a", "right": 7}]), sp.GraphFormatError,
+     "join #0 must name its tables as strings"),
+    (_ab(joins=[{"left": None, "right": "zz"}]), sp.GraphFormatError,
+     "join #0 must name its tables as strings"),
+    (_ab(joins=[{"left": "zz", "right": "b"}]), sp.UnknownTableError,
+     "join #0 references unknown table 'zz'"),
+    (_ab(joins=[{"left": "a", "right": "yy"}]), sp.UnknownTableError,
+     "join #0 references unknown table 'yy'"),
+    (_ab(joins=[{"left": "zz", "right": "yy", "predicate": None}]), sp.UnknownTableError,
+     "join #0 references unknown table 'zz'"),
+    (_ab(joins=[{"left": "a", "right": "yy", "predicate": None}]), sp.UnknownTableError,
+     "join #0 references unknown table 'yy'"),
+    (_ab(joins=[*_AB_JOINS, {"left": "b", "right": "b", "predicate": None}]), sp.SelfLoopError,
+     "join #1 joins table 'b' to itself"),
+    (_ab(joins=[{"left": "a", "right": "b", "predicate": None}]), sp.GraphFormatError,
+     "join #0 must give its predicate as a string"),
+    (_ab(joins=[*_AB_JOINS, {"left": "b", "right": "a", "predicate": None}]), sp.GraphFormatError,
+     "join #1 must give its predicate as a string"),
+    # Selectivities.
+    (_ab(selectivities={"a": 0.5}), sp.GraphFormatError,
+     "selectivity key 'a' must name two tables"),
+    (dict(_ABC, selectivities={"a,b,c": 0.5, "b,c": 0.5}), sp.GraphFormatError,
+     "selectivity key 'a,b,c' must name two tables"),
+    (_ab(selectivities={"a,b,c": 7}), sp.GraphFormatError,
+     "selectivity key 'a,b,c' must name two tables"),
+    (_ab(selectivities={"zz,b": 0.5}), sp.UnknownTableError,
+     "unknown table 'zz' in selectivities"),
+    (_ab(selectivities={"a,yy": 2}), sp.UnknownTableError, "unknown table 'yy' in selectivities"),
+    (dict(_ABC, selectivities={"a,b": 0.5, "a,c": 0.5}), sp.GraphFormatError,
+     "selectivity key 'a,c' matches no join edge"),
+    (dict(_ABC, selectivities={"a,b": 0.5, "c,a": 0}), sp.GraphFormatError,
+     "selectivity key 'c,a' matches no join edge"),
+    (_ab(selectivities={"a,a": 0.5}), sp.GraphFormatError,
+     "selectivity key 'a,a' matches no join edge"),
+    (_ab(selectivities={"a,b": 0}), sp.GraphFormatError,
+     "selectivity for 'a,b' must be a number in (0, 1]"),
+    (_ab(selectivities={"b,a": 1.5}), sp.GraphFormatError,
+     "selectivity for 'b,a' must be a number in (0, 1]"),
+    (_ab(selectivities={"a,b": None}), sp.GraphFormatError,
+     "selectivity for 'a,b' must be a number in (0, 1]"),
+    (_ab(selectivities={"a,b": 0.5, "b,a": -1}), sp.GraphFormatError,
+     "selectivity for 'b,a' must be a number in (0, 1]"),
+    (dict(_ABC, selectivities={"c,b": 0.5}), sp.GraphFormatError, "missing selectivity for edge 0"),
+])
+def test_each_malformed_join_and_selectivity_fails_with_its_message(doc, error, message):
+    with pytest.raises(sp.SpanPlanError) as info:
+        sp.load_document(json.dumps(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_an_absent_predicate_defaults_to_the_equality_of_its_tables():
+    doc = _ab(joins=[{"left": "b", "right": "a"}, {"left": "a", "right": "b", "predicate": "p"},
+                     {"left": "a", "right": "b"}])
+    graph, _ = sp.load_document(json.dumps(doc))
+    assert graph.edges == (sp.JoinEdge(0, 1, 0, "b = a AND p AND a = b"),)
+
+
 def test_overflowing_cardinality_estimate_is_a_planner_error():
     big = [{"name": "a", "cardinality": 10**200}, {"name": "b", "cardinality": 10**200}]
     graph, model = sp.load_document(json.dumps(_ab(tables=big, selectivities={"a,b": 1.0})))

@@ -6,52 +6,22 @@ in-place build is older than kernels.c, the compiled backend is built into
 a temporary directory with setup.py and opened from there; the tests skip
 only when no C compiler is found.
 """
+import math
 import os
-import shlex
-import shutil
 import subprocess
 import sys
-import sysconfig
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 import spanplan as sp
 from spanplan import _kernels
+from spanplan._kernels.loader import _problem
 from spanplan.cost import CostContext
-from spanplan._kernels.loader import open_library
 from spanplan.graph import connected_subset_masks
 from spanplan.plan import replay
 
-from .conftest import mixed_instances
-
-ROOT = Path(__file__).resolve().parent.parent
-SOURCE = ROOT / "src" / "spanplan" / "_kernels" / "kernels.c"
-
-
-def _compiler() -> list[str]:
-    """sysconfig's CC as an argument list; skips the test when it is not on PATH."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler ({cc[0]}) to build kernels.c")
-    return cc
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The compiled backend: the in-place build if it is not older than
-    kernels.c, or else a fresh one."""
-    if _kernels.HAVE_COMPILED and os.path.getmtime(_kernels._LIBRARY) >= SOURCE.stat().st_mtime:
-        return _kernels.get_backend("compiled")
-    _compiler()
-    out = tmp_path_factory.mktemp("ckernels")
-    subprocess.run([sys.executable, "setup.py", "build_ext", "--build-lib", str(out / "lib"),
-                    "--build-temp", str(out / "temp")],
-                   cwd=ROOT, check=True, capture_output=True)
-    built = list((out / "lib" / "spanplan" / "_kernels").glob("_ckernels*"))
-    assert built, "setup.py build_ext did not build kernels.c"
-    return open_library(built[0])
+from .conftest import ROOT, SOURCE, _compiler, mixed_instances
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
@@ -307,12 +277,31 @@ def test_kernels_compute_model_masks_the_context_lacks_and_leave_it_as_it_was(co
         del lacking.cards[graph.full_mask]
         empty = CostContext(graph, model).instance
         before = [dict(inst.cards) for inst in (full, lacking, empty)]
+        # A model's kernels are shipped none of the context's cardinalities.
+        assert full.known_cards() == {} and _problem(full).n_cards == 0
         want = _card_reads(_kernels.pure, graph, full, masks)
         for backend in (_kernels.pure, compiled):
             for inst in (full, lacking, empty):
                 assert _card_reads(backend, graph, inst, masks) == want, (kind, n, backend.name)
         assert [inst.cards for inst in (full, lacking, empty)] == before, \
             "a kernel must not fill the context's cardinalities"
+
+
+def test_dp_search_reads_a_subset_cardinality_only_to_price_a_split(compiled):
+    # Under a bound of 0.0 only the two-table subsets are priced: every split
+    # of a larger subset has a side that costs more.  So a three-table
+    # subset's missing cardinality is never read, and a pair's is.
+    graph, model = sp.gen_topology("cycle", 6, seed=3)
+    masks = connected_subset_masks(graph)
+    for missing, want in ((0b000111, (math.inf, [], 6, 6)), (0b000011, Raised(KeyError, "3"))):
+        entries = {m: c for m, c in _catalog(graph, model).entries.items() if m != missing}
+        inst = CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
+        for backend in (_kernels.pure, compiled):
+            try:
+                got = backend.dp_search(inst, masks, prune_bound=0.0)
+            except KeyError as exc:
+                got = Raised(KeyError, str(exc))
+            assert got == want, (missing, backend.name)
 
 
 def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_lowest_table(
