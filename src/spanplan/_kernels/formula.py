@@ -56,8 +56,11 @@ def model_product(bases, edge_sels, mask: int) -> float:
     """The selectivity model's estimate of mask before rounding up.
 
     Bases multiply in ascending vertex order, then selectivities by edge id:
-    the order fixes every product bit for bit.
+    the order fixes every product bit for bit.  A one-table mask holds no
+    edge.
     """
+    if mask and mask & (mask - 1) == 0:
+        return 1.0 * bases[mask.bit_length() - 1]
     prod = 1.0
     rest = mask
     while rest:
@@ -104,11 +107,14 @@ def merge(inst: Instance, l_mask: int, r_mask: int):
     Returns (step_cost, op, side, out_card), ``side`` as in join_cost.
     """
     cards = inst.cards
+    # The result's cardinality is read first, as kernels.c and
+    # CostContext.merge read it, so every path names the same missing mask.
+    out = cards[l_mask | r_mask]
     lc = cards[l_mask]
     rc = cards[r_mask]
     # Hash join: build on the smaller input, ties toward the smaller mask.
     side = SIDE_LEFT if lc < rc or (lc == rc and l_mask < r_mask) else SIDE_RIGHT
-    cost, out = join_cost(inst, l_mask, r_mask, OP_HJ, side)
+    cost, _out = join_cost(inst, l_mask, r_mask, OP_HJ, side)
 
     # Index nested-loop: the inner must be a base table.  When both sides
     # are base tables the edge orientation designates the inner (its right

@@ -97,10 +97,17 @@ typedef struct {               /* formula.Instance, flattened by loader.py */
     const mask_t *pair_mask;   /* inst.pair_inner likewise */
     const int *pair_inner;
     const double *bases, *sels;  /* inst.model as per-vertex and per-edge arrays, or NULL */
-    /* Set by the kernels: */
+    /* Set by the kernels (loader._Problem leaves room for them): */
     table *memo;               /* the cardinalities card() reads */
+    uint64_t *incident;        /* per vertex, its edges as a bitset of edge ids */
     mask_t missing;            /* the cardinality a kernel could not get */
+    int words;                 /* 64-bit words in an edge bitset */
 } problem;
+
+/* sizeof(problem), which must equal ctypes.sizeof(loader._Problem). */
+size_t sp_problem_size(void) {
+    return sizeof(problem);
+}
 
 typedef struct { double cost, out; int op, side; } join;
 
@@ -115,25 +122,46 @@ static double now(void) {
 }
 
 /* Seed memo, which card() then reads, with the shipped cardinalities
- * (pure._Cards).  The kernel drops it when done. */
+ * (pure._Cards), and build the incident edge bitsets.  Every kernel that
+ * opens them calls close_memo when done. */
 static int open_memo(problem *p, table *memo) {
     int rc = OK;
     p->memo = memo;
+    p->words = (p->n_edges + 63) / 64;
+    p->incident = calloc((size_t)p->n * p->words + 1, sizeof *p->incident);
+    if (!p->incident)
+        return NOMEM;
+    for (int e = 0; e < p->n_edges; e++) {
+        p->incident[p->edge_u[e] * p->words + e / 64] |= (uint64_t)1 << (e % 64);
+        p->incident[p->edge_v[e] * p->words + e / 64] |= (uint64_t)1 << (e % 64);
+    }
     for (int i = 0; rc == OK && i < p->n_cards; i++)
         if (p->card_mask[i])  /* mask 0 would be a free slot */
             rc = put(memo, p->card_mask[i], (value){ .d = p->card_val[i] });
     return rc;
 }
 
-/* formula.model_product */
+static void close_memo(problem *p) {
+    drop(p->memo);
+    free(p->incident);
+    p->incident = NULL;
+}
+
+/* formula.model_product.  m's own edges are those its vertices touch and
+ * no vertex outside it does; they multiply in ascending edge-id order. */
 static double model_product(const problem *p, mask_t m) {
+    mask_t outside = m ^ (((mask_t)1 << p->n) - 1);
     double prod = 1.0;
     for (mask_t rest = m; rest; rest &= rest - 1)
         prod *= p->bases[BIT(rest)];
-    for (int e = 0; e < p->n_edges; e++) {
-        mask_t edge = (mask_t)1 << p->edge_u[e] | (mask_t)1 << p->edge_v[e];
-        if ((m & edge) == edge)
-            prod *= p->sels[e];
+    for (int w = 0; w < p->words; w++) {
+        uint64_t touched = 0, left = 0;
+        for (mask_t rest = m; rest; rest &= rest - 1)
+            touched |= p->incident[BIT(rest) * p->words + w];
+        for (mask_t rest = outside; rest; rest &= rest - 1)
+            left |= p->incident[BIT(rest) * p->words + w];
+        for (uint64_t own = touched & ~left; own; own &= own - 1)
+            prod *= p->sels[64 * w + __builtin_ctzll(own)];
     }
     return prod;
 }
@@ -212,7 +240,7 @@ int sp_merge(problem *p, mask_t l, mask_t r, join *j) {
     int rc = open_memo(p, &memo);
     if (rc == OK)
         rc = merge(p, l, r, j);
-    drop(&memo);
+    close_memo(p);
     return rc;
 }
 
@@ -222,13 +250,14 @@ int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *car
     int rc = open_memo(p, &memo);
     for (int64_t i = 0; rc == OK && i < n_masks; i++)
         rc = card(p, masks[i], &cards[i]);
-    drop(&memo);
+    close_memo(p);
     return rc;
 }
 
-/* Interned byte strings of one width, each with a value: greedy_search's
- * kruskal states (a partition, as each vertex's lowest component vertex)
- * and its distinct member plans (canonical encodings). */
+/* Interned byte strings of one width, a multiple of 8, each with a value:
+ * greedy_search's kruskal states (a partition, as each vertex's lowest
+ * component vertex, zero-padded) and its distinct member plans (canonical
+ * encodings). */
 typedef struct {
     size_t width, len, cap;    /* cap: slots, a power of two; room for cap / 2 strings */
     unsigned char *data;       /* the strings, in insertion order */
@@ -236,15 +265,20 @@ typedef struct {
     size_t *slot;              /* string index + 1, or 0 for a free slot */
 } strings;
 
-static uint64_t hash_bytes(const unsigned char *s, size_t n) {
-    uint64_t h = 0xCBF29CE484222325u;
-    for (size_t i = 0; i < n; i++)
-        h = (h ^ s[i]) * 0x100000001B3u;
+/* One multiply per 64-bit word; folding each product's high half down lets
+ * every byte reach the slot bits. */
+static uint64_t hash_words(const unsigned char *s, size_t width) {
+    uint64_t h = 0, w;
+    for (size_t i = 0; i < width; i += 8) {
+        memcpy(&w, s + i, 8);
+        h = (h ^ w) * 0x9E3779B97F4A7C15u;
+        h ^= h >> 32;
+    }
     return h;
 }
 
 static size_t string_slot(const strings *t, const unsigned char *s) {
-    size_t i = (size_t)hash_bytes(s, t->width) & (t->cap - 1);
+    size_t i = (size_t)hash_words(s, t->width) & (t->cap - 1);
     while (t->slot[i] && memcmp(t->data + (t->slot[i] - 1) * t->width, s, t->width))
         i = (i + 1) & (t->cap - 1);
     return i;
@@ -325,9 +359,8 @@ typedef struct { mask_t l, r; int edge, op, side; } step_t;
 typedef struct {
     problem *p;
     double deadline;
-    int n, n_edges, words;     /* words: 64-bit words in an edge bitset */
+    int n, n_edges;
     mask_t full;
-    uint64_t *incident;        /* per vertex, its edges as a bitset of edge ids */
     table cards, splits;       /* splits: (smaller << 32 | larger) */
     table prim_next;           /* component -> edge << 32 | outside vertex */
     strings kruskal_next, plans;
@@ -490,20 +523,30 @@ static int kruskal(greedy *g, int start, double *total) {
             if ((rc = new_state(g)))
                 return rc;
             if (merged) {
-                /* Re-price the edges leaving the merged component, in edge-id
-                 * order, through its vertices' incident edges. */
-                for (int w = 0; w < g->words; w++) {
+                /* Re-stamp the edges leaving the merged component, in edge-id
+                 * order, through its vertices' incident edges.  Each
+                 * neighbouring component is priced once, and only its lowest
+                 * edge is pushed: the others would join the same pair at the
+                 * same cost, and equal costs pop lowest edge id first. */
+                const problem *p = g->p;
+                mask_t priced = 0;
+                for (int w = 0; w < p->words; w++) {
                     uint64_t crossing = 0;
                     for (mask_t rest = merged; rest; rest &= rest - 1)
-                        crossing |= g->incident[BIT(rest) * g->words + w];
+                        crossing |= p->incident[BIT(rest) * p->words + w];
                     for (; crossing; crossing &= crossing - 1) {
                         int e = 64 * w + __builtin_ctzll(crossing);
                         mask_t c1 = g->comp_of[eu[e]], c2 = g->comp_of[ev[e]];
+                        mask_t neighbour = c1 == merged ? c2 : c1;
                         if (c1 == c2)
                             continue;
+                        g->stamps[e]++;
+                        if (neighbour & priced)
+                            continue;
+                        priced |= neighbour;
                         if ((rc = price(g, c1, c2, &cost)))
                             return rc;
-                        heap_push(g->heap, &len, (entry){ cost, e, ++g->stamps[e] });
+                        heap_push(g->heap, &len, (entry){ cost, e, g->stamps[e] });
                     }
                 }
             }
@@ -550,38 +593,32 @@ static int compare_encodings(const mask_t *a, const mask_t *b, int n) {
 static int greedy_open(greedy *g) {
     int n = g->n, n_edges = g->n_edges;
     size_t heap_cap = (size_t)n_edges * n + 1, enc_len = 6 * (size_t)(n - 1) + 1;
-    g->words = (n_edges + 63) / 64;
+    int rc = open_memo(g->p, &g->cards);
     g->full = ((mask_t)1 << n) - 1;
-    g->kruskal_next.width = n;
+    g->kruskal_next.width = ((size_t)n + 7) & ~(size_t)7;
     g->plans.width = 6 * (size_t)(n - 1) * sizeof *g->enc;
-    g->incident = calloc((size_t)n * g->words + 1, sizeof *g->incident);
     g->opening = malloc((n_edges + 1) * sizeof *g->opening);
     g->heap = malloc(heap_cap * sizeof *g->heap);
     g->stamps = malloc((n_edges + 1) * sizeof *g->stamps);
     g->comp_of = malloc(n * sizeof *g->comp_of);
     g->cost_of = malloc(n * sizeof *g->cost_of);
-    g->labels = malloc(n);
+    g->labels = calloc(g->kruskal_next.width + 1, 1);
     g->enc = malloc(enc_len * sizeof *g->enc);
     g->best_enc = malloc(enc_len * sizeof *g->best_enc);
     g->steps = malloc(n * sizeof *g->steps);
     g->best_steps = malloc(n * sizeof *g->best_steps);
-    if (!g->incident || !g->opening || !g->heap || !g->stamps || !g->comp_of || !g->cost_of
-        || !g->labels || !g->enc || !g->best_enc || !g->steps || !g->best_steps)
+    if (!g->opening || !g->heap || !g->stamps || !g->comp_of || !g->cost_of || !g->labels
+        || !g->enc || !g->best_enc || !g->steps || !g->best_steps)
         return NOMEM;
-    for (int e = 0; e < n_edges; e++) {
-        g->incident[g->p->edge_u[e] * g->words + e / 64] |= (uint64_t)1 << (e % 64);
-        g->incident[g->p->edge_v[e] * g->words + e / 64] |= (uint64_t)1 << (e % 64);
-    }
-    return open_memo(g->p, &g->cards);
+    return rc;
 }
 
 static int greedy_close(greedy *g, int rc) {
-    drop(&g->cards);
+    close_memo(g->p);
     drop(&g->splits);
     drop(&g->prim_next);
     drop_strings(&g->kruskal_next);
     drop_strings(&g->plans);
-    free(g->incident);
     free(g->opening);
     free(g->heap);
     free(g->stamps);
@@ -673,7 +710,9 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     double *best = malloc((full + 1) * sizeof *best);    /* INFINITY: no plan yet */
     int64_t checked = 0;
     table memo = { 0 };
-    int rc = split && best ? open_memo(p, &memo) : NOMEM;
+    int rc = open_memo(p, &memo);
+    if (rc == OK && !(split && best))
+        rc = NOMEM;
 
     counts[0] = counts[1] = 0;
     if (rc == OK)
@@ -727,7 +766,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     }
     free(split);
     free(best);
-    drop(&memo);
+    close_memo(p);
     return rc;
 }
 
@@ -835,16 +874,17 @@ static int run_walk(walk *w) {
         w->best = 0.0;
         return OK;
     }
+    if (w->p)
+        rc = open_memo(w->p, &w->cards);
     w->parent = malloc(n * sizeof *w->parent);
     w->used = calloc(n_edges, sizeof *w->used);
     w->ff = malloc((size_t)(n_edges + 1) * (slots + 1) * sizeof *w->ff);
     w->comp_mask = malloc(n * sizeof *w->comp_mask);
     w->comp_cost = malloc(n * sizeof *w->comp_cost);
     w->seq = malloc(3 * slots * sizeof *w->seq);
-    if (!w->parent || !w->used || !w->ff || !w->comp_mask || !w->comp_cost || !w->seq)
+    if (rc == OK && (!w->parent || !w->used || !w->ff || !w->comp_mask || !w->comp_cost
+                     || !w->seq))
         rc = NOMEM;
-    else if (w->p)
-        rc = open_memo(w->p, &w->cards);
     if (rc == OK) {
         for (int u = 0; u <= n_edges; u++) {
             w->ff[u * (slots + 1)] = 1;
@@ -861,7 +901,8 @@ static int run_walk(walk *w) {
     if (rc == OK)
         rc = count_unions(&w->memo, &w->counts[4]);
     w->counts[5] = (int64_t)w->memo.len;
-    drop(&w->cards);
+    if (w->p)
+        close_memo(w->p);
     drop(&w->memo);
     free(w->parent);
     free(w->used);

@@ -31,7 +31,9 @@ class _Problem(ctypes.Structure):
                 ("indexed", c_void_p), ("card_mask", c_void_p), ("card_val", c_void_p),
                 ("pair_mask", c_void_p), ("pair_inner", c_void_p),
                 ("bases", c_void_p), ("sels", c_void_p),
-                ("memo", c_void_p), ("missing", c_uint64)]
+                # Set by the kernels:
+                ("memo", c_void_p), ("incident", c_void_p), ("missing", c_uint64),
+                ("words", c_int)]
 
 
 class _Join(ctypes.Structure):
@@ -136,8 +138,12 @@ def open_library(path) -> types.ModuleType:
                                  c_void_p, c_void_p]
     lib.sp_count_trees.argtypes = [c_int, c_int, c_void_p, c_void_p, c_double, c_void_p]
     lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
+    lib.sp_problem_size.restype = ctypes.c_size_t
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
+    # The C problem's size, which must equal ctypes.sizeof(_Problem): a
+    # kernel writes the fields it sets past a struct that is too short.
+    backend.problem_size = lib.sp_problem_size()
     for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _count_trees, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
     return backend

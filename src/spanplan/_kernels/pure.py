@@ -229,16 +229,25 @@ class _Greedy:
             if eid is None:
                 self.new_state()
                 if merged:
-                    # Re-price the edges leaving the merged component, in
+                    # Re-stamp the edges leaving the merged component, in
                     # edge-id order, through its vertices' incident edges.
+                    # Each neighbouring component is priced once, and only
+                    # its lowest edge is pushed: the others would join the
+                    # same pair at the same cost, and equal costs pop lowest
+                    # edge id first.
                     crossing = 0
                     for w in iter_bits(merged):
                         crossing |= self.incident[w]
+                    priced = 0
                     for e2 in iter_bits(crossing):
                         c1, c2 = comp_of[edge_u[e2]], comp_of[edge_v[e2]]
                         if c1 == c2:
                             continue
                         stamps[e2] += 1
+                        neighbour = c2 if c1 == merged else c1
+                        if neighbour & priced:
+                            continue
+                        priced |= neighbour
                         heapq.heappush(heap, (self.price(c1, c2), e2, stamps[e2]))
                 # Skip stale entries and edges now inside one component (those
                 # become filters).

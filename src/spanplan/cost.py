@@ -100,12 +100,15 @@ class SelectivityModel:
         for s in selectivities:
             if not (0.0 < s <= 1.0):
                 raise GraphFormatError(f"selectivity {s} outside (0, 1]")
+        self._bind(graph, selectivities)
+
+    def _bind(self, graph: JoinGraph, selectivities: tuple) -> None:
         self.graph = graph
         self.selectivities = selectivities
         # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
         # in the order formula.model_product multiplies them.
         self._bases = tuple(t.base_cardinality for t in graph.vertices)
-        self._edge_sels = tuple((e.mask(), selectivities[e.id]) for e in graph.edges)
+        self._edge_sels = tuple(zip(graph.edge_masks, selectivities))
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
@@ -139,10 +142,13 @@ class SelectivityModel:
                     f"selectivity keys {keys[eid]!r} and {key!r} name the same join")
             keys[eid] = key
             sels[eid] = float(sel)
-        for e in graph.edges:
-            if sels[e.id] is None:
-                raise GraphFormatError(f"missing selectivity for edge {e.id}")
-        return cls(graph=graph, selectivities=tuple(sels))
+        for eid, sel in enumerate(sels):
+            if sel is None:
+                raise GraphFormatError(f"missing selectivity for edge {eid}")
+        # Every selectivity was checked above, so __init__'s checks are skipped.
+        model = cls.__new__(cls)
+        model._bind(graph, tuple(sels))
+        return model
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
         prod = formula.model_product(self._bases, self._edge_sels, mask)
@@ -192,18 +198,16 @@ class CostContext:
         self.source = source
         self.params = params or CostParams()
         self._cards: dict[int, float] = {}
-        pair_inner = {}
-        for e in graph.edges:
-            pair_inner[e.mask()] = e.v2
+        edge_v = tuple(e.v2 for e in graph.edges)
         self._inst = formula.Instance(
             n=graph.n_vertices,
             edge_u=tuple(e.v1 for e in graph.edges),
-            edge_v=tuple(e.v2 for e in graph.edges),
+            edge_v=edge_v,
             scan=tuple(self.params.tau * t.base_cardinality for t in graph.vertices),
             indexed=tuple(t.indexed for t in graph.vertices),
             lam=self.params.lam,
             cards=self._cards,
-            pair_inner=pair_inner,
+            pair_inner=dict(zip(graph.edge_masks, edge_v)),
             model=(source._bases, source._edge_sels) if isinstance(source, SelectivityModel) else None,
             catalog=source.entries if isinstance(source, CardinalityCatalog) else None,
         )

@@ -97,36 +97,46 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     """Greedy cheapest-merge baseline over all joinable component pairs,
     ranked by (step cost, smaller mask, larger mask).  Each component keeps
     the mask of its neighbouring vertices, so adjacency is one AND; only the
-    winning pair looks up its lowest crossing edge.  The deadline is checked
-    between rounds."""
+    winning pair looks up its lowest crossing edge.  Every pair is priced
+    once: after the first round, a round prices only the component the last
+    one made against its neighbours.  The deadline is checked between
+    rounds."""
     ctx = _context(graph, source, params)
     t0 = time.perf_counter()
     deadline = _kernels.deadline(t0, timeout)
     builder = PlanBuilder(graph, ctx, "goo")
     # Each component, oldest first, with the vertices adjacent to it.
     comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
+    keys: set[tuple] = set()  # each joinable pair's (step cost, lo, hi)
     splits: set[tuple[int, int]] = set()
     evals = 0
+
+    def price(a: int, b: int) -> None:
+        nonlocal evals
+        lo, hi = (a, b) if a < b else (b, a)
+        keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
+        evals += 1
+        splits.add((lo, hi))
+
+    pairs = list(comps.items())
+    for i, (a, nbr) in enumerate(pairs):
+        for b, _ in pairs[i + 1:]:
+            if nbr & b:
+                price(a, b)
     while len(comps) > 1:
-        if builder.steps and deadline and time.perf_counter() > deadline:
-            raise OptimizeTimeout("goo ran past its deadline")
-        best = None
-        pairs = list(comps.items())
-        for i, (a, nbr) in enumerate(pairs):
-            for b, _ in pairs[i + 1:]:
-                if not nbr & b:
-                    continue
-                lo, hi = (a, b) if a < b else (b, a)
-                key = (ctx.merge(lo, hi).step_cost, lo, hi)
-                evals += 1
-                splits.add((lo, hi))
-                if best is None or key < best:
-                    best = key
-        if best is None:
+        if not keys:
             raise SpanPlanError("graph became disconnected during enumeration")
-        _cost, lo, hi = best
+        _cost, lo, hi = min(keys)
         builder.add_step(min(graph.crossing_edges(lo, hi)), lo, hi)
-        comps[lo | hi] = (comps.pop(lo) | comps.pop(hi)) & ~(lo | hi)
+        merged = lo | hi
+        nbr = (comps.pop(lo) | comps.pop(hi)) & ~merged
+        keys = {key for key in keys if not (key[1] | key[2]) & merged}
+        if comps and deadline and time.perf_counter() > deadline:
+            raise OptimizeTimeout("goo ran past its deadline")
+        for a in comps:
+            if nbr & a:
+                price(a, merged)
+        comps[merged] = nbr
     stats = EnumStats(
         subplans_reached=len({l_mask | r_mask for l_mask, r_mask in splits}),
         join_costs_computed=len(splits),

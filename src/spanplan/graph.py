@@ -64,9 +64,6 @@ class JoinEdge(NamedTuple):
     v2: int
     predicate: str
 
-    def mask(self) -> int:
-        return (1 << self.v1) | (1 << self.v2)
-
 
 class JoinGraph:
     """Undirected, simple, connected graph of tables and join predicates.
@@ -125,6 +122,11 @@ class JoinGraph:
     @cached_property
     def name_to_id(self) -> dict[str, int]:
         return {t.name: i for i, t in enumerate(self.vertices)}
+
+    @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        """Per-edge bitmask of its two tables, by edge id."""
+        return tuple(1 << v1 | 1 << v2 for _eid, v1, v2, _predicate in self.edges)
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:

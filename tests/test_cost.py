@@ -213,6 +213,28 @@ def test_model_union_factorizes():
     assert sp.lookup_cardinality(graph, model, [0, 1, 2, 3]) == math.ceil(prod)
 
 
+def test_model_from_key_map_equals_the_checked_constructor():
+    graph, model = sp.gen_topology("clique", 6, seed=9)
+    keys = {f"{graph.vertices[e.v1].name},{graph.vertices[e.v2].name}": model.selectivities[e.id]
+            for e in graph.edges}
+    loaded = sp.SelectivityModel.from_key_map(graph, keys)
+    assert (loaded.graph, loaded.selectivities, loaded._bases, loaded._edge_sels) == \
+        (model.graph, model.selectivities, model._bases, model._edge_sels)
+    assert [mask for mask, _sel in model._edge_sels] == [1 << e.v1 | 1 << e.v2 for e in graph.edges]
+
+
+@pytest.mark.parametrize("sels,message", [
+    ((0.5,), "one selectivity per join edge required"),
+    ((0.5, 0.0), "selectivity 0.0 outside (0, 1]"),
+    ((1.5, 0.5), "selectivity 1.5 outside (0, 1]"),
+])
+def test_model_constructor_checks_its_selectivities(sels, message):
+    graph, _model = sp.gen_topology("chain", 3, seed=0)
+    with pytest.raises(sp.GraphFormatError) as info:
+        sp.SelectivityModel(graph, sels)
+    assert str(info.value) == message
+
+
 def _lookup_by_loop(graph, model, mask):
     """SelectivityModel.lookup as first written: bases in ascending vertex
     order, then selectivities in edge-id order."""

@@ -3,7 +3,7 @@ import time
 import pytest
 
 import spanplan as sp
-from spanplan import enumerators
+from spanplan import _kernels, enumerators
 from spanplan.cost import CostContext
 from spanplan.plan import canonical_encoding
 
@@ -256,6 +256,18 @@ def test_este_cubic_evaluation_guardrail():
         graph, model = sp.gen_topology("clique", n, seed=2)
         _, stats = sp.este(graph, model)
         assert stats.evaluations <= 2 * graph.n_edges**3
+
+
+@pytest.mark.parametrize("algo", ["prim", "kruskal", "goo"])
+def test_unseeded_greedy_prices_each_pair_once_per_state(algo, compiled, monkeypatch):
+    # On clique-n the first state prices all n(n-1)/2 one-table joins, and
+    # each later one prices only the component just made against the k-1
+    # others left (k = n-1 ... 2): (n-1)^2 evaluations in all.
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        for n in range(4, 13):
+            _plan, stats = sp.run_algorithm(algo, *sp.gen_topology("clique", n, seed=n))
+            assert stats.evaluations == (n - 1) ** 2, (backend.name, n)
 
 
 def test_exhaustive_vertex_limit():

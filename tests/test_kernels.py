@@ -6,6 +6,7 @@ in-place build is older than kernels.c, the compiled backend is built into
 a temporary directory with setup.py and opened from there; the tests skip
 only when no C compiler is found.
 """
+import ctypes
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 import spanplan as sp
 from spanplan import _kernels
-from spanplan._kernels.loader import _problem
+from spanplan._kernels.loader import _Problem, _problem
 from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks
 from spanplan.plan import replay
@@ -29,6 +30,11 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
                            "-c", str(SOURCE), "-o", str(tmp_path / "kernels.o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
+    # The kernels write the fields they set past a ctypes struct that lacks them.
+    assert compiled.problem_size == ctypes.sizeof(_Problem)
 
 
 def _instance(graph, model):
@@ -261,6 +267,21 @@ def test_missing_cardinality_raises_key_error_on_both_backends(compiled):
             with pytest.raises(KeyError) as info:
                 getattr(backend, kernel)(*args)
             assert info.value.args == (missing,), (kernel, backend.name)
+
+
+def test_a_missing_join_result_is_named_before_its_missing_side_on_both_backends(q2a, compiled):
+    # Without {mk} and {mk,k}, the join of mk and k misses both: every
+    # kernel reads the result's cardinality first, as CostContext.merge does.
+    graph, catalog = q2a
+    entries = {m: c for m, c in catalog.entries.items() if m not in (0b01, 0b11)}
+    inst = CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
+    runs = _greedy_runs(graph)[-1]
+    for kernel, args in (("merge", (inst, 0b01, 0b10)), ("brute_search", (inst,)),
+                         ("greedy_search", (inst, runs))):
+        for backend in (_kernels.pure, compiled):
+            with pytest.raises(KeyError) as info:
+                getattr(backend, kernel)(*args)
+            assert info.value.args == (0b11,), (kernel, backend.name)
 
 
 def _card_reads(backend, graph, inst, masks):
