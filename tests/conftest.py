@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 import spanplan as sp
 from spanplan import _kernels
 from spanplan._kernels.loader import open_library
+from spanplan.graph import JoinEdge, JoinGraph, TableInfo
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = ROOT / "data"
@@ -120,3 +123,53 @@ def mixed_instances(count: int, base_seed: int = 1000):
         graph, model = sp.gen_topology(kind, n, seed=base_seed + i)
         out.append((kind, n, graph, model))
     return out
+
+
+IRREGULAR_KINDS = ("tree", "chorded", "grid", "snowflake", "gnp")
+
+
+def _irregular_pairs(kind: str, n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """The edges of one irregular graph on vertices 0..n-1, before relabelling."""
+    if kind == "tree":
+        return [(rng.randrange(v), v) for v in range(1, n)]
+    if kind == "chorded":  # a cycle with about n / 3 chords
+        pairs = {(min(v, (v + 1) % n), max(v, (v + 1) % n)) for v in range(n)}
+        while len(pairs) < min(n + n // 3, n * (n - 1) // 2):
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+        return sorted(pairs)
+    if kind == "grid":  # row-major, the last row possibly short
+        cols = math.ceil(math.sqrt(n))
+        return [(v, w) for v in range(n)
+                for w in ((v + 1) if (v + 1) % cols else n, v + cols) if w < n]
+    if kind == "snowflake":  # a hub, its arms, and small stars on the arms
+        arms = min(n - 1, max(2, n // 3))
+        return [(0, v) for v in range(1, arms + 1)] + \
+            [(rng.randint(1, arms), v) for v in range(arms + 1, n)]
+    if kind == "gnp":  # a random spanning tree plus each other pair with p = 0.3
+        tree = {(rng.randrange(v), v) for v in range(1, n)}
+        return sorted(tree | {(u, v) for v in range(n) for u in range(v)
+                              if (u, v) not in tree and rng.random() < 0.3})
+    raise ValueError(f"unknown irregular kind {kind!r}")
+
+
+def irregular_graph(kind: str, n: int, seed: int):
+    """A seeded (JoinGraph, SelectivityModel) of one of IRREGULAR_KINDS on
+    n tables: a random tree, a cycle with chords, a grid, a snowflake or a
+    connected G(n, p) graph.  Table ids are shuffled, edges are listed in
+    random order with random orientation, and about a third of the tables
+    are not indexed, so that neither edge ids nor operator choices follow
+    the vertex order as they do in gen_topology's graphs."""
+    rng = random.Random(f"{kind}-{n}-{seed}")
+    label = list(range(n))
+    rng.shuffle(label)
+    pairs = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in _irregular_pairs(kind, n, rng)]
+    rng.shuffle(pairs)
+    names = [f"t{i:02d}" for i in range(n)]
+    vertices = tuple(TableInfo(name, rng.randint(10, 1_000_000), False, rng.random() < 0.67)
+                     for name in names)
+    edges = tuple(JoinEdge(eid, u, v, f"{names[u]}.a{eid} = {names[v]}.a{eid}")
+                  for eid, (u, v) in enumerate(pairs))
+    graph = JoinGraph(vertices, edges)
+    sels = tuple(10.0 ** rng.uniform(-4.0, math.log10(0.5)) for _ in edges)
+    return graph, sp.SelectivityModel(graph, sels)

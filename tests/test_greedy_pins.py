@@ -1,6 +1,7 @@
 """Plans and counters pinned before este shared per-state choices between
 its members (prim, kruskal and este), and before the subset DP emitted its
-own joins (goo and exhaustive).
+own joins (goo and exhaustive).  The irregular graphs (conftest's
+irregular_graph) were pinned while kruskal still kept a heap.
 
 Every prim, kruskal, este, goo and exhaustive run on the graphs below must
 keep its cost, step edges, plan tree and distinct-split counters.
@@ -24,12 +25,19 @@ from spanplan import _kernels
 from spanplan.cost import CostContext
 from spanplan.plan import canonical_encoding
 
-from .conftest import mixed_instances
+from .conftest import IRREGULAR_KINDS, irregular_graph, mixed_instances
 
 PINS = Path(__file__).resolve().parent / "greedy_pins.json"
 GRAPHS = [("clique", 6), ("clique", 8), ("clique", 10), ("clique", 12), ("star", 10),
           ("star", 14), ("cycle", 10), ("cycle", 16), ("chain", 10), ("chain", 16)]
+IRREGULAR = [("tree", 12), ("chorded", 12), ("grid", 12), ("snowflake", 13), ("gnp", 10)]
 SEEDS = (0, 1, 2)
+
+
+def _graph(kind: str, n: int, seed: int):
+    if kind in IRREGULAR_KINDS:
+        return irregular_graph(kind, n, seed)
+    return sp.gen_topology(kind, n, seed)
 
 
 def _digest(plan) -> str:
@@ -45,7 +53,7 @@ def _entry(plan, stats, distinct) -> list:
 def _runs(kind: str, n: int, seed: int):
     """(key, entry) for este, goo and exhaustive, and for prim and kruskal
     unseeded and from every start edge, on one generated graph."""
-    graph, model = sp.gen_topology(kind, n, seed)
+    graph, model = _graph(kind, n, seed)
     name = f"{kind}-{n}-{seed}"
     for algo, run in (("este", sp.este), ("goo", sp.goo), ("exhaustive", sp.exhaustive)):
         plan, stats = run(graph, model)
@@ -58,10 +66,11 @@ def _runs(kind: str, n: int, seed: int):
 
 
 def _all_runs() -> dict:
-    return {key: entry for kind, n in GRAPHS for seed in SEEDS for key, entry in _runs(kind, n, seed)}
+    return {key: entry for kind, n in GRAPHS + IRREGULAR for seed in SEEDS
+            for key, entry in _runs(kind, n, seed)}
 
 
-@pytest.mark.parametrize("kind,n", GRAPHS)
+@pytest.mark.parametrize("kind,n", GRAPHS + IRREGULAR)
 def test_greedy_runs_match_pins(kind, n):
     pins = json.loads(PINS.read_text())
     for seed in SEEDS:
@@ -70,9 +79,9 @@ def test_greedy_runs_match_pins(kind, n):
 
 
 def test_goo_prices_each_split_once():
-    for kind, n in GRAPHS:
+    for kind, n in GRAPHS + IRREGULAR:
         for seed in SEEDS:
-            _plan, stats = sp.goo(*sp.gen_topology(kind, n, seed))
+            _plan, stats = sp.goo(*_graph(kind, n, seed))
             assert stats.evaluations == stats.join_costs_computed, (kind, n, seed)
 
 

@@ -19,10 +19,10 @@ import spanplan as sp
 from spanplan import _kernels
 from spanplan._kernels.loader import _Problem, _problem
 from spanplan.cost import CostContext
-from spanplan.graph import connected_subset_masks
+from spanplan.graph import connected_subset_masks, iter_bits
 from spanplan.plan import replay
 
-from .conftest import ROOT, SOURCE, _compiler, mixed_instances
+from .conftest import IRREGULAR_KINDS, ROOT, SOURCE, _compiler, irregular_graph, mixed_instances
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
@@ -181,6 +181,79 @@ def test_brute_equivalence(compiled):
         pure = _kernels.pure.brute_search(inst)
         fast = compiled.brute_search(inst)
         assert pure == fast
+
+
+
+@pytest.mark.parametrize("kind", IRREGULAR_KINDS)
+def test_backends_agree_on_irregular_graphs(kind, compiled):
+    for n in (2, 3, 6, 9, 12):
+        for seed in range(3):
+            graph, model = irregular_graph(kind, n, seed)
+            inst = CostContext(graph, model).instance
+            for runs in _greedy_runs(graph):
+                assert _kernels.pure.greedy_search(inst, runs) == \
+                    compiled.greedy_search(inst, runs), (n, seed, runs)
+            masks = connected_subset_masks(graph)
+            goo_cost = sp.goo(graph, model)[0].internal_cost
+            for bound in (math.inf, goo_cost):
+                assert _kernels.pure.dp_search(inst, masks, bound) == \
+                    compiled.dp_search(inst, masks, bound), (n, seed, bound)
+            if graph.n_edges <= 8:
+                assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst), (n, seed)
+
+
+def _naive_greedy(inst, graph, kind, start):
+    """prim's or kruskal's joins by the definition: at every step, price
+    every pair of adjacent components anew over the lowest edge between
+    them, and join the cheapest pair, ties going to the lowest edge.  prim
+    only considers pairs that hold its component; kruskal joins a pair as
+    its edge's (v1 side, v2 side)."""
+    comp_of = [1 << v for v in range(graph.n_vertices)]
+    joins = []
+
+    def join(eid, left, right):
+        joins.append((eid, left, right))
+        for v in iter_bits(left | right):
+            comp_of[v] = left | right
+
+    def candidates(holding):
+        lowest = {}
+        for e in graph.edges:
+            a, b = comp_of[e.v1], comp_of[e.v2]
+            if a != b and (a | b) & holding and (a | b) not in lowest:
+                lowest[a | b] = e
+        return [(_kernels.pure.merge(inst, comp_of[e.v1], comp_of[e.v2])[0], e.id)
+                for e in lowest.values()]
+
+    component = 0  # prim's component, once it has one
+    if start is not None:
+        edge = graph.edges[start]
+        join(start, 1 << edge.v1, 1 << edge.v2)
+        component = comp_of[edge.v1]
+    while comp_of[0] != graph.full_mask:
+        prim = kind == _kernels.pure.PRIM and component
+        _cost, eid = min(candidates(component if prim else graph.full_mask))
+        edge = graph.edges[eid]
+        left, right = comp_of[edge.v1], comp_of[edge.v2]
+        if prim and right == component:
+            left, right = right, left  # prim joins (its component, the new table)
+        join(eid, left, right)
+        component = left | right
+    return joins
+
+
+def test_greedy_joins_match_a_reference_that_reprices_every_pair_at_every_step(compiled):
+    cases = [irregular_graph(kind, n, seed) for kind in IRREGULAR_KINDS for n in (5, 9, 12)
+             for seed in range(2)]
+    cases += [(graph, model) for _kind, _n, graph, model in mixed_instances(12, base_seed=7100)]
+    for graph, model in cases:
+        inst = CostContext(graph, model).instance
+        for kind in (_kernels.pure.PRIM, _kernels.pure.KRUSKAL):
+            for start in (None, *range(graph.n_edges)):
+                naive = _naive_greedy(inst, graph, kind, start)
+                for backend in (_kernels.pure, compiled):
+                    assert backend.greedy_search(inst, [(kind, start)])[1] == naive, \
+                        (backend.name, kind, start)
 
 
 def _searches(backend, graph, model):
