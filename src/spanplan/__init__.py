@@ -3,8 +3,8 @@
 A query's join graph (tables = vertices, equi-join predicates = edges) is
 planned by picking an ordered sequence of |V|-1 edges whose join costs,
 which change as intermediate results grow, sum to a minimum.  The package
-ships an exhaustive subset-DP planner, component-growing and heap-driven
-greedy planners adapted to changing edge weights, an ensemble strategy that
+ships an exhaustive subset-DP planner, component-growing and
+cheapest-pair greedy planners adapted to changing edge weights, an ensemble strategy that
 reruns both greedies from every edge, a greedy-operator-ordering baseline,
 a brute-force oracle over the full arrangement space, and a benchmark
 harness.
@@ -15,7 +15,8 @@ only plans a query never loads them.
 """
 import importlib
 
-from ._kernels import DEFAULT_BACKEND, HAVE_COMPILED
+from . import _kernels
+from ._kernels import HAVE_COMPILED
 from .cost import (
     CardinalityCatalog,
     CostContext,
@@ -87,6 +88,8 @@ _LAZY = {
 
 
 def __getattr__(name: str):
+    if name == "DEFAULT_BACKEND":  # the backend "auto" resolves to
+        return _kernels.DEFAULT_BACKEND
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,7 +7,8 @@ is the reference implementation of the six kernels (``merge``,
 ``brute_search``).  ``compiled`` runs the same six kernels from
 ``kernels.c``, built next to this file as ``_ckernels`` by ``python3
 setup.py build_ext`` and opened through ctypes by ``loader``; it is
-preferred whenever the build produced it.  The three searches return
+preferred whenever the build produced a library that matches ``loader``
+(``DEFAULT_BACKEND`` names the backend chosen).  The three searches return
 ``(cost, joins, counters...)``, with ``joins`` the winner's ``(edge, left
 mask, right mask)`` list in the order ``plan.replay`` builds it.  A
 backend is loaded on the first ``get_backend`` call that names it, so
@@ -31,17 +32,27 @@ def _built_library():
     return None
 
 
+class StaleLibraryError(RuntimeError):
+    """The built kernel library does not match this source."""
+
+
 _LIBRARY = _built_library()
-HAVE_COMPILED = _LIBRARY is not None
-DEFAULT_BACKEND = "compiled" if HAVE_COMPILED else "pure"
+HAVE_COMPILED = _LIBRARY is not None  # built, though possibly stale
 _compiled = None
+_auto = None
 
 
 def get_backend(name: str = "auto"):
-    """Resolve a backend module by name: auto, pure, or compiled."""
-    global _compiled
+    """Resolve a backend module by name: auto, pure, or compiled.  auto is
+    compiled unless the library is missing or stale, and pure then."""
+    global _compiled, _auto
     if name == "auto":
-        name = DEFAULT_BACKEND
+        if _auto is None:
+            try:
+                _auto = get_backend("compiled" if HAVE_COMPILED else "pure")
+            except StaleLibraryError:
+                _auto = get_backend("pure")
+        return _auto
     if name == "pure":
         return importlib.import_module(".pure", __name__)
     if name != "compiled":
@@ -56,9 +67,12 @@ def get_backend(name: str = "auto"):
 
 
 def __getattr__(name: str):
-    # ``_kernels.pure`` imports the reference backend on first access.
+    # ``_kernels.pure`` imports the reference backend on first access, and
+    # ``DEFAULT_BACKEND`` opens the library to see whether it is stale.
     if name == "pure":
         return get_backend("pure")
+    if name == "DEFAULT_BACKEND":
+        return get_backend("auto").name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

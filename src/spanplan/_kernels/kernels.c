@@ -109,6 +109,10 @@ size_t sp_problem_size(void) {
     return sizeof(problem);
 }
 
+/* loader.VERSION: raise both when the problem struct or a kernel's
+ * arguments or results change, so that a library built before is refused. */
+const int sp_version = 1;
+
 typedef struct { double cost, out; int op, side; } join;
 
 #define SINGLE(m) (((m) & ((m) - 1)) == 0)
@@ -320,37 +324,11 @@ static void drop_strings(strings *t) {
     free(t->slot);
 }
 
-typedef struct { double cost; int edge, stamp; } entry;  /* kruskal's heap */
-
-static int before(const entry *a, const entry *b) {
-    if (a->cost != b->cost)
-        return a->cost < b->cost;
-    return a->edge != b->edge ? a->edge < b->edge : a->stamp < b->stamp;
-}
-
-static void heap_push(entry *heap, int *len, entry e) {
-    int i = (*len)++;
-    while (i > 0 && before(&e, &heap[(i - 1) / 2])) {
-        heap[i] = heap[(i - 1) / 2];
-        i = (i - 1) / 2;
-    }
-    heap[i] = e;
-}
-
-static entry heap_pop(entry *heap, int *len) {
-    entry top = heap[0], last = heap[--*len];
-    int i = 0, child;
-    while ((child = 2 * i + 1) < *len) {
-        if (child + 1 < *len && before(&heap[child + 1], &heap[child]))
-            child++;
-        if (!before(&heap[child], &last))
-            break;
-        heap[i] = heap[child];
-        i = child;
-    }
-    heap[i] = last;
-    return top;
-}
+/* A candidate join of two adjacent components: its step cost, the lowest
+ * edge between them and the union of the two.  prim and kruskal both join
+ * the cheapest candidate by (cost, edge); prim's candidates hold its
+ * component, kruskal's are every adjacent pair, one entry each. */
+typedef struct { double cost; int edge; mask_t pair; } cand;
 
 typedef struct { mask_t l, r; int edge, op, side; } step_t;
 
@@ -362,10 +340,10 @@ typedef struct {
     int n, n_edges;
     mask_t full;
     table cards, splits;       /* splits: (smaller << 32 | larger) */
-    table prim_next;           /* component -> edge << 32 | outside vertex */
+    table prim_next;           /* component -> edge << 32 | outside vertex mask */
     strings kruskal_next, plans;
-    entry *opening, *heap;     /* kruskal's first heap, once priced; a member's heap */
-    int opened, *stamps;
+    cand *opening, *cands;     /* kruskal's opening, once priced; a member's candidates */
+    int opened;
     mask_t *comp_of, *enc, *best_enc;
     double *cost_of;
     uint8_t *labels;
@@ -407,59 +385,95 @@ static int add_step(greedy *g, int edge, mask_t l, mask_t r, double l_cost, doub
     return OK;
 }
 
+/* pure._Greedy.edge_joins: each single-edge join of edges [lo, hi). */
+static int edge_joins(greedy *g, int lo, int hi, cand *out) {
+    for (int e = lo; e < hi; e++) {
+        mask_t u = (mask_t)1 << g->p->edge_u[e], v = (mask_t)1 << g->p->edge_v[e];
+        int rc = price(g, u, v, &out[e - lo].cost);
+        if (rc)
+            return rc;
+        out[e - lo].edge = e;
+        out[e - lo].pair = u | v;
+    }
+    return OK;
+}
+
+/* pure._Greedy.neighbours: merged priced once against each adjacent
+ * component, over the lowest edge between them, appended to out in edge-id
+ * order.  The edges leaving merged are read from its vertices' incident
+ * bitsets. */
+static int neighbours(greedy *g, mask_t merged, cand *out, int *len) {
+    const problem *p = g->p;
+    mask_t priced = 0;
+    for (int w = 0; w < p->words; w++) {
+        uint64_t crossing = 0;
+        for (mask_t rest = merged; rest; rest &= rest - 1)
+            crossing |= p->incident[BIT(rest) * p->words + w];
+        for (; crossing; crossing &= crossing - 1) {
+            int e = 64 * w + __builtin_ctzll(crossing), rc;
+            mask_t c1 = g->comp_of[p->edge_u[e]], c2 = g->comp_of[p->edge_v[e]];
+            mask_t neighbour = c1 == merged ? c2 : c1;
+            if (c1 == c2 || (neighbour & priced))
+                continue;
+            priced |= neighbour;
+            if ((rc = price(g, c1, c2, &out[*len].cost)))
+                return rc;
+            out[*len].edge = e;
+            out[(*len)++].pair = c1 | c2;
+        }
+    }
+    return OK;
+}
+
+/* The cheapest of len > 0 candidates by (cost, edge). */
+static cand cheapest(const cand *c, int len) {
+    cand best = c[0];
+    for (int i = 1; i < len; i++)
+        if (c[i].cost < best.cost || (c[i].cost == best.cost && c[i].edge < best.edge))
+            best = c[i];
+    return best;
+}
+
 /* pure._Greedy.prim */
 static int prim(greedy *g, int start, double *total) {
-    const int *eu = g->p->edge_u, *ev = g->p->edge_v;
-    int first = -1, rc;
-    double best = 0.0, cost;
+    int rc, lo = start < 0 ? 0 : start, hi = start < 0 ? g->n_edges : start + 1;
     mask_t component;
+    cand first;
 
     *total = 0.0;
     if (g->n == 1)
         return OK;  /* no edge to open with */
-    for (int e = start < 0 ? 0 : start; e < (start < 0 ? g->n_edges : start + 1); e++) {
-        if ((rc = price(g, (mask_t)1 << eu[e], (mask_t)1 << ev[e], &cost)))
-            return rc;
-        if (first < 0 || cost < best) {
-            best = cost;
-            first = e;
-        }
-    }
-    component = (mask_t)1 << eu[first] | (mask_t)1 << ev[first];
-    if ((rc = add_step(g, first, (mask_t)1 << eu[first], (mask_t)1 << ev[first], 0.0, 0.0, total)))
+    if ((rc = edge_joins(g, lo, hi, g->cands)))
         return rc;
+    first = cheapest(g->cands, hi - lo);
+    component = first.pair;
+    if ((rc = add_step(g, first.edge, (mask_t)1 << g->p->edge_u[first.edge],
+                       (mask_t)1 << g->p->edge_v[first.edge], 0.0, 0.0, total)))
+        return rc;
+    for (int v = 0; v < g->n; v++)
+        g->comp_of[v] = (mask_t)1 << v;
     while (component != g->full) {
         value *hit = get(&g->prim_next, component);
-        mask_t choice = 0, outside, seen = 0;
+        mask_t choice, outside;
         if (hit) {
             choice = hit->m;
         } else {
-            int chosen = -1;
+            /* Once a state is stored, so is every later one of this member,
+             * so comp_of is brought up to date only here. */
+            cand best;
+            int len = 0;
             if ((rc = new_state(g)))
                 return rc;
-            /* The first strictly cheapest candidate in edge-id order wins.
-             * Later edges to an outside vertex already priced repeat the
-             * same join, so they can never be strictly cheaper. */
-            for (int e = 0; e < g->n_edges; e++) {
-                mask_t in_u = (component >> eu[e]) & 1;
-                if (in_u == ((component >> ev[e]) & 1))
-                    continue;  /* inside the component or not adjacent to it */
-                outside = (mask_t)1 << (in_u ? ev[e] : eu[e]);
-                if (outside & seen)
-                    continue;
-                seen |= outside;
-                if ((rc = price(g, component, outside, &cost)))
-                    return rc;
-                if (chosen < 0 || cost < best) {
-                    best = cost;
-                    chosen = e;
-                    choice = (mask_t)e << 32 | (mask_t)BIT(outside);
-                }
-            }
+            for (mask_t rest = component; rest; rest &= rest - 1)
+                g->comp_of[BIT(rest)] = component;
+            if ((rc = neighbours(g, component, g->cands, &len)))
+                return rc;
+            best = cheapest(g->cands, len);
+            choice = (mask_t)best.edge << 32 | (best.pair ^ component);
             if ((rc = put(&g->prim_next, component, (value){ .m = choice })))
                 return rc;
         }
-        outside = (mask_t)1 << (choice & 0xFFFFFFFFu);
+        outside = choice & 0xFFFFFFFFu;
         if ((rc = add_step(g, (int)(choice >> 32), component, outside, *total, 0.0, total)))
             return rc;
         component |= outside;
@@ -485,29 +499,22 @@ static int kruskal_join(greedy *g, int edge, mask_t *merged) {
 
 /* pure._Greedy.kruskal */
 static int kruskal(greedy *g, int start, double *total) {
-    const int *eu = g->p->edge_u, *ev = g->p->edge_v;
     int len = g->n_edges, rc, fresh;
     mask_t merged = 0;
     size_t index;
-    double cost;
 
     for (int v = 0; v < g->n; v++) {
         g->comp_of[v] = (mask_t)1 << v;
         g->cost_of[v] = 0.0;
     }
-    memset(g->stamps, 0, g->n_edges * sizeof *g->stamps);
     if (!g->opened) {  /* every single-edge join, priced once per search */
-        int opened = 0;
-        for (int e = 0; e < g->n_edges; e++) {
-            if ((rc = price(g, (mask_t)1 << eu[e], (mask_t)1 << ev[e], &cost)))
-                return rc;
-            heap_push(g->opening, &opened, (entry){ cost, e, 0 });
-        }
+        if ((rc = edge_joins(g, 0, g->n_edges, g->opening)))
+            return rc;
         g->opened = 1;
     }
-    memcpy(g->heap, g->opening, g->n_edges * sizeof *g->heap);
+    memcpy(g->cands, g->opening, g->n_edges * sizeof *g->cands);
     /* merged: the component made by the last join, whose candidates have
-     * not been re-priced yet; 0 before the first join. */
+     * not been priced yet; 0 before the first join. */
     if (start >= 0 && (rc = kruskal_join(g, start, &merged)))
         return rc;
     while (g->comp_of[0] != g->full) {
@@ -519,44 +526,18 @@ static int kruskal(greedy *g, int start, double *total) {
         if (!fresh) {
             edge = (int)g->kruskal_next.val[index];
         } else {
-            entry top;
             if ((rc = new_state(g)))
                 return rc;
-            if (merged) {
-                /* Re-stamp the edges leaving the merged component, in edge-id
-                 * order, through its vertices' incident edges.  Each
-                 * neighbouring component is priced once, and only its lowest
-                 * edge is pushed: the others would join the same pair at the
-                 * same cost, and equal costs pop lowest edge id first. */
-                const problem *p = g->p;
-                mask_t priced = 0;
-                for (int w = 0; w < p->words; w++) {
-                    uint64_t crossing = 0;
-                    for (mask_t rest = merged; rest; rest &= rest - 1)
-                        crossing |= p->incident[BIT(rest) * p->words + w];
-                    for (; crossing; crossing &= crossing - 1) {
-                        int e = 64 * w + __builtin_ctzll(crossing);
-                        mask_t c1 = g->comp_of[eu[e]], c2 = g->comp_of[ev[e]];
-                        mask_t neighbour = c1 == merged ? c2 : c1;
-                        if (c1 == c2)
-                            continue;
-                        g->stamps[e]++;
-                        if (neighbour & priced)
-                            continue;
-                        priced |= neighbour;
-                        if ((rc = price(g, c1, c2, &cost)))
-                            return rc;
-                        heap_push(g->heap, &len, (entry){ cost, e, g->stamps[e] });
-                    }
-                }
+            if (merged) {  /* drop the pairs merged ended, add its own */
+                int kept = 0;
+                for (int i = 0; i < len; i++)
+                    if (!(g->cands[i].pair & merged))
+                        g->cands[kept++] = g->cands[i];
+                len = kept;
+                if ((rc = neighbours(g, merged, g->cands, &len)))
+                    return rc;
             }
-            /* Skip stale entries and edges now inside one component (those
-             * become filters). */
-            do
-                top = heap_pop(g->heap, &len);
-            while (top.stamp != g->stamps[top.edge]
-                   || g->comp_of[eu[top.edge]] == g->comp_of[ev[top.edge]]);
-            edge = top.edge;
+            edge = cheapest(g->cands, len).edge;
             g->kruskal_next.val[index] = edge;
         }
         if ((rc = kruskal_join(g, edge, &merged)))
@@ -592,14 +573,13 @@ static int compare_encodings(const mask_t *a, const mask_t *b, int n) {
 
 static int greedy_open(greedy *g) {
     int n = g->n, n_edges = g->n_edges;
-    size_t heap_cap = (size_t)n_edges * n + 1, enc_len = 6 * (size_t)(n - 1) + 1;
+    size_t enc_len = 6 * (size_t)(n - 1) + 1;
     int rc = open_memo(g->p, &g->cards);
     g->full = ((mask_t)1 << n) - 1;
     g->kruskal_next.width = ((size_t)n + 7) & ~(size_t)7;
     g->plans.width = 6 * (size_t)(n - 1) * sizeof *g->enc;
     g->opening = malloc((n_edges + 1) * sizeof *g->opening);
-    g->heap = malloc(heap_cap * sizeof *g->heap);
-    g->stamps = malloc((n_edges + 1) * sizeof *g->stamps);
+    g->cands = malloc((n_edges + 1) * sizeof *g->cands);
     g->comp_of = malloc(n * sizeof *g->comp_of);
     g->cost_of = malloc(n * sizeof *g->cost_of);
     g->labels = calloc(g->kruskal_next.width + 1, 1);
@@ -607,7 +587,7 @@ static int greedy_open(greedy *g) {
     g->best_enc = malloc(enc_len * sizeof *g->best_enc);
     g->steps = malloc(n * sizeof *g->steps);
     g->best_steps = malloc(n * sizeof *g->best_steps);
-    if (!g->opening || !g->heap || !g->stamps || !g->comp_of || !g->cost_of || !g->labels
+    if (!g->opening || !g->cands || !g->comp_of || !g->cost_of || !g->labels
         || !g->enc || !g->best_enc || !g->steps || !g->best_steps)
         return NOMEM;
     return rc;
@@ -620,8 +600,7 @@ static int greedy_close(greedy *g, int rc) {
     drop_strings(&g->kruskal_next);
     drop_strings(&g->plans);
     free(g->opening);
-    free(g->heap);
-    free(g->stamps);
+    free(g->cands);
     free(g->comp_of);
     free(g->cost_of);
     free(g->labels);

@@ -2,7 +2,10 @@
 
 ``open_library(path)`` opens a built copy of ``kernels.c`` and returns the
 ``compiled`` backend: a module with ``pure``'s six kernels, taking the same
-arguments and returning the same values.  Its ``merge`` is the C mirror of
+arguments and returning the same values.  It refuses, with
+``StaleLibraryError``, a library that lacks a kernel, was built from
+another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
+``_Problem``.  Its ``merge`` is the C mirror of
 ``formula.merge``, the one Python cost formula.  Instances
 (``formula.Instance``) and results cross the boundary as flat ``array``
 buffers.  Nothing here imports ``pure``.
@@ -18,8 +21,13 @@ from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64, c_void_p
 from functools import partial
 
 from ..errors import OptimizeTimeout
+from . import StaleLibraryError
 
 _TIMEOUT, _MISSING = 1, 2
+# kernels.c's sp_version, raised with it.
+VERSION = 1
+_SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_count_trees",
+            "sp_brute_search", "sp_problem_size", "sp_version")
 
 
 class _Problem(ctypes.Structure):
@@ -127,8 +135,28 @@ def _brute_search(lib, inst, deadline: float = 0.0):
 
 
 def open_library(path) -> types.ModuleType:
-    """Open the kernel library at path as the ``compiled`` backend."""
-    lib = ctypes.CDLL(os.fspath(path))
+    """Open the kernel library at path as the ``compiled`` backend; raises
+    StaleLibraryError, naming the rebuild command, when it does not match
+    this loader."""
+    def refuse(why: str):
+        return StaleLibraryError(f"kernel library {os.fspath(path)} {why};"
+                                 " rebuild it with: python3 setup.py build_ext --inplace")
+
+    try:
+        lib = ctypes.CDLL(os.fspath(path))
+    except OSError as exc:
+        raise refuse(f"cannot be opened ({exc})") from None
+    missing = [name for name in _SYMBOLS if not hasattr(lib, name)]
+    if missing:
+        raise refuse(f"lacks {', '.join(missing)}")
+    version = c_int.in_dll(lib, "sp_version").value
+    if version != VERSION:
+        raise refuse(f"is kernel version {version}, not {VERSION}")
+    lib.sp_problem_size.restype = ctypes.c_size_t
+    if lib.sp_problem_size() != ctypes.sizeof(_Problem):
+        # A kernel would write the fields it sets past the ctypes struct.
+        raise refuse(f"has a {lib.sp_problem_size()}-byte problem struct,"
+                     f" not {ctypes.sizeof(_Problem)}")
     problem = POINTER(_Problem)
     lib.sp_merge.argtypes = [problem, c_uint64, c_uint64, POINTER(_Join)]
     lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p]
@@ -138,12 +166,9 @@ def open_library(path) -> types.ModuleType:
                                  c_void_p, c_void_p]
     lib.sp_count_trees.argtypes = [c_int, c_int, c_void_p, c_void_p, c_double, c_void_p]
     lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
-    lib.sp_problem_size.restype = ctypes.c_size_t
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
-    # The C problem's size, which must equal ctypes.sizeof(_Problem): a
-    # kernel writes the fields it sets past a struct that is too short.
-    backend.problem_size = lib.sp_problem_size()
+    backend.problem_size = lib.sp_problem_size()  # equal to ctypes.sizeof(_Problem)
     for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _count_trees, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
     return backend

@@ -26,7 +26,6 @@ identical everywhere makes costs bit-for-bit comparable across kernels.
 from __future__ import annotations
 
 import copy
-import heapq
 import math
 import time
 
@@ -98,12 +97,14 @@ class _Greedy:
     """The state one greedy_search shares between its members.
 
     It holds the distinct splits costed, the evaluations performed, and one
-    memo per member kind of the choice made at each state.  A prim member's
+    memo per member kind of the choice made at each state.  Both kinds join
+    the cheapest (cost, lowest edge) candidate pair of adjacent components;
+    ``neighbours`` prices the pairs a new component makes.  A prim member's
     next join depends only on its component, and a kruskal member's only on
-    the partition into components: every valid heap entry prices
-    ``merge(comp_of[u], comp_of[v])`` for the current components.  So a
-    member that reaches a state an earlier member left takes the stored
-    choice without pricing anything.
+    the partition into components, whose candidates hold one entry per
+    adjacent pair.  So a member that reaches a state an earlier member left
+    takes the stored choice without pricing anything, and so does every
+    later state of that member: only fresh states touch the candidates.
     """
 
     def __init__(self, inst: Instance, deadline: float):
@@ -115,7 +116,7 @@ class _Greedy:
         self.states = 0
         self.prim_next: dict[int, tuple[int, int]] = {}  # component -> (edge, outside vertex mask)
         self.kruskal_next: dict[tuple[int, ...], int] = {}  # comp_of -> edge
-        self.opening: list | None = None
+        self.opening: list | None = None  # kruskal's first candidates
         # Per-vertex incident edges, as bitmasks of edge ids.
         self.incident = [0] * inst.n
         for e, (u, v) in enumerate(zip(inst.edge_u, inst.edge_v)):
@@ -146,67 +147,66 @@ class _Greedy:
         joins.append((eid, l_mask, r_mask, op, side))
         return cost + l_cost + r_cost
 
+    def edge_joins(self, eids) -> list:
+        """Each single-edge join of eids, as a (cost, edge, pair mask) candidate."""
+        inst = self.inst
+        return [(self.price(1 << inst.edge_u[eid], 1 << inst.edge_v[eid]), eid,
+                 1 << inst.edge_u[eid] | 1 << inst.edge_v[eid]) for eid in eids]
+
+    def neighbours(self, comp_of: list, merged: int) -> list:
+        """merged priced once against each adjacent component, over the
+        lowest edge between them: (cost, edge, pair mask) candidates in
+        edge-id order.  The edges leaving merged are read from its
+        vertices' incident edges."""
+        edge_u, edge_v = self.inst.edge_u, self.inst.edge_v
+        crossing = 0
+        for w in iter_bits(merged):
+            crossing |= self.incident[w]
+        cands = []
+        priced = 0
+        for eid in iter_bits(crossing):
+            c1, c2 = comp_of[edge_u[eid]], comp_of[edge_v[eid]]
+            neighbour = c2 if c1 == merged else c1
+            if c1 == c2 or neighbour & priced:
+                continue
+            priced |= neighbour
+            cands.append((self.price(c1, c2), eid, c1 | c2))
+        return cands
+
     def prim(self, start: int | None):
         inst = self.inst
-        edge_u, edge_v = inst.edge_u, inst.edge_v
         joins: list = []
         if inst.n == 1:
             return joins, 0.0  # no edge to open with
-        best_cost = None
-        for eid in range(len(edge_u)) if start is None else (start,):
-            cost = self.price(1 << edge_u[eid], 1 << edge_v[eid])
-            if best_cost is None or cost < best_cost:
-                best_cost, first = cost, eid
-        l_mask, r_mask = 1 << edge_u[first], 1 << edge_v[first]
-        total = self.step(joins, first, l_mask, r_mask, 0.0, 0.0)
-        component = l_mask | r_mask
-
+        _cost, first, component = min(self.edge_joins(
+            range(len(inst.edge_u)) if start is None else (start,)))
+        total = self.step(joins, first, 1 << inst.edge_u[first], 1 << inst.edge_v[first],
+                          0.0, 0.0)
+        comp_of = [1 << v for v in range(inst.n)]
         memo = self.prim_next
         while component != self.full:
             choice = memo.get(component)
             if choice is None:
                 self.new_state()
-                # The first strictly cheapest candidate in edge-id order wins.
-                # Later edges to an outside vertex already priced repeat the
-                # same join, so they can never be strictly cheaper.
-                best_cost = None
-                seen = 0
-                for eid, (u, v) in enumerate(zip(edge_u, edge_v)):
-                    in_u = (component >> u) & 1
-                    if in_u == (component >> v) & 1:
-                        continue  # inside the component or not adjacent to it
-                    outside = 1 << (v if in_u else u)
-                    if outside & seen:
-                        continue
-                    seen |= outside
-                    cost = self.price(component, outside)
-                    if best_cost is None or cost < best_cost:
-                        best_cost, choice = cost, (eid, outside)
-                memo[component] = choice
+                # Once a state is stored, so is every later one of this
+                # member, so comp_of is brought up to date only here.
+                for w in iter_bits(component):
+                    comp_of[w] = component
+                _cost, eid, pair = min(self.neighbours(comp_of, component))
+                choice = memo[component] = (eid, pair ^ component)
             eid, outside = choice
             total = self.step(joins, eid, component, outside, total, 0.0)
             component |= outside
         return joins, total
-
-    def kruskal_opening(self) -> list:
-        """A copy of kruskal's first heap: every single-edge join, priced
-        once per search.  Entries are (cost, edge id, stamp), so equal costs
-        pop lowest edge id first."""
-        if self.opening is None:
-            inst = self.inst
-            heap = [(self.price(1 << u, 1 << v), eid, 0)
-                    for eid, (u, v) in enumerate(zip(inst.edge_u, inst.edge_v))]
-            heapq.heapify(heap)
-            self.opening = heap
-        return self.opening.copy()
 
     def kruskal(self, start: int | None):
         inst = self.inst
         edge_u, edge_v = inst.edge_u, inst.edge_v
         comp_of = [1 << v for v in range(inst.n)]
         cost_of = [0.0] * inst.n  # the cost of each vertex's component
-        stamps = [0] * len(edge_u)
-        heap = self.kruskal_opening()
+        if self.opening is None:  # every single-edge join, priced once per search
+            self.opening = self.edge_joins(range(len(edge_u)))
+        cands = self.opening
         memo = self.kruskal_next
         joins: list = []
 
@@ -221,41 +221,17 @@ class _Greedy:
             return merged
 
         # The component made by the last join, whose candidates have not been
-        # re-priced yet; 0 before the first join.
+        # priced yet; 0 before the first join.
         merged = join(start) if start is not None else 0
         while comp_of[0] != self.full:
             state = tuple(comp_of)
             eid = memo.get(state)
             if eid is None:
                 self.new_state()
-                if merged:
-                    # Re-stamp the edges leaving the merged component, in
-                    # edge-id order, through its vertices' incident edges.
-                    # Each neighbouring component is priced once, and only
-                    # its lowest edge is pushed: the others would join the
-                    # same pair at the same cost, and equal costs pop lowest
-                    # edge id first.
-                    crossing = 0
-                    for w in iter_bits(merged):
-                        crossing |= self.incident[w]
-                    priced = 0
-                    for e2 in iter_bits(crossing):
-                        c1, c2 = comp_of[edge_u[e2]], comp_of[edge_v[e2]]
-                        if c1 == c2:
-                            continue
-                        stamps[e2] += 1
-                        neighbour = c2 if c1 == merged else c1
-                        if neighbour & priced:
-                            continue
-                        priced |= neighbour
-                        heapq.heappush(heap, (self.price(c1, c2), e2, stamps[e2]))
-                # Skip stale entries and edges now inside one component (those
-                # become filters).
-                while True:
-                    _cost, eid, stamp = heapq.heappop(heap)
-                    if stamp == stamps[eid] and comp_of[edge_u[eid]] != comp_of[edge_v[eid]]:
-                        break
-                memo[state] = eid
+                if merged:  # drop the pairs merged ended, add its own
+                    cands = [c for c in cands if not c[2] & merged]
+                    cands += self.neighbours(comp_of, merged)
+                eid = memo[state] = min(cands)[1]
             merged = join(eid)
         return joins, cost_of[0]
 

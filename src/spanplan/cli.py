@@ -37,6 +37,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _load_graph(path: str):
@@ -71,10 +73,17 @@ def _resolve_source(graph, embedded, path: str | None, what: str) -> Cardinality
     raise GraphFormatError(f"no {what} available: pass a catalog file or embed one in the graph")
 
 
+def _write(path: str, text: str, newline: str | None = None) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SpanPlanError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -166,11 +175,9 @@ def cmd_bench(args) -> int:
     csv_text = benchmod.records_to_csv(records)
     summary = benchmod.aggregate(records)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+        _write(args.out, csv_text, newline="")
         summary_path = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".summary.json"
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, indent=2) + "\n")
+        _write(summary_path, json.dumps(summary, indent=2) + "\n")
     else:
         sys.stdout.write(csv_text)
     return 0

@@ -5,11 +5,17 @@ Five enumerators over one cost context:
 * ``exhaustive`` — dynamic program over connected vertex subsets (optimal).
 * ``prim`` — grow a single component by the cheapest adjacent join;
   linear plans only.
-* ``kruskal`` — min-heap of candidate joins across all components with
-  lazy invalidation; linear or bushy plans.
+* ``kruskal`` — join the cheapest pair of adjacent components, anywhere
+  in the graph; linear or bushy plans.
 * ``goo`` — greedy cheapest-merge over all component pairs (baseline).
 * ``este`` — ensemble: run prim and kruskal once seeded from every edge,
   keep the cheapest plan.
+
+The three greedies share one rule: join the cheapest pair of adjacent
+components, each pair priced once, when one of the two is made.  prim's
+candidates are the pairs that hold its component.  prim and kruskal break
+equal costs on the lowest edge between the pair, goo on the pair's
+(lower mask, higher mask).
 
 ``prim``, ``kruskal`` and ``este`` run their members in the backend's
 ``greedy_search`` kernel, where members share the choice made at each
@@ -86,8 +92,8 @@ def prim(graph: JoinGraph, source: CardinalitySource, params: CostParams | None 
 
 def kruskal(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
             start_edge: int | None = None, *, timeout: float | None = None):
-    """Heap-driven enumeration over all components; start_edge, when given,
-    forces the first merge."""
+    """Cheapest-pair enumeration over all components; start_edge, when
+    given, forces the first merge."""
     return _greedy("kruskal", graph, source, params, _one_run(formula.KRUSKAL, graph, start_edge),
                    timeout)
 
@@ -108,7 +114,6 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     # Each component, oldest first, with the vertices adjacent to it.
     comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
     keys: set[tuple] = set()  # each joinable pair's (step cost, lo, hi)
-    splits: set[tuple[int, int]] = set()
     evals = 0
 
     def price(a: int, b: int) -> None:
@@ -116,7 +121,6 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
         lo, hi = (a, b) if a < b else (b, a)
         keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
         evals += 1
-        splits.add((lo, hi))
 
     pairs = list(comps.items())
     for i, (a, nbr) in enumerate(pairs):
@@ -137,9 +141,10 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
             if nbr & a:
                 price(a, merged)
         comps[merged] = nbr
+    # Components only grow, so every pair priced is distinct and so is its union.
     stats = EnumStats(
-        subplans_reached=len({l_mask | r_mask for l_mask, r_mask in splits}),
-        join_costs_computed=len(splits),
+        subplans_reached=evals,
+        join_costs_computed=evals,
         plans_enumerated=1,
         evaluations=evals,
         elapsed=time.perf_counter() - t0,

@@ -171,6 +171,49 @@ def test_deeply_nested_json_exits_1_with_one_line(capsys, tmp_path, argv):
     assert err.startswith("spanplan: error: invalid JSON") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--graph", "{bad}"),
+    ("count", "--graph", "{bad}"),
+    ("optimize", "--graph", Q2A, "--selection-catalog", "{bad}"),
+    ("bench", "--graph", Q2A, "--algos", "goo", "--evaluation-catalog", "{bad}"),
+])
+def test_input_that_is_not_utf8_exits_1_with_one_line(capsys, tmp_path, argv):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err == f"spanplan: error: cannot read {bad}: not UTF-8 text (byte 0)\n", err
+
+
+@pytest.mark.parametrize("argv", [
+    ("optimize", "--graph", Q2A, "--algo", "goo"),
+    ("count", "--graph", Q2A),
+    ("gen", "--topology", "chain", "--tables", "4"),
+    ("bench", "--graph", Q2A, "--algos", "goo"),
+])
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_out_that_cannot_be_written_exits_1_with_one_line(capsys, tmp_path, argv, target):
+    out_path = tmp_path / "plan.csv"
+    if target == "directory":
+        out_path.mkdir()
+    else:
+        out_path = tmp_path / "missing" / "plan.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"spanplan: error: cannot write {out_path}: ") and err.count("\n") == 1, err
+
+
+def test_bench_summary_that_cannot_be_written_exits_1_with_one_line(capsys, tmp_path):
+    (tmp_path / "bench.summary.json").mkdir()
+    code, out, err = run(capsys, "bench", "--graph", Q2A, "--algos", "goo",
+                         "--out", str(tmp_path / "bench.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == f"spanplan: error: cannot write {tmp_path / 'bench.summary.json'}: Is a directory\n"
+
+
 @pytest.mark.parametrize("command", ["optimize", "count", "bench"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
 def test_timeout_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, command, value):

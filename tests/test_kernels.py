@@ -17,7 +17,7 @@ import pytest
 
 import spanplan as sp
 from spanplan import _kernels
-from spanplan._kernels.loader import _Problem, _problem
+from spanplan._kernels.loader import _Problem, _problem, open_library
 from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks, iter_bits
 from spanplan.plan import replay
@@ -445,6 +445,55 @@ def test_backend_selection():
     assert auto is _kernels.get_backend(_kernels.DEFAULT_BACKEND)
     with pytest.raises(ValueError):
         _kernels.get_backend("nope")
+
+
+
+# Ways a built library can fail to match the loader, as edits to kernels.c.
+STALE_EDITS = {
+    "built before it had a version": ("const int sp_version = 1;\n", ""),
+    "another version": ("const int sp_version = 1;", "const int sp_version = 0;"),
+    "another problem struct": ("    int words;", "    double extra;\n    int words;"),
+}
+
+
+@pytest.fixture(scope="module")
+def stale_libraries(tmp_path_factory):
+    """A library built in a temporary directory from each of STALE_EDITS."""
+    source = SOURCE.read_text()
+    out = tmp_path_factory.mktemp("stale")
+    paths = {}
+    for i, (edit, (old, new)) in enumerate(STALE_EDITS.items()):
+        assert source.count(old) == 1, edit
+        c_file, paths[edit] = out / f"stale{i}.c", out / f"stale{i}.so"
+        c_file.write_text(source.replace(old, new))
+        subprocess.run([*_compiler(), "-shared", "-fPIC", "-ffp-contract=off", str(c_file),
+                        "-o", str(paths[edit]), "-lm"], check=True)
+    return paths
+
+
+@pytest.mark.parametrize("edit", STALE_EDITS)
+def test_a_stale_library_is_refused_at_open_with_one_line_naming_the_rebuild(edit,
+                                                                             stale_libraries):
+    with pytest.raises(_kernels.StaleLibraryError) as info:
+        open_library(stale_libraries[edit])
+    message = str(info.value)
+    assert "\n" not in message
+    assert message.startswith(f"kernel library {stale_libraries[edit]} ")
+    assert message.endswith("; rebuild it with: python3 setup.py build_ext --inplace")
+
+
+@pytest.mark.parametrize("edit", STALE_EDITS)
+def test_auto_falls_back_to_pure_on_a_stale_library_and_compiled_refuses_it(edit,
+                                                                            stale_libraries,
+                                                                            monkeypatch):
+    monkeypatch.setattr(_kernels, "_LIBRARY", str(stale_libraries[edit]))
+    monkeypatch.setattr(_kernels, "HAVE_COMPILED", True)
+    monkeypatch.setattr(_kernels, "_compiled", None)
+    monkeypatch.setattr(_kernels, "_auto", None)
+    assert _kernels.get_backend("auto") is _kernels.pure
+    assert _kernels.DEFAULT_BACKEND == sp.DEFAULT_BACKEND == "pure"
+    with pytest.raises(_kernels.StaleLibraryError, match="rebuild it with"):
+        _kernels.get_backend("compiled")
 
 
 def test_import_defers_ctypes_until_a_kernel_runs():
