@@ -3,11 +3,11 @@
 A query's join graph (tables = vertices, equi-join predicates = edges) is
 planned by picking an ordered sequence of |V|-1 edges whose join costs,
 which change as intermediate results grow, sum to a minimum.  The package
-ships an exhaustive subset-DP planner, component-growing and
-cheapest-pair greedy planners adapted to changing edge weights, an ensemble strategy that
-reruns both greedies from every edge, a greedy-operator-ordering baseline,
-a brute-force oracle over the full arrangement space, and a benchmark
-harness.
+ships an exhaustive subset-DP planner, component-growing and cheapest-pair
+greedy planners adapted to changing edge weights, an ensemble strategy
+that reruns both greedies from every edge, a greedy-operator-ordering
+baseline, a brute-force oracle over the full arrangement space, and a
+benchmark harness.
 
 The benchmark harness (``bench``) and the brute-force oracle (``oracle``)
 and their names are imported on first access (PEP 562), so a process that

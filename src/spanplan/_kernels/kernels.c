@@ -528,7 +528,7 @@ static int kruskal(greedy *g, int start, double *total) {
         } else {
             if ((rc = new_state(g)))
                 return rc;
-            if (merged) {  /* drop the pairs merged ended, add its own */
+            if (merged) {  /* drop the pairs of merged's two parts, add merged's */
                 int kept = 0;
                 for (int i = 0; i < len; i++)
                     if (!(g->cands[i].pair & merged))

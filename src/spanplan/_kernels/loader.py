@@ -24,7 +24,7 @@ from ..errors import OptimizeTimeout
 from . import StaleLibraryError
 
 _TIMEOUT, _MISSING = 1, 2
-# kernels.c's sp_version, raised with it.
+# kernels.c's sp_version; the two are raised together.
 VERSION = 1
 _SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_count_trees",
             "sp_brute_search", "sp_problem_size", "sp_version")
@@ -153,10 +153,10 @@ def open_library(path) -> types.ModuleType:
     if version != VERSION:
         raise refuse(f"is kernel version {version}, not {VERSION}")
     lib.sp_problem_size.restype = ctypes.c_size_t
-    if lib.sp_problem_size() != ctypes.sizeof(_Problem):
+    size = lib.sp_problem_size()
+    if size != ctypes.sizeof(_Problem):
         # A kernel would write the fields it sets past the ctypes struct.
-        raise refuse(f"has a {lib.sp_problem_size()}-byte problem struct,"
-                     f" not {ctypes.sizeof(_Problem)}")
+        raise refuse(f"has a {size}-byte problem struct, not {ctypes.sizeof(_Problem)}")
     problem = POINTER(_Problem)
     lib.sp_merge.argtypes = [problem, c_uint64, c_uint64, POINTER(_Join)]
     lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p]
@@ -168,7 +168,7 @@ def open_library(path) -> types.ModuleType:
     lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
-    backend.problem_size = lib.sp_problem_size()  # equal to ctypes.sizeof(_Problem)
+    backend.problem_size = size
     for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _count_trees, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
     return backend

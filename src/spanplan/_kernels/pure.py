@@ -228,7 +228,7 @@ class _Greedy:
             eid = memo.get(state)
             if eid is None:
                 self.new_state()
-                if merged:  # drop the pairs merged ended, add its own
+                if merged:  # drop the pairs of merged's two parts, add merged's
                     cands = [c for c in cands if not c[2] & merged]
                     cands += self.neighbours(comp_of, merged)
                 eid = memo[state] = min(cands)[1]

@@ -173,3 +173,14 @@ def irregular_graph(kind: str, n: int, seed: int):
     graph = JoinGraph(vertices, edges)
     sels = tuple(10.0 ** rng.uniform(-4.0, math.log10(0.5)) for _ in edges)
     return graph, sp.SelectivityModel(graph, sels)
+
+
+def irregular_instances(count: int, base_seed: int = 1000):
+    """Deterministic mix of irregular_graph's kinds with 3..7 tables, as
+    (kind, n, graph, model) like mixed_instances."""
+    out = []
+    for i in range(count):
+        kind = IRREGULAR_KINDS[i % len(IRREGULAR_KINDS)]
+        n = 3 + (i // len(IRREGULAR_KINDS)) % 5
+        out.append((kind, n, *irregular_graph(kind, n, base_seed + i)))
+    return out

@@ -202,7 +202,8 @@ def test_out_that_cannot_be_written_exits_1_with_one_line(capsys, tmp_path, argv
     code, out, err = run(capsys, *argv, "--out", str(out_path))
     assert code == 1
     assert out == ""
-    assert err.startswith(f"spanplan: error: cannot write {out_path}: ") and err.count("\n") == 1, err
+    assert err.startswith(f"spanplan: error: cannot write {out_path}: "), err
+    assert err.count("\n") == 1, err
 
 
 def test_bench_summary_that_cannot_be_written_exits_1_with_one_line(capsys, tmp_path):
@@ -211,7 +212,8 @@ def test_bench_summary_that_cannot_be_written_exits_1_with_one_line(capsys, tmp_
                          "--out", str(tmp_path / "bench.csv"))
     assert code == 1
     assert out == ""
-    assert err == f"spanplan: error: cannot write {tmp_path / 'bench.summary.json'}: Is a directory\n"
+    summary = tmp_path / "bench.summary.json"
+    assert err == f"spanplan: error: cannot write {summary}: Is a directory\n"
 
 
 @pytest.mark.parametrize("command", ["optimize", "count", "bench"])

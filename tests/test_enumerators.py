@@ -7,7 +7,7 @@ from spanplan import _kernels, enumerators
 from spanplan.cost import CostContext
 from spanplan.plan import canonical_encoding
 
-from .conftest import mixed_instances
+from .conftest import irregular_instances, mixed_instances
 
 
 def _edges(plan):
@@ -181,7 +181,7 @@ def test_goo_chain4_matches_independent_greedy_simulation():
 # ------------------------------------------------------------- properties
 
 def test_plans_validate_and_shapes_classify():
-    for kind, n, graph, model in mixed_instances(24, base_seed=300):
+    for kind, n, graph, model in mixed_instances(24, 300) + irregular_instances(25, 300):
         ctx = CostContext(graph, model)
         for name in sp.ALGORITHMS:
             plan, _ = sp.run_algorithm(name, graph, ctx)
@@ -210,7 +210,7 @@ def test_plans_validate_and_shapes_classify():
 
 
 def test_exhaustive_lower_bounds_every_heuristic():
-    for kind, n, graph, model in mixed_instances(16, base_seed=700):
+    for kind, n, graph, model in mixed_instances(16, 700) + irregular_instances(25, 700):
         ctx = CostContext(graph, model)
         exh, _ = sp.exhaustive(graph, ctx)
         for name in ("prim", "kruskal", "goo", "este"):
@@ -224,7 +224,7 @@ def test_exhaustive_lower_bounds_every_heuristic():
 
 
 def test_este_is_min_over_members():
-    for kind, n, graph, model in mixed_instances(12, base_seed=900):
+    for kind, n, graph, model in mixed_instances(12, 900) + irregular_instances(25, 900):
         ctx = CostContext(graph, model)
         member_costs = []
         for eid in range(graph.n_edges):

@@ -22,7 +22,8 @@ from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks, iter_bits
 from spanplan.plan import replay
 
-from .conftest import IRREGULAR_KINDS, ROOT, SOURCE, _compiler, irregular_graph, mixed_instances
+from .conftest import (IRREGULAR_KINDS, ROOT, SOURCE, _compiler, irregular_graph,
+                       irregular_instances, mixed_instances)
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
@@ -91,7 +92,7 @@ def _greedy_runs(graph):
 
 
 def test_greedy_search_equivalence(compiled):
-    for kind, n, graph, model in mixed_instances(16, base_seed=6400):
+    for kind, n, graph, model in mixed_instances(16, 6400) + irregular_instances(25, 6400):
         for source in (model, _catalog(graph, model)):
             inst = CostContext(graph, source).instance
             for runs in _greedy_runs(graph):
@@ -167,39 +168,20 @@ def test_greedy_search_timeout_on_both_backends(compiled):
 
 
 def test_dp_equivalence(compiled):
-    for kind, n, graph, model in mixed_instances(20, base_seed=6100):
+    for kind, n, graph, model in mixed_instances(20, 6100) + irregular_instances(25, 6100):
         inst = _instance(graph, model)
         masks = connected_subset_masks(graph)
-        pure = _kernels.pure.dp_search(inst, masks)
-        fast = compiled.dp_search(inst, masks)
-        assert pure == fast
+        for bound in (math.inf, sp.goo(graph, model)[0].internal_cost):
+            assert _kernels.pure.dp_search(inst, masks, bound) == \
+                compiled.dp_search(inst, masks, bound), (kind, n, bound)
 
 
 def test_brute_equivalence(compiled):
-    for kind, n, graph, model in mixed_instances(16, base_seed=6200):
+    for kind, n, graph, model in mixed_instances(16, 6200) + irregular_instances(25, 6200):
         inst = _instance(graph, model)
         pure = _kernels.pure.brute_search(inst)
         fast = compiled.brute_search(inst)
         assert pure == fast
-
-
-
-@pytest.mark.parametrize("kind", IRREGULAR_KINDS)
-def test_backends_agree_on_irregular_graphs(kind, compiled):
-    for n in (2, 3, 6, 9, 12):
-        for seed in range(3):
-            graph, model = irregular_graph(kind, n, seed)
-            inst = CostContext(graph, model).instance
-            for runs in _greedy_runs(graph):
-                assert _kernels.pure.greedy_search(inst, runs) == \
-                    compiled.greedy_search(inst, runs), (n, seed, runs)
-            masks = connected_subset_masks(graph)
-            goo_cost = sp.goo(graph, model)[0].internal_cost
-            for bound in (math.inf, goo_cost):
-                assert _kernels.pure.dp_search(inst, masks, bound) == \
-                    compiled.dp_search(inst, masks, bound), (n, seed, bound)
-            if graph.n_edges <= 8:
-                assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst), (n, seed)
 
 
 def _naive_greedy(inst, graph, kind, start):

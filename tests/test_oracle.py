@@ -7,7 +7,7 @@ import pytest
 import spanplan as sp
 from spanplan.cost import CostContext
 
-from .conftest import mixed_instances
+from .conftest import irregular_instances, mixed_instances
 
 
 # ------------------------------------------------------- counting formulas
@@ -194,7 +194,7 @@ def test_brute_force_two_table(two_table):
 
 
 def test_brute_force_matches_exhaustive_on_random_graphs():
-    for kind, n, graph, model in mixed_instances(40, base_seed=4000):
+    for kind, n, graph, model in mixed_instances(40, 4000) + irregular_instances(25, 4000):
         ctx = CostContext(graph, model)
         exh, _ = sp.exhaustive(graph, ctx)
         brute, _ = sp.brute_force_optimal(graph, ctx)
