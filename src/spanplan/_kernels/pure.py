@@ -31,19 +31,7 @@ import time
 
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
-# The formula's names are re-exported, so that callers that build an
-# Instance by hand find them here too.
-from .formula import (  # noqa: F401
-    KRUSKAL,
-    OP_HJ,
-    OP_INL,
-    PRIM,
-    SIDE_LEFT,
-    SIDE_RIGHT,
-    Instance,
-    join_cost,
-    model_product,
-)
+from .formula import PRIM, SIDE_LEFT, Instance, model_product
 from .formula import merge as _merge
 
 name = "pure"

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .cost import CardinalitySource, CostContext, CostParams
 from .enumerators import ALGORITHMS, run_algorithm
 from .errors import LimitExceededError, SpanPlanError
-from .graph import JoinGraph, TopologyKind, gen_topology
+from .graph import JoinGraph, TopologyKind, gen_topology, topology_kind
 from .plan import reevaluate_plan
 
 SIMPLE = "simple"
@@ -45,48 +45,29 @@ class WorkloadQuery(NamedTuple):
     seed: int | None = None
 
 
-class BenchRecord:
-    """One CSV row: a (query, algorithm) outcome, filled in as it runs.
-    Records compare equal when all their fields do."""
-
-    def __init__(self, query_id: str, group: str, algorithm: str,
-                 internal_cost: float | None = None, cost_ratio: float | None = None,
-                 opt_time_ms: float | None = None, distinct_plans: int | None = None,
-                 topology: str | None = None, n_tables: int | None = None,
-                 seed: int | None = None, error: str | None = None):
-        self.query_id = query_id
-        self.group = group
-        self.algorithm = algorithm
-        self.internal_cost = internal_cost
-        self.cost_ratio = cost_ratio
-        self.opt_time_ms = opt_time_ms
-        self.distinct_plans = distinct_plans
-        self.topology = topology
-        self.n_tables = n_tables
-        self.seed = seed
-        self.error = error
-
-    def __eq__(self, other):
-        if not isinstance(other, BenchRecord):
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self):
-        return f"BenchRecord({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+class BenchRecord(NamedTuple):
+    """One CSV row: a (query, algorithm) outcome."""
+    query_id: str
+    group: str
+    algorithm: str
+    internal_cost: float | None = None
+    cost_ratio: float | None = None
+    opt_time_ms: float | None = None
+    distinct_plans: int | None = None
+    topology: str | None = None
+    n_tables: int | None = None
+    seed: int | None = None
+    error: str | None = None
 
 
-CSV_COLUMNS = [
-    "query_id", "group", "algorithm", "internal_cost", "cost_ratio",
-    "opt_time_ms", "distinct_plans", "topology", "n_tables", "seed", "error",
-]
-assert set(CSV_COLUMNS) == set(vars(BenchRecord("", "", "")))
+CSV_COLUMNS = list(BenchRecord._fields)
 
 
 def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
                timeout: float) -> list[BenchRecord]:
-    group = complexity_group(query.graph.n_edges)
     base = dict(
-        group=group,
+        query_id=query.query_id,
+        group=complexity_group(query.graph.n_edges),
         topology=query.topology,
         n_tables=query.n_tables if query.n_tables is not None else query.graph.n_vertices,
         seed=query.seed,
@@ -103,35 +84,47 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
             raise LimitExceededError(f"the {plan.algorithm} plan's cost overflows a float")
         return plan.internal_cost
 
-    records: dict[str, BenchRecord] = {}
-    costs: dict[str, float] = {}
-    for name in algorithms:
-        rec = BenchRecord(query_id=query.query_id, algorithm=name, **base)
+    def outcome(name: str) -> dict:
+        """The fields of name's row that its run fills in; a row whose
+        final cost fails keeps what its search gave."""
+        fields = {}
         try:
             t0 = time.perf_counter()
             plan, stats = run_algorithm(name, query.graph, sel_ctx, params, timeout=timeout)
-            rec.opt_time_ms = (time.perf_counter() - t0) * 1000.0
+            fields["opt_time_ms"] = (time.perf_counter() - t0) * 1000.0
             if name == "este":
-                rec.distinct_plans = stats.plans_enumerated
-            rec.internal_cost = final_cost(plan)
-            costs[name] = rec.internal_cost
+                fields["distinct_plans"] = stats.plans_enumerated
+            fields["internal_cost"] = final_cost(plan)
         except SpanPlanError as exc:
-            rec.error = f"{type(exc).__name__}: {exc}"
-        records[name] = rec
+            fields["error"] = f"{type(exc).__name__}: {exc}"
+        return fields
 
-    baseline = costs.get("exhaustive")
-    if baseline is not None and baseline > 0:
-        for name, rec in records.items():
-            if rec.internal_cost is not None:
-                rec.cost_ratio = rec.internal_cost / baseline
-    return [records[name] for name in algorithms]
+    records = [BenchRecord(algorithm=name, **base, **outcome(name)) for name in algorithms]
+    baseline = next((r.internal_cost for r in records if r.algorithm == "exhaustive"), None)
+    if baseline is None or baseline <= 0:
+        return records
+    return [r if r.internal_cost is None else r._replace(cost_ratio=r.internal_cost / baseline)
+            for r in records]
+
+
+def check_algorithms(algorithms) -> list[str]:
+    """algorithms as a list; a name that is unknown or listed twice raises
+    SpanPlanError."""
+    algorithms = list(algorithms)
+    for i, name in enumerate(algorithms):
+        if name not in ALGORITHMS:
+            raise SpanPlanError(f"unknown algorithm {name!r}")
+        if name in algorithms[:i]:
+            raise SpanPlanError(f"algorithm {name!r} is listed twice")
+    return algorithms
 
 
 def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = None,
                  timeout: float = 60.0):
     """One BenchRecord per (query, algorithm); per-query failures are
-    recorded, never raised.  Output order is (query_id, algorithm)."""
-    algorithms = list(algorithms)
+    recorded, never raised, but an unknown or repeated algorithm raises
+    SpanPlanError.  Output order is (query_id, algorithm)."""
+    algorithms = check_algorithms(algorithms)
     records = [rec for query in queries
                for rec in _run_query(query, algorithms, params, timeout)]
     order = {name: i for i, name in enumerate(algorithms)}
@@ -143,7 +136,7 @@ def topology_sweep(kind: TopologyKind | str, sizes, seeds_per_size: int,
                    algorithms=ALGORITHMS, params: CostParams | None = None,
                    timeout: float = 60.0):
     """Generate graphs for every (size, seed) and run the workload on them."""
-    kind = TopologyKind(kind)
+    kind = topology_kind(kind)
     queries = []
     for n in sizes:
         for seed in range(seeds_per_size):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .cost import CardinalitySource, CostParams
@@ -108,11 +109,7 @@ def cmd_count(args) -> int:
     limit = oracle.DEFAULT_ARRANGEMENT_LIMIT if args.limit is None else args.limit
     counts = oracle.enumerate_ordered_trees(graph, limit=limit, timeout=args.timeout)
     doc = {
-        "bound": counts.bound,
-        "valid": counts.valid,
-        "invalid": counts.invalid,
-        "linear": counts.linear,
-        "bushy": counts.bushy,
+        **counts._asdict(),
         "t_b": (
             oracle.binary_tree_space_size(graph.n_vertices)
             if graph.n_vertices <= oracle.BINARY_SPACE_MAX_N
@@ -139,10 +136,7 @@ def cmd_bench(args) -> int:
     from . import bench as benchmod
 
     params = _params(args)
-    algorithms = args.algos.split(",") if args.algos else list(ALGORITHMS)
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            raise GraphFormatError(f"unknown algorithm {name!r}")
+    algorithms = benchmod.check_algorithms(args.algos.split(",") if args.algos else ALGORITHMS)
     if args.graph:
         queries = []
         for path in args.graph:
@@ -170,14 +164,17 @@ def cmd_bench(args) -> int:
         raise GraphFormatError("bench needs --graph files or a --topology sweep")
 
     if not args.timing:
-        for rec in records:
-            rec.opt_time_ms = 0.0
+        records = [rec._replace(opt_time_ms=0.0) for rec in records]
     csv_text = benchmod.records_to_csv(records)
     summary = benchmod.aggregate(records)
     if args.out:
         _write(args.out, csv_text, newline="")
         summary_path = (args.out[:-4] if args.out.endswith(".csv") else args.out) + ".summary.json"
-        _write(summary_path, json.dumps(summary, indent=2) + "\n")
+        try:
+            _write(summary_path, json.dumps(summary, indent=2) + "\n")
+        except SpanPlanError:
+            os.remove(args.out)  # leave no partial result
+            raise
     else:
         sys.stdout.write(csv_text)
     return 0

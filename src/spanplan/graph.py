@@ -367,6 +367,15 @@ def connected_subsets(graph: JoinGraph) -> list[tuple[int, ...]]:
     return [tuple(iter_bits(m)) for m in connected_subset_masks(graph)]
 
 
+def topology_kind(kind: TopologyKind | str) -> TopologyKind:
+    """kind as a TopologyKind; any other value raises GraphFormatError."""
+    try:
+        return TopologyKind(kind)
+    except ValueError:
+        kinds = ", ".join(k.value for k in TopologyKind)
+        raise GraphFormatError(f"unknown topology kind {kind!r}; expected one of {kinds}") from None
+
+
 def _topology_edges(kind: TopologyKind, n: int) -> list[tuple[int, int]]:
     if kind == TopologyKind.CHAIN:
         return [(i, i + 1) for i in range(n - 1)]
@@ -374,9 +383,7 @@ def _topology_edges(kind: TopologyKind, n: int) -> list[tuple[int, int]]:
         return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     if kind == TopologyKind.STAR:
         return [(0, i) for i in range(1, n)]
-    if kind == TopologyKind.CLIQUE:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    raise GraphFormatError(f"unknown topology kind {kind!r}")
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]  # CLIQUE
 
 
 def _derive_seed(kind: str, n: int, seed: int) -> int:
@@ -398,7 +405,7 @@ def gen_topology(
     Deterministic in (kind, n, seed).  Base cardinalities are uniform over
     base_range; per-edge selectivities are log-uniform over sel_range.
     """
-    kind = TopologyKind(kind)
+    kind = topology_kind(kind)
     if n < 2:
         raise GraphFormatError("topology generation needs at least 2 tables")
     if kind == TopologyKind.CYCLE and n < 3:

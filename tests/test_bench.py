@@ -4,6 +4,7 @@ import pytest
 
 import spanplan as sp
 from spanplan.bench import (
+    CSV_COLUMNS,
     BenchRecord,
     WorkloadQuery,
     aggregate,
@@ -92,6 +93,32 @@ def test_overflowing_cost_is_a_limit_error_in_every_row(q2a, overflowing):
     for r in records:
         assert r.error is not None and r.error.startswith("LimitExceededError: "), r
         assert r.internal_cost is None and r.cost_ratio is None
+    # Every search succeeded when only the evaluation overflows: each row
+    # keeps its search time, and este its distinct plans.
+    if overflowing == "evaluation":
+        assert all(r.opt_time_ms is not None for r in records)
+        assert [r.distinct_plans for r in records] == [None, None, None, None, 7]
+
+
+def test_repeated_or_unknown_algorithm_raises(q2a):
+    graph, catalog = q2a
+    query = WorkloadQuery(query_id="2a", graph=graph, selection_source=catalog)
+    with pytest.raises(sp.SpanPlanError, match="algorithm 'prim' is listed twice"):
+        run_workload([query], algorithms=("exhaustive", "prim", "prim"))
+    with pytest.raises(sp.SpanPlanError, match="unknown algorithm 'dpccp'"):
+        run_workload([query], algorithms=("exhaustive", "dpccp"))
+
+
+def test_unknown_topology_is_a_graph_format_error():
+    for call in (lambda: sp.gen_topology("bogus", 5), lambda: topology_sweep("bogus", [4], 1)):
+        with pytest.raises(sp.GraphFormatError) as info:
+            call()
+        assert str(info.value) == ("unknown topology kind 'bogus';"
+                                   " expected one of chain, cycle, star, clique")
+
+
+def test_bench_record_fields_are_the_csv_columns():
+    assert CSV_COLUMNS == list(BenchRecord._fields)
 
 
 def test_aggregate_single_record_equals_itself():

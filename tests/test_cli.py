@@ -214,6 +214,19 @@ def test_bench_summary_that_cannot_be_written_exits_1_with_one_line(capsys, tmp_
     assert out == ""
     summary = tmp_path / "bench.summary.json"
     assert err == f"spanplan: error: cannot write {summary}: Is a directory\n"
+    assert not (tmp_path / "bench.csv").exists()
+
+
+@pytest.mark.parametrize("algos,message", [
+    ("exhaustive,prim,prim", "algorithm 'prim' is listed twice"),
+    ("exhaustive,dpccp", "unknown algorithm 'dpccp'"),
+])
+def test_bench_algorithm_that_is_repeated_or_unknown_exits_1_with_one_line(capsys, tmp_path,
+                                                                         algos, message):
+    code, out, err = run(capsys, "bench", "--graph", Q2A, "--algos", algos,
+                         "--out", str(tmp_path / "bench.csv"))
+    assert (code, out, err) == (1, "", f"spanplan: error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["optimize", "count", "bench"])

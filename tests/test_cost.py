@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanplan as sp
-from spanplan._kernels import pure as _pure
+from spanplan._kernels import formula
 from spanplan.cost import CardinalityCatalog, CostContext, OperatorChoice
 
 from .conftest import make_graph
@@ -49,16 +49,17 @@ def test_leaf_cost_ignores_selection_flag():
 
 def _pair(l_card, r_card, out, scan=(0.0, 0.0), indexed=(True, True)):
     """Two base tables 0 -- 1 (inner 1 when both are base tables)."""
-    return _pure.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=scan, indexed=indexed, lam=2.0,
-                          cards={1: l_card, 2: r_card, 3: out}, pair_inner={3: 1})
+    return formula.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=scan, indexed=indexed, lam=2.0,
+                            cards={1: l_card, 2: r_card, 3: out}, pair_inner={3: 1})
 
 
 def test_hash_join_cost_arithmetic():
-    assert _pure.join_cost(_pair(0.0, 0.0, 0.0), 1, 2, _pure.OP_HJ, _pure.SIDE_LEFT) == (0.0, 0.0)
+    empty = _pair(0.0, 0.0, 0.0)
+    assert formula.join_cost(empty, 1, 2, formula.OP_HJ, formula.SIDE_LEFT) == (0.0, 0.0)
     # out 10 + build 5 + both scans (3 and 7): base tables are scanned by their join.
     inst = _pair(5.0, 8.0, 10.0, scan=(3.0, 7.0))
-    assert _pure.join_cost(inst, 1, 2, _pure.OP_HJ, _pure.SIDE_LEFT) == (25.0, 10.0)
-    assert _pure.join_cost(inst, 1, 2, _pure.OP_HJ, _pure.SIDE_RIGHT) == (28.0, 10.0)
+    assert formula.join_cost(inst, 1, 2, formula.OP_HJ, formula.SIDE_LEFT) == (25.0, 10.0)
+    assert formula.join_cost(inst, 1, 2, formula.OP_HJ, formula.SIDE_RIGHT) == (28.0, 10.0)
 
 
 def test_hash_join_cost_2a_first_step(q2a_ctx):
@@ -73,10 +74,10 @@ def test_hash_join_cost_2a_first_step(q2a_ctx):
 def test_inl_join_cost(q2a_ctx):
     # An empty outer makes no lookups; only its scan is paid.
     inst = _pair(0.0, 5.0, 99.0, scan=(123.0, 7.0))
-    assert _pure.join_cost(inst, 1, 2, _pure.OP_INL, _pure.SIDE_RIGHT) == (123.0, 99.0)
+    assert formula.join_cost(inst, 1, 2, formula.OP_INL, formula.SIDE_RIGHT) == (123.0, 99.0)
     # lam * max(|out|, |outer|) plus the outer's scan; the inner is not scanned.
     inst = _pair(100.0, 5.0, 400.0, scan=(50.0, 7.0))
-    assert _pure.join_cost(inst, 1, 2, _pure.OP_INL, _pure.SIDE_RIGHT) == (850.0, 400.0)
+    assert formula.join_cost(inst, 1, 2, formula.OP_INL, formula.SIDE_RIGHT) == (850.0, 400.0)
     # ((mc join cn) looked up against t): 2 * max(150000, 150000)
     got = q2a_ctx.join_cost(0b11000, 0b00100, OperatorChoice("INL", "right"))
     assert got.step_cost == 300_000.0
@@ -149,10 +150,10 @@ def test_choose_operator_rejects_cross_join(q2a):
 def test_cost_monotone_in_output_cardinality(out1, delta, build, outer):
     out2 = out1 + delta
     # The left input is the hash build side, or the outer of an index lookup.
-    for op, side, l_card in ((_pure.OP_HJ, _pure.SIDE_LEFT, build),
-                             (_pure.OP_INL, _pure.SIDE_RIGHT, outer)):
-        low, _ = _pure.join_cost(_pair(float(l_card), 1e9, float(out1)), 1, 2, op, side)
-        high, _ = _pure.join_cost(_pair(float(l_card), 1e9, float(out2)), 1, 2, op, side)
+    for op, side, l_card in ((formula.OP_HJ, formula.SIDE_LEFT, build),
+                             (formula.OP_INL, formula.SIDE_RIGHT, outer)):
+        low, _ = formula.join_cost(_pair(float(l_card), 1e9, float(out1)), 1, 2, op, side)
+        high, _ = formula.join_cost(_pair(float(l_card), 1e9, float(out2)), 1, 2, op, side)
         assert high >= low
 
 

@@ -17,6 +17,7 @@ import pytest
 
 import spanplan as sp
 from spanplan import _kernels
+from spanplan._kernels import formula
 from spanplan._kernels.loader import _Problem, _problem, open_library
 from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks, iter_bits
@@ -68,7 +69,7 @@ def test_merge_equivalence(q2a, compiled):
 
 def test_merge_equivalence_on_equal_cardinalities(compiled):
     # Seeded models rarely tie; the hash-build side must break ties alike.
-    inst = _kernels.pure.Instance(
+    inst = formula.Instance(
         n=3, edge_u=(0, 1), edge_v=(1, 2), scan=(2.0, 2.0, 2.0), indexed=(False,) * 3,
         lam=2.0, cards={1: 10.0, 2: 10.0, 4: 10.0, 3: 10.0, 6: 10.0, 7: 5.0},
         pair_inner={3: 1, 6: 2})
@@ -85,10 +86,10 @@ def _catalog(graph, model):
 def _greedy_runs(graph):
     """Every member este runs, each prim and kruskal run unseeded, and the
     full ensemble, as greedy_search run lists."""
-    members = [(kind, e) for kind in (_kernels.pure.PRIM, _kernels.pure.KRUSKAL)
+    members = [(kind, e) for kind in (formula.PRIM, formula.KRUSKAL)
                for e in range(graph.n_edges)]
-    return [[run] for run in members] + [[(_kernels.pure.PRIM, None)],
-                                         [(_kernels.pure.KRUSKAL, None)], members]
+    return [[run] for run in members] + [[(formula.PRIM, None)],
+                                         [(formula.KRUSKAL, None)], members]
 
 
 def test_greedy_search_equivalence(compiled):
@@ -105,7 +106,7 @@ def test_greedy_search_equivalence(compiled):
 def test_greedy_search_on_one_table(one_table, compiled):
     graph, catalog = one_table
     inst = CostContext(graph, catalog).instance
-    runs = [(_kernels.pure.PRIM, None), (_kernels.pure.KRUSKAL, None)]
+    runs = [(formula.PRIM, None), (formula.KRUSKAL, None)]
     assert _kernels.pure.greedy_search(inst, runs) == compiled.greedy_search(inst, runs) \
         == (0.0, [], 0, 0, 0, 1)
 
@@ -213,7 +214,7 @@ def _naive_greedy(inst, graph, kind, start):
         join(start, 1 << edge.v1, 1 << edge.v2)
         component = comp_of[edge.v1]
     while comp_of[0] != graph.full_mask:
-        prim = kind == _kernels.pure.PRIM and component
+        prim = kind == formula.PRIM and component
         _cost, eid = min(candidates(component if prim else graph.full_mask))
         edge = graph.edges[eid]
         left, right = comp_of[edge.v1], comp_of[edge.v2]
@@ -230,7 +231,7 @@ def test_greedy_joins_match_a_reference_that_reprices_every_pair_at_every_step(c
     cases += [(graph, model) for _kind, _n, graph, model in mixed_instances(12, base_seed=7100)]
     for graph, model in cases:
         inst = CostContext(graph, model).instance
-        for kind in (_kernels.pure.PRIM, _kernels.pure.KRUSKAL):
+        for kind in (formula.PRIM, formula.KRUSKAL):
             for start in (None, *range(graph.n_edges)):
                 naive = _naive_greedy(inst, graph, kind, start)
                 for backend in (_kernels.pure, compiled):
@@ -385,7 +386,7 @@ def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_
     # A triangle with every cardinality equal: the three splits of the root
     # into a pair and a table all total 43.0.  DPsub's rule keeps the first
     # of them in descending order of the left side, {0, 2} | {1}.
-    inst = _kernels.pure.Instance(
+    inst = formula.Instance(
         n=3, edge_u=(0, 0, 1), edge_v=(1, 2, 2), scan=(1.0, 1.0, 1.0), indexed=(False,) * 3,
         lam=2.0, cards={m: 10.0 for m in range(1, 8)}, pair_inner={3: 1, 5: 2, 6: 2})
     step = _kernels.pure.merge
