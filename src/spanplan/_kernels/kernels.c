@@ -22,9 +22,8 @@ enum { OK, TIMEOUT, MISSING, NOMEM };
 
 typedef uint64_t mask_t;
 
-/* Open-addressing hash map from nonzero keys to values; key 0 is a free slot. */
-typedef union { double d; mask_t m; } value;
-typedef struct { mask_t *key; value *val; size_t cap, len; } table;
+/* Open-addressing hash map from nonzero keys to doubles; key 0 is a free slot. */
+typedef struct { mask_t *key; double *val; size_t cap, len; } table;
 
 static size_t slot(const table *t, mask_t key) {
     size_t i = (size_t)((key * 0x9E3779B97F4A7C15u) >> 32) & (t->cap - 1);
@@ -33,7 +32,7 @@ static size_t slot(const table *t, mask_t key) {
     return i;
 }
 
-static value *get(const table *t, mask_t key) {
+static double *get(const table *t, mask_t key) {
     size_t i;
     if (!t->cap)
         return NULL;
@@ -42,11 +41,11 @@ static value *get(const table *t, mask_t key) {
 }
 
 /* key must be absent */
-static int put(table *t, mask_t key, value val) {
+static int put(table *t, mask_t key, double val) {
     size_t i;
     if (2 * (t->len + 1) > t->cap) {
         size_t cap = t->cap ? 2 * t->cap : 64;
-        table big = { calloc(cap, sizeof(mask_t)), malloc(cap * sizeof(value)), cap, 0 };
+        table big = { calloc(cap, sizeof(mask_t)), malloc(cap * sizeof(double)), cap, 0 };
         if (!big.key || !big.val) {
             free(big.key);
             free(big.val);
@@ -79,7 +78,7 @@ static int count_unions(const table *pairs, int64_t *count) {
     for (size_t i = 0; rc == OK && i < pairs->cap; i++) {
         mask_t key = pairs->key[i], merged = (key >> 32) | (key & 0xFFFFFFFFu);
         if (key && !get(&unions, merged))
-            rc = put(&unions, merged, (value){ 0 });
+            rc = put(&unions, merged, 0.0);
     }
     *count = (int64_t)unions.len;
     drop(&unions);
@@ -141,7 +140,7 @@ static int open_memo(problem *p, table *memo) {
     }
     for (int i = 0; rc == OK && i < p->n_cards; i++)
         if (p->card_mask[i])  /* mask 0 would be a free slot */
-            rc = put(memo, p->card_mask[i], (value){ .d = p->card_val[i] });
+            rc = put(memo, p->card_mask[i], p->card_val[i]);
     return rc;
 }
 
@@ -173,14 +172,14 @@ static double model_product(const problem *p, mask_t m) {
 /* A cardinality from the memo; a model's mask is computed on first use
  * (pure._Cards.__missing__). */
 static int card(problem *p, mask_t m, double *c) {
-    value *hit = get(p->memo, m);
+    double *hit = get(p->memo, m);
     if (hit) {
-        *c = hit->d;
+        *c = *hit;
         return OK;
     }
     if (p->bases && (*c = model_product(p, m)) != INFINITY) {
         *c = ceil(*c);
-        return put(p->memo, m, (value){ .d = *c });
+        return put(p->memo, m, *c);
     }
     p->missing = m;
     return MISSING;
@@ -259,9 +258,9 @@ int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *car
 }
 
 /* Interned byte strings of one width, a multiple of 8, each with a value:
- * greedy_search's kruskal states (a partition, as each vertex's lowest
- * component vertex, zero-padded) and its distinct member plans (canonical
- * encodings). */
+ * greedy_search's states (a member's kind, then its partition as each
+ * vertex's lowest component vertex, zero-padded) and its distinct member
+ * plans (canonical encodings). */
 typedef struct {
     size_t width, len, cap;    /* cap: slots, a power of two; room for cap / 2 strings */
     unsigned char *data;       /* the strings, in insertion order */
@@ -324,6 +323,9 @@ static void drop_strings(strings *t) {
     free(t->slot);
 }
 
+/* A greedy member's kind: formula.PRIM, formula.KRUSKAL. */
+enum { PRIM, KRUSKAL };
+
 /* A candidate join of two adjacent components: its step cost, the lowest
  * edge between them and the union of the two.  prim and kruskal both join
  * the cheapest candidate by (cost, edge); prim's candidates hold its
@@ -340,13 +342,13 @@ typedef struct {
     int n, n_edges;
     mask_t full;
     table cards, splits;       /* splits: (smaller << 32 | larger) */
-    table prim_next;           /* component -> edge << 32 | outside vertex mask */
-    strings kruskal_next, plans;
+    strings next, plans;       /* next: (kind, partition) -> edge */
     cand *opening, *cands;     /* kruskal's opening, once priced; a member's candidates */
     int opened;
     mask_t *comp_of, *enc, *best_enc;
     double *cost_of;
-    uint8_t *labels;
+    uint8_t *label;            /* the member's state: its kind, then each vertex's
+                                * lowest component vertex (next's key) */
     step_t *steps, *best_steps;
     int n_steps;
     int64_t evals, states;
@@ -370,7 +372,7 @@ static int price(greedy *g, mask_t l, mask_t r, double *cost) {
         return rc;
     *cost = j.cost;
     g->evals++;
-    return get(&g->splits, key) ? OK : put(&g->splits, key, (value){ 0 });
+    return get(&g->splits, key) ? OK : put(&g->splits, key, 0.0);
 }
 
 /* Append a join to the member's plan; *total becomes the joined subtree's cost. */
@@ -434,97 +436,69 @@ static cand cheapest(const cand *c, int len) {
     return best;
 }
 
-/* pure._Greedy.prim */
-static int prim(greedy *g, int start, double *total) {
-    int rc, lo = start < 0 ? 0 : start, hi = start < 0 ? g->n_edges : start + 1;
-    mask_t component;
-    cand first;
-
-    *total = 0.0;
-    if (g->n == 1)
-        return OK;  /* no edge to open with */
-    if ((rc = edge_joins(g, lo, hi, g->cands)))
-        return rc;
-    first = cheapest(g->cands, hi - lo);
-    component = first.pair;
-    if ((rc = add_step(g, first.edge, (mask_t)1 << g->p->edge_u[first.edge],
-                       (mask_t)1 << g->p->edge_v[first.edge], 0.0, 0.0, total)))
-        return rc;
-    for (int v = 0; v < g->n; v++)
-        g->comp_of[v] = (mask_t)1 << v;
-    while (component != g->full) {
-        value *hit = get(&g->prim_next, component);
-        mask_t choice, outside;
-        if (hit) {
-            choice = hit->m;
-        } else {
-            /* Once a state is stored, so is every later one of this member,
-             * so comp_of is brought up to date only here. */
-            cand best;
-            int len = 0;
-            if ((rc = new_state(g)))
-                return rc;
-            for (mask_t rest = component; rest; rest &= rest - 1)
-                g->comp_of[BIT(rest)] = component;
-            if ((rc = neighbours(g, component, g->cands, &len)))
-                return rc;
-            best = cheapest(g->cands, len);
-            choice = (mask_t)best.edge << 32 | (best.pair ^ component);
-            if ((rc = put(&g->prim_next, component, (value){ .m = choice })))
-                return rc;
-        }
-        outside = choice & 0xFFFFFFFFu;
-        if ((rc = add_step(g, (int)(choice >> 32), component, outside, *total, 0.0, total)))
-            return rc;
-        component |= outside;
-    }
-    return OK;
-}
-
-/* Join the components of the edge's ends (left, right); *merged becomes
- * the joined component. */
-static int kruskal_join(greedy *g, int edge, mask_t *merged) {
+/* Join the components of the edge's ends (left, right); a prim member
+ * keeps its component, the one the last join made, on the left.  *merged
+ * becomes the joined component. */
+static int join_edge(greedy *g, int kind, int edge, mask_t *merged) {
     int u = g->p->edge_u[edge], v = g->p->edge_v[edge], rc;
-    mask_t l = g->comp_of[u], r = g->comp_of[v];
+    mask_t l, r;
     double cost;
+    if (kind == PRIM && g->comp_of[v] == *merged) {
+        int w = u;
+        u = v;
+        v = w;
+    }
+    l = g->comp_of[u];
+    r = g->comp_of[v];
     if ((rc = add_step(g, edge, l, r, g->cost_of[u], g->cost_of[v], &cost)))
         return rc;
     *merged = l | r;
     for (mask_t rest = *merged; rest; rest &= rest - 1) {
         g->comp_of[BIT(rest)] = *merged;
         g->cost_of[BIT(rest)] = cost;
+        g->label[1 + BIT(rest)] = (uint8_t)BIT(*merged);
     }
     return OK;
 }
 
-/* pure._Greedy.kruskal */
-static int kruskal(greedy *g, int start, double *total) {
-    int len = g->n_edges, rc, fresh;
+/* pure._Greedy.member: one run of kind from edge start, or unseeded when
+ * start < 0. */
+static int member(greedy *g, int kind, int start, double *total) {
+    int len = 0, rc, fresh;
+    /* merged: the component made by the last join, whose candidates have
+     * not been priced yet; 0 before the first join. */
     mask_t merged = 0;
     size_t index;
 
+    g->label[0] = (uint8_t)kind;
     for (int v = 0; v < g->n; v++) {
         g->comp_of[v] = (mask_t)1 << v;
         g->cost_of[v] = 0.0;
+        g->label[1 + v] = (uint8_t)v;
     }
-    if (!g->opened) {  /* every single-edge join, priced once per search */
-        if ((rc = edge_joins(g, 0, g->n_edges, g->opening)))
+    if (kind == PRIM) {  /* prim prices its own opening, then its component's pairs */
+        int lo = start < 0 ? 0 : start, hi = start < 0 ? g->n_edges : start + 1;
+        if ((rc = edge_joins(g, lo, hi, g->cands)))
             return rc;
-        g->opened = 1;
+        if (hi > lo)
+            start = cheapest(g->cands, hi - lo).edge;
+    } else {
+        if (!g->opened) {  /* every single-edge join, priced once per search */
+            if ((rc = edge_joins(g, 0, g->n_edges, g->opening)))
+                return rc;
+            g->opened = 1;
+        }
+        memcpy(g->cands, g->opening, g->n_edges * sizeof *g->cands);
+        len = g->n_edges;
     }
-    memcpy(g->cands, g->opening, g->n_edges * sizeof *g->cands);
-    /* merged: the component made by the last join, whose candidates have
-     * not been priced yet; 0 before the first join. */
-    if (start >= 0 && (rc = kruskal_join(g, start, &merged)))
+    if (start >= 0 && (rc = join_edge(g, kind, start, &merged)))
         return rc;
     while (g->comp_of[0] != g->full) {
         int edge;
-        for (int v = 0; v < g->n; v++)
-            g->labels[v] = (uint8_t)BIT(g->comp_of[v]);
-        if ((rc = intern(&g->kruskal_next, g->labels, &index, &fresh)))
+        if ((rc = intern(&g->next, g->label, &index, &fresh)))
             return rc;
         if (!fresh) {
-            edge = (int)g->kruskal_next.val[index];
+            edge = (int)g->next.val[index];
         } else {
             if ((rc = new_state(g)))
                 return rc;
@@ -538,9 +512,9 @@ static int kruskal(greedy *g, int start, double *total) {
                     return rc;
             }
             edge = cheapest(g->cands, len).edge;
-            g->kruskal_next.val[index] = edge;
+            g->next.val[index] = edge;
         }
-        if ((rc = kruskal_join(g, edge, &merged)))
+        if ((rc = join_edge(g, kind, edge, &merged)))
             return rc;
     }
     *total = g->cost_of[0];
@@ -576,18 +550,18 @@ static int greedy_open(greedy *g) {
     size_t enc_len = 6 * (size_t)(n - 1) + 1;
     int rc = open_memo(g->p, &g->cards);
     g->full = ((mask_t)1 << n) - 1;
-    g->kruskal_next.width = ((size_t)n + 7) & ~(size_t)7;
+    g->next.width = ((size_t)n + 8) & ~(size_t)7;  /* the kind, then n labels */
     g->plans.width = 6 * (size_t)(n - 1) * sizeof *g->enc;
     g->opening = malloc((n_edges + 1) * sizeof *g->opening);
     g->cands = malloc((n_edges + 1) * sizeof *g->cands);
     g->comp_of = malloc(n * sizeof *g->comp_of);
     g->cost_of = malloc(n * sizeof *g->cost_of);
-    g->labels = calloc(g->kruskal_next.width + 1, 1);
+    g->label = calloc(g->next.width + 1, 1);
     g->enc = malloc(enc_len * sizeof *g->enc);
     g->best_enc = malloc(enc_len * sizeof *g->best_enc);
     g->steps = malloc(n * sizeof *g->steps);
     g->best_steps = malloc(n * sizeof *g->best_steps);
-    if (!g->opening || !g->cands || !g->comp_of || !g->cost_of || !g->labels
+    if (!g->opening || !g->cands || !g->comp_of || !g->cost_of || !g->label
         || !g->enc || !g->best_enc || !g->steps || !g->best_steps)
         return NOMEM;
     return rc;
@@ -596,14 +570,13 @@ static int greedy_open(greedy *g) {
 static int greedy_close(greedy *g, int rc) {
     close_memo(g->p);
     drop(&g->splits);
-    drop(&g->prim_next);
-    drop_strings(&g->kruskal_next);
+    drop_strings(&g->next);
     drop_strings(&g->plans);
     free(g->opening);
     free(g->cands);
     free(g->comp_of);
     free(g->cost_of);
-    free(g->labels);
+    free(g->label);
     free(g->enc);
     free(g->best_enc);
     free(g->steps);
@@ -628,9 +601,7 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
             break;
         }
         g.n_steps = 0;
-        rc = runs[2 * k] == 0 ? prim(&g, runs[2 * k + 1], &total)
-                              : kruskal(&g, runs[2 * k + 1], &total);
-        if (rc)
+        if ((rc = member(&g, runs[2 * k], runs[2 * k + 1], &total)))
             break;
         encode(g.steps, g.n_steps, g.enc);
         if ((rc = intern(&g.plans, g.enc, &index, &fresh)))
@@ -777,18 +748,18 @@ static int find(const int *parent, int x) {
 
 static int memo_merge(walk *w, mask_t lm, mask_t rm, double *inc) {
     mask_t a = lm < rm ? lm : rm, b = lm < rm ? rm : lm, key = a << 32 | b;
-    value *hit = get(&w->memo, key);
+    double *hit = get(&w->memo, key);
     join j;
     int rc;
     w->counts[6]++;
     if (hit) {
-        *inc = hit->d;
+        *inc = *hit;
         return OK;
     }
     if ((rc = merge(w->p, a, b, &j)))
         return rc;
     *inc = j.cost;
-    return put(&w->memo, key, (value){ .d = j.cost });
+    return put(&w->memo, key, j.cost);
 }
 
 static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear) {

@@ -85,14 +85,14 @@ class _Greedy:
     """The state one greedy_search shares between its members.
 
     It holds the distinct splits costed, the evaluations performed, and one
-    memo per member kind of the choice made at each state.  Both kinds join
-    the cheapest (cost, lowest edge) candidate pair of adjacent components;
-    ``neighbours`` prices the pairs a new component makes.  A prim member's
-    next join depends only on its component, and a kruskal member's only on
-    the partition into components, whose candidates hold one entry per
-    adjacent pair.  So a member that reaches a state an earlier member left
-    takes the stored choice without pricing anything, and so does every
-    later state of that member: only fresh states touch the candidates.
+    memo of the choice made at each state, keyed by (kind, partition into
+    components).  Every member joins the cheapest (cost, lowest edge)
+    candidate pair of adjacent components; ``neighbours`` prices the pairs a
+    new component makes.  A kruskal member's candidates are every adjacent
+    pair; a prim member is kruskal whose candidates hold its component.  So a
+    member that reaches a state an earlier member of its kind left takes the
+    stored choice without pricing anything, and so does every later state of
+    that member: only fresh states touch the candidates.
     """
 
     def __init__(self, inst: Instance, deadline: float):
@@ -102,8 +102,7 @@ class _Greedy:
         self.splits: set[tuple[int, int]] = set()
         self.evals = 0
         self.states = 0
-        self.prim_next: dict[int, tuple[int, int]] = {}  # component -> (edge, outside vertex mask)
-        self.kruskal_next: dict[tuple[int, ...], int] = {}  # comp_of -> edge
+        self.next: dict[tuple, int] = {}  # (kind, comp_of) -> edge
         self.opening: list | None = None  # kruskal's first candidates
         # Per-vertex incident edges, as bitmasks of edge ids.
         self.incident = [0] * inst.n
@@ -161,66 +160,50 @@ class _Greedy:
             cands.append((self.price(c1, c2), eid, c1 | c2))
         return cands
 
-    def prim(self, start: int | None):
-        inst = self.inst
-        joins: list = []
-        if inst.n == 1:
-            return joins, 0.0  # no edge to open with
-        _cost, first, component = min(self.edge_joins(
-            range(len(inst.edge_u)) if start is None else (start,)))
-        total = self.step(joins, first, 1 << inst.edge_u[first], 1 << inst.edge_v[first],
-                          0.0, 0.0)
-        comp_of = [1 << v for v in range(inst.n)]
-        memo = self.prim_next
-        while component != self.full:
-            choice = memo.get(component)
-            if choice is None:
-                self.new_state()
-                # Once a state is stored, so is every later one of this
-                # member, so comp_of is brought up to date only here.
-                for w in iter_bits(component):
-                    comp_of[w] = component
-                _cost, eid, pair = min(self.neighbours(comp_of, component))
-                choice = memo[component] = (eid, pair ^ component)
-            eid, outside = choice
-            total = self.step(joins, eid, component, outside, total, 0.0)
-            component |= outside
-        return joins, total
-
-    def kruskal(self, start: int | None):
+    def member(self, kind: int, start: int | None):
+        """One PRIM or KRUSKAL run from edge start, or unseeded when None;
+        returns (joins, cost)."""
         inst = self.inst
         edge_u, edge_v = inst.edge_u, inst.edge_v
         comp_of = [1 << v for v in range(inst.n)]
         cost_of = [0.0] * inst.n  # the cost of each vertex's component
-        if self.opening is None:  # every single-edge join, priced once per search
-            self.opening = self.edge_joins(range(len(edge_u)))
-        cands = self.opening
-        memo = self.kruskal_next
         joins: list = []
+        # The component made by the last join, whose candidates have not been
+        # priced yet; 0 before the first join.
+        merged = 0
 
-        def join(eid: int) -> int:
+        def join(eid: int) -> None:
+            nonlocal merged
             u, v = edge_u[eid], edge_v[eid]
+            if kind == PRIM and comp_of[v] == merged:
+                u, v = v, u  # prim joins (its component, the new table)
             l_mask, r_mask = comp_of[u], comp_of[v]
             cost = self.step(joins, eid, l_mask, r_mask, cost_of[u], cost_of[v])
             merged = l_mask | r_mask
             for w in iter_bits(merged):
                 comp_of[w] = merged
                 cost_of[w] = cost
-            return merged
 
-        # The component made by the last join, whose candidates have not been
-        # priced yet; 0 before the first join.
-        merged = join(start) if start is not None else 0
+        if kind == PRIM:  # prim prices its own opening, then its component's pairs
+            opening = self.edge_joins(range(len(edge_u)) if start is None else (start,))
+            start = min(opening)[1] if opening else None
+            cands = []
+        else:
+            if self.opening is None:  # every single-edge join, priced once per search
+                self.opening = self.edge_joins(range(len(edge_u)))
+            cands = self.opening
+        if start is not None:
+            join(start)
         while comp_of[0] != self.full:
-            state = tuple(comp_of)
-            eid = memo.get(state)
+            state = (kind, *comp_of)
+            eid = self.next.get(state)
             if eid is None:
                 self.new_state()
                 if merged:  # drop the pairs of merged's two parts, add merged's
                     cands = [c for c in cands if not c[2] & merged]
                     cands += self.neighbours(comp_of, merged)
-                eid = memo[state] = min(cands)[1]
-            merged = join(eid)
+                eid = self.next[state] = min(cands)[1]
+            join(eid)
         return joins, cost_of[0]
 
 
@@ -235,9 +218,10 @@ def _encoding(joins: list) -> tuple:
 def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     """Run greedy members and keep the cheapest plan.
 
-    ``runs`` lists (PRIM or KRUSKAL, start edge or None); all members share
-    one ``_Greedy``.  Cardinalities are read through ``_Cards``; a mask
-    neither source gives raises KeyError(mask).  The winner has the lowest
+    ``runs`` lists (PRIM or KRUSKAL, start edge or None), each run by
+    ``_Greedy.member``; all members share one ``_Greedy`` and its memo of
+    the choice at each (kind, partition).  Cardinalities are read through
+    ``_Cards``; a mask neither source gives raises KeyError(mask).  The winner has the lowest
     (internal cost, canonical encoding); the first member wins exact ties.
     The deadline is checked between members and after every 16th state
     priced, so a search too small to reach either finishes.
@@ -253,7 +237,7 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     for k, (kind, start) in enumerate(runs):
         if k:
             search.check_deadline()
-        joins, cost = search.prim(start) if kind == PRIM else search.kruskal(start)
+        joins, cost = search.member(kind, start)
         enc = _encoding(joins)
         encodings.add(enc)
         if best is None or (cost, enc) < best[:2]:

@@ -122,9 +122,16 @@ def check_algorithms(algorithms) -> list[str]:
 def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = None,
                  timeout: float = 60.0):
     """One BenchRecord per (query, algorithm); per-query failures are
-    recorded, never raised, but an unknown or repeated algorithm raises
-    SpanPlanError.  Output order is (query_id, algorithm)."""
+    recorded, never raised, but an unknown or repeated algorithm, or a query
+    id listed twice, raises SpanPlanError before any query runs.  Output
+    order is (query_id, algorithm)."""
     algorithms = check_algorithms(algorithms)
+    queries = list(queries)
+    seen = set()
+    for query in queries:
+        if query.query_id in seen:
+            raise SpanPlanError(f"query id {query.query_id!r} is listed twice")
+        seen.add(query.query_id)
     records = [rec for query in queries
                for rec in _run_query(query, algorithms, params, timeout)]
     order = {name: i for i, name in enumerate(algorithms)}

@@ -12,17 +12,18 @@ Five enumerators over one cost context:
   keep the cheapest plan.
 
 The three greedies share one rule: join the cheapest pair of adjacent
-components, each pair priced once, when one of the two is made.  prim's
-candidates are the pairs that hold its component.  prim and kruskal break
-equal costs on the lowest edge between the pair, goo on the pair's
-(lower mask, higher mask).
+components, each pair priced once, when one of the two is made.  prim and
+kruskal break equal costs on the lowest edge between the pair, goo on the
+pair's (lower mask, higher mask).
 
 ``prim``, ``kruskal`` and ``este`` run their members in the backend's
-``greedy_search`` kernel, where members share the choice made at each
-state, and ``exhaustive`` runs the ``dp_search`` kernel over the connected
-subsets; both build the kernel's winning joins with ``plan.replay``, which
-checks that the plan costs what the kernel reported.  ``goo`` hands its
-joins to ``PlanBuilder`` directly.  ``PlanBuilder`` prices the joins and
+``greedy_search`` kernel through one member routine: prim is kruskal
+restricted to the pairs that hold its component.  Members share the choice
+made at each state in one memo keyed by (kind, partition).  ``exhaustive``
+runs the ``dp_search`` kernel over the connected subsets.  Both build the
+kernel's winning joins with ``plan.replay``, which checks that the plan
+costs what the kernel reported.  ``goo`` hands its joins to
+``PlanBuilder`` directly.  ``PlanBuilder`` prices the joins and
 derives the filters.  Each returns ``(plan, stats)``.  Every join is
 priced by the one cost formula (``formula.merge``, mirrored in
 ``kernels.c``), so costs are exactly comparable.
@@ -224,7 +225,8 @@ ALGORITHMS = ("exhaustive", "prim", "kruskal", "goo", "este")
 
 def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
                   params: CostParams | None = None, *, timeout: float | None = None):
-    """Dispatch by algorithm name; returns (plan, stats)."""
+    """Dispatch by algorithm name; returns (plan, stats).  A name outside
+    ALGORITHMS raises SpanPlanError."""
     if name == "exhaustive":
         return exhaustive(graph, source, params, timeout=timeout)
     if name == "prim":
@@ -235,4 +237,4 @@ def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
         return goo(graph, source, params, timeout=timeout)
     if name == "este":
         return este(graph, source, params, timeout=timeout)
-    raise ValueError(f"unknown algorithm {name!r}")
+    raise SpanPlanError(f"unknown algorithm {name!r}")

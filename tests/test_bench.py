@@ -3,6 +3,7 @@ import random
 import pytest
 
 import spanplan as sp
+from spanplan import bench
 from spanplan.bench import (
     CSV_COLUMNS,
     BenchRecord,
@@ -100,13 +101,24 @@ def test_overflowing_cost_is_a_limit_error_in_every_row(q2a, overflowing):
         assert [r.distinct_plans for r in records] == [None, None, None, None, 7]
 
 
-def test_repeated_or_unknown_algorithm_raises(q2a):
+def test_repeated_or_unknown_algorithm_raises(q2a, monkeypatch):
     graph, catalog = q2a
     query = WorkloadQuery(query_id="2a", graph=graph, selection_source=catalog)
     with pytest.raises(sp.SpanPlanError, match="algorithm 'prim' is listed twice"):
         run_workload([query], algorithms=("exhaustive", "prim", "prim"))
     with pytest.raises(sp.SpanPlanError, match="unknown algorithm 'dpccp'"):
         run_workload([query], algorithms=("exhaustive", "dpccp"))
+    # A repeated query id would pair rows with another query's baseline; it
+    # raises before any query runs.
+    chain, model = sp.gen_topology("chain", 6, seed=0)
+    twin = WorkloadQuery(query_id="2a", graph=chain, selection_source=model)
+    monkeypatch.setattr(bench, "_run_query", lambda *args: pytest.fail("a query ran"))
+    with pytest.raises(sp.SpanPlanError) as info:
+        run_workload([query, twin], algorithms=("exhaustive", "prim"))
+    assert str(info.value) == "query id '2a' is listed twice"
+    with pytest.raises(sp.SpanPlanError) as info:
+        topology_sweep("chain", [4, 4], 1, algorithms=("exhaustive", "prim"))
+    assert str(info.value) == "query id 'chain-04-s0' is listed twice"
 
 
 def test_unknown_topology_is_a_graph_format_error():

@@ -229,6 +229,30 @@ def test_bench_algorithm_that_is_repeated_or_unknown_exits_1_with_one_line(capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("inputs,query_id", [
+    ("same stem in two folders", "q"),
+    ("same path twice", "q"),
+    ("same sweep size twice", "chain-06-s0"),
+])
+def test_bench_query_id_that_is_repeated_exits_1_with_one_line(capsys, tmp_path, inputs,
+                                                             query_id):
+    paths = []
+    for folder, kind in (("a", "clique"), ("b", "chain")):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "q.json")
+        paths[-1].write_text(sp.graph_to_json(*sp.gen_topology(kind, 6, seed=0)))
+    argv = {
+        "same stem in two folders": ["--graph", str(paths[0]), "--graph", str(paths[1])],
+        "same path twice": ["--graph", str(paths[0]), "--graph", str(paths[0])],
+        "same sweep size twice": ["--topology", "chain", "--sizes", "6,6", "--seeds", "1"],
+    }[inputs]
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "bench", *argv, "--algos", "exhaustive,prim",
+                         "--out", str(out_path))
+    assert (code, out, err) == (1, "", f"spanplan: error: query id {query_id!r} is listed twice\n")
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["optimize", "count", "bench"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
 def test_timeout_that_is_not_finite_and_positive_exits_1_with_one_line(capsys, command, value):

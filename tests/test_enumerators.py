@@ -244,6 +244,12 @@ def test_repeated_runs_identical(q2a):
         assert canonical_encoding(a) == canonical_encoding(b)
 
 
+def test_unknown_algorithm_name_raises_spanplan_error(q2a):
+    with pytest.raises(sp.SpanPlanError) as info:
+        sp.run_algorithm("bogus", *q2a)
+    assert str(info.value) == "unknown algorithm 'bogus'"
+
+
 def test_prim_quadratic_evaluation_guardrail():
     for n in (4, 6, 8):
         graph, model = sp.gen_topology("clique", n, seed=2)
