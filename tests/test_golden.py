@@ -30,12 +30,16 @@ EVAL_CATALOGS = {
     "scaled": lambda key, rows: rows * 10 if "mc" in key.split(",") else rows,
     "overflow": lambda key, rows: 10**308 if "," in key else rows,
 }
+# Graphs written by `spanplan gen`, by the name a case passes to --graph.
+GEN_GRAPHS = {f"{kind}-{n}": ["gen", "--topology", kind, "--tables", str(n)]
+              for kind, n in (("cycle", 8), ("star", 8), ("clique", 5))}
 CASES = {
     "bench-q2a": ["bench", "--graph", str(Q2A)],
     "bench-q2a-eval-scaled": ["bench", "--graph", str(Q2A), "--evaluation-catalog", "scaled"],
     "bench-q2a-eval-overflow": ["bench", "--graph", str(Q2A), "--evaluation-catalog", "overflow"],
     "bench-cycle-sweep": ["bench", "--topology", "cycle", "--sizes", "4,5", "--seeds", "2"],
     "count-q2a": ["count", "--graph", str(Q2A)],
+    **{f"count-{name}": ["count", "--graph", name] for name in GEN_GRAPHS},
 }
 
 
@@ -45,7 +49,10 @@ def _outputs(case: str, tmp: Path) -> dict[str, bytes]:
     for name, rows_of in EVAL_CATALOGS.items():
         doc = {key: rows_of(key, rows) for key, rows in catalog.items()}
         (tmp / f"{name}.json").write_text(json.dumps(doc))
-    argv = [str(tmp / f"{a}.json") if a in EVAL_CATALOGS else a for a in CASES[case]]
+    for name, gen in GEN_GRAPHS.items():
+        assert main([*gen, "--out", str(tmp / f"{name}.json")]) == 0
+    argv = [str(tmp / f"{a}.json") if a in EVAL_CATALOGS or a in GEN_GRAPHS else a
+            for a in CASES[case]]
     out = tmp / "out"
     out.mkdir()
     suffix = ".csv" if argv[0] == "bench" else ".json"
