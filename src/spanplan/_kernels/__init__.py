@@ -2,18 +2,21 @@
 
 ``formula`` holds the one Python cost formula (``join_cost``, ``merge``,
 ``model_product``) and ``Instance``, which every backend takes.  ``pure``
-is the reference implementation of the six kernels (``merge``,
-``model_cards``, ``greedy_search``, ``dp_search``, ``count_trees`` and
-``brute_search``).  ``compiled`` runs the same six kernels from
-``kernels.c``, built next to this file as ``_ckernels`` by ``python3
-setup.py build_ext`` and opened through ctypes by ``loader``; it is
-preferred whenever the build produced a library that matches ``loader``
-(``DEFAULT_BACKEND`` names the backend chosen).  The three searches return
-``(cost, joins, counters...)``, with ``joins`` the winner's ``(edge, left
-mask, right mask)`` list in the order ``plan.replay`` builds it.  A
-backend is loaded on the first ``get_backend`` call that names it, so
-``import spanplan`` pays neither for ctypes nor for compiling ``pure``, and
-a process that runs the compiled searches never loads ``pure`` at all.
+is the reference implementation of five kernels (``merge``,
+``model_cards``, ``greedy_search``, ``dp_search`` and ``brute_search``).
+``compiled`` runs the same five from ``kernels.c``, built next to this
+file as ``_ckernels`` by ``python3 setup.py build_ext`` and opened through
+ctypes by ``loader``; it is preferred whenever the build produced a library
+that matches ``loader`` (``DEFAULT_BACKEND`` names the backend chosen).
+Both backends share the sixth kernel, ``count_trees``, which counts the
+ordered spanning-tree space in closed form (``trees``).  The three
+searches return ``(cost, joins, counters...)``, with ``joins`` the
+winner's ``(edge, left mask, right mask)`` list in the order
+``plan.replay`` builds it.  A backend is loaded on the first
+``get_backend`` call that names it, so ``import spanplan`` pays neither
+for ctypes nor for compiling ``pure``, and a process that runs the
+compiled searches never loads ``pure`` at all; ``trees`` is compiled by
+the first ``count_trees`` call.
 
 A kernel's ``deadline`` is a ``time.perf_counter`` time; 0.0 means none.
 """
@@ -74,6 +77,14 @@ def __getattr__(name: str):
     if name == "DEFAULT_BACKEND":
         return get_backend("auto").name
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
+    """Every backend's ``count_trees``: ``trees.count_trees``, imported on
+    the first call so that only a process that counts compiles it."""
+    from .trees import count_trees
+
+    return count_trees(n, edge_u, edge_v, deadline)
 
 
 def deadline(t0: float, timeout: float | None) -> float:

@@ -2,9 +2,11 @@
  *
  * A mirror of the Python kernels: merge (with the join_cost it inlines) and
  * model_product mirror formula.py, the package's one Python cost formula;
- * model_cards, greedy_search, dp_search, count_trees and brute_search
- * mirror pure.py.  The three searches write the winner's cost and its
- * joins as (edge, left mask, right mask) triples, in replay order.
+ * model_cards, greedy_search, dp_search and brute_search mirror pure.py.
+ * (count_trees has no C kernel: every backend counts in closed form in
+ * trees.py, whose Python ints stay exact where int64 would overflow.)
+ * The three searches write the winner's cost and its joins as (edge, left
+ * mask, right mask) triples, in replay order.
  * Every cost is computed with the same operations in the same order, so
  * results are bit-for-bit equal to the reference.
  * Build with -ffp-contract=off so that no a * b + c is fused into one
@@ -720,8 +722,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     return rc;
 }
 
-/* One depth-first walk over ordered edge arrangements, shared by
- * count_trees and brute_search.  Only the latter sets p and prices joins. */
+/* brute_search's depth-first walk over ordered edge arrangements. */
 typedef struct {
     problem *p;
     int n_edges, slots;
@@ -732,11 +733,11 @@ typedef struct {
     int64_t counts[7];        /* valid, invalid, linear, bushy, subplans, splits, evals */
     int64_t nodes;
     double deadline;
-    mask_t *comp_mask;        /* brute search: each root's component and its cost */
+    mask_t *comp_mask;        /* each root's component and its cost */
     double *comp_cost;
     mask_t *seq, *best_seq;   /* (edge, left, right) per depth: the walk's and the best */
     double best;
-    table cards;              /* brute search: the cardinalities card() reads */
+    table cards;              /* the cardinalities card() reads */
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
 } walk;
 
@@ -769,8 +770,8 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
         return TIMEOUT;
     for (int e = 0; e < w->n_edges; e++) {
         int u = w->edge_u[e], v = w->edge_v[e], ru, rv, cnt, new_linear;
-        mask_t lm = 0, saved_mask = 0;
-        double inc, new_cost = 0.0, saved_cost = 0.0;
+        mask_t lm, rm;
+        double inc, new_cost, saved_cost;
         if (w->used[e])
             continue;
         ru = find(w->parent, u);
@@ -779,19 +780,17 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
             w->counts[1] += w->ff[(unused - 1) * (w->slots + 1) + remaining - 1];
             continue;
         }
-        if (w->p) {
-            lm = w->comp_mask[ru];
-            if ((rc = memo_merge(w, lm, w->comp_mask[rv], &inc)))
-                return rc;
-            new_cost = inc + w->comp_cost[ru] + w->comp_cost[rv];
-            saved_mask = w->comp_mask[rv];
-            saved_cost = w->comp_cost[rv];
-            w->comp_mask[rv] = lm | saved_mask;
-            w->comp_cost[rv] = new_cost;
-            w->seq[3 * depth] = (mask_t)e;
-            w->seq[3 * depth + 1] = lm;
-            w->seq[3 * depth + 2] = saved_mask;
-        }
+        lm = w->comp_mask[ru];
+        rm = w->comp_mask[rv];
+        if ((rc = memo_merge(w, lm, rm, &inc)))
+            return rc;
+        new_cost = inc + w->comp_cost[ru] + w->comp_cost[rv];
+        saved_cost = w->comp_cost[rv];
+        w->comp_mask[rv] = lm | rm;
+        w->comp_cost[rv] = new_cost;
+        w->seq[3 * depth] = (mask_t)e;
+        w->seq[3 * depth + 1] = lm;
+        w->seq[3 * depth + 2] = rm;
         w->parent[ru] = rv;
         w->used[e] = 1;
         cnt = touched_cnt + !((touched >> u) & 1) + !((touched >> v) & 1);
@@ -799,7 +798,7 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
         if (depth + 1 == w->slots) {
             w->counts[0]++;
             w->counts[new_linear ? 2 : 3]++;
-            if (w->p && new_cost < w->best) {
+            if (new_cost < w->best) {
                 w->best = new_cost;
                 memcpy(w->best_seq, w->seq, 3 * w->slots * sizeof *w->seq);
             }
@@ -809,23 +808,20 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
         }
         w->used[e] = 0;
         w->parent[ru] = ru;
-        if (w->p) {
-            w->comp_mask[rv] = saved_mask;
-            w->comp_cost[rv] = saved_cost;
-        }
+        w->comp_mask[rv] = rm;
+        w->comp_cost[rv] = saved_cost;
     }
     return OK;
 }
 
 static int run_walk(walk *w) {
-    int n = w->slots + 1, n_edges = w->n_edges, slots = w->slots, rc = OK;
+    int n = w->slots + 1, n_edges = w->n_edges, slots = w->slots, rc;
     if (slots == 0) {
         w->counts[0] = w->counts[2] = 1;
         w->best = 0.0;
         return OK;
     }
-    if (w->p)
-        rc = open_memo(w->p, &w->cards);
+    rc = open_memo(w->p, &w->cards);
     w->parent = malloc(n * sizeof *w->parent);
     w->used = calloc(n_edges, sizeof *w->used);
     w->ff = malloc((size_t)(n_edges + 1) * (slots + 1) * sizeof *w->ff);
@@ -851,8 +847,7 @@ static int run_walk(walk *w) {
     if (rc == OK)
         rc = count_unions(&w->memo, &w->counts[4]);
     w->counts[5] = (int64_t)w->memo.len;
-    if (w->p)
-        close_memo(w->p);
+    close_memo(w->p);
     drop(&w->memo);
     free(w->parent);
     free(w->used);
@@ -860,16 +855,6 @@ static int run_walk(walk *w) {
     free(w->comp_mask);
     free(w->comp_cost);
     free(w->seq);
-    return rc;
-}
-
-/* pure.count_trees; counts receives (valid, invalid, linear, bushy). */
-int sp_count_trees(int n, int n_edges, const int *edge_u, const int *edge_v,
-                   double deadline, int64_t counts[4]) {
-    walk w = { .n_edges = n_edges, .slots = n - 1, .edge_u = edge_u, .edge_v = edge_v,
-               .deadline = deadline };
-    int rc = run_walk(&w);
-    memcpy(counts, w.counts, 4 * sizeof *counts);
     return rc;
 }
 

@@ -2,7 +2,8 @@
 
 ``open_library(path)`` opens a built copy of ``kernels.c`` and returns the
 ``compiled`` backend: a module with ``pure``'s six kernels, taking the same
-arguments and returning the same values.  It refuses, with
+arguments and returning the same values.  Five of them run in C, and
+``count_trees`` is the closed form every backend shares.  It refuses, with
 ``StaleLibraryError``, a library that lacks a kernel, was built from
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  Its ``merge`` is the C mirror of
@@ -21,13 +22,13 @@ from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64, c_void_p
 from functools import partial
 
 from ..errors import OptimizeTimeout
-from . import StaleLibraryError
+from . import StaleLibraryError, count_trees
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
 VERSION = 1
-_SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_count_trees",
-            "sp_brute_search", "sp_problem_size", "sp_version")
+_SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
+            "sp_problem_size", "sp_version")
 
 
 class _Problem(ctypes.Structure):
@@ -68,7 +69,7 @@ def _problem(inst) -> _Problem:
     return prob
 
 
-def _check(status: int, prob: _Problem | None, search: str) -> None:
+def _check(status: int, prob: _Problem, search: str) -> None:
     """Raise what pure raises for a kernel's non-zero status."""
     if status == _TIMEOUT:
         raise OptimizeTimeout(f"{search} ran past its deadline")
@@ -120,13 +121,6 @@ def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float 
     return (root.value, _joins(joins) if root.value < math.inf else [], *counts)
 
 
-def _count_trees(lib, n: int, edge_u, edge_v, deadline: float = 0.0):
-    eu, ev, counts = array("i", edge_u), array("i", edge_v), array("q", bytes(32))
-    _check(lib.sp_count_trees(n, len(eu), _addr(eu), _addr(ev), deadline, _addr(counts)),
-           None, "tree enumeration")
-    return tuple(counts)
-
-
 def _brute_search(lib, inst, deadline: float = 0.0):
     prob, best, joins, counts = _problem(inst), c_double(), _join_buffer(inst), array("q", bytes(56))
     _check(lib.sp_brute_search(prob, deadline, byref(best), _addr(joins), _addr(counts)),
@@ -164,11 +158,11 @@ def open_library(path) -> types.ModuleType:
                                      c_void_p]
     lib.sp_dp_search.argtypes = [problem, c_void_p, c_int64, c_double, c_double, c_void_p,
                                  c_void_p, c_void_p]
-    lib.sp_count_trees.argtypes = [c_int, c_int, c_void_p, c_void_p, c_double, c_void_p]
     lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
     backend.problem_size = size
-    for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _count_trees, _brute_search):
+    for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
+    backend.count_trees = count_trees
     return backend

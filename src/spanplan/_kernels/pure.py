@@ -3,15 +3,15 @@
 These are the reference implementations of the three searches: the greedy
 prim/kruskal members behind ``prim``, ``kruskal`` and ``este``
 (``greedy_search``), the subset dynamic program over the connected vertex
-sets it is given (``dp_search``), and the depth-first enumeration of
-ordered spanning-tree edge arrangements (``count_trees`` and
-``brute_search``), plus ``model_cards``, the selectivity model's
-cardinalities of many subsets in one call.  Each search returns
-``(cost, joins, counters...)``, ``joins`` being the winner's ``(edge, left
-mask, right mask)`` list in replay order.  They price every join with
-``formula.merge``, the package's one Python cost formula; pure's ``merge``
-kernel is that formula over the cardinalities every kernel reads
-(``_Cards``), as the compiled ``merge`` reads them.  The C kernels in
+sets it is given (``dp_search``), and the depth-first walk over ordered
+spanning-tree edge arrangements (``brute_search``), plus ``model_cards``,
+the selectivity model's cardinalities of many subsets in one call.  Its
+``count_trees`` is the closed form every backend shares (``trees``).  Each
+search returns ``(cost, joins, counters...)``, ``joins`` being the
+winner's ``(edge, left mask, right mask)`` list in replay order.  They
+price every join with ``formula.merge``, the package's one Python cost
+formula; pure's ``merge`` kernel is that formula over the cardinalities
+every kernel reads (``_Cards``), as the compiled ``merge`` reads them.  The C kernels in
 ``kernels.c`` mirror this module and ``formula`` operation-for-operation;
 equivalence is enforced by tests/test_kernels.py.  ``get_backend("pure")``
 imports this module on first use, so a process that runs the compiled
@@ -31,6 +31,7 @@ import time
 
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
+from . import count_trees  # noqa: F401  (a kernel of this backend)
 from .formula import PRIM, SIDE_LEFT, Instance, model_product
 from .formula import merge as _merge
 
@@ -327,24 +328,23 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
     return best[full], joins, subplans, splits
 
 
-def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: str):
-    """One depth-first walk over ordered edge arrangements of length n-1,
-    shared by count_trees and brute_search.  Arrangements that close a cycle
-    are counted, not walked.  Only with an Instance are joins priced, its
-    cardinalities read through ``_Cards``, and the cheapest valid
-    arrangement kept.
+def brute_search(inst: Instance, deadline: float = 0.0):
+    """Exhaustive depth-first walk of every ordered edge arrangement of
+    length n-1, tracking the minimum-cost valid one.  Arrangements that
+    close a cycle are counted, not walked.  No cost pruning: the
+    valid/invalid/linear/bushy counts stay exact and every complete plan is
+    compared.  Cardinalities are read through ``_Cards``.
 
-    Returns (counts, best_cost, best_joins, memo, evals) with counts =
-    [valid, invalid, linear, bushy], best_joins the cheapest arrangement's
-    joins as (edge, component of its v1, component of its v2), and memo
-    mapping each costed (smaller mask, larger mask) pair to its merge cost.
+    Returns (best_cost, joins, valid, invalid, linear, bushy, subplans,
+    splits, evals): the cheapest arrangement's joins as (edge, component of
+    its v1, component of its v2), in order.
     """
+    n, edge_u, edge_v = inst.n, inst.edge_u, inst.edge_v
     n_edges = len(edge_u)
     slots = n - 1
     if slots == 0:
-        return [1, 0, 1, 0], 0.0, [], {}, 0
-    if inst is not None:
-        inst = _view(inst)
+        return 0.0, [], 1, 0, 1, 0, 0, 0, 0
+    inst = _view(inst)
 
     # ff[u][s]: ordered ways to fill s slots from u distinct edges.
     ff = [[1] * (slots + 1) for _ in range(n_edges + 1)]
@@ -363,14 +363,14 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
 
     used = [False] * n_edges
     seq: list[tuple[int, int, int]] = []
-    memo: dict[tuple[int, int], float] = {}
+    memo: dict[tuple[int, int], float] = {}  # (smaller mask, larger mask) -> merge cost
     counts = [0, 0, 0, 0]
     state = {"best": float("inf"), "seq": [], "evals": 0, "nodes": 0}
 
     def rec(depth: int, touched_mask: int, touched_cnt: int, linear: bool):
         state["nodes"] += 1
         if deadline and state["nodes"] % 4096 == 0 and time.perf_counter() > deadline:
-            raise OptimizeTimeout(f"{what} ran past its deadline")
+            raise OptimizeTimeout("oracle enumeration ran past its deadline")
         remaining = slots - depth
         unused = n_edges - depth
         for e in range(n_edges):
@@ -381,19 +381,18 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
             if ru == rv:
                 counts[1] += ff[unused - 1][remaining - 1]
                 continue
-            if inst is not None:
-                lm, rm = comp_mask[ru], comp_mask[rv]
-                key = (lm, rm) if lm < rm else (rm, lm)
-                state["evals"] += 1
-                inc = memo.get(key)
-                if inc is None:
-                    inc, _op, _side, _out = _merge(inst, key[0], key[1])
-                    memo[key] = inc
-                new_cost = inc + comp_cost[ru] + comp_cost[rv]
-                saved_mask, saved_cost = rm, comp_cost[rv]
-                comp_mask[rv] = lm | rm
-                comp_cost[rv] = new_cost
-                seq.append((e, lm, rm))
+            lm, rm = comp_mask[ru], comp_mask[rv]
+            key = (lm, rm) if lm < rm else (rm, lm)
+            state["evals"] += 1
+            inc = memo.get(key)
+            if inc is None:
+                inc, _op, _side, _out = _merge(inst, key[0], key[1])
+                memo[key] = inc
+            new_cost = inc + comp_cost[ru] + comp_cost[rv]
+            saved_cost = comp_cost[rv]
+            comp_mask[rv] = lm | rm
+            comp_cost[rv] = new_cost
+            seq.append((e, lm, rm))
             parent[ru] = rv
             used[e] = True
             new_touched = touched_mask | (1 << u) | (1 << v)
@@ -405,43 +404,17 @@ def _walk(n: int, edge_u, edge_v, inst: Instance | None, deadline: float, what: 
                     counts[2] += 1
                 else:
                     counts[3] += 1
-                if inst is not None and new_cost < state["best"]:
+                if new_cost < state["best"]:
                     state["best"] = new_cost
                     state["seq"] = list(seq)
             else:
                 rec(depth + 1, new_touched, new_cnt, new_linear)
             used[e] = False
             parent[ru] = ru
-            if inst is not None:
-                seq.pop()
-                comp_mask[rv] = saved_mask
-                comp_cost[rv] = saved_cost
+            seq.pop()
+            comp_mask[rv] = rm
+            comp_cost[rv] = saved_cost
 
     rec(0, 0, 0, True)
-    return counts, state["best"], state["seq"], memo, state["evals"]
-
-
-def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
-    """Count ordered edge arrangements of length n-1: valid spanning trees
-    (split into linear/bushy) versus arrangements pruned for closing a cycle.
-
-    Returns (valid, invalid, linear, bushy).
-    """
-    counts, _best, _joins, _memo, _evals = _walk(
-        n, edge_u, edge_v, None, deadline, "tree enumeration")
-    return tuple(counts)
-
-
-def brute_search(inst: Instance, deadline: float = 0.0):
-    """Exhaustive walk of every valid ordered spanning tree, tracking the
-    minimum-cost one.  No cost pruning: the valid/invalid/linear/bushy counts
-    stay exact and every complete plan is compared.
-
-    Returns (best_cost, joins, valid, invalid, linear, bushy, subplans,
-    splits, evals): the cheapest arrangement's joins as (edge, component of
-    its v1, component of its v2), in order.
-    """
-    counts, best, joins, memo, evals = _walk(
-        inst.n, inst.edge_u, inst.edge_v, inst, deadline, "oracle enumeration")
     subplans = len({a | b for a, b in memo})
-    return (best, joins, *counts, subplans, len(memo), evals)
+    return (state["best"], state["seq"], *counts, subplans, len(memo), state["evals"])

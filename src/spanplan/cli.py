@@ -221,7 +221,7 @@ def build_parser() -> _Parser:
     p_cnt = sub.add_parser("count", help="count the ordered spanning-tree space")
     p_cnt.add_argument("--graph", required=True)
     p_cnt.add_argument("--limit", type=int,
-                       help="most arrangements to walk; default: the oracle's limit")
+                       help="largest arrangement space to count; default: the oracle's limit")
     p_cnt.add_argument("--timeout", type=_timeout, default=60.0)
     p_cnt.add_argument("--out")
     p_cnt.set_defaults(func=cmd_count)

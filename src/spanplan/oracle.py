@@ -3,8 +3,9 @@
 An ordered edge arrangement of length |V|-1 is a valid plan iff no prefix
 closes a cycle (the full set then necessarily spans all vertices).  A valid
 arrangement is linear iff every prefix forms a single connected component.
-This module counts the arrangement space exactly and certifies optimality
-of the dynamic-programming search by exhaustive comparison.
+This module counts the arrangement space exactly, in closed form, and
+certifies optimality of the dynamic-programming search by exhaustive
+comparison.
 """
 from __future__ import annotations
 
@@ -49,8 +50,10 @@ class TreeCounts(NamedTuple):
 
 def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT,
                             timeout: float | None = None) -> TreeCounts:
-    """Count all ordered (|V|-1)-edge arrangements, classified.  Raises
-    OptimizeTimeout when the walk runs past timeout seconds."""
+    """Count all ordered (|V|-1)-edge arrangements, classified, in closed
+    form (the backend's ``count_trees``).  Raises LimitExceededError when
+    there are more than limit arrangements, and OptimizeTimeout when the
+    count runs past timeout seconds."""
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     if bound > limit:
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")

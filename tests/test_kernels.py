@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from typing import NamedTuple
 
 import pytest
@@ -290,12 +291,42 @@ def test_search_kernels_keep_the_result_positions_perfbench_reads(q2a, compiled)
     assert [edge for edge, _left, _right in dp[1]] == [0, 3, 4, 1]
 
 
-def test_count_equivalence(compiled):
-    for kind, n, graph, _model in mixed_instances(16, base_seed=6300):
+def test_count_trees_equals_the_counts_of_the_brute_walk(compiled):
+    # count_trees counts in closed form; brute_search walks every
+    # arrangement and returns (valid, invalid, linear, bushy) at [2:6].
+    cases = mixed_instances(16, base_seed=6300) + irregular_instances(25, base_seed=6350)
+    for kind, n, graph, model in cases:
         edge_u = [e.v1 for e in graph.edges]
         edge_v = [e.v2 for e in graph.edges]
-        assert _kernels.pure.count_trees(graph.n_vertices, edge_u, edge_v) == \
-            compiled.count_trees(graph.n_vertices, edge_u, edge_v)
+        inst = _instance(graph, model)
+        for backend in (_kernels.pure, compiled):
+            assert backend.count_trees(n, edge_u, edge_v) == backend.brute_search(inst)[2:6], \
+                (backend.name, kind, n)
+
+
+def test_count_trees_is_exact_past_int64_on_both_backends(compiled, monkeypatch):
+    graph, _ = sp.gen_topology("chain", 25, seed=0)
+    every = math.factorial(24)  # every order of the 24 edges is a spanning tree
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        t0 = time.perf_counter()
+        counts = sp.enumerate_ordered_trees(graph, limit=every)
+        assert time.perf_counter() - t0 < 1.0, backend.name
+        assert counts == sp.TreeCounts(every, every, 0, 2**23, every - 2**23)
+    assert counts.valid > 2**63
+
+
+def test_count_trees_stops_at_its_deadline_on_both_backends(compiled):
+    # The linear-order DP reaches 65,519 vertex sets of clique-16, far more
+    # than it visits in 20 ms, and reads the clock every 4096 of them.
+    graph, _ = sp.gen_topology("clique", 16, seed=0)
+    edge_u = [e.v1 for e in graph.edges]
+    edge_v = [e.v2 for e in graph.edges]
+    for backend in (_kernels.pure, compiled):
+        t0 = time.perf_counter()
+        with pytest.raises(sp.OptimizeTimeout):
+            backend.count_trees(16, edge_u, edge_v, deadline=t0 + 0.02)
+        assert time.perf_counter() - t0 < 1.0, backend.name
 
 
 def test_full_pipeline_equivalence(q2a, compiled, monkeypatch):

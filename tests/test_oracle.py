@@ -7,7 +7,7 @@ import pytest
 import spanplan as sp
 from spanplan.cost import CostContext
 
-from .conftest import irregular_instances, mixed_instances
+from .conftest import IRREGULAR_KINDS, irregular_graph, irregular_instances, mixed_instances
 
 
 # ------------------------------------------------------- counting formulas
@@ -74,6 +74,35 @@ def test_counts_chain_factorial(n):
     assert counts.valid == math.factorial(n - 1)
     assert counts.invalid == 0
     assert counts.bound == counts.valid
+    assert counts.linear == 2 ** (n - 2)  # a growing path adds an edge at either end
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
+def test_counts_star_all_linear(n):
+    graph, _ = sp.gen_topology("star", n, seed=0)
+    counts = sp.enumerate_ordered_trees(graph)
+    assert counts == sp.TreeCounts(*[math.factorial(n - 1)] * 2, 0, math.factorial(n - 1), 0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 10])
+def test_counts_cycle(n):
+    # Each of the n spanning paths in each of its (n-1)! orders; a linear
+    # order opens with any edge and then grows its path at either end.
+    graph, _ = sp.gen_topology("cycle", n, seed=0)
+    counts = sp.enumerate_ordered_trees(graph)
+    assert counts.valid == n * math.factorial(n - 1)
+    assert counts.linear == n * 2 ** (n - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_counts_clique_cayley(n):
+    # Cayley's n^(n-2) spanning trees, each in (n-1)! orders; a linear order
+    # opens with any edge and then grows a k-table tree by any of n-k tables
+    # over any of k edges.
+    graph, _ = sp.gen_topology("clique", n, seed=0)
+    counts = sp.enumerate_ordered_trees(graph, limit=math.perm(n * (n - 1) // 2, n - 1))
+    assert counts.valid == n ** (n - 2) * math.factorial(n - 1)
+    assert counts.linear == math.factorial(n) * math.factorial(n - 1) // 2
 
 
 def test_counts_triangle_all_linear():
@@ -146,31 +175,33 @@ def iter_ordered_trees(graph):
 
 
 def test_iter_ordered_trees_agrees_with_kernel(q2a):
-    graph, _ = q2a
-    seqs = list(iter_ordered_trees(graph))
-    counts = sp.enumerate_ordered_trees(graph)
-    assert len(seqs) == counts.bound
-    assert sum(1 for _, valid, _ in seqs if valid) == counts.valid
-    assert sum(1 for _, valid, linear in seqs if valid and linear) == counts.linear
-    # Every valid arrangement uses |V|-1 distinct edges and no prefix cycle;
-    # every invalid one closes a cycle somewhere.
-    for seq, valid, _ in seqs:
-        parent = list(range(graph.n_vertices))
+    # q2a, and one small graph of each irregular kind
+    graphs = [q2a[0]] + [irregular_graph(kind, 6, seed=7)[0] for kind in IRREGULAR_KINDS]
+    for graph in graphs:
+        seqs = list(iter_ordered_trees(graph))
+        counts = sp.enumerate_ordered_trees(graph)
+        assert len(seqs) == counts.bound
+        assert sum(1 for _, valid, _ in seqs if valid) == counts.valid
+        assert sum(1 for _, valid, linear in seqs if valid and linear) == counts.linear
+        # Every valid arrangement uses |V|-1 distinct edges and no prefix
+        # cycle; every invalid one closes a cycle somewhere.
+        for seq, valid, _ in seqs:
+            parent = list(range(graph.n_vertices))
 
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
 
-        clean = True
-        for eid in seq:
-            e = graph.edges[eid]
-            ru, rv = find(e.v1), find(e.v2)
-            if ru == rv:
-                clean = False
-                break
-            parent[ru] = rv
-        assert clean == valid
+            clean = True
+            for eid in seq:
+                e = graph.edges[eid]
+                ru, rv = find(e.v1), find(e.v2)
+                if ru == rv:
+                    clean = False
+                    break
+                parent[ru] = rv
+            assert clean == valid
 
 
 # ------------------------------------------------------------ brute force
