@@ -24,8 +24,11 @@ enum { OK, TIMEOUT, MISSING, NOMEM };
 
 typedef uint64_t mask_t;
 
-/* Open-addressing hash map from nonzero keys to doubles; key 0 is a free slot. */
-typedef struct { mask_t *key; double *val; size_t cap, len; } table;
+/* Open-addressing hash map from nonzero keys to doubles; key 0 is a free
+ * slot.  A tagged table (greedy_search's card memo) also holds TAGS split
+ * tags per slot, zero while free, which move with their key when it grows. */
+enum { TAGS = 3 };
+typedef struct { mask_t *key; double *val; uint32_t *tags; size_t cap, len; int tagged; } table;
 
 static size_t slot(const table *t, mask_t key) {
     size_t i = (size_t)((key * 0x9E3779B97F4A7C15u) >> 32) & (t->cap - 1);
@@ -47,17 +50,26 @@ static int put(table *t, mask_t key, double val) {
     size_t i;
     if (2 * (t->len + 1) > t->cap) {
         size_t cap = t->cap ? 2 * t->cap : 64;
-        table big = { calloc(cap, sizeof(mask_t)), malloc(cap * sizeof(double)), cap, 0 };
-        if (!big.key || !big.val) {
+        table big = { calloc(cap, sizeof(mask_t)), malloc(cap * sizeof(double)),
+                      t->tagged ? calloc(cap * TAGS, sizeof(uint32_t)) : NULL, cap, t->len,
+                      t->tagged };
+        if (!big.key || !big.val || (t->tagged && !big.tags)) {
             free(big.key);
             free(big.val);
+            free(big.tags);
             return NOMEM;
         }
         for (i = 0; i < t->cap; i++)
-            if (t->key[i])
-                put(&big, t->key[i], t->val[i]);
+            if (t->key[i]) {
+                size_t j = slot(&big, t->key[i]);
+                big.key[j] = t->key[i];
+                big.val[j] = t->val[i];
+                if (t->tagged)
+                    memcpy(big.tags + TAGS * j, t->tags + TAGS * i, TAGS * sizeof *t->tags);
+            }
         free(t->key);
         free(t->val);
+        free(t->tags);
         *t = big;
     }
     i = slot(t, key);
@@ -70,10 +82,12 @@ static int put(table *t, mask_t key, double val) {
 static void drop(table *t) {
     free(t->key);
     free(t->val);
+    free(t->tags);
     *t = (table){ 0 };
 }
 
-/* The number of distinct unions a | b over a table of (a << 32 | b) keys. */
+/* The number of distinct unions a | b over brute_search's table of
+ * (a << 32 | b) keys.  greedy_search counts its unions as it prices them. */
 static int count_unions(const table *pairs, int64_t *count) {
     table unions = { 0 };
     int rc = OK;
@@ -194,14 +208,12 @@ static int pair_inner(const problem *p, mask_t m) {
     return -1;
 }
 
-/* formula.merge and formula.join_cost, given out = card(l | r) */
-static int merge_into(problem *p, mask_t l, mask_t r, double out, join *j) {
+/* formula.merge and formula.join_cost, given the cardinalities of the
+ * result (out) and of the two sides (lc, rc). */
+static join join_of(const problem *p, mask_t l, mask_t r, double out, double lc, double rc) {
     int l_single = SINGLE(l), r_single = SINGLE(r), op = 0, side, inner = -1;
-    double lc, rc, cost, outer_card, inl;
-    int status;
+    double cost, inl;
 
-    if ((status = card(p, l, &lc)) || (status = card(p, r, &rc)))
-        return status;
     /* Hash join: build on the smaller input, ties toward the smaller mask. */
     side = !(lc < rc || (lc == rc && l < r));
     cost = out + (side ? rc : lc);
@@ -219,8 +231,7 @@ static int merge_into(problem *p, mask_t l, mask_t r, double out, join *j) {
     if (inner >= 0 && p->indexed[inner]) {
         mask_t inner_mask = (mask_t)1 << inner;
         mask_t outer = inner_mask == l ? r : l;
-        if ((status = card(p, outer, &outer_card)))
-            return status;
+        double outer_card = inner_mask == l ? rc : lc;
         inl = outer_card > 0.0 ? p->lam * (out >= outer_card ? out : outer_card) : 0.0;
         if (SINGLE(outer))
             inl = inl + p->scan[BIT(outer)];
@@ -230,7 +241,16 @@ static int merge_into(problem *p, mask_t l, mask_t r, double out, join *j) {
             side = inner_mask == l ? 0 : 1;
         }
     }
-    *j = (join){ cost, out, op, side };
+    return (join){ cost, out, op, side };
+}
+
+/* join_of, given out = card(l | r); the sides are read through card(). */
+static int merge_into(problem *p, mask_t l, mask_t r, double out, join *j) {
+    double lc, rc;
+    int status;
+    if ((status = card(p, l, &lc)) || (status = card(p, r, &rc)))
+        return status;
+    *j = join_of(p, l, r, out, lc, rc);
     return OK;
 }
 
@@ -259,14 +279,23 @@ int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *car
     return rc;
 }
 
-/* Interned byte strings of one width, a multiple of 8, each with a value:
+/* A join of a member's plan: its two sides, edge, operator and build or
+ * inner side (formula.OP_*, SIDE_*), and its step cost. */
+typedef struct { mask_t l, r; double cost; int edge, op, side; } step_t;
+
+/* The join a greedy state took and the index of the state it led to, or
+ * DONE when it completed the plan. */
+#define DONE ((size_t)-1)
+typedef struct { step_t step; size_t next; } choice;
+
+/* Interned byte strings of one width, a multiple of 8, each with a choice:
  * greedy_search's states (a member's kind, then its partition as each
  * vertex's lowest component vertex, zero-padded) and its distinct member
- * plans (canonical encodings). */
+ * plans (canonical encodings, whose choices go unused). */
 typedef struct {
     size_t width, len, cap;    /* cap: slots, a power of two; room for cap / 2 strings */
     unsigned char *data;       /* the strings, in insertion order */
-    int64_t *val;
+    choice *val;
     size_t *slot;              /* string index + 1, or 0 for a free slot */
 } strings;
 
@@ -295,7 +324,7 @@ static int intern(strings *t, const void *s, size_t *index, int *fresh) {
     if (2 * (t->len + 1) > t->cap) {
         size_t cap = t->cap ? 2 * t->cap : 64;
         unsigned char *data = realloc(t->data, cap / 2 * t->width + 1);
-        int64_t *val = data ? realloc(t->val, cap / 2 * sizeof *val) : NULL;
+        choice *val = data ? realloc(t->val, cap / 2 * sizeof *val) : NULL;
         size_t *slot = val ? calloc(cap, sizeof *slot) : NULL;
         if (data)
             t->data = data;
@@ -334,8 +363,6 @@ enum { PRIM, KRUSKAL };
  * component, kruskal's are every adjacent pair, one entry each. */
 typedef struct { double cost; int edge; mask_t pair; } cand;
 
-typedef struct { mask_t l, r; int edge, op, side; } step_t;
-
 /* pure._Greedy: the state the members of one search share, and the
  * scratch space of the member being run. */
 typedef struct {
@@ -343,17 +370,18 @@ typedef struct {
     double deadline;
     int n, n_edges;
     mask_t full;
-    table cards, splits;       /* splits: (smaller << 32 | larger) */
-    strings next, plans;       /* next: (kind, partition) -> edge */
+    table cards;               /* tagged: each priced union's split tags */
+    table overflow;            /* the tags past a union's TAGS, as (tag << 32 | union) */
+    strings next, plans;       /* next: (kind, partition) -> the choice made there */
     cand *opening, *cands;     /* kruskal's opening, once priced; a member's candidates */
     int opened;
     mask_t *comp_of, *enc, *best_enc;
-    double *cost_of;
+    double *cost_of, *card_of; /* per vertex, its component's cost and cardinality */
     uint8_t *label;            /* the member's state: its kind, then each vertex's
                                 * lowest component vertex (next's key) */
     step_t *steps, *best_steps;
     int n_steps;
-    int64_t evals, states;
+    int64_t subplans, splits, evals, states;
 } greedy;
 
 static int past(double deadline) {
@@ -365,27 +393,70 @@ static int new_state(greedy *g) {
     return ++g->states % 16 == 0 && past(g->deadline) ? TIMEOUT : OK;
 }
 
-/* A candidate join's step cost, recorded as one evaluation of a split. */
-static int price(greedy *g, mask_t l, mask_t r, double *cost) {
-    mask_t key = l < r ? l << 32 | r : r << 32 | l;
-    join j;
-    int rc = merge(g->p, l, r, &j);
-    if (rc)
-        return rc;
-    *cost = j.cost;
-    g->evals++;
-    return get(&g->splits, key) ? OK : put(&g->splits, key, 0.0);
+/* merge, with card(l | r) = out and the sides' cardinalities lc and rc
+ * carried by their components: a single table's is read through card()
+ * instead, after out as merge reads it, so a missing one is named alike. */
+static int merge_sides(problem *p, mask_t l, mask_t r, double out, double lc, double rc,
+                       join *j) {
+    int status;
+    if ((SINGLE(l) && (status = card(p, l, &lc))) || (SINGLE(r) && (status = card(p, r, &rc))))
+        return status;
+    *j = join_of(p, l, r, out, lc, rc);
+    return OK;
 }
 
-/* Append a join to the member's plan; *total becomes the joined subtree's cost. */
-static int add_step(greedy *g, int edge, mask_t l, mask_t r, double l_cost, double r_cost,
-                    double *total) {
+/* A candidate join's step cost, counted as one evaluation.  The union's
+ * card-memo slot also holds its split tags, each the smaller side's mask:
+ * the union counts as a subplan when its first tag is written, and the
+ * split as a distinct one when its tag is added there or, past TAGS, to
+ * the overflow set.  The tags are written before card() reads a side,
+ * since that can grow the memo and move them. */
+static int price(greedy *g, mask_t l, mask_t r, double lc, double rc, double *cost) {
+    table *memo = &g->cards;
+    mask_t u = l | r;
+    uint32_t tag = (uint32_t)(l < r ? l : r), *tags;
+    size_t i = memo->cap ? slot(memo, u) : 0;
+    double out;
     join j;
-    int rc = merge(g->p, l, r, &j);
-    if (rc)
+    int k = 0, status;
+    if (!memo->cap || memo->key[i] != u) {
+        if ((status = card(g->p, u, &out)))
+            return status;
+        i = slot(memo, u);
+    }
+    out = memo->val[i];
+    tags = memo->tags + TAGS * i;
+    while (k < TAGS && tags[k] && tags[k] != tag)
+        k++;
+    if (k < TAGS && !tags[k]) {
+        tags[k] = tag;
+        g->subplans += k == 0;
+        g->splits++;
+    } else if (k == TAGS) {
+        mask_t key = (mask_t)tag << 32 | u;
+        if (!get(&g->overflow, key)) {
+            if ((status = put(&g->overflow, key, 0.0)))
+                return status;
+            g->splits++;
+        }
+    }
+    if ((status = merge_sides(g->p, l, r, out, lc, rc, &j)))
+        return status;
+    *cost = j.cost;
+    g->evals++;
+    return OK;
+}
+
+/* Append the join of the components of vertices u and v, (left, right), to
+ * the member's plan; *j becomes its join and *total the joined subtree's cost. */
+static int add_step(greedy *g, int edge, int u, int v, join *j, double *total) {
+    mask_t l = g->comp_of[u], r = g->comp_of[v];
+    double out;
+    int rc = card(g->p, l | r, &out);
+    if (rc || (rc = merge_sides(g->p, l, r, out, g->card_of[u], g->card_of[v], j)))
         return rc;
-    g->steps[g->n_steps++] = (step_t){ l, r, edge, j.op, j.side };
-    *total = j.cost + l_cost + r_cost;
+    g->steps[g->n_steps++] = (step_t){ l, r, j->cost, edge, j->op, j->side };
+    *total = j->cost + g->cost_of[u] + g->cost_of[v];
     return OK;
 }
 
@@ -393,7 +464,7 @@ static int add_step(greedy *g, int edge, mask_t l, mask_t r, double l_cost, doub
 static int edge_joins(greedy *g, int lo, int hi, cand *out) {
     for (int e = lo; e < hi; e++) {
         mask_t u = (mask_t)1 << g->p->edge_u[e], v = (mask_t)1 << g->p->edge_v[e];
-        int rc = price(g, u, v, &out[e - lo].cost);
+        int rc = price(g, u, v, 0.0, 0.0, &out[e - lo].cost);
         if (rc)
             return rc;
         out[e - lo].edge = e;
@@ -414,13 +485,13 @@ static int neighbours(greedy *g, mask_t merged, cand *out, int *len) {
         for (mask_t rest = merged; rest; rest &= rest - 1)
             crossing |= p->incident[BIT(rest) * p->words + w];
         for (; crossing; crossing &= crossing - 1) {
-            int e = 64 * w + __builtin_ctzll(crossing), rc;
-            mask_t c1 = g->comp_of[p->edge_u[e]], c2 = g->comp_of[p->edge_v[e]];
+            int e = 64 * w + __builtin_ctzll(crossing), u = p->edge_u[e], v = p->edge_v[e], rc;
+            mask_t c1 = g->comp_of[u], c2 = g->comp_of[v];
             mask_t neighbour = c1 == merged ? c2 : c1;
             if (c1 == c2 || (neighbour & priced))
                 continue;
             priced |= neighbour;
-            if ((rc = price(g, c1, c2, &out[*len].cost)))
+            if ((rc = price(g, c1, c2, g->card_of[u], g->card_of[v], &out[*len].cost)))
                 return rc;
             out[*len].edge = e;
             out[(*len)++].pair = c1 | c2;
@@ -443,39 +514,52 @@ static cand cheapest(const cand *c, int len) {
  * becomes the joined component. */
 static int join_edge(greedy *g, int kind, int edge, mask_t *merged) {
     int u = g->p->edge_u[edge], v = g->p->edge_v[edge], rc;
-    mask_t l, r;
     double cost;
+    join j;
     if (kind == PRIM && g->comp_of[v] == *merged) {
         int w = u;
         u = v;
         v = w;
     }
-    l = g->comp_of[u];
-    r = g->comp_of[v];
-    if ((rc = add_step(g, edge, l, r, g->cost_of[u], g->cost_of[v], &cost)))
+    if ((rc = add_step(g, edge, u, v, &j, &cost)))
         return rc;
-    *merged = l | r;
+    *merged = g->comp_of[u] | g->comp_of[v];
     for (mask_t rest = *merged; rest; rest &= rest - 1) {
         g->comp_of[BIT(rest)] = *merged;
         g->cost_of[BIT(rest)] = cost;
+        g->card_of[BIT(rest)] = j.out;
         g->label[1 + BIT(rest)] = (uint8_t)BIT(*merged);
     }
     return OK;
 }
 
+/* Follow the stored choices from state index to the end of the plan,
+ * appending each join without interning its state or pricing it.  Each
+ * component's cost is kept at its lowest vertex, which is where the next
+ * join of it reads it. */
+static void follow(greedy *g, size_t index) {
+    for (; index != DONE; index = g->next.val[index].next) {
+        step_t s = g->next.val[index].step;
+        g->cost_of[BIT(s.l | s.r)] = s.cost + g->cost_of[BIT(s.l)] + g->cost_of[BIT(s.r)];
+        g->steps[g->n_steps++] = s;
+    }
+}
+
 /* pure._Greedy.member: one run of kind from edge start, or unseeded when
- * start < 0. */
+ * start < 0.  From its first state an earlier member left, the member
+ * follows that member's stored choices: a state's choice depends on the
+ * state alone, and so does the join it takes. */
 static int member(greedy *g, int kind, int start, double *total) {
     int len = 0, rc, fresh;
     /* merged: the component made by the last join, whose candidates have
      * not been priced yet; 0 before the first join. */
     mask_t merged = 0;
-    size_t index;
+    size_t index, last = DONE;  /* last: the state whose choice was taken last */
 
     g->label[0] = (uint8_t)kind;
     for (int v = 0; v < g->n; v++) {
         g->comp_of[v] = (mask_t)1 << v;
-        g->cost_of[v] = 0.0;
+        g->cost_of[v] = g->card_of[v] = 0.0;  /* a single table's card() is read */
         g->label[1 + v] = (uint8_t)v;
     }
     if (kind == PRIM) {  /* prim prices its own opening, then its component's pairs */
@@ -496,28 +580,29 @@ static int member(greedy *g, int kind, int start, double *total) {
     if (start >= 0 && (rc = join_edge(g, kind, start, &merged)))
         return rc;
     while (g->comp_of[0] != g->full) {
-        int edge;
         if ((rc = intern(&g->next, g->label, &index, &fresh)))
             return rc;
+        if (last != DONE)
+            g->next.val[last].next = index;
         if (!fresh) {
-            edge = (int)g->next.val[index];
-        } else {
-            if ((rc = new_state(g)))
-                return rc;
-            if (merged) {  /* drop the pairs of merged's two parts, add merged's */
-                int kept = 0;
-                for (int i = 0; i < len; i++)
-                    if (!(g->cands[i].pair & merged))
-                        g->cands[kept++] = g->cands[i];
-                len = kept;
-                if ((rc = neighbours(g, merged, g->cands, &len)))
-                    return rc;
-            }
-            edge = cheapest(g->cands, len).edge;
-            g->next.val[index] = edge;
+            follow(g, index);
+            break;
         }
-        if ((rc = join_edge(g, kind, edge, &merged)))
+        if ((rc = new_state(g)))
             return rc;
+        if (merged) {  /* drop the pairs of merged's two parts, add merged's */
+            int kept = 0;
+            for (int i = 0; i < len; i++)
+                if (!(g->cands[i].pair & merged))
+                    g->cands[kept++] = g->cands[i];
+            len = kept;
+            if ((rc = neighbours(g, merged, g->cands, &len)))
+                return rc;
+        }
+        if ((rc = join_edge(g, kind, cheapest(g->cands, len).edge, &merged)))
+            return rc;
+        g->next.val[index] = (choice){ g->steps[g->n_steps - 1], DONE };
+        last = index;
     }
     *total = g->cost_of[0];
     return OK;
@@ -550,7 +635,9 @@ static int compare_encodings(const mask_t *a, const mask_t *b, int n) {
 static int greedy_open(greedy *g) {
     int n = g->n, n_edges = g->n_edges;
     size_t enc_len = 6 * (size_t)(n - 1) + 1;
-    int rc = open_memo(g->p, &g->cards);
+    int rc;
+    g->cards.tagged = 1;
+    rc = open_memo(g->p, &g->cards);
     g->full = ((mask_t)1 << n) - 1;
     g->next.width = ((size_t)n + 8) & ~(size_t)7;  /* the kind, then n labels */
     g->plans.width = 6 * (size_t)(n - 1) * sizeof *g->enc;
@@ -558,12 +645,13 @@ static int greedy_open(greedy *g) {
     g->cands = malloc((n_edges + 1) * sizeof *g->cands);
     g->comp_of = malloc(n * sizeof *g->comp_of);
     g->cost_of = malloc(n * sizeof *g->cost_of);
+    g->card_of = malloc(n * sizeof *g->card_of);
     g->label = calloc(g->next.width + 1, 1);
     g->enc = malloc(enc_len * sizeof *g->enc);
     g->best_enc = malloc(enc_len * sizeof *g->best_enc);
     g->steps = malloc(n * sizeof *g->steps);
     g->best_steps = malloc(n * sizeof *g->best_steps);
-    if (!g->opening || !g->cands || !g->comp_of || !g->cost_of || !g->label
+    if (!g->opening || !g->cands || !g->comp_of || !g->cost_of || !g->card_of || !g->label
         || !g->enc || !g->best_enc || !g->steps || !g->best_steps)
         return NOMEM;
     return rc;
@@ -571,13 +659,14 @@ static int greedy_open(greedy *g) {
 
 static int greedy_close(greedy *g, int rc) {
     close_memo(g->p);
-    drop(&g->splits);
+    drop(&g->overflow);
     drop_strings(&g->next);
     drop_strings(&g->plans);
     free(g->opening);
     free(g->cands);
     free(g->comp_of);
     free(g->cost_of);
+    free(g->card_of);
     free(g->label);
     free(g->enc);
     free(g->best_enc);
@@ -623,8 +712,8 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
             mask_t step[3] = { (mask_t)g.best_steps[i].edge, g.best_steps[i].l, g.best_steps[i].r };
             memcpy(joins + 3 * i, step, sizeof step);
         }
-        rc = count_unions(&g.splits, &counts[0]);
-        counts[1] = (int64_t)g.splits.len;
+        counts[0] = g.subplans;
+        counts[1] = g.splits;
         counts[2] = g.evals;
         counts[3] = (int64_t)g.plans.len;
     }

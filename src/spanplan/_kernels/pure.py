@@ -85,9 +85,9 @@ def model_cards(inst: Instance, masks) -> list[float]:
 class _Greedy:
     """The state one greedy_search shares between its members.
 
-    It holds the distinct splits costed, the evaluations performed, and one
-    memo of the choice made at each state, keyed by (kind, partition into
-    components).  Every member joins the cheapest (cost, lowest edge)
+    It holds each union priced with its split tags (the smaller side's mask
+    of each distinct split), the evaluations performed, and one memo of the
+    choice made at each state, keyed by (kind, partition into components).  Every member joins the cheapest (cost, lowest edge)
     candidate pair of adjacent components; ``neighbours`` prices the pairs a
     new component makes.  A kruskal member's candidates are every adjacent
     pair; a prim member is kruskal whose candidates hold its component.  So a
@@ -100,7 +100,7 @@ class _Greedy:
         self.inst = _view(inst)
         self.deadline = deadline
         self.full = (1 << inst.n) - 1
-        self.splits: set[tuple[int, int]] = set()
+        self.tags: dict[int, set[int]] = {}  # union -> its split tags
         self.evals = 0
         self.states = 0
         self.next: dict[tuple, int] = {}  # (kind, comp_of) -> edge
@@ -122,10 +122,11 @@ class _Greedy:
             self.check_deadline()
 
     def price(self, l_mask: int, r_mask: int) -> float:
-        """A candidate join's step cost, recorded as one evaluation of a split."""
+        """A candidate join's step cost, counted as one evaluation; its
+        split is tagged on its union by the smaller side's mask."""
         cost = _merge(self.inst, l_mask, r_mask)[0]
         self.evals += 1
-        self.splits.add((l_mask, r_mask) if l_mask < r_mask else (r_mask, l_mask))
+        self.tags.setdefault(l_mask | r_mask, set()).add(min(l_mask, r_mask))
         return cost
 
     def step(self, joins: list, eid: int, l_mask: int, r_mask: int,
@@ -244,9 +245,9 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
         if best is None or (cost, enc) < best[:2]:
             best = (cost, enc, joins)
     cost, _enc, joins = best
-    subplans = len({l_mask | r_mask for l_mask, r_mask in search.splits})
+    splits = sum(map(len, search.tags.values()))
     return (cost, [(eid, l_mask, r_mask) for eid, l_mask, r_mask, _op, _side in joins],
-            subplans, len(search.splits), search.evals, len(encodings))
+            len(search.tags), splits, search.evals, len(encodings))
 
 
 def _lowest_edge(inst: Instance, s1: int, s2: int) -> int:

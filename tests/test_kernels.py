@@ -15,6 +15,8 @@ import time
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanplan as sp
 from spanplan import _kernels
@@ -112,6 +114,33 @@ def test_greedy_search_on_one_table(one_table, compiled):
         == (0.0, [], 0, 0, 0, 1)
 
 
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(IRREGULAR_KINDS), n=st.integers(3, 10), seed=st.integers(0, 10**6),
+       full_catalog=st.booleans())
+def test_greedy_search_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_catalog):
+    graph, model = irregular_graph(kind, n, seed)
+    inst = CostContext(graph, _catalog(graph, model) if full_catalog else model).instance
+    for runs in _greedy_runs(graph):
+        assert _kernels.pure.greedy_search(inst, runs) == compiled.greedy_search(inst, runs), runs
+
+
+# kernels.c keeps a union's first TAGS = 3 split tags in its card-memo slot
+# and the rest in an overflow set.
+INLINE_TAGS = 3
+
+
+@pytest.mark.parametrize("kind, n, seed", [("cycle", 20, 5), ("clique", 15, 3), ("chain", 20, 3)])
+def test_greedy_search_equivalence_past_the_inline_split_tags(kind, n, seed, compiled):
+    graph, model = sp.gen_topology(kind, n, seed=seed)
+    inst = CostContext(graph, model).instance
+    runs = _greedy_runs(graph)[-1]
+    search = _kernels.pure._Greedy(inst, 0.0)
+    for run in runs:
+        search.member(*run)
+    assert max(map(len, search.tags.values())) > INLINE_TAGS
+    assert _kernels.pure.greedy_search(inst, runs) == compiled.greedy_search(inst, runs)
+
+
 class Raised(NamedTuple):
     """A SpanPlanError that a run raised.  A Plan is a tuple too, so errors
     are told apart by this type, not by being tuples."""
@@ -145,19 +174,22 @@ def test_greedy_overflow_is_the_same_limit_error_on_both_backends(algo, compiled
 @pytest.mark.parametrize("algo", ["prim", "kruskal", "este"])
 def test_greedy_missing_entry_is_the_same_error_on_both_backends(algo, q2a, compiled,
                                                                   monkeypatch):
-    graph, catalog = q2a
-    errors = 0
-    for missing in (m for m in catalog.entries if m & (m - 1)):
-        entries = {m: c for m, c in catalog.entries.items() if m != missing}
-        source = sp.CardinalityCatalog(entries=entries)
-        pure, fast = _on_each_backend(compiled, monkeypatch,
-                                      lambda: sp.run_algorithm(algo, graph, source)[0])
-        assert pure == fast
-        if isinstance(pure, Raised):
-            assert pure.type is sp.MissingCardinalityError
-            assert graph.subset_key(missing) in pure.message
-            errors += 1
-    assert errors > 0
+    # On 8 tables a member's components carry their cardinalities through
+    # several joins before one of them is missed.
+    irregular, model = irregular_graph("gnp", 8, 0)
+    for graph, catalog in (q2a, (irregular, _catalog(irregular, model))):
+        errors = 0
+        for missing in (m for m in catalog.entries if m & (m - 1)):
+            entries = {m: c for m, c in catalog.entries.items() if m != missing}
+            source = sp.CardinalityCatalog(entries=entries)
+            pure, fast = _on_each_backend(compiled, monkeypatch,
+                                          lambda: sp.run_algorithm(algo, graph, source)[0])
+            assert pure == fast
+            if isinstance(pure, Raised):
+                assert pure.type is sp.MissingCardinalityError
+                assert graph.subset_key(missing) in pure.message
+                errors += 1
+        assert errors > 0, graph.n_vertices
 
 
 def test_greedy_search_timeout_on_both_backends(compiled):
