@@ -141,6 +141,25 @@ def test_greedy_search_equivalence_past_the_inline_split_tags(kind, n, seed, com
     assert _kernels.pure.greedy_search(inst, runs) == compiled.greedy_search(inst, runs)
 
 
+def test_greedy_members_record_the_join_a_fresh_merge_gives():
+    # Each join a member records carries the operator and side, and adds up
+    # to the total, that pricing its two sides afresh gives, whichever end
+    # of the edge prim's component lies on.  The members share one search,
+    # so later ones take stored choices too.
+    for kind, n, graph, model in irregular_instances(15, base_seed=7300):
+        inst = CostContext(graph, model).instance
+        search = _kernels.pure._Greedy(inst, 0.0)
+        for member in (formula.PRIM, formula.KRUSKAL):
+            for start in (None, *range(graph.n_edges)):
+                joins, total = search.member(member, start)
+                cost_of = {1 << v: 0.0 for v in range(n)}
+                for _eid, left, right, op, side in joins:
+                    step, want_op, want_side, _out = _kernels.pure.merge(inst, left, right)
+                    assert (op, side) == (want_op, want_side), (kind, n, member, start)
+                    cost_of[left | right] = step + cost_of[left] + cost_of[right]
+                assert cost_of[graph.full_mask] == total, (kind, n, member, start)
+
+
 class Raised(NamedTuple):
     """A SpanPlanError that a run raised.  A Plan is a tuple too, so errors
     are told apart by this type, not by being tuples."""
