@@ -52,6 +52,17 @@ class Instance:
         return {} if self.model is not None else self.cards
 
 
+def check_runs(inst: Instance, runs) -> None:
+    """Raise ValueError unless runs, a greedy_search run list, is non-empty
+    and each run is (PRIM or KRUSKAL, None or an edge id of inst); the
+    compiled kernel indexes its edge arrays by these starts."""
+    seeded = {start for _kind, start in runs} - {None}
+    if not runs or not {kind for kind, _start in runs} <= {PRIM, KRUSKAL} \
+            or seeded and not 0 <= min(seeded) <= max(seeded) < len(inst.edge_u):
+        raise ValueError("greedy_search runs must be a non-empty list of (PRIM or KRUSKAL,"
+                         f" None or an edge id below {len(inst.edge_u)})")
+
+
 def model_product(bases, edge_sels, mask: int) -> float:
     """The selectivity model's estimate of mask before rounding up.
 

@@ -244,20 +244,15 @@ static join join_of(const problem *p, mask_t l, mask_t r, double out, double lc,
     return (join){ cost, out, op, side };
 }
 
-/* join_of, given out = card(l | r); the sides are read through card(). */
-static int merge_into(problem *p, mask_t l, mask_t r, double out, join *j) {
-    double lc, rc;
+/* formula.merge: join_of over card(l | r), card(l) and card(r), read in
+ * that order, so a missing one is named as formula.merge names it. */
+static int merge(problem *p, mask_t l, mask_t r, join *j) {
+    double out, lc, rc;
     int status;
-    if ((status = card(p, l, &lc)) || (status = card(p, r, &rc)))
+    if ((status = card(p, l | r, &out)) || (status = card(p, l, &lc)) || (status = card(p, r, &rc)))
         return status;
     *j = join_of(p, l, r, out, lc, rc);
     return OK;
-}
-
-static int merge(problem *p, mask_t l, mask_t r, join *j) {
-    double out;
-    int status = card(p, l | r, &out);
-    return status ? status : merge_into(p, l, r, out, j);
 }
 
 int sp_merge(problem *p, mask_t l, mask_t r, join *j) {
@@ -357,11 +352,14 @@ static void drop_strings(strings *t) {
 /* A greedy member's kind: formula.PRIM, formula.KRUSKAL. */
 enum { PRIM, KRUSKAL };
 
-/* A candidate join of two adjacent components: its step cost, the lowest
- * edge between them and the union of the two.  prim and kruskal both join
- * the cheapest candidate by (cost, edge); prim's candidates hold its
- * component, kruskal's are every adjacent pair, one entry each. */
-typedef struct { double cost; int edge; mask_t pair; } cand;
+/* A candidate join of two adjacent components, as price made it: the join
+ * of the edge's ends (left, right) over the lowest edge between them, as
+ * its step cost, out, op and side, and the union of the two.  prim and
+ * kruskal both join the cheapest candidate by (cost, edge) and record the
+ * join it carries; prim's candidates hold its component, kruskal's are
+ * every adjacent pair, one entry each.  op and side take a byte each, so a
+ * candidate is 32 bytes where a whole join would make it 40. */
+typedef struct { double cost, out; mask_t pair; int edge; uint8_t op, side; } cand;
 
 /* pure._Greedy: the state the members of one search share, and the
  * scratch space of the member being run. */
@@ -393,25 +391,17 @@ static int new_state(greedy *g) {
     return ++g->states % 16 == 0 && past(g->deadline) ? TIMEOUT : OK;
 }
 
-/* merge, with card(l | r) = out and the sides' cardinalities lc and rc
- * carried by their components: a single table's is read through card()
- * instead, after out as merge reads it, so a missing one is named alike. */
-static int merge_sides(problem *p, mask_t l, mask_t r, double out, double lc, double rc,
-                       join *j) {
-    int status;
-    if ((SINGLE(l) && (status = card(p, l, &lc))) || (SINGLE(r) && (status = card(p, r, &rc))))
-        return status;
-    *j = join_of(p, l, r, out, lc, rc);
-    return OK;
-}
-
-/* A candidate join's step cost, counted as one evaluation.  The union's
- * card-memo slot also holds its split tags, each the smaller side's mask:
- * the union counts as a subplan when its first tag is written, and the
- * split as a distinct one when its tag is added there or, past TAGS, to
- * the overflow set.  The tags are written before card() reads a side,
- * since that can grow the memo and move them. */
-static int price(greedy *g, mask_t l, mask_t r, double lc, double rc, double *cost) {
+/* *c becomes the candidate join of l and r over edge, counted as one
+ * evaluation: merge, with card(l | r) read from the memo and the sides'
+ * cardinalities lc and rc carried by their components.  A single table's
+ * is read through card() instead, after out as merge reads it, so a
+ * missing one is named alike.  The union's card-memo slot also holds its
+ * split tags, each the smaller side's mask: the union counts as a subplan
+ * when its first tag is written, and the split as a distinct one when its
+ * tag is added there or, past TAGS, to the overflow set.  The tags are
+ * written before card() reads a side, since that can grow the memo and
+ * move them. */
+static int price(greedy *g, int edge, mask_t l, mask_t r, double lc, double rc, cand *c) {
     table *memo = &g->cards;
     mask_t u = l | r;
     uint32_t tag = (uint32_t)(l < r ? l : r), *tags;
@@ -440,35 +430,22 @@ static int price(greedy *g, mask_t l, mask_t r, double lc, double rc, double *co
             g->splits++;
         }
     }
-    if ((status = merge_sides(g->p, l, r, out, lc, rc, &j)))
+    if ((SINGLE(l) && (status = card(g->p, l, &lc)))
+        || (SINGLE(r) && (status = card(g->p, r, &rc))))
         return status;
-    *cost = j.cost;
+    j = join_of(g->p, l, r, out, lc, rc);
+    *c = (cand){ j.cost, j.out, u, edge, (uint8_t)j.op, (uint8_t)j.side };
     g->evals++;
-    return OK;
-}
-
-/* Append the join of the components of vertices u and v, (left, right), to
- * the member's plan; *j becomes its join and *total the joined subtree's cost. */
-static int add_step(greedy *g, int edge, int u, int v, join *j, double *total) {
-    mask_t l = g->comp_of[u], r = g->comp_of[v];
-    double out;
-    int rc = card(g->p, l | r, &out);
-    if (rc || (rc = merge_sides(g->p, l, r, out, g->card_of[u], g->card_of[v], j)))
-        return rc;
-    g->steps[g->n_steps++] = (step_t){ l, r, j->cost, edge, j->op, j->side };
-    *total = j->cost + g->cost_of[u] + g->cost_of[v];
     return OK;
 }
 
 /* pure._Greedy.edge_joins: each single-edge join of edges [lo, hi). */
 static int edge_joins(greedy *g, int lo, int hi, cand *out) {
     for (int e = lo; e < hi; e++) {
-        mask_t u = (mask_t)1 << g->p->edge_u[e], v = (mask_t)1 << g->p->edge_v[e];
-        int rc = price(g, u, v, 0.0, 0.0, &out[e - lo].cost);
+        int rc = price(g, e, (mask_t)1 << g->p->edge_u[e], (mask_t)1 << g->p->edge_v[e], 0.0, 0.0,
+                       &out[e - lo]);
         if (rc)
             return rc;
-        out[e - lo].edge = e;
-        out[e - lo].pair = u | v;
     }
     return OK;
 }
@@ -491,46 +468,45 @@ static int neighbours(greedy *g, mask_t merged, cand *out, int *len) {
             if (c1 == c2 || (neighbour & priced))
                 continue;
             priced |= neighbour;
-            if ((rc = price(g, c1, c2, g->card_of[u], g->card_of[v], &out[*len].cost)))
+            if ((rc = price(g, e, c1, c2, g->card_of[u], g->card_of[v], &out[(*len)++])))
                 return rc;
-            out[*len].edge = e;
-            out[(*len)++].pair = c1 | c2;
         }
     }
     return OK;
 }
 
 /* The cheapest of len > 0 candidates by (cost, edge). */
-static cand cheapest(const cand *c, int len) {
-    cand best = c[0];
+static const cand *cheapest(const cand *c, int len) {
+    const cand *best = c;
     for (int i = 1; i < len; i++)
-        if (c[i].cost < best.cost || (c[i].cost == best.cost && c[i].edge < best.edge))
-            best = c[i];
+        if (c[i].cost < best->cost || (c[i].cost == best->cost && c[i].edge < best->edge))
+            best = c + i;
     return best;
 }
 
-/* Join the components of the edge's ends (left, right); a prim member
- * keeps its component, the one the last join made, on the left.  *merged
- * becomes the joined component. */
-static int join_edge(greedy *g, int kind, int edge, mask_t *merged) {
-    int u = g->p->edge_u[edge], v = g->p->edge_v[edge], rc;
+/* Append candidate c's join to the member's plan as priced.  A prim member
+ * keeps its component, the one the last join made, on the left: after its
+ * opening the other side is a single table, so swapping the edge's ends
+ * flips only the side.  *merged becomes the joined component. */
+static void join_edge(greedy *g, int kind, const cand *c, mask_t *merged) {
+    int u = g->p->edge_u[c->edge], v = g->p->edge_v[c->edge], side = c->side;
     double cost;
-    join j;
     if (kind == PRIM && g->comp_of[v] == *merged) {
         int w = u;
         u = v;
         v = w;
+        side = !side;
     }
-    if ((rc = add_step(g, edge, u, v, &j, &cost)))
-        return rc;
-    *merged = g->comp_of[u] | g->comp_of[v];
+    g->steps[g->n_steps++] = (step_t){ g->comp_of[u], g->comp_of[v], c->cost, c->edge, c->op,
+                                       side };
+    cost = c->cost + g->cost_of[u] + g->cost_of[v];
+    *merged = c->pair;
     for (mask_t rest = *merged; rest; rest &= rest - 1) {
         g->comp_of[BIT(rest)] = *merged;
         g->cost_of[BIT(rest)] = cost;
-        g->card_of[BIT(rest)] = j.out;
+        g->card_of[BIT(rest)] = c->out;
         g->label[1 + BIT(rest)] = (uint8_t)BIT(*merged);
     }
-    return OK;
 }
 
 /* Follow the stored choices from state index to the end of the plan,
@@ -567,7 +543,7 @@ static int member(greedy *g, int kind, int start, double *total) {
         if ((rc = edge_joins(g, lo, hi, g->cands)))
             return rc;
         if (hi > lo)
-            start = cheapest(g->cands, hi - lo).edge;
+            join_edge(g, kind, cheapest(g->cands, hi - lo), &merged);
     } else {
         if (!g->opened) {  /* every single-edge join, priced once per search */
             if ((rc = edge_joins(g, 0, g->n_edges, g->opening)))
@@ -576,9 +552,9 @@ static int member(greedy *g, int kind, int start, double *total) {
         }
         memcpy(g->cands, g->opening, g->n_edges * sizeof *g->cands);
         len = g->n_edges;
+        if (start >= 0)
+            join_edge(g, kind, &g->opening[start], &merged);
     }
-    if (start >= 0 && (rc = join_edge(g, kind, start, &merged)))
-        return rc;
     while (g->comp_of[0] != g->full) {
         if ((rc = intern(&g->next, g->label, &index, &fresh)))
             return rc;
@@ -599,8 +575,7 @@ static int member(greedy *g, int kind, int start, double *total) {
             if ((rc = neighbours(g, merged, g->cands, &len)))
                 return rc;
         }
-        if ((rc = join_edge(g, kind, cheapest(g->cands, len).edge, &merged)))
-            return rc;
+        join_edge(g, kind, cheapest(g->cands, len), &merged);
         g->next.val[index] = (choice){ g->steps[g->n_steps - 1], DONE };
         last = index;
     }
@@ -774,7 +749,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
          * subsets of mask that hold its lowest table. */
         do {
             mask_t s1, s2;
-            double c1, c2, total;
+            double c1, c2, n1, n2, total;  /* the sides' costs and cardinalities */
             join j;
             t = (t - 1) & rest;
             s1 = t | low;
@@ -789,8 +764,9 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
                 break;
             counts[1]++;
             touched = 1;
-            if ((rc = merge_into(p, s1, s2, out, &j)))
+            if ((rc = card(p, s1, &n1)) || (rc = card(p, s2, &n2)))
                 break;
+            j = join_of(p, s1, s2, out, n1, n2);
             total = j.cost + c1 + c2;
             if (total < best_cost) {
                 best_cost = total;

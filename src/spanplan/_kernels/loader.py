@@ -23,6 +23,7 @@ from functools import partial
 
 from ..errors import OptimizeTimeout
 from . import StaleLibraryError, count_trees
+from .formula import check_runs
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
@@ -103,8 +104,9 @@ def _joins(buf: array) -> list:
 
 
 def _greedy_search(lib, inst, runs, deadline: float = 0.0):
+    check_runs(inst, runs)
     prob = _problem(inst)
-    flat = array("i", (-1 if x is None else x for run in runs for x in run))
+    flat = array("i", [-1 if x is None else x for run in runs for x in run])
     cost, joins, counts = c_double(), _join_buffer(inst), array("q", bytes(32))
     _check(lib.sp_greedy_search(prob, _addr(flat), len(runs), deadline, byref(cost), _addr(joins),
                                 _addr(counts)), prob, "greedy search")

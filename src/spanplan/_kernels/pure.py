@@ -32,7 +32,7 @@ import time
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
 from . import count_trees  # noqa: F401  (a kernel of this backend)
-from .formula import PRIM, SIDE_LEFT, Instance, model_product
+from .formula import PRIM, SIDE_LEFT, Instance, check_runs, model_product
 from .formula import merge as _merge
 
 name = "pure"
@@ -87,12 +87,14 @@ class _Greedy:
 
     It holds each union priced with its split tags (the smaller side's mask
     of each distinct split), the evaluations performed, and one memo of the
-    choice made at each state, keyed by (kind, partition into components).  Every member joins the cheapest (cost, lowest edge)
-    candidate pair of adjacent components; ``neighbours`` prices the pairs a
-    new component makes.  A kruskal member's candidates are every adjacent
-    pair; a prim member is kruskal whose candidates hold its component.  So a
-    member that reaches a state an earlier member of its kind left takes the
-    stored choice without pricing anything, and so does every later state of
+    candidate chosen at each state, keyed by (kind, partition into
+    components).  A candidate carries the join ``price`` made of a pair of
+    adjacent components, and every member records the cheapest (cost, lowest
+    edge) one as priced; ``neighbours`` prices the pairs a new component
+    makes.  A kruskal member's candidates are every adjacent pair; a prim
+    member is kruskal whose candidates hold its component.  So a member that
+    reaches a state an earlier member of its kind left takes the stored
+    candidate without pricing anything, and so does every later state of
     that member: only fresh states touch the candidates.
     """
 
@@ -103,7 +105,7 @@ class _Greedy:
         self.tags: dict[int, set[int]] = {}  # union -> its split tags
         self.evals = 0
         self.states = 0
-        self.next: dict[tuple, int] = {}  # (kind, comp_of) -> edge
+        self.next: dict[tuple, tuple] = {}  # (kind, comp_of) -> the candidate chosen
         self.opening: list | None = None  # kruskal's first candidates
         # Per-vertex incident edges, as bitmasks of edge ids.
         self.incident = [0] * inst.n
@@ -121,32 +123,25 @@ class _Greedy:
         if self.states % 16 == 0:
             self.check_deadline()
 
-    def price(self, l_mask: int, r_mask: int) -> float:
-        """A candidate join's step cost, counted as one evaluation; its
-        split is tagged on its union by the smaller side's mask."""
-        cost = _merge(self.inst, l_mask, r_mask)[0]
+    def price(self, eid: int, l_mask: int, r_mask: int) -> tuple:
+        """The candidate join of l_mask and r_mask over edge eid, counted as
+        one evaluation: (step cost, edge, pair mask, op, side), as
+        ``formula.merge`` prices it.  Its split is tagged on its union by the
+        smaller side's mask."""
+        cost, op, side, _out = _merge(self.inst, l_mask, r_mask)
         self.evals += 1
         self.tags.setdefault(l_mask | r_mask, set()).add(min(l_mask, r_mask))
-        return cost
-
-    def step(self, joins: list, eid: int, l_mask: int, r_mask: int,
-             l_cost: float, r_cost: float) -> float:
-        """Append a join to a member's plan; returns the joined subtree's cost."""
-        cost, op, side, _out = _merge(self.inst, l_mask, r_mask)
-        joins.append((eid, l_mask, r_mask, op, side))
-        return cost + l_cost + r_cost
+        return cost, eid, l_mask | r_mask, op, side
 
     def edge_joins(self, eids) -> list:
-        """Each single-edge join of eids, as a (cost, edge, pair mask) candidate."""
+        """Each single-edge join of eids, as a candidate."""
         inst = self.inst
-        return [(self.price(1 << inst.edge_u[eid], 1 << inst.edge_v[eid]), eid,
-                 1 << inst.edge_u[eid] | 1 << inst.edge_v[eid]) for eid in eids]
+        return [self.price(eid, 1 << inst.edge_u[eid], 1 << inst.edge_v[eid]) for eid in eids]
 
     def neighbours(self, comp_of: list, merged: int) -> list:
         """merged priced once against each adjacent component, over the
-        lowest edge between them: (cost, edge, pair mask) candidates in
-        edge-id order.  The edges leaving merged are read from its
-        vertices' incident edges."""
+        lowest edge between them: candidates in edge-id order.  The edges
+        leaving merged are read from its vertices' incident edges."""
         edge_u, edge_v = self.inst.edge_u, self.inst.edge_v
         crossing = 0
         for w in iter_bits(merged):
@@ -159,7 +154,7 @@ class _Greedy:
             if c1 == c2 or neighbour & priced:
                 continue
             priced |= neighbour
-            cands.append((self.price(c1, c2), eid, c1 | c2))
+            cands.append(self.price(eid, c1, c2))
         return cands
 
     def member(self, kind: int, start: int | None):
@@ -174,38 +169,42 @@ class _Greedy:
         # priced yet; 0 before the first join.
         merged = 0
 
-        def join(eid: int) -> None:
+        def join(cand: tuple) -> None:  # record the candidate's join as priced
             nonlocal merged
+            step, eid, pair, op, side = cand
             u, v = edge_u[eid], edge_v[eid]
             if kind == PRIM and comp_of[v] == merged:
-                u, v = v, u  # prim joins (its component, the new table)
-            l_mask, r_mask = comp_of[u], comp_of[v]
-            cost = self.step(joins, eid, l_mask, r_mask, cost_of[u], cost_of[v])
-            merged = l_mask | r_mask
+                # prim joins (its component, the new table); past its opening
+                # one side is a single table, so only the side flips.
+                u, v, side = v, u, side ^ 1
+            joins.append((eid, comp_of[u], comp_of[v], op, side))
+            cost = step + cost_of[u] + cost_of[v]
+            merged = pair
             for w in iter_bits(merged):
                 comp_of[w] = merged
                 cost_of[w] = cost
 
         if kind == PRIM:  # prim prices its own opening, then its component's pairs
             opening = self.edge_joins(range(len(edge_u)) if start is None else (start,))
-            start = min(opening)[1] if opening else None
+            first = min(opening) if opening else None
             cands = []
         else:
             if self.opening is None:  # every single-edge join, priced once per search
                 self.opening = self.edge_joins(range(len(edge_u)))
             cands = self.opening
-        if start is not None:
-            join(start)
+            first = None if start is None else cands[start]
+        if first is not None:
+            join(first)
         while comp_of[0] != self.full:
             state = (kind, *comp_of)
-            eid = self.next.get(state)
-            if eid is None:
+            cand = self.next.get(state)
+            if cand is None:
                 self.new_state()
                 if merged:  # drop the pairs of merged's two parts, add merged's
                     cands = [c for c in cands if not c[2] & merged]
                     cands += self.neighbours(comp_of, merged)
-                eid = self.next[state] = min(cands)[1]
-            join(eid)
+                cand = self.next[state] = min(cands)
+            join(cand)
         return joins, cost_of[0]
 
 
@@ -220,11 +219,13 @@ def _encoding(joins: list) -> tuple:
 def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     """Run greedy members and keep the cheapest plan.
 
-    ``runs`` lists (PRIM or KRUSKAL, start edge or None), each run by
-    ``_Greedy.member``; all members share one ``_Greedy`` and its memo of
-    the choice at each (kind, partition).  Cardinalities are read through
-    ``_Cards``; a mask neither source gives raises KeyError(mask).  The winner has the lowest
-    (internal cost, canonical encoding); the first member wins exact ties.
+    ``runs`` is a non-empty list of (PRIM or KRUSKAL, start edge or None),
+    each run by ``_Greedy.member``; any other raises ValueError
+    (``formula.check_runs``).  All members share one ``_Greedy`` and its
+    memo of the candidate chosen at each (kind, partition).  Cardinalities
+    are read through ``_Cards``; a mask neither source gives raises
+    KeyError(mask).  The winner has the lowest (internal cost, canonical
+    encoding); the first member wins exact ties.
     The deadline is checked between members and after every 16th state
     priced, so a search too small to reach either finishes.
 
@@ -233,6 +234,7 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     distinct subsets and splits costed, the evaluations performed and the
     number of distinct member plans.
     """
+    check_runs(inst, runs)
     search = _Greedy(inst, deadline)
     best = None
     encodings = set()

@@ -31,8 +31,9 @@ from .conftest import (IRREGULAR_KINDS, ROOT, SOURCE, _compiler, irregular_graph
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
-    proc = subprocess.run([*_compiler(), "-O2", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off",
-                           "-c", str(SOURCE), "-o", str(tmp_path / "kernels.o")],
+    # -Wall names a static function or variable that nothing uses any more.
+    proc = subprocess.run([*_compiler(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror",
+                           "-ffp-contract=off", "-c", str(SOURCE), "-o", str(tmp_path / "kernels.o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -160,6 +161,33 @@ def test_greedy_members_record_the_join_a_fresh_merge_gives():
                 assert cost_of[graph.full_mask] == total, (kind, n, member, start)
 
 
+@pytest.mark.parametrize("kind, n, seed", [("clique", 14, 1), ("chain", 20, 0), ("star", 12, 7)])
+def test_greedy_search_prices_each_evaluation_once(kind, n, seed, monkeypatch):
+    # A member records the join it chose as its candidate priced it, so one
+    # este search calls formula.merge exactly once per evaluation.
+    graph, model = sp.gen_topology(kind, n, seed=seed)
+    inst = CostContext(graph, model).instance
+    calls = []
+    real = _kernels.pure._merge
+    monkeypatch.setattr(_kernels.pure, "_merge",
+                        lambda *args: calls.append(args) or real(*args))
+    evals = _kernels.pure.greedy_search(inst, _greedy_runs(graph)[-1])[4]
+    assert len(calls) == evals
+
+
+@pytest.mark.parametrize("runs", [[], [(formula.KRUSKAL, 3)], [(formula.PRIM, 7)],
+                                  [(formula.KRUSKAL, -2)], [(formula.PRIM, -1)], [(2, None)],
+                                  [(formula.PRIM, 0), (formula.KRUSKAL, 3)]])
+def test_greedy_search_rejects_a_run_list_it_cannot_run_on_both_backends(runs, compiled):
+    # chain-4 has edges 0..2; the C kernel would index its edge arrays by
+    # the start, so a run list is checked before any C call.
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    inst = CostContext(graph, model).instance
+    for backend in (_kernels.pure, compiled):
+        with pytest.raises(ValueError, match="greedy_search"):
+            backend.greedy_search(inst, runs)
+
+
 class Raised(NamedTuple):
     """A SpanPlanError that a run raised.  A Plan is a tuple too, so errors
     are told apart by this type, not by being tuples."""
@@ -235,6 +263,28 @@ def test_brute_equivalence(compiled):
         pure = _kernels.pure.brute_search(inst)
         fast = compiled.brute_search(inst)
         assert pure == fast
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(IRREGULAR_KINDS), n=st.integers(3, 10), seed=st.integers(0, 10**6),
+       full_catalog=st.booleans())
+def test_dp_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_catalog):
+    graph, model = irregular_graph(kind, n, seed)
+    source = _catalog(graph, model) if full_catalog else model
+    inst = _instance(graph, source)
+    masks = connected_subset_masks(graph)
+    for bound in (math.inf, sp.goo(graph, source)[0].internal_cost):
+        assert _kernels.pure.dp_search(inst, masks, bound) == \
+            compiled.dp_search(inst, masks, bound), bound
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(IRREGULAR_KINDS), n=st.integers(3, 7), seed=st.integers(0, 10**6),
+       full_catalog=st.booleans())
+def test_brute_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_catalog):
+    graph, model = irregular_graph(kind, n, seed)
+    inst = _instance(graph, _catalog(graph, model) if full_catalog else model)
+    assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst)
 
 
 def _naive_greedy(inst, graph, kind, start):
