@@ -9,7 +9,8 @@ file as ``_ckernels`` by ``python3 setup.py build_ext`` and opened through
 ctypes by ``loader``; it is preferred whenever the build produced a library
 that matches ``loader`` (``DEFAULT_BACKEND`` names the backend chosen).
 Both backends share the sixth kernel, ``count_trees``, which counts the
-ordered spanning-tree space in closed form (``trees``).  The three
+valid and the linear ordered spanning-tree arrangements in closed form
+(``trees``).  The three
 searches return ``(cost, joins, counters...)``, with ``joins`` the
 winner's ``(edge, left mask, right mask)`` list in the order
 ``plan.replay`` builds it.  A backend is loaded on the first

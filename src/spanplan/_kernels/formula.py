@@ -36,7 +36,7 @@ class Instance:
         self.indexed = indexed
         self.lam = lam
         self.cards = cards            # mask -> output cardinality
-        self.pair_inner = pair_inner  # 2-vertex edge mask -> lookup-side vertex
+        self.pair_inner = pair_inner  # 2-vertex edge mask -> lookup-side vertex, its edge's v2
         # The sources a kernel reads cardinalities from besides cards: a
         # selectivity model as (bases, ((edge mask, selectivity), ...)), which
         # computes the masks cards lacks, or else a catalog, read instead of cards.
@@ -61,6 +61,16 @@ def check_runs(inst: Instance, runs) -> None:
             or seeded and not 0 <= min(seeded) <= max(seeded) < len(inst.edge_u):
         raise ValueError("greedy_search runs must be a non-empty list of (PRIM or KRUSKAL,"
                          f" None or an edge id below {len(inst.edge_u)})")
+
+
+def check_masks(inst: Instance, masks, disjoint: bool = False) -> None:
+    """Raise ValueError unless masks are non-empty subsets of inst's tables,
+    and disjoint when they are merge's two sides: the compiled kernels index
+    per-table arrays by masks, and their memo keeps mask 0 for a free slot."""
+    if masks and not 0 < min(masks) <= max(masks) < 1 << inst.n \
+            or disjoint and masks[0] & masks[1]:
+        raise ValueError(f"kernel masks must be non-empty{' disjoint' if disjoint else ''}"
+                         f" subsets of the instance's {inst.n} tables")
 
 
 def model_product(bases, edge_sels, mask: int) -> float:

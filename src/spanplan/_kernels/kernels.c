@@ -6,7 +6,8 @@
  * (count_trees has no C kernel: every backend counts in closed form in
  * trees.py, whose Python ints stay exact where int64 would overflow.)
  * The three searches write the winner's cost and its joins as (edge, left
- * mask, right mask) triples, in replay order.
+ * mask, right mask) triples, in replay order.  No kernel takes or returns
+ * what can be derived: oracle.py derives the invalid and bushy counts.
  * Every cost is computed with the same operations in the same order, so
  * results are bit-for-bit equal to the reference.
  * Build with -ffp-contract=off so that no a * b + c is fused into one
@@ -102,15 +103,13 @@ static int count_unions(const table *pairs, int64_t *count) {
 }
 
 typedef struct {               /* formula.Instance, flattened by loader.py */
-    int n, n_edges, n_cards, n_pairs;
+    int n, n_edges, n_cards;
     double lam;
     const int *edge_u, *edge_v;
     const double *scan;
     const int8_t *indexed;
     const mask_t *card_mask;   /* inst.known_cards(), */
     const double *card_val;    /* as parallel key/value arrays */
-    const mask_t *pair_mask;   /* inst.pair_inner likewise */
-    const int *pair_inner;
     const double *bases, *sels;  /* inst.model as per-vertex and per-edge arrays, or NULL */
     /* Set by the kernels (loader._Problem leaves room for them): */
     table *memo;               /* the cardinalities card() reads */
@@ -126,7 +125,7 @@ size_t sp_problem_size(void) {
 
 /* loader.VERSION: raise both when the problem struct or a kernel's
  * arguments or results change, so that a library built before is refused. */
-const int sp_version = 1;
+const int sp_version = 2;
 
 typedef struct { double cost, out; int op, side; } join;
 
@@ -201,10 +200,11 @@ static int card(problem *p, mask_t m, double *c) {
     return MISSING;
 }
 
+/* Instance.pair_inner: the v2 end of the edge joining the pair m, or -1. */
 static int pair_inner(const problem *p, mask_t m) {
-    for (int i = 0; i < p->n_pairs; i++)
-        if (p->pair_mask[i] == m)
-            return p->pair_inner[i];
+    for (int e = 0; e < p->n_edges; e++)
+        if (((mask_t)1 << p->edge_u[e] | (mask_t)1 << p->edge_v[e]) == m)
+            return p->edge_v[e];
     return -1;
 }
 
@@ -787,15 +787,15 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     return rc;
 }
 
-/* brute_search's depth-first walk over ordered edge arrangements. */
+/* brute_search's depth-first walk over ordered edge arrangements.  It skips
+ * an edge that closes a cycle, so it counts only valid (and linear) ones. */
 typedef struct {
     problem *p;
     int n_edges, slots;
     const int *edge_u, *edge_v;
     int *parent;
     int8_t *used;
-    int64_t *ff;              /* ff[u * (slots + 1) + s]: ways to fill s slots from u edges */
-    int64_t counts[7];        /* valid, invalid, linear, bushy, subplans, splits, evals */
+    int64_t counts[5];        /* valid, linear, subplans, splits, evals */
     int64_t nodes;
     double deadline;
     mask_t *comp_mask;        /* each root's component and its cost */
@@ -817,7 +817,7 @@ static int memo_merge(walk *w, mask_t lm, mask_t rm, double *inc) {
     double *hit = get(&w->memo, key);
     join j;
     int rc;
-    w->counts[6]++;
+    w->counts[4]++;
     if (hit) {
         *inc = *hit;
         return OK;
@@ -829,7 +829,7 @@ static int memo_merge(walk *w, mask_t lm, mask_t rm, double *inc) {
 }
 
 static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear) {
-    int remaining = w->slots - depth, unused = w->n_edges - depth, rc;
+    int rc;
     w->nodes++;
     if (w->deadline != 0.0 && w->nodes % 4096 == 0 && now() > w->deadline)
         return TIMEOUT;
@@ -841,10 +841,8 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
             continue;
         ru = find(w->parent, u);
         rv = find(w->parent, v);
-        if (ru == rv) {
-            w->counts[1] += w->ff[(unused - 1) * (w->slots + 1) + remaining - 1];
+        if (ru == rv)  /* it would close a cycle */
             continue;
-        }
         lm = w->comp_mask[ru];
         rm = w->comp_mask[rv];
         if ((rc = memo_merge(w, lm, rm, &inc)))
@@ -862,7 +860,7 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
         new_linear = linear && cnt - (depth + 1) == 1;
         if (depth + 1 == w->slots) {
             w->counts[0]++;
-            w->counts[new_linear ? 2 : 3]++;
+            w->counts[1] += new_linear;
             if (new_cost < w->best) {
                 w->best = new_cost;
                 memcpy(w->best_seq, w->seq, 3 * w->slots * sizeof *w->seq);
@@ -882,26 +880,19 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
 static int run_walk(walk *w) {
     int n = w->slots + 1, n_edges = w->n_edges, slots = w->slots, rc;
     if (slots == 0) {
-        w->counts[0] = w->counts[2] = 1;
+        w->counts[0] = w->counts[1] = 1;
         w->best = 0.0;
         return OK;
     }
     rc = open_memo(w->p, &w->cards);
     w->parent = malloc(n * sizeof *w->parent);
     w->used = calloc(n_edges, sizeof *w->used);
-    w->ff = malloc((size_t)(n_edges + 1) * (slots + 1) * sizeof *w->ff);
     w->comp_mask = malloc(n * sizeof *w->comp_mask);
     w->comp_cost = malloc(n * sizeof *w->comp_cost);
     w->seq = malloc(3 * slots * sizeof *w->seq);
-    if (rc == OK && (!w->parent || !w->used || !w->ff || !w->comp_mask || !w->comp_cost
-                     || !w->seq))
+    if (rc == OK && (!w->parent || !w->used || !w->comp_mask || !w->comp_cost || !w->seq))
         rc = NOMEM;
     if (rc == OK) {
-        for (int u = 0; u <= n_edges; u++) {
-            w->ff[u * (slots + 1)] = 1;
-            for (int s = 1; s <= slots; s++)
-                w->ff[u * (slots + 1) + s] = u < s ? 0 : w->ff[(u - 1) * (slots + 1) + s - 1] * u;
-        }
         for (int v = 0; v < n; v++) {
             w->parent[v] = v;
             w->comp_mask[v] = (mask_t)1 << v;
@@ -910,13 +901,12 @@ static int run_walk(walk *w) {
         rc = step(w, 0, 0, 0, 1);
     }
     if (rc == OK)
-        rc = count_unions(&w->memo, &w->counts[4]);
-    w->counts[5] = (int64_t)w->memo.len;
+        rc = count_unions(&w->memo, &w->counts[2]);
+    w->counts[3] = (int64_t)w->memo.len;
     close_memo(w->p);
     drop(&w->memo);
     free(w->parent);
     free(w->used);
-    free(w->ff);
     free(w->comp_mask);
     free(w->comp_cost);
     free(w->seq);
@@ -924,9 +914,9 @@ static int run_walk(walk *w) {
 }
 
 /* pure.brute_search; joins receives the best arrangement's (edge, left,
- * right) triples and counts the seven counters after them. */
+ * right) triples and counts the five counters after them. */
 int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
-                    int64_t counts[7]) {
+                    int64_t counts[5]) {
     walk w = { .p = p, .n_edges = p->n_edges, .slots = p->n - 1, .edge_u = p->edge_u,
                .edge_v = p->edge_v, .deadline = deadline, .best_seq = joins,
                .best = INFINITY };

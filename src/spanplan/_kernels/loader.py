@@ -9,7 +9,9 @@ another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  Its ``merge`` is the C mirror of
 ``formula.merge``, the one Python cost formula.  Instances
 (``formula.Instance``) and results cross the boundary as flat ``array``
-buffers.  Nothing here imports ``pure``.
+buffers, without what C derives (``Instance.pair_inner``, from the edges),
+and each mask and run list is checked first (``formula.check_masks``,
+``check_runs``).  Nothing here imports ``pure``.
 """
 from __future__ import annotations
 
@@ -23,11 +25,11 @@ from functools import partial
 
 from ..errors import OptimizeTimeout
 from . import StaleLibraryError, count_trees
-from .formula import check_runs
+from .formula import check_masks, check_runs
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
-VERSION = 1
+VERSION = 2
 _SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
             "sp_problem_size", "sp_version")
 
@@ -35,11 +37,9 @@ _SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "s
 class _Problem(ctypes.Structure):
     """kernels.c's ``problem``: a formula.Instance flattened into buffers."""
 
-    _fields_ = [("n", c_int), ("n_edges", c_int), ("n_cards", c_int), ("n_pairs", c_int),
-                ("lam", c_double),
+    _fields_ = [("n", c_int), ("n_edges", c_int), ("n_cards", c_int), ("lam", c_double),
                 ("edge_u", c_void_p), ("edge_v", c_void_p), ("scan", c_void_p),
                 ("indexed", c_void_p), ("card_mask", c_void_p), ("card_val", c_void_p),
-                ("pair_mask", c_void_p), ("pair_inner", c_void_p),
                 ("bases", c_void_p), ("sels", c_void_p),
                 # Set by the kernels:
                 ("memo", c_void_p), ("incident", c_void_p), ("missing", c_uint64),
@@ -59,13 +59,11 @@ def _problem(inst) -> _Problem:
     (``inst.known_cards()``)."""
     cards = inst.known_cards()
     buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
-               array("b", inst.indexed), array("Q", cards), array("d", cards.values()),
-               array("Q", inst.pair_inner), array("i", inst.pair_inner.values()))
+               array("b", inst.indexed), array("Q", cards), array("d", cards.values()))
     if inst.model is not None:
         bases, edge_sels = inst.model
         buffers += (array("d", bases), array("d", (sel for _mask, sel in edge_sels)))
-    prob = _Problem(inst.n, len(inst.edge_u), len(cards), len(inst.pair_inner), inst.lam,
-                    *map(_addr, buffers))
+    prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
     prob.buffers = buffers  # the kernel reads them; keep them alive with prob
     return prob
 
@@ -81,12 +79,14 @@ def _check(status: int, prob: _Problem, search: str) -> None:
 
 
 def _merge(lib, inst, l_mask: int, r_mask: int):
+    check_masks(inst, (l_mask, r_mask), disjoint=True)
     prob, join = _problem(inst), _Join()
     _check(lib.sp_merge(prob, l_mask, r_mask, join), prob, "merge")
     return join.cost, join.op, join.side, join.out
 
 
 def _model_cards(lib, inst, masks) -> list[float]:
+    check_masks(inst, masks)
     prob, flat = _problem(inst), array("Q", masks)
     cards = array("d", bytes(8 * len(flat)))
     _check(lib.sp_model_cards(prob, _addr(flat), len(flat), _addr(cards)), prob, "model_cards")
@@ -114,9 +114,8 @@ def _greedy_search(lib, inst, runs, deadline: float = 0.0):
 
 
 def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float = 0.0):
+    check_masks(inst, masks)
     prob, flat, root = _problem(inst), array("Q", masks), c_double()
-    if max(flat, default=0) >> inst.n:
-        raise ValueError("dp_search masks must be subsets of the instance's tables")
     joins, counts = _join_buffer(inst), array("q", bytes(16))
     _check(lib.sp_dp_search(prob, _addr(flat), len(flat), prune_bound, deadline, byref(root),
                             _addr(counts), _addr(joins)), prob, "exhaustive enumeration")
@@ -124,7 +123,7 @@ def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float 
 
 
 def _brute_search(lib, inst, deadline: float = 0.0):
-    prob, best, joins, counts = _problem(inst), c_double(), _join_buffer(inst), array("q", bytes(56))
+    prob, best, joins, counts = _problem(inst), c_double(), _join_buffer(inst), array("q", bytes(40))
     _check(lib.sp_brute_search(prob, deadline, byref(best), _addr(joins), _addr(counts)),
            prob, "oracle enumeration")
     return (best.value, _joins(joins) if best.value < math.inf else [], *counts)

@@ -32,7 +32,7 @@ import time
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
 from . import count_trees  # noqa: F401  (a kernel of this backend)
-from .formula import PRIM, SIDE_LEFT, Instance, check_runs, model_product
+from .formula import PRIM, SIDE_LEFT, Instance, check_masks, check_runs, model_product
 from .formula import merge as _merge
 
 name = "pure"
@@ -69,7 +69,8 @@ def _view(inst: Instance) -> Instance:
 def merge(inst: Instance, l_mask: int, r_mask: int):
     """``formula.merge`` with the cardinalities read through ``_Cards``, as
     every kernel reads them.  Raises KeyError(mask) for a mask neither
-    source gives."""
+    source gives, and ValueError for sides ``check_masks`` refuses."""
+    check_masks(inst, (l_mask, r_mask), disjoint=True)
     return _merge(_view(inst), l_mask, r_mask)
 
 
@@ -77,7 +78,8 @@ def model_cards(inst: Instance, masks) -> list[float]:
     """Each mask's cardinality, in order, read as every kernel reads it:
     under ``inst.model`` the ones ``SelectivityModel.lookup`` gives, for
     many subsets in one call.  Raises KeyError(mask) at the first mask
-    neither source gives, as greedy_search does."""
+    neither source gives, as greedy_search does (ValueError: check_masks)."""
+    check_masks(inst, masks)
     cards = _Cards(inst)
     return [cards[mask] for mask in masks]
 
@@ -270,8 +272,9 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
     cost already exceeds prune_bound are never used as children of larger
     subsets (cost-based pruning; increments are non-negative, so this
     cannot prune an optimal plan).  Cardinalities are read through
-    ``_Cards``.
+    ``_Cards``.  Masks ``formula.check_masks`` refuses raise ValueError.
     """
+    check_masks(inst, masks)
     inst = _view(inst)
     full = (1 << inst.n) - 1
     best: dict[int, float] = {1 << v: 0.0 for v in range(inst.n)}
@@ -333,27 +336,21 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
 
 def brute_search(inst: Instance, deadline: float = 0.0):
     """Exhaustive depth-first walk of every ordered edge arrangement of
-    length n-1, tracking the minimum-cost valid one.  Arrangements that
-    close a cycle are counted, not walked.  No cost pruning: the
-    valid/invalid/linear/bushy counts stay exact and every complete plan is
-    compared.  Cardinalities are read through ``_Cards``.
+    length n-1, tracking the minimum-cost valid one.  An edge that would
+    close a cycle is skipped.  No cost pruning: the valid and linear counts
+    stay exact (``oracle`` derives the invalid and bushy ones) and every
+    complete plan is compared.  Cardinalities are read through ``_Cards``.
 
-    Returns (best_cost, joins, valid, invalid, linear, bushy, subplans,
-    splits, evals): the cheapest arrangement's joins as (edge, component of
-    its v1, component of its v2), in order.
+    Returns (best_cost, joins, valid, linear, subplans, splits, evals): the
+    cheapest arrangement's joins as (edge, component of its v1, component of
+    its v2), in order.
     """
     n, edge_u, edge_v = inst.n, inst.edge_u, inst.edge_v
     n_edges = len(edge_u)
     slots = n - 1
     if slots == 0:
-        return 0.0, [], 1, 0, 1, 0, 0, 0, 0
+        return 0.0, [], 1, 1, 0, 0, 0
     inst = _view(inst)
-
-    # ff[u][s]: ordered ways to fill s slots from u distinct edges.
-    ff = [[1] * (slots + 1) for _ in range(n_edges + 1)]
-    for u in range(n_edges + 1):
-        for s in range(1, slots + 1):
-            ff[u][s] = 0 if u < s else ff[u - 1][s - 1] * u
 
     parent = list(range(n))
     comp_mask = [1 << v for v in range(n)]
@@ -367,22 +364,19 @@ def brute_search(inst: Instance, deadline: float = 0.0):
     used = [False] * n_edges
     seq: list[tuple[int, int, int]] = []
     memo: dict[tuple[int, int], float] = {}  # (smaller mask, larger mask) -> merge cost
-    counts = [0, 0, 0, 0]
+    counts = [0, 0]  # valid, linear
     state = {"best": float("inf"), "seq": [], "evals": 0, "nodes": 0}
 
     def rec(depth: int, touched_mask: int, touched_cnt: int, linear: bool):
         state["nodes"] += 1
         if deadline and state["nodes"] % 4096 == 0 and time.perf_counter() > deadline:
             raise OptimizeTimeout("oracle enumeration ran past its deadline")
-        remaining = slots - depth
-        unused = n_edges - depth
         for e in range(n_edges):
             if used[e]:
                 continue
             u, v = edge_u[e], edge_v[e]
             ru, rv = find(u), find(v)
             if ru == rv:
-                counts[1] += ff[unused - 1][remaining - 1]
                 continue
             lm, rm = comp_mask[ru], comp_mask[rv]
             key = (lm, rm) if lm < rm else (rm, lm)
@@ -403,10 +397,7 @@ def brute_search(inst: Instance, deadline: float = 0.0):
             new_linear = linear and (new_cnt - (depth + 1) == 1)
             if depth + 1 == slots:
                 counts[0] += 1
-                if new_linear:
-                    counts[2] += 1
-                else:
-                    counts[3] += 1
+                counts[1] += new_linear
                 if new_cost < state["best"]:
                     state["best"] = new_cost
                     state["seq"] = list(seq)

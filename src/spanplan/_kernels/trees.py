@@ -76,15 +76,14 @@ def linear_orders(n: int, edge_u, edge_v, deadline: float = 0.0) -> int:
 
 
 def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
-    """Count the ordered arrangements of n-1 edges of a simple connected
-    graph, as a JoinGraph is: valid spanning trees (split into linear and
-    bushy) versus arrangements that close a cycle.  Raises OptimizeTimeout
+    """Count the valid ordered arrangements of n-1 edges of a simple
+    connected graph, as a JoinGraph is, and the linear ones among them
+    (``oracle`` derives the invalid and bushy ones).  Raises OptimizeTimeout
     past deadline.
 
-    Returns (valid, invalid, linear, bushy).
+    Returns (valid, linear).
     """
     if n == 1:
-        return 1, 0, 1, 0
+        return 1, 1
     valid = spanning_trees(n, edge_u, edge_v) * math.factorial(n - 1)
-    linear = linear_orders(n, edge_u, edge_v, deadline)
-    return valid, math.perm(len(edge_u), n - 1) - valid, linear, valid - linear
+    return valid, linear_orders(n, edge_u, edge_v, deadline)

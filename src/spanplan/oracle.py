@@ -51,18 +51,18 @@ class TreeCounts(NamedTuple):
 def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT,
                             timeout: float | None = None) -> TreeCounts:
     """Count all ordered (|V|-1)-edge arrangements, classified, in closed
-    form (the backend's ``count_trees``).  Raises LimitExceededError when
-    there are more than limit arrangements, and OptimizeTimeout when the
-    count runs past timeout seconds."""
+    form: ``count_trees`` gives the valid and linear ones, whose complements
+    are the invalid and bushy ones.  Raises LimitExceededError when there
+    are more than limit arrangements, and OptimizeTimeout when the count
+    runs past timeout seconds."""
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     if bound > limit:
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")
     deadline = _kernels.deadline(time.perf_counter(), timeout)
     edge_u = [e.v1 for e in graph.edges]
     edge_v = [e.v2 for e in graph.edges]
-    valid, invalid, linear, bushy = _kernels.get_backend().count_trees(
-        graph.n_vertices, edge_u, edge_v, deadline)
-    return TreeCounts(bound=bound, valid=valid, invalid=invalid, linear=linear, bushy=bushy)
+    valid, linear = _kernels.get_backend().count_trees(graph.n_vertices, edge_u, edge_v, deadline)
+    return TreeCounts(bound, valid, bound - valid, linear, valid - linear)
 
 
 def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
@@ -84,8 +84,8 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
     from .graph import connected_subset_masks
 
     ctx.ensure_cards(connected_subset_masks(graph, deadline))
-    (best_cost, joins, valid, invalid, linear, bushy,
-     subplans, splits, evals) = _kernels.get_backend().brute_search(ctx.instance, deadline)
+    best_cost, joins, valid, _linear, subplans, splits, evals = _kernels.get_backend().brute_search(
+        ctx.instance, deadline)
     if not math.isfinite(best_cost):
         raise LimitExceededError("the optimal plan's cost overflows a float")
     plan = replay(graph, ctx, "brute_force", joins, best_cost)

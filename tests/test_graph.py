@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import spanplan as sp
 from spanplan.graph import connected_subset_masks
 
-from .conftest import make_graph
+from .conftest import IRREGULAR_KINDS, irregular_graph, make_graph
 
 
 def test_parse_minimal_two_table(two_table):
@@ -362,6 +362,15 @@ def test_connected_subsets_match_independent_bruteforce(kind, n, q2a):
             if _independent_connected(graph, vertices):
                 expected.add(vertices)
         assert got == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(IRREGULAR_KINDS), n=st.integers(3, 10), seed=st.integers(0, 10**6))
+def test_connected_subsets_match_a_bfs_of_each_mask_on_any_irregular_graph(kind, n, seed):
+    graph, _model = irregular_graph(kind, n, seed)
+    expected = [mask for mask in range(1, 1 << n)
+                if _independent_connected(graph, [v for v in range(n) if mask >> v & 1])]
+    assert connected_subset_masks(graph) == expected
 
 
 def test_every_connected_subset_passes_bfs(q2a):

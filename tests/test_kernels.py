@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import spanplan as sp
 from spanplan import _kernels
 from spanplan._kernels import formula
-from spanplan._kernels.loader import _Problem, _problem, open_library
+from spanplan._kernels.loader import VERSION, _Problem, _problem, open_library
 from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks, iter_bits
 from spanplan.plan import replay
@@ -36,6 +36,79 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
                            "-ffp-contract=off", "-c", str(SOURCE), "-o", str(tmp_path / "kernels.o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Run in a process whose allocator ASan replaces: every kernel against pure
+# on small graphs, a clique-12 walk stopped by its deadline, and masks
+# check_masks refuses.
+SANITIZED_RUN = """
+import sys, time
+import spanplan as sp
+from spanplan import _kernels
+from spanplan._kernels import formula
+from spanplan._kernels.loader import open_library
+from spanplan.cost import CostContext
+from spanplan.graph import connected_subset_masks
+from tests.conftest import irregular_graph
+from tests.test_kernels import BAD_MASKS
+
+lib, pure = open_library(sys.argv[1]), _kernels.pure
+
+def outcome(backend, kernel, *args):
+    try:
+        return getattr(backend, kernel)(*args)
+    except (KeyError, ValueError, sp.SpanPlanError) as exc:
+        return type(exc), exc.args
+
+cases = [sp.gen_topology(kind, n, seed=n) for kind in ("chain", "cycle", "star", "clique")
+         for n in (3, 4, 6)]
+cases += [irregular_graph(kind, 6, seed=3) for kind in ("tree", "chorded", "grid", "gnp")]
+for graph, model in cases:
+    masks = connected_subset_masks(graph)
+    catalog = sp.CardinalityCatalog(entries={m: model.lookup(graph, m) for m in masks[::2]})
+    for source in (model, catalog):
+        inst = CostContext(graph, source).instance
+        runs = [(kind, e) for kind in (formula.PRIM, formula.KRUSKAL)
+                for e in (None, *range(graph.n_edges))]
+        calls = [("model_cards", inst, masks), ("greedy_search", inst, runs),
+                 ("dp_search", inst, masks), ("brute_search", inst)]
+        calls += [("merge", inst, 1 << e.v1, 1 << e.v2) for e in graph.edges]
+        calls += [("merge", inst, m, graph.full_mask ^ m) for m in masks[:-1]]
+        for call in calls:
+            assert outcome(lib, *call) == outcome(pure, *call), call[0]
+        if isinstance(source, sp.SelectivityModel):
+            bound = lib.greedy_search(inst, runs)[0]
+            assert lib.dp_search(inst, masks, bound) == pure.dp_search(inst, masks, bound)
+
+graph, model = sp.gen_topology("clique", 12, seed=0)
+try:
+    lib.brute_search(CostContext(graph, model).instance, time.perf_counter() + 0.01)
+    raise AssertionError("the clique-12 walk finished within 10 ms")
+except sp.OptimizeTimeout:
+    pass
+inst = CostContext(*sp.gen_topology("chain", 5, seed=1)).instance
+for kernel, calls in BAD_MASKS.items():
+    for args in calls:
+        assert outcome(lib, kernel, inst, *args)[0] is ValueError, (kernel, args)
+print("ok")
+"""
+
+
+def test_every_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
+    cc = _compiler()
+    runtime = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no libasan for the C compiler")
+    library = tmp_path / "sanitized.so"
+    subprocess.run([*cc, "-shared", "-fPIC", "-fsanitize=address,undefined",
+                    "-fno-sanitize-recover=all", "-fno-omit-frame-pointer", "-ffp-contract=off",
+                    str(SOURCE), "-o", str(library), "-lm"], check=True)
+    env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
+               PYTHONMALLOC="malloc", PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT)]))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(library)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-4000:]
 
 
 def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
@@ -372,12 +445,15 @@ def test_search_kernels_return_cost_then_joins_of_their_two_sides(compiled):
 
 def test_search_kernels_keep_the_result_positions_perfbench_reads(q2a, compiled):
     # The perfbench tracer reads dp_search's root cost at [0], subplans at
-    # [2] and splits at [3], and brute_search's valid arrangements at [2].
+    # [2] and splits at [3], and the valid arrangements at brute_search's [2]
+    # and count_trees' [0].
     cases = [q2a] + [(graph, model) for _k, _n, graph, model in mixed_instances(8, 6600)]
     for graph, source in cases:
         exhaustive, ex_stats = sp.exhaustive(graph, source, prune=False)
         brute, brute_stats = sp.brute_force_optimal(graph, source)
         trees = sp.enumerate_ordered_trees(graph)
+        edge_u = [e.v1 for e in graph.edges]
+        edge_v = [e.v2 for e in graph.edges]
         for backend in (_kernels.pure, compiled):
             inst = _instance(graph, source)
             dp = backend.dp_search(inst, connected_subset_masks(graph))
@@ -386,6 +462,7 @@ def test_search_kernels_keep_the_result_positions_perfbench_reads(q2a, compiled)
             walk = backend.brute_search(inst)
             assert walk[0] == brute.internal_cost == exhaustive.internal_cost
             assert walk[2] == brute_stats.plans_enumerated == trees.valid
+            assert backend.count_trees(graph.n_vertices, edge_u, edge_v)[0] == trees.valid
     graph, catalog = q2a
     dp = compiled.dp_search(_instance(graph, catalog), connected_subset_masks(graph))
     assert (dp[0], dp[2], dp[3]) == (1_617_001, 14, 32)
@@ -394,14 +471,14 @@ def test_search_kernels_keep_the_result_positions_perfbench_reads(q2a, compiled)
 
 def test_count_trees_equals_the_counts_of_the_brute_walk(compiled):
     # count_trees counts in closed form; brute_search walks every
-    # arrangement and returns (valid, invalid, linear, bushy) at [2:6].
+    # arrangement and returns (valid, linear) at [2:4].
     cases = mixed_instances(16, base_seed=6300) + irregular_instances(25, base_seed=6350)
     for kind, n, graph, model in cases:
         edge_u = [e.v1 for e in graph.edges]
         edge_v = [e.v2 for e in graph.edges]
         inst = _instance(graph, model)
         for backend in (_kernels.pure, compiled):
-            assert backend.count_trees(n, edge_u, edge_v) == backend.brute_search(inst)[2:6], \
+            assert backend.count_trees(n, edge_u, edge_v) == backend.brute_search(inst)[2:4], \
                 (backend.name, kind, n)
 
 
@@ -545,12 +622,28 @@ def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
             backend.count_trees(graph.n_vertices, edge_u, edge_v, deadline=1e-9)
 
 
-def test_compiled_dp_search_rejects_masks_beyond_the_instance(compiled):
-    # The C kernel indexes per-mask tables of 2^n entries by these masks.
-    graph, model = sp.gen_topology("chain", 4, seed=0)
+# Calls of the kernels that take masks with masks formula.check_masks refuses:
+# past the instance's tables, zero, or (merge) overlapping sides.  The C
+# kernels index per-table arrays by masks and their memo keeps mask 0 for a
+# free slot, so without the check they read past the model's bases, or a
+# free slot's value.
+BAD_MASKS = {
+    "merge": [(1 << 20, 1), (1, 1 << 5), (0, 1), (0b11, 0b110)],
+    "model_cards": [([1 << 20],), ([0],), ([1, 2, 1 << 5],)],
+    "dp_search": [([1, 2, 3, 1 << 20],), ([0, 1, 2, 3],), ([1, 2, 3, 1 << 5],)],
+}
+
+
+@pytest.mark.parametrize("kernel", BAD_MASKS)
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_kernels_reject_masks_outside_the_instance(backend, kernel, request):
+    graph, model = sp.gen_topology("chain", 5, seed=1)
     inst = _instance(graph, model)
-    with pytest.raises(ValueError):
-        compiled.dp_search(inst, connected_subset_masks(graph) + [0b110000])
+    run = getattr(request.getfixturevalue("compiled") if backend == "compiled"
+                  else _kernels.pure, kernel)
+    for args in BAD_MASKS[kernel]:
+        with pytest.raises(ValueError, match="subsets of the instance's 5 tables"):
+            run(inst, *args)
 
 
 def test_backend_selection():
@@ -564,9 +657,10 @@ def test_backend_selection():
 
 
 # Ways a built library can fail to match the loader, as edits to kernels.c.
+_VERSION_LINE = f"const int sp_version = {VERSION};"
 STALE_EDITS = {
-    "built before it had a version": ("const int sp_version = 1;\n", ""),
-    "another version": ("const int sp_version = 1;", "const int sp_version = 0;"),
+    "built before it had a version": (_VERSION_LINE + "\n", ""),
+    "another version": (_VERSION_LINE, f"const int sp_version = {VERSION - 1};"),
     "another problem struct": ("    int words;", "    double extra;\n    int words;"),
 }
 
