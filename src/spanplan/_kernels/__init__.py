@@ -8,12 +8,13 @@ is the reference implementation of five kernels (``merge``,
 file as ``_ckernels`` by ``python3 setup.py build_ext`` and opened through
 ctypes by ``loader``; it is preferred whenever the build produced a library
 that matches ``loader`` (``DEFAULT_BACKEND`` names the backend chosen).
-Both backends share the sixth kernel, ``count_trees``, which counts the
-valid and the linear ordered spanning-tree arrangements in closed form
-(``trees``).  The three
-searches return ``(cost, joins, counters...)``, with ``joins`` the
-winner's ``(edge, left mask, right mask)`` list in the order
-``plan.replay`` builds it.  A backend is loaded on the first
+The sixth kernel, ``count_trees``, counts the valid and the linear
+ordered spanning-tree arrangements in closed form (``trees``); it has no
+C version, and ``oracle`` calls it here, without resolving a backend, so
+counting never opens the library.  The three searches return
+``(cost, joins, counters...)``, with ``joins`` the winner's
+``(edge, left mask, right mask)`` list in the order ``plan.replay``
+builds it.  A backend is loaded on the first
 ``get_backend`` call that names it, so ``import spanplan`` pays neither
 for ctypes nor for compiling ``pure``, and a process that runs the
 compiled searches never loads ``pure`` at all; ``trees`` is compiled by
@@ -81,8 +82,8 @@ def __getattr__(name: str):
 
 
 def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
-    """Every backend's ``count_trees``: ``trees.count_trees``, imported on
-    the first call so that only a process that counts compiles it."""
+    """``trees.count_trees``, imported on the first call so that only a
+    process that counts compiles it.  Each backend also holds it."""
     from .trees import count_trees
 
     return count_trees(n, edge_u, edge_v, deadline)

@@ -165,5 +165,5 @@ def open_library(path) -> types.ModuleType:
     backend.problem_size = size
     for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
-    backend.count_trees = count_trees
+    backend.count_trees = count_trees  # read outside tests only by perfbench's tracer
     return backend

@@ -31,7 +31,7 @@ import time
 
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
-from . import count_trees  # noqa: F401  (a kernel of this backend)
+from . import count_trees  # noqa: F401  (read outside tests only by perfbench's tracer)
 from .formula import PRIM, SIDE_LEFT, Instance, check_masks, check_runs, model_product
 from .formula import merge as _merge
 

@@ -7,13 +7,15 @@ walking the e!/(e-n+1)! arrangements: each spanning tree is valid in all
 (n-1)! of its orders, the spanning trees are counted by Kirchhoff's
 matrix-tree theorem, and the linear orders by a dynamic program over the
 connected vertex sets they pass through.  The counts are Python ints, so
-they stay exact past 2^63.  Every backend's ``count_trees`` imports this
-module on its first call, so only a process that counts compiles it.
+they stay exact past 2^63.  Only that dynamic program's work grows
+exponentially, so it alone is guarded, by the subset scan's budget.
+``_kernels.count_trees`` imports this module on its first call.
 """
 import math
 import time
 
-from ..errors import OptimizeTimeout
+from ..errors import LimitExceededError, OptimizeTimeout
+from ..graph import SUBSET_ENUM_LIMIT
 
 
 def spanning_trees(n: int, edge_u, edge_v) -> int:
@@ -47,6 +49,8 @@ def linear_orders(n: int, edge_u, edge_v, deadline: float = 0.0) -> int:
     one for each edge's two ends, and S grows by each table w outside it in
     as many ways as w has edges into S.  Sets are visited one size at a
     time; the clock is read at the first set and at every 4096th after it.
+    Raises LimitExceededError once more than 1 << SUBSET_ENUM_LIMIT sets
+    are reached, so every graph of up to SUBSET_ENUM_LIMIT tables counts.
     """
     adj = dict.fromkeys((1 << v for v in range(n)), 0)  # a table's bit -> its neighbours
     for u, v in zip(edge_u, edge_v):
@@ -55,6 +59,8 @@ def linear_orders(n: int, edge_u, edge_v, deadline: float = 0.0) -> int:
     # S -> [ways, the tables outside S with an edge into S]
     ways = {1 << u | 1 << v: [1, (adj[1 << u] | adj[1 << v]) & ~(1 << u | 1 << v)]
             for u, v in zip(edge_u, edge_v)}
+    budget = 1 << SUBSET_ENUM_LIMIT
+    reached = len(ways)
     states = 0
     for _size in range(2, n):
         grown: dict[int, list] = {}
@@ -68,6 +74,10 @@ def linear_orders(n: int, edge_u, edge_v, deadline: float = 0.0) -> int:
                 rest ^= w
                 add = count * (adj[w] & s).bit_count()
                 if (entry := grown.get(s | w)) is None:
+                    reached += 1
+                    if reached > budget:
+                        raise LimitExceededError(f"the linear-order count reaches more than"
+                                                 f" {budget} connected table sets")
                     grown[s | w] = [add, (frontier | adj[w]) & ~(s | w)]
                 else:
                     entry[0] += add
@@ -79,7 +89,7 @@ def count_trees(n: int, edge_u, edge_v, deadline: float = 0.0):
     """Count the valid ordered arrangements of n-1 edges of a simple
     connected graph, as a JoinGraph is, and the linear ones among them
     (``oracle`` derives the invalid and bushy ones).  Raises OptimizeTimeout
-    past deadline.
+    past deadline, and LimitExceededError as ``linear_orders`` does.
 
     Returns (valid, linear).
     """

@@ -106,16 +106,8 @@ def cmd_count(args) -> int:
     from . import oracle
 
     graph, _ = _load_graph(args.graph)
-    limit = oracle.DEFAULT_ARRANGEMENT_LIMIT if args.limit is None else args.limit
-    counts = oracle.enumerate_ordered_trees(graph, limit=limit, timeout=args.timeout)
-    doc = {
-        **counts._asdict(),
-        "t_b": (
-            oracle.binary_tree_space_size(graph.n_vertices)
-            if graph.n_vertices <= oracle.BINARY_SPACE_MAX_N
-            else None
-        ),
-    }
+    counts = oracle.enumerate_ordered_trees(graph, timeout=args.timeout)
+    doc = {**counts._asdict(), "t_b": oracle.binary_tree_space_size(graph.n_vertices)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
@@ -220,8 +212,6 @@ def build_parser() -> _Parser:
 
     p_cnt = sub.add_parser("count", help="count the ordered spanning-tree space")
     p_cnt.add_argument("--graph", required=True)
-    p_cnt.add_argument("--limit", type=int,
-                       help="largest arrangement space to count; default: the oracle's limit")
     p_cnt.add_argument("--timeout", type=_timeout, default=60.0)
     p_cnt.add_argument("--out")
     p_cnt.set_defaults(func=cmd_count)

@@ -415,9 +415,9 @@ def gen_topology(
     if not (is_row_count(base_range[0], 1) and is_row_count(base_range[1], base_range[0])):
         raise GraphFormatError("base cardinality range LO HI must hold integers"
                                " 1 <= LO <= HI that fit in a float")
-    if not all(0.0 < s <= 1.0 for s in sel_range):
+    if not 0.0 < sel_range[0] <= sel_range[1] <= 1.0:
         raise GraphFormatError(f"selectivity range {sel_range[0]} {sel_range[1]}"
-                               " must lie inside (0, 1]")
+                               " must hold 0 < LO <= HI <= 1")
     import random
 
     rng = random.Random(_derive_seed(kind.value, n, seed))

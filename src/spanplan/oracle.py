@@ -5,7 +5,8 @@ closes a cycle (the full set then necessarily spans all vertices).  A valid
 arrangement is linear iff every prefix forms a single connected component.
 This module counts the arrangement space exactly, in closed form, and
 certifies optimality of the dynamic-programming search by exhaustive
-comparison.
+comparison.  Only the walk is bounded by the arrangement count; the
+count is bounded by the connected table sets it reaches (``trees``).
 """
 from __future__ import annotations
 
@@ -21,13 +22,11 @@ from .plan import EnumStats, replay
 
 DEFAULT_ARRANGEMENT_LIMIT = 10**7
 
-BINARY_SPACE_MAX_N = 15
-
 
 def binary_tree_space_size(n: int) -> int:
     """Number of binary join trees over n permutable tables: (2n)!/(n+1)!."""
-    if not 1 <= n <= BINARY_SPACE_MAX_N:
-        raise LimitExceededError(f"table count {n} outside [1, {BINARY_SPACE_MAX_N}]")
+    if n < 1:
+        raise LimitExceededError("table count must be positive")
     return math.factorial(2 * n) // math.factorial(n + 1)
 
 
@@ -48,20 +47,17 @@ class TreeCounts(NamedTuple):
     bushy: int
 
 
-def enumerate_ordered_trees(graph: JoinGraph, limit: int = DEFAULT_ARRANGEMENT_LIMIT,
-                            timeout: float | None = None) -> TreeCounts:
+def enumerate_ordered_trees(graph: JoinGraph, timeout: float | None = None) -> TreeCounts:
     """Count all ordered (|V|-1)-edge arrangements, classified, in closed
     form: ``count_trees`` gives the valid and linear ones, whose complements
-    are the invalid and bushy ones.  Raises LimitExceededError when there
-    are more than limit arrangements, and OptimizeTimeout when the count
-    runs past timeout seconds."""
+    are the invalid and bushy ones.  Raises LimitExceededError when the
+    linear count reaches more table sets than the subset scan may, and
+    OptimizeTimeout when the count runs past timeout seconds."""
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
-    if bound > limit:
-        raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")
     deadline = _kernels.deadline(time.perf_counter(), timeout)
     edge_u = [e.v1 for e in graph.edges]
     edge_v = [e.v2 for e in graph.edges]
-    valid, linear = _kernels.get_backend().count_trees(graph.n_vertices, edge_u, edge_v, deadline)
+    valid, linear = _kernels.count_trees(graph.n_vertices, edge_u, edge_v, deadline)
     return TreeCounts(bound, valid, bound - valid, linear, valid - linear)
 
 

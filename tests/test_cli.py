@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanplan as sp
-from spanplan.cli import _load_catalog_file, main
+from spanplan._kernels import trees
+from spanplan.cli import _load_catalog_file, build_parser, main
 
 from .conftest import DATA_DIR, ONE_TABLE
 
@@ -155,6 +158,19 @@ def test_count_timeout_exits_2_with_one_line(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "spanplan: timeout: tree enumeration ran past its deadline\n"
+
+
+def test_count_past_its_set_cap_exits_1_with_one_line(capsys, tmp_path, monkeypatch):
+    # clique-8's linear orders pass through its 247 connected sets of two
+    # tables or more; a cap of 1 << 7 sets refuses it.
+    graph, model = sp.gen_topology("clique", 8, seed=0)
+    path = tmp_path / "clique8.json"
+    path.write_text(sp.graph_to_json(graph, model))
+    monkeypatch.setattr(trees, "SUBSET_ENUM_LIMIT", 7)
+    code, out, err = run(capsys, "count", "--graph", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("spanplan: error: the linear-order count reaches more than 128"
+                   " connected table sets\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -619,6 +635,37 @@ def test_start_up_loads_only_what_the_command_runs(tmp_path):
     assert proc.stdout == f"[]\n{runs}count []\nbench []\nresolved\n"
 
 
+def _flags(parser) -> set[str]:
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _flags(sub)
+    return flags
+
+
+def test_readme_cli_section_names_the_flags_the_parser_has():
+    readme = (DATA_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert named == _flags(build_parser()) - {"--help"}
+
+
+def test_count_opens_no_kernel_library():
+    # No C kernel counts, so a process that only counts neither imports
+    # ctypes nor opens the library.
+    code = f"""if True:
+        import os, sys
+        import spanplan.cli
+        spanplan.cli.main(["count", "--graph", {Q2A!r}, "--out", os.devnull])
+        print([m for m in ("ctypes", "spanplan._kernels.loader") if m in sys.modules])
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
+    assert proc.stdout == "[]\n"
+
+
 def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):
     doc = json.loads((DATA_DIR / "query_2a.json").read_text())
     for key in doc["cardinalities"]:
@@ -640,6 +687,7 @@ def test_optimize_cost_overflow_exits_1_with_one_line(capsys, tmp_path):
     ("gen", "--topology", "chain", "--tables", "4", "--sel-range", "0.1", "2"),
     ("bench", "--topology", "chain", "--sizes", "abc"),
     ("bench", "--topology", "chain", "--sizes", "4,,5"),
+    ("gen", "--topology", "chain", "--tables", "4", "--sel-range", "0.5", "0.1"),
 ])
 def test_bad_generator_ranges_and_sizes_exit_1_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -482,18 +482,6 @@ def test_count_trees_equals_the_counts_of_the_brute_walk(compiled):
                 (backend.name, kind, n)
 
 
-def test_count_trees_is_exact_past_int64_on_both_backends(compiled, monkeypatch):
-    graph, _ = sp.gen_topology("chain", 25, seed=0)
-    every = math.factorial(24)  # every order of the 24 edges is a spanning tree
-    for backend in (_kernels.pure, compiled):
-        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
-        t0 = time.perf_counter()
-        counts = sp.enumerate_ordered_trees(graph, limit=every)
-        assert time.perf_counter() - t0 < 1.0, backend.name
-        assert counts == sp.TreeCounts(every, every, 0, 2**23, every - 2**23)
-    assert counts.valid > 2**63
-
-
 def test_count_trees_stops_at_its_deadline_on_both_backends(compiled):
     # The linear-order DP reaches 65,519 vertex sets of clique-16, far more
     # than it visits in 20 ms, and reads the clock every 4096 of them.
@@ -707,7 +695,7 @@ def test_auto_falls_back_to_pure_on_a_stale_library_and_compiled_refuses_it(edit
 
 def test_import_defers_ctypes_until_a_kernel_runs():
     code = ("import sys, spanplan; before = 'ctypes' in sys.modules; "
-            "spanplan.enumerate_ordered_trees(spanplan.gen_topology('chain', 3, 0)[0]); "
+            "spanplan.brute_force_optimal(*spanplan.gen_topology('chain', 3, 0)); "
             "print(before, 'ctypes' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))

@@ -1,11 +1,14 @@
 import itertools
 import json
 import math
+import time
 
 import pytest
 
 import spanplan as sp
+from spanplan._kernels import trees
 from spanplan.cost import CostContext
+from spanplan.graph import connected_subset_masks
 
 from .conftest import IRREGULAR_KINDS, irregular_graph, irregular_instances, mixed_instances
 
@@ -37,8 +40,11 @@ def test_binary_tree_space_size_matches_bruteforce():
 def test_binary_tree_space_size_guard():
     with pytest.raises(sp.LimitExceededError):
         sp.binary_tree_space_size(0)
-    with pytest.raises(sp.LimitExceededError):
-        sp.binary_tree_space_size(16)
+
+
+@pytest.mark.parametrize("n", [16, 25])
+def test_binary_tree_space_size_is_exact_past_15_tables(n):
+    assert sp.binary_tree_space_size(n) == _catalan_by_pascal(n) * math.factorial(n)
 
 
 @pytest.mark.parametrize("v,e,expected", [(5, 5, 120), (2, 1, 1), (4, 6, 120)])
@@ -94,13 +100,13 @@ def test_counts_cycle(n):
     assert counts.linear == n * 2 ** (n - 2)
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_counts_clique_cayley(n):
     # Cayley's n^(n-2) spanning trees, each in (n-1)! orders; a linear order
     # opens with any edge and then grows a k-table tree by any of n-k tables
     # over any of k edges.
     graph, _ = sp.gen_topology("clique", n, seed=0)
-    counts = sp.enumerate_ordered_trees(graph, limit=math.perm(n * (n - 1) // 2, n - 1))
+    counts = sp.enumerate_ordered_trees(graph)
     assert counts.valid == n ** (n - 2) * math.factorial(n - 1)
     assert counts.linear == math.factorial(n) * math.factorial(n - 1) // 2
 
@@ -121,10 +127,43 @@ def test_counts_sum_to_bound_across_topologies():
             assert counts.valid == math.factorial(graph.n_vertices - 1)
 
 
-def test_counts_limit_guard():
-    graph, _ = sp.gen_topology("clique", 8, seed=0)  # bound 28!/21! ~ 6e9
-    with pytest.raises(sp.LimitExceededError):
-        sp.enumerate_ordered_trees(graph)
+@pytest.mark.parametrize("kind", ["chain", "cycle"])
+def test_counts_25_tables_past_int64(kind):
+    # Any 24 edges of either graph are a spanning path (one of chain-25's,
+    # 25 of cycle-25's), each in 24! orders; a linear order opens with any
+    # edge of the path and then grows it at either end.
+    paths = {"chain": 1, "cycle": 25}[kind]
+    graph, _ = sp.gen_topology(kind, 25, seed=0)
+    t0 = time.perf_counter()
+    counts = sp.enumerate_ordered_trees(graph)
+    assert time.perf_counter() - t0 < 1.0
+    every = paths * math.factorial(24)
+    assert counts == sp.TreeCounts(every, every, 0, paths * 2**23, every - paths * 2**23)
+    assert counts.valid > 2**63
+
+
+def _star_with_chords(chords):
+    # star-5 reaches the 15 connected sets that hold its centre and at least
+    # one leaf; each chord between two leaves adds the set of its two ends.
+    star, _ = sp.gen_topology("star", 5, seed=0)
+    edges = star.edges + tuple(sp.JoinEdge(star.n_edges + i, u, v, f"t{u}.c = t{v}.c")
+                               for i, (u, v) in enumerate(chords))
+    return sp.JoinGraph(star.vertices, edges)
+
+
+def test_counts_set_cap_boundary(monkeypatch):
+    # The linear-order count reaches every connected set of two tables or
+    # more.  The cap is a power of two, so one graph reaches exactly 16 sets
+    # and the other one more than that.
+    exact, over = _star_with_chords([(1, 2)]), _star_with_chords([(1, 2), (3, 4)])
+    reached = [len(connected_subset_masks(g)) - g.n_vertices for g in (exact, over)]
+    assert reached == [16, 17]
+    uncapped = sp.enumerate_ordered_trees(exact)
+    monkeypatch.setattr(trees, "SUBSET_ENUM_LIMIT", 4)
+    assert sp.enumerate_ordered_trees(exact) == uncapped
+    with pytest.raises(sp.LimitExceededError,
+                       match="^the linear-order count reaches more than 16 connected table sets$"):
+        sp.enumerate_ordered_trees(over)
 
 
 def test_oracle_nan_timeout_is_rejected():
