@@ -50,16 +50,25 @@ def linear_orders(n: int, edge_u, edge_v, deadline: float = 0.0) -> int:
     as many ways as w has edges into S.  Sets are visited one size at a
     time; the clock is read at the first set and at every 4096th after it.
     Raises LimitExceededError once more than 1 << SUBSET_ENUM_LIMIT sets
-    are reached, so every graph of up to SUBSET_ENUM_LIMIT tables counts.
+    are reached, so every graph of up to SUBSET_ENUM_LIMIT tables counts,
+    and before the first set when a lower bound on the sets already exceeds
+    that budget.
     """
     adj = dict.fromkeys((1 << v for v in range(n)), 0)  # a table's bit -> its neighbours
     for u, v in zip(edge_u, edge_v):
         adj[1 << u] |= 1 << v
         adj[1 << v] |= 1 << u
+    budget = 1 << SUBSET_ENUM_LIMIT
+    too_many = f"the linear-order count reaches more than {budget} connected table sets"
+    # Two lower bounds on the sets of two tables or more: each table with any
+    # of its higher-numbered neighbours (such sets differ in their lowest
+    # table), and the busiest table with any of its neighbours.
+    if max(sum((1 << (nbrs & -bit).bit_count()) - 1 for bit, nbrs in adj.items()),
+           (1 << max(nbrs.bit_count() for nbrs in adj.values())) - 1) > budget:
+        raise LimitExceededError(too_many)
     # S -> [ways, the tables outside S with an edge into S]
     ways = {1 << u | 1 << v: [1, (adj[1 << u] | adj[1 << v]) & ~(1 << u | 1 << v)]
             for u, v in zip(edge_u, edge_v)}
-    budget = 1 << SUBSET_ENUM_LIMIT
     reached = len(ways)
     states = 0
     for _size in range(2, n):
@@ -76,8 +85,7 @@ def linear_orders(n: int, edge_u, edge_v, deadline: float = 0.0) -> int:
                 if (entry := grown.get(s | w)) is None:
                     reached += 1
                     if reached > budget:
-                        raise LimitExceededError(f"the linear-order count reaches more than"
-                                                 f" {budget} connected table sets")
+                        raise LimitExceededError(too_many)
                     grown[s | w] = [add, (frontier | adj[w]) & ~(s | w)]
                 else:
                     entry[0] += add

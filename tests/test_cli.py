@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -139,7 +140,8 @@ def test_optimize_greedy_timeout_exits_2_with_one_line(capsys, tmp_path, algo):
 
 
 def test_optimize_exhaustive_deadline_between_phases_exits_2_with_one_line(capsys, tmp_path):
-    # The subset scan alone of a 16-table chain takes far longer than 1 ms.
+    # The subset scan alone of a 16-table chain takes about 19 ms, 19 times
+    # the budget.
     graph, model = sp.gen_topology("chain", 16, seed=0)
     path = tmp_path / "chain.json"
     path.write_text(sp.graph_to_json(graph, model))
@@ -170,6 +172,20 @@ def test_count_past_its_set_cap_exits_1_with_one_line(capsys, tmp_path, monkeypa
     code, out, err = run(capsys, "count", "--graph", str(path))
     assert (code, out) == (1, "")
     assert err == ("spanplan: error: the linear-order count reaches more than 128"
+                   " connected table sets\n")
+
+
+@pytest.mark.parametrize("kind,n", [("star", 22), ("star", 25), ("clique", 21), ("clique", 25)])
+def test_count_refuses_a_graph_past_its_set_cap_at_once(capsys, tmp_path, kind, n):
+    # Each reaches more than 2^20 connected sets by its degrees alone.
+    graph, model = sp.gen_topology(kind, n, seed=0)
+    path = tmp_path / f"{kind}{n}.json"
+    path.write_text(sp.graph_to_json(graph, model))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "count", "--graph", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err == ("spanplan: error: the linear-order count reaches more than 1048576"
                    " connected table sets\n")
 
 

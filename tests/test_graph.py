@@ -373,6 +373,35 @@ def test_connected_subsets_match_a_bfs_of_each_mask_on_any_irregular_graph(kind,
     assert connected_subset_masks(graph) == expected
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(IRREGULAR_KINDS), n=st.integers(11, 25), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_is_connected_mask_matches_a_bfs_past_the_scans_reach(kind, n, seed, data):
+    # The scan stops at 20 tables; lookup_cardinality tests masks of up to 25.
+    graph, _model = irregular_graph(kind, n, seed)
+    high_half = n - (n + 1) // 2
+    sampled = data.draw(st.lists(st.integers(0, graph.full_mask), max_size=40))
+    high_only = data.draw(st.lists(st.integers(1, (1 << high_half) - 1), min_size=1, max_size=20))
+    masks = [0, graph.full_mask, *(1 << v for v in range(n)), *sampled,
+             *(m << (n + 1) // 2 for m in high_only)]
+    for mask in masks:
+        assert graph.is_connected_mask(mask) == \
+            _independent_connected(graph, [v for v in range(n) if mask >> v & 1]), mask
+
+
+def test_loads_and_greedy_searches_leave_the_neighbour_tables_unbuilt(q2a_text):
+    # Only a connectivity test builds them; a load checks reach without them.
+    generated, model = sp.gen_topology("clique", 12, seed=0)
+    for text in (q2a_text, sp.graph_to_json(generated, model)):
+        graph, source = sp.load_document(text)
+        assert "_neighbour_tables" not in vars(graph)
+        for algo in ("prim", "kruskal", "goo", "este"):
+            sp.run_algorithm(algo, graph, source)
+        assert "_neighbour_tables" not in vars(graph)
+        assert graph.is_connected_mask(graph.full_mask)
+        assert "_neighbour_tables" in vars(graph)
+
+
 def test_every_connected_subset_passes_bfs(q2a):
     graph, _ = q2a
     for mask in connected_subset_masks(graph):

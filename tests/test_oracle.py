@@ -166,6 +166,27 @@ def test_counts_set_cap_boundary(monkeypatch):
         sp.enumerate_ordered_trees(over)
 
 
+def test_counts_lower_bound_refuses_before_the_first_clock_read(monkeypatch):
+    # The over-cap graph above reaches 17 sets.  With its centre numbered 0,
+    # each table with its higher-numbered neighbours spans 15 + 1 + 1 = 17
+    # sets, so it is refused before any clock read.  Numbered in reverse,
+    # the centre last, that bound is 8 and the centre's 2^4 - 1 = 15, so the
+    # DP runs: it meets the past deadline at its first set, and without a
+    # deadline refuses at its 17th.
+    monkeypatch.setattr(trees, "SUBSET_ENUM_LIMIT", 4)
+    over = _star_with_chords([(1, 2), (3, 4)])
+    ends = [e.v1 for e in over.edges], [e.v2 for e in over.edges]
+    reverse = [[4 - v for v in side] for side in ends]
+    past = time.perf_counter() - 1.0
+    message = "^the linear-order count reaches more than 16 connected table sets$"
+    with pytest.raises(sp.LimitExceededError, match=message):
+        trees.linear_orders(5, *ends, past)
+    with pytest.raises(sp.OptimizeTimeout):
+        trees.linear_orders(5, *reverse, past)
+    with pytest.raises(sp.LimitExceededError, match=message):
+        trees.linear_orders(5, *reverse)
+
+
 def test_oracle_nan_timeout_is_rejected():
     # Small enough to finish at once if NaN were taken as no deadline.
     graph, model = sp.gen_topology("clique", 4, seed=0)
