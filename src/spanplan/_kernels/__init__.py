@@ -13,8 +13,8 @@ ordered spanning-tree arrangements in closed form (``trees``); it has no
 C version, and ``oracle`` calls it here, without resolving a backend, so
 counting never opens the library.  The three searches return
 ``(cost, joins, counters...)``, with ``joins`` the winner's
-``(edge, left mask, right mask)`` list in the order ``plan.replay``
-builds it.  A backend is loaded on the first
+``(edge, left mask, right mask, out card)`` list in the order
+``plan.replay`` builds it.  A backend is loaded on the first
 ``get_backend`` call that names it, so ``import spanplan`` pays neither
 for ctypes nor for compiling ``pure``, and a process that runs the
 compiled searches never loads ``pure`` at all; ``trees`` is compiled by

@@ -6,7 +6,8 @@
  * (count_trees has no C kernel: every backend counts in closed form in
  * trees.py, whose Python ints stay exact where int64 would overflow.)
  * The three searches write the winner's cost and its joins as (edge, left
- * mask, right mask) triples, in replay order.  No kernel takes or returns
+ * mask, right mask, out card) quadruples of 64-bit words, the out card a
+ * double, in replay order.  No kernel takes or returns
  * what can be derived: oracle.py derives the invalid and bushy counts.
  * Every cost is computed with the same operations in the same order, so
  * results are bit-for-bit equal to the reference.
@@ -125,7 +126,7 @@ size_t sp_problem_size(void) {
 
 /* loader.VERSION: raise both when the problem struct or a kernel's
  * arguments or results change, so that a library built before is refused. */
-const int sp_version = 2;
+const int sp_version = 3;
 
 typedef struct { double cost, out; int op, side; } join;
 
@@ -275,8 +276,8 @@ int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *car
 }
 
 /* A join of a member's plan: its two sides, edge, operator and build or
- * inner side (formula.OP_*, SIDE_*), and its step cost. */
-typedef struct { mask_t l, r; double cost; int edge, op, side; } step_t;
+ * inner side (formula.OP_*, SIDE_*), its step cost and out card. */
+typedef struct { mask_t l, r; double cost, out; int edge, op, side; } step_t;
 
 /* The join a greedy state took and the index of the state it led to, or
  * DONE when it completed the plan. */
@@ -497,8 +498,8 @@ static void join_edge(greedy *g, int kind, const cand *c, mask_t *merged) {
         v = w;
         side = !side;
     }
-    g->steps[g->n_steps++] = (step_t){ g->comp_of[u], g->comp_of[v], c->cost, c->edge, c->op,
-                                       side };
+    g->steps[g->n_steps++] = (step_t){ g->comp_of[u], g->comp_of[v], c->cost, c->out, c->edge,
+                                       c->op, side };
     cost = c->cost + g->cost_of[u] + g->cost_of[v];
     *merged = c->pair;
     for (mask_t rest = *merged; rest; rest &= rest - 1) {
@@ -650,9 +651,18 @@ static int greedy_close(greedy *g, int rc) {
     return rc;
 }
 
+/* Write one join as (edge, left mask, right mask, out card) from *out on. */
+static void put_join(mask_t **out, int edge, mask_t l, mask_t r, double card) {
+    (*out)[0] = (mask_t)edge;
+    (*out)[1] = l;
+    (*out)[2] = r;
+    memcpy(*out + 3, &card, sizeof card);
+    *out += 4;
+}
+
 /* pure.greedy_search.  runs holds (kind, start edge or -1) pairs; joins
- * receives the winner's (edge, left mask, right mask) per step and counts
- * (subplans, splits, evals, plans). */
+ * receives the winner's (edge, left mask, right mask, out card) per step
+ * and counts (subplans, splits, evals, plans). */
 int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, double *cost,
                      mask_t *joins, int64_t counts[4]) {
     greedy g = { .p = p, .deadline = deadline, .n = p->n, .n_edges = p->n_edges };
@@ -683,10 +693,9 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
     }
     if (rc == OK) {
         *cost = best;
-        for (int i = 0; i < best_steps; i++) {
-            mask_t step[3] = { (mask_t)g.best_steps[i].edge, g.best_steps[i].l, g.best_steps[i].r };
-            memcpy(joins + 3 * i, step, sizeof step);
-        }
+        for (int i = 0; i < best_steps; i++)
+            put_join(&joins, g.best_steps[i].edge, g.best_steps[i].l, g.best_steps[i].r,
+                     g.best_steps[i].out);
         counts[0] = g.subplans;
         counts[1] = g.splits;
         counts[2] = g.evals;
@@ -695,25 +704,26 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
     return greedy_close(&g, rc);
 }
 
-/* Write the optimal plan of mask as (edge, left, right) triples from *out
- * on, children first; each join takes the lowest edge id between its sides. */
-static void emit(const problem *p, const mask_t *split, mask_t mask, mask_t **out) {
+/* Write the optimal plan of mask as joins from *out on, children first;
+ * each join takes the lowest edge id between its sides, and its out card
+ * from card(), which priced it. */
+static int emit(problem *p, const mask_t *split, mask_t mask, mask_t **out) {
     mask_t l, r, ends;
-    int e = -1;
+    double out_card;
+    int e = -1, rc;
     if (SINGLE(mask))
-        return;
+        return OK;
     l = split[mask];
     r = mask ^ l;
-    emit(p, split, l, out);
-    emit(p, split, r, out);
+    if ((rc = emit(p, split, l, out)) || (rc = emit(p, split, r, out))
+        || (rc = card(p, mask, &out_card)))
+        return rc;
     do {
         e++;
         ends = (mask_t)1 << p->edge_u[e] | (mask_t)1 << p->edge_v[e];
     } while (!(ends & l) || !(ends & r));
-    (*out)[0] = (mask_t)e;
-    (*out)[1] = l;
-    (*out)[2] = r;
-    *out += 3;
+    put_join(out, e, l, r, out_card);
+    return OK;
 }
 
 /* pure.dp_search over the n_masks connected subsets in masks, ascending.
@@ -779,7 +789,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     if (rc == OK) {
         *root = best[full];
         if (*root < INFINITY)
-            emit(p, split, full, &joins);
+            rc = emit(p, split, full, &joins);
     }
     free(split);
     free(best);
@@ -800,7 +810,8 @@ typedef struct {
     double deadline;
     mask_t *comp_mask;        /* each root's component and its cost */
     double *comp_cost;
-    mask_t *seq, *best_seq;   /* (edge, left, right) per depth: the walk's and the best */
+    mask_t *seq, *best_seq;   /* (edge, left, right, out card) per depth: the walk's and
+                               * the best; the walk leaves out cards to run_walk */
     double best;
     table cards;              /* the cardinalities card() reads */
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
@@ -851,9 +862,9 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
         saved_cost = w->comp_cost[rv];
         w->comp_mask[rv] = lm | rm;
         w->comp_cost[rv] = new_cost;
-        w->seq[3 * depth] = (mask_t)e;
-        w->seq[3 * depth + 1] = lm;
-        w->seq[3 * depth + 2] = rm;
+        w->seq[4 * depth] = (mask_t)e;
+        w->seq[4 * depth + 1] = lm;
+        w->seq[4 * depth + 2] = rm;
         w->parent[ru] = rv;
         w->used[e] = 1;
         cnt = touched_cnt + !((touched >> u) & 1) + !((touched >> v) & 1);
@@ -863,7 +874,7 @@ static int step(walk *w, int depth, mask_t touched, int touched_cnt, int linear)
             w->counts[1] += new_linear;
             if (new_cost < w->best) {
                 w->best = new_cost;
-                memcpy(w->best_seq, w->seq, 3 * w->slots * sizeof *w->seq);
+                memcpy(w->best_seq, w->seq, 4 * w->slots * sizeof *w->seq);
             }
         } else if ((rc = step(w, depth + 1, touched | (mask_t)1 << u | (mask_t)1 << v,
                               cnt, new_linear))) {
@@ -889,7 +900,7 @@ static int run_walk(walk *w) {
     w->used = calloc(n_edges, sizeof *w->used);
     w->comp_mask = malloc(n * sizeof *w->comp_mask);
     w->comp_cost = malloc(n * sizeof *w->comp_cost);
-    w->seq = malloc(3 * slots * sizeof *w->seq);
+    w->seq = calloc(4 * (size_t)slots, sizeof *w->seq);
     if (rc == OK && (!w->parent || !w->used || !w->comp_mask || !w->comp_cost || !w->seq))
         rc = NOMEM;
     if (rc == OK) {
@@ -899,6 +910,13 @@ static int run_walk(walk *w) {
             w->comp_cost[v] = 0.0;
         }
         rc = step(w, 0, 0, 0, 1);
+    }
+    /* The best arrangement's out cards, read from card(), which priced them. */
+    for (int i = 0; rc == OK && w->best < INFINITY && i < slots; i++) {
+        mask_t *join = w->best_seq + 4 * i;
+        double out;
+        if ((rc = card(w->p, join[1] | join[2], &out)) == OK)
+            memcpy(join + 3, &out, sizeof out);
     }
     if (rc == OK)
         rc = count_unions(&w->memo, &w->counts[2]);
@@ -914,7 +932,7 @@ static int run_walk(walk *w) {
 }
 
 /* pure.brute_search; joins receives the best arrangement's (edge, left,
- * right) triples and counts the five counters after them. */
+ * right, out card) joins and counts the five counters after them. */
 int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
                     int64_t counts[5]) {
     walk w = { .p = p, .n_edges = p->n_edges, .slots = p->n - 1, .edge_u = p->edge_u,

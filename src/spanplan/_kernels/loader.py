@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import struct
 import types
 from array import array
 from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64, c_void_p
@@ -29,7 +30,7 @@ from .formula import check_masks, check_runs
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
-VERSION = 2
+VERSION = 3
 _SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
             "sp_problem_size", "sp_version")
 
@@ -94,13 +95,13 @@ def _model_cards(lib, inst, masks) -> list[float]:
 
 
 def _join_buffer(inst) -> array:
-    """Room for a plan's (edge, left mask, right mask) joins."""
-    return array("Q", bytes(24 * max(inst.n - 1, 0)))
+    """Room for a plan's (edge, left mask, right mask, out card) joins, 32
+    bytes each: three 64-bit words and a double."""
+    return array("Q", bytes(32 * max(inst.n - 1, 0)))
 
 
 def _joins(buf: array) -> list:
-    it = iter(buf)
-    return list(zip(it, it, it))
+    return list(struct.iter_unpack("QQQd", buf))
 
 
 def _greedy_search(lib, inst, runs, deadline: float = 0.0):

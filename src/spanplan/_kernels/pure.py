@@ -8,7 +8,8 @@ spanning-tree edge arrangements (``brute_search``), plus ``model_cards``,
 the selectivity model's cardinalities of many subsets in one call.  Its
 ``count_trees`` is the closed form every backend shares (``trees``).  Each
 search returns ``(cost, joins, counters...)``, ``joins`` being the
-winner's ``(edge, left mask, right mask)`` list in replay order.  They
+winner's ``(edge, left mask, right mask, out card)`` list in replay order,
+each out card read from the ``_Cards`` memo that priced its join.  They
 price every join with ``formula.merge``, the package's one Python cost
 formula; pure's ``merge`` kernel is that formula over the cardinalities
 every kernel reads (``_Cards``), as the compiled ``merge`` reads them.  The C kernels in
@@ -232,9 +233,9 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
     priced, so a search too small to reach either finishes.
 
     Returns (cost, joins, subplans, splits, evals, plans): the winner's
-    internal cost and its joins as (edge, left mask, right mask), the
-    distinct subsets and splits costed, the evaluations performed and the
-    number of distinct member plans.
+    internal cost and its joins as (edge, left mask, right mask, out card),
+    the distinct subsets and splits costed, the evaluations performed and
+    the number of distinct member plans.
     """
     check_runs(inst, runs)
     search = _Greedy(inst, deadline)
@@ -250,7 +251,9 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
             best = (cost, enc, joins)
     cost, _enc, joins = best
     splits = sum(map(len, search.tags.values()))
-    return (cost, [(eid, l_mask, r_mask) for eid, l_mask, r_mask, _op, _side in joins],
+    cards = search.inst.cards
+    return (cost, [(eid, l_mask, r_mask, cards[l_mask | r_mask])
+                   for eid, l_mask, r_mask, _op, _side in joins],
             len(search.tags), splits, search.evals, len(encodings))
 
 
@@ -265,9 +268,9 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
     dynamic programming.
 
     Returns (root_cost, joins, subplans, splits): the optimal plan's joins
-    as (edge, left mask, right mask), children first, each over the lowest
-    edge id between its two sides; splits, the number of joins priced, is
-    also its evaluation count.  Every split of a connected subset into two
+    as (edge, left mask, right mask, out card), children first, each over
+    the lowest edge id between its two sides; splits, the number of joins
+    priced, is also its evaluation count.  Every split of a connected subset into two
     subsets with plans is a join: some edge crosses it.  Subsets whose best
     cost already exceeds prune_bound are never used as children of larger
     subsets (cost-based pruning; increments are non-negative, so this
@@ -328,7 +331,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
             s2 = mask ^ s1
             emit(s1)
             emit(s2)
-            joins.append((_lowest_edge(inst, s1, s2), s1, s2))
+            joins.append((_lowest_edge(inst, s1, s2), s1, s2, inst.cards[mask]))
 
     emit(full)
     return best[full], joins, subplans, splits
@@ -343,7 +346,7 @@ def brute_search(inst: Instance, deadline: float = 0.0):
 
     Returns (best_cost, joins, valid, linear, subplans, splits, evals): the
     cheapest arrangement's joins as (edge, component of its v1, component of
-    its v2), in order.
+    its v2, out card), in order.
     """
     n, edge_u, edge_v = inst.n, inst.edge_u, inst.edge_v
     n_edges = len(edge_u)
@@ -411,4 +414,5 @@ def brute_search(inst: Instance, deadline: float = 0.0):
 
     rec(0, 0, 0, True)
     subplans = len({a | b for a, b in memo})
-    return (state["best"], state["seq"], *counts, subplans, len(memo), state["evals"])
+    joins = [(e, lm, rm, inst.cards[lm | rm]) for e, lm, rm in state["seq"]]
+    return (state["best"], joins, *counts, subplans, len(memo), state["evals"])

@@ -116,10 +116,7 @@ class SelectivityModel:
             raise GraphFormatError("'selectivities' must be an object")
         sels = [None] * graph.n_edges
         keys = [None] * graph.n_edges
-        pair_to_edge = {}
-        for eid, v1, v2, _predicate in graph.edges:
-            pair_to_edge[(v1, v2)] = eid
-            pair_to_edge[(v2, v1)] = eid
+        pair_edge = graph.pair_edge
         ids = graph.name_to_id
         for key, sel in entries.items():
             names = key.split(",")
@@ -132,7 +129,7 @@ class SelectivityModel:
             v2 = ids.get(right)
             if v2 is None:
                 raise UnknownTableError(f"unknown table {right!r} in selectivities")
-            eid = pair_to_edge.get((v1, v2))
+            eid = pair_edge.get((v1, v2) if v1 < v2 else (v2, v1))
             if eid is None:
                 raise GraphFormatError(f"selectivity key {key!r} matches no join edge")
             if type(sel) not in (int, float) or not 0.0 < sel <= 1.0:
@@ -180,6 +177,10 @@ class OperatorChoice(NamedTuple):
     side: str   # "left" or "right": hash-build side for HJ, inner side for INL
 
 
+# The four operator choices, by formula.OP_* and SIDE_* code.
+_CHOICES = tuple(tuple(OperatorChoice(kind, side) for side in _SIDE_NAMES) for kind in _OP_NAMES)
+
+
 class MergeResult(NamedTuple):
     step_cost: float
     op: OperatorChoice
@@ -224,6 +225,11 @@ class CostContext:
             self._cards[mask] = got
         return got
 
+    def seed_card(self, mask: int, card: float) -> float:
+        """Memoize card, a kernel's cardinality of mask, unless the context
+        holds one already; returns the one it holds."""
+        return self._cards.setdefault(mask, card)
+
     def ensure_cards(self, masks: Iterable[int]) -> None:
         """Memoize the cardinality of every mask.  Under a selectivity model
         they come from one ``model_cards`` kernel call, and the first mask
@@ -248,12 +254,12 @@ class CostContext:
         got = self._merge_memo.get(key)
         if got is not None:
             return got
-        self.card(l_mask | r_mask)
-        self.card(l_mask)
-        self.card(r_mask)
+        cards = self._cards
+        for mask in (l_mask | r_mask, l_mask, r_mask):  # in the order formula.merge reads them
+            if mask not in cards:
+                self.card(mask)
         cost, op, side, out = formula.merge(self._inst, l_mask, r_mask)
-        res = MergeResult(cost, OperatorChoice(_OP_NAMES[op], _SIDE_NAMES[side]), out)
-        self._merge_memo[key] = res
+        res = self._merge_memo[key] = MergeResult(cost, _CHOICES[op][side], out)
         return res
 
     def join_cost(self, l_mask: int, r_mask: int, op: OperatorChoice) -> MergeResult:

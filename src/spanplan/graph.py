@@ -72,21 +72,18 @@ class JoinGraph:
     """
 
     def __init__(self, vertices: tuple[TableInfo, ...], edges: tuple[JoinEdge, ...]):
-        self.vertices = vertices
-        self.edges = edges
+        """Check every table and join, then ``_bind`` them."""
         n = len(vertices)
         if n == 0:
             raise GraphFormatError("graph has no tables")
-        if n > MAX_VERTICES:
-            raise LimitExceededError(f"graph has {n} tables, limit is {MAX_VERTICES}")
-        names = [t.name for t in self.vertices]
+        names = [t.name for t in vertices]
         if len(set(names)) != n:
             raise GraphFormatError("duplicate table names")
-        for t in self.vertices:
+        for t in vertices:
             if t.base_cardinality < 1:
                 raise GraphFormatError(f"table {t.name} has cardinality < 1")
         seen_pairs = set()
-        for eid, v1, v2, _predicate in self.edges:
+        for eid, v1, v2, _predicate in edges:
             if not (0 <= v1 < n and 0 <= v2 < n):
                 raise UnknownTableError(f"edge {eid} references an unknown vertex")
             if v1 == v2:
@@ -95,8 +92,18 @@ class JoinGraph:
             if pair in seen_pairs:
                 raise GraphFormatError(f"parallel edge {eid} on {names[pair[0]]}-{names[pair[1]]}")
             seen_pairs.add(pair)
-        full = (1 << n) - 1
-        if self.reachable_mask(1) != full:
+        self._bind(vertices, edges)
+
+    def _bind(self, vertices: tuple[TableInfo, ...], edges: tuple[JoinEdge, ...]) -> None:
+        """Take the tables and joins, checking only the table limit and that
+        the joins connect every table.  ``_graph_from_dict`` binds a new
+        graph this way, having checked the rest itself."""
+        n = len(vertices)
+        if n > MAX_VERTICES:
+            raise LimitExceededError(f"graph has {n} tables, limit is {MAX_VERTICES}")
+        self.vertices = vertices
+        self.edges = edges
+        if self.reachable_mask(1) != (1 << n) - 1:
             raise DisconnectedGraphError("join graph is not connected")
 
     def __eq__(self, other):
@@ -122,6 +129,11 @@ class JoinGraph:
     @cached_property
     def name_to_id(self) -> dict[str, int]:
         return {t.name: i for i, t in enumerate(self.vertices)}
+
+    @cached_property
+    def pair_edge(self) -> dict[tuple[int, int], int]:
+        """The edge id joining each pair of tables, keyed (lower id, higher id)."""
+        return {(v1, v2) if v1 < v2 else (v2, v1): eid for eid, v1, v2, _predicate in self.edges}
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
@@ -289,15 +301,14 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
         for flag, value in (("selected", selected), ("indexed", indexed)):
             if type(value) is not bool:
                 raise GraphFormatError(f"table {name}: {flag!r} must be true or false")
-        vertices.append(
-            TableInfo(name=name, base_cardinality=card, selected=selected, indexed=indexed))
+        vertices.append(TableInfo(name, card, selected, indexed))
     name_to_id = {t.name: i for i, t in enumerate(vertices)}
     if len(name_to_id) != len(vertices):
         raise GraphFormatError("duplicate table names")
 
     # Parallel predicates between one table pair merge into a single edge.
     edges: list[JoinEdge] = []
-    by_pair: dict[tuple[int, int], int] = {}
+    by_pair: dict[tuple[int, int], int] = {}  # the graph's pair_edge
     for j, item in enumerate(joins):
         if not isinstance(item, dict):
             raise GraphFormatError(f"join #{j} must be an object")
@@ -330,7 +341,12 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             by_pair[pair] = eid
             edges.append(JoinEdge(eid, v1, v2, predicate))
 
-    return JoinGraph(vertices=tuple(vertices), edges=tuple(edges))
+    # The tables and joins have passed every check of JoinGraph.__init__ but _bind's.
+    graph = JoinGraph.__new__(JoinGraph)
+    graph._bind(tuple(vertices), tuple(edges))
+    graph.name_to_id = name_to_id
+    graph.pair_edge = by_pair
+    return graph
 
 
 def graph_document(graph: JoinGraph, source=None) -> dict:

@@ -84,22 +84,11 @@ class PlanBuilder:
             res = self.ctx.merge(l_mask, r_mask)
         else:
             res = self.ctx.join_cost(l_mask, r_mask, op)
-        new_mask = l_mask | r_mask
-        new_cost = res.step_cost + self._cost[l_mask] + self._cost[r_mask]
-        del self._cost[l_mask]
-        del self._cost[r_mask]
-        self._cost[new_mask] = new_cost
-        self.steps.append(
-            PlanStep(
-                edge=edge_id,
-                operator=res.op.kind,
-                side=res.op.side,
-                left_mask=l_mask,
-                right_mask=r_mask,
-                out_card=res.out_card,
-                step_cost=res.step_cost,
-            )
-        )
+        step_cost, (operator, side), out_card = res
+        subtree = self._cost
+        new_cost = step_cost + subtree.pop(l_mask) + subtree.pop(r_mask)
+        subtree[l_mask | r_mask] = new_cost
+        self.steps.append(PlanStep(edge_id, operator, side, l_mask, r_mask, out_card, step_cost))
         return new_cost
 
     def build(self) -> Plan:
@@ -127,11 +116,18 @@ class PlanBuilder:
 
 
 def replay(graph: JoinGraph, ctx: CostContext, algorithm: str, joins, cost: float) -> Plan:
-    """The plan of a search kernel's joins, (edge, left mask, right mask)
-    in order.  Raises SpanPlanError unless it costs what the kernel
-    reported."""
+    """The plan of a search kernel's joins, (edge, left mask, right mask,
+    out card) in order.  Each out card seeds the context's cardinality of
+    its join's union, so the context need not compute it again.  Raises
+    SpanPlanError when the context already holds another cardinality of a
+    union, or unless the plan costs what the kernel reported."""
     builder = PlanBuilder(graph, ctx, algorithm)
-    for edge_id, l_mask, r_mask in joins:
+    for edge_id, l_mask, r_mask, out in joins:
+        held = ctx.seed_card(l_mask | r_mask, out)
+        if held != out:
+            raise SpanPlanError(f"kernel cardinality {out!r} of"
+                                f" {{{graph.subset_key(l_mask | r_mask)}}} does not match"
+                                f" the context's {held!r}")
         builder.add_step(edge_id, l_mask, r_mask)
     plan = builder.build()
     if plan.internal_cost != cost:

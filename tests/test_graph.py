@@ -220,6 +220,94 @@ def test_each_malformed_join_and_selectivity_fails_with_its_message(doc, error, 
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+def _tables(*names, cardinality=10) -> list:
+    return [{"name": name, "cardinality": cardinality} for name in names]
+
+
+_MANY = [f"t{i:02d}" for i in range(26)]  # one table past the limit
+_MANY_CHAIN = [{"left": a, "right": b} for a, b in zip(_MANY, _MANY[1:])]
+
+
+@pytest.mark.parametrize("doc,error,message", [
+    # A loaded graph is checked once, by the loader, and then only for the
+    # table limit and reach; each check keeps its message and its place in
+    # the order the loader makes them.
+    ({"tables": [], "joins": []}, sp.GraphFormatError, "'tables' must be a non-empty array"),
+    # Duplicate names: after every table, before any join.
+    (_ab(tables=_tables("a", "a")), sp.GraphFormatError, "duplicate table names"),
+    (_ab(tables=_tables("a", "a"), joins=[{"left": "a", "right": "zz"}]), sp.GraphFormatError,
+     "duplicate table names"),
+    (_ab(tables=[*_tables("a", "a"), {"name": "c", "cardinality": 0}]), sp.GraphFormatError,
+     "table c has an invalid cardinality"),
+    # Cardinalities below 1: while the tables are read.
+    (_ab(tables=_tables("a", "b", cardinality=0)), sp.GraphFormatError,
+     "table a has an invalid cardinality"),
+    (_ab(tables=[_B, {"name": "a", "cardinality": -3}]), sp.GraphFormatError,
+     "table a has an invalid cardinality"),
+    # Unknown tables and self-loops: at their join, before reach.
+    (dict(_ABC, joins=[{"left": "a", "right": "zz"}]), sp.UnknownTableError,
+     "join #0 references unknown table 'zz'"),
+    (dict(_ABC, joins=[{"left": "c", "right": "c"}]), sp.SelfLoopError,
+     "join #0 joins table 'c' to itself"),
+    # Parallel joins merge, so a later join's fault is still named.
+    (_ab(joins=[*_AB_JOINS, {"left": "b", "right": "a"}, {"left": "a", "right": "zz"}]),
+     sp.UnknownTableError, "join #2 references unknown table 'zz'"),
+    (dict(_ABC, joins=[*_AB_JOINS, {"left": "b", "right": "a"}]), sp.DisconnectedGraphError,
+     "join graph is not connected"),
+    # The table limit: after every join, before reach.
+    ({"tables": _tables(*_MANY), "joins": [{"left": "t00", "right": "t00"}]}, sp.SelfLoopError,
+     "join #0 joins table 't00' to itself"),
+    ({"tables": _tables(*_MANY), "joins": []}, sp.LimitExceededError,
+     "graph has 26 tables, limit is 25"),
+    ({"tables": _tables(*_MANY), "joins": _MANY_CHAIN}, sp.LimitExceededError,
+     "graph has 26 tables, limit is 25"),
+    # Reach: last of the graph's checks, before any cardinality section.
+    (dict(_ABC, joins=_AB_JOINS, selectivities={"a,zz": 0.5}), sp.DisconnectedGraphError,
+     "join graph is not connected"),
+])
+def test_each_check_a_load_makes_once_keeps_its_message_and_its_place(doc, error, message):
+    with pytest.raises(sp.SpanPlanError) as info:
+        sp.load_document(json.dumps(doc))
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_loaded_graph_has_the_name_and_pair_maps_a_built_graph_derives(q2a_text):
+    generated, model = sp.gen_topology("clique", 9, seed=2)
+    for text in (q2a_text, sp.graph_to_json(generated, model)):
+        loaded, _ = sp.load_document(text)
+        built = sp.JoinGraph(loaded.vertices, loaded.edges)
+        assert loaded == built
+        assert (loaded.name_to_id, loaded.pair_edge) == (built.name_to_id, built.pair_edge)
+
+
+def _direct(tables, edges):
+    vertices = tuple(sp.TableInfo(name, card) for name, card in tables)
+    return sp.JoinGraph(vertices, tuple(sp.JoinEdge(i, *edge) for i, edge in enumerate(edges)))
+
+
+@pytest.mark.parametrize("tables,edges,error,message", [
+    ((), (), sp.GraphFormatError, "graph has no tables"),
+    ((("a", 10), ("a", 10)), ((0, 1, "p"),), sp.GraphFormatError, "duplicate table names"),
+    ((("a", 10), ("b", 0)), ((0, 1, "p"),), sp.GraphFormatError, "table b has cardinality < 1"),
+    ((("a", 10), ("b", 10)), ((0, 2, "p"),), sp.UnknownTableError,
+     "edge 0 references an unknown vertex"),
+    ((("a", 10), ("b", 10)), ((-1, 1, "p"),), sp.UnknownTableError,
+     "edge 0 references an unknown vertex"),
+    ((("a", 10), ("b", 10)), ((0, 1, "p"), (1, 1, "q")), sp.SelfLoopError,
+     "edge 1 joins table b to itself"),
+    ((("a", 10), ("b", 10)), ((0, 1, "p"), (1, 0, "q")), sp.GraphFormatError,
+     "parallel edge 1 on a-b"),
+    ((("a", 10), ("b", 10), ("c", 10)), ((0, 1, "p"),), sp.DisconnectedGraphError,
+     "join graph is not connected"),
+    (tuple((name, 10) for name in _MANY), tuple((i, i + 1, "p") for i in range(25)),
+     sp.LimitExceededError, "graph has 26 tables, limit is 25"),
+])
+def test_a_graph_built_directly_is_checked_in_full(tables, edges, error, message):
+    with pytest.raises(sp.SpanPlanError) as info:
+        _direct(tables, edges)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_an_absent_predicate_defaults_to_the_equality_of_its_tables():
     doc = _ab(joins=[{"left": "b", "right": "a"}, {"left": "a", "right": "b", "predicate": "p"},
                      {"left": "a", "right": "b"}])

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 from typing import NamedTuple
 
 import pytest
@@ -39,8 +40,8 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 
 
 # Run in a process whose allocator ASan replaces: every kernel against pure
-# on small graphs, a clique-12 walk stopped by its deadline, and masks
-# check_masks refuses.
+# on small graphs, each search's joins filling its buffer, a clique-12 walk
+# stopped by its deadline, and masks check_masks refuses.
 SANITIZED_RUN = """
 import sys, time
 import spanplan as sp
@@ -79,6 +80,10 @@ for graph, model in cases:
         if isinstance(source, sp.SelectivityModel):
             bound = lib.greedy_search(inst, runs)[0]
             assert lib.dp_search(inst, masks, bound) == pure.dp_search(inst, masks, bound)
+            # Each search fills its whole join buffer: n - 1 joins of four fields.
+            for kernel, *args in calls[1:4]:
+                joins = getattr(lib, kernel)(*args)[1]
+                assert [len(join) for join in joins] == [4] * (graph.n_vertices - 1), kernel
 
 graph, model = sp.gen_topology("clique", 12, seed=0)
 try:
@@ -365,12 +370,13 @@ def _naive_greedy(inst, graph, kind, start):
     every pair of adjacent components anew over the lowest edge between
     them, and join the cheapest pair, ties going to the lowest edge.  prim
     only considers pairs that hold its component; kruskal joins a pair as
-    its edge's (v1 side, v2 side)."""
+    its edge's (v1 side, v2 side).  Each join carries the out card a fresh
+    merge of its two sides gives."""
     comp_of = [1 << v for v in range(graph.n_vertices)]
     joins = []
 
     def join(eid, left, right):
-        joins.append((eid, left, right))
+        joins.append((eid, left, right, _kernels.pure.merge(inst, left, right)[3]))
         for v in iter_bits(left | right):
             comp_of[v] = left | right
 
@@ -430,10 +436,11 @@ def test_search_kernels_return_cost_then_joins_of_their_two_sides(compiled):
             for algorithm, (cost, joins, *_counters) in _searches(backend, graph, model).items():
                 assert len(joins) == n - 1, (backend.name, algorithm)
                 components = {1 << v for v in range(n)}
-                for edge, left, right in joins:
+                for edge, left, right, out in joins:
                     ends = 1 << graph.edges[edge].v1 | 1 << graph.edges[edge].v2
                     assert left in components and right in components and left != right
                     assert ends & left and ends & right
+                    assert out == float(model.lookup(graph, left | right))
                     components -= {left, right}
                     components.add(left | right)
                 assert components == {graph.full_mask}
@@ -466,7 +473,104 @@ def test_search_kernels_keep_the_result_positions_perfbench_reads(q2a, compiled)
     graph, catalog = q2a
     dp = compiled.dp_search(_instance(graph, catalog), connected_subset_masks(graph))
     assert (dp[0], dp[2], dp[3]) == (1_617_001, 14, 32)
-    assert [edge for edge, _left, _right in dp[1]] == [0, 3, 4, 1]
+    assert [edge for edge, _left, _right, _out in dp[1]] == [0, 3, 4, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(IRREGULAR_KINDS), n=st.integers(3, 7), seed=st.integers(0, 10**6),
+       full_catalog=st.booleans())
+def test_each_join_carries_the_out_card_its_source_gives(compiled, kind, n, seed, full_catalog):
+    graph, model = irregular_graph(kind, n, seed)
+    source = _catalog(graph, model) if full_catalog else model
+    for backend in (_kernels.pure, compiled):
+        for algorithm, (_cost, joins, *_counters) in _searches(backend, graph, source).items():
+            assert len(joins) == n - 1, (backend.name, algorithm)
+            for _edge, left, right, out in joins:
+                assert type(out) is float
+                assert out == float(source.lookup(graph, left | right)), (backend.name, algorithm)
+
+
+def _corrupting(backend, kernel: str, index: int):
+    """backend with kernel's join at index given twice its out card."""
+    def run(*args, **kwargs):
+        cost, joins, *counters = getattr(backend, kernel)(*args, **kwargs)
+        edge, left, right, out = joins[index]
+        joins[index] = (edge, left, right, 2 * out)
+        return (cost, joins, *counters)
+
+    return types.SimpleNamespace(**{kernel: run})
+
+
+def test_replay_refuses_a_kernel_cardinality_the_context_holds_otherwise(q2a, compiled,
+                                                                         monkeypatch):
+    # exhaustive and the oracle fill the context with every connected
+    # subset's cardinality before their kernel runs, so replay checks each
+    # join's out card against it.
+    graph, catalog = q2a
+    masks = connected_subset_masks(graph)
+    for backend in (_kernels.pure, compiled):
+        for kernel, search in (("dp_search", lambda: sp.exhaustive(graph, catalog)),
+                               ("brute_search", lambda: sp.brute_force_optimal(graph, catalog))):
+            monkeypatch.setattr(_kernels, "get_backend",
+                                lambda name="auto": _corrupting(backend, kernel, 1))
+            ctx = CostContext(graph, catalog)
+            ctx.ensure_cards(masks)
+            _cost, joins, *_ = getattr(backend, kernel)(ctx.instance, *(
+                (masks,) if kernel == "dp_search" else ()))
+            _edge, left, right, out = joins[1]
+            want = (f"kernel cardinality {2 * out!r} of {{{graph.subset_key(left | right)}}}"
+                    f" does not match the context's {out!r}")
+            with pytest.raises(sp.SpanPlanError) as info:
+                search()
+            assert str(info.value) == want, (backend.name, kernel)
+
+
+def test_bench_replay_checks_a_kernel_cardinality_against_its_shared_context(q2a, compiled,
+                                                                             monkeypatch):
+    # bench prices every algorithm in one context: exhaustive fills it
+    # first, so a greedy kernel's corrupted out card is refused.
+    graph, catalog = q2a
+    monkeypatch.setattr(_kernels, "get_backend",
+                        lambda name="auto": types.SimpleNamespace(
+                            dp_search=compiled.dp_search, model_cards=compiled.model_cards,
+                            greedy_search=_corrupting(compiled, "greedy_search", 2).greedy_search))
+    ctx = CostContext(graph, catalog)
+    sp.exhaustive(graph, ctx)
+    with pytest.raises(sp.SpanPlanError, match="^kernel cardinality .* does not match"):
+        sp.prim(graph, ctx)
+
+
+# The subset each search names when clique-7's estimates overflow a float
+# (pinned): the kernels stop at the first one they read, as the context does.
+OVERFLOW_NAMED = {"exhaustive": "t00,t01,t02,t03", "prim": "t00,t01,t05,t06",
+                  "kruskal": "t00,t02,t04,t06", "goo": "t00,t02,t04,t06",
+                  "este": "t00,t01,t02,t06"}
+
+
+def test_a_missing_or_overflowing_cardinality_names_the_same_subset(q2a, compiled, monkeypatch):
+    graph, catalog = q2a
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        # q2a: each search that reads a missing subset names it.
+        errors = 0
+        for missing in (m for m in catalog.entries if m & (m - 1)):
+            source = sp.CardinalityCatalog(
+                entries={m: c for m, c in catalog.entries.items() if m != missing})
+            for algorithm in sp.ALGORITHMS:
+                try:
+                    sp.run_algorithm(algorithm, graph, source)
+                except sp.MissingCardinalityError as exc:
+                    assert str(exc) == f"no cardinality for table subset" \
+                                       f" {{{graph.subset_key(missing)}}}", algorithm
+                    errors += 1
+        assert errors == 55, backend.name
+        big, model = sp.gen_topology("clique", 7, seed=1, base_range=(10**80, 10**81),
+                                     sel_range=(0.5, 1.0))
+        for algorithm, subset in OVERFLOW_NAMED.items():
+            with pytest.raises(sp.LimitExceededError) as info:
+                sp.run_algorithm(algorithm, big, model)
+            assert str(info.value) == f"cardinality of {{{subset}}} overflows a float", \
+                (backend.name, algorithm)
 
 
 def test_count_trees_equals_the_counts_of_the_brute_walk(compiled):
@@ -592,7 +696,7 @@ def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_
     assert {step(inst, s1, 0b111 ^ s1)[0] for s1 in (0b101, 0b011, 0b001)} == {21.0}
     for backend in (_kernels.pure, compiled):
         assert backend.dp_search(inst, range(1, 8)) == (
-            43.0, [(1, 0b001, 0b100), (0, 0b101, 0b010)], 4, 6)
+            43.0, [(1, 0b001, 0b100, 10.0), (0, 0b101, 0b010, 10.0)], 4, 6)
 
 
 def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
