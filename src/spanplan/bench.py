@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 from typing import NamedTuple
 
 from .cost import CardinalitySource, CostContext, CostParams
@@ -89,9 +88,8 @@ def _run_query(query: WorkloadQuery, algorithms, params: CostParams | None,
         final cost fails keeps what its search gave."""
         fields = {}
         try:
-            t0 = time.perf_counter()
             plan, stats = run_algorithm(name, query.graph, sel_ctx, params, timeout=timeout)
-            fields["opt_time_ms"] = (time.perf_counter() - t0) * 1000.0
+            fields["opt_time_ms"] = stats.elapsed * 1000.0
             if name == "este":
                 fields["distinct_plans"] = stats.plans_enumerated
             fields["internal_cost"] = final_cost(plan)
@@ -232,26 +230,34 @@ def records_to_csv(records) -> str:
     return buf.getvalue()
 
 
-def _parse_cell(col: str, text: str):
+def _parse_cell(line: int, col: str, text: str):
     if text == "":
         return None
-    if col in ("internal_cost", "cost_ratio", "opt_time_ms"):
-        return float(text)
-    if col in ("distinct_plans", "n_tables", "seed"):
-        return int(text)
+    try:
+        if col in ("internal_cost", "cost_ratio", "opt_time_ms"):
+            return float(text)
+        if col in ("distinct_plans", "n_tables", "seed"):
+            return int(text)
+    except ValueError:
+        raise SpanPlanError(f"CSV line {line}: {col} {text!r} is not a number") from None
     return text
 
 
 def read_csv(text: str) -> list[BenchRecord]:
-    """Parse the CSV text that records_to_csv writes."""
-    rows = list(csv.reader(io.StringIO(text)))
-    header, body = rows[0], rows[1:]
-    if header != CSV_COLUMNS:
-        raise SpanPlanError("unexpected CSV header")
+    """Parse the CSV text that records_to_csv writes.  A missing or
+    unexpected header, a row whose cell count differs from the header's,
+    or a number that does not parse raises SpanPlanError naming the line."""
+    reader = csv.reader(io.StringIO(text))
+    if next(reader, None) != CSV_COLUMNS:
+        raise SpanPlanError(f"CSV line 1: expected the header {','.join(CSV_COLUMNS)}")
     out = []
-    for row in body:
-        kwargs = {col: _parse_cell(col, cell) for col, cell in zip(header, row)}
-        out.append(BenchRecord(**kwargs))
+    for row in reader:
+        line = reader.line_num
+        if len(row) != len(CSV_COLUMNS):
+            raise SpanPlanError(f"CSV line {line} has {len(row)} cells; the header has"
+                                f" {len(CSV_COLUMNS)}")
+        out.append(BenchRecord(*[_parse_cell(line, col, cell)
+                                 for col, cell in zip(CSV_COLUMNS, row)]))
     return out
 
 

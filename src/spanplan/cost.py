@@ -195,6 +195,9 @@ class CostContext:
     """
 
     def __init__(self, graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
+        if source is None:
+            raise GraphFormatError("no cardinality source: the graph has neither cardinalities"
+                                   " nor selectivities")
         self.graph = graph
         self.source = source
         self.params = params or CostParams()
@@ -273,13 +276,19 @@ class CostContext:
 
 
 def _as_mask(graph: JoinGraph, subset) -> int:
+    """subset's mask, from a mask, table ids or table names; an id or a bit
+    outside the graph raises UnknownTableError."""
     if isinstance(subset, int):
+        if subset & ~graph.full_mask:
+            raise UnknownTableError(f"mask {subset!r} names tables outside the graph")
         return subset
     ids = list(subset)
     if ids and isinstance(ids[0], str):
         return graph.mask_of_names(ids)
     mask = 0
     for v in ids:
+        if not 0 <= v < graph.n_vertices:
+            raise UnknownTableError(f"table id {v!r} is not in the graph")
         mask |= 1 << v
     return mask
 

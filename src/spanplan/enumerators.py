@@ -20,13 +20,13 @@ pair's (lower mask, higher mask).
 ``greedy_search`` kernel through one member routine: prim is kruskal
 restricted to the pairs that hold its component.  Members share the choice
 made at each state in one memo keyed by (kind, partition).  ``exhaustive``
-runs the ``dp_search`` kernel over the connected subsets.  Both build the
-kernel's winning joins with ``plan.replay``, which checks that the plan
-costs what the kernel reported.  ``goo`` hands its joins to
-``PlanBuilder`` directly.  ``PlanBuilder`` prices the joins and
-derives the filters.  Each returns ``(plan, stats)``.  Every join is
-priced by the one cost formula (``formula.merge``, mirrored in
-``kernels.c``), so costs are exactly comparable.
+runs the ``dp_search`` kernel over the connected subsets; ``goo`` runs its
+loop in Python.  Each supplies only its search: ``plan._run_search``
+builds the context, starts the deadline, names a timeout, replays the
+joins the search emits (checking that the plan costs what the search
+reported) and returns ``(plan, stats)``.  Every join is priced by the one
+cost formula (``formula.merge``, mirrored in ``kernels.c``), so costs are
+exactly comparable.
 ``EnumStats.subplans_reached`` and ``join_costs_computed`` count the
 distinct subsets and splits costed; ``evaluations`` counts the evaluations
 actually performed.
@@ -38,43 +38,20 @@ import time
 
 from . import _kernels
 from ._kernels import formula
-from .cost import CardinalitySource, CostContext, CostParams
+from .cost import CardinalitySource, CostParams
 from .errors import LimitExceededError, OptimizeTimeout, SpanPlanError
 from .graph import JoinGraph
-from .plan import EnumStats, PlanBuilder, replay
+from .plan import _run_search
 
 EXHAUSTIVE_VERTEX_LIMIT = 20
 
 
-def _context(graph, source, params) -> CostContext:
-    if isinstance(source, CostContext):
-        return source
-    return CostContext(graph, source, params)
-
-
 def _greedy(name: str, graph: JoinGraph, source: CardinalitySource, params: CostParams | None,
             runs, timeout: float | None):
-    """Run greedy members in the search kernel and replay its winner."""
-    ctx = _context(graph, source, params)
-    t0 = time.perf_counter()
-    deadline = _kernels.deadline(t0, timeout)
-    try:
-        cost, joins, subplans, splits, evals, plans = _kernels.get_backend().greedy_search(
-            ctx.instance, runs, deadline)
-    except KeyError as exc:
-        ctx.source.lookup(graph, exc.args[0])  # raises the source's own error
-        raise
-    except OptimizeTimeout:
-        raise OptimizeTimeout(f"{name} ran past its deadline") from None
-    plan = replay(graph, ctx, name, joins, cost)
-    stats = EnumStats(
-        subplans_reached=subplans,
-        join_costs_computed=splits,
-        plans_enumerated=plans,
-        evaluations=evals,
-        elapsed=time.perf_counter() - t0,
-    )
-    return plan, stats
+    """Run greedy members in the search kernel."""
+    def search(ctx, deadline):
+        return _kernels.get_backend().greedy_search(ctx.instance, runs, deadline)
+    return _run_search(name, name, graph, source, params, timeout, search)
 
 
 def _one_run(kind: int, graph: JoinGraph, start_edge: int | None) -> list:
@@ -108,49 +85,45 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     once: after the first round, a round prices only the component the last
     one made against its neighbours.  The deadline is checked between
     rounds."""
-    ctx = _context(graph, source, params)
-    t0 = time.perf_counter()
-    deadline = _kernels.deadline(t0, timeout)
-    builder = PlanBuilder(graph, ctx, "goo")
-    # Each component, oldest first, with the vertices adjacent to it.
-    comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
-    keys: set[tuple] = set()  # each joinable pair's (step cost, lo, hi)
-    evals = 0
+    def search(ctx, deadline):
+        # Each component, oldest first, with the vertices adjacent to it and its cost.
+        comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
+        costs = dict.fromkeys(comps, 0.0)
+        keys: set[tuple] = set()  # each joinable pair's (step cost, lo, hi)
+        joins = []
+        evals = 0
 
-    def price(a: int, b: int) -> None:
-        nonlocal evals
-        lo, hi = (a, b) if a < b else (b, a)
-        keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
-        evals += 1
+        def price(a: int, b: int) -> None:
+            nonlocal evals
+            lo, hi = (a, b) if a < b else (b, a)
+            keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
+            evals += 1
 
-    pairs = list(comps.items())
-    for i, (a, nbr) in enumerate(pairs):
-        for b, _ in pairs[i + 1:]:
-            if nbr & b:
-                price(a, b)
-    while len(comps) > 1:
-        if not keys:
-            raise SpanPlanError("graph became disconnected during enumeration")
-        _cost, lo, hi = min(keys)
-        builder.add_step(min(graph.crossing_edges(lo, hi)), lo, hi)
-        merged = lo | hi
-        nbr = (comps.pop(lo) | comps.pop(hi)) & ~merged
-        keys = {key for key in keys if not (key[1] | key[2]) & merged}
-        if comps and deadline and time.perf_counter() > deadline:
-            raise OptimizeTimeout("goo ran past its deadline")
-        for a in comps:
-            if nbr & a:
-                price(a, merged)
-        comps[merged] = nbr
-    # Components only grow, so every pair priced is distinct and so is its union.
-    stats = EnumStats(
-        subplans_reached=evals,
-        join_costs_computed=evals,
-        plans_enumerated=1,
-        evaluations=evals,
-        elapsed=time.perf_counter() - t0,
-    )
-    return builder.build(), stats
+        pairs = list(comps.items())
+        for i, (a, nbr) in enumerate(pairs):
+            for b, _ in pairs[i + 1:]:
+                if nbr & b:
+                    price(a, b)
+        while len(comps) > 1:
+            if not keys:
+                raise SpanPlanError("graph became disconnected during enumeration")
+            step, lo, hi = min(keys)
+            merged = lo | hi
+            joins.append((min(graph.crossing_edges(lo, hi)), lo, hi, ctx.card(merged)))
+            costs[merged] = step + costs.pop(lo) + costs.pop(hi)
+            nbr = (comps.pop(lo) | comps.pop(hi)) & ~merged
+            keys = {key for key in keys if not (key[1] | key[2]) & merged}
+            if comps and deadline and time.perf_counter() > deadline:
+                raise OptimizeTimeout
+            for a in comps:
+                if nbr & a:
+                    price(a, merged)
+            comps[merged] = nbr
+        # Components only grow, so every pair priced is distinct and so is its union.
+        (cost,) = costs.values()
+        return cost, joins, evals, evals, evals, 1
+
+    return _run_search("goo", "goo", graph, source, params, timeout, search)
 
 
 def este(graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None,
@@ -182,17 +155,13 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     if graph.n_vertices > EXHAUSTIVE_VERTEX_LIMIT:
         raise LimitExceededError(f"exhaustive enumeration limited to {EXHAUSTIVE_VERTEX_LIMIT}"
                                  f" tables; got {graph.n_vertices}")
-    ctx = _context(graph, source, params)
-    t0 = time.perf_counter()
-    deadline = _kernels.deadline(t0, timeout)
-
-    def check_deadline() -> None:
-        if deadline and time.perf_counter() > deadline:
-            raise OptimizeTimeout
-
     from .graph import connected_subset_masks
 
-    try:
+    def search(ctx, deadline):
+        def check_deadline() -> None:
+            if deadline and time.perf_counter() > deadline:
+                raise OptimizeTimeout
+
         masks = connected_subset_masks(graph, deadline)
         check_deadline()
         ctx.ensure_cards(masks)
@@ -200,24 +169,16 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
         bound = float("inf")
         if prune:
             remaining = deadline - time.perf_counter() if deadline else None
-            greedy_plan, _ = goo(graph, ctx, timeout=remaining)
-            bound = greedy_plan.internal_cost
+            bound = goo(graph, ctx, timeout=remaining)[0].internal_cost
             check_deadline()
-        root_cost, joins, subplans, splits = _kernels.get_backend().dp_search(
+        cost, joins, subplans, splits = _kernels.get_backend().dp_search(
             ctx.instance, masks, bound, deadline)
-    except OptimizeTimeout:
-        raise OptimizeTimeout("exhaustive enumeration ran past its deadline") from None
-    if not math.isfinite(root_cost):
-        raise LimitExceededError("the optimal plan's cost overflows a float")
-    plan = replay(graph, ctx, "exhaustive", joins, root_cost)
-    stats = EnumStats(
-        subplans_reached=subplans,
-        join_costs_computed=splits,
-        plans_enumerated=1,
-        evaluations=splits,
-        elapsed=time.perf_counter() - t0,
-    )
-    return plan, stats
+        if not math.isfinite(cost):
+            raise LimitExceededError("the optimal plan's cost overflows a float")
+        return cost, joins, subplans, splits, splits, 1
+
+    return _run_search("exhaustive", "exhaustive enumeration", graph, source, params, timeout,
+                       search)
 
 
 ALGORITHMS = ("exhaustive", "prim", "kruskal", "goo", "este")
@@ -226,15 +187,8 @@ ALGORITHMS = ("exhaustive", "prim", "kruskal", "goo", "este")
 def run_algorithm(name: str, graph: JoinGraph, source: CardinalitySource,
                   params: CostParams | None = None, *, timeout: float | None = None):
     """Dispatch by algorithm name; returns (plan, stats).  A name outside
-    ALGORITHMS raises SpanPlanError."""
-    if name == "exhaustive":
-        return exhaustive(graph, source, params, timeout=timeout)
-    if name == "prim":
-        return prim(graph, source, params, timeout=timeout)
-    if name == "kruskal":
-        return kruskal(graph, source, params, timeout=timeout)
-    if name == "goo":
-        return goo(graph, source, params, timeout=timeout)
-    if name == "este":
-        return este(graph, source, params, timeout=timeout)
-    raise SpanPlanError(f"unknown algorithm {name!r}")
+    ALGORITHMS raises SpanPlanError.  The name is looked up in this module
+    at call time, so a function rebound here (a tracer's wrapper) runs."""
+    if name not in ALGORITHMS:
+        raise SpanPlanError(f"unknown algorithm {name!r}")
+    return globals()[name](graph, source, params, timeout=timeout)

@@ -5,8 +5,10 @@ closes a cycle (the full set then necessarily spans all vertices).  A valid
 arrangement is linear iff every prefix forms a single connected component.
 This module counts the arrangement space exactly, in closed form, and
 certifies optimality of the dynamic-programming search by exhaustive
-comparison.  Only the walk is bounded by the arrangement count; the
-count is bounded by the connected table sets it reaches (``trees``).
+comparison: its walk emits the winning joins, and ``plan._run_search``
+builds the plan and the stats as it does for every enumerator.  Only the
+walk is bounded by the arrangement count; the count is bounded by the
+connected table sets it reaches (``trees``).
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ import time
 from typing import NamedTuple
 
 from . import _kernels
-from .cost import CardinalitySource, CostContext, CostParams
+from .cost import CardinalitySource, CostParams
 from .errors import LimitExceededError
 from .graph import JoinGraph
-from .plan import EnumStats, replay
+from .plan import _run_search
 
 DEFAULT_ARRANGEMENT_LIMIT = 10**7
 
@@ -73,23 +75,14 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     if bound > limit:
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")
-    ctx = source if isinstance(source, CostContext) else CostContext(graph, source, params)
-    t0 = time.perf_counter()
-    deadline = _kernels.deadline(t0, timeout)
-
     from .graph import connected_subset_masks
 
-    ctx.ensure_cards(connected_subset_masks(graph, deadline))
-    best_cost, joins, valid, _linear, subplans, splits, evals = _kernels.get_backend().brute_search(
-        ctx.instance, deadline)
-    if not math.isfinite(best_cost):
-        raise LimitExceededError("the optimal plan's cost overflows a float")
-    plan = replay(graph, ctx, "brute_force", joins, best_cost)
-    stats = EnumStats(
-        subplans_reached=subplans,
-        join_costs_computed=splits,
-        plans_enumerated=valid,
-        evaluations=evals,
-        elapsed=time.perf_counter() - t0,
-    )
-    return plan, stats
+    def search(ctx, deadline):
+        ctx.ensure_cards(connected_subset_masks(graph, deadline))
+        cost, joins, valid, _linear, subplans, splits, evals = _kernels.get_backend().brute_search(
+            ctx.instance, deadline)
+        if not math.isfinite(cost):
+            raise LimitExceededError("the optimal plan's cost overflows a float")
+        return cost, joins, subplans, splits, evals, valid
+
+    return _run_search("brute_force", "oracle enumeration", graph, source, params, timeout, search)

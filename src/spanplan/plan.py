@@ -8,12 +8,13 @@ subtrees.
 from __future__ import annotations
 
 import math
+import time
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from . import _kernels
 from .cost import INL, CostContext, OperatorChoice
-from .errors import LimitExceededError, PlanValidationError, SpanPlanError
+from .errors import LimitExceededError, OptimizeTimeout, PlanValidationError, SpanPlanError
 from .graph import JoinGraph, iter_bits
 
 LINEAR = "linear"
@@ -61,12 +62,12 @@ class EnumStats:
 
 
 class PlanBuilder:
-    """The one code that turns a search's joins into a Plan.
+    """The one code that turns joins into a Plan, for ``replay``,
+    ``validate_plan`` and ``reevaluate_plan``.
 
     ``add_step`` joins two components, priced by the context.  ``build``
     sums the subtree costs, and every edge that is not a step becomes a
-    filter, in edge-id order.  A search only emits its joins; ``replay``
-    builds a kernel's.
+    filter, in edge-id order.
     """
 
     def __init__(self, graph: JoinGraph, ctx: CostContext, algorithm: str):
@@ -77,7 +78,7 @@ class PlanBuilder:
         self._cost: dict[int, float] = {1 << v: 0.0 for v in range(graph.n_vertices)}
 
     def add_step(self, edge_id: int, l_mask: int, r_mask: int,
-                 op: OperatorChoice | None = None) -> float:
+                 op: OperatorChoice | None = None) -> None:
         """Join two components; the context chooses the operator unless
         ``op`` forces one."""
         if op is None:
@@ -86,10 +87,8 @@ class PlanBuilder:
             res = self.ctx.join_cost(l_mask, r_mask, op)
         step_cost, (operator, side), out_card = res
         subtree = self._cost
-        new_cost = step_cost + subtree.pop(l_mask) + subtree.pop(r_mask)
-        subtree[l_mask | r_mask] = new_cost
+        subtree[l_mask | r_mask] = step_cost + subtree.pop(l_mask) + subtree.pop(r_mask)
         self.steps.append(PlanStep(edge_id, operator, side, l_mask, r_mask, out_card, step_cost))
-        return new_cost
 
     def build(self) -> Plan:
         graph = self.graph
@@ -116,11 +115,11 @@ class PlanBuilder:
 
 
 def replay(graph: JoinGraph, ctx: CostContext, algorithm: str, joins, cost: float) -> Plan:
-    """The plan of a search kernel's joins, (edge, left mask, right mask,
-    out card) in order.  Each out card seeds the context's cardinality of
+    """The plan of a search's joins, (edge, left mask, right mask, out
+    card) in order.  Each out card seeds the context's cardinality of
     its join's union, so the context need not compute it again.  Raises
     SpanPlanError when the context already holds another cardinality of a
-    union, or unless the plan costs what the kernel reported."""
+    union, or unless the plan costs what the search reported."""
     builder = PlanBuilder(graph, ctx, algorithm)
     for edge_id, l_mask, r_mask, out in joins:
         held = ctx.seed_card(l_mask | r_mask, out)
@@ -133,6 +132,27 @@ def replay(graph: JoinGraph, ctx: CostContext, algorithm: str, joins, cost: floa
     if plan.internal_cost != cost:
         raise SpanPlanError("kernel cost does not match the replayed plan")
     return plan
+
+
+def _run_search(name: str, what: str, graph: JoinGraph, source, params, timeout: float | None,
+                search) -> tuple[Plan, EnumStats]:
+    """The one driver of every search, which ``search(ctx, deadline)``
+    runs to give (cost, joins, subplans, splits, evaluations, plans).
+    ``source`` may be a CostContext to reuse.  A kernel's KeyError(mask)
+    becomes the source's own error, a timeout is named ``what``'s, and the
+    joins are replayed as algorithm ``name``'s plan; returns (plan, stats)."""
+    ctx = source if isinstance(source, CostContext) else CostContext(graph, source, params)
+    t0 = time.perf_counter()
+    deadline = _kernels.deadline(t0, timeout)
+    try:
+        cost, joins, subplans, splits, evals, plans = search(ctx, deadline)
+    except KeyError as exc:
+        ctx.source.lookup(graph, exc.args[0])  # raises the source's own error
+        raise
+    except OptimizeTimeout:
+        raise OptimizeTimeout(f"{what} ran past its deadline") from None
+    plan = replay(graph, ctx, name, joins, cost)
+    return plan, EnumStats(subplans, splits, plans, evals, time.perf_counter() - t0)
 
 
 def classify_shape(steps) -> str:

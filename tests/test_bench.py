@@ -196,6 +196,22 @@ def test_csv_round_trip(q2a):
     assert again == records
 
 
+HEADER = ",".join(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "CSV line 1: expected the header"),
+    (HEADER + "\n2a,simple,prim\n", "CSV line 2 has 3 cells; the header has 11"),
+    (HEADER + "\n2a,simple,prim" + "," * 9 + "\n", "CSV line 2 has 12 cells; the header has 11"),
+    (HEADER + "\n2a,simple,prim,,,,,,5,,\n2a,simple,goo,many,,,,,5,,\n",
+     "CSV line 3: internal_cost 'many' is not a number"),
+])
+def test_read_csv_refuses_malformed_text_naming_the_line(text, message):
+    with pytest.raises(sp.SpanPlanError) as exc:
+        read_csv(text)
+    assert str(exc.value).startswith(message), exc.value
+
+
 def test_growth_exponent_recovers_power_law():
     slope, r2 = growth_exponent([2, 4, 8, 16], [12, 48, 192, 768])  # 3 * n^2
     assert slope == pytest.approx(2.0)

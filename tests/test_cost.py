@@ -188,6 +188,20 @@ def test_lookup_cardinality(q2a):
         sp.lookup_cardinality(graph, catalog, ())
 
 
+@pytest.mark.parametrize("subset", [[7], 1 << 9, [-1], -1], ids=["id 7", "bit 9", "id -1", "mask -1"])
+def test_lookup_cardinality_refuses_a_table_outside_the_graph(subset):
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(sp.UnknownTableError):
+        sp.lookup_cardinality(graph, model, subset)
+
+
+@pytest.mark.parametrize("left,right", [([1], [0, 7]), ([-1], [0]), (1 << 4, 1)])
+def test_choose_operator_refuses_a_table_outside_the_graph(left, right):
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(sp.UnknownTableError):
+        sp.choose_operator(graph, model, None, left, right)
+
+
 def test_lookup_cardinality_model_product():
     graph, model = make_graph(
         [

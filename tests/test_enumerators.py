@@ -7,7 +7,7 @@ from spanplan import _kernels, enumerators
 from spanplan.cost import CostContext
 from spanplan.plan import canonical_encoding
 
-from .conftest import irregular_instances, mixed_instances
+from .conftest import irregular_instances, make_graph, mixed_instances
 
 
 def _edges(plan):
@@ -336,6 +336,60 @@ def test_este_timeout():
         sp.este(graph, model, timeout=1e-9)
     with pytest.raises(sp.OptimizeTimeout):
         sp.run_algorithm("este", graph, model, timeout=1e-9)
+
+
+@pytest.mark.parametrize("algo", sp.ALGORITHMS)
+def test_run_algorithm_calls_the_function_bound_in_its_module(monkeypatch, q2a, algo):
+    # A tracer wraps an enumerator by rebinding its module name; dispatch
+    # must see the wrapper.
+    calls = []
+    real = getattr(enumerators, algo)
+
+    def wrapper(*args, **kwargs):
+        calls.append(algo)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(enumerators, algo, wrapper)
+    plan, _stats = sp.run_algorithm(algo, *q2a)
+    assert calls == [algo] and plan.algorithm == algo
+
+
+@pytest.mark.parametrize("algo,n,message", [
+    # On 20 tables one prim or kruskal run prices more than 16 states, so
+    # it reads the clock.
+    ("prim", 20, "prim ran past its deadline"),
+    ("kruskal", 20, "kruskal ran past its deadline"),
+    ("este", 14, "este ran past its deadline"),
+    ("goo", 14, "goo ran past its deadline"),
+    ("exhaustive", 14, "exhaustive enumeration ran past its deadline"),
+])
+def test_each_search_names_its_timeout_once(algo, n, message):
+    graph, model = sp.gen_topology("clique", n, seed=0)
+    with pytest.raises(sp.OptimizeTimeout) as exc:
+        sp.run_algorithm(algo, graph, model, timeout=1e-9)
+    assert str(exc.value) == message
+
+
+def test_oracle_walk_names_its_timeout_once():
+    graph, model = sp.gen_topology("clique", 6, seed=0)
+    with pytest.raises(sp.OptimizeTimeout) as exc:
+        sp.brute_force_optimal(graph, model, timeout=1e-9)
+    assert str(exc.value) == "oracle enumeration ran past its deadline"
+
+
+def test_a_document_without_cardinalities_is_refused_by_every_search():
+    graph, source = make_graph(
+        [{"name": "A", "cardinality": 100}, {"name": "B", "cardinality": 50}],
+        [{"left": "A", "right": "B"}],
+    )
+    assert source is None
+    for algo in sp.ALGORITHMS:
+        with pytest.raises(sp.GraphFormatError, match="no cardinality source"):
+            sp.run_algorithm(algo, graph, source)
+    with pytest.raises(sp.GraphFormatError, match="no cardinality source"):
+        sp.brute_force_optimal(graph, source)
+    with pytest.raises(sp.GraphFormatError, match="no cardinality source"):
+        sp.run_workload([sp.WorkloadQuery("q", graph, source)])
 
 
 @pytest.mark.parametrize("algo", ["exhaustive", "este"])
