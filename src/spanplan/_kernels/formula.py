@@ -42,6 +42,9 @@ class Instance:
         # computes the masks cards lacks, or else a catalog, read instead of cards.
         self.model = model
         self.catalog = catalog
+        # The compiled backend's flattening of this instance (loader._problem),
+        # kept for later calls when model or catalog is set.
+        self.problem = None
 
     def known_cards(self) -> dict:
         """The cardinalities a kernel starts from: the catalog when there is

@@ -142,10 +142,13 @@ static double now(void) {
 
 /* Seed memo, which card() then reads, with the shipped cardinalities
  * (pure._Cards), and build the incident edge bitsets.  Every kernel that
- * opens them calls close_memo when done. */
+ * opens them calls close_memo when done.  loader.py passes one problem to
+ * many calls, so memo, incident, words and missing, the only fields a
+ * kernel sets, are set afresh here on every call. */
 static int open_memo(problem *p, table *memo) {
     int rc = OK;
     p->memo = memo;
+    p->missing = 0;
     p->words = (p->n_edges + 63) / 64;
     p->incident = calloc((size_t)p->n * p->words + 1, sizeof *p->incident);
     if (!p->incident)
@@ -162,6 +165,7 @@ static int open_memo(problem *p, table *memo) {
 
 static void close_memo(problem *p) {
     drop(p->memo);
+    p->memo = NULL;
     free(p->incident);
     p->incident = NULL;
 }

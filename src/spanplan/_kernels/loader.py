@@ -7,11 +7,17 @@ arguments and returning the same values.  Five of them run in C, and
 ``StaleLibraryError``, a library that lacks a kernel, was built from
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  Its ``merge`` is the C mirror of
-``formula.merge``, the one Python cost formula.  Instances
-(``formula.Instance``) and results cross the boundary as flat ``array``
-buffers, without what C derives (``Instance.pair_inner``, from the edges),
-and each mask and run list is checked first (``formula.check_masks``,
-``check_runs``).  Nothing here imports ``pure``.
+``formula.merge``, the one Python cost formula.  An instance
+(``formula.Instance``) crosses the boundary as flat ``array`` buffers
+behind one ``_Problem``, without what C derives (``Instance.pair_inner``,
+from the edges).  An instance whose shipped cardinalities cannot change
+(it has a model or a catalog) is flattened on its first call, and that
+``_Problem`` (``Instance.problem``) serves every later call, so calls on
+one such instance must not overlap (ctypes lets other threads run during
+a call); one that ships ``Instance.cards`` is flattened on every call.
+Results come back in flat buffers too, and each mask and run list is
+checked first (``formula.check_masks``, ``check_runs``).  Nothing here
+imports ``pure``.
 """
 from __future__ import annotations
 
@@ -56,8 +62,13 @@ def _addr(buf: array) -> int:
 
 
 def _problem(inst) -> _Problem:
-    """Flatten inst, shipping the cardinalities pure._Cards seeds from
-    (``inst.known_cards()``)."""
+    """inst flattened, shipping the cardinalities pure._Cards seeds from
+    (``inst.known_cards()``).  It is kept as ``inst.problem`` for later calls
+    unless those are ``inst.cards``, which the context fills between calls;
+    a kernel sets memo, incident, words and missing afresh on every call
+    (kernels.c open_memo), so a kept one carries nothing between calls."""
+    if inst.problem is not None:
+        return inst.problem
     cards = inst.known_cards()
     buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
                array("b", inst.indexed), array("Q", cards), array("d", cards.values()))
@@ -66,6 +77,8 @@ def _problem(inst) -> _Problem:
         buffers += (array("d", bases), array("d", (sel for _mask, sel in edge_sels)))
     prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
     prob.buffers = buffers  # the kernel reads them; keep them alive with prob
+    if inst.model is not None or inst.catalog is not None:
+        inst.problem = prob
     return prob
 
 

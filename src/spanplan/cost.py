@@ -187,6 +187,12 @@ class MergeResult(NamedTuple):
     out_card: float
 
 
+def _check_source(source) -> None:
+    if source is None:
+        raise GraphFormatError("no cardinality source: the graph has neither cardinalities"
+                               " nor selectivities")
+
+
 class CostContext:
     """Binds a graph, a cardinality source, and cost parameters.
 
@@ -195,9 +201,7 @@ class CostContext:
     """
 
     def __init__(self, graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
-        if source is None:
-            raise GraphFormatError("no cardinality source: the graph has neither cardinalities"
-                                   " nor selectivities")
+        _check_source(source)
         self.graph = graph
         self.source = source
         self.params = params or CostParams()
@@ -276,8 +280,9 @@ class CostContext:
 
 
 def _as_mask(graph: JoinGraph, subset) -> int:
-    """subset's mask, from a mask, table ids or table names; an id or a bit
-    outside the graph raises UnknownTableError."""
+    """subset's mask, from a mask, table ids or table names; an id that is
+    not an int (True included) or a bit outside the graph raises
+    UnknownTableError."""
     if isinstance(subset, int):
         if subset & ~graph.full_mask:
             raise UnknownTableError(f"mask {subset!r} names tables outside the graph")
@@ -287,7 +292,7 @@ def _as_mask(graph: JoinGraph, subset) -> int:
         return graph.mask_of_names(ids)
     mask = 0
     for v in ids:
-        if not 0 <= v < graph.n_vertices:
+        if type(v) is not int or not 0 <= v < graph.n_vertices:
             raise UnknownTableError(f"table id {v!r} is not in the graph")
         mask |= 1 << v
     return mask
@@ -295,6 +300,7 @@ def _as_mask(graph: JoinGraph, subset) -> int:
 
 def lookup_cardinality(graph: JoinGraph, source: CardinalitySource, subset) -> int:
     """Row count of a non-empty connected subset, from catalog or model."""
+    _check_source(source)
     mask = _as_mask(graph, subset)
     if mask == 0:
         raise GraphFormatError("cardinality lookup over an empty subset")

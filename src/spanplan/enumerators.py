@@ -20,8 +20,11 @@ pair's (lower mask, higher mask).
 ``greedy_search`` kernel through one member routine: prim is kruskal
 restricted to the pairs that hold its component.  Members share the choice
 made at each state in one memo keyed by (kind, partition).  ``exhaustive``
-runs the ``dp_search`` kernel over the connected subsets; ``goo`` runs its
-loop in Python.  Each supplies only its search: ``plan._run_search``
+runs the ``dp_search`` kernel over the connected subsets.  ``goo`` runs its
+loop in Python and prices each pair through ``CostContext.merge``, but each
+of its rounds takes the cardinalities it reads from one
+``CostContext.ensure_cards`` call (one ``model_cards`` kernel call under a
+selectivity model).  Each supplies only its search: ``plan._run_search``
 builds the context, starts the deadline, names a timeout, replays the
 joins the search emits (checking that the plan costs what the search
 reported) and returns ``(plan, stats)``.  Every join is priced by the one
@@ -82,10 +85,16 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     ranked by (step cost, smaller mask, larger mask).  Each component keeps
     the mask of its neighbouring vertices, so adjacency is one AND; only the
     winning pair looks up its lowest crossing edge.  Every pair is priced
-    once: after the first round, a round prices only the component the last
-    one made against its neighbours.  The deadline is checked between
+    once, through ``CostContext.merge``: after the first round, a round
+    prices only the component the last one made against its neighbours.
+    Before it prices, a round fills the cardinalities its pairs read that
+    the context lacks with one ``ensure_cards`` call, in the order the
+    merges would read them, so under a selectivity model a round is one
+    ``model_cards`` kernel call and a missing or overflowing subset is
+    named as its merge would name it.  The deadline is checked between
     rounds."""
     def search(ctx, deadline):
+        cards, edge_masks = ctx.instance.cards, graph.edge_masks
         # Each component, oldest first, with the vertices adjacent to it and its cost.
         comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
         costs = dict.fromkeys(comps, 0.0)
@@ -93,31 +102,34 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
         joins = []
         evals = 0
 
-        def price(a: int, b: int) -> None:
+        def price(pairs: list) -> None:
             nonlocal evals
-            lo, hi = (a, b) if a < b else (b, a)
-            keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
-            evals += 1
+            pairs = [(a, b) if a < b else (b, a) for a, b in pairs]
+            # The masks each merge reads, in its order (result, then sides).
+            lacking = dict.fromkeys(m for lo, hi in pairs for m in (lo | hi, lo, hi)
+                                    if m not in cards)
+            if lacking:
+                ctx.ensure_cards(lacking)
+            for lo, hi in pairs:
+                keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
+            evals += len(pairs)
 
-        pairs = list(comps.items())
-        for i, (a, nbr) in enumerate(pairs):
-            for b, _ in pairs[i + 1:]:
-                if nbr & b:
-                    price(a, b)
+        opening = list(comps.items())
+        price([(a, b) for i, (a, nbr) in enumerate(opening) for b, _ in opening[i + 1:]
+               if nbr & b])
         while len(comps) > 1:
             if not keys:
                 raise SpanPlanError("graph became disconnected during enumeration")
             step, lo, hi = min(keys)
             merged = lo | hi
-            joins.append((min(graph.crossing_edges(lo, hi)), lo, hi, ctx.card(merged)))
+            edge = next(e for e, m in enumerate(edge_masks) if m & lo and m & hi)
+            joins.append((edge, lo, hi, ctx.card(merged)))
             costs[merged] = step + costs.pop(lo) + costs.pop(hi)
             nbr = (comps.pop(lo) | comps.pop(hi)) & ~merged
             keys = {key for key in keys if not (key[1] | key[2]) & merged}
             if comps and deadline and time.perf_counter() > deadline:
                 raise OptimizeTimeout
-            for a in comps:
-                if nbr & a:
-                    price(a, merged)
+            price([(a, merged) for a in comps if nbr & a])
             comps[merged] = nbr
         # Components only grow, so every pair priced is distinct and so is its union.
         (cost,) = costs.values()

@@ -202,6 +202,30 @@ def test_choose_operator_refuses_a_table_outside_the_graph(left, right):
         sp.choose_operator(graph, model, None, left, right)
 
 
+@pytest.mark.parametrize("subset", [[1.0], [1.5], [None], [1, "t00"], [True]],
+                         ids=["float 1.0", "float 1.5", "None", "id then name", "True"])
+def test_lookup_cardinality_refuses_a_table_id_that_is_not_an_int(subset):
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(sp.UnknownTableError, match="^table id .* is not in the graph$"):
+        sp.lookup_cardinality(graph, model, subset)
+
+
+def test_choose_operator_refuses_a_table_id_that_is_not_an_int():
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(sp.UnknownTableError, match="^table id 0.0 is not in the graph$"):
+        sp.choose_operator(graph, model, None, [0.0], [1])
+
+
+def test_lookup_cardinality_refuses_a_missing_source_as_the_context_does(two_table):
+    graph, _catalog = two_table
+    with pytest.raises(sp.GraphFormatError) as context_error:
+        CostContext(graph, None)
+    with pytest.raises(sp.GraphFormatError) as lookup_error:
+        sp.lookup_cardinality(graph, None, [0])
+    assert str(lookup_error.value) == str(context_error.value)
+    assert "\n" not in str(lookup_error.value)
+
+
 def test_lookup_cardinality_model_product():
     graph, model = make_graph(
         [

@@ -5,6 +5,7 @@ import pytest
 import spanplan as sp
 from spanplan import _kernels, enumerators
 from spanplan.cost import CostContext
+from spanplan.graph import connected_subset_masks
 from spanplan.plan import canonical_encoding
 
 from .conftest import irregular_instances, make_graph, mixed_instances
@@ -274,6 +275,51 @@ def test_unseeded_greedy_prices_each_pair_once_per_state(algo, compiled, monkeyp
         for n in range(4, 13):
             _plan, stats = sp.run_algorithm(algo, *sp.gen_topology("clique", n, seed=n))
             assert stats.evaluations == (n - 1) ** 2, (backend.name, n)
+
+
+def _recording(monkeypatch, owner, name: str, record) -> None:
+    """Rebind owner.name to a wrapper that calls record(*args) first."""
+    method = getattr(owner, name)
+
+    def wrapper(*args):
+        record(*args)
+        return method(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_goo_fills_each_round_s_cardinalities_in_one_model_cards_call(compiled, monkeypatch):
+    # The opening round, then each join that leaves more than one component:
+    # n - 1 kernel calls on clique-n, and no union priced by the model's
+    # lookup.  Under exhaustive the context already holds every connected
+    # subset, so the bound adds no call to ensure_cards' one.
+    graph, model = sp.gen_topology("clique", 8, seed=8)
+    looked = []
+    _recording(monkeypatch, sp.SelectivityModel, "lookup",
+               lambda _model, _graph, mask: looked.append(mask))
+    for backend in (_kernels.pure, compiled):
+        calls = []
+        _recording(monkeypatch, backend, "model_cards", lambda _inst, masks: calls.append(masks))
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        sp.goo(graph, model)
+        assert len(calls) == graph.n_vertices - 1, backend.name
+        assert [mask for mask in looked if mask & (mask - 1)] == [], backend.name
+        calls.clear()
+        sp.exhaustive(graph, model)
+        assert len(calls) == 1, backend.name
+
+
+def test_goo_looks_a_catalog_up_in_the_order_its_merges_read(monkeypatch):
+    # Each subset is looked up once, when the first merge that reads it
+    # would read it: the union, then the two sides.
+    graph, model = sp.gen_topology("clique", 7, seed=3)
+    catalog = sp.CardinalityCatalog(
+        entries={m: model.lookup(graph, m) for m in connected_subset_masks(graph)})
+    looked, merged = [], []
+    _recording(monkeypatch, sp.CardinalityCatalog, "lookup",
+               lambda _catalog, _graph, mask: looked.append(mask))
+    _recording(monkeypatch, CostContext, "merge", lambda _ctx, l, r: merged.append((l, r)))
+    sp.goo(graph, catalog)
+    assert looked == list(dict.fromkeys(m for l, r in merged for m in (l | r, l, r)))
 
 
 def test_exhaustive_vertex_limit():

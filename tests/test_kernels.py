@@ -40,14 +40,15 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 
 
 # Run in a process whose allocator ASan replaces: every kernel against pure
-# on small graphs, each search's joins filling its buffer, a clique-12 walk
-# stopped by its deadline, and masks check_masks refuses.
+# on small graphs, each search's joins filling its buffer, one instance's
+# kept problem through a failing call, two searches and a passing call, a
+# clique-12 walk stopped by its deadline, and masks check_masks refuses.
 SANITIZED_RUN = """
 import sys, time
 import spanplan as sp
 from spanplan import _kernels
 from spanplan._kernels import formula
-from spanplan._kernels.loader import open_library
+from spanplan._kernels.loader import _problem, open_library
 from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks
 from tests.conftest import irregular_graph
@@ -84,6 +85,21 @@ for graph, model in cases:
             for kernel, *args in calls[1:4]:
                 joins = getattr(lib, kernel)(*args)[1]
                 assert [len(join) for join in joins] == [4] * (graph.n_vertices - 1), kernel
+
+# One flattened problem serves every call on a model's instance: a call that
+# fails on an overflowing estimate, two searches, then a call that succeeds,
+# each naming its own first missing mask or returning what pure returns.
+big, over = sp.gen_topology("clique", 7, seed=1, base_range=(10**80, 10**81),
+                            sel_range=(0.5, 1.0))
+inst = CostContext(big, over).instance
+masks = connected_subset_masks(big)
+small = [m for m in masks if bin(m).count("1") <= 3]  # three bases stay below a float's limit
+calls = [("model_cards", inst, masks), ("greedy_search", inst, [(formula.KRUSKAL, None)]),
+         ("dp_search", inst, small), ("model_cards", inst, small)]
+got = [outcome(lib, *call) for call in calls]
+assert got == [outcome(pure, *call) for call in calls]
+assert got[0][0] is got[1][0] is KeyError and got[0] != got[1] and len(got[3]) == len(small)
+assert _problem(inst) is _problem(inst)
 
 graph, model = sp.gen_topology("clique", 12, seed=0)
 try:
@@ -663,6 +679,22 @@ def test_kernels_compute_model_masks_the_context_lacks_and_leave_it_as_it_was(co
                 assert _card_reads(backend, graph, inst, masks) == want, (kind, n, backend.name)
         assert [inst.cards for inst in (full, lacking, empty)] == before, \
             "a kernel must not fill the context's cardinalities"
+
+
+def test_a_model_or_catalog_instance_is_flattened_once(q2a):
+    # Their shipped cardinalities cannot change, so every call shares one
+    # _Problem; an instance that ships its context's cards, which fill
+    # between calls, is flattened again each time.
+    graph, catalog = q2a
+    for inst in (CostContext(graph, catalog).instance,
+                 CostContext(*sp.gen_topology("chain", 5, seed=1)).instance):
+        assert _problem(inst) is _problem(inst)
+    inst = formula.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=(1.0, 1.0),
+                            indexed=(False, False), lam=2.0, cards={1: 4.0, 2: 5.0},
+                            pair_inner={3: 1})
+    first = _problem(inst)
+    inst.cards[3] = 6.0
+    assert (first.n_cards, _problem(inst).n_cards) == (2, 3)
 
 
 def test_dp_search_reads_a_subset_cardinality_only_to_price_a_split(compiled):
