@@ -47,33 +47,39 @@ static double *get(const table *t, mask_t key) {
     return t->key[i] == key ? &t->val[i] : NULL;
 }
 
+/* Move t's keys into a new table of cap slots, a power of two above
+ * 2 * t->len. */
+static int grow(table *t, size_t cap) {
+    table big = { calloc(cap, sizeof(mask_t)), malloc(cap * sizeof(double)),
+                  t->tagged ? calloc(cap * TAGS, sizeof(uint32_t)) : NULL, cap, t->len,
+                  t->tagged };
+    if (!big.key || !big.val || (t->tagged && !big.tags)) {
+        free(big.key);
+        free(big.val);
+        free(big.tags);
+        return NOMEM;
+    }
+    for (size_t i = 0; i < t->cap; i++)
+        if (t->key[i]) {
+            size_t j = slot(&big, t->key[i]);
+            big.key[j] = t->key[i];
+            big.val[j] = t->val[i];
+            if (t->tagged)
+                memcpy(big.tags + TAGS * j, t->tags + TAGS * i, TAGS * sizeof *t->tags);
+        }
+    free(t->key);
+    free(t->val);
+    free(t->tags);
+    *t = big;
+    return OK;
+}
+
 /* key must be absent */
 static int put(table *t, mask_t key, double val) {
     size_t i;
-    if (2 * (t->len + 1) > t->cap) {
-        size_t cap = t->cap ? 2 * t->cap : 64;
-        table big = { calloc(cap, sizeof(mask_t)), malloc(cap * sizeof(double)),
-                      t->tagged ? calloc(cap * TAGS, sizeof(uint32_t)) : NULL, cap, t->len,
-                      t->tagged };
-        if (!big.key || !big.val || (t->tagged && !big.tags)) {
-            free(big.key);
-            free(big.val);
-            free(big.tags);
-            return NOMEM;
-        }
-        for (i = 0; i < t->cap; i++)
-            if (t->key[i]) {
-                size_t j = slot(&big, t->key[i]);
-                big.key[j] = t->key[i];
-                big.val[j] = t->val[i];
-                if (t->tagged)
-                    memcpy(big.tags + TAGS * j, t->tags + TAGS * i, TAGS * sizeof *t->tags);
-            }
-        free(t->key);
-        free(t->val);
-        free(t->tags);
-        *t = big;
-    }
+    int rc;
+    if (2 * (t->len + 1) > t->cap && (rc = grow(t, t->cap ? 2 * t->cap : 64)))
+        return rc;
     i = slot(t, key);
     t->key[i] = key;
     t->val[i] = val;
@@ -114,7 +120,9 @@ typedef struct {               /* formula.Instance, flattened by loader.py */
     const double *bases, *sels;  /* inst.model as per-vertex and per-edge arrays, or NULL */
     /* Set by the kernels (loader._Problem leaves room for them): */
     table *memo;               /* the cardinalities card() reads */
-    uint64_t *incident;        /* per vertex, its edges as a bitset of edge ids */
+    uint64_t *incident;        /* per vertex, its edges as a bitset of edge ids;
+                                * over a vertex set, their XOR holds the edges
+                                * leaving it and their OR & ~XOR those inside */
     mask_t missing;            /* the cardinality a kernel could not get */
     int words;                 /* 64-bit words in an edge bitset */
 } problem;
@@ -170,20 +178,22 @@ static void close_memo(problem *p) {
     p->incident = NULL;
 }
 
-/* formula.model_product.  m's own edges are those its vertices touch and
- * no vertex outside it does; they multiply in ascending edge-id order. */
+/* formula.model_product.  m's own edges are those with both ends in m: each
+ * is in the OR of its vertices' incident bitsets and, counted twice, cancels
+ * from their XOR, while an edge leaving m stays in both.  They multiply in
+ * ascending edge-id order. */
 static double model_product(const problem *p, mask_t m) {
-    mask_t outside = m ^ (((mask_t)1 << p->n) - 1);
     double prod = 1.0;
     for (mask_t rest = m; rest; rest &= rest - 1)
         prod *= p->bases[BIT(rest)];
     for (int w = 0; w < p->words; w++) {
-        uint64_t touched = 0, left = 0;
-        for (mask_t rest = m; rest; rest &= rest - 1)
-            touched |= p->incident[BIT(rest) * p->words + w];
-        for (mask_t rest = outside; rest; rest &= rest - 1)
-            left |= p->incident[BIT(rest) * p->words + w];
-        for (uint64_t own = touched & ~left; own; own &= own - 1)
+        uint64_t touched = 0, leaving = 0;
+        for (mask_t rest = m; rest; rest &= rest - 1) {
+            uint64_t edges = p->incident[BIT(rest) * p->words + w];
+            touched |= edges;
+            leaving ^= edges;
+        }
+        for (uint64_t own = touched & ~leaving; own; own &= own - 1)
             prod *= p->sels[64 * w + __builtin_ctzll(own)];
     }
     return prod;
@@ -295,6 +305,8 @@ typedef struct { step_t step; size_t next; } choice;
 typedef struct {
     size_t width, len, cap;    /* cap: slots, a power of two; room for cap / 2 strings */
     unsigned char *data;       /* the strings, in insertion order */
+    uint64_t *hash;            /* each string's hash_words, so that growing hashes
+                                * nothing again and a probe compares it first */
     choice *val;
     size_t *slot;              /* string index + 1, or 0 for a free slot */
 } strings;
@@ -311,9 +323,10 @@ static uint64_t hash_words(const unsigned char *s, size_t width) {
     return h;
 }
 
-static size_t string_slot(const strings *t, const unsigned char *s) {
-    size_t i = (size_t)hash_words(s, t->width) & (t->cap - 1);
-    while (t->slot[i] && memcmp(t->data + (t->slot[i] - 1) * t->width, s, t->width))
+static size_t string_slot(const strings *t, const unsigned char *s, uint64_t h) {
+    size_t i = (size_t)h & (t->cap - 1);
+    while (t->slot[i] && (t->hash[t->slot[i] - 1] != h
+                          || memcmp(t->data + (t->slot[i] - 1) * t->width, s, t->width)))
         i = (i + 1) & (t->cap - 1);
     return i;
 }
@@ -321,27 +334,32 @@ static size_t string_slot(const strings *t, const unsigned char *s) {
 /* The index of s, which is added when absent; *fresh tells which. */
 static int intern(strings *t, const void *s, size_t *index, int *fresh) {
     size_t i;
+    uint64_t h = hash_words(s, t->width);
     if (2 * (t->len + 1) > t->cap) {
         size_t cap = t->cap ? 2 * t->cap : 64;
         unsigned char *data = realloc(t->data, cap / 2 * t->width + 1);
         choice *val = data ? realloc(t->val, cap / 2 * sizeof *val) : NULL;
-        size_t *slot = val ? calloc(cap, sizeof *slot) : NULL;
+        uint64_t *hash = val ? realloc(t->hash, cap / 2 * sizeof *hash) : NULL;
+        size_t *slot = hash ? calloc(cap, sizeof *slot) : NULL;
         if (data)
             t->data = data;
         if (val)
             t->val = val;
+        if (hash)
+            t->hash = hash;
         if (!slot)
             return NOMEM;
         free(t->slot);
         t->slot = slot;
         t->cap = cap;
         for (size_t k = 0; k < t->len; k++)
-            t->slot[string_slot(t, t->data + k * t->width)] = k + 1;
+            t->slot[string_slot(t, t->data + k * t->width, t->hash[k])] = k + 1;
     }
-    i = string_slot(t, s);
+    i = string_slot(t, s, h);
     *fresh = !t->slot[i];
     if (*fresh) {
         memcpy(t->data + t->len * t->width, s, t->width);
+        t->hash[t->len] = h;
         t->slot[i] = ++t->len;
     }
     *index = t->slot[i] - 1;
@@ -350,6 +368,7 @@ static int intern(strings *t, const void *s, size_t *index, int *fresh) {
 
 static void drop_strings(strings *t) {
     free(t->data);
+    free(t->hash);
     free(t->val);
     free(t->slot);
 }
@@ -457,24 +476,27 @@ static int edge_joins(greedy *g, int lo, int hi, cand *out) {
 
 /* pure._Greedy.neighbours: merged priced once against each adjacent
  * component, over the lowest edge between them, appended to out in edge-id
- * order.  The edges leaving merged are read from its vertices' incident
- * bitsets. */
+ * order.  The edges leaving merged are the XOR of its vertices' incident
+ * bitsets, where each inner edge, counted twice, cancels.  The walk ends
+ * once every other table is in a priced component. */
 static int neighbours(greedy *g, mask_t merged, cand *out, int *len) {
     const problem *p = g->p;
-    mask_t priced = 0;
+    mask_t priced = merged;
     for (int w = 0; w < p->words; w++) {
         uint64_t crossing = 0;
         for (mask_t rest = merged; rest; rest &= rest - 1)
-            crossing |= p->incident[BIT(rest) * p->words + w];
+            crossing ^= p->incident[BIT(rest) * p->words + w];
         for (; crossing; crossing &= crossing - 1) {
             int e = 64 * w + __builtin_ctzll(crossing), u = p->edge_u[e], v = p->edge_v[e], rc;
             mask_t c1 = g->comp_of[u], c2 = g->comp_of[v];
             mask_t neighbour = c1 == merged ? c2 : c1;
-            if (c1 == c2 || (neighbour & priced))
+            if (neighbour & priced)
                 continue;
             priced |= neighbour;
             if ((rc = price(g, e, c1, c2, g->card_of[u], g->card_of[v], &out[(*len)++])))
                 return rc;
+            if (priced == g->full)
+                return OK;
         }
     }
     return OK;
@@ -593,16 +615,17 @@ static int by_result(const void *a, const void *b) {
     return (x > y) - (x < y);
 }
 
-/* pure._encoding: six values per step, sorted by the joined subset (each
- * step's is distinct). */
+/* pure._encoding, two words per step, sorted by the joined subset (each
+ * step's is distinct): (union << 32 | smaller side, (edge << 1 | op) << 32 |
+ * build or inner side).  The larger side is the union's other part, and
+ * masks fit in 32 bits, so the words compare as pure's six-value tuples. */
 static void encode(const step_t *steps, int n_steps, mask_t *enc) {
     for (int i = 0; i < n_steps; i++) {
         step_t s = steps[i];
-        mask_t item[6] = { s.l | s.r, s.l < s.r ? s.l : s.r, s.l < s.r ? s.r : s.l,
-                           (mask_t)s.edge, (mask_t)s.op, s.side ? s.r : s.l };
-        memcpy(enc + 6 * i, item, sizeof item);
+        enc[2 * i] = (s.l | s.r) << 32 | (s.l < s.r ? s.l : s.r);
+        enc[2 * i + 1] = ((mask_t)s.edge << 1 | (mask_t)s.op) << 32 | (s.side ? s.r : s.l);
     }
-    qsort(enc, n_steps, 6 * sizeof *enc, by_result);
+    qsort(enc, n_steps, 2 * sizeof *enc, by_result);
 }
 
 static int compare_encodings(const mask_t *a, const mask_t *b, int n) {
@@ -612,15 +635,24 @@ static int compare_encodings(const mask_t *a, const mask_t *b, int n) {
     return 0;
 }
 
-static int greedy_open(greedy *g) {
+/* The card memo starts with room for the opening's unions and one per join
+ * of each distinct member (two kinds from each start edge or none), so that
+ * it seldom grows: each growth moves every key into freshly allocated
+ * memory, whose first touches cost more than the moves. */
+static int greedy_open(greedy *g, int n_runs) {
     int n = g->n, n_edges = g->n_edges;
-    size_t enc_len = 6 * (size_t)(n - 1) + 1;
+    size_t enc_len = 2 * (size_t)(n - 1) + 1, cap = 64;
+    size_t members = n_runs < 2 * (n_edges + 1) ? (size_t)n_runs : 2 * ((size_t)n_edges + 1);
     int rc;
     g->cards.tagged = 1;
     rc = open_memo(g->p, &g->cards);
+    while (cap < 2 * (n_edges + members * (n - 1)))
+        cap *= 2;
+    if (rc == OK && cap > g->cards.cap)
+        rc = grow(&g->cards, cap);
     g->full = ((mask_t)1 << n) - 1;
     g->next.width = ((size_t)n + 8) & ~(size_t)7;  /* the kind, then n labels */
-    g->plans.width = 6 * (size_t)(n - 1) * sizeof *g->enc;
+    g->plans.width = 2 * (size_t)(n - 1) * sizeof *g->enc;
     g->opening = malloc((n_edges + 1) * sizeof *g->opening);
     g->cands = malloc((n_edges + 1) * sizeof *g->cands);
     g->comp_of = malloc(n * sizeof *g->comp_of);
@@ -670,7 +702,7 @@ static void put_join(mask_t **out, int edge, mask_t l, mask_t r, double card) {
 int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, double *cost,
                      mask_t *joins, int64_t counts[4]) {
     greedy g = { .p = p, .deadline = deadline, .n = p->n, .n_edges = p->n_edges };
-    int rc = greedy_open(&g), best_steps = -1;
+    int rc = greedy_open(&g, n_runs), best_steps = -1;
     double best = 0.0, total;
 
     for (int k = 0; rc == OK && k < n_runs; k++) {
@@ -686,7 +718,7 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
         encode(g.steps, g.n_steps, g.enc);
         if ((rc = intern(&g.plans, g.enc, &index, &fresh)))
             break;
-        n_enc = 6 * g.n_steps;
+        n_enc = 2 * g.n_steps;
         if (best_steps < 0 || total < best
             || (total == best && compare_encodings(g.enc, g.best_enc, n_enc) < 0)) {
             best = total;

@@ -144,20 +144,24 @@ class _Greedy:
     def neighbours(self, comp_of: list, merged: int) -> list:
         """merged priced once against each adjacent component, over the
         lowest edge between them: candidates in edge-id order.  The edges
-        leaving merged are read from its vertices' incident edges."""
+        leaving merged are the XOR of its vertices' incident edges, where
+        each inner edge, counted twice, cancels.  The walk ends once every
+        other table is in a priced component."""
         edge_u, edge_v = self.inst.edge_u, self.inst.edge_v
         crossing = 0
         for w in iter_bits(merged):
-            crossing |= self.incident[w]
+            crossing ^= self.incident[w]
         cands = []
-        priced = 0
+        priced = merged
         for eid in iter_bits(crossing):
             c1, c2 = comp_of[edge_u[eid]], comp_of[edge_v[eid]]
             neighbour = c2 if c1 == merged else c1
-            if c1 == c2 or neighbour & priced:
+            if neighbour & priced:
                 continue
             priced |= neighbour
             cands.append(self.price(eid, c1, c2))
+            if priced == self.full:
+                break
         return cands
 
     def member(self, kind: int, start: int | None):

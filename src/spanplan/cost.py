@@ -280,13 +280,17 @@ class CostContext:
 
 
 def _as_mask(graph: JoinGraph, subset) -> int:
-    """subset's mask, from a mask, table ids or table names; an id that is
-    not an int (True included) or a bit outside the graph raises
+    """subset's mask, from a mask (an int) or an iterable of table ids or of
+    table names.  Any other subset (True, a float, None, a bare name), an id
+    that is not an int (True included) or a bit outside the graph raises
     UnknownTableError."""
-    if isinstance(subset, int):
+    if type(subset) is int:
         if subset & ~graph.full_mask:
             raise UnknownTableError(f"mask {subset!r} names tables outside the graph")
         return subset
+    if isinstance(subset, str) or not hasattr(subset, "__iter__"):
+        raise UnknownTableError(f"subset {subset!r} is not a mask or an iterable of table ids"
+                                " or names")
     ids = list(subset)
     if ids and isinstance(ids[0], str):
         return graph.mask_of_names(ids)

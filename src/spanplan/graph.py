@@ -212,7 +212,7 @@ class JoinGraph:
         ids = self.name_to_id
         mask = 0
         for name in names:
-            if name not in ids:
+            if not isinstance(name, str) or name not in ids:
                 raise UnknownTableError(f"unknown table {name!r}")
             mask |= 1 << ids[name]
         return mask

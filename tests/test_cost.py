@@ -216,6 +216,32 @@ def test_choose_operator_refuses_a_table_id_that_is_not_an_int():
         sp.choose_operator(graph, model, None, [0.0], [1])
 
 
+NOT_A_SUBSET = {"True": True, "float 1.0": 1.0, "None": None, "bare name": "t00"}
+
+
+@pytest.mark.parametrize("subset", NOT_A_SUBSET.values(), ids=NOT_A_SUBSET)
+def test_lookup_cardinality_refuses_a_subset_that_is_not_a_mask_or_an_iterable(subset):
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(sp.UnknownTableError) as info:
+        sp.lookup_cardinality(graph, model, subset)
+    assert str(info.value) == (f"subset {subset!r} is not a mask or an iterable of table ids"
+                               " or names")
+
+
+@pytest.mark.parametrize("subset", NOT_A_SUBSET.values(), ids=NOT_A_SUBSET)
+def test_choose_operator_refuses_a_subset_that_is_not_a_mask_or_an_iterable(subset):
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    for left, right in ((subset, [1]), ([1], subset)):
+        with pytest.raises(sp.UnknownTableError, match="^subset .* is not a mask or an"):
+            sp.choose_operator(graph, model, None, left, right)
+
+
+def test_a_name_list_holding_a_list_is_an_unknown_table():
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(sp.UnknownTableError, match=r"^unknown table \[1\]$"):
+        sp.lookup_cardinality(graph, model, ["t00", [1]])
+
+
 def test_lookup_cardinality_refuses_a_missing_source_as_the_context_does(two_table):
     graph, _catalog = two_table
     with pytest.raises(sp.GraphFormatError) as context_error:

@@ -25,6 +25,7 @@ import pytest
 
 import spanplan as sp
 from spanplan import _kernels
+from spanplan._kernels import formula
 from spanplan.cost import CostContext
 from spanplan.plan import canonical_encoding
 
@@ -161,6 +162,28 @@ def test_kruskal_and_este_break_ties_as_pinned(indexed, compiled, monkeypatch):
         for start, pin in zip((None, *range(graph.n_edges)), pins["kruskal"], strict=True):
             plan, _stats = sp.kruskal(graph, catalog, start_edge=start)
             assert [plan.internal_cost, _digest(plan)] == pin, (backend.name, start)
+
+
+# perfbench's greedy p90 graphs: este's greedy_search on each, as (cost,
+# subplans, splits, evaluations, plans) and the winner's join edges, pinned
+# before its neighbour walk read only the crossing edges.
+P90_PINS = {
+    ("clique", 14, 1): [196083.8, 2657, 5291, 9021, 139,
+                        [66, 69, 17, 0, 1, 2, 3, 4, 6, 7, 8, 10, 11]],
+    ("clique", 14, 4): [688078.6, 2643, 5025, 8720, 125,
+                        [42, 37, 2, 0, 1, 3, 5, 6, 7, 8, 10, 11, 12]],
+    ("clique", 15, 4): [66216.6, 3597, 7516, 12273, 175,
+                        [100, 95, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8, 11, 13]],
+}
+
+
+@pytest.mark.parametrize("topology", P90_PINS, ids=lambda t: "%s-%d-%d" % t)
+def test_este_keeps_its_pins_on_the_p90_graphs(topology, compiled):
+    graph, model = sp.gen_topology(*topology)
+    runs = [(kind, e) for kind in (formula.PRIM, formula.KRUSKAL) for e in range(graph.n_edges)]
+    for backend in (_kernels.pure, compiled):
+        cost, joins, *counts = backend.greedy_search(CostContext(graph, model).instance, runs)
+        assert [cost, *counts, [join[0] for join in joins]] == P90_PINS[topology], backend.name
 
 
 def test_este_plan_is_the_cheapest_standalone_member():

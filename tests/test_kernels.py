@@ -9,6 +9,7 @@ only when no C compiler is found.
 import ctypes
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -40,7 +41,8 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 
 
 # Run in a process whose allocator ASan replaces: every kernel against pure
-# on small graphs, each search's joins filling its buffer, one instance's
+# on small graphs, each search's joins filling its buffer, greedy_search and
+# model_cards over clique-20's three-word edge bitsets, one instance's
 # kept problem through a failing call, two searches and a passing call, a
 # clique-12 walk stopped by its deadline, and masks check_masks refuses.
 SANITIZED_RUN = """
@@ -85,6 +87,14 @@ for graph, model in cases:
             for kernel, *args in calls[1:4]:
                 joins = getattr(lib, kernel)(*args)[1]
                 assert [len(join) for join in joins] == [4] * (graph.n_vertices - 1), kernel
+
+graph, model = sp.gen_topology("clique", 20, seed=20)
+inst = CostContext(graph, model).instance
+runs = [(formula.PRIM, 0), (formula.PRIM, graph.n_edges - 1), (formula.KRUSKAL, 64),
+        (formula.KRUSKAL, None)]
+masks = [1 << e.v1 | 1 << e.v2 for e in graph.edges] + [1 | 1 << 19 | 1 << v for v in range(1, 19)]
+for call in (("greedy_search", inst, runs), ("model_cards", inst, masks)):
+    assert outcome(lib, *call) == outcome(pure, *call), call[0]
 
 # One flattened problem serves every call on a model's instance: a call that
 # fails on an overflowing estimate, two searches, then a call that succeeds,
@@ -199,6 +209,30 @@ def test_greedy_search_equivalence(compiled):
                 assert pure == compiled.greedy_search(inst, runs), (kind, n, runs)
                 assert len(pure[1]) == graph.n_vertices - 1
         assert not inst.cards, "greedy_search must not fill the context's cardinalities"
+
+
+def _word_edge_runs(graph):
+    """prim and kruskal members unseeded and from the first and last edge of
+    each 64-bit word of an edge bitset."""
+    starts = sorted({e for lo in range(0, graph.n_edges, 64)
+                     for e in (lo, min(lo + 63, graph.n_edges - 1))})
+    return [(kind, e) for kind in (formula.PRIM, formula.KRUSKAL) for e in (None, *starts)]
+
+
+@pytest.mark.parametrize("n", [20, 25])
+def test_greedy_search_and_model_cards_equivalence_past_two_edge_words(n, compiled):
+    # clique-20 has 190 edges (3 words), clique-25 has 300 (5 words).
+    graph, model = sp.gen_topology("clique", n, seed=n)
+    inst = CostContext(graph, model).instance
+    runs = _word_edge_runs(graph)
+    for run_list in [[run] for run in runs] + [runs]:
+        assert _kernels.pure.greedy_search(inst, run_list) \
+            == compiled.greedy_search(inst, run_list), run_list
+    full, rng = graph.full_mask, random.Random(n)
+    masks = [1 << e.v1 | 1 << e.v2 for e in graph.edges]
+    masks += [full >> k for k in range(n)] + [full ^ ((1 << k) - 1) for k in range(n)]
+    masks += [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(200)]
+    assert _kernels.pure.model_cards(inst, masks) == compiled.model_cards(inst, masks)
 
 
 def test_greedy_search_on_one_table(one_table, compiled):
