@@ -15,6 +15,9 @@ from the edges).  An instance whose shipped cardinalities cannot change
 ``_Problem`` (``Instance.problem``) serves every later call, so calls on
 one such instance must not overlap (ctypes lets other threads run during
 a call); one that ships ``Instance.cards`` is flattened on every call.
+A long ``brute_search`` walk may run as two halves on two threads inside
+one call, each half on its own copy of the ``_Problem``, writing back
+only ``missing``: that rule still holds.
 Results come back in flat buffers too, and each mask and run list is
 checked first (``formula.check_masks``, ``check_runs``).  Nothing here
 imports ``pure``.

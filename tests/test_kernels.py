@@ -6,7 +6,9 @@ in-place build is older than kernels.c, the compiled backend is built into
 a temporary directory with setup.py and opened from there; the tests skip
 only when no C compiler is found.
 """
+import ast
 import ctypes
+import itertools
 import math
 import os
 import random
@@ -132,7 +134,7 @@ def test_every_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizer
     if not os.path.isabs(runtime) or not os.path.exists(runtime):
         pytest.skip("no libasan for the C compiler")
     library = tmp_path / "sanitized.so"
-    subprocess.run([*cc, "-shared", "-fPIC", "-fsanitize=address,undefined",
+    subprocess.run([*cc, "-shared", "-fPIC", "-pthread", "-fsanitize=address,undefined",
                     "-fno-sanitize-recover=all", "-fno-omit-frame-pointer", "-ffp-contract=off",
                     str(SOURCE), "-o", str(library), "-lm"], check=True)
     env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
@@ -140,6 +142,166 @@ def test_every_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizer
     proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(library)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-4000:]
+
+
+def _c_problem(name, inst):
+    """C definitions of a kernels.c problem called name, flattened from inst
+    as the loader flattens it; each double is written exactly, in hex."""
+    prob = _problem(inst)
+    ctypes_of = {"i": "int", "d": "double", "b": "int8_t", "Q": "mask_t"}
+    fields = ("edge_u", "edge_v", "scan", "indexed", "card_mask", "card_val", "bases", "sels")
+    lines, inits = [], [f".n = {prob.n}", f".n_edges = {prob.n_edges}",
+                        f".n_cards = {prob.n_cards}", f".lam = {prob.lam.hex()}"]
+    for field, buf in zip(fields, prob.buffers):
+        if len(buf):
+            values = ", ".join(x.hex() if buf.typecode == "d" else str(x) for x in buf)
+            lines.append(f"static const {ctypes_of[buf.typecode]} {name}_{field}[] = {{{values}}};")
+            inits.append(f".{field} = {name}_{field}")
+    return "\n".join(lines + [f"static problem {name} = {{{', '.join(inits)}}};"])
+
+
+# Includes kernels.c, so that it can run the walks as two halves whatever
+# CPUs the process may use, and prints each walk's outcome as the tokens
+# _walk_tokens gives.
+TSAN_DRIVER = r"""
+#include "kernels.c"
+#include <stdio.h>
+
+%s
+
+static void run_walk(problem *p) {
+    double best, out;
+    int64_t counts[5];
+    mask_t joins[4 * 24];
+    int rc = sp_brute_search(p, 0.0, &best, joins, counts);
+    if (rc) {
+        printf("%%d %%llu\n", rc, (unsigned long long)p->missing);
+        return;
+    }
+    printf("%%a", best);
+    for (int i = 0; i < p->n - 1; i++) {
+        memcpy(&out, joins + 4 * i + 3, sizeof out);
+        printf(" %%llu %%llu %%llu %%a", (unsigned long long)joins[4 * i],
+               (unsigned long long)joins[4 * i + 1], (unsigned long long)joins[4 * i + 2], out);
+    }
+    for (int i = 0; i < 5; i++)
+        printf(" %%lld", (long long)counts[i]);
+    printf("\n");
+}
+
+int main(void) {
+    int lowest = 0;
+    walk odd = { .p = cycle8, .first = 1, .stride = 2, .lowest = &lowest, .unit = -1,
+                 .n_edges = cycle8.n_edges, .slots = cycle8.n - 1, .edge_u = cycle8.edge_u,
+                 .edge_v = cycle8.edge_v, .best = INFINITY };
+    pthread_once(&cpus_read, read_cpus);
+    two_cpus = 1;
+    run_walk(&cycle8);
+    run_walk(&failing);
+    /* The odd half, once the even one has failed in subtree 0. */
+    walk_half(&odd);
+    printf("%%d %%lld\n", odd.rc, (long long)odd.nodes);
+    drop(&odd.memo);
+    free(odd.best_seq);
+    return 0;
+}
+"""
+
+
+def _walk_tokens(inst):
+    """pure's walk of inst as the driver prints it: (best, joins, counts)
+    or KeyError's status and mask, floats as floats."""
+    try:
+        best, joins, *counts = _kernels.pure.brute_search(inst)
+    except KeyError as exc:
+        return [2, *exc.args]
+    return [best, *itertools.chain.from_iterable(joins), *counts]
+
+
+def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
+    # The cycle-8 walk and a cycle-8 catalog walk that misses the pair of
+    # edge 0 (the even half fails in its first subtree, the odd one in
+    # subtree 3), each on two threads whatever CPUs the process may use;
+    # then an odd half started after the even one failed, which must stop
+    # (status 4, STOPPED) before it walks a node.
+    # The driver is a C program of its own: libtsan is never preloaded into
+    # python3.
+    cc = _compiler()
+    runtime = subprocess.run([*cc, "-print-file-name=libtsan.so"], capture_output=True,
+                             text=True).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no libtsan for the C compiler")
+    cycle, cycle_model = sp.gen_topology("cycle", 8, seed=1)
+    edge = cycle.edges[0]
+    entries = {m: c for m, c in _catalog(cycle, cycle_model).entries.items()
+               if m != 1 << edge.v1 | 1 << edge.v2}
+    instances = {"cycle8": CostContext(cycle, cycle_model).instance,
+                 "failing": CostContext(cycle, sp.CardinalityCatalog(entries=entries)).instance}
+    driver = tmp_path / "driver.c"
+    driver.write_text(TSAN_DRIVER % "\n".join(_c_problem(name, inst)
+                                              for name, inst in instances.items()))
+    binary = tmp_path / "driver"
+    subprocess.run([*cc, "-std=c99", "-O1", "-g", "-pthread", "-fsanitize=thread",
+                    "-ffp-contract=off", f"-I{SOURCE.parent}", str(driver), "-o", str(binary),
+                    "-lm"], check=True)
+    proc = subprocess.run([str(binary)], capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, TSAN_OPTIONS="halt_on_error=1"))
+    assert proc.returncode == 0 and "ThreadSanitizer" not in proc.stderr, proc.stderr[-4000:]
+    got = [[float.fromhex(t) if "x" in t else int(t) for t in line.split()]
+           for line in proc.stdout.splitlines()]
+    want = [_walk_tokens(inst) for inst in instances.values()]
+    assert want[1][0] == 2
+    assert got == want + [[4, 0]]
+
+
+# Runs in a process that may use every CPU or, pinned, only the first: the
+# cycle-9 walk on the compiled backend at sys.argv[1], five times, while a
+# thread polls how many threads the process has.  Prints both.
+THREAD_COUNT_RUN = """
+import os, sys, threading
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import spanplan as sp
+from spanplan._kernels.loader import open_library
+from spanplan.cost import CostContext
+
+lib, most, done = open_library(sys.argv[1]), 0, False
+
+def poll():
+    global most
+    while not done:
+        most = max(most, len(os.listdir("/proc/self/task")))
+
+poller = threading.Thread(target=poll)
+poller.start()
+cycle = CostContext(*sp.gen_topology("cycle", 9, seed=1)).instance
+results = [lib.brute_search(cycle) for _ in range(5)]
+done = True
+poller.join()
+print(repr((most, results)))
+"""
+
+
+def test_a_process_pinned_to_one_cpu_walks_on_one_thread_with_equal_results(tmp_path):
+    # The kernels read the CPUs the process may use once, on the first long
+    # walk: pinned, no thread is ever seen beside the main one and the
+    # poller, and free, the walk's second thread is.
+    if not hasattr(os, "sched_setaffinity") or not os.path.isdir("/proc/self/task"):
+        pytest.skip("no CPU affinity or /proc/self/task to observe threads by")
+    library = tmp_path / "kernels.so"
+    subprocess.run([*_compiler(), "-shared", "-fPIC", "-O2", "-pthread", "-ffp-contract=off",
+                    str(SOURCE), "-o", str(library), "-lm"], check=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {}
+    for how in ("pinned", "free"):
+        proc = subprocess.run([sys.executable, "-c", THREAD_COUNT_RUN, str(library), how],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        runs[how] = ast.literal_eval(proc.stdout)
+    assert runs["pinned"][0] == 2
+    if len(os.sched_getaffinity(0)) >= 2:
+        assert runs["free"][0] == 3
+    assert runs["pinned"][1] == runs["free"][1]
 
 
 def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
@@ -413,6 +575,115 @@ def test_brute_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_
     graph, model = irregular_graph(kind, n, seed)
     inst = _instance(graph, _catalog(graph, model) if full_catalog else model)
     assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst)
+
+
+def _arrangement_cost(inst, order):
+    """The cost of the arrangement of edge ids order, summed as
+    brute_search sums it: each join's merge cost plus its two sides'."""
+    parent, comp, cost = list(range(inst.n)), [1 << v for v in range(inst.n)], [0.0] * inst.n
+    for e in order:
+        ru, rv = inst.edge_u[e], inst.edge_v[e]
+        while parent[ru] != ru:
+            ru = parent[ru]
+        while parent[rv] != rv:
+            rv = parent[rv]
+        lo, hi = sorted((comp[ru], comp[rv]))
+        cost[rv] = _kernels.pure.merge(inst, lo, hi)[0] + cost[ru] + cost[rv]
+        comp[rv], parent[ru] = lo | hi, rv
+    return cost[rv]
+
+
+@pytest.mark.parametrize("kind, turn", [("cycle", 8), ("star", 7)])
+def test_brute_search_ties_across_the_halves_as_the_sequential_walk_breaks_them(kind, turn,
+                                                                                compiled):
+    # Equal tables and selectivities: turning the graph by one edge (edge e
+    # to e + 1, mod turn) turns the optimal arrangement into another one
+    # that starts at an edge of the other parity, which the compiled walk's
+    # other half walks.  Both walks are long enough to run as two halves.
+    graph, model = sp.gen_topology(kind, 8, seed=0, base_range=(1000, 1000),
+                                   sel_range=(0.01, 0.01))
+    inst = CostContext(graph, model).instance
+    pure = _kernels.pure.brute_search(inst)
+    turned = [(eid + 1) % turn for eid, *_ in pure[1]]
+    assert turned[0] % 2 != pure[1][0][0] % 2
+    assert _arrangement_cost(inst, turned) == pure[0]
+    assert compiled.brute_search(inst) == pure
+
+
+def _without(graph, model, *missing):
+    """The instance of the model's catalog of every connected subset, less
+    the missing ones."""
+    entries = {m: c for m, c in _catalog(graph, model).entries.items() if m not in missing}
+    return CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
+
+
+# In a star the pair of the centre (0) and leaf e + 1 is a component only in
+# the subtree of depth-0 edge e, the pair's own edge, and so is every
+# component that holds leaf e + 1 and not leaf 1 (edge 0's).
+STAR_PAIR = [0b11, 0b101, 0b1001]  # edges 0, 1, 2
+STAR_LATE = 0b1011  # the centre, leaves 1 and 3: read after subtree (edge 0, edge 1)
+
+
+@pytest.mark.parametrize("missing, named", [
+    ((STAR_PAIR[0],), STAR_PAIR[0]),                # an even subtree
+    ((STAR_PAIR[1],), STAR_PAIR[1]),                # an odd subtree
+    ((STAR_PAIR[1], STAR_PAIR[2]), STAR_PAIR[1]),   # both halves fail; the lower subtree wins
+    ((STAR_PAIR[0], STAR_PAIR[1]), STAR_PAIR[0]),
+    ((STAR_LATE,), STAR_LATE),                      # late in the first subtree
+])
+def test_brute_search_names_the_missing_subset_the_sequential_walk_meets_first(missing, named,
+                                                                               compiled):
+    graph, model = sp.gen_topology("star", 8, seed=2)
+    inst = _without(graph, model, *missing)
+    for backend in (_kernels.pure, compiled):
+        with pytest.raises(KeyError) as info:
+            backend.brute_search(inst)
+        assert info.value.args == (named,), backend.name
+
+
+def test_brute_search_misses_what_pure_misses_for_every_subset_of_a_cycle(compiled):
+    graph, model = sp.gen_topology("cycle", 8, seed=2)
+    for missing in connected_subset_masks(graph):
+        inst = _without(graph, model, missing)
+        with pytest.raises(KeyError) as pure:
+            _kernels.pure.brute_search(inst)
+        with pytest.raises(KeyError) as fast:
+            compiled.brute_search(inst)
+        assert fast.value.args == pure.value.args == (missing,)
+
+
+def test_a_walk_whose_first_subtree_fails_raises_without_walking_the_other_half(compiled):
+    # star-12 has 11! (39.9 million) arrangements, seconds of walking.  Its
+    # first subtree misses the pair of edge 0 at once, and no other subtree
+    # ever reads it: the odd half stops as soon as it reads the clock.
+    graph, model = sp.gen_topology("star", 12, seed=1)
+    inst = _without(graph, model, STAR_PAIR[0])
+    for backend in (_kernels.pure, compiled):
+        t0 = time.perf_counter()
+        with pytest.raises(KeyError) as info:
+            backend.brute_search(inst)
+        assert info.value.args == (STAR_PAIR[0],)
+        assert time.perf_counter() - t0 < 0.1, backend.name
+
+
+def test_a_half_stops_at_its_next_clock_read_once_the_other_fails(compiled):
+    # star-13: the even half misses STAR_LATE after walking the 10!
+    # arrangements under edges 0 and 1, while the odd half's first subtree
+    # holds 11! and never reads it.  Once the even half fails, the odd one
+    # stops at its next clock read, so the call takes about as long as 10!
+    # arrangements on one thread: twice star-11's whole walk (10!, on two).
+    graph, model = sp.gen_topology("star", 11, seed=1)
+    inst = _without(graph, model)
+    t0 = time.perf_counter()
+    compiled.brute_search(inst)
+    walk_11 = time.perf_counter() - t0
+    graph, model = sp.gen_topology("star", 13, seed=1)
+    inst = _without(graph, model, STAR_LATE)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError) as info:
+        compiled.brute_search(inst)
+    assert info.value.args == (STAR_LATE,)
+    assert time.perf_counter() - t0 < 8 * walk_11
 
 
 def _naive_greedy(inst, graph, kind, start):
