@@ -2,13 +2,13 @@
 
 ``formula`` holds the one Python cost formula (``join_cost``, ``merge``,
 ``model_product``) and ``Instance``, which every backend takes.  ``pure``
-is the reference implementation of five kernels (``merge``,
-``model_cards``, ``greedy_search``, ``dp_search`` and ``brute_search``).
-``compiled`` runs the same five from ``kernels.c``, built next to this
+is the reference implementation of four kernels (``model_cards``,
+``greedy_search``, ``dp_search`` and ``brute_search``).
+``compiled`` runs the same four from ``kernels.c``, built next to this
 file as ``_ckernels`` by ``python3 setup.py build_ext`` and opened through
 ctypes by ``loader``; it is preferred whenever the build produced a library
 that matches ``loader`` (``DEFAULT_BACKEND`` names the backend chosen).
-The sixth kernel, ``count_trees``, counts the valid and the linear
+The fifth kernel, ``count_trees``, counts the valid and the linear
 ordered spanning-tree arrangements in closed form (``trees``); it has no
 C version, and ``oracle`` calls it here, without resolving a backend, so
 counting never opens the library.  The three searches return

@@ -20,6 +20,10 @@ SIDE_RIGHT = 1
 # Member kinds of a greedy_search run list.
 PRIM = 0
 KRUSKAL = 1
+# The most edges brute_search walks: kernels.c keeps a walk's edge sets in
+# one 64-bit word.  A graph with more has over 65!/54! (about 8.7e19)
+# arrangements, far past any walk.
+WALK_EDGES = 64
 
 
 class Instance:
@@ -66,14 +70,20 @@ def check_runs(inst: Instance, runs) -> None:
                          f" None or an edge id below {len(inst.edge_u)})")
 
 
-def check_masks(inst: Instance, masks, disjoint: bool = False) -> None:
-    """Raise ValueError unless masks are non-empty subsets of inst's tables,
-    and disjoint when they are merge's two sides: the compiled kernels index
-    per-table arrays by masks, and their memo keeps mask 0 for a free slot."""
-    if masks and not 0 < min(masks) <= max(masks) < 1 << inst.n \
-            or disjoint and masks[0] & masks[1]:
-        raise ValueError(f"kernel masks must be non-empty{' disjoint' if disjoint else ''}"
-                         f" subsets of the instance's {inst.n} tables")
+def check_masks(inst: Instance, masks) -> None:
+    """Raise ValueError unless masks are non-empty subsets of inst's tables:
+    the compiled kernels index per-table arrays by masks, and their memo
+    keeps mask 0 for a free slot."""
+    if masks and not 0 < min(masks) <= max(masks) < 1 << inst.n:
+        raise ValueError(f"kernel masks must be non-empty subsets of the instance's {inst.n}"
+                         " tables")
+
+
+def check_walk(inst: Instance) -> None:
+    """Raise ValueError when inst has more edges than brute_search walks."""
+    if len(inst.edge_u) > WALK_EDGES:
+        raise ValueError(f"brute_search walks at most {WALK_EDGES} edges, not"
+                         f" {len(inst.edge_u)}")
 
 
 def model_product(bases, edge_sels, mask: int) -> float:

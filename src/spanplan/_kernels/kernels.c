@@ -3,6 +3,9 @@
  * A mirror of the Python kernels: merge (with the join_cost it inlines) and
  * model_product mirror formula.py, the package's one Python cost formula;
  * model_cards, greedy_search, dp_search and brute_search mirror pure.py.
+ * brute_search walks each group of equivalent edges once and prices the
+ * last depth once, where pure's reference walk takes every arrangement;
+ * both return the same results and counters (see walk).
  * (count_trees has no C kernel: every backend counts in closed form in
  * trees.py, whose Python ints stay exact where int64 would overflow.)
  * The three searches write the winner's cost and its joins as (edge, left
@@ -16,6 +19,8 @@
  * halves, one on a second thread, when the process may run on two CPUs
  * (see walk_halves), with results and counters equal to one thread's.
  * Vertex sets are bitmasks; the 25-table graph cap keeps them below 2^32.
+ * brute_search's edge sets are one word: formula.check_walk refuses an
+ * instance of more than 64 edges before the call.
  * Every entry point returns one of the status codes below.
  */
 #define _GNU_SOURCE  /* sched_getaffinity, CPU_COUNT */
@@ -289,15 +294,6 @@ static int merge(problem *p, mask_t l, mask_t r, join *j) {
         return status;
     *j = join_of(p, l, r, out, lc, rc);
     return OK;
-}
-
-int sp_merge(problem *p, mask_t l, mask_t r, join *j) {
-    table memo = { 0 };
-    int rc = open_memo(p, &memo);
-    if (rc == OK)
-        rc = merge(p, l, r, j);
-    close_memo(p);
-    return rc;
 }
 
 /* pure.model_cards: each mask's cardinality, stopping at the first missing. */
@@ -853,9 +849,22 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
 
 /* brute_search's depth-first walk over ordered edge arrangements, or one
  * half of it: the subtrees of the depth-0 edges first, first + stride, ...
- * It skips an edge that closes a cycle, so it counts only valid (and
- * linear) ones.  Aligned so that two halves side by side share no cache
- * line. */
+ * It takes only live edges, those joining two components, so it counts
+ * only valid (and linear) arrangements.
+ *
+ * It walks each group of equivalent edges once.  A group is the edges whose
+ * v1 end lies in one component and whose v2 end lies in another.  Any of
+ * them makes the same union at the same cost, touches the same tables and
+ * leaves the same edges live, so their subtrees differ only in that edge
+ * id.  The walk takes the group's lowest edge and adds its subtree's
+ * valid, linear and evals once more for each other edge.  The others'
+ * subtrees come later in pure's order, so none holds a strictly cheaper
+ * arrangement and the first-found best is the same.  A group keeps v1/v2
+ * orientation: a join adds its v1 side's cost before its v2 side's, and the
+ * two orders can differ in the last bit.  At the last depth every live edge
+ * joins the two components left, and that join is priced once.
+ * pure.brute_search walks every arrangement as the reference.
+ * Aligned so that two halves side by side share no cache line. */
 typedef struct {
     problem p;                /* a copy of the caller's: memo, incident and missing
                                * are set per call */
@@ -867,7 +876,9 @@ typedef struct {
     int n_edges, slots;
     const int *edge_u, *edge_v;
     int *parent;
-    int8_t *used;
+    mask_t *cu, *cv;          /* per root, the edges whose v1 / v2 end its component
+                               * holds */
+    mask_t live;              /* the edges that join two components */
     int64_t counts[5];        /* valid, linear, subplans, splits, evals */
     int64_t nodes;
     double deadline;
@@ -907,57 +918,88 @@ static int stopped(walk *w, int unit) {
     return __atomic_load_n(w->lowest, __ATOMIC_RELAXED) < unit;
 }
 
-/* The walk on from depth, over the edges [lo, hi) at depth: one edge at
- * depth 0 (a subtree), all of them below.  Every 4096th node reads the
- * clock, when there is a deadline, and checks whether the other half failed
- * in a lower subtree. */
-static int step(walk *w, int depth, int lo, int hi, mask_t touched, int touched_cnt,
+/* The last depth, whose edges (choices) all join the two components left:
+ * one memo_merge prices them, and each counts as valid, as linear when the
+ * parent is, and as an evaluation.  The lowest edge of each orientation's
+ * group is compared with the best, in edge order. */
+static int last(walk *w, int depth, mask_t choices, int linear) {
+    int e = BIT(choices), ru = find(w->parent, w->edge_u[e]), rv = find(w->parent, w->edge_v[e]);
+    mask_t lm = w->comp_mask[ru], rm = w->comp_mask[rv];
+    mask_t back = w->cu[rv] & w->cv[ru] & choices, *s = w->seq + 4 * depth;
+    int64_t k = choices & (choices - 1) ? __builtin_popcountll(choices) : 1;
+    double inc, cost[2];
+    int rc;
+    if ((rc = memo_merge(w, lm, rm, &inc)))
+        return rc;
+    w->counts[0] += k;
+    w->counts[1] += linear ? k : 0;
+    w->counts[4] += k - 1;
+    cost[0] = inc + w->comp_cost[ru] + w->comp_cost[rv];
+    cost[1] = inc + w->comp_cost[rv] + w->comp_cost[ru];
+    for (int i = 0; i < 1 + (back != 0); i++) {
+        if (cost[i] < w->best) {
+            s[0] = (mask_t)(i ? BIT(back) : e);
+            s[1] = i ? rm : lm;
+            s[2] = i ? lm : rm;
+            w->best = cost[i];
+            memcpy(w->best_seq, w->seq, 4 * w->slots * sizeof *w->seq);
+        }
+    }
+    return OK;
+}
+
+/* The walk on from depth over the edges in choices: a depth-0 edge's
+ * group, or every live edge below depth 0.  A node above the last depth
+ * hands its children to last() itself; step starts at the last depth only
+ * when that is depth 0.  The first node and every 4096th read the clock,
+ * when there is a deadline, and check whether the other half failed in a
+ * lower subtree. */
+static int step(walk *w, int depth, mask_t choices, mask_t touched, int touched_cnt,
                 int linear) {
     int rc;
-    if (++w->nodes % 4096 == 0) {
+    if ((++w->nodes & 4095) == 1) {
         if (w->deadline != 0.0 && now() > w->deadline)
             return TIMEOUT;
         if (stopped(w, w->unit))
             return STOPPED;
     }
-    for (int e = lo; e < hi; e++) {
-        int u = w->edge_u[e], v = w->edge_v[e], ru, rv, cnt, new_linear;
-        mask_t lm, rm;
-        double inc, new_cost, saved_cost;
-        if (w->used[e])
-            continue;
-        ru = find(w->parent, u);
-        rv = find(w->parent, v);
-        if (ru == rv)  /* it would close a cycle */
-            continue;
-        lm = w->comp_mask[ru];
-        rm = w->comp_mask[rv];
+    if (depth + 1 == w->slots)
+        return last(w, depth, choices, linear);
+    for (mask_t rest = choices; rest;) {
+        int e = BIT(rest), u = w->edge_u[e], v = w->edge_v[e], cnt, new_linear;
+        int ru = find(w->parent, u), rv = find(w->parent, v);
+        mask_t lm = w->comp_mask[ru], rm = w->comp_mask[rv], group = w->cu[ru] & w->cv[rv];
+        mask_t live = w->live, cu = w->cu[rv], cv = w->cv[rv];
+        int64_t k = group & (group - 1) ? __builtin_popcountll(group) : 1, before[5];
+        double inc, saved_cost = w->comp_cost[rv];
+        rest &= ~group;  /* e is the group's lowest edge: a lower one took it out */
+        if (k > 1)
+            memcpy(before, w->counts, sizeof before);
         if ((rc = memo_merge(w, lm, rm, &inc)))
             return rc;
-        new_cost = inc + w->comp_cost[ru] + w->comp_cost[rv];
-        saved_cost = w->comp_cost[rv];
+        w->comp_cost[rv] = inc + w->comp_cost[ru] + w->comp_cost[rv];
         w->comp_mask[rv] = lm | rm;
-        w->comp_cost[rv] = new_cost;
+        w->live &= ~(group | (cu & w->cv[ru]));
+        w->cu[rv] |= w->cu[ru];
+        w->cv[rv] |= w->cv[ru];
+        w->parent[ru] = rv;
         w->seq[4 * depth] = (mask_t)e;
         w->seq[4 * depth + 1] = lm;
         w->seq[4 * depth + 2] = rm;
-        w->parent[ru] = rv;
-        w->used[e] = 1;
         cnt = touched_cnt + !((touched >> u) & 1) + !((touched >> v) & 1);
         new_linear = linear && cnt - (depth + 1) == 1;
-        if (depth + 1 == w->slots) {
-            w->counts[0]++;
-            w->counts[1] += new_linear;
-            if (new_cost < w->best) {
-                w->best = new_cost;
-                memcpy(w->best_seq, w->seq, 4 * w->slots * sizeof *w->seq);
-            }
-        } else if ((rc = step(w, depth + 1, 0, w->n_edges,
-                              touched | (mask_t)1 << u | (mask_t)1 << v, cnt, new_linear))) {
+        if ((rc = depth + 2 == w->slots
+                  ? last(w, depth + 1, w->live, new_linear)
+                  : step(w, depth + 1, w->live, touched | (mask_t)1 << u | (mask_t)1 << v, cnt,
+                         new_linear)))
             return rc;
-        }
-        w->used[e] = 0;
+        if (k > 1)
+            for (int i = 0; i < 5; i++)  /* subplans and splits stay 0 during the walk */
+                w->counts[i] += (k - 1) * (w->counts[i] - before[i]);
         w->parent[ru] = ru;
+        w->live = live;
+        w->cu[rv] = cu;
+        w->cv[rv] = cv;
         w->comp_mask[rv] = rm;
         w->comp_cost[rv] = saved_cost;
     }
@@ -972,13 +1014,14 @@ static void *walk_half(void *arg) {
     int n = w->slots + 1, n_edges = w->n_edges, slots = w->slots, seen;
     int rc = open_memo(&w->p, &w->cards);
     w->parent = malloc(n * sizeof *w->parent);
-    w->used = calloc(n_edges, sizeof *w->used);
+    w->cu = calloc(n, sizeof *w->cu);
+    w->cv = calloc(n, sizeof *w->cv);
     w->comp_mask = malloc(n * sizeof *w->comp_mask);
     w->comp_cost = malloc(n * sizeof *w->comp_cost);
     w->seq = calloc(4 * (size_t)slots, sizeof *w->seq);
     w->best_seq = malloc(4 * (size_t)slots * sizeof *w->best_seq);
-    if (rc == OK && (!w->parent || !w->used || !w->comp_mask || !w->comp_cost || !w->seq
-                     || !w->best_seq))
+    if (rc == OK && (!w->parent || !w->cu || !w->cv || !w->comp_mask || !w->comp_cost
+                     || !w->seq || !w->best_seq))
         rc = NOMEM;
     if (rc == OK) {
         for (int v = 0; v < n; v++) {
@@ -986,10 +1029,21 @@ static void *walk_half(void *arg) {
             w->comp_mask[v] = (mask_t)1 << v;
             w->comp_cost[v] = 0.0;
         }
-        /* Each of the half's subtrees, unless the other half failed in a
-         * lower one. */
-        for (int e = w->first; rc == OK && e < n_edges; e += w->stride)
-            rc = stopped(w, w->unit = e) ? STOPPED : step(w, 0, e, e + 1, 0, 0, 1);
+        for (int e = 0; e < n_edges; e++) {
+            w->cu[w->edge_u[e]] |= (mask_t)1 << e;
+            w->cv[w->edge_v[e]] |= (mask_t)1 << e;
+            if (w->edge_u[e] != w->edge_v[e])
+                w->live |= (mask_t)1 << e;
+        }
+        /* Each of the half's subtrees whose edge is its group's lowest,
+         * unless the other half failed in a lower one. */
+        for (int e = w->first; rc == OK && e < n_edges; e += w->stride) {
+            mask_t group = w->cu[w->edge_u[e]] & w->cv[w->edge_v[e]] & w->live;
+            if (stopped(w, w->unit = e))
+                rc = STOPPED;
+            else if (group && BIT(group) == e)
+                rc = step(w, 0, group, 0, 0, 1);
+        }
     }
     /* The best arrangement's out cards, read from card(), which priced them. */
     for (int i = 0; rc == OK && w->best < INFINITY && i < slots; i++) {
@@ -1000,7 +1054,8 @@ static void *walk_half(void *arg) {
     }
     close_memo(&w->p);
     free(w->parent);
-    free(w->used);
+    free(w->cu);
+    free(w->cv);
     free(w->comp_mask);
     free(w->comp_cost);
     free(w->seq);
@@ -1013,14 +1068,21 @@ static void *walk_half(void *arg) {
     return NULL;
 }
 
-/* A walk scans every edge at each inner node, and at depth d it has at most
- * P(n_edges, d) of them.  It runs as two halves when that bound reaches
- * SPLIT_SCANS and the process may run on two CPUs, read once.  Measured on
- * a 2-vCPU Xeon VM: a walk scans about 100 edges a microsecond, while
- * starting and joining a thread whose CPU has idled for a millisecond or
- * more takes 75-150 us, so split, cycle-7's walk (25,340 scans) went from
- * 0.22 to 0.31 ms, and star-8's (60,620) from 0.67 to 0.54 ms. */
-enum { SPLIT_SCANS = 50000 };
+/* A walk's work is its memo_merge calls: one for each group it walks above
+ * the last depth and one for each node at the last depth.  A node with c
+ * components has at most min(live edges, c (c - 1)) groups, one per ordered
+ * pair, and at depth d at most n_edges - d edges are live; that bound is
+ * exact on trees and cycles and about 2.5 times the walk on cliques.  The
+ * walk runs as two halves when the bound reaches SPLIT_CALLS and the
+ * process may run on two CPUs, read once.  Starting and joining a thread
+ * whose CPU has idled for a millisecond or more takes 75-150 us.  Measured
+ * on a 2-vCPU Xeon VM, in process with 3 ms idle gaps between calls,
+ * medians of 61-101 calls over two to five runs, one thread against two:
+ * clique-5 (bound 1,180) 0.10-0.14 against 0.25-0.31 ms, cycle-7 (6,139)
+ * 0.19-0.34 against 0.25-0.40 ms, star-8 (13,699) 0.42-0.55 against
+ * 0.41-0.54 ms, clique-6 (bound 32,985) 0.51-0.68 against 0.48-0.57 ms and
+ * cycle-8 (49,120) 1.59-1.66 against 1.02-1.09 ms. */
+enum { SPLIT_CALLS = 10000 };
 
 static pthread_once_t cpus_read = PTHREAD_ONCE_INIT;
 static int two_cpus;
@@ -1032,24 +1094,26 @@ static void read_cpus(void) {
 #endif
 }
 
-static int walk_halves(int n_edges, int slots) {
-    double nodes = 0.0, at_depth = 1.0;
-    for (int d = 0; d < slots; d++) {
-        nodes += at_depth;
-        at_depth *= n_edges - d;
+static int walk_halves(int n, int n_edges) {
+    double nodes = 1.0, calls = 0.0;
+    for (int d = 0; d < n - 2; d++) {  /* the depths above the last */
+        int pairs = (n - d) * (n - d - 1);
+        nodes *= n_edges - d < pairs ? n_edges - d : pairs;
+        calls += nodes;
     }
     pthread_once(&cpus_read, read_cpus);
-    return two_cpus && nodes * n_edges >= SPLIT_SCANS;
+    return two_cpus && calls + nodes >= SPLIT_CALLS;
 }
 
 /* pure.brute_search; joins receives the best arrangement's (edge, left,
  * right, out card) joins and counts the five counters after them.
  *
  * Its two halves walk the subtrees of the even and of the odd depth-0
- * edges, which balances the symmetric graphs; one runs on a second thread,
- * or after the other when no thread can be started.  They share nothing:
- * each has its own copy of the problem, memos and tables.  Merged, valid,
- * linear and evals add up (each memo_merge call counts, hit or not), and
+ * edges, which balances the symmetric graphs; a depth-0 edge whose group
+ * holds a lower one is counted by the half that walks that one.  One half
+ * runs on a second thread, or after the other when no thread can be
+ * started.  They share nothing: each has its own copy of the problem, memos
+ * and tables.  Merged, valid, linear and evals add up, and
  * splits and subplans count the pairs and the unions of the two merge
  * memos together.  The best is the lower cost, and on equal ones the half's
  * whose best arrangement starts at the lower edge: the one walked first.
@@ -1068,7 +1132,7 @@ int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
         memcpy(counts, one, sizeof one);
         return OK;
     }
-    halves = walk_halves(p->n_edges, p->n - 1);
+    halves = walk_halves(p->n, p->n_edges);
     for (int i = 0; i < 2; i++)
         w[i] = (walk){ .p = *p, .first = i, .stride = halves ? 2 : 1, .lowest = &lowest,
                        .unit = -1, .n_edges = p->n_edges, .slots = p->n - 1,

@@ -1,12 +1,12 @@
 """ctypes front end of the compiled kernels in ``kernels.c``.
 
 ``open_library(path)`` opens a built copy of ``kernels.c`` and returns the
-``compiled`` backend: a module with ``pure``'s six kernels, taking the same
-arguments and returning the same values.  Five of them run in C, and
+``compiled`` backend: a module with ``pure``'s five kernels, taking the same
+arguments and returning the same values.  Four of them run in C, and
 ``count_trees`` is the closed form every backend shares.  It refuses, with
 ``StaleLibraryError``, a library that lacks a kernel, was built from
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
-``_Problem``.  Its ``merge`` is the C mirror of
+``_Problem``.  The C searches price joins with the mirror of
 ``formula.merge``, the one Python cost formula.  An instance
 (``formula.Instance``) crosses the boundary as flat ``array`` buffers
 behind one ``_Problem``, without what C derives (``Instance.pair_inner``,
@@ -19,7 +19,7 @@ A long ``brute_search`` walk may run as two halves on two threads inside
 one call, each half on its own copy of the ``_Problem``, writing back
 only ``missing``: that rule still holds.
 Results come back in flat buffers too, and each mask and run list is
-checked first (``formula.check_masks``, ``check_runs``).  Nothing here
+checked first (``formula.check_masks``, ``check_runs``, ``check_walk``).  Nothing here
 imports ``pure``.
 """
 from __future__ import annotations
@@ -35,12 +35,12 @@ from functools import partial
 
 from ..errors import OptimizeTimeout
 from . import StaleLibraryError, count_trees
-from .formula import check_masks, check_runs
+from .formula import check_masks, check_runs, check_walk
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
 VERSION = 3
-_SYMBOLS = ("sp_merge", "sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
+_SYMBOLS = ("sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
             "sp_problem_size", "sp_version")
 
 
@@ -54,10 +54,6 @@ class _Problem(ctypes.Structure):
                 # Set by the kernels:
                 ("memo", c_void_p), ("incident", c_void_p), ("missing", c_uint64),
                 ("words", c_int)]
-
-
-class _Join(ctypes.Structure):
-    _fields_ = [("cost", c_double), ("out", c_double), ("op", c_int), ("side", c_int)]
 
 
 def _addr(buf: array) -> int:
@@ -93,13 +89,6 @@ def _check(status: int, prob: _Problem, search: str) -> None:
         raise KeyError(prob.missing)
     if status:
         raise MemoryError(f"{search} ran out of memory")
-
-
-def _merge(lib, inst, l_mask: int, r_mask: int):
-    check_masks(inst, (l_mask, r_mask), disjoint=True)
-    prob, join = _problem(inst), _Join()
-    _check(lib.sp_merge(prob, l_mask, r_mask, join), prob, "merge")
-    return join.cost, join.op, join.side, join.out
 
 
 def _model_cards(lib, inst, masks) -> list[float]:
@@ -140,6 +129,7 @@ def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float 
 
 
 def _brute_search(lib, inst, deadline: float = 0.0):
+    check_walk(inst)
     prob, best, joins, counts = _problem(inst), c_double(), _join_buffer(inst), array("q", bytes(40))
     _check(lib.sp_brute_search(prob, deadline, byref(best), _addr(joins), _addr(counts)),
            prob, "oracle enumeration")
@@ -170,7 +160,6 @@ def open_library(path) -> types.ModuleType:
         # A kernel would write the fields it sets past the ctypes struct.
         raise refuse(f"has a {size}-byte problem struct, not {ctypes.sizeof(_Problem)}")
     problem = POINTER(_Problem)
-    lib.sp_merge.argtypes = [problem, c_uint64, c_uint64, POINTER(_Join)]
     lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p]
     lib.sp_greedy_search.argtypes = [problem, c_void_p, c_int, c_double, c_void_p, c_void_p,
                                      c_void_p]
@@ -180,7 +169,7 @@ def open_library(path) -> types.ModuleType:
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
     backend.problem_size = size
-    for kernel in (_merge, _model_cards, _greedy_search, _dp_search, _brute_search):
+    for kernel in (_model_cards, _greedy_search, _dp_search, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
     backend.count_trees = count_trees  # read outside tests only by perfbench's tracer
     return backend

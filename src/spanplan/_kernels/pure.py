@@ -11,9 +11,8 @@ search returns ``(cost, joins, counters...)``, ``joins`` being the
 winner's ``(edge, left mask, right mask, out card)`` list in replay order,
 each out card read from the ``_Cards`` memo that priced its join.  They
 price every join with ``formula.merge``, the package's one Python cost
-formula; pure's ``merge`` kernel is that formula over the cardinalities
-every kernel reads (``_Cards``), as the compiled ``merge`` reads them.  The C kernels in
-``kernels.c`` mirror this module and ``formula`` operation-for-operation;
+formula, over the cardinalities every kernel reads (``_Cards``).  The C
+kernels in ``kernels.c`` mirror this module and ``formula`` operation-for-operation;
 equivalence is enforced by tests/test_kernels.py.  ``get_backend("pure")``
 imports this module on first use, so a process that runs the compiled
 searches never compiles it.
@@ -33,7 +32,8 @@ import time
 from ..errors import OptimizeTimeout
 from ..graph import iter_bits
 from . import count_trees  # noqa: F401  (read outside tests only by perfbench's tracer)
-from .formula import PRIM, SIDE_LEFT, Instance, check_masks, check_runs, model_product
+from .formula import (PRIM, SIDE_LEFT, Instance, check_masks, check_runs, check_walk,
+                      model_product)
 from .formula import merge as _merge
 
 name = "pure"
@@ -65,14 +65,6 @@ def _view(inst: Instance) -> Instance:
     view = copy.copy(inst)
     view.cards = _Cards(inst)
     return view
-
-
-def merge(inst: Instance, l_mask: int, r_mask: int):
-    """``formula.merge`` with the cardinalities read through ``_Cards``, as
-    every kernel reads them.  Raises KeyError(mask) for a mask neither
-    source gives, and ValueError for sides ``check_masks`` refuses."""
-    check_masks(inst, (l_mask, r_mask), disjoint=True)
-    return _merge(_view(inst), l_mask, r_mask)
 
 
 def model_cards(inst: Instance, masks) -> list[float]:
@@ -348,10 +340,18 @@ def brute_search(inst: Instance, deadline: float = 0.0):
     stay exact (``oracle`` derives the invalid and bushy ones) and every
     complete plan is compared.  Cardinalities are read through ``_Cards``.
 
+    This is the reference walk: it takes every arrangement, edge by edge.
+    ``kernels.c`` walks only the lowest edge of each group of equivalent
+    edges (same two components, same v1/v2 orientation), counts the rest of
+    the group from that subtree, and prices the last depth once; its result
+    is the same tuple.  An instance with more than ``formula.WALK_EDGES``
+    edges raises ValueError on both backends.
+
     Returns (best_cost, joins, valid, linear, subplans, splits, evals): the
     cheapest arrangement's joins as (edge, component of its v1, component of
     its v2, out card), in order.
     """
+    check_walk(inst)
     n, edge_u, edge_v = inst.n, inst.edge_u, inst.edge_v
     n_edges = len(edge_u)
     slots = n - 1

@@ -51,7 +51,7 @@ def _load_catalog_file(graph, path: str) -> CardinalitySource:
 
     try:
         doc = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise GraphFormatError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError:
         raise GraphFormatError(f"invalid JSON in {path}: nested too deeply") from None

@@ -251,7 +251,7 @@ def load_document(document: str):
     """
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise GraphFormatError("invalid JSON: nested too deeply") from None

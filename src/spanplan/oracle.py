@@ -17,6 +17,7 @@ import time
 from typing import NamedTuple
 
 from . import _kernels
+from ._kernels.formula import WALK_EDGES
 from .cost import CardinalitySource, CostParams
 from .errors import LimitExceededError
 from .graph import JoinGraph
@@ -70,8 +71,12 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
     """Minimum-cost plan by walking every valid ordered spanning tree.
 
     Returns (plan, stats); stats.plans_enumerated is the exact number of
-    valid arrangements compared.
+    valid arrangements compared.  A graph of more than
+    ``formula.WALK_EDGES`` (64) edges is refused first, whatever limit is
+    given: it has over 65!/54! arrangements.
     """
+    if graph.n_edges > WALK_EDGES:
+        raise LimitExceededError(f"{graph.n_edges} edges exceed the oracle's limit of {WALK_EDGES}")
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     if bound > limit:
         raise LimitExceededError(f"{bound} arrangements exceed the limit of {limit}")

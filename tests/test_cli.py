@@ -204,6 +204,45 @@ def test_deeply_nested_json_exits_1_with_one_line(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("optimize", "--graph", "{long}"),
+    ("count", "--graph", "{long}"),
+    ("optimize", "--graph", Q2A, "--selection-catalog", "{long}"),
+    ("bench", "--graph", Q2A, "--algos", "goo", "--evaluation-catalog", "{long}"),
+])
+def test_an_integer_longer_than_python_converts_exits_1_with_one_line(capsys, tmp_path, argv):
+    # json.loads refuses an integer literal of more than 4,300 digits with a
+    # ValueError that is not a JSONDecodeError.
+    with open(Q2A) as fh:
+        text = fh.read()
+    assert '"cardinality": 4545000' in text
+    long = tmp_path / "long.json"
+    long.write_text(text.replace('"cardinality": 4545000', '"cardinality": ' + "9" * 4301))
+    code, out, err = run(capsys, *(a.format(long=long) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("spanplan: error: invalid JSON") and err.count("\n") == 1, err
+    assert "4300 digits" in err, err
+
+
+def test_a_key_repeated_in_one_object_takes_its_last_value(capsys, tmp_path):
+    # As json.loads reads it: the first "cardinality" of mk and the first
+    # "k,mk" of the catalog are overridden, and the plan is q2a's.
+    with open(Q2A) as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    assert '"cardinality": 4545000' in text and doc["cardinalities"]["k,mk"] == 42000
+    twice = tmp_path / "twice.json"
+    first = '"cardinality": 4545000'
+    twice.write_text(text.replace(first, '"cardinality": 1, ' + first)
+                     .replace('"k,mk": 42000', '"k,mk": 7, "k,mk": 42000'))
+    assert json.loads(twice.read_text()) == doc
+    want = run(capsys, "optimize", "--graph", Q2A, "--algo", "exhaustive")
+    assert want[0] == 0
+    assert run(capsys, "optimize", "--graph", str(twice), "--algo", "exhaustive") == want
+    assert run(capsys, "optimize", "--graph", str(twice), "--algo", "exhaustive",
+               "--selection-catalog", str(twice)) == want
+
+
+@pytest.mark.parametrize("argv", [
     ("optimize", "--graph", "{bad}"),
     ("count", "--graph", "{bad}"),
     ("optimize", "--graph", Q2A, "--selection-catalog", "{bad}"),

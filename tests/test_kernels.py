@@ -46,7 +46,8 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 # on small graphs, each search's joins filling its buffer, greedy_search and
 # model_cards over clique-20's three-word edge bitsets, one instance's
 # kept problem through a failing call, two searches and a passing call, a
-# clique-12 walk stopped by its deadline, and masks check_masks refuses.
+# grouped clique-6 walk, a clique-11 walk stopped by its deadline, a
+# clique-12 walk refused, and masks check_masks refuses.
 SANITIZED_RUN = """
 import sys, time
 import spanplan as sp
@@ -78,8 +79,6 @@ for graph, model in cases:
                 for e in (None, *range(graph.n_edges))]
         calls = [("model_cards", inst, masks), ("greedy_search", inst, runs),
                  ("dp_search", inst, masks), ("brute_search", inst)]
-        calls += [("merge", inst, 1 << e.v1, 1 << e.v2) for e in graph.edges]
-        calls += [("merge", inst, m, graph.full_mask ^ m) for m in masks[:-1]]
         for call in calls:
             assert outcome(lib, *call) == outcome(pure, *call), call[0]
         if isinstance(source, sp.SelectivityModel):
@@ -113,12 +112,19 @@ assert got == [outcome(pure, *call) for call in calls]
 assert got[0][0] is got[1][0] is KeyError and got[0] != got[1] and len(got[3]) == len(small)
 assert _problem(inst) is _problem(inst)
 
-graph, model = sp.gen_topology("clique", 12, seed=0)
+# The grouped walk of clique-6, on two threads when two CPUs are allowed;
+# the clique-11 walk (55 edges) stopped by its deadline; clique-12's 66
+# edges, more than one word holds, refused before the walk.
+inst = CostContext(*sp.gen_topology("clique", 6, seed=0)).instance
+assert outcome(lib, "brute_search", inst) == outcome(pure, "brute_search", inst)
+graph, model = sp.gen_topology("clique", 11, seed=0)
 try:
     lib.brute_search(CostContext(graph, model).instance, time.perf_counter() + 0.01)
-    raise AssertionError("the clique-12 walk finished within 10 ms")
+    raise AssertionError("the clique-11 walk finished within 10 ms")
 except sp.OptimizeTimeout:
     pass
+inst = CostContext(*sp.gen_topology("clique", 12, seed=0)).instance
+assert outcome(lib, "brute_search", inst)[0] is ValueError
 inst = CostContext(*sp.gen_topology("chain", 5, seed=1)).instance
 for kernel, calls in BAD_MASKS.items():
     for args in calls:
@@ -197,6 +203,7 @@ int main(void) {
     pthread_once(&cpus_read, read_cpus);
     two_cpus = 1;
     run_walk(&cycle8);
+    run_walk(&clique6);
     run_walk(&failing);
     /* The odd half, once the even one has failed in subtree 0. */
     walk_half(&odd);
@@ -219,9 +226,10 @@ def _walk_tokens(inst):
 
 
 def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
-    # The cycle-8 walk and a cycle-8 catalog walk that misses the pair of
-    # edge 0 (the even half fails in its first subtree, the odd one in
-    # subtree 3), each on two threads whatever CPUs the process may use;
+    # The cycle-8 walk, the grouped clique-6 walk and a cycle-8 catalog walk
+    # that misses the pair of edge 0 (the even half fails in its first
+    # subtree, the odd one in subtree 3), each on two threads whatever CPUs
+    # the process may use;
     # then an odd half started after the even one failed, which must stop
     # (status 4, STOPPED) before it walks a node.
     # The driver is a C program of its own: libtsan is never preloaded into
@@ -236,6 +244,7 @@ def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
     entries = {m: c for m, c in _catalog(cycle, cycle_model).entries.items()
                if m != 1 << edge.v1 | 1 << edge.v2}
     instances = {"cycle8": CostContext(cycle, cycle_model).instance,
+                 "clique6": CostContext(*sp.gen_topology("clique", 6, seed=1)).instance,
                  "failing": CostContext(cycle, sp.CardinalityCatalog(entries=entries)).instance}
     driver = tmp_path / "driver.c"
     driver.write_text(TSAN_DRIVER % "\n".join(_c_problem(name, inst)
@@ -250,7 +259,7 @@ def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
     got = [[float.fromhex(t) if "x" in t else int(t) for t in line.split()]
            for line in proc.stdout.splitlines()]
     want = [_walk_tokens(inst) for inst in instances.values()]
-    assert want[1][0] == 2
+    assert want[2][0] == 2
     assert got == want + [[4, 0]]
 
 
@@ -315,36 +324,58 @@ def _instance(graph, model):
     return ctx.instance
 
 
-def _joinable_pairs(graph):
-    """Every (left, right) pair of disjoint connected subsets that an edge joins."""
-    masks = connected_subset_masks(graph)
-    return [(l, r) for l in masks for r in masks
-            if not l & r and graph.crossing_edges(l, r) and graph.is_connected_mask(l | r)]
+def _merge(inst, l_mask, r_mask):
+    """formula.merge over the cardinalities every kernel reads (pure._Cards),
+    so that it never fills inst's own."""
+    return formula.merge(_kernels.pure._view(inst), l_mask, r_mask)
+
+
+def _joins_cost(inst, joins):
+    """The cost of a search's joins priced by _merge and summed as the
+    kernels sum them; each join's out card must be _merge's."""
+    cost_of = {1 << v: 0.0 for v in range(inst.n)}
+    for _edge, left, right, out in joins:
+        step, _op, _side, want = _merge(inst, left, right)
+        assert out == want, (left, right)
+        cost_of[left | right] = step + cost_of[left] + cost_of[right]
+    return cost_of[(1 << inst.n) - 1]
 
 
 def test_merge_equivalence(q2a, compiled):
+    # The C cost formula against formula.merge on every join each compiled
+    # search returns: its out card, and its cost summed bit for bit.
     for kind, n, graph, model in mixed_instances(12, base_seed=6000):
         inst = _instance(graph, model)
-        for l, r in _joinable_pairs(graph):
-            assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
-    # A catalog instance whose context has priced nothing: both backends
-    # read the catalog, and neither fills the context's cardinalities.
+        for cost, joins, *_counts in (
+                compiled.dp_search(inst, connected_subset_masks(graph)),
+                compiled.greedy_search(inst, _greedy_runs(graph)[-1]),
+                compiled.brute_search(inst)):
+            assert _joins_cost(inst, joins) == cost, (kind, n)
+    # A catalog instance whose context has priced nothing: the kernels read
+    # the catalog, and none fills the context's cardinalities.
     graph, catalog = q2a
     inst = CostContext(graph, catalog).instance
-    assert _kernels.pure.merge(inst, 1, 2) == (1100001.0, 0, 1, 42000.0)
-    for l, r in _joinable_pairs(graph):
-        assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
+    assert _merge(inst, 1, 2) == (1100001.0, 0, 1, 42000.0)
+    cost, joins, *_counts = compiled.brute_search(inst)
+    assert _joins_cost(inst, joins) == cost == 1617001.0
     assert inst.cards == {}
 
 
 def test_merge_equivalence_on_equal_cardinalities(compiled):
-    # Seeded models rarely tie; the hash-build side must break ties alike.
+    # Seeded models rarely tie: the hash-build side breaks ties toward the
+    # smaller mask, and every search on the tied instance agrees across
+    # backends.
     inst = formula.Instance(
         n=3, edge_u=(0, 1), edge_v=(1, 2), scan=(2.0, 2.0, 2.0), indexed=(False,) * 3,
         lam=2.0, cards={1: 10.0, 2: 10.0, 4: 10.0, 3: 10.0, 6: 10.0, 7: 5.0},
         pair_inner={3: 1, 6: 2})
-    for l, r in ((1, 2), (2, 1), (3, 4), (4, 3), (1, 6), (6, 1)):
-        assert _kernels.pure.merge(inst, l, r) == compiled.merge(inst, l, r)
+    assert [_merge(inst, l, r) for l, r in ((1, 2), (2, 1), (3, 4), (4, 3), (1, 6), (6, 1))] \
+        == [(24.0, 0, 0, 10.0), (24.0, 0, 1, 10.0), (17.0, 0, 0, 5.0), (17.0, 0, 1, 5.0),
+            (17.0, 0, 0, 5.0), (17.0, 0, 1, 5.0)]
+    runs = [(formula.PRIM, None), (formula.KRUSKAL, None), (formula.PRIM, 0), (formula.KRUSKAL, 1)]
+    for kernel, args in (("dp_search", (inst, (1, 2, 4, 3, 6, 7))), ("brute_search", (inst,)),
+                         ("greedy_search", (inst, runs))):
+        assert getattr(_kernels.pure, kernel)(*args) == getattr(compiled, kernel)(*args), kernel
 
 
 def _catalog(graph, model):
@@ -445,7 +476,7 @@ def test_greedy_members_record_the_join_a_fresh_merge_gives():
                 joins, total = search.member(member, start)
                 cost_of = {1 << v: 0.0 for v in range(n)}
                 for _eid, left, right, op, side in joins:
-                    step, want_op, want_side, _out = _kernels.pure.merge(inst, left, right)
+                    step, want_op, want_side, _out = _merge(inst, left, right)
                     assert (op, side) == (want_op, want_side), (kind, n, member, start)
                     cost_of[left | right] = step + cost_of[left] + cost_of[right]
                 assert cost_of[graph.full_mask] == total, (kind, n, member, start)
@@ -577,6 +608,48 @@ def test_brute_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_
     assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst)
 
 
+@pytest.mark.parametrize("kind, n", [("clique", 6), ("clique", 7), ("cycle", 9)])
+def test_the_grouped_walk_counts_every_arrangement_and_finds_the_optimum(compiled, kind, n):
+    # Walks too long for pure (clique-7: 13.8 million evaluations): the
+    # compiled walk's valid and linear counts, of which it walks only each
+    # group's lowest edge, equal the closed form's, and its cost the DP's.
+    graph, model = sp.gen_topology(kind, n, seed=1)
+    inst = _instance(graph, model)
+    cost, joins, valid, linear, *_ = compiled.brute_search(inst)
+    edge_u = [e.v1 for e in graph.edges]
+    edge_v = [e.v2 for e in graph.edges]
+    assert (valid, linear) == compiled.count_trees(n, edge_u, edge_v)
+    assert cost == sp.exhaustive(graph, model)[0].internal_cost == _joins_cost(inst, joins)
+
+
+# Joins of two components whose edges run both ways, v1 in either, where
+# the two orientations' costs differ in the last bit: chorded-4's last join
+# ({0, 1} and {2, 3}: edge 1 from {2, 3}, edges 2 and 4 from {0, 1}) and
+# clique-5's third ({0, 3} and {2, 4}: edge 1 from {0, 3}, edge 7 from
+# {2, 4}).  A join adds its v1 side's cost first, so the cheaper arrangement
+# takes the higher edge; a walk that took both orientations as one group
+# would keep the lower edge's arrangement, which costs the blind cost.
+ORIENTED = [
+    (("chorded", 4, 6), [0, 3, 1], 1856043827.8000002,
+     (1856043827.8, [(0, 4, 8, 71873346.0), (3, 1, 2, 136054282.0), (2, 3, 12, 1575312371.0)],
+      48, 36, 10, 21, 73)),
+    (("clique", 5, 2264), [2, 8, 1, 0], 1502869230.6000001,
+     (1502869230.6, [(2, 1, 8, 488630840.0), (8, 4, 16, 356242072.0), (7, 20, 9, 290060267.0),
+                     (0, 29, 2, 9278519.0)], 3000, 1440, 26, 90, 3760)),
+]
+
+
+@pytest.mark.parametrize("graph, blind_order, blind_cost, want", ORIENTED)
+def test_a_group_keeps_the_orientation_of_its_edges(compiled, graph, blind_order, blind_cost,
+                                                    want):
+    kind, n, seed = graph
+    graph, model = (sp.gen_topology(kind, n, seed=seed) if kind == "clique"
+                    else irregular_graph(kind, n, seed))
+    inst = _instance(graph, model)
+    assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst) == want
+    assert _arrangement_cost(inst, blind_order) == blind_cost != want[0]
+
+
 def _arrangement_cost(inst, order):
     """The cost of the arrangement of edge ids order, summed as
     brute_search sums it: each join's merge cost plus its two sides'."""
@@ -588,7 +661,7 @@ def _arrangement_cost(inst, order):
         while parent[rv] != rv:
             rv = parent[rv]
         lo, hi = sorted((comp[ru], comp[rv]))
-        cost[rv] = _kernels.pure.merge(inst, lo, hi)[0] + cost[ru] + cost[rv]
+        cost[rv] = _merge(inst, lo, hi)[0] + cost[ru] + cost[rv]
         comp[rv], parent[ru] = lo | hi, rv
     return cost[rv]
 
@@ -697,7 +770,7 @@ def _naive_greedy(inst, graph, kind, start):
     joins = []
 
     def join(eid, left, right):
-        joins.append((eid, left, right, _kernels.pure.merge(inst, left, right)[3]))
+        joins.append((eid, left, right, _merge(inst, left, right)[3]))
         for v in iter_bits(left | right):
             comp_of[v] = left | right
 
@@ -707,7 +780,7 @@ def _naive_greedy(inst, graph, kind, start):
             a, b = comp_of[e.v1], comp_of[e.v2]
             if a != b and (a | b) & holding and (a | b) not in lowest:
                 lowest[a | b] = e
-        return [(_kernels.pure.merge(inst, comp_of[e.v1], comp_of[e.v2])[0], e.id)
+        return [(_merge(inst, comp_of[e.v1], comp_of[e.v2])[0], e.id)
                 for e in lowest.values()]
 
     component = 0  # prim's component, once it has one
@@ -954,8 +1027,7 @@ def test_a_missing_join_result_is_named_before_its_missing_side_on_both_backends
     entries = {m: c for m, c in catalog.entries.items() if m not in (0b01, 0b11)}
     inst = CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
     runs = _greedy_runs(graph)[-1]
-    for kernel, args in (("merge", (inst, 0b01, 0b10)), ("brute_search", (inst,)),
-                         ("greedy_search", (inst, runs))):
+    for kernel, args in (("brute_search", (inst,)), ("greedy_search", (inst, runs))):
         for backend in (_kernels.pure, compiled):
             with pytest.raises(KeyError) as info:
                 getattr(backend, kernel)(*args)
@@ -1027,7 +1099,7 @@ def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_
     inst = formula.Instance(
         n=3, edge_u=(0, 0, 1), edge_v=(1, 2, 2), scan=(1.0, 1.0, 1.0), indexed=(False,) * 3,
         lam=2.0, cards={m: 10.0 for m in range(1, 8)}, pair_inner={3: 1, 5: 2, 6: 2})
-    step = _kernels.pure.merge
+    step = _merge
     assert {step(inst, l, r)[0] for l, r in ((0b001, 0b010), (0b001, 0b100), (0b010, 0b100))} \
         == {22.0}
     assert {step(inst, s1, 0b111 ^ s1)[0] for s1 in (0b101, 0b011, 0b001)} == {21.0}
@@ -1052,12 +1124,11 @@ def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
 
 
 # Calls of the kernels that take masks with masks formula.check_masks refuses:
-# past the instance's tables, zero, or (merge) overlapping sides.  The C
+# past the instance's tables, or zero.  The C
 # kernels index per-table arrays by masks and their memo keeps mask 0 for a
 # free slot, so without the check they read past the model's bases, or a
 # free slot's value.
 BAD_MASKS = {
-    "merge": [(1 << 20, 1), (1, 1 << 5), (0, 1), (0b11, 0b110)],
     "model_cards": [([1 << 20],), ([0],), ([1, 2, 1 << 5],)],
     "dp_search": [([1, 2, 3, 1 << 20],), ([0, 1, 2, 3],), ([1, 2, 3, 1 << 5],)],
 }

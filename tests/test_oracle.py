@@ -6,6 +6,7 @@ import time
 import pytest
 
 import spanplan as sp
+from spanplan import _kernels
 from spanplan._kernels import trees
 from spanplan.cost import CostContext
 from spanplan.graph import connected_subset_masks
@@ -306,6 +307,21 @@ def test_brute_force_limit_guard():
     graph, model = sp.gen_topology("clique", 8, seed=1)
     with pytest.raises(sp.LimitExceededError):
         sp.brute_force_optimal(graph, model)
+
+
+def test_the_oracle_refuses_more_than_64_joins_whatever_its_limit(compiled, monkeypatch):
+    # The walk keeps its edge sets in one word.  clique-12 has 66 edges and
+    # 66!/55! arrangements: refused before the bound is computed, and each
+    # backend's kernel refuses the instance itself.
+    graph, model = sp.gen_topology("clique", 12, seed=0)
+    monkeypatch.setattr(sp.oracle, "arrangement_bound", None)
+    with pytest.raises(sp.LimitExceededError) as info:
+        sp.brute_force_optimal(graph, model, limit=10**30)
+    assert str(info.value) == "66 edges exceed the oracle's limit of 64"
+    inst = CostContext(graph, model).instance
+    for backend in (_kernels.pure, compiled):
+        with pytest.raises(ValueError, match="^brute_search walks at most 64 edges, not 66$"):
+            backend.brute_search(inst)
 
 
 def test_optimal_cost_overflow_is_a_limit_error(q2a_text):
