@@ -41,22 +41,19 @@ class Instance:
         self.lam = lam
         self.cards = cards            # mask -> output cardinality
         self.pair_inner = pair_inner  # 2-vertex edge mask -> lookup-side vertex, its edge's v2
-        # The sources a kernel reads cardinalities from besides cards: a
+        # The source a kernel reads cardinalities from, never cards: a
         # selectivity model as (bases, ((edge mask, selectivity), ...)), which
-        # computes the masks cards lacks, or else a catalog, read instead of cards.
+        # computes every mask, or else a catalog.
         self.model = model
         self.catalog = catalog
-        # The compiled backend's flattening of this instance (loader._problem),
-        # kept for later calls when model or catalog is set.
+        # The compiled backend's flattening of this instance (loader._problem).
         self.problem = None
 
     def known_cards(self) -> dict:
-        """The cardinalities a kernel starts from: the catalog when there is
-        one; none under a model, since a kernel computes each mask on first
-        use exactly as the context did; else cards."""
-        if self.catalog is not None:
-            return self.catalog
-        return {} if self.model is not None else self.cards
+        """The cardinalities a kernel starts from: the catalog, or none under
+        a model, since a kernel computes each mask on first use exactly as
+        the context did."""
+        return {} if self.catalog is None else self.catalog
 
 
 def check_runs(inst: Instance, runs) -> None:

@@ -21,7 +21,9 @@
  * Vertex sets are bitmasks; the 25-table graph cap keeps them below 2^32.
  * brute_search's edge sets are one word: formula.check_walk refuses an
  * instance of more than 64 edges before the call.
- * Every entry point returns one of the status codes below.
+ * Every entry point reads its problem as const, so calls on one problem may
+ * overlap, returns one of the status codes below, and writes the mask a
+ * MISSING status names to its last argument.
  */
 #define _GNU_SOURCE  /* sched_getaffinity, CPU_COUNT */
 #include <limits.h>
@@ -112,7 +114,6 @@ static void drop(table *t) {
     free(t->key);
     free(t->val);
     free(t->tags);
-    *t = (table){ 0 };
 }
 
 /* The number of distinct unions a | b over brute_search's table of
@@ -130,7 +131,8 @@ static int count_unions(const table *pairs, int64_t *count) {
     return rc;
 }
 
-typedef struct {               /* formula.Instance, flattened by loader.py */
+/* formula.Instance, flattened by loader.py; no kernel writes it. */
+typedef struct {
     int n, n_edges, n_cards;
     double lam;
     const int *edge_u, *edge_v;
@@ -139,14 +141,20 @@ typedef struct {               /* formula.Instance, flattened by loader.py */
     const mask_t *card_mask;   /* inst.known_cards(), */
     const double *card_val;    /* as parallel key/value arrays */
     const double *bases, *sels;  /* inst.model as per-vertex and per-edge arrays, or NULL */
-    /* Set by the kernels (loader._Problem leaves room for them): */
-    table *memo;               /* the cardinalities card() reads */
+} problem;
+
+/* The cardinalities one kernel call reads (each half of a walk has its
+ * own): card() reads memo, seeded with p's shipped ones and filled under
+ * p's model, which reads the incident edge bitsets. */
+typedef struct {
+    const problem *p;
+    table memo;
     uint64_t *incident;        /* per vertex, its edges as a bitset of edge ids;
                                 * over a vertex set, their XOR holds the edges
                                 * leaving it and their OR & ~XOR those inside */
-    mask_t missing;            /* the cardinality a kernel could not get */
     int words;                 /* 64-bit words in an edge bitset */
-} problem;
+    mask_t missing;            /* the cardinality the call could not get */
+} state;
 
 /* sizeof(problem), which must equal ctypes.sizeof(loader._Problem). */
 size_t sp_problem_size(void) {
@@ -155,7 +163,7 @@ size_t sp_problem_size(void) {
 
 /* loader.VERSION: raise both when the problem struct or a kernel's
  * arguments or results change, so that a library built before is refused. */
-const int sp_version = 3;
+const int sp_version = 4;
 
 typedef struct { double cost, out; int op, side; } join;
 
@@ -169,73 +177,68 @@ static double now(void) {
     return (double)((int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec) / 1e9;
 }
 
-/* Seed memo, which card() then reads, with the shipped cardinalities
- * (pure._Cards), and build the incident edge bitsets.  Every kernel that
- * opens them calls close_memo when done.  loader.py passes one problem to
- * many calls, so memo, incident, words and missing, the only fields a
- * kernel sets, are set afresh here on every call.  A walk's halves open
- * their own copies of it, and set only the caller's missing. */
-static int open_memo(problem *p, table *memo) {
+/* Seed s's memo, which card() then reads, with s->p's shipped
+ * cardinalities (pure._Cards), and build the incident edge bitsets.  s
+ * starts zeroed but for p (and memo.tagged); every kernel that opens it
+ * calls close_memo when done. */
+static int open_memo(state *s) {
+    const problem *p = s->p;
     int rc = OK;
-    p->memo = memo;
-    p->missing = 0;
-    p->words = (p->n_edges + 63) / 64;
-    p->incident = calloc((size_t)p->n * p->words + 1, sizeof *p->incident);
-    if (!p->incident)
+    s->words = (p->n_edges + 63) / 64;
+    s->incident = calloc((size_t)p->n * s->words + 1, sizeof *s->incident);
+    if (!s->incident)
         return NOMEM;
     for (int e = 0; e < p->n_edges; e++) {
-        p->incident[p->edge_u[e] * p->words + e / 64] |= (uint64_t)1 << (e % 64);
-        p->incident[p->edge_v[e] * p->words + e / 64] |= (uint64_t)1 << (e % 64);
+        s->incident[p->edge_u[e] * s->words + e / 64] |= (uint64_t)1 << (e % 64);
+        s->incident[p->edge_v[e] * s->words + e / 64] |= (uint64_t)1 << (e % 64);
     }
     for (int i = 0; rc == OK && i < p->n_cards; i++)
         if (p->card_mask[i])  /* mask 0 would be a free slot */
-            rc = put(memo, p->card_mask[i], p->card_val[i]);
+            rc = put(&s->memo, p->card_mask[i], p->card_val[i]);
     return rc;
 }
 
-static void close_memo(problem *p) {
-    drop(p->memo);
-    p->memo = NULL;
-    free(p->incident);
-    p->incident = NULL;
+static void close_memo(state *s) {
+    drop(&s->memo);
+    free(s->incident);
 }
 
 /* formula.model_product.  m's own edges are those with both ends in m: each
  * is in the OR of its vertices' incident bitsets and, counted twice, cancels
  * from their XOR, while an edge leaving m stays in both.  They multiply in
  * ascending edge-id order. */
-static double model_product(const problem *p, mask_t m) {
+static double model_product(const state *s, mask_t m) {
     double prod = 1.0;
     for (mask_t rest = m; rest; rest &= rest - 1)
-        prod *= p->bases[BIT(rest)];
-    for (int w = 0; w < p->words; w++) {
+        prod *= s->p->bases[BIT(rest)];
+    for (int w = 0; w < s->words; w++) {
         uint64_t touched = 0, leaving = 0;
         for (mask_t rest = m; rest; rest &= rest - 1) {
-            uint64_t edges = p->incident[BIT(rest) * p->words + w];
+            uint64_t edges = s->incident[BIT(rest) * s->words + w];
             touched |= edges;
             leaving ^= edges;
         }
         for (uint64_t own = touched & ~leaving; own; own &= own - 1)
-            prod *= p->sels[64 * w + __builtin_ctzll(own)];
+            prod *= s->p->sels[64 * w + __builtin_ctzll(own)];
     }
     return prod;
 }
 
 /* m's cardinality, which the memo lacks, computed under a model (pure._Cards
  * .__missing__) and inserted at *i, the slot slot() gave it. */
-static int fill(problem *p, mask_t m, size_t *i) {
+static int fill(state *s, mask_t m, size_t *i) {
     double c;
-    if (p->bases && (c = model_product(p, m)) != INFINITY)
-        return put_at(p->memo, i, m, ceil(c));
-    p->missing = m;
+    if (s->p->bases && (c = model_product(s, m)) != INFINITY)
+        return put_at(&s->memo, i, m, ceil(c));
+    s->missing = m;
     return MISSING;
 }
 
 /* A cardinality from the memo; one probe, and one insert when it is new. */
-static int card(problem *p, mask_t m, double *c) {
-    table *memo = p->memo;
+static int card(state *s, mask_t m, double *c) {
+    table *memo = &s->memo;
     size_t i = memo->cap ? slot(memo, m) : 0;
-    int rc = memo->cap && memo->key[i] == m ? OK : fill(p, m, &i);
+    int rc = memo->cap && memo->key[i] == m ? OK : fill(s, m, &i);
     if (rc == OK)
         *c = memo->val[i];
     return rc;
@@ -287,22 +290,24 @@ static join join_of(const problem *p, mask_t l, mask_t r, double out, double lc,
 
 /* formula.merge: join_of over card(l | r), card(l) and card(r), read in
  * that order, so a missing one is named as formula.merge names it. */
-static int merge(problem *p, mask_t l, mask_t r, join *j) {
+static int merge(state *s, mask_t l, mask_t r, join *j) {
     double out, lc, rc;
     int status;
-    if ((status = card(p, l | r, &out)) || (status = card(p, l, &lc)) || (status = card(p, r, &rc)))
+    if ((status = card(s, l | r, &out)) || (status = card(s, l, &lc)) || (status = card(s, r, &rc)))
         return status;
-    *j = join_of(p, l, r, out, lc, rc);
+    *j = join_of(s->p, l, r, out, lc, rc);
     return OK;
 }
 
 /* pure.model_cards: each mask's cardinality, stopping at the first missing. */
-int sp_model_cards(problem *p, const mask_t *masks, int64_t n_masks, double *cards) {
-    table memo = { 0 };
-    int rc = open_memo(p, &memo);
+int sp_model_cards(const problem *p, const mask_t *masks, int64_t n_masks, double *cards,
+                   mask_t *missing) {
+    state s = { .p = p };
+    int rc = open_memo(&s);
     for (int64_t i = 0; rc == OK && i < n_masks; i++)
-        rc = card(p, masks[i], &cards[i]);
-    close_memo(p);
+        rc = card(&s, masks[i], &cards[i]);
+    *missing = s.missing;
+    close_memo(&s);
     return rc;
 }
 
@@ -405,11 +410,10 @@ typedef struct { double cost, out; mask_t pair; int edge; uint8_t op, side; } ca
 /* pure._Greedy: the state the members of one search share, and the
  * scratch space of the member being run. */
 typedef struct {
-    problem *p;
+    state s;                   /* s.memo is tagged: each priced union's split tags */
     double deadline;
     int n, n_edges;
     mask_t full;
-    table cards;               /* tagged: each priced union's split tags */
     table overflow;            /* the tags past a union's TAGS, as (tag << 32 | union) */
     strings next, plans;       /* next: (kind, partition) -> the choice made there */
     cand *opening, *cands;     /* kruskal's opening, once priced; a member's candidates */
@@ -443,14 +447,14 @@ static int new_state(greedy *g) {
  * written before card() reads a side, since that can grow the memo and
  * move them. */
 static int price(greedy *g, int edge, mask_t l, mask_t r, double lc, double rc, cand *c) {
-    table *memo = &g->cards;
+    table *memo = &g->s.memo;
     mask_t u = l | r;
     uint32_t tag = (uint32_t)(l < r ? l : r), *tags;
     size_t i = memo->cap ? slot(memo, u) : 0;
     double out;
     join j;
     int k = 0, status;
-    if ((!memo->cap || memo->key[i] != u) && (status = fill(g->p, u, &i)))
+    if ((!memo->cap || memo->key[i] != u) && (status = fill(&g->s, u, &i)))
         return status;
     out = memo->val[i];
     tags = memo->tags + TAGS * i;
@@ -468,10 +472,10 @@ static int price(greedy *g, int edge, mask_t l, mask_t r, double lc, double rc, 
             g->splits++;
         }
     }
-    if ((SINGLE(l) && (status = card(g->p, l, &lc)))
-        || (SINGLE(r) && (status = card(g->p, r, &rc))))
+    if ((SINGLE(l) && (status = card(&g->s, l, &lc)))
+        || (SINGLE(r) && (status = card(&g->s, r, &rc))))
         return status;
-    j = join_of(g->p, l, r, out, lc, rc);
+    j = join_of(g->s.p, l, r, out, lc, rc);
     *c = (cand){ j.cost, j.out, u, edge, (uint8_t)j.op, (uint8_t)j.side };
     g->evals++;
     return OK;
@@ -480,8 +484,8 @@ static int price(greedy *g, int edge, mask_t l, mask_t r, double lc, double rc, 
 /* pure._Greedy.edge_joins: each single-edge join of edges [lo, hi). */
 static int edge_joins(greedy *g, int lo, int hi, cand *out) {
     for (int e = lo; e < hi; e++) {
-        int rc = price(g, e, (mask_t)1 << g->p->edge_u[e], (mask_t)1 << g->p->edge_v[e], 0.0, 0.0,
-                       &out[e - lo]);
+        int rc = price(g, e, (mask_t)1 << g->s.p->edge_u[e], (mask_t)1 << g->s.p->edge_v[e],
+                       0.0, 0.0, &out[e - lo]);
         if (rc)
             return rc;
     }
@@ -494,12 +498,13 @@ static int edge_joins(greedy *g, int lo, int hi, cand *out) {
  * bitsets, where each inner edge, counted twice, cancels.  The walk ends
  * once every other table is in a priced component. */
 static int neighbours(greedy *g, mask_t merged, cand *out, int *len) {
-    const problem *p = g->p;
+    const state *s = &g->s;
+    const problem *p = s->p;
     mask_t priced = merged;
-    for (int w = 0; w < p->words; w++) {
+    for (int w = 0; w < s->words; w++) {
         uint64_t crossing = 0;
         for (mask_t rest = merged; rest; rest &= rest - 1)
-            crossing ^= p->incident[BIT(rest) * p->words + w];
+            crossing ^= s->incident[BIT(rest) * s->words + w];
         for (; crossing; crossing &= crossing - 1) {
             int e = 64 * w + __builtin_ctzll(crossing), u = p->edge_u[e], v = p->edge_v[e], rc;
             mask_t c1 = g->comp_of[u], c2 = g->comp_of[v];
@@ -530,7 +535,7 @@ static const cand *cheapest(const cand *c, int len) {
  * opening the other side is a single table, so swapping the edge's ends
  * flips only the side.  *merged becomes the joined component. */
 static void join_edge(greedy *g, int kind, const cand *c, mask_t *merged) {
-    int u = g->p->edge_u[c->edge], v = g->p->edge_v[c->edge], side = c->side;
+    int u = g->s.p->edge_u[c->edge], v = g->s.p->edge_v[c->edge], side = c->side;
     double cost;
     if (kind == PRIM && g->comp_of[v] == *merged) {
         int w = u;
@@ -657,13 +662,11 @@ static int greedy_open(greedy *g, int n_runs) {
     int n = g->n, n_edges = g->n_edges;
     size_t enc_len = 2 * (size_t)(n - 1) + 1, cap = 64;
     size_t members = n_runs < 2 * (n_edges + 1) ? (size_t)n_runs : 2 * ((size_t)n_edges + 1);
-    int rc;
-    g->cards.tagged = 1;
-    rc = open_memo(g->p, &g->cards);
+    int rc = open_memo(&g->s);
     while (cap < 2 * (n_edges + members * (n - 1)))
         cap *= 2;
-    if (rc == OK && cap > g->cards.cap)
-        rc = grow(&g->cards, cap);
+    if (rc == OK && cap > g->s.memo.cap)
+        rc = grow(&g->s.memo, cap);
     g->full = ((mask_t)1 << n) - 1;
     g->next.width = ((size_t)n + 8) & ~(size_t)7;  /* the kind, then n labels */
     g->plans.width = 2 * (size_t)(n - 1) * sizeof *g->enc;
@@ -684,7 +687,7 @@ static int greedy_open(greedy *g, int n_runs) {
 }
 
 static int greedy_close(greedy *g, int rc) {
-    close_memo(g->p);
+    close_memo(&g->s);
     drop(&g->overflow);
     drop_strings(&g->next);
     drop_strings(&g->plans);
@@ -713,9 +716,10 @@ static void put_join(mask_t **out, int edge, mask_t l, mask_t r, double card) {
 /* pure.greedy_search.  runs holds (kind, start edge or -1) pairs; joins
  * receives the winner's (edge, left mask, right mask, out card) per step
  * and counts (subplans, splits, evals, plans). */
-int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, double *cost,
-                     mask_t *joins, int64_t counts[4]) {
-    greedy g = { .p = p, .deadline = deadline, .n = p->n, .n_edges = p->n_edges };
+int sp_greedy_search(const problem *p, const int *runs, int n_runs, double deadline,
+                     double *cost, mask_t *joins, int64_t counts[4], mask_t *missing) {
+    greedy g = { .s = { .p = p, .memo = { .tagged = 1 } }, .deadline = deadline, .n = p->n,
+                 .n_edges = p->n_edges };
     int rc = greedy_open(&g, n_runs), best_steps = -1;
     double best = 0.0, total;
 
@@ -751,13 +755,14 @@ int sp_greedy_search(problem *p, const int *runs, int n_runs, double deadline, d
         counts[2] = g.evals;
         counts[3] = (int64_t)g.plans.len;
     }
+    *missing = g.s.missing;
     return greedy_close(&g, rc);
 }
 
 /* Write the optimal plan of mask as joins from *out on, children first;
  * each join takes the lowest edge id between its sides, and its out card
  * from card(), which priced it. */
-static int emit(problem *p, const mask_t *split, mask_t mask, mask_t **out) {
+static int emit(state *s, const mask_t *split, mask_t mask, mask_t **out) {
     mask_t l, r, ends;
     double out_card;
     int e = -1, rc;
@@ -765,12 +770,12 @@ static int emit(problem *p, const mask_t *split, mask_t mask, mask_t **out) {
         return OK;
     l = split[mask];
     r = mask ^ l;
-    if ((rc = emit(p, split, l, out)) || (rc = emit(p, split, r, out))
-        || (rc = card(p, mask, &out_card)))
+    if ((rc = emit(s, split, l, out)) || (rc = emit(s, split, r, out))
+        || (rc = card(s, mask, &out_card)))
         return rc;
     do {
         e++;
-        ends = (mask_t)1 << p->edge_u[e] | (mask_t)1 << p->edge_v[e];
+        ends = (mask_t)1 << s->p->edge_u[e] | (mask_t)1 << s->p->edge_v[e];
     } while (!(ends & l) || !(ends & r));
     put_join(out, e, l, r, out_card);
     return OK;
@@ -779,14 +784,15 @@ static int emit(problem *p, const mask_t *split, mask_t mask, mask_t **out) {
 /* pure.dp_search over the n_masks connected subsets in masks, ascending.
  * counts receives (subplans, splits) and joins the optimal plan's n - 1
  * joins, when it has one. */
-int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
-                 double deadline, double *root, int64_t counts[2], mask_t *joins) {
+int sp_dp_search(const problem *p, const mask_t *masks, int64_t n_masks, double bound,
+                 double deadline, double *root, int64_t counts[2], mask_t *joins,
+                 mask_t *missing) {
     mask_t full = ((mask_t)1 << p->n) - 1;
     mask_t *split = malloc((full + 1) * sizeof *split);  /* the left side of each best join */
     double *best = malloc((full + 1) * sizeof *best);    /* INFINITY: no plan yet */
     int64_t checked = 0;
-    table memo = { 0 };
-    int rc = open_memo(p, &memo);
+    state s = { .p = p };
+    int rc = open_memo(&s);
     if (rc == OK && !(split && best))
         rc = NOMEM;
 
@@ -820,11 +826,11 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
                 continue;
             /* The subset's own cardinality, read once, on its first priced
              * split: a subset whose splits are all pruned needs none. */
-            if (!touched && (rc = card(p, mask, &out)))
+            if (!touched && (rc = card(&s, mask, &out)))
                 break;
             counts[1]++;
             touched = 1;
-            if ((rc = card(p, s1, &n1)) || (rc = card(p, s2, &n2)))
+            if ((rc = card(&s, s1, &n1)) || (rc = card(&s, s2, &n2)))
                 break;
             j = join_of(p, s1, s2, out, n1, n2);
             total = j.cost + c1 + c2;
@@ -839,11 +845,12 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
     if (rc == OK) {
         *root = best[full];
         if (*root < INFINITY)
-            rc = emit(p, split, full, &joins);
+            rc = emit(&s, split, full, &joins);
     }
     free(split);
     free(best);
-    close_memo(p);
+    *missing = s.missing;
+    close_memo(&s);
     return rc;
 }
 
@@ -866,8 +873,7 @@ int sp_dp_search(problem *p, const mask_t *masks, int64_t n_masks, double bound,
  * pure.brute_search walks every arrangement as the reference.
  * Aligned so that two halves side by side share no cache line. */
 typedef struct {
-    problem p;                /* a copy of the caller's: memo, incident and missing
-                               * are set per call */
+    state s;                  /* the half's cardinalities, over the caller's problem */
     int first, stride;
     int *lowest;              /* shared by the halves: the lowest depth-0 edge whose
                                * subtree failed, or INT_MAX */
@@ -887,7 +893,6 @@ typedef struct {
     mask_t *seq, *best_seq;   /* (edge, left, right, out card) per depth: the walk's and
                                * the best; the walk leaves out cards to walk_half */
     double best;
-    table cards;              /* the cardinalities card() reads */
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
 } __attribute__((aligned(64))) walk;
 
@@ -907,7 +912,7 @@ static int memo_merge(walk *w, mask_t lm, mask_t rm, double *inc) {
         *inc = *hit;
         return OK;
     }
-    if ((rc = merge(&w->p, a, b, &j)))
+    if ((rc = merge(&w->s, a, b, &j)))
         return rc;
     *inc = j.cost;
     return put(&w->memo, key, j.cost);
@@ -1012,7 +1017,7 @@ static int step(walk *w, int depth, mask_t choices, mask_t touched, int touched_
 static void *walk_half(void *arg) {
     walk *w = arg;
     int n = w->slots + 1, n_edges = w->n_edges, slots = w->slots, seen;
-    int rc = open_memo(&w->p, &w->cards);
+    int rc = open_memo(&w->s);
     w->parent = malloc(n * sizeof *w->parent);
     w->cu = calloc(n, sizeof *w->cu);
     w->cv = calloc(n, sizeof *w->cv);
@@ -1049,10 +1054,10 @@ static void *walk_half(void *arg) {
     for (int i = 0; rc == OK && w->best < INFINITY && i < slots; i++) {
         mask_t *join = w->best_seq + 4 * i;
         double out;
-        if ((rc = card(&w->p, join[1] | join[2], &out)) == OK)
+        if ((rc = card(&w->s, join[1] | join[2], &out)) == OK)
             memcpy(join + 3, &out, sizeof out);
     }
-    close_memo(&w->p);
+    close_memo(&w->s);
     free(w->parent);
     free(w->cu);
     free(w->cv);
@@ -1112,17 +1117,17 @@ static int walk_halves(int n, int n_edges) {
  * edges, which balances the symmetric graphs; a depth-0 edge whose group
  * holds a lower one is counted by the half that walks that one.  One half
  * runs on a second thread, or after the other when no thread can be
- * started.  They share nothing: each has its own copy of the problem, memos
- * and tables.  Merged, valid, linear and evals add up, and
- * splits and subplans count the pairs and the unions of the two merge
- * memos together.  The best is the lower cost, and on equal ones the half's
+ * started.  They share only the problem, which neither writes: each has its
+ * own cardinalities, memos and tables.  Merged, valid, linear and evals add
+ * up, and splits and subplans count the pairs and the unions of the two
+ * merge memos together.  The best is the lower cost, and on equal ones the half's
  * whose best arrangement starts at the lower edge: the one walked first.
  * A failure is the one in the lower subtree, which the sequential walk
  * meets first; a half stops before it starts a subtree above one the other
  * half failed in, and wherever it reads the clock, so a failure in the
  * first subtree is not kept waiting for the other half's walk. */
-int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
-                    int64_t counts[5]) {
+int sp_brute_search(const problem *p, double deadline, double *best, mask_t *joins,
+                    int64_t counts[5], mask_t *missing) {
     walk w[2];
     const walk *win = &w[0], *failed = &w[0];
     int lowest = INT_MAX, halves, rc;
@@ -1134,7 +1139,7 @@ int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
     }
     halves = walk_halves(p->n, p->n_edges);
     for (int i = 0; i < 2; i++)
-        w[i] = (walk){ .p = *p, .first = i, .stride = halves ? 2 : 1, .lowest = &lowest,
+        w[i] = (walk){ .s = { .p = p }, .first = i, .stride = halves ? 2 : 1, .lowest = &lowest,
                        .unit = -1, .n_edges = p->n_edges, .slots = p->n - 1,
                        .edge_u = p->edge_u, .edge_v = p->edge_v, .deadline = deadline,
                        .best = INFINITY };
@@ -1151,7 +1156,7 @@ int sp_brute_search(problem *p, double deadline, double *best, mask_t *joins,
     } else {
         walk_half(&w[0]);
     }
-    p->missing = failed->p.missing;
+    *missing = failed->s.missing;
     rc = failed->rc;
     if (rc == OK && halves) {
         for (int i = 0; i < 5; i++)  /* subplans and splits are still 0 here */

@@ -10,14 +10,11 @@ another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``formula.merge``, the one Python cost formula.  An instance
 (``formula.Instance``) crosses the boundary as flat ``array`` buffers
 behind one ``_Problem``, without what C derives (``Instance.pair_inner``,
-from the edges).  An instance whose shipped cardinalities cannot change
-(it has a model or a catalog) is flattened on its first call, and that
-``_Problem`` (``Instance.problem``) serves every later call, so calls on
-one such instance must not overlap (ctypes lets other threads run during
-a call); one that ships ``Instance.cards`` is flattened on every call.
-A long ``brute_search`` walk may run as two halves on two threads inside
-one call, each half on its own copy of the ``_Problem``, writing back
-only ``missing``: that rule still holds.
+from the edges).  An instance is flattened on its first call, and that
+``_Problem`` (``Instance.problem``) serves every later one.  No kernel
+writes it: each call keeps its cardinalities in its own state and returns
+the mask it misses through an argument, so calls on one instance may
+overlap (ctypes lets other threads run during a call).
 Results come back in flat buffers too, and each mask and run list is
 checked first (``formula.check_masks``, ``check_runs``, ``check_walk``).  Nothing here
 imports ``pure``.
@@ -39,7 +36,7 @@ from .formula import check_masks, check_runs, check_walk
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
-VERSION = 3
+VERSION = 4
 _SYMBOLS = ("sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
             "sp_problem_size", "sp_version")
 
@@ -50,10 +47,7 @@ class _Problem(ctypes.Structure):
     _fields_ = [("n", c_int), ("n_edges", c_int), ("n_cards", c_int), ("lam", c_double),
                 ("edge_u", c_void_p), ("edge_v", c_void_p), ("scan", c_void_p),
                 ("indexed", c_void_p), ("card_mask", c_void_p), ("card_val", c_void_p),
-                ("bases", c_void_p), ("sels", c_void_p),
-                # Set by the kernels:
-                ("memo", c_void_p), ("incident", c_void_p), ("missing", c_uint64),
-                ("words", c_int)]
+                ("bases", c_void_p), ("sels", c_void_p)]
 
 
 def _addr(buf: array) -> int:
@@ -62,40 +56,38 @@ def _addr(buf: array) -> int:
 
 def _problem(inst) -> _Problem:
     """inst flattened, shipping the cardinalities pure._Cards seeds from
-    (``inst.known_cards()``).  It is kept as ``inst.problem`` for later calls
-    unless those are ``inst.cards``, which the context fills between calls;
-    a kernel sets memo, incident, words and missing afresh on every call
-    (kernels.c open_memo), so a kept one carries nothing between calls."""
-    if inst.problem is not None:
-        return inst.problem
-    cards = inst.known_cards()
-    buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
-               array("b", inst.indexed), array("Q", cards), array("d", cards.values()))
-    if inst.model is not None:
-        bases, edge_sels = inst.model
-        buffers += (array("d", bases), array("d", (sel for _mask, sel in edge_sels)))
-    prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
-    prob.buffers = buffers  # the kernel reads them; keep them alive with prob
-    if inst.model is not None or inst.catalog is not None:
+    (``inst.known_cards()``), and kept as ``inst.problem`` for later calls."""
+    if inst.problem is None:
+        cards = inst.known_cards()
+        buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
+                   array("b", inst.indexed), array("Q", cards), array("d", cards.values()))
+        if inst.model is not None:
+            bases, edge_sels = inst.model
+            buffers += (array("d", bases), array("d", (sel for _mask, sel in edge_sels)))
+        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
+        prob.buffers = buffers  # the kernel reads them; keep them alive with prob
         inst.problem = prob
-    return prob
+    return inst.problem
 
 
-def _check(status: int, prob: _Problem, search: str) -> None:
-    """Raise what pure raises for a kernel's non-zero status."""
+def _call(kernel, search: str, inst, *args) -> None:
+    """kernel run on inst's problem, args and the mask it names when it
+    misses one; raises what pure raises for a non-zero status."""
+    missing = c_uint64()
+    status = kernel(_problem(inst), *args, missing)  # passed by reference (argtypes)
     if status == _TIMEOUT:
         raise OptimizeTimeout(f"{search} ran past its deadline")
     if status == _MISSING:
-        raise KeyError(prob.missing)
+        raise KeyError(missing.value)
     if status:
         raise MemoryError(f"{search} ran out of memory")
 
 
 def _model_cards(lib, inst, masks) -> list[float]:
     check_masks(inst, masks)
-    prob, flat = _problem(inst), array("Q", masks)
+    flat = array("Q", masks)
     cards = array("d", bytes(8 * len(flat)))
-    _check(lib.sp_model_cards(prob, _addr(flat), len(flat), _addr(cards)), prob, "model_cards")
+    _call(lib.sp_model_cards, "model_cards", inst, _addr(flat), len(flat), _addr(cards))
     return cards.tolist()
 
 
@@ -111,28 +103,27 @@ def _joins(buf: array) -> list:
 
 def _greedy_search(lib, inst, runs, deadline: float = 0.0):
     check_runs(inst, runs)
-    prob = _problem(inst)
     flat = array("i", [-1 if x is None else x for run in runs for x in run])
     cost, joins, counts = c_double(), _join_buffer(inst), array("q", bytes(32))
-    _check(lib.sp_greedy_search(prob, _addr(flat), len(runs), deadline, byref(cost), _addr(joins),
-                                _addr(counts)), prob, "greedy search")
+    _call(lib.sp_greedy_search, "greedy search", inst, _addr(flat), len(runs), deadline,
+          byref(cost), _addr(joins), _addr(counts))
     return (cost.value, _joins(joins), *counts)
 
 
 def _dp_search(lib, inst, masks, prune_bound: float = math.inf, deadline: float = 0.0):
     check_masks(inst, masks)
-    prob, flat, root = _problem(inst), array("Q", masks), c_double()
+    flat, root = array("Q", masks), c_double()
     joins, counts = _join_buffer(inst), array("q", bytes(16))
-    _check(lib.sp_dp_search(prob, _addr(flat), len(flat), prune_bound, deadline, byref(root),
-                            _addr(counts), _addr(joins)), prob, "exhaustive enumeration")
+    _call(lib.sp_dp_search, "exhaustive enumeration", inst, _addr(flat), len(flat), prune_bound,
+          deadline, byref(root), _addr(counts), _addr(joins))
     return (root.value, _joins(joins) if root.value < math.inf else [], *counts)
 
 
 def _brute_search(lib, inst, deadline: float = 0.0):
     check_walk(inst)
-    prob, best, joins, counts = _problem(inst), c_double(), _join_buffer(inst), array("q", bytes(40))
-    _check(lib.sp_brute_search(prob, deadline, byref(best), _addr(joins), _addr(counts)),
-           prob, "oracle enumeration")
+    best, joins, counts = c_double(), _join_buffer(inst), array("q", bytes(40))
+    _call(lib.sp_brute_search, "oracle enumeration", inst, deadline, byref(best), _addr(joins),
+          _addr(counts))
     return (best.value, _joins(joins) if best.value < math.inf else [], *counts)
 
 
@@ -157,15 +148,15 @@ def open_library(path) -> types.ModuleType:
     lib.sp_problem_size.restype = ctypes.c_size_t
     size = lib.sp_problem_size()
     if size != ctypes.sizeof(_Problem):
-        # A kernel would write the fields it sets past the ctypes struct.
+        # The kernels would read fields laid out unlike the ctypes struct's.
         raise refuse(f"has a {size}-byte problem struct, not {ctypes.sizeof(_Problem)}")
-    problem = POINTER(_Problem)
-    lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p]
+    problem, missing = POINTER(_Problem), POINTER(c_uint64)
+    lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p, missing]
     lib.sp_greedy_search.argtypes = [problem, c_void_p, c_int, c_double, c_void_p, c_void_p,
-                                     c_void_p]
+                                     c_void_p, missing]
     lib.sp_dp_search.argtypes = [problem, c_void_p, c_int64, c_double, c_double, c_void_p,
-                                 c_void_p, c_void_p]
-    lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p]
+                                 c_void_p, c_void_p, missing]
+    lib.sp_brute_search.argtypes = [problem, c_double, c_void_p, c_void_p, c_void_p, missing]
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
     backend.problem_size = size

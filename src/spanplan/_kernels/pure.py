@@ -42,10 +42,10 @@ name = "pure"
 class _Cards(dict):
     """Every kernel's cardinality memo, seeded with a float copy of
     ``inst.known_cards()``: the catalog when the instance has one, nothing
-    under ``inst.model``, else ``inst.cards``.  Under the model a mask is
-    computed when first read, as ``ceil(model_product)``.  A mask neither
-    source gives (absent from the catalog, or past a float under the model)
-    raises KeyError(mask)."""
+    under ``inst.model``.  Under the model a mask is computed when first
+    read, as ``ceil(model_product)``.  A mask neither source gives (absent
+    from the catalog, or past a float under the model) raises
+    KeyError(mask)."""
 
     def __init__(self, inst: Instance):
         known = inst.known_cards()

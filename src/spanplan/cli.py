@@ -15,7 +15,7 @@ import sys
 from .cost import CardinalitySource, CostParams
 from .enumerators import ALGORITHMS, run_algorithm
 from .errors import GraphFormatError, OptimizeTimeout, SpanPlanError
-from .graph import TopologyKind, gen_topology, graph_to_json, load_document
+from .graph import TopologyKind, gen_topology, graph_to_json, load_document, parse_json
 from .plan import plan_to_json
 
 
@@ -49,12 +49,7 @@ def _load_graph(path: str):
 def _load_catalog_file(graph, path: str) -> CardinalitySource:
     from .cost import CardinalityCatalog
 
-    try:
-        doc = json.loads(_read(path))
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-        raise GraphFormatError(f"invalid JSON in {path}: {exc}") from exc
-    except RecursionError:
-        raise GraphFormatError(f"invalid JSON in {path}: nested too deeply") from None
+    doc = parse_json(_read(path), f" in {path}")
     if isinstance(doc, dict) and "cardinalities" in doc:
         section = doc["cardinalities"]
         if isinstance(section, dict):

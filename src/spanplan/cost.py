@@ -188,9 +188,13 @@ class MergeResult(NamedTuple):
 
 
 def _check_source(source) -> None:
+    """Refuse any source but a catalog or a model, the two the kernels read."""
     if source is None:
         raise GraphFormatError("no cardinality source: the graph has neither cardinalities"
                                " nor selectivities")
+    if not isinstance(source, (CardinalityCatalog, SelectivityModel)):
+        raise GraphFormatError("a cardinality source must be a CardinalityCatalog or a"
+                               f" SelectivityModel, not {type(source).__name__}")
 
 
 class CostContext:

@@ -243,18 +243,23 @@ def parse_join_graph(document: str) -> "JoinGraph":
     return graph
 
 
+def parse_json(text: str, where: str = ""):
+    """text parsed as JSON, or one line of GraphFormatError: "invalid JSON" + where."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        raise GraphFormatError(f"invalid JSON{where}: {exc}") from exc
+    except RecursionError:
+        raise GraphFormatError(f"invalid JSON{where}: nested too deeply") from None
+
+
 def load_document(document: str):
     """Parse a join-graph document plus its optional cardinality section.
 
     Returns (graph, source) where source is a CardinalityCatalog, a
     SelectivityModel, or None, depending on which optional section is present.
     """
-    try:
-        doc = json.loads(document)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-        raise GraphFormatError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise GraphFormatError("invalid JSON: nested too deeply") from None
+    doc = parse_json(document)
     if not isinstance(doc, dict):
         raise GraphFormatError("document root must be an object")
     graph = _graph_from_dict(doc)

@@ -646,6 +646,78 @@ def test_any_json_catalog_file_loads_or_exits_1_with_one_line(case, algo):
                 1, f"spanplan: error: {catalog_path}: 'cardinalities' must be an object\n")
 
 
+# Faults that exist only in a document's text, spliced into valid text: a
+# number or a string replaced by a long digit run, a huge exponent, a long
+# fraction or a bad escape; a key written twice in one object; a BOM; or one
+# of these inserted anywhere.
+_NUMBER_FAULTS = ["9" * 4301, "9" * 4300, "1" + "0" * 400, "1e999999", "-1e999999",
+                  "1e-999999", "0." + "5" * 5000, "-0", "1E+2", "1.0"]
+_STRING_FAULTS = [r'"\x41"', r'"\ud800"', r'"\uZZZZ"', r'"\u0000"', '"a\\"b"', '""', '"a,b"']
+_KEYS = ["tables", "joins", "name", "cardinality", "selected", "indexed", "left", "right",
+         "cardinalities", "selectivities", "a", "a,b", "mk", "k,mk"]
+_VALUES = ["1", "0.5", '"a"', "[]", "{}", "null", "true"]
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?')
+
+
+@st.composite
+def _spliced(draw, texts):
+    """Text from texts with one to three text-level faults spliced in."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["token"] * 3 + ["key twice"] * 2 + ["bom", "insert"]))
+        tokens = list(_TOKEN.finditer(text))
+        opens = [i + 1 for i, char in enumerate(text) if char == "{"]
+        if how == "token" and tokens:
+            token = draw(st.sampled_from(tokens))
+            faults = _STRING_FAULTS if token.group().startswith('"') else _NUMBER_FAULTS
+            text = text[:token.start()] + draw(st.sampled_from(faults)) + text[token.end():]
+        elif how == "key twice" and opens:
+            at = draw(st.sampled_from(opens))
+            pair = f'"{draw(st.sampled_from(_KEYS))}": {draw(st.sampled_from(_VALUES))}, '
+            text = text[:at] + pair + text[at:]
+        else:
+            at = 0 if how == "bom" else draw(st.integers(0, len(text)))
+            fault = "\ufeff" if how == "bom" else draw(
+                st.sampled_from(_NUMBER_FAULTS + _STRING_FAULTS + ["\ufeff", ","]))
+            text = text[:at] + fault + text[at:]
+    return text
+
+
+with open(Q2A, encoding="utf-8") as _fh:
+    _Q2A_TEXT = _fh.read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_spliced(st.just(_Q2A_TEXT) | _graphs().map(json.dumps)),
+       algo=st.sampled_from(sp.ALGORITHMS))
+def test_a_graph_text_with_spliced_faults_loads_or_exits_1_with_one_line(text, algo):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["optimize", "--graph", path, "--algo", algo], ["count", "--graph", path]):
+            _assert_exit_0_or_one_line(*_cli_outcome(argv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.tuples(st.just(Q2A), _spliced(st.just(_Q2A_TEXT)))
+       | st.tuples(st.just(None), _spliced(_CATALOG.map(json.dumps))),
+       algo=st.sampled_from(sp.ALGORITHMS))
+def test_a_catalog_text_with_spliced_faults_loads_or_exits_1_with_one_line(case, algo):
+    graph_path, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if graph_path is None:
+            graph_path = os.path.join(tmp, "graph.json")
+            with open(graph_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(_CHAIN))
+        catalog_path = os.path.join(tmp, "catalog.json")
+        with open(catalog_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        _assert_exit_0_or_one_line(*_cli_outcome(["optimize", "--graph", graph_path,
+                                                  "--selection-catalog", catalog_path,
+                                                  "--algo", algo]))
+
+
 def test_import_loads_neither_numpy_nor_thread_pools():
     code = ("import sys, spanplan; "
             "print(sorted(m for m in ('numpy', 'concurrent.futures') if m in sys.modules))")

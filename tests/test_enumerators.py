@@ -438,6 +438,32 @@ def test_a_document_without_cardinalities_is_refused_by_every_search():
         sp.run_workload([sp.WorkloadQuery("q", graph, source)])
 
 
+class _LookupOnly:
+    """A source that answers a catalog's lookups but is neither a catalog
+    nor a model, so the kernels could read none of its cardinalities."""
+
+    def __init__(self, catalog):
+        self.catalog = catalog
+
+    def lookup(self, graph, mask):
+        return self.catalog.lookup(graph, mask)
+
+
+def test_a_source_that_is_neither_a_catalog_nor_a_model_is_refused_with_one_line(q2a):
+    graph, catalog = q2a
+    source = _LookupOnly(catalog)
+    calls = [lambda algo=algo: sp.run_algorithm(algo, graph, source) for algo in sp.ALGORITHMS]
+    calls += [lambda: sp.brute_force_optimal(graph, source),
+              lambda: sp.lookup_cardinality(graph, source, [0]),
+              lambda: sp.choose_operator(graph, source, None, [0], [1]),
+              lambda: sp.run_workload([sp.WorkloadQuery("q", graph, source)])]
+    for call in calls:
+        with pytest.raises(sp.GraphFormatError) as info:
+            call()
+        assert str(info.value) == ("a cardinality source must be a CardinalityCatalog or a"
+                                   " SelectivityModel, not _LookupOnly")
+
+
 @pytest.mark.parametrize("algo", ["exhaustive", "este"])
 def test_zero_timeout_is_a_deadline_not_none(algo):
     graph, model = sp.gen_topology("clique", 14, seed=0)

@@ -35,9 +35,11 @@ from .conftest import (IRREGULAR_KINDS, ROOT, SOURCE, _compiler, irregular_graph
 
 
 def test_kernels_c_compiles_without_warnings(tmp_path):
-    # -Wall names a static function or variable that nothing uses any more.
-    proc = subprocess.run([*_compiler(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Werror",
-                           "-ffp-contract=off", "-c", str(SOURCE), "-o", str(tmp_path / "kernels.o")],
+    # -Wall names a static function or variable that nothing uses any more,
+    # and -Wcast-qual a cast that would let a kernel write its const problem.
+    proc = subprocess.run([*_compiler(), "-std=c99", "-O2", "-Wall", "-Wextra", "-Wcast-qual",
+                           "-Werror", "-ffp-contract=off", "-c", str(SOURCE), "-o",
+                           str(tmp_path / "kernels.o")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -163,43 +165,69 @@ def _c_problem(name, inst):
             values = ", ".join(x.hex() if buf.typecode == "d" else str(x) for x in buf)
             lines.append(f"static const {ctypes_of[buf.typecode]} {name}_{field}[] = {{{values}}};")
             inits.append(f".{field} = {name}_{field}")
-    return "\n".join(lines + [f"static problem {name} = {{{', '.join(inits)}}};"])
+    return "\n".join(lines + [f"static const problem {name} = {{{', '.join(inits)}}};"])
 
 
 # Includes kernels.c, so that it can run the walks as two halves whatever
-# CPUs the process may use, and prints each walk's outcome as the tokens
-# _walk_tokens gives.
+# CPUs the process may use, and prints each call's outcome as the tokens
+# _tokens gives.  The problems, and shared's greedy runs and DP masks, are
+# defined where %s stands.
 TSAN_DRIVER = r"""
 #include "kernels.c"
 #include <stdio.h>
 
 %s
 
-static void run_walk(problem *p) {
-    double best, out;
-    int64_t counts[5];
-    mask_t joins[4 * 24];
-    int rc = sp_brute_search(p, 0.0, &best, joins, counts);
+static void print_result(int rc, mask_t missing, double cost, const mask_t *joins, int n_joins,
+                         const int64_t *counts, int n_counts) {
+    double out;
     if (rc) {
-        printf("%%d %%llu\n", rc, (unsigned long long)p->missing);
+        printf("%%d %%llu\n", rc, (unsigned long long)missing);
         return;
     }
-    printf("%%a", best);
-    for (int i = 0; i < p->n - 1; i++) {
+    printf("%%a", cost);
+    for (int i = 0; i < n_joins; i++) {
         memcpy(&out, joins + 4 * i + 3, sizeof out);
         printf(" %%llu %%llu %%llu %%a", (unsigned long long)joins[4 * i],
                (unsigned long long)joins[4 * i + 1], (unsigned long long)joins[4 * i + 2], out);
     }
-    for (int i = 0; i < 5; i++)
+    for (int i = 0; i < n_counts; i++)
         printf(" %%lld", (long long)counts[i]);
     printf("\n");
 }
 
+static void run_walk(const problem *p) {
+    double best;
+    int64_t counts[5];
+    mask_t joins[4 * 24], missing = 0;
+    int rc = sp_brute_search(p, 0.0, &best, joins, counts, &missing);
+    print_result(rc, missing, best, joins, p->n - 1, counts, 5);
+}
+
+/* One search on shared, run by a thread of its own. */
+typedef struct { int rc; double cost; mask_t joins[4 * 24], missing; int64_t counts[4]; } run;
+
+static void *greedy_thread(void *arg) {
+    run *r = arg;
+    r->rc = sp_greedy_search(&shared, shared_runs, sizeof shared_runs / sizeof *shared_runs / 2,
+                             0.0, &r->cost, r->joins, r->counts, &r->missing);
+    return NULL;
+}
+
+static void *dp_thread(void *arg) {
+    run *r = arg;
+    r->rc = sp_dp_search(&shared, shared_masks, sizeof shared_masks / sizeof *shared_masks,
+                         INFINITY, 0.0, &r->cost, r->counts, r->joins, &r->missing);
+    return NULL;
+}
+
 int main(void) {
     int lowest = 0;
-    walk odd = { .p = cycle8, .first = 1, .stride = 2, .lowest = &lowest, .unit = -1,
+    walk odd = { .s = { .p = &cycle8 }, .first = 1, .stride = 2, .lowest = &lowest, .unit = -1,
                  .n_edges = cycle8.n_edges, .slots = cycle8.n - 1, .edge_u = cycle8.edge_u,
                  .edge_v = cycle8.edge_v, .best = INFINITY };
+    run greedy = { 0 }, dp = { 0 };
+    pthread_t threads[2];
     pthread_once(&cpus_read, read_cpus);
     two_cpus = 1;
     run_walk(&cycle8);
@@ -210,19 +238,28 @@ int main(void) {
     printf("%%d %%lld\n", odd.rc, (long long)odd.nodes);
     drop(&odd.memo);
     free(odd.best_seq);
+    /* greedy_search and dp_search on one problem at once. */
+    if (pthread_create(&threads[0], NULL, greedy_thread, &greedy)
+        || pthread_create(&threads[1], NULL, dp_thread, &dp))
+        return 1;
+    pthread_join(threads[0], NULL);
+    pthread_join(threads[1], NULL);
+    print_result(greedy.rc, greedy.missing, greedy.cost, greedy.joins, shared.n - 1,
+                 greedy.counts, 4);
+    print_result(dp.rc, dp.missing, dp.cost, dp.joins, shared.n - 1, dp.counts, 2);
     return 0;
 }
 """
 
 
-def _walk_tokens(inst):
-    """pure's walk of inst as the driver prints it: (best, joins, counts)
+def _tokens(search, *args):
+    """pure's search on args as the driver prints it: (cost, joins, counts)
     or KeyError's status and mask, floats as floats."""
     try:
-        best, joins, *counts = _kernels.pure.brute_search(inst)
+        cost, joins, *counts = getattr(_kernels.pure, search)(*args)
     except KeyError as exc:
         return [2, *exc.args]
-    return [best, *itertools.chain.from_iterable(joins), *counts]
+    return [cost, *itertools.chain.from_iterable(joins), *counts]
 
 
 def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
@@ -231,7 +268,8 @@ def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
     # subtree, the odd one in subtree 3), each on two threads whatever CPUs
     # the process may use;
     # then an odd half started after the even one failed, which must stop
-    # (status 4, STOPPED) before it walks a node.
+    # (status 4, STOPPED) before it walks a node; then este's members and
+    # the DP on one clique-7 model problem, on two threads at once.
     # The driver is a C program of its own: libtsan is never preloaded into
     # python3.
     cc = _compiler()
@@ -246,9 +284,16 @@ def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
     instances = {"cycle8": CostContext(cycle, cycle_model).instance,
                  "clique6": CostContext(*sp.gen_topology("clique", 6, seed=1)).instance,
                  "failing": CostContext(cycle, sp.CardinalityCatalog(entries=entries)).instance}
+    graph, model = sp.gen_topology("clique", 7, seed=2)
+    shared, runs, masks = CostContext(graph, model).instance, _greedy_runs(graph)[-1], \
+        connected_subset_masks(graph)
+    definitions = [_c_problem(name, inst) for name, inst in {**instances, "shared": shared}.items()]
+    definitions += [
+        "static const int shared_runs[] = {%s};" % ", ".join(
+            str(-1 if x is None else x) for run in runs for x in run),
+        "static const mask_t shared_masks[] = {%s};" % ", ".join(map(str, masks))]
     driver = tmp_path / "driver.c"
-    driver.write_text(TSAN_DRIVER % "\n".join(_c_problem(name, inst)
-                                              for name, inst in instances.items()))
+    driver.write_text(TSAN_DRIVER % "\n".join(definitions))
     binary = tmp_path / "driver"
     subprocess.run([*cc, "-std=c99", "-O1", "-g", "-pthread", "-fsanitize=thread",
                     "-ffp-contract=off", f"-I{SOURCE.parent}", str(driver), "-o", str(binary),
@@ -258,9 +303,10 @@ def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
     assert proc.returncode == 0 and "ThreadSanitizer" not in proc.stderr, proc.stderr[-4000:]
     got = [[float.fromhex(t) if "x" in t else int(t) for t in line.split()]
            for line in proc.stdout.splitlines()]
-    want = [_walk_tokens(inst) for inst in instances.values()]
+    want = [_tokens("brute_search", inst) for inst in instances.values()]
     assert want[2][0] == 2
-    assert got == want + [[4, 0]]
+    assert got == want + [[4, 0], _tokens("greedy_search", shared, runs),
+                          _tokens("dp_search", shared, masks)]
 
 
 # Runs in a process that may use every CPU or, pinned, only the first: the
@@ -311,6 +357,61 @@ def test_a_process_pinned_to_one_cpu_walks_on_one_thread_with_equal_results(tmp_
     if len(os.sched_getaffinity(0)) >= 2:
         assert runs["free"][0] == 3
     assert runs["pinned"][1] == runs["free"][1]
+
+
+# Runs on the compiled backend at sys.argv[1]: three threads share one
+# clique-6 CostContext and run este, prim, exhaustive and the oracle on it
+# 300 times each in turn, switching often.  Prints "ok" when every plan and
+# every counter equals the sequential run's.
+SHARED_CONTEXT_RUN = """
+import sys, threading
+import spanplan as sp
+from spanplan import _kernels
+from spanplan._kernels.loader import open_library
+from spanplan.cost import CostContext
+
+_kernels._auto = open_library(sys.argv[1])
+SEARCHES = (sp.este, sp.prim, sp.exhaustive, sp.brute_force_optimal)
+
+def outcome(search):
+    plan, stats = search(ctx.graph, ctx)
+    return plan, (stats.subplans_reached, stats.join_costs_computed, stats.plans_enumerated,
+                  stats.evaluations)
+
+ctx = CostContext(*sp.gen_topology("clique", 6, seed=1))
+want = [outcome(search) for search in SEARCHES]
+got, errors = [], []
+
+def work(k):
+    try:
+        for i in range(300):
+            j = (i + k) % 4
+            got.append((j, outcome(SEARCHES[j])))
+    except BaseException as exc:
+        errors.append(exc)
+
+sys.setswitchinterval(1e-5)
+threads = [threading.Thread(target=work, args=(k,)) for k in range(3)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+assert not errors and not any(thread.is_alive() for thread in threads), errors
+assert len(got) == 900 and all(result == want[j] for j, result in got)
+print("ok")
+"""
+
+
+def test_searches_on_threads_sharing_one_context_equal_the_sequential_run(tmp_path):
+    # Every call on the context's instance reads its one flattened problem,
+    # which no kernel writes.  A subprocess, so that a crash fails the test.
+    library = tmp_path / "kernels.so"
+    subprocess.run([*_compiler(), "-shared", "-fPIC", "-O2", "-pthread", "-ffp-contract=off",
+                    str(SOURCE), "-o", str(library), "-lm"], check=True)
+    proc = subprocess.run([sys.executable, "-c", SHARED_CONTEXT_RUN, str(library)],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-4000:]
 
 
 def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
@@ -367,8 +468,8 @@ def test_merge_equivalence_on_equal_cardinalities(compiled):
     # backends.
     inst = formula.Instance(
         n=3, edge_u=(0, 1), edge_v=(1, 2), scan=(2.0, 2.0, 2.0), indexed=(False,) * 3,
-        lam=2.0, cards={1: 10.0, 2: 10.0, 4: 10.0, 3: 10.0, 6: 10.0, 7: 5.0},
-        pair_inner={3: 1, 6: 2})
+        lam=2.0, cards={}, pair_inner={3: 1, 6: 2},
+        catalog={1: 10, 2: 10, 4: 10, 3: 10, 6: 10, 7: 5})
     assert [_merge(inst, l, r) for l, r in ((1, 2), (2, 1), (3, 4), (4, 3), (1, 6), (6, 1))] \
         == [(24.0, 0, 0, 10.0), (24.0, 0, 1, 10.0), (17.0, 0, 0, 5.0), (17.0, 0, 1, 5.0),
             (17.0, 0, 0, 5.0), (17.0, 0, 1, 5.0)]
@@ -1060,18 +1161,11 @@ def test_kernels_compute_model_masks_the_context_lacks_and_leave_it_as_it_was(co
 
 def test_a_model_or_catalog_instance_is_flattened_once(q2a):
     # Their shipped cardinalities cannot change, so every call shares one
-    # _Problem; an instance that ships its context's cards, which fill
-    # between calls, is flattened again each time.
+    # _Problem, which no kernel writes.
     graph, catalog = q2a
     for inst in (CostContext(graph, catalog).instance,
                  CostContext(*sp.gen_topology("chain", 5, seed=1)).instance):
         assert _problem(inst) is _problem(inst)
-    inst = formula.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=(1.0, 1.0),
-                            indexed=(False, False), lam=2.0, cards={1: 4.0, 2: 5.0},
-                            pair_inner={3: 1})
-    first = _problem(inst)
-    inst.cards[3] = 6.0
-    assert (first.n_cards, _problem(inst).n_cards) == (2, 3)
 
 
 def test_dp_search_reads_a_subset_cardinality_only_to_price_a_split(compiled):
@@ -1098,7 +1192,7 @@ def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_
     # of them in descending order of the left side, {0, 2} | {1}.
     inst = formula.Instance(
         n=3, edge_u=(0, 0, 1), edge_v=(1, 2, 2), scan=(1.0, 1.0, 1.0), indexed=(False,) * 3,
-        lam=2.0, cards={m: 10.0 for m in range(1, 8)}, pair_inner={3: 1, 5: 2, 6: 2})
+        lam=2.0, cards={}, pair_inner={3: 1, 5: 2, 6: 2}, catalog={m: 10 for m in range(1, 8)})
     step = _merge
     assert {step(inst, l, r)[0] for l, r in ((0b001, 0b010), (0b001, 0b100), (0b010, 0b100))} \
         == {22.0}
@@ -1161,7 +1255,8 @@ _VERSION_LINE = f"const int sp_version = {VERSION};"
 STALE_EDITS = {
     "built before it had a version": (_VERSION_LINE + "\n", ""),
     "another version": (_VERSION_LINE, f"const int sp_version = {VERSION - 1};"),
-    "another problem struct": ("    int words;", "    double extra;\n    int words;"),
+    "another problem struct": ("    const double *bases, *sels;",
+                               "    double extra;\n    const double *bases, *sels;"),
 }
 
 
