@@ -4,7 +4,7 @@ from setuptools import Extension, setup
 # extension module.  optional=True installs the pure-Python kernels alone
 # when no C compiler works; -ffp-contract=off keeps every a * b + c unfused,
 # so costs stay bit-for-bit equal to the pure kernels on FMA targets;
-# -pthread: the walk and este run their two halves on two threads.
+# -pthread: brute_search's walk runs its two halves on two threads.
 setup(
     ext_modules=[
         Extension(

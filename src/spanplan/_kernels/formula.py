@@ -2,10 +2,11 @@
 
 ``join_cost`` prices one join with a given operator and side, ``merge``
 chooses the operator and side with it, and ``model_product`` is the
-selectivity model's estimate of a subset.  ``cost.CostContext`` prices
-every join through this module, and the search kernels (``pure.py`` and
-its C mirror ``kernels.c``) use the same operations in the same order, so
-costs are bit-for-bit equal everywhere (tests/test_kernels.py).
+selectivity model's estimate of a subset.  An ``Instance`` holds inputs
+only: the first two read the cardinality memo their caller passes.
+``cost.CostContext`` prices every join through this module, and the search
+kernels (``pure.py`` and its C mirror ``kernels.c``) use the same operations
+in the same order, so costs are bit-for-bit equal (tests/test_kernels.py).
 
 This module is all a planning process needs of the Python kernels when
 the compiled backend runs the searches; ``pure`` is imported only when it
@@ -27,11 +28,11 @@ WALK_EDGES = 64
 
 
 class Instance:
-    """Compact numeric view of one planning problem."""
+    """One planning problem's inputs, as numbers; each caller keeps its own memo."""
 
     def __init__(self, n: int, edge_u: tuple[int, ...], edge_v: tuple[int, ...],
                  scan: tuple[float, ...], indexed: tuple[bool, ...], lam: float,
-                 cards: dict[int, float], pair_inner: dict[int, int],
+                 pair_inner: dict[int, int],
                  model: tuple | None = None, catalog: dict[int, int] | None = None):
         self.n = n
         self.edge_u = edge_u
@@ -39,11 +40,9 @@ class Instance:
         self.scan = scan              # per-vertex scan cost (tau * base size)
         self.indexed = indexed
         self.lam = lam
-        self.cards = cards            # mask -> output cardinality
         self.pair_inner = pair_inner  # 2-vertex edge mask -> lookup-side vertex, its edge's v2
-        # The source a kernel reads cardinalities from, never cards: a
-        # selectivity model as (bases, ((edge mask, selectivity), ...)), which
-        # computes every mask, or else a catalog.
+        # The source a kernel's memo reads: a selectivity model as (bases,
+        # ((edge mask, selectivity), ...)), which computes every mask, or a catalog.
         self.model = model
         self.catalog = catalog
         # The compiled backend's flattening of this instance (loader._problem).
@@ -104,15 +103,15 @@ def model_product(bases, edge_sels, mask: int) -> float:
     return prod
 
 
-def join_cost(inst: Instance, l_mask: int, r_mask: int, op: int, side: int):
-    """Price one join of two disjoint connected subsets with a given operator.
+def join_cost(inst: Instance, cards, l_mask: int, r_mask: int, op: int, side: int):
+    """Price one join of two disjoint connected subsets with a given operator,
+    reading cardinalities from cards, the caller's memo (mask -> card).
 
     ``side`` names the hash-build side for OP_HJ and the index-lookup (inner)
     side for OP_INL, relative to the (l_mask, r_mask) argument order; an INL
     inner is a base table and is not scanned.  This is the package's one
     per-join cost formula.  Returns (step_cost, out_card).
     """
-    cards = inst.cards
     out = cards[l_mask | r_mask]
     if op == OP_HJ:
         cost = out + cards[l_mask if side == SIDE_LEFT else r_mask]
@@ -132,20 +131,19 @@ def join_cost(inst: Instance, l_mask: int, r_mask: int, op: int, side: int):
     return cost, out
 
 
-def merge(inst: Instance, l_mask: int, r_mask: int):
+def merge(inst: Instance, cards, l_mask: int, r_mask: int):
     """Choose the operator and side for one join and price it with join_cost.
 
     Returns (step_cost, op, side, out_card), ``side`` as in join_cost.
     """
-    cards = inst.cards
-    # The result's cardinality is read first, as kernels.c and
-    # CostContext.merge read it, so every path names the same missing mask.
+    # The result's cardinality is read first, as kernels.c reads it, so
+    # every path names the same missing mask.
     out = cards[l_mask | r_mask]
     lc = cards[l_mask]
     rc = cards[r_mask]
     # Hash join: build on the smaller input, ties toward the smaller mask.
     side = SIDE_LEFT if lc < rc or (lc == rc and l_mask < r_mask) else SIDE_RIGHT
-    cost, _out = join_cost(inst, l_mask, r_mask, OP_HJ, side)
+    cost, _out = join_cost(inst, cards, l_mask, r_mask, OP_HJ, side)
 
     # Index nested-loop: the inner must be a base table.  When both sides
     # are base tables the edge orientation designates the inner (its right
@@ -161,7 +159,7 @@ def merge(inst: Instance, l_mask: int, r_mask: int):
         inner = l_mask.bit_length() - 1
     if inner >= 0 and inst.indexed[inner]:
         inner_side = SIDE_LEFT if 1 << inner == l_mask else SIDE_RIGHT
-        inl, _out = join_cost(inst, l_mask, r_mask, OP_INL, inner_side)
+        inl, _out = join_cost(inst, cards, l_mask, r_mask, OP_INL, inner_side)
         if inl < cost:
             return inl, OP_INL, inner_side, out
     return cost, OP_HJ, side, out

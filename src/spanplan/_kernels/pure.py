@@ -11,11 +11,11 @@ search returns ``(cost, joins, counters...)``, ``joins`` being the
 winner's ``(edge, left mask, right mask, out card)`` list in replay order,
 each out card read from the ``_Cards`` memo that priced its join.  They
 price every join with ``formula.merge``, the package's one Python cost
-formula, over the cardinalities every kernel reads (``_Cards``).  The C
-kernels in ``kernels.c`` mirror this module and ``formula`` operation-for-operation;
-equivalence is enforced by tests/test_kernels.py.  ``get_backend("pure")``
-imports this module on first use, so a process that runs the compiled
-searches never compiles it.
+formula, over a ``_Cards`` memo each call opens, as each C call opens its
+own ``state``.  The C kernels in ``kernels.c`` mirror this module and
+``formula`` operation for operation; equivalence is enforced by
+tests/test_kernels.py.  ``get_backend("pure")`` imports this module on
+first use, so a process that runs the compiled searches never compiles it.
 
 Cost bookkeeping convention: per-join increments fold in the scan costs of
 base tables consumed by that join (an index-lookup inner table is never
@@ -25,7 +25,6 @@ identical everywhere makes costs bit-for-bit comparable across kernels.
 """
 from __future__ import annotations
 
-import copy
 import math
 import time
 
@@ -40,7 +39,7 @@ name = "pure"
 
 
 class _Cards(dict):
-    """Every kernel's cardinality memo, seeded with a float copy of
+    """The cardinality memo one kernel call opens, seeded with a float copy of
     ``inst.known_cards()``: the catalog when the instance has one, nothing
     under ``inst.model``.  Under the model a mask is computed when first
     read, as ``ceil(model_product)``.  A mask neither source gives (absent
@@ -57,14 +56,6 @@ class _Cards(dict):
             raise KeyError(mask)
         card = self[mask] = float(math.ceil(prod))
         return card
-
-
-def _view(inst: Instance) -> Instance:
-    """inst as every kernel reads it: a copy whose cards is a new _Cards,
-    so that a kernel never fills the caller's cardinalities."""
-    view = copy.copy(inst)
-    view.cards = _Cards(inst)
-    return view
 
 
 def model_cards(inst: Instance, masks) -> list[float]:
@@ -94,7 +85,8 @@ class _Greedy:
     """
 
     def __init__(self, inst: Instance, deadline: float):
-        self.inst = _view(inst)
+        self.inst = inst
+        self.cards = _Cards(inst)
         self.deadline = deadline
         self.full = (1 << inst.n) - 1
         self.tags: dict[int, set[int]] = {}  # union -> its split tags
@@ -123,7 +115,7 @@ class _Greedy:
         one evaluation: (step cost, edge, pair mask, op, side), as
         ``formula.merge`` prices it.  Its split is tagged on its union by the
         smaller side's mask."""
-        cost, op, side, _out = _merge(self.inst, l_mask, r_mask)
+        cost, op, side, _out = _merge(self.inst, self.cards, l_mask, r_mask)
         self.evals += 1
         self.tags.setdefault(l_mask | r_mask, set()).add(min(l_mask, r_mask))
         return cost, eid, l_mask | r_mask, op, side
@@ -247,7 +239,7 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
             best = (cost, enc, joins)
     cost, _enc, joins = best
     splits = sum(map(len, search.tags.values()))
-    cards = search.inst.cards
+    cards = search.cards
     return (cost, [(eid, l_mask, r_mask, cards[l_mask | r_mask])
                    for eid, l_mask, r_mask, _op, _side in joins],
             len(search.tags), splits, search.evals, len(encodings))
@@ -274,7 +266,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
     ``_Cards``.  Masks ``formula.check_masks`` refuses raise ValueError.
     """
     check_masks(inst, masks)
-    inst = _view(inst)
+    cards = _Cards(inst)
     full = (1 << inst.n) - 1
     best: dict[int, float] = {1 << v: 0.0 for v in range(inst.n)}
     split: dict[int, int] = {}  # mask -> the left side of its best join
@@ -305,7 +297,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
             if c1 is not None and c2 is not None and c1 <= prune_bound and c2 <= prune_bound:
                 splits += 1
                 touched = True
-                total = _merge(inst, s1, s2)[0] + c1 + c2
+                total = _merge(inst, cards, s1, s2)[0] + c1 + c2
                 if total < best_cost:
                     best_cost = total
                     best_s1 = s1
@@ -327,7 +319,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
             s2 = mask ^ s1
             emit(s1)
             emit(s2)
-            joins.append((_lowest_edge(inst, s1, s2), s1, s2, inst.cards[mask]))
+            joins.append((_lowest_edge(inst, s1, s2), s1, s2, cards[mask]))
 
     emit(full)
     return best[full], joins, subplans, splits
@@ -357,7 +349,7 @@ def brute_search(inst: Instance, deadline: float = 0.0):
     slots = n - 1
     if slots == 0:
         return 0.0, [], 1, 1, 0, 0, 0
-    inst = _view(inst)
+    cards = _Cards(inst)
 
     parent = list(range(n))
     comp_mask = [1 << v for v in range(n)]
@@ -390,7 +382,7 @@ def brute_search(inst: Instance, deadline: float = 0.0):
             state["evals"] += 1
             inc = memo.get(key)
             if inc is None:
-                inc, _op, _side, _out = _merge(inst, key[0], key[1])
+                inc, _op, _side, _out = _merge(inst, cards, key[0], key[1])
                 memo[key] = inc
             new_cost = inc + comp_cost[ru] + comp_cost[rv]
             saved_cost = comp_cost[rv]
@@ -418,5 +410,5 @@ def brute_search(inst: Instance, deadline: float = 0.0):
 
     rec(0, 0, 0, True)
     subplans = len({a | b for a, b in memo})
-    joins = [(e, lm, rm, inst.cards[lm | rm]) for e, lm, rm in state["seq"]]
+    joins = [(e, lm, rm, cards[lm | rm]) for e, lm, rm in state["seq"]]
     return (state["best"], joins, *counts, subplans, len(memo), state["evals"])

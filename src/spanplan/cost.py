@@ -15,14 +15,14 @@ top of the child subtree costs.
 ``_kernels.formula`` is the one Python cost formula: ``formula.join_cost``
 is the one definition of a join's increment, ``formula.merge`` picks the
 operator and side by calling it, and ``formula.model_product`` is the
-selectivity model's product.  ``kernels.c`` mirrors all three operation for
-operation (tests/test_kernels.py holds them bit-for-bit equal).
+selectivity model's product.  ``kernels.c`` mirrors all three, operation
+for operation (tests/test_kernels.py holds them bit-for-bit equal).
 ``CostContext.merge`` chooses; ``CostContext.join_cost`` prices a given
 choice, which is how a re-evaluated plan keeps its operators and sides
-while its cardinalities change.  ``CostContext.ensure_cards`` fills a
-selectivity model's cardinalities of many subsets with one call of the
-backend's ``model_cards`` kernel (``model_product`` over every mask, pure
-or C); ``card`` and ``SelectivityModel.lookup`` price one mask at a time.
+while its cardinalities change.  Both pass the formula the context's own
+memo, ``cards``, which looks a mask up in the source when first read;
+``ensure_cards`` fills a selectivity model's cardinalities of many subsets
+with one call of the backend's ``model_cards`` kernel (pure or C).
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Union
 from . import _kernels
 from ._kernels import formula
 from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
-from .graph import JoinGraph, is_row_count
+from .graph import MAX_VERTICES, JoinGraph, is_row_count
 
 DEFAULT_TAU = 0.2
 DEFAULT_LAMBDA = 2.0
@@ -54,6 +54,12 @@ class CardinalityCatalog:
     """Row counts for connected table subsets, keyed by vertex bitmask."""
 
     def __init__(self, entries: dict):
+        for mask, rows in entries.items():
+            if type(mask) is not int or not 0 < mask < 1 << MAX_VERTICES:
+                raise GraphFormatError(f"cardinality key {mask!r} must be an int in"
+                                       f" [1, 2**{MAX_VERTICES})")
+            if not is_row_count(rows, 0):
+                raise GraphFormatError(f"cardinality of mask {mask} must be a non-negative integer")
         self.entries = entries
 
     @classmethod
@@ -78,7 +84,10 @@ class CardinalityCatalog:
         for v in range(graph.n_vertices):
             if (1 << v) not in out:
                 raise MissingCardinalityError(graph.vertices[v].name)
-        return cls(entries=out)
+        # Every key and count was checked above, so __init__'s checks are skipped.
+        catalog = cls.__new__(cls)
+        catalog.entries = out
+        return catalog
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
         try:
@@ -98,8 +107,8 @@ class SelectivityModel:
         if len(selectivities) != graph.n_edges:
             raise GraphFormatError("one selectivity per join edge required")
         for s in selectivities:
-            if not (0.0 < s <= 1.0):
-                raise GraphFormatError(f"selectivity {s} outside (0, 1]")
+            if type(s) not in (int, float) or not 0.0 < s <= 1.0:
+                raise GraphFormatError(f"selectivity {s!r} outside (0, 1]")
         self._bind(graph, selectivities)
 
     def _bind(self, graph: JoinGraph, selectivities: tuple) -> None:
@@ -197,11 +206,24 @@ def _check_source(source) -> None:
                                f" SelectivityModel, not {type(source).__name__}")
 
 
+class _Cards(dict):
+    """A context's cardinality memo: a mask it lacks is looked up in the
+    source once, when first read, and may raise the source's own error."""
+
+    def __init__(self, graph: JoinGraph, source: CardinalitySource):
+        self.graph = graph
+        self.source = source
+
+    def __missing__(self, mask: int) -> float:
+        card = self[mask] = float(self.source.lookup(self.graph, mask))
+        return card
+
+
 class CostContext:
     """Binds a graph, a cardinality source, and cost parameters.
 
-    Cardinality lookups are memoized; merge evaluation delegates to
-    ``formula.merge`` so every enumerator prices joins identically.
+    Cardinality lookups are memoized in ``cards``; merge evaluation delegates
+    to ``formula.merge`` so every enumerator prices joins identically.
     """
 
     def __init__(self, graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
@@ -209,7 +231,7 @@ class CostContext:
         self.graph = graph
         self.source = source
         self.params = params or CostParams()
-        self._cards: dict[int, float] = {}
+        self.cards = _Cards(graph, source)
         edge_v = tuple(e.v2 for e in graph.edges)
         self._inst = formula.Instance(
             n=graph.n_vertices,
@@ -218,7 +240,6 @@ class CostContext:
             scan=tuple(self.params.tau * t.base_cardinality for t in graph.vertices),
             indexed=tuple(t.indexed for t in graph.vertices),
             lam=self.params.lam,
-            cards=self._cards,
             pair_inner=dict(zip(graph.edge_masks, edge_v)),
             model=(source._bases, source._edge_sels) if isinstance(source, SelectivityModel) else None,
             catalog=source.entries if isinstance(source, CardinalityCatalog) else None,
@@ -230,16 +251,7 @@ class CostContext:
         return self._inst
 
     def card(self, mask: int) -> float:
-        got = self._cards.get(mask)
-        if got is None:
-            got = float(self.source.lookup(self.graph, mask))
-            self._cards[mask] = got
-        return got
-
-    def seed_card(self, mask: int, card: float) -> float:
-        """Memoize card, a kernel's cardinality of mask, unless the context
-        holds one already; returns the one it holds."""
-        return self._cards.setdefault(mask, card)
+        return self.cards[mask]
 
     def ensure_cards(self, masks: Iterable[int]) -> None:
         """Memoize the cardinality of every mask.  Under a selectivity model
@@ -255,7 +267,7 @@ class CostContext:
         except KeyError as exc:
             self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
             raise
-        self._cards.update(zip(masks, cards))
+        self.cards.update(zip(masks, cards))
 
     def scan_cost(self, vertex: int) -> float:
         return self._inst.scan[vertex]
@@ -265,21 +277,18 @@ class CostContext:
         got = self._merge_memo.get(key)
         if got is not None:
             return got
-        cards = self._cards
-        for mask in (l_mask | r_mask, l_mask, r_mask):  # in the order formula.merge reads them
-            if mask not in cards:
-                self.card(mask)
-        cost, op, side, out = formula.merge(self._inst, l_mask, r_mask)
+        cost, op, side, out = formula.merge(self._inst, self.cards, l_mask, r_mask)
         res = self._merge_memo[key] = MergeResult(cost, _CHOICES[op][side], out)
         return res
 
     def join_cost(self, l_mask: int, r_mask: int, op: OperatorChoice) -> MergeResult:
-        """Price a join with its operator and side given, not chosen."""
+        """Price a join with its operator and side given, not chosen.  All
+        three masks are read first, so one the formula skips still must exist."""
         self.card(l_mask | r_mask)
         self.card(l_mask)
         self.card(r_mask)
-        cost, out = formula.join_cost(self._inst, l_mask, r_mask,
-                                    _OP_NAMES.index(op.kind), _SIDE_NAMES.index(op.side))
+        cost, out = formula.join_cost(self._inst, self.cards, l_mask, r_mask,
+                                      _OP_NAMES.index(op.kind), _SIDE_NAMES.index(op.side))
         return MergeResult(cost, op, out)
 
 

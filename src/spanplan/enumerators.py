@@ -94,7 +94,7 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     named as its merge would name it.  The deadline is checked between
     rounds."""
     def search(ctx, deadline):
-        cards, edge_masks = ctx.instance.cards, graph.edge_masks
+        cards, edge_masks = ctx.cards, graph.edge_masks
         # Each component, oldest first, with the vertices adjacent to it and its cost.
         comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
         costs = dict.fromkeys(comps, 0.0)

@@ -80,8 +80,8 @@ class JoinGraph:
         if len(set(names)) != n:
             raise GraphFormatError("duplicate table names")
         for t in vertices:
-            if t.base_cardinality < 1:
-                raise GraphFormatError(f"table {t.name} has cardinality < 1")
+            if not is_row_count(t.base_cardinality, 1):
+                raise GraphFormatError(f"table {t.name} has an invalid cardinality")
         seen_pairs = set()
         for eid, v1, v2, _predicate in edges:
             if not (0 <= v1 < n and 0 <= v2 < n):

@@ -122,7 +122,7 @@ def replay(graph: JoinGraph, ctx: CostContext, algorithm: str, joins, cost: floa
     union, or unless the plan costs what the search reported."""
     builder = PlanBuilder(graph, ctx, algorithm)
     for edge_id, l_mask, r_mask, out in joins:
-        held = ctx.seed_card(l_mask | r_mask, out)
+        held = ctx.cards.setdefault(l_mask | r_mask, out)
         if held != out:
             raise SpanPlanError(f"kernel cardinality {out!r} of"
                                 f" {{{graph.subset_key(l_mask | r_mask)}}} does not match"

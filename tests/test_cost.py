@@ -48,18 +48,20 @@ def test_leaf_cost_ignores_selection_flag():
 
 
 def _pair(l_card, r_card, out, scan=(0.0, 0.0), indexed=(True, True)):
-    """Two base tables 0 -- 1 (inner 1 when both are base tables)."""
-    return formula.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=scan, indexed=indexed, lam=2.0,
-                            cards={1: l_card, 2: r_card, 3: out}, pair_inner={3: 1})
+    """Two base tables 0 -- 1 (inner 1 when both are base tables), and their
+    cardinalities: the instance and memo formula.join_cost reads."""
+    return (formula.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=scan, indexed=indexed, lam=2.0,
+                             pair_inner={3: 1}),
+            {1: l_card, 2: r_card, 3: out})
 
 
 def test_hash_join_cost_arithmetic():
     empty = _pair(0.0, 0.0, 0.0)
-    assert formula.join_cost(empty, 1, 2, formula.OP_HJ, formula.SIDE_LEFT) == (0.0, 0.0)
+    assert formula.join_cost(*empty, 1, 2, formula.OP_HJ, formula.SIDE_LEFT) == (0.0, 0.0)
     # out 10 + build 5 + both scans (3 and 7): base tables are scanned by their join.
-    inst = _pair(5.0, 8.0, 10.0, scan=(3.0, 7.0))
-    assert formula.join_cost(inst, 1, 2, formula.OP_HJ, formula.SIDE_LEFT) == (25.0, 10.0)
-    assert formula.join_cost(inst, 1, 2, formula.OP_HJ, formula.SIDE_RIGHT) == (28.0, 10.0)
+    pair = _pair(5.0, 8.0, 10.0, scan=(3.0, 7.0))
+    assert formula.join_cost(*pair, 1, 2, formula.OP_HJ, formula.SIDE_LEFT) == (25.0, 10.0)
+    assert formula.join_cost(*pair, 1, 2, formula.OP_HJ, formula.SIDE_RIGHT) == (28.0, 10.0)
 
 
 def test_hash_join_cost_2a_first_step(q2a_ctx):
@@ -73,11 +75,11 @@ def test_hash_join_cost_2a_first_step(q2a_ctx):
 
 def test_inl_join_cost(q2a_ctx):
     # An empty outer makes no lookups; only its scan is paid.
-    inst = _pair(0.0, 5.0, 99.0, scan=(123.0, 7.0))
-    assert formula.join_cost(inst, 1, 2, formula.OP_INL, formula.SIDE_RIGHT) == (123.0, 99.0)
+    pair = _pair(0.0, 5.0, 99.0, scan=(123.0, 7.0))
+    assert formula.join_cost(*pair, 1, 2, formula.OP_INL, formula.SIDE_RIGHT) == (123.0, 99.0)
     # lam * max(|out|, |outer|) plus the outer's scan; the inner is not scanned.
-    inst = _pair(100.0, 5.0, 400.0, scan=(50.0, 7.0))
-    assert formula.join_cost(inst, 1, 2, formula.OP_INL, formula.SIDE_RIGHT) == (850.0, 400.0)
+    pair = _pair(100.0, 5.0, 400.0, scan=(50.0, 7.0))
+    assert formula.join_cost(*pair, 1, 2, formula.OP_INL, formula.SIDE_RIGHT) == (850.0, 400.0)
     # ((mc join cn) looked up against t): 2 * max(150000, 150000)
     got = q2a_ctx.join_cost(0b11000, 0b00100, OperatorChoice("INL", "right"))
     assert got.step_cost == 300_000.0
@@ -152,8 +154,8 @@ def test_cost_monotone_in_output_cardinality(out1, delta, build, outer):
     # The left input is the hash build side, or the outer of an index lookup.
     for op, side, l_card in ((formula.OP_HJ, formula.SIDE_LEFT, build),
                              (formula.OP_INL, formula.SIDE_RIGHT, outer)):
-        low, _ = formula.join_cost(_pair(float(l_card), 1e9, float(out1)), 1, 2, op, side)
-        high, _ = formula.join_cost(_pair(float(l_card), 1e9, float(out2)), 1, 2, op, side)
+        low, _ = formula.join_cost(*_pair(float(l_card), 1e9, float(out1)), 1, 2, op, side)
+        high, _ = formula.join_cost(*_pair(float(l_card), 1e9, float(out2)), 1, 2, op, side)
         assert high >= low
 
 
@@ -176,6 +178,20 @@ def test_reevaluate_keeps_operators_and_sides(q2a):
     assert [(s.operator, s.side) for s in again.steps] == [(s.operator, s.side) for s in plan.steps]
     assert [s.out_card for s in again.steps] == [1000.0] * len(plan.steps)
     assert again.internal_cost != plan.internal_cost
+
+
+def test_reevaluate_refuses_a_catalog_lacking_any_subset_a_step_joins(q2a):
+    # A join's price reads two of its three subsets (a hash join: the result
+    # and its build side), but each step reads all three before it prices.
+    graph, catalog = q2a
+    plan, _ = sp.exhaustive(graph, catalog)
+    masks = {m for s in plan.steps for m in (s.left_mask | s.right_mask, s.left_mask, s.right_mask)}
+    for missing in masks:
+        lacking = CardinalityCatalog(
+            entries={m: rows for m, rows in catalog.entries.items() if m != missing})
+        with pytest.raises(sp.MissingCardinalityError) as info:
+            sp.reevaluate_plan(plan, graph, CostContext(graph, lacking))
+        assert info.value.subset_key == graph.subset_key(missing)
 
 
 def test_lookup_cardinality(q2a):
@@ -292,11 +308,31 @@ def test_model_from_key_map_equals_the_checked_constructor():
     ((0.5,), "one selectivity per join edge required"),
     ((0.5, 0.0), "selectivity 0.0 outside (0, 1]"),
     ((1.5, 0.5), "selectivity 1.5 outside (0, 1]"),
+    # from_key_map refuses a selectivity whose type is not int or float.
+    ((True, 0.5), "selectivity True outside (0, 1]"),
+    (("0.5", 0.5), "selectivity '0.5' outside (0, 1]"),
 ])
 def test_model_constructor_checks_its_selectivities(sels, message):
     graph, _model = sp.gen_topology("chain", 3, seed=0)
     with pytest.raises(sp.GraphFormatError) as info:
         sp.SelectivityModel(graph, sels)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entries,message", [
+    ({1.0: 10, 2: 10, 3: 10}, "cardinality key 1.0 must be an int in [1, 2**25)"),
+    ({True: 10, 2: 10}, "cardinality key True must be an int in [1, 2**25)"),
+    ({0: 10, 1: 10}, "cardinality key 0 must be an int in [1, 2**25)"),
+    ({1: 10, 1 << 64: 10}, "cardinality key 18446744073709551616 must be an int in [1, 2**25)"),
+    ({1: 10, 2: 10, 3: math.nan}, "cardinality of mask 3 must be a non-negative integer"),
+    ({1: 10, 2: -100}, "cardinality of mask 2 must be a non-negative integer"),
+    ({1: 7.5}, "cardinality of mask 1 must be a non-negative integer"),
+    ({1: True}, "cardinality of mask 1 must be a non-negative integer"),
+    ({1: 10**400}, "cardinality of mask 1 must be a non-negative integer"),
+])
+def test_catalog_constructor_refuses_what_its_loader_refuses(entries, message):
+    with pytest.raises(sp.GraphFormatError) as info:
+        CardinalityCatalog(entries=entries)
     assert str(info.value) == message
 
 

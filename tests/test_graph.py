@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from collections import deque
 
@@ -288,7 +289,8 @@ def _direct(tables, edges):
 @pytest.mark.parametrize("tables,edges,error,message", [
     ((), (), sp.GraphFormatError, "graph has no tables"),
     ((("a", 10), ("a", 10)), ((0, 1, "p"),), sp.GraphFormatError, "duplicate table names"),
-    ((("a", 10), ("b", 0)), ((0, 1, "p"),), sp.GraphFormatError, "table b has cardinality < 1"),
+    ((("a", 10), ("b", 0)), ((0, 1, "p"),), sp.GraphFormatError,
+     "table b has an invalid cardinality"),
     ((("a", 10), ("b", 10)), ((0, 2, "p"),), sp.UnknownTableError,
      "edge 0 references an unknown vertex"),
     ((("a", 10), ("b", 10)), ((-1, 1, "p"),), sp.UnknownTableError,
@@ -301,6 +303,10 @@ def _direct(tables, edges):
      "join graph is not connected"),
     (tuple((name, 10) for name in _MANY), tuple((i, i + 1, "p") for i in range(25)),
      sp.LimitExceededError, "graph has 26 tables, limit is 25"),
+    # What the JSON loader refuses: a count that is not an int from 1 to
+    # MAX_CARDINALITY (a float, NaN, past a float, a boolean).
+    *(((("a", 10), ("b", card)), ((0, 1, "p"),), sp.GraphFormatError,
+       "table b has an invalid cardinality") for card in (2.5, math.nan, 10**400, True)),
 ])
 def test_a_graph_built_directly_is_checked_in_full(tables, edges, error, message):
     with pytest.raises(sp.SpanPlanError) as info:

@@ -419,16 +419,20 @@ def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
     assert compiled.problem_size == ctypes.sizeof(_Problem)
 
 
-def _instance(graph, model):
+def _context(graph, model):
     ctx = CostContext(graph, model)
     ctx.ensure_cards(connected_subset_masks(graph))
-    return ctx.instance
+    return ctx
+
+
+def _instance(graph, model):
+    return _context(graph, model).instance
 
 
 def _merge(inst, l_mask, r_mask):
-    """formula.merge over the cardinalities every kernel reads (pure._Cards),
-    so that it never fills inst's own."""
-    return formula.merge(_kernels.pure._view(inst), l_mask, r_mask)
+    """formula.merge over a memo of its own, as every kernel call reads
+    cardinalities (pure._Cards)."""
+    return formula.merge(inst, _kernels.pure._Cards(inst), l_mask, r_mask)
 
 
 def _joins_cost(inst, joins):
@@ -455,11 +459,12 @@ def test_merge_equivalence(q2a, compiled):
     # A catalog instance whose context has priced nothing: the kernels read
     # the catalog, and none fills the context's cardinalities.
     graph, catalog = q2a
-    inst = CostContext(graph, catalog).instance
+    ctx = CostContext(graph, catalog)
+    inst = ctx.instance
     assert _merge(inst, 1, 2) == (1100001.0, 0, 1, 42000.0)
     cost, joins, *_counts = compiled.brute_search(inst)
     assert _joins_cost(inst, joins) == cost == 1617001.0
-    assert inst.cards == {}
+    assert ctx.cards == {}
 
 
 def test_merge_equivalence_on_equal_cardinalities(compiled):
@@ -468,7 +473,7 @@ def test_merge_equivalence_on_equal_cardinalities(compiled):
     # backends.
     inst = formula.Instance(
         n=3, edge_u=(0, 1), edge_v=(1, 2), scan=(2.0, 2.0, 2.0), indexed=(False,) * 3,
-        lam=2.0, cards={}, pair_inner={3: 1, 6: 2},
+        lam=2.0, pair_inner={3: 1, 6: 2},
         catalog={1: 10, 2: 10, 4: 10, 3: 10, 6: 10, 7: 5})
     assert [_merge(inst, l, r) for l, r in ((1, 2), (2, 1), (3, 4), (4, 3), (1, 6), (6, 1))] \
         == [(24.0, 0, 0, 10.0), (24.0, 0, 1, 10.0), (17.0, 0, 0, 5.0), (17.0, 0, 1, 5.0),
@@ -497,12 +502,12 @@ def _greedy_runs(graph):
 def test_greedy_search_equivalence(compiled):
     for kind, n, graph, model in mixed_instances(16, 6400) + irregular_instances(25, 6400):
         for source in (model, _catalog(graph, model)):
-            inst = CostContext(graph, source).instance
+            ctx = CostContext(graph, source)
             for runs in _greedy_runs(graph):
-                pure = _kernels.pure.greedy_search(inst, runs)
-                assert pure == compiled.greedy_search(inst, runs), (kind, n, runs)
+                pure = _kernels.pure.greedy_search(ctx.instance, runs)
+                assert pure == compiled.greedy_search(ctx.instance, runs), (kind, n, runs)
                 assert len(pure[1]) == graph.n_vertices - 1
-        assert not inst.cards, "greedy_search must not fill the context's cardinalities"
+        assert not ctx.cards, "greedy_search must not fill the context's cardinalities"
 
 
 def _word_edge_runs(graph):
@@ -1110,8 +1115,9 @@ def test_missing_cardinality_raises_key_error_on_both_backends(compiled):
     graph, model = sp.gen_topology("cycle", 6, seed=3)
     missing = 0b000111
     entries = {m: c for m, c in _catalog(graph, model).entries.items() if m != missing}
-    inst = CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
-    inst.cards[missing] = float(model.lookup(graph, missing))
+    ctx = CostContext(graph, sp.CardinalityCatalog(entries=entries))
+    ctx.cards[missing] = float(model.lookup(graph, missing))
+    inst = ctx.instance
     masks = connected_subset_masks(graph)
     for kernel, args in (("dp_search", (inst, masks)), ("brute_search", (inst,)),
                          ("model_cards", (inst, masks))):
@@ -1144,18 +1150,19 @@ def _card_reads(backend, graph, inst, masks):
 def test_kernels_compute_model_masks_the_context_lacks_and_leave_it_as_it_was(compiled):
     for kind, n, graph, model in mixed_instances(8, base_seed=6700):
         masks = connected_subset_masks(graph)
-        full = _instance(graph, model)
-        lacking = _instance(graph, model)
+        full = _context(graph, model)
+        lacking = _context(graph, model)
         del lacking.cards[graph.full_mask]
-        empty = CostContext(graph, model).instance
-        before = [dict(inst.cards) for inst in (full, lacking, empty)]
+        contexts = (full, lacking, CostContext(graph, model))
+        before = [dict(ctx.cards) for ctx in contexts]
         # A model's kernels are shipped none of the context's cardinalities.
-        assert full.known_cards() == {} and _problem(full).n_cards == 0
-        want = _card_reads(_kernels.pure, graph, full, masks)
+        assert full.instance.known_cards() == {} and _problem(full.instance).n_cards == 0
+        want = _card_reads(_kernels.pure, graph, full.instance, masks)
         for backend in (_kernels.pure, compiled):
-            for inst in (full, lacking, empty):
-                assert _card_reads(backend, graph, inst, masks) == want, (kind, n, backend.name)
-        assert [inst.cards for inst in (full, lacking, empty)] == before, \
+            for ctx in contexts:
+                assert _card_reads(backend, graph, ctx.instance, masks) == want, \
+                    (kind, n, backend.name)
+        assert [ctx.cards for ctx in contexts] == before, \
             "a kernel must not fill the context's cardinalities"
 
 
@@ -1192,7 +1199,7 @@ def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_
     # of them in descending order of the left side, {0, 2} | {1}.
     inst = formula.Instance(
         n=3, edge_u=(0, 0, 1), edge_v=(1, 2, 2), scan=(1.0, 1.0, 1.0), indexed=(False,) * 3,
-        lam=2.0, cards={}, pair_inner={3: 1, 5: 2, 6: 2}, catalog={m: 10 for m in range(1, 8)})
+        lam=2.0, pair_inner={3: 1, 5: 2, 6: 2}, catalog={m: 10 for m in range(1, 8)})
     step = _merge
     assert {step(inst, l, r)[0] for l, r in ((0b001, 0b010), (0b001, 0b100), (0b010, 0b100))} \
         == {22.0}
@@ -1376,7 +1383,7 @@ def test_ensure_cards_calls_model_cards_once_and_never_for_a_catalog(q2a, compil
         masks = connected_subset_masks(model_graph)
         ctx.ensure_cards(iter(masks))
         assert calls == [len(masks)]
-        assert ctx.instance.cards == {m: float(model.lookup(model_graph, m)) for m in masks}
+        assert ctx.cards == {m: float(model.lookup(model_graph, m)) for m in masks}
         del calls[:]
         assert sp.exhaustive(graph, catalog)[0].internal_cost == 1_617_001
         sp.brute_force_optimal(graph, catalog)
