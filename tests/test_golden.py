@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes `spanplan bench` and `spanplan count` write.
+"""Golden outputs: the bytes `spanplan bench`, `count` and `optimize` write.
 
 The determinism tests elsewhere check that two runs agree with each other;
 these check that a run agrees with the files under tests/golden/, so a
@@ -17,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
+import spanplan as sp
+from spanplan import enumerators
 from spanplan.cli import main
+from spanplan.graph import connected_subset_masks, graph_to_json
 
 from .conftest import DATA_DIR
 
@@ -32,27 +35,65 @@ EVAL_CATALOGS = {
 }
 # Graphs written by `spanplan gen`, by the name a case passes to --graph.
 GEN_GRAPHS = {f"{kind}-{n}": ["gen", "--topology", kind, "--tables", str(n)]
-              for kind, n in (("cycle", 8), ("star", 8), ("clique", 5))}
+              for kind, n in (("cycle", 8), ("star", 8), ("clique", 5), ("clique", 14),
+                              ("star", 22), ("cycle", 20))}
+
+
+def _catalog_document() -> str:
+    """A generated chain-6 with the catalog of every connected subset its
+    model implies embedded, in place of the model."""
+    graph, model = sp.gen_topology("chain", 6, 3)
+    entries = {m: model.lookup(graph, m) for m in connected_subset_masks(graph)}
+    return graph_to_json(graph, sp.CardinalityCatalog(entries))
+
+
+def _escaped_names_document() -> str:
+    """A 5-cycle whose table names sort in another order once written as
+    escaped ASCII JSON: "\u00e9" and "\"" sort before letters, "é" after."""
+    names = ["zeta", "émile", "Zoë", 'q"uote', "日本"]
+    cards = [1200, 300_000, 45_000, 8, 70_000]
+    joins = [(names[i], names[(i + 1) % 5]) for i in range(5)]
+    return json.dumps({
+        "tables": [{"name": n, "cardinality": c} for n, c in zip(names, cards)],
+        "joins": [{"left": a, "right": b} for a, b in joins],
+        "selectivities": {f"{a},{b}": s for (a, b), s in zip(joins, (1e-3, 0.02, 1e-4, 0.5, 1))},
+    })
+
+
+# Documents written here, by the name a case passes to --graph.
+DOCUMENTS = {"chain-6-catalog": _catalog_document, "escaped-names": _escaped_names_document}
+OPTIMIZE = {"q2a": [*enumerators.ALGORITHMS], "clique-14": ["prim", "este"],
+            "star-22": ["kruskal", "goo"], "cycle-20": ["goo", "este"],
+            "chain-6-catalog": ["exhaustive"], "escaped-names": ["exhaustive", "este"]}
 CASES = {
     "bench-q2a": ["bench", "--graph", str(Q2A)],
     "bench-q2a-eval-scaled": ["bench", "--graph", str(Q2A), "--evaluation-catalog", "scaled"],
     "bench-q2a-eval-overflow": ["bench", "--graph", str(Q2A), "--evaluation-catalog", "overflow"],
     "bench-cycle-sweep": ["bench", "--topology", "cycle", "--sizes", "4,5", "--seeds", "2"],
     "count-q2a": ["count", "--graph", str(Q2A)],
-    **{f"count-{name}": ["count", "--graph", name] for name in GEN_GRAPHS},
+    **{f"count-{name}": ["count", "--graph", name] for name in ("cycle-8", "star-8", "clique-5")},
+    **{f"optimize-{name}-{algo}": ["optimize", "--graph", str(Q2A) if name == "q2a" else name,
+                                   "--algo", algo]
+       for name, algos in OPTIMIZE.items() for algo in algos},
 }
 
 
 def _outputs(case: str, tmp: Path) -> dict[str, bytes]:
     """Run one case with --out under tmp; every file it writes, by name."""
-    catalog = json.loads(Q2A.read_text())["cardinalities"]
-    for name, rows_of in EVAL_CATALOGS.items():
-        doc = {key: rows_of(key, rows) for key, rows in catalog.items()}
-        (tmp / f"{name}.json").write_text(json.dumps(doc))
-    for name, gen in GEN_GRAPHS.items():
-        assert main([*gen, "--out", str(tmp / f"{name}.json")]) == 0
-    argv = [str(tmp / f"{a}.json") if a in EVAL_CATALOGS or a in GEN_GRAPHS else a
-            for a in CASES[case]]
+    argv = []
+    for a in CASES[case]:
+        path = tmp / f"{a}.json"
+        if a in EVAL_CATALOGS:
+            catalog = json.loads(Q2A.read_text())["cardinalities"]
+            path.write_text(json.dumps({key: EVAL_CATALOGS[a](key, rows)
+                                        for key, rows in catalog.items()}))
+        elif a in GEN_GRAPHS:
+            assert main([*GEN_GRAPHS[a], "--out", str(path)]) == 0
+        elif a in DOCUMENTS:
+            path.write_text(DOCUMENTS[a](), encoding="utf-8")
+        else:
+            path = a
+        argv.append(str(path))
     out = tmp / "out"
     out.mkdir()
     suffix = ".csv" if argv[0] == "bench" else ".json"
