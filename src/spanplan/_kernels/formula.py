@@ -30,22 +30,23 @@ WALK_EDGES = 64
 class Instance:
     """One planning problem's inputs, as numbers; each caller keeps its own memo."""
 
-    def __init__(self, n: int, edge_u: tuple[int, ...], edge_v: tuple[int, ...],
-                 scan: tuple[float, ...], indexed: tuple[bool, ...], lam: float,
-                 pair_inner: dict[int, int],
-                 model: tuple | None = None, catalog: dict[int, int] | None = None):
+    def __init__(self, n: int, edge_u, edge_v, scan, indexed, lam: float,
+                 edge_of: dict[int, int], model: tuple | None = None,
+                 catalog: dict[int, int] | None = None, card_arrays: tuple | None = None):
         self.n = n
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.scan = scan              # per-vertex scan cost (tau * base size)
         self.indexed = indexed
         self.lam = lam
-        self.pair_inner = pair_inner  # 2-vertex edge mask -> lookup-side vertex, its edge's v2
+        self.edge_of = edge_of        # 2-vertex edge mask -> its edge id
         # The source a kernel's memo reads: a selectivity model as (bases,
-        # ((edge mask, selectivity), ...)), which computes every mask, or a catalog.
+        # edge masks, selectivities), which computes every mask, or a catalog
+        # (with its masks and counts as arrays, when its owner keeps them).
         self.model = model
         self.catalog = catalog
-        # The compiled backend's flattening of this instance (loader._problem).
+        self.card_arrays = card_arrays
+        # The compiled backend's view of this instance (loader._problem).
         self.problem = None
 
     def known_cards(self) -> dict:
@@ -82,7 +83,7 @@ def check_walk(inst: Instance) -> None:
                          f" {len(inst.edge_u)}")
 
 
-def model_product(bases, edge_sels, mask: int) -> float:
+def model_product(bases, edge_masks, sels, mask: int) -> float:
     """The selectivity model's estimate of mask before rounding up.
 
     Bases multiply in ascending vertex order, then selectivities by edge id:
@@ -97,7 +98,7 @@ def model_product(bases, edge_sels, mask: int) -> float:
         low = rest & -rest
         prod *= bases[low.bit_length() - 1]
         rest ^= low
-    for edge_mask, sel in edge_sels:
+    for edge_mask, sel in zip(edge_masks, sels):
         if mask & edge_mask == edge_mask:
             prod *= sel
     return prod
@@ -152,7 +153,9 @@ def merge(inst: Instance, cards, l_mask: int, r_mask: int):
     r_single = r_mask & (r_mask - 1) == 0
     inner = -1
     if l_single and r_single:
-        inner = inst.pair_inner.get(l_mask | r_mask, -1)
+        eid = inst.edge_of.get(l_mask | r_mask)
+        if eid is not None:
+            inner = inst.edge_v[eid]
     elif r_single:
         inner = r_mask.bit_length() - 1
     elif l_single:

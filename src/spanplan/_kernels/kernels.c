@@ -131,7 +131,8 @@ static int count_unions(const table *pairs, int64_t *count) {
     return rc;
 }
 
-/* formula.Instance, flattened by loader.py; no kernel writes it. */
+/* formula.Instance: its arrays, which loader.py passes by address; no
+ * kernel writes them. */
 typedef struct {
     int n, n_edges, n_cards;
     double lam;

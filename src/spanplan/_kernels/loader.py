@@ -8,13 +8,15 @@ arguments and returning the same values.  Four of them run in C, and
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  The C searches price joins with the mirror of
 ``formula.merge``, the one Python cost formula.  An instance
-(``formula.Instance``) crosses the boundary as flat ``array`` buffers
-behind one ``_Problem``, without what C derives (``Instance.pair_inner``,
-from the edges).  An instance is flattened on its first call, and that
-``_Problem`` (``Instance.problem``) serves every later one.  No kernel
-writes it: each call keeps its cardinalities in its own state and returns
-the mask it misses through an argument, so calls on one instance may
-overlap (ctypes lets other threads run during a call).
+(``formula.Instance``) crosses the boundary as the addresses of its
+``array`` buffers behind one ``_Problem``, without what C derives (the
+inner table of a two-table join, from the edges).  A cost context's
+instance holds the arrays its graph and source built at load, so C reads
+those, not copies.  The ``_Problem`` is made on an instance's first call
+and serves every later one (``Instance.problem``).  No kernel writes it:
+each call keeps its cardinalities in its own state and returns the mask it
+misses through an argument, so calls on one instance may overlap (ctypes
+lets other threads run during a call).
 Results come back in flat buffers too, and each mask and run list is
 checked first (``formula.check_masks``, ``check_runs``, ``check_walk``).  Nothing here
 imports ``pure``.
@@ -50,21 +52,40 @@ class _Problem(ctypes.Structure):
                 ("bases", c_void_p), ("sels", c_void_p)]
 
 
-def _addr(buf: array) -> int:
-    return buf.buffer_info()[0]
+def _addr(buf: array | None) -> int:
+    return 0 if buf is None else buf.buffer_info()[0]
+
+
+def _buffer(values, code: str) -> array | None:
+    """values if None or an array of C type code, else a copy that is."""
+    if values is None or type(values) is array and values.typecode == code:
+        return values
+    return array(code, values)
+
+
+def check_sizes(inst) -> None:
+    """Raise ValueError unless inst's arrays cover its tables and edges as
+    the kernels read them."""
+    n, m = inst.n, len(inst.edge_u)
+    bases, _masks, sels = inst.model or (inst.scan, (), inst.edge_v)
+    if min(len(inst.scan), len(inst.indexed), len(bases)) < n or min(len(inst.edge_v),
+                                                                    len(sels)) < m:
+        raise ValueError(f"kernel instance arrays must cover its {n} tables and {m} edges")
 
 
 def _problem(inst) -> _Problem:
-    """inst flattened, shipping the cardinalities pure._Cards seeds from
-    (``inst.known_cards()``), and kept as ``inst.problem`` for later calls."""
+    """inst's arrays and known cards behind one ``_Problem``, which keeps
+    them alive, kept as ``inst.problem`` for later calls."""
     if inst.problem is None:
+        check_sizes(inst)
         cards = inst.known_cards()
-        buffers = (array("i", inst.edge_u), array("i", inst.edge_v), array("d", inst.scan),
-                   array("b", inst.indexed), array("Q", cards), array("d", cards.values()))
-        if inst.model is not None:
-            bases, edge_sels = inst.model
-            buffers += (array("d", bases), array("d", (sel for _mask, sel in edge_sels)))
-        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
+        masks, rows = inst.card_arrays or (
+            (array("Q", cards), array("d", cards.values())) if cards else (None, None))
+        bases, _masks, sels = inst.model or (None, None, None)
+        buffers = tuple(map(_buffer, (inst.edge_u, inst.edge_v, inst.scan, inst.indexed, masks,
+                                      rows, bases, sels), "iidbQddd"))
+        prob = _Problem(inst.n, len(inst.edge_u), len(masks or ()), inst.lam,
+                        *map(_addr, buffers))
         prob.buffers = buffers  # the kernel reads them; keep them alive with prob
         inst.problem = prob
     return inst.problem

@@ -23,10 +23,15 @@ while its cardinalities change.  Both pass the formula the context's own
 memo, ``cards``, which looks a mask up in the source when first read;
 ``ensure_cards`` fills a selectivity model's cardinalities of many subsets
 with one call of the backend's ``model_cards`` kernel (pure or C).
+A context's ``formula.Instance`` holds the arrays its graph and source
+built at load, not copies, and a context refuses a source that does not
+fit its graph (``check_graph``).
 """
 from __future__ import annotations
 
 import math
+from array import array
+from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
 from . import _kernels
@@ -83,11 +88,25 @@ class CardinalityCatalog:
             out[mask] = rows
         for v in range(graph.n_vertices):
             if (1 << v) not in out:
-                raise MissingCardinalityError(graph.vertices[v].name)
+                raise MissingCardinalityError(graph.names[v])
         # Every key and count was checked above, so __init__'s checks are skipped.
         catalog = cls.__new__(cls)
         catalog.entries = out
         return catalog
+
+    @cached_property
+    def top(self) -> int:  # the highest key, found once
+        return max(self.entries, default=0)
+
+    @cached_property
+    def arrays(self) -> tuple[array, array]:  # the masks and the counts, as kernels read them
+        return array("Q", self.entries), array("d", self.entries.values())
+
+    def check_graph(self, graph: JoinGraph) -> None:
+        """Raise GraphFormatError when a key names a table graph lacks."""
+        if self.top > graph.full_mask:
+            raise GraphFormatError(f"cardinality key {self.top} names a table outside the"
+                                   f" graph's {graph.n_vertices} tables")
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
         try:
@@ -96,12 +115,14 @@ class CardinalityCatalog:
             raise MissingCardinalityError(graph.subset_key(mask)) from None
 
     def document_section(self, graph: JoinGraph) -> dict:
+        self.check_graph(graph)
         keys = sorted(self.entries, key=lambda m: (bin(m).count("1"), graph.subset_key(m)))
         return {"cardinalities": {graph.subset_key(m): self.entries[m] for m in keys}}
 
 
 class SelectivityModel:
-    """Independence model: |S| = ceil(prod bases * prod selectivities in S)."""
+    """Independence model: |S| = ceil(prod bases * prod selectivities in S),
+    over its graph's ``bases`` and ``edge_masks`` and its own ``sels``."""
 
     def __init__(self, graph: JoinGraph, selectivities: tuple):
         if len(selectivities) != graph.n_edges:
@@ -111,13 +132,10 @@ class SelectivityModel:
                 raise GraphFormatError(f"selectivity {s!r} outside (0, 1]")
         self._bind(graph, selectivities)
 
-    def _bind(self, graph: JoinGraph, selectivities: tuple) -> None:
+    def _bind(self, graph: JoinGraph, selectivities) -> None:
         self.graph = graph
         self.selectivities = selectivities
-        # Per-vertex base cardinalities and per-edge (edge mask, selectivity),
-        # in the order formula.model_product multiplies them.
-        self._bases = tuple(t.base_cardinality for t in graph.vertices)
-        self._edge_sels = tuple(zip(graph.edge_masks, selectivities))
+        self.sels = array("d", selectivities)
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
@@ -125,22 +143,14 @@ class SelectivityModel:
             raise GraphFormatError("'selectivities' must be an object")
         sels = [None] * graph.n_edges
         keys = [None] * graph.n_edges
-        pair_edge = graph.pair_edge
+        edge_of = graph.edge_of
         ids = graph.name_to_id
         for key, sel in entries.items():
-            names = key.split(",")
-            if len(names) != 2:
-                raise GraphFormatError(f"selectivity key {key!r} must name two tables")
-            left, right = names
-            v1 = ids.get(left)
-            if v1 is None:
-                raise UnknownTableError(f"unknown table {left!r} in selectivities")
-            v2 = ids.get(right)
-            if v2 is None:
-                raise UnknownTableError(f"unknown table {right!r} in selectivities")
-            eid = pair_edge.get((v1, v2) if v1 < v2 else (v2, v1))
-            if eid is None:
-                raise GraphFormatError(f"selectivity key {key!r} matches no join edge")
+            try:
+                left, right = key.split(",")
+                eid = edge_of[1 << ids[left] | 1 << ids[right]]
+            except (ValueError, KeyError):
+                raise _selectivity_key_error(graph, key) from None
             if type(sel) not in (int, float) or not 0.0 < sel <= 1.0:
                 raise GraphFormatError(f"selectivity for {key!r} must be a number in (0, 1]")
             if keys[eid] is not None:
@@ -148,27 +158,43 @@ class SelectivityModel:
                     f"selectivity keys {keys[eid]!r} and {key!r} name the same join")
             keys[eid] = key
             sels[eid] = float(sel)
-        for eid, sel in enumerate(sels):
-            if sel is None:
-                raise GraphFormatError(f"missing selectivity for edge {eid}")
+        if None in sels:
+            raise GraphFormatError(f"missing selectivity for edge {sels.index(None)}")
         # Every selectivity was checked above, so __init__'s checks are skipped.
         model = cls.__new__(cls)
         model._bind(graph, tuple(sels))
         return model
 
+    def check_graph(self, graph: JoinGraph) -> None:
+        """Raise GraphFormatError unless the model is of graph or an equal one."""
+        if self.graph is not graph and self.graph != graph:
+            raise GraphFormatError("the selectivity model is of another graph than the one"
+                                   " it is used with")
+
     def lookup(self, graph: JoinGraph, mask: int) -> int:
-        prod = formula.model_product(self._bases, self._edge_sels, mask)
+        own = self.graph
+        prod = formula.model_product(own.bases, own.edge_masks, self.sels, mask)
         if prod == math.inf:
             raise LimitExceededError(
                 f"cardinality of {{{graph.subset_key(mask)}}} overflows a float")
         return math.ceil(prod)
 
     def document_section(self, graph: JoinGraph) -> dict:
-        out = {}
-        for e in graph.edges:
-            key = f"{graph.vertices[e.v1].name},{graph.vertices[e.v2].name}"
-            out[key] = self.selectivities[e.id]
-        return {"selectivities": out}
+        self.check_graph(graph)
+        names, sels = graph.names, self.selectivities
+        return {"selectivities": {f"{names[v1]},{names[v2]}": sels[eid]
+                                  for eid, (v1, v2) in enumerate(zip(graph.edge_u, graph.edge_v))}}
+
+
+def _selectivity_key_error(graph: JoinGraph, key: str):
+    """The first check key fails of those that map it to an edge."""
+    names = key.split(",")
+    if len(names) != 2:
+        return GraphFormatError(f"selectivity key {key!r} must name two tables")
+    for name in names:
+        if name not in graph.name_to_id:
+            return UnknownTableError(f"unknown table {name!r} in selectivities")
+    return GraphFormatError(f"selectivity key {key!r} matches no join edge")
 
 
 CardinalitySource = Union[CardinalityCatalog, SelectivityModel]
@@ -196,14 +222,16 @@ class MergeResult(NamedTuple):
     out_card: float
 
 
-def _check_source(source) -> None:
-    """Refuse any source but a catalog or a model, the two the kernels read."""
+def _check_source(source, graph: JoinGraph) -> None:
+    """Refuse any source but a catalog or a model, the two the kernels read,
+    or one that does not fit graph."""
     if source is None:
         raise GraphFormatError("no cardinality source: the graph has neither cardinalities"
                                " nor selectivities")
     if not isinstance(source, (CardinalityCatalog, SelectivityModel)):
         raise GraphFormatError("a cardinality source must be a CardinalityCatalog or a"
                                f" SelectivityModel, not {type(source).__name__}")
+    source.check_graph(graph)
 
 
 class _Cards(dict):
@@ -227,28 +255,21 @@ class CostContext:
     """
 
     def __init__(self, graph: JoinGraph, source: CardinalitySource, params: CostParams | None = None):
-        _check_source(source)
+        _check_source(source, graph)
         self.graph = graph
         self.source = source
-        self.params = params or CostParams()
+        self.params = params = params or CostParams()
         self.cards = _Cards(graph, source)
-        edge_v = tuple(e.v2 for e in graph.edges)
-        self._inst = formula.Instance(
-            n=graph.n_vertices,
-            edge_u=tuple(e.v1 for e in graph.edges),
-            edge_v=edge_v,
-            scan=tuple(self.params.tau * t.base_cardinality for t in graph.vertices),
-            indexed=tuple(t.indexed for t in graph.vertices),
-            lam=self.params.lam,
-            pair_inner=dict(zip(graph.edge_masks, edge_v)),
-            model=(source._bases, source._edge_sels) if isinstance(source, SelectivityModel) else None,
-            catalog=source.entries if isinstance(source, CardinalityCatalog) else None,
-        )
+        model = catalog = arrays = None
+        if isinstance(source, SelectivityModel):
+            model = (graph.bases, graph.edge_masks, source.sels)
+        else:
+            catalog, arrays = source.entries, source.arrays
+        tau = params.tau
+        self.instance = formula.Instance(
+            graph.n_vertices, graph.edge_u, graph.edge_v, array("d", [tau * b for b in graph.bases]),
+            graph.indexed, params.lam, graph.edge_of, model, catalog, arrays)
         self._merge_memo: dict[tuple[int, int], MergeResult] = {}
-
-    @property
-    def instance(self) -> formula.Instance:
-        return self._inst
 
     def card(self, mask: int) -> float:
         return self.cards[mask]
@@ -257,27 +278,27 @@ class CostContext:
         """Memoize the cardinality of every mask.  Under a selectivity model
         they come from one ``model_cards`` kernel call, and the first mask
         whose estimate overflows fails as ``source.lookup`` fails on it."""
-        if self._inst.model is None:
+        if self.instance.model is None:
             for m in masks:
                 self.card(m)
             return
         masks = list(masks)
         try:
-            cards = _kernels.get_backend().model_cards(self._inst, masks)
+            cards = _kernels.get_backend().model_cards(self.instance, masks)
         except KeyError as exc:
             self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
             raise
         self.cards.update(zip(masks, cards))
 
     def scan_cost(self, vertex: int) -> float:
-        return self._inst.scan[vertex]
+        return self.instance.scan[vertex]
 
     def merge(self, l_mask: int, r_mask: int) -> MergeResult:
         key = (l_mask, r_mask)
         got = self._merge_memo.get(key)
         if got is not None:
             return got
-        cost, op, side, out = formula.merge(self._inst, self.cards, l_mask, r_mask)
+        cost, op, side, out = formula.merge(self.instance, self.cards, l_mask, r_mask)
         res = self._merge_memo[key] = MergeResult(cost, _CHOICES[op][side], out)
         return res
 
@@ -287,7 +308,7 @@ class CostContext:
         self.card(l_mask | r_mask)
         self.card(l_mask)
         self.card(r_mask)
-        cost, out = formula.join_cost(self._inst, self.cards, l_mask, r_mask,
+        cost, out = formula.join_cost(self.instance, self.cards, l_mask, r_mask,
                                       _OP_NAMES.index(op.kind), _SIDE_NAMES.index(op.side))
         return MergeResult(cost, op, out)
 
@@ -317,7 +338,7 @@ def _as_mask(graph: JoinGraph, subset) -> int:
 
 def lookup_cardinality(graph: JoinGraph, source: CardinalitySource, subset) -> int:
     """Row count of a non-empty connected subset, from catalog or model."""
-    _check_source(source)
+    _check_source(source, graph)
     mask = _as_mask(graph, subset)
     if mask == 0:
         raise GraphFormatError("cardinality lookup over an empty subset")

@@ -58,8 +58,9 @@ def _greedy(name: str, graph: JoinGraph, source: CardinalitySource, params: Cost
 
 
 def _one_run(kind: int, graph: JoinGraph, start_edge: int | None) -> list:
-    if start_edge is not None and not 0 <= start_edge < graph.n_edges:
-        raise IndexError(f"start_edge {start_edge} is not an edge id of this graph")
+    if start_edge is not None and (type(start_edge) is not int
+                                   or not 0 <= start_edge < graph.n_edges):
+        raise IndexError(f"start_edge {start_edge!r} is not an edge id of this graph")
     return [(kind, start_edge)]
 
 

@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import time
+from array import array
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -68,6 +69,11 @@ class JoinEdge(NamedTuple):
 class JoinGraph:
     """Undirected, simple, connected graph of tables and join predicates.
 
+    It keeps its tables and joins as flat arrays, built once and read, not
+    copied, by cost contexts and the kernels: per table ``names``, ``bases``
+    (as doubles) and ``indexed``, per edge ``edge_u``/``edge_v`` (v1 and v2)
+    and ``edge_masks``, and ``edge_of`` (edge mask -> id).  ``vertices``,
+    ``edges`` and ``pair_edge`` are built from them when first read.
     Graphs compare equal when their tables and joins do.
     """
 
@@ -82,29 +88,56 @@ class JoinGraph:
         for t in vertices:
             if not is_row_count(t.base_cardinality, 1):
                 raise GraphFormatError(f"table {t.name} has an invalid cardinality")
-        seen_pairs = set()
+        edge_of = {}
         for eid, v1, v2, _predicate in edges:
             if not (0 <= v1 < n and 0 <= v2 < n):
                 raise UnknownTableError(f"edge {eid} references an unknown vertex")
             if v1 == v2:
                 raise SelfLoopError(f"edge {eid} joins table {names[v1]} to itself")
-            pair = (v1, v2) if v1 < v2 else (v2, v1)
-            if pair in seen_pairs:
+            mask = 1 << v1 | 1 << v2
+            if mask in edge_of:
+                pair = sorted((v1, v2))
                 raise GraphFormatError(f"parallel edge {eid} on {names[pair[0]]}-{names[pair[1]]}")
-            seen_pairs.add(pair)
-        self._bind(vertices, edges)
-
-    def _bind(self, vertices: tuple[TableInfo, ...], edges: tuple[JoinEdge, ...]) -> None:
-        """Take the tables and joins, checking only the table limit and that
-        the joins connect every table.  ``_graph_from_dict`` binds a new
-        graph this way, having checked the rest itself."""
-        n = len(vertices)
-        if n > MAX_VERTICES:
-            raise LimitExceededError(f"graph has {n} tables, limit is {MAX_VERTICES}")
+            edge_of[mask] = len(edge_of)
+        self._bind(names, [t.base_cardinality for t in vertices], [t.indexed for t in vertices],
+                   [e.v1 for e in edges], [e.v2 for e in edges], edge_of)
         self.vertices = vertices
         self.edges = edges
+
+    def _bind(self, names: list[str], cards: list[int], indexed: list[bool], edge_u: list[int],
+              edge_v: list[int], edge_of: dict[int, int]) -> None:
+        """Take the tables and joins as lists (edge_of's keys in edge-id
+        order), checking only the table limit and that the joins connect
+        every table.  ``_graph_from_dict`` binds a new graph this way,
+        having checked the rest itself."""
+        n = len(names)
+        if n > MAX_VERTICES:
+            raise LimitExceededError(f"graph has {n} tables, limit is {MAX_VERTICES}")
+        self.names = names
+        self._cards = cards
+        self.bases = array("d", cards)
+        self.indexed = array("b", indexed)
+        self.edge_u = array("i", edge_u)
+        self.edge_v = array("i", edge_v)
+        self.edge_of = edge_of
+        self.edge_masks = tuple(edge_of)
+        adj = [0] * n
+        for v1, v2 in zip(edge_u, edge_v):
+            adj[v1] |= 1 << v2
+            adj[v2] |= 1 << v1
+        self.adjacency = tuple(adj)
         if self.reachable_mask(1) != (1 << n) - 1:
             raise DisconnectedGraphError("join graph is not connected")
+
+    @cached_property
+    def vertices(self) -> tuple[TableInfo, ...]:
+        return tuple(map(TableInfo, self.names, self._cards, self._selected,
+                         map(bool, self.indexed)))
+
+    @cached_property
+    def edges(self) -> tuple[JoinEdge, ...]:
+        return tuple(map(JoinEdge, range(self.n_edges), self.edge_u, self.edge_v,
+                         self._predicates))
 
     def __eq__(self, other):
         if not isinstance(other, JoinGraph):
@@ -116,11 +149,11 @@ class JoinGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.names)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_u)
 
     @property
     def full_mask(self) -> int:
@@ -128,26 +161,12 @@ class JoinGraph:
 
     @cached_property
     def name_to_id(self) -> dict[str, int]:
-        return {t.name: i for i, t in enumerate(self.vertices)}
+        return {name: i for i, name in enumerate(self.names)}
 
     @cached_property
     def pair_edge(self) -> dict[tuple[int, int], int]:
         """The edge id joining each pair of tables, keyed (lower id, higher id)."""
         return {(v1, v2) if v1 < v2 else (v2, v1): eid for eid, v1, v2, _predicate in self.edges}
-
-    @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        """Per-edge bitmask of its two tables, by edge id."""
-        return tuple(1 << v1 | 1 << v2 for _eid, v1, v2, _predicate in self.edges)
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        """Per-vertex bitmask of neighbouring vertices."""
-        adj = [0] * self.n_vertices
-        for e in self.edges:
-            adj[e.v1] |= 1 << e.v2
-            adj[e.v2] |= 1 << e.v1
-        return tuple(adj)
 
     def reachable_mask(self, seed_mask: int) -> int:
         """Vertices reachable from seed_mask (BFS over the whole graph)."""
@@ -218,7 +237,8 @@ class JoinGraph:
         return mask
 
     def names_of_mask(self, mask: int) -> tuple[str, ...]:
-        return tuple(sorted(self.vertices[v].name for v in iter_bits(mask)))
+        names = self.names
+        return tuple(sorted(names[v] for v in iter_bits(mask)))
 
     def subset_key(self, mask: int) -> str:
         return ",".join(self.names_of_mask(mask))
@@ -278,6 +298,7 @@ def load_document(document: str):
 
 
 def _graph_from_dict(doc: dict) -> JoinGraph:
+    """The document's graph, from one pass over its tables and joins."""
     tables = doc.get("tables")
     joins = doc.get("joins")
     if not isinstance(tables, list) or not tables:
@@ -285,7 +306,7 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
     if not isinstance(joins, list):
         raise GraphFormatError("'joins' must be an array")
 
-    vertices = []
+    names, cards, selected, indexed = [], [], [], []
     for i, t in enumerate(tables):
         if not isinstance(t, dict):
             raise GraphFormatError(f"table #{i} must be an object")
@@ -301,57 +322,65 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             raise GraphFormatError(f"table #{i} has a comma in its name")
         if not is_row_count(card, 1):
             raise GraphFormatError(f"table {name} has an invalid cardinality")
-        selected = t.get("selected", False)
-        indexed = t.get("indexed", True)
-        for flag, value in (("selected", selected), ("indexed", indexed)):
+        flags = (("selected", t.get("selected", False)), ("indexed", t.get("indexed", True)))
+        for flag, value in flags:
             if type(value) is not bool:
                 raise GraphFormatError(f"table {name}: {flag!r} must be true or false")
-        vertices.append(TableInfo(name, card, selected, indexed))
-    name_to_id = {t.name: i for i, t in enumerate(vertices)}
-    if len(name_to_id) != len(vertices):
+        names.append(name)
+        cards.append(card)
+        selected.append(flags[0][1])
+        indexed.append(flags[1][1])
+    name_to_id = {name: i for i, name in enumerate(names)}
+    if len(name_to_id) != len(names):
         raise GraphFormatError("duplicate table names")
 
     # Parallel predicates between one table pair merge into a single edge.
-    edges: list[JoinEdge] = []
-    by_pair: dict[tuple[int, int], int] = {}  # the graph's pair_edge
+    edge_u, edge_v, predicates = [], [], []
+    edge_of: dict[int, int] = {}
     for j, item in enumerate(joins):
-        if not isinstance(item, dict):
-            raise GraphFormatError(f"join #{j} must be an object")
         try:
             left, right = item["left"], item["right"]
-        except KeyError as exc:
-            raise GraphFormatError(f"join #{j} is missing {exc}") from exc
-        if not isinstance(left, str) or not isinstance(right, str):
-            raise GraphFormatError(f"join #{j} must name its tables as strings")
-        v1 = name_to_id.get(left)
-        if v1 is None:
-            raise UnknownTableError(f"join #{j} references unknown table {left!r}")
-        v2 = name_to_id.get(right)
-        if v2 is None:
-            raise UnknownTableError(f"join #{j} references unknown table {right!r}")
+            v1, v2 = name_to_id[left], name_to_id[right]
+        except (KeyError, TypeError):
+            raise _join_error(j, item, name_to_id) from None
         if v1 == v2:
             raise SelfLoopError(f"join #{j} joins table {left!r} to itself")
         predicate = item.get("predicate", _ABSENT)
-        if predicate is _ABSENT:
+        if not isinstance(predicate, str):
+            if predicate is not _ABSENT:
+                raise GraphFormatError(f"join #{j} must give its predicate as a string")
             predicate = f"{left} = {right}"
-        elif not isinstance(predicate, str):
-            raise GraphFormatError(f"join #{j} must give its predicate as a string")
-        pair = (v1, v2) if v1 < v2 else (v2, v1)
-        if pair in by_pair:
-            eid = by_pair[pair]
-            old = edges[eid]
-            edges[eid] = JoinEdge(eid, old.v1, old.v2, f"{old.predicate} AND {predicate}")
+        mask = 1 << v1 | 1 << v2
+        if mask not in edge_of:
+            edge_of[mask] = len(edge_u)
+            edge_u.append(v1)
+            edge_v.append(v2)
+            predicates.append(predicate)
         else:
-            eid = len(edges)
-            by_pair[pair] = eid
-            edges.append(JoinEdge(eid, v1, v2, predicate))
+            eid = edge_of[mask]
+            predicates[eid] = f"{predicates[eid]} AND {predicate}"
 
     # The tables and joins have passed every check of JoinGraph.__init__ but _bind's.
     graph = JoinGraph.__new__(JoinGraph)
-    graph._bind(tuple(vertices), tuple(edges))
+    graph._bind(names, cards, indexed, edge_u, edge_v, edge_of)
+    graph._selected = selected
+    graph._predicates = predicates
     graph.name_to_id = name_to_id
-    graph.pair_edge = by_pair
     return graph
+
+
+def _join_error(j: int, item, name_to_id: dict) -> GraphFormatError:
+    """The first check join #j fails of those that find its tables."""
+    if not isinstance(item, dict):
+        return GraphFormatError(f"join #{j} must be an object")
+    for side in ("left", "right"):
+        if side not in item:
+            return GraphFormatError(f"join #{j} is missing {side!r}")
+    left, right = item["left"], item["right"]
+    if not isinstance(left, str) or not isinstance(right, str):
+        return GraphFormatError(f"join #{j} must name its tables as strings")
+    unknown = left if left not in name_to_id else right
+    return UnknownTableError(f"join #{j} references unknown table {unknown!r}")
 
 
 def graph_document(graph: JoinGraph, source=None) -> dict:
@@ -368,8 +397,8 @@ def graph_document(graph: JoinGraph, source=None) -> dict:
         ],
         "joins": [
             {
-                "left": graph.vertices[e.v1].name,
-                "right": graph.vertices[e.v2].name,
+                "left": graph.names[e.v1],
+                "right": graph.names[e.v2],
                 "predicate": e.predicate,
             }
             for e in graph.edges

@@ -58,9 +58,7 @@ def enumerate_ordered_trees(graph: JoinGraph, timeout: float | None = None) -> T
     OptimizeTimeout when the count runs past timeout seconds."""
     bound = arrangement_bound(graph.n_vertices, graph.n_edges)
     deadline = _kernels.deadline(time.perf_counter(), timeout)
-    edge_u = [e.v1 for e in graph.edges]
-    edge_v = [e.v2 for e in graph.edges]
-    valid, linear = _kernels.count_trees(graph.n_vertices, edge_u, edge_v, deadline)
+    valid, linear = _kernels.count_trees(graph.n_vertices, graph.edge_u, graph.edge_v, deadline)
     return TreeCounts(bound, valid, bound - valid, linear, valid - linear)
 
 

@@ -107,7 +107,7 @@ class PlanBuilder:
         return Plan(
             algorithm=self.algorithm,
             steps=tuple(self.steps),
-            filters=tuple(e.id for e in graph.edges if e.id not in step_edges),
+            filters=tuple(e for e in range(graph.n_edges) if e not in step_edges),
             internal_cost=internal,
             total_cost=total,
             shape=classify_shape(self.steps),
@@ -184,13 +184,13 @@ def validate_plan(graph: JoinGraph, plan: Plan, ctx: CostContext | None = None) 
         raise PlanValidationError(f"expected {n - 1} steps, found {len(plan.steps)}")
     step_edges = [s.edge for s in plan.steps]
     all_ids = sorted(step_edges) + sorted(plan.filters)
-    if sorted(all_ids) != [e.id for e in graph.edges]:
+    if sorted(all_ids) != list(range(graph.n_edges)):
         raise PlanValidationError("steps + filters do not partition the edge set")
 
     owner = {v: 1 << v for v in range(n)}
+    edge_u, edge_v = graph.edge_u, graph.edge_v
     for s in plan.steps:
-        edge = graph.edges[s.edge]
-        cl, cr = owner[edge.v1], owner[edge.v2]
+        cl, cr = owner[edge_u[s.edge]], owner[edge_v[s.edge]]
         if cl == cr:
             raise PlanValidationError(f"step edge {s.edge} closes a cycle")
         if {cl, cr} != {s.left_mask, s.right_mask}:
@@ -202,8 +202,7 @@ def validate_plan(graph: JoinGraph, plan: Plan, ctx: CostContext | None = None) 
     if owner[0] != full:
         raise PlanValidationError("steps do not span all tables")
     for f in plan.filters:
-        edge = graph.edges[f]
-        if owner[edge.v1] != owner[edge.v2]:
+        if owner[edge_u[f]] != owner[edge_v[f]]:
             raise PlanValidationError(f"filter edge {f} does not close a cycle")
     if classify_shape(plan.steps) != plan.shape:
         raise PlanValidationError("shape label disagrees with the step structure")
@@ -262,22 +261,33 @@ def plan_to_json(plan: Plan, graph: JoinGraph, stats: EnumStats | None = None,
     # The step costs sum to internal_cost <= total_cost, so they are finite too.
     if not math.isfinite(plan.total_cost):
         raise LimitExceededError(f"the {plan.algorithm} plan's cost overflows a float")
-    names = [t.name for t in graph.vertices]
+    names = graph.names
     # Sort the raw names: escaping changes the order of some characters.
-    quoted = [(1 << v, _quote(names[v])) for v in sorted(range(len(names)), key=names.__getitem__)]
-
-    def subset(mask: int) -> str:  # a step's sides are never empty
-        return "[\n        " + ",\n        ".join([q for bit, q in quoted if mask & bit]) + "\n      ]"
-
-    steps = [f'''{{
-      "edge": {s.edge!r},
-      "left_subset": {subset(s.left_mask)},
-      "right_subset": {subset(s.right_mask)},
-      "operator": {_quote(s.operator)},
-      "build_side": {_quote(s.side)},
-      "out_card": {_num(s.out_card)!r},
-      "step_cost": {_num(s.step_cost)!r}
-    }}''' for s in plan.steps]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    quoted = [_quote(names[v]) for v in order]
+    # Each component's tables as ranks in that order: a step joins two
+    # earlier components, so one merge of sorted lists per step finds all.
+    ranks_of = {1 << v: [r] for r, v in enumerate(order)}
+    steps = []
+    sep = ",\n        "
+    for edge, operator, side, l_mask, r_mask, out_card, step_cost in plan.steps:
+        left, right = (ranks_of.get(m) or [r for r, v in enumerate(order) if m >> v & 1]
+                       for m in (l_mask, r_mask))
+        if not l_mask & r_mask:
+            ranks_of[l_mask | r_mask] = sorted(left + right)
+        steps.append(f'''{{
+      "edge": {edge!r},
+      "left_subset": [
+        {sep.join(map(quoted.__getitem__, left))}
+      ],
+      "right_subset": [
+        {sep.join(map(quoted.__getitem__, right))}
+      ],
+      "operator": {_quote(operator)},
+      "build_side": {_quote(side)},
+      "out_card": {_num(out_card)!r},
+      "step_cost": {_num(step_cost)!r}
+    }}''')
     text = f'''{{
   "algorithm": {_quote(plan.algorithm)},
   "internal_cost": {_num(plan.internal_cost)!r},

@@ -51,7 +51,7 @@ def _pair(l_card, r_card, out, scan=(0.0, 0.0), indexed=(True, True)):
     """Two base tables 0 -- 1 (inner 1 when both are base tables), and their
     cardinalities: the instance and memo formula.join_cost reads."""
     return (formula.Instance(n=2, edge_u=(0,), edge_v=(1,), scan=scan, indexed=indexed, lam=2.0,
-                             pair_inner={3: 1}),
+                             edge_of={3: 0}),
             {1: l_card, 2: r_card, 3: out})
 
 
@@ -299,9 +299,9 @@ def test_model_from_key_map_equals_the_checked_constructor():
     keys = {f"{graph.vertices[e.v1].name},{graph.vertices[e.v2].name}": model.selectivities[e.id]
             for e in graph.edges}
     loaded = sp.SelectivityModel.from_key_map(graph, keys)
-    assert (loaded.graph, loaded.selectivities, loaded._bases, loaded._edge_sels) == \
-        (model.graph, model.selectivities, model._bases, model._edge_sels)
-    assert [mask for mask, _sel in model._edge_sels] == [1 << e.v1 | 1 << e.v2 for e in graph.edges]
+    assert (loaded.graph, loaded.selectivities, loaded.sels) == \
+        (model.graph, model.selectivities, model.sels)
+    assert list(graph.edge_masks) == [1 << e.v1 | 1 << e.v2 for e in graph.edges]
 
 
 @pytest.mark.parametrize("sels,message", [

@@ -119,6 +119,16 @@ def test_start_edge_must_be_an_edge_id(two_table, run, start):
         run(graph, catalog, start_edge=start)
 
 
+@pytest.mark.parametrize("start", [True, 1.0, "1"])
+@pytest.mark.parametrize("run", [sp.prim, sp.kruskal])
+def test_a_start_edge_that_is_not_an_int_is_refused_as_an_unknown_edge_id(run, start):
+    # True would run as edge 1, and 1.0 or "1" raised a bare TypeError.
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    with pytest.raises(IndexError) as info:
+        run(graph, model, start_edge=start)
+    assert str(info.value) == f"start_edge {start!r} is not an edge id of this graph"
+
+
 def test_chain3_hand_rolled_cost(chain3_model):
     graph, model = chain3_model
     plan, _ = sp.prim(graph, model, start_edge=0)
@@ -462,6 +472,48 @@ def test_a_source_that_is_neither_a_catalog_nor_a_model_is_refused_with_one_line
             call()
         assert str(info.value) == ("a cardinality source must be a CardinalityCatalog or a"
                                    " SelectivityModel, not _LookupOnly")
+
+
+def _source_calls(graph, source):
+    """Every public call that plans or prices graph under source, and
+    graph_to_json, which writes the source's section."""
+    calls = [lambda algo=algo: sp.run_algorithm(algo, graph, source) for algo in sp.ALGORITHMS]
+    return calls + [lambda: sp.brute_force_optimal(graph, source),
+                    lambda: sp.lookup_cardinality(graph, source, [0]),
+                    lambda: sp.choose_operator(graph, source, None, [0], [1]),
+                    lambda: sp.run_workload([sp.WorkloadQuery("q", graph, source)]),
+                    lambda: CostContext(graph, source),
+                    lambda: sp.graph_to_json(graph, source)]
+
+
+def test_a_model_of_another_graph_is_refused_with_one_line():
+    # A chain-4 model used with a chain-6 graph made prim raise IndexError
+    # and goo read past the model's arrays in C; a model of another chain-6
+    # planned with that graph's numbers.
+    graph, model = sp.gen_topology("chain", 6, seed=1)
+    for other in (sp.gen_topology("chain", 4, seed=1)[1], sp.gen_topology("chain", 6, seed=2)[1]):
+        for call in _source_calls(graph, other):
+            with pytest.raises(sp.GraphFormatError) as info:
+                call()
+            assert str(info.value) == ("the selectivity model is of another graph than the one"
+                                       " it is used with")
+    # A model of an equal graph fits.
+    again, _model = sp.load_document(sp.graph_to_json(graph, model))
+    assert again is not graph and again == graph
+    for call in _source_calls(again, model):
+        call()
+
+
+def test_a_catalog_naming_a_table_the_graph_lacks_is_refused_with_one_line():
+    # graph_to_json raised a bare IndexError on such a key, and every search planned.
+    graph, model = sp.gen_topology("chain", 4, seed=0)
+    entries = {m: model.lookup(graph, m) for m in connected_subset_masks(graph)}
+    for call in _source_calls(graph, sp.CardinalityCatalog({**entries, 1 << 10: 5})):
+        with pytest.raises(sp.GraphFormatError) as info:
+            call()
+        assert str(info.value) == "cardinality key 1024 names a table outside the graph's 4 tables"
+    for call in _source_calls(graph, sp.CardinalityCatalog(entries)):
+        call()
 
 
 @pytest.mark.parametrize("algo", ["exhaustive", "este"])

@@ -281,6 +281,70 @@ def test_a_loaded_graph_has_the_name_and_pair_maps_a_built_graph_derives(q2a_tex
         assert (loaded.name_to_id, loaded.pair_edge) == (built.name_to_id, built.pair_edge)
 
 
+@st.composite
+def _irregular_documents(draw):
+    """A valid document of 1 to 7 tables (a random spanning tree plus random
+    joins, every pair listed one to three times in either orientation, in
+    random order, each predicate absent or given, each flag absent or
+    given, selectivities keyed in either orientation), and the tables,
+    joins and selectivities JoinGraph and SelectivityModel take for it."""
+    n = draw(st.integers(1, 7))
+    names = draw(st.lists(st.text("abé日\"", min_size=1, max_size=3), min_size=n, max_size=n,
+                          unique=True))
+    tables, vertices = [], []
+    for name in names:
+        table = {"name": name, "cardinality": draw(st.integers(1, 10**15))}
+        flags = {flag: draw(st.booleans()) for flag in ("selected", "indexed")
+                 if draw(st.booleans())}
+        tables.append({**table, **flags})
+        vertices.append(sp.TableInfo(name, table["cardinality"], flags.get("selected", False),
+                                     flags.get("indexed", True)))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] < p[1]), max_size=6)))
+    items = [(u, v) if draw(st.booleans()) else (v, u)
+             for u, v in sorted(pairs) for _ in range(draw(st.integers(1, 3)))]
+    items = draw(st.permutations(items))
+    joins, edges = [], {}  # edges: pair -> (v1, v2, predicates), in first-listed order
+    for u, v in items:
+        join = {"left": names[u], "right": names[v]}
+        if draw(st.booleans()):
+            join["predicate"] = draw(st.sampled_from(["", "p", f"{names[u]}.x = {names[v]}.x"]))
+        joins.append(join)
+        v1, v2, predicates = edges.setdefault(frozenset((u, v)), (u, v, []))
+        predicates.append(join.get("predicate", f"{names[u]} = {names[v]}"))
+    sels, key_map = [], {}
+    for v1, v2, _predicates in edges.values():
+        sel = draw(st.floats(1e-9, 1.0))
+        key = (names[v1], names[v2]) if draw(st.booleans()) else (names[v2], names[v1])
+        key_map[",".join(key)] = sel
+        sels.append(sel)
+    doc = {"tables": tables, "joins": joins, "selectivities": key_map}
+    edges = [sp.JoinEdge(eid, v1, v2, " AND ".join(predicates))
+             for eid, (v1, v2, predicates) in enumerate(edges.values())]
+    return doc, tuple(vertices), tuple(edges), tuple(sels)
+
+
+def _derived(graph):
+    return (graph.names, graph.bases, graph.indexed, graph.edge_u, graph.edge_v,
+            graph.edge_masks, graph.edge_of, graph.adjacency, graph.name_to_id, graph.pair_edge,
+            graph.n_vertices, graph.n_edges, graph.full_mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_irregular_documents())
+def test_loading_a_document_gives_the_graph_and_model_the_constructors_build(case):
+    doc, vertices, edges, sels = case
+    graph, model = sp.load_document(json.dumps(doc))
+    built = sp.JoinGraph(vertices, edges)
+    assert (graph.vertices, graph.edges) == (built.vertices, built.edges)
+    assert graph == built and hash(graph) == hash(built)
+    assert _derived(graph) == _derived(built)
+    want = sp.SelectivityModel(built, sels)
+    assert (model.graph, model.selectivities, model.sels) == \
+        (want.graph, want.selectivities, want.sels)
+
+
 def _direct(tables, edges):
     vertices = tuple(sp.TableInfo(name, card) for name, card in tables)
     return sp.JoinGraph(vertices, tuple(sp.JoinEdge(i, *edge) for i, edge in enumerate(edges)))

@@ -49,9 +49,11 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 # model_cards over clique-20's three-word edge bitsets, one instance's
 # kept problem through a failing call, two searches and a passing call, a
 # grouped clique-6 walk, a clique-11 walk stopped by its deadline, a
-# clique-12 walk refused, and masks check_masks refuses.
+# clique-12 walk refused, masks check_masks refuses, searches on loaded
+# arrays after the document, the graph and the model are dropped, and a
+# model of a smaller graph refused by its context and by the loader.
 SANITIZED_RUN = """
-import sys, time
+import gc, sys, time
 import spanplan as sp
 from spanplan import _kernels
 from spanplan._kernels import formula
@@ -131,6 +133,35 @@ inst = CostContext(*sp.gen_topology("chain", 5, seed=1)).instance
 for kernel, calls in BAD_MASKS.items():
     for args in calls:
         assert outcome(lib, kernel, inst, *args)[0] is ValueError, (kernel, args)
+
+# The instance holds the arrays the load built; the document text, the
+# graph, the model and the loader's temporaries are gone before the calls.
+for shape in ("gnp", "chorded"):
+    text = sp.graph_to_json(*irregular_graph(shape, 7, seed=5))
+    graph, model = sp.load_document(text)
+    inst, masks, m = CostContext(graph, model).instance, connected_subset_masks(graph), graph.n_edges
+    del text, graph, model
+    gc.collect()
+    runs = [(kind, e) for kind in (formula.PRIM, formula.KRUSKAL) for e in (None, *range(m))]
+    for call in (("greedy_search", inst, runs), ("dp_search", inst, masks),
+                 ("brute_search", inst), ("model_cards", inst, masks)):
+        assert outcome(lib, *call) == outcome(pure, *call), call[0]
+
+# A chain-4 model with a chain-6 graph: its context refuses it, and an
+# instance built from its arrays is refused before any kernel reads them.
+graph, model = sp.gen_topology("chain", 6, seed=1)
+small = sp.gen_topology("chain", 4, seed=1)[1]
+try:
+    CostContext(graph, small)
+    raise AssertionError("a chain-4 model fitted a chain-6 graph")
+except sp.GraphFormatError:
+    pass
+good = CostContext(graph, model).instance
+bad = formula.Instance(good.n, good.edge_u, good.edge_v, good.scan, good.indexed, good.lam,
+                       good.edge_of, model=(small.graph.bases, small.graph.edge_masks, small.sels))
+for call in (("greedy_search", bad, [(formula.KRUSKAL, None)]), ("model_cards", bad, [63]),
+             ("dp_search", bad, connected_subset_masks(graph)), ("brute_search", bad)):
+    assert outcome(lib, *call)[0] is ValueError, call[0]
 print("ok")
 """
 
@@ -161,7 +192,7 @@ def _c_problem(name, inst):
     lines, inits = [], [f".n = {prob.n}", f".n_edges = {prob.n_edges}",
                         f".n_cards = {prob.n_cards}", f".lam = {prob.lam.hex()}"]
     for field, buf in zip(fields, prob.buffers):
-        if len(buf):
+        if buf:  # absent (None) or empty
             values = ", ".join(x.hex() if buf.typecode == "d" else str(x) for x in buf)
             lines.append(f"static const {ctypes_of[buf.typecode]} {name}_{field}[] = {{{values}}};")
             inits.append(f".{field} = {name}_{field}")
@@ -419,6 +450,52 @@ def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
     assert compiled.problem_size == ctypes.sizeof(_Problem)
 
 
+def test_a_request_instance_and_its_problem_share_the_loaded_arrays(compiled, q2a_text):
+    # A cost context passes the arrays its graph and source built at load,
+    # and the compiled problem points at those arrays, not at copies.
+    graph, model = sp.load_document(sp.graph_to_json(*sp.gen_topology("clique", 6, seed=1)))
+    inst = CostContext(graph, model).instance
+    assert (inst.edge_u, inst.edge_v, inst.indexed, inst.edge_of) == \
+        (graph.edge_u, graph.edge_v, graph.indexed, graph.edge_of)
+    assert inst.edge_u is graph.edge_u and inst.edge_v is graph.edge_v
+    assert inst.indexed is graph.indexed and inst.edge_of is graph.edge_of
+    bases, edge_masks, sels = inst.model
+    assert bases is graph.bases and edge_masks is graph.edge_masks and sels is model.sels
+    compiled.greedy_search(inst, [(formula.PRIM, None)])
+    buffers = _problem(inst).buffers
+    assert [buffers[i] is arr for i, arr in enumerate(
+        (graph.edge_u, graph.edge_v, inst.scan, graph.indexed))] == [True] * 4
+    assert buffers[4:6] == (None, None) and buffers[6] is bases and buffers[7] is sels
+    graph, catalog = sp.load_document(q2a_text)
+    inst = CostContext(graph, catalog).instance
+    assert inst.card_arrays is catalog.arrays and inst.catalog is catalog.entries
+    compiled.greedy_search(inst, [(formula.PRIM, None)])
+    masks, rows = _problem(inst).buffers[4:6]
+    assert (masks, rows) == catalog.arrays and masks is catalog.arrays[0] and \
+        rows is catalog.arrays[1]
+
+
+def test_the_loader_refuses_arrays_shorter_than_the_kernels_read(compiled):
+    # A chain-4 model's arrays under a chain-6 instance made C read past
+    # their end; a cost context refuses the model first (GraphFormatError).
+    graph, _model = sp.gen_topology("chain", 6, seed=1)
+    small, model = sp.gen_topology("chain", 4, seed=1)
+    inst = CostContext(graph, _model).instance
+    short = [(small.bases, graph.edge_masks, _model.sels),
+             (graph.bases, graph.edge_masks, model.sels)]
+    for arrays in short:
+        bad = formula.Instance(inst.n, inst.edge_u, inst.edge_v, inst.scan, inst.indexed,
+                               inst.lam, inst.edge_of, model=arrays)
+        with pytest.raises(ValueError, match="^kernel instance arrays must cover its 6 tables"
+                                             " and 5 edges$"):
+            compiled.greedy_search(bad, [(formula.PRIM, None)])
+        assert bad.problem is None
+    bad = formula.Instance(inst.n, inst.edge_u, inst.edge_v[:4], inst.scan, inst.indexed,
+                           inst.lam, inst.edge_of, model=inst.model)
+    with pytest.raises(ValueError):
+        compiled.model_cards(bad, [1])
+
+
 def _context(graph, model):
     ctx = CostContext(graph, model)
     ctx.ensure_cards(connected_subset_masks(graph))
@@ -473,7 +550,7 @@ def test_merge_equivalence_on_equal_cardinalities(compiled):
     # backends.
     inst = formula.Instance(
         n=3, edge_u=(0, 1), edge_v=(1, 2), scan=(2.0, 2.0, 2.0), indexed=(False,) * 3,
-        lam=2.0, pair_inner={3: 1, 6: 2},
+        lam=2.0, edge_of={3: 0, 6: 1},
         catalog={1: 10, 2: 10, 4: 10, 3: 10, 6: 10, 7: 5})
     assert [_merge(inst, l, r) for l, r in ((1, 2), (2, 1), (3, 4), (4, 3), (1, 6), (6, 1))] \
         == [(24.0, 0, 0, 10.0), (24.0, 0, 1, 10.0), (17.0, 0, 0, 5.0), (17.0, 0, 1, 5.0),
@@ -1199,7 +1276,7 @@ def test_dp_search_breaks_equal_totals_toward_the_largest_left_side_holding_the_
     # of them in descending order of the left side, {0, 2} | {1}.
     inst = formula.Instance(
         n=3, edge_u=(0, 0, 1), edge_v=(1, 2, 2), scan=(1.0, 1.0, 1.0), indexed=(False,) * 3,
-        lam=2.0, pair_inner={3: 1, 5: 2, 6: 2}, catalog={m: 10 for m in range(1, 8)})
+        lam=2.0, edge_of={3: 0, 5: 1, 6: 2}, catalog={m: 10 for m in range(1, 8)})
     step = _merge
     assert {step(inst, l, r)[0] for l, r in ((0b001, 0b010), (0b001, 0b100), (0b010, 0b100))} \
         == {22.0}
