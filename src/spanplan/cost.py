@@ -266,9 +266,10 @@ class CostContext:
         else:
             catalog, arrays = source.entries, source.arrays
         tau = params.tau
-        self.instance = formula.Instance(
-            graph.n_vertices, graph.edge_u, graph.edge_v, array("d", [tau * b for b in graph.bases]),
-            graph.indexed, params.lam, graph.edge_of, model, catalog, arrays)
+        scan = array("d", [tau * b for b in graph.bases])
+        self.instance = formula.Instance(graph.n_vertices, graph.edge_u, graph.edge_v, scan,
+                                         graph.indexed, params.lam, graph.edge_of, model,
+                                         catalog, arrays)
         self._merge_memo: dict[tuple[int, int], MergeResult] = {}
 
     def card(self, mask: int) -> float:

@@ -99,8 +99,9 @@ class JoinGraph:
                 pair = sorted((v1, v2))
                 raise GraphFormatError(f"parallel edge {eid} on {names[pair[0]]}-{names[pair[1]]}")
             edge_of[mask] = len(edge_of)
-        self._bind(names, [t.base_cardinality for t in vertices], [t.indexed for t in vertices],
-                   [e.v1 for e in edges], [e.v2 for e in edges], edge_of)
+        self._bind(names, [t.base_cardinality for t in vertices],
+                   [bool(t.indexed) for t in vertices], [e.v1 for e in edges],
+                   [e.v2 for e in edges], edge_of)
         self.vertices = vertices
         self.edges = edges
 
