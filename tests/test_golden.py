@@ -48,7 +48,7 @@ def _catalog_document() -> str:
 
 
 def _escaped_names_document() -> str:
-    """A 5-cycle whose table names sort in another order once written as
+    r"""A 5-cycle whose table names sort in another order once written as
     escaped ASCII JSON: "\u00e9" and "\"" sort before letters, "é" after."""
     names = ["zeta", "émile", "Zoë", 'q"uote', "日本"]
     cards = [1200, 300_000, 45_000, 8, 70_000]
