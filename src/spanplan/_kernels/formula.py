@@ -59,10 +59,11 @@ class Instance:
 def check_runs(inst: Instance, runs) -> None:
     """Raise ValueError unless runs, a greedy_search run list, is non-empty
     and each run is (PRIM or KRUSKAL, None or an edge id of inst); the
-    compiled kernel indexes its edge arrays by these starts."""
-    seeded = {start for _kind, start in runs} - {None}
+    compiled kernel indexes its edge arrays by these starts.  An edge id is
+    an int: True or 1.0 would name edge 1 to C but not to pure."""
     if not runs or not {kind for kind, _start in runs} <= {PRIM, KRUSKAL} \
-            or seeded and not 0 <= min(seeded) <= max(seeded) < len(inst.edge_u):
+            or not all(start is None or type(start) is int and 0 <= start < len(inst.edge_u)
+                       for _kind, start in runs):
         raise ValueError("greedy_search runs must be a non-empty list of (PRIM or KRUSKAL,"
                          f" None or an edge id below {len(inst.edge_u)})")
 

@@ -3,9 +3,10 @@
  * A mirror of the Python kernels: merge (with the join_cost it inlines) and
  * model_product mirror formula.py, the package's one Python cost formula;
  * model_cards, greedy_search, dp_search and brute_search mirror pure.py.
- * brute_search walks each group of equivalent edges once and prices the
- * last depth once, where pure's reference walk takes every arrangement;
- * both return the same results and counters (see walk).
+ * brute_search walks each group of equivalent edges once, prices the last
+ * depth once and expands each forest of joins once, where pure's reference
+ * walk takes every arrangement; both return the same results and counters
+ * (see walk).
  * (count_trees has no C kernel: every backend counts in closed form in
  * trees.py, whose Python ints stay exact where int64 would overflow.)
  * The three searches write the winner's cost and its joins as (edge, left
@@ -15,9 +16,7 @@
  * Every cost is computed with the same operations in the same order, so
  * results are bit-for-bit equal to the reference.
  * Build with -ffp-contract=off so that no a * b + c is fused into one
- * rounding, and with -pthread: a long brute_search walk runs as two
- * halves, one on a second thread, when the process may run on two CPUs
- * (see walk_halves), with results and counters equal to one thread's.
+ * rounding.  No kernel starts a thread.
  * Vertex sets are bitmasks; the 25-table graph cap keeps them below 2^32.
  * brute_search's edge sets are one word: formula.check_walk refuses an
  * instance of more than 64 edges before the call.
@@ -25,19 +24,14 @@
  * overlap, returns one of the status codes below, and writes the mask a
  * MISSING status names to its last argument.
  */
-#define _GNU_SOURCE  /* sched_getaffinity, CPU_COUNT */
-#include <limits.h>
+#define _POSIX_C_SOURCE 199309L  /* clock_gettime */
 #include <math.h>
-#include <pthread.h>
-#include <sched.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
 
-/* STOPPED: a walk's half stopped because the other failed in a lower
- * subtree, whose status is returned instead. */
-enum { OK, TIMEOUT, MISSING, NOMEM, STOPPED };
+enum { OK, TIMEOUT, MISSING, NOMEM };
 
 typedef uint64_t mask_t;
 
@@ -144,9 +138,9 @@ typedef struct {
     const double *bases, *sels;  /* inst.model as per-vertex and per-edge arrays, or NULL */
 } problem;
 
-/* The cardinalities one kernel call reads (each half of a walk has its
- * own): card() reads memo, seeded with p's shipped ones and filled under
- * p's model, which reads the incident edge bitsets. */
+/* The cardinalities one kernel call reads: card() reads memo, seeded with
+ * p's shipped ones and filled under p's model, which reads the incident
+ * edge bitsets. */
 typedef struct {
     const problem *p;
     table memo;
@@ -321,16 +315,21 @@ typedef struct { mask_t l, r; double cost, out; int edge, op, side; } step_t;
 #define DONE ((size_t)-1)
 typedef struct { step_t step; size_t next; } choice;
 
-/* Interned byte strings of one width, a multiple of 8, each with a choice:
+/* A string's value: a greedy state's choice, or the valid and evals below
+ * a forest of brute_search's walk. */
+typedef union { choice choice; int64_t below[2]; } value;
+
+/* Interned byte strings of one width, a multiple of 8, each with a value:
  * greedy_search's states (a member's kind, then its partition as each
- * vertex's lowest component vertex, zero-padded) and its distinct member
- * plans (canonical encodings, whose choices go unused). */
+ * vertex's lowest component vertex, zero-padded), its distinct member plans
+ * (canonical encodings, whose values go unused) and the forests
+ * brute_search has expanded. */
 typedef struct {
     size_t width, len, cap;    /* cap: slots, a power of two; room for cap / 2 strings */
     unsigned char *data;       /* the strings, in insertion order */
     uint64_t *hash;            /* each string's hash_words, so that growing hashes
                                 * nothing again and a probe compares it first */
-    choice *val;
+    value *val;
     size_t *slot;              /* string index + 1, or 0 for a free slot */
 } strings;
 
@@ -361,7 +360,7 @@ static int intern(strings *t, const void *s, size_t *index, int *fresh) {
     if (2 * (t->len + 1) > t->cap) {
         size_t cap = t->cap ? 2 * t->cap : 64;
         unsigned char *data = realloc(t->data, cap / 2 * t->width + 1);
-        choice *val = data ? realloc(t->val, cap / 2 * sizeof *val) : NULL;
+        value *val = data ? realloc(t->val, cap / 2 * sizeof *val) : NULL;
         uint64_t *hash = val ? realloc(t->hash, cap / 2 * sizeof *hash) : NULL;
         size_t *slot = hash ? calloc(cap, sizeof *slot) : NULL;
         if (data)
@@ -561,8 +560,8 @@ static void join_edge(greedy *g, int kind, const cand *c, mask_t *merged) {
  * component's cost is kept at its lowest vertex, which is where the next
  * join of it reads it. */
 static void follow(greedy *g, size_t index) {
-    for (; index != DONE; index = g->next.val[index].next) {
-        step_t s = g->next.val[index].step;
+    for (; index != DONE; index = g->next.val[index].choice.next) {
+        step_t s = g->next.val[index].choice.step;
         g->cost_of[BIT(s.l | s.r)] = s.cost + g->cost_of[BIT(s.l)] + g->cost_of[BIT(s.r)];
         g->steps[g->n_steps++] = s;
     }
@@ -606,7 +605,7 @@ static int member(greedy *g, int kind, int start, double *total) {
         if ((rc = intern(&g->next, g->label, &index, &fresh)))
             return rc;
         if (last != DONE)
-            g->next.val[last].next = index;
+            g->next.val[last].choice.next = index;
         if (!fresh) {
             follow(g, index);
             break;
@@ -623,7 +622,7 @@ static int member(greedy *g, int kind, int start, double *total) {
                 return rc;
         }
         join_edge(g, kind, cheapest(g->cands, len), &merged);
-        g->next.val[index] = (choice){ g->steps[g->n_steps - 1], DONE };
+        g->next.val[index].choice = (choice){ g->steps[g->n_steps - 1], DONE };
         last = index;
     }
     *total = g->cost_of[0];
@@ -855,10 +854,9 @@ int sp_dp_search(const problem *p, const mask_t *masks, int64_t n_masks, double 
     return rc;
 }
 
-/* brute_search's depth-first walk over ordered edge arrangements, or one
- * half of it: the subtrees of the depth-0 edges first, first + stride, ...
- * It takes only live edges, those joining two components, so it counts
- * only valid (and linear) arrangements.
+/* brute_search's depth-first walk over ordered edge arrangements.  It
+ * takes only live edges, those joining two components, so it counts only
+ * valid (and linear) arrangements.
  *
  * It walks each group of equivalent edges once.  A group is the edges whose
  * v1 end lies in one component and whose v2 end lies in another.  Any of
@@ -871,16 +869,25 @@ int sp_dp_search(const problem *p, const mask_t *masks, int64_t n_masks, double 
  * orientation: a join adds its v1 side's cost before its v2 side's, and the
  * two orders can differ in the last bit.  At the last depth every live edge
  * joins the two components left, and that join is priced once.
- * pure.brute_search walks every arrangement as the reference.
- * Aligned so that two halves side by side share no cache line. */
+ *
+ * It expands each forest once.  Two independent joins taken in either order
+ * reach the same components at bit-identical costs, and the subtree below a
+ * node depends only on those: its live edges, groups and edge order follow
+ * from the partition, its costs from the components' costs (a single
+ * table's is 0).  At a node with two or more components of two tables or
+ * more, where no completion is linear, the walk looks the forest up in
+ * forests; a forest seen before adds the valid and evals its first subtree
+ * added, and is not walked again.  That is exact: a repeat cannot beat the
+ * best under the strict <, so the first-found best is the same; a failure
+ * in the first subtree ended the walk, so the missing mask is the same; and
+ * subplans and splits come from the pair memo, which the first subtree
+ * filled.  A forest's entry is made when the walk reaches it and valued
+ * when its subtree returns OK; any other status ends the walk before the
+ * entry is read.  pure.brute_search walks every arrangement as the
+ * reference. */
 typedef struct {
-    state s;                  /* the half's cardinalities, over the caller's problem */
-    int first, stride;
-    int *lowest;              /* shared by the halves: the lowest depth-0 edge whose
-                               * subtree failed, or INT_MAX */
-    int unit, rc;             /* the depth-0 edge being walked (-1 before the first)
-                               * and the half's status */
-    int n_edges, slots;
+    state s;                  /* the walk's cardinalities, over the caller's problem */
+    int slots;
     const int *edge_u, *edge_v;
     int *parent;
     mask_t *cu, *cv;          /* per root, the edges whose v1 / v2 end its component
@@ -892,10 +899,12 @@ typedef struct {
     mask_t *comp_mask;        /* each root's component and its cost */
     double *comp_cost;
     mask_t *seq, *best_seq;   /* (edge, left, right, out card) per depth: the walk's and
-                               * the best; the walk leaves out cards to walk_half */
+                               * the best; the walk leaves out cards to sp_brute_search */
     double best;
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
-} __attribute__((aligned(64))) walk;
+    strings forests;          /* each expanded forest's key -> the valid and evals below it */
+    mask_t *key;              /* the key of the forest being looked up */
+} walk;
 
 static int find(const int *parent, int x) {
     while (parent[x] != x)
@@ -917,11 +926,6 @@ static int memo_merge(walk *w, mask_t lm, mask_t rm, double *inc) {
         return rc;
     *inc = j.cost;
     return put(&w->memo, key, j.cost);
-}
-
-/* Whether the other half failed in a subtree below unit. */
-static int stopped(walk *w, int unit) {
-    return __atomic_load_n(w->lowest, __ATOMIC_RELAXED) < unit;
 }
 
 /* The last depth, whose edges (choices) all join the two components left:
@@ -954,23 +958,48 @@ static int last(walk *w, int depth, mask_t choices, int linear) {
     return OK;
 }
 
-/* The walk on from depth over the edges in choices: a depth-0 edge's
- * group, or every live edge below depth 0.  A node above the last depth
- * hands its children to last() itself; step starts at the last depth only
- * when that is depth 0.  The first node and every 4096th read the clock,
- * when there is a deadline, and check whether the other half failed in a
- * lower subtree. */
+/* w->key becomes the forest's key: each component of two tables or more as
+ * (mask, cost bits), ascending by mask, zero-padded to forests.width bytes.
+ * Disjoint masks ascend as their highest tables do. */
+static void forest_key(walk *w) {
+    mask_t *key = w->key;
+    memset(key, 0, w->forests.width);
+    for (int v = 0; v <= w->slots; v++) {
+        int r = find(w->parent, v);
+        mask_t m = w->comp_mask[r];
+        if (!SINGLE(m) && 63 - __builtin_clzll(m) == v) {
+            key[0] = m;
+            memcpy(key + 1, &w->comp_cost[r], sizeof *key);
+            key += 2;
+        }
+    }
+}
+
+/* The walk on from depth over the edges in choices, the live ones.  A node
+ * above the last depth hands its children to last() itself; step starts at
+ * the last depth only when that is depth 0.  touched_cnt - depth counts the
+ * components of two tables or more.  The first node and every 4096th read
+ * the clock, when there is a deadline; a forest looked up counts as a node
+ * whether or not it is walked. */
 static int step(walk *w, int depth, mask_t choices, mask_t touched, int touched_cnt,
                 int linear) {
-    int rc;
-    if ((++w->nodes & 4095) == 1) {
-        if (w->deadline != 0.0 && now() > w->deadline)
-            return TIMEOUT;
-        if (stopped(w, w->unit))
-            return STOPPED;
-    }
+    int64_t valid = w->counts[0], evals = w->counts[4];
+    size_t index = DONE;
+    int rc, fresh;
+    if ((++w->nodes & 4095) == 1 && w->deadline != 0.0 && now() > w->deadline)
+        return TIMEOUT;
     if (depth + 1 == w->slots)
         return last(w, depth, choices, linear);
+    if (touched_cnt - depth >= 2) {  /* linear is 0 here and below */
+        forest_key(w);
+        if ((rc = intern(&w->forests, w->key, &index, &fresh)))
+            return rc;
+        if (!fresh) {
+            w->counts[0] += w->forests.val[index].below[0];
+            w->counts[4] += w->forests.val[index].below[1];
+            return OK;
+        }
+    }
     for (mask_t rest = choices; rest;) {
         int e = BIT(rest), u = w->edge_u[e], v = w->edge_v[e], cnt, new_linear;
         int ru = find(w->parent, u), rv = find(w->parent, v);
@@ -1009,176 +1038,79 @@ static int step(walk *w, int depth, mask_t choices, mask_t touched, int touched_
         w->comp_mask[rv] = rm;
         w->comp_cost[rv] = saved_cost;
     }
+    if (index != DONE) {
+        w->forests.val[index].below[0] = w->counts[0] - valid;
+        w->forests.val[index].below[1] = w->counts[4] - evals;
+    }
     return OK;
 }
 
-/* Walk the half's subtrees.  Its pair memo and its best arrangement, out
- * cards included, are left for sp_brute_search; a failure publishes its
- * subtree in *lowest. */
-static void *walk_half(void *arg) {
-    walk *w = arg;
-    int n = w->slots + 1, n_edges = w->n_edges, slots = w->slots, seen;
-    int rc = open_memo(&w->s);
-    w->parent = malloc(n * sizeof *w->parent);
-    w->cu = calloc(n, sizeof *w->cu);
-    w->cv = calloc(n, sizeof *w->cv);
-    w->comp_mask = malloc(n * sizeof *w->comp_mask);
-    w->comp_cost = malloc(n * sizeof *w->comp_cost);
-    w->seq = calloc(4 * (size_t)slots, sizeof *w->seq);
-    w->best_seq = malloc(4 * (size_t)slots * sizeof *w->best_seq);
-    if (rc == OK && (!w->parent || !w->cu || !w->cv || !w->comp_mask || !w->comp_cost
-                     || !w->seq || !w->best_seq))
-        rc = NOMEM;
-    if (rc == OK) {
-        for (int v = 0; v < n; v++) {
-            w->parent[v] = v;
-            w->comp_mask[v] = (mask_t)1 << v;
-            w->comp_cost[v] = 0.0;
-        }
-        for (int e = 0; e < n_edges; e++) {
-            w->cu[w->edge_u[e]] |= (mask_t)1 << e;
-            w->cv[w->edge_v[e]] |= (mask_t)1 << e;
-            if (w->edge_u[e] != w->edge_v[e])
-                w->live |= (mask_t)1 << e;
-        }
-        /* Each of the half's subtrees whose edge is its group's lowest,
-         * unless the other half failed in a lower one. */
-        for (int e = w->first; rc == OK && e < n_edges; e += w->stride) {
-            mask_t group = w->cu[w->edge_u[e]] & w->cv[w->edge_v[e]] & w->live;
-            if (stopped(w, w->unit = e))
-                rc = STOPPED;
-            else if (group && BIT(group) == e)
-                rc = step(w, 0, group, 0, 0, 1);
-        }
-    }
-    /* The best arrangement's out cards, read from card(), which priced them. */
-    for (int i = 0; rc == OK && w->best < INFINITY && i < slots; i++) {
-        mask_t *join = w->best_seq + 4 * i;
-        double out;
-        if ((rc = card(&w->s, join[1] | join[2], &out)) == OK)
-            memcpy(join + 3, &out, sizeof out);
-    }
-    close_memo(&w->s);
-    free(w->parent);
-    free(w->cu);
-    free(w->cv);
-    free(w->comp_mask);
-    free(w->comp_cost);
-    free(w->seq);
-    seen = __atomic_load_n(w->lowest, __ATOMIC_RELAXED);
-    while (rc && rc != STOPPED && w->unit < seen
-           && !__atomic_compare_exchange_n(w->lowest, &seen, w->unit, 0, __ATOMIC_RELAXED,
-                                           __ATOMIC_RELAXED))
-        ;
-    w->rc = rc;
-    return NULL;
-}
-
-/* A walk's work is its memo_merge calls: one for each group it walks above
- * the last depth and one for each node at the last depth.  A node with c
- * components has at most min(live edges, c (c - 1)) groups, one per ordered
- * pair, and at depth d at most n_edges - d edges are live; that bound is
- * exact on trees and cycles and about 2.5 times the walk on cliques.  The
- * walk runs as two halves when the bound reaches SPLIT_CALLS and the
- * process may run on two CPUs, read once.  Starting and joining a thread
- * whose CPU has idled for a millisecond or more takes 75-150 us.  Measured
- * on a 2-vCPU Xeon VM, in process with 3 ms idle gaps between calls,
- * medians of 61-101 calls over two to five runs, one thread against two:
- * clique-5 (bound 1,180) 0.10-0.14 against 0.25-0.31 ms, cycle-7 (6,139)
- * 0.19-0.34 against 0.25-0.40 ms, star-8 (13,699) 0.42-0.55 against
- * 0.41-0.54 ms, clique-6 (bound 32,985) 0.51-0.68 against 0.48-0.57 ms and
- * cycle-8 (49,120) 1.59-1.66 against 1.02-1.09 ms. */
-enum { SPLIT_CALLS = 10000 };
-
-static pthread_once_t cpus_read = PTHREAD_ONCE_INIT;
-static int two_cpus;
-
-static void read_cpus(void) {
-#ifdef CPU_COUNT
-    cpu_set_t set;
-    two_cpus = sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) >= 2;
-#endif
-}
-
-static int walk_halves(int n, int n_edges) {
-    double nodes = 1.0, calls = 0.0;
-    for (int d = 0; d < n - 2; d++) {  /* the depths above the last */
-        int pairs = (n - d) * (n - d - 1);
-        nodes *= n_edges - d < pairs ? n_edges - d : pairs;
-        calls += nodes;
-    }
-    pthread_once(&cpus_read, read_cpus);
-    return two_cpus && calls + nodes >= SPLIT_CALLS;
-}
-
 /* pure.brute_search; joins receives the best arrangement's (edge, left,
- * right, out card) joins and counts the five counters after them.
- *
- * Its two halves walk the subtrees of the even and of the odd depth-0
- * edges, which balances the symmetric graphs; a depth-0 edge whose group
- * holds a lower one is counted by the half that walks that one.  One half
- * runs on a second thread, or after the other when no thread can be
- * started.  They share only the problem, which neither writes: each has its
- * own cardinalities, memos and tables.  Merged, valid, linear and evals add
- * up, and splits and subplans count the pairs and the unions of the two
- * merge memos together.  The best is the lower cost, and on equal ones the half's
- * whose best arrangement starts at the lower edge: the one walked first.
- * A failure is the one in the lower subtree, which the sequential walk
- * meets first; a half stops before it starts a subtree above one the other
- * half failed in, and wherever it reads the clock, so a failure in the
- * first subtree is not kept waiting for the other half's walk. */
+ * right, out card) joins and counts the five counters after them.  A
+ * forest's key holds at most n / 2 components. */
 int sp_brute_search(const problem *p, double deadline, double *best, mask_t *joins,
                     int64_t counts[5], mask_t *missing) {
-    walk w[2];
-    const walk *win = &w[0], *failed = &w[0];
-    int lowest = INT_MAX, halves, rc;
-    if (p->n == 1) {  /* one empty arrangement, valid and linear */
+    int n = p->n, slots = n - 1, rc;
+    walk w = { .s = { .p = p }, .slots = slots, .edge_u = p->edge_u, .edge_v = p->edge_v,
+               .deadline = deadline, .best = INFINITY,
+               .forests = { .width = 2 * sizeof(mask_t) * (size_t)(n / 2) } };
+    if (n == 1) {  /* one empty arrangement, valid and linear */
         int64_t one[5] = { 1, 1, 0, 0, 0 };
         *best = 0.0;
         memcpy(counts, one, sizeof one);
         return OK;
     }
-    halves = walk_halves(p->n, p->n_edges);
-    for (int i = 0; i < 2; i++)
-        w[i] = (walk){ .s = { .p = p }, .first = i, .stride = halves ? 2 : 1, .lowest = &lowest,
-                       .unit = -1, .n_edges = p->n_edges, .slots = p->n - 1,
-                       .edge_u = p->edge_u, .edge_v = p->edge_v, .deadline = deadline,
-                       .best = INFINITY };
-    if (halves) {
-        pthread_t thread;
-        int started = pthread_create(&thread, NULL, walk_half, &w[1]) == 0;
-        walk_half(&w[0]);
-        if (started)
-            pthread_join(thread, NULL);
-        else
-            walk_half(&w[1]);
-        if (w[1].rc && (!w[0].rc || w[1].unit < w[0].unit))
-            failed = &w[1];
-    } else {
-        walk_half(&w[0]);
+    rc = open_memo(&w.s);
+    w.parent = malloc(n * sizeof *w.parent);
+    w.cu = calloc(n, sizeof *w.cu);
+    w.cv = calloc(n, sizeof *w.cv);
+    w.comp_mask = malloc(n * sizeof *w.comp_mask);
+    w.comp_cost = malloc(n * sizeof *w.comp_cost);
+    w.seq = calloc(4 * (size_t)slots, sizeof *w.seq);
+    w.best_seq = malloc(4 * (size_t)slots * sizeof *w.best_seq);
+    w.key = malloc(w.forests.width);
+    if (rc == OK && (!w.parent || !w.cu || !w.cv || !w.comp_mask || !w.comp_cost || !w.seq
+                     || !w.best_seq || !w.key))
+        rc = NOMEM;
+    if (rc == OK) {
+        for (int v = 0; v < n; v++) {
+            w.parent[v] = v;
+            w.comp_mask[v] = (mask_t)1 << v;
+            w.comp_cost[v] = 0.0;
+        }
+        for (int e = 0; e < p->n_edges; e++) {
+            w.cu[p->edge_u[e]] |= (mask_t)1 << e;
+            w.cv[p->edge_v[e]] |= (mask_t)1 << e;
+            if (p->edge_u[e] != p->edge_v[e])
+                w.live |= (mask_t)1 << e;
+        }
+        rc = step(&w, 0, w.live, 0, 0, 1);
     }
-    *missing = failed->s.missing;
-    rc = failed->rc;
-    if (rc == OK && halves) {
-        for (int i = 0; i < 5; i++)  /* subplans and splits are still 0 here */
-            w[0].counts[i] += w[1].counts[i];
-        for (size_t i = 0; rc == OK && i < w[1].memo.cap; i++)
-            if (w[1].memo.key[i] && !get(&w[0].memo, w[1].memo.key[i]))
-                rc = put(&w[0].memo, w[1].memo.key[i], w[1].memo.val[i]);
-        if (w[1].best < w[0].best || (w[1].best == w[0].best && w[1].best < INFINITY
-                                      && w[1].best_seq[0] < w[0].best_seq[0]))
-            win = &w[1];
+    /* The best arrangement's out cards, read from card(), which priced them. */
+    for (int i = 0; rc == OK && w.best < INFINITY && i < slots; i++) {
+        mask_t *join = w.best_seq + 4 * i;
+        double out;
+        if ((rc = card(&w.s, join[1] | join[2], &out)) == OK)
+            memcpy(join + 3, &out, sizeof out);
     }
     if (rc == OK)
-        rc = count_unions(&w[0].memo, &w[0].counts[2]);
-    w[0].counts[3] = (int64_t)w[0].memo.len;
-    *best = win->best;
-    if (rc == OK && win->best < INFINITY)
-        memcpy(joins, win->best_seq, 4 * (size_t)(p->n - 1) * sizeof *joins);
-    memcpy(counts, w[0].counts, sizeof w[0].counts);
-    for (int i = 0; i < 2; i++) {
-        drop(&w[i].memo);
-        free(w[i].best_seq);
-    }
+        rc = count_unions(&w.memo, &w.counts[2]);
+    w.counts[3] = (int64_t)w.memo.len;
+    *best = w.best;
+    if (rc == OK && w.best < INFINITY)
+        memcpy(joins, w.best_seq, 4 * (size_t)slots * sizeof *joins);
+    memcpy(counts, w.counts, sizeof w.counts);
+    *missing = w.s.missing;
+    close_memo(&w.s);
+    drop(&w.memo);
+    drop_strings(&w.forests);
+    free(w.parent);
+    free(w.cu);
+    free(w.cv);
+    free(w.comp_mask);
+    free(w.comp_cost);
+    free(w.seq);
+    free(w.best_seq);
+    free(w.key);
     return rc;
 }

@@ -89,7 +89,10 @@ class JoinGraph:
             if not is_row_count(t.base_cardinality, 1):
                 raise GraphFormatError(f"table {t.name} has an invalid cardinality")
         edge_of = {}
-        for eid, v1, v2, _predicate in edges:
+        for position, (eid, v1, v2, _predicate) in enumerate(edges):
+            if type(eid) is not int or eid != position:
+                raise GraphFormatError(f"edge {eid!r} is at position {position}; each edge's id"
+                                       " must be its position")
             if not (0 <= v1 < n and 0 <= v2 < n):
                 raise UnknownTableError(f"edge {eid} references an unknown vertex")
             if v1 == v2:

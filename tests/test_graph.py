@@ -378,6 +378,23 @@ def test_a_graph_built_directly_is_checked_in_full(tables, edges, error, message
     assert (type(info.value), str(info.value)) == (error, message)
 
 
+@pytest.mark.parametrize("ids, message", [
+    ((7, 3), "edge 7 is at position 0"),
+    ((1, 0), "edge 1 is at position 0"),
+    ((0, 0), "edge 0 is at position 1"),
+    ((0, True), "edge True is at position 1"),
+    ((0, 1.0), "edge 1.0 is at position 1"),
+])
+def test_a_graph_built_directly_refuses_edge_ids_that_are_not_their_positions(ids, message):
+    # The kernels, plan steps and filters name an edge by its position, and
+    # graph.edges[i].id by its id: the two must be one number.
+    vertices = tuple(sp.TableInfo(name, 10) for name in "abc")
+    edges = tuple(sp.JoinEdge(eid, v, v + 1, "p") for v, eid in enumerate(ids))
+    with pytest.raises(sp.GraphFormatError) as info:
+        sp.JoinGraph(vertices, edges)
+    assert str(info.value) == message + "; each edge's id must be its position"
+
+
 def test_an_absent_predicate_defaults_to_the_equality_of_its_tables():
     doc = _ab(joins=[{"left": "b", "right": "a"}, {"left": "a", "right": "b", "predicate": "p"},
                      {"left": "a", "right": "b"}])

@@ -48,7 +48,8 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 # on small graphs, each search's joins filling its buffer, greedy_search and
 # model_cards over clique-20's three-word edge bitsets, one instance's
 # kept problem through a failing call, two searches and a passing call, a
-# grouped clique-6 walk, a clique-11 walk stopped by its deadline, a
+# grouped clique-6 walk, chain-9 and cycle-9 walks whose forest memo grows
+# many times, a clique-11 walk stopped by its deadline, a
 # clique-12 walk refused, masks check_masks refuses, searches on loaded
 # arrays after the document, the graph and the model are dropped, and a
 # model of a smaller graph refused by its context and by the loader.
@@ -116,11 +117,13 @@ assert got == [outcome(pure, *call) for call in calls]
 assert got[0][0] is got[1][0] is KeyError and got[0] != got[1] and len(got[3]) == len(small)
 assert _problem(inst) is _problem(inst)
 
-# The grouped walk of clique-6, on two threads when two CPUs are allowed;
-# the clique-11 walk (55 edges) stopped by its deadline; clique-12's 66
-# edges, more than one word holds, refused before the walk.
-inst = CostContext(*sp.gen_topology("clique", 6, seed=0)).instance
-assert outcome(lib, "brute_search", inst) == outcome(pure, "brute_search", inst)
+# The grouped walk of clique-6; the chain-9 and cycle-9 walks, whose memo
+# of expanded forests grows from room for 32 to over a thousand; the clique-11
+# walk (55 edges) stopped by its deadline; clique-12's 66 edges, more than
+# one word holds, refused before the walk.
+for kind, n in (("clique", 6), ("chain", 9), ("cycle", 9)):
+    inst = CostContext(*sp.gen_topology(kind, n, seed=0)).instance
+    assert outcome(lib, "brute_search", inst) == outcome(pure, "brute_search", inst), kind
 graph, model = sp.gen_topology("clique", 11, seed=0)
 try:
     lib.brute_search(CostContext(graph, model).instance, time.perf_counter() + 0.01)
@@ -173,7 +176,7 @@ def test_every_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizer
     if not os.path.isabs(runtime) or not os.path.exists(runtime):
         pytest.skip("no libasan for the C compiler")
     library = tmp_path / "sanitized.so"
-    subprocess.run([*cc, "-shared", "-fPIC", "-pthread", "-fsanitize=address,undefined",
+    subprocess.run([*cc, "-shared", "-fPIC", "-fsanitize=address,undefined",
                     "-fno-sanitize-recover=all", "-fno-omit-frame-pointer", "-ffp-contract=off",
                     str(SOURCE), "-o", str(library), "-lm"], check=True)
     env = dict(os.environ, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0",
@@ -199,12 +202,12 @@ def _c_problem(name, inst):
     return "\n".join(lines + [f"static const problem {name} = {{{', '.join(inits)}}};"])
 
 
-# Includes kernels.c, so that it can run the walks as two halves whatever
-# CPUs the process may use, and prints each call's outcome as the tokens
-# _tokens gives.  The problems, and shared's greedy runs and DP masks, are
-# defined where %s stands.
+# Includes kernels.c for its problem type, and prints each call's outcome
+# as the tokens _tokens gives.  The problems, and shared's greedy runs and
+# DP masks, are defined where %s stands.
 TSAN_DRIVER = r"""
 #include "kernels.c"
+#include <pthread.h>
 #include <stdio.h>
 
 %s
@@ -227,16 +230,8 @@ static void print_result(int rc, mask_t missing, double cost, const mask_t *join
     printf("\n");
 }
 
-static void run_walk(const problem *p) {
-    double best;
-    int64_t counts[5];
-    mask_t joins[4 * 24], missing = 0;
-    int rc = sp_brute_search(p, 0.0, &best, joins, counts, &missing);
-    print_result(rc, missing, best, joins, p->n - 1, counts, 5);
-}
-
-/* One search on shared, run by a thread of its own. */
-typedef struct { int rc; double cost; mask_t joins[4 * 24], missing; int64_t counts[4]; } run;
+/* One search, run by a thread of its own. */
+typedef struct { int rc; double cost; mask_t joins[4 * 24], missing; int64_t counts[5]; } run;
 
 static void *greedy_thread(void *arg) {
     run *r = arg;
@@ -252,32 +247,26 @@ static void *dp_thread(void *arg) {
     return NULL;
 }
 
+static void *walk_thread(void *arg) {
+    run *r = arg;
+    r->rc = sp_brute_search(&cycle8, 0.0, &r->cost, r->joins, r->counts, &r->missing);
+    return NULL;
+}
+
 int main(void) {
-    int lowest = 0;
-    walk odd = { .s = { .p = &cycle8 }, .first = 1, .stride = 2, .lowest = &lowest, .unit = -1,
-                 .n_edges = cycle8.n_edges, .slots = cycle8.n - 1, .edge_u = cycle8.edge_u,
-                 .edge_v = cycle8.edge_v, .best = INFINITY };
-    run greedy = { 0 }, dp = { 0 };
-    pthread_t threads[2];
-    pthread_once(&cpus_read, read_cpus);
-    two_cpus = 1;
-    run_walk(&cycle8);
-    run_walk(&clique6);
-    run_walk(&failing);
-    /* The odd half, once the even one has failed in subtree 0. */
-    walk_half(&odd);
-    printf("%%d %%lld\n", odd.rc, (long long)odd.nodes);
-    drop(&odd.memo);
-    free(odd.best_seq);
-    /* greedy_search and dp_search on one problem at once. */
+    run greedy = { 0 }, dp = { 0 }, walk = { 0 };
+    pthread_t threads[3];
+    /* greedy_search and dp_search on one problem, and a walk, at once. */
     if (pthread_create(&threads[0], NULL, greedy_thread, &greedy)
-        || pthread_create(&threads[1], NULL, dp_thread, &dp))
+        || pthread_create(&threads[1], NULL, dp_thread, &dp)
+        || pthread_create(&threads[2], NULL, walk_thread, &walk))
         return 1;
-    pthread_join(threads[0], NULL);
-    pthread_join(threads[1], NULL);
+    for (int i = 0; i < 3; i++)
+        pthread_join(threads[i], NULL);
     print_result(greedy.rc, greedy.missing, greedy.cost, greedy.joins, shared.n - 1,
                  greedy.counts, 4);
     print_result(dp.rc, dp.missing, dp.cost, dp.joins, shared.n - 1, dp.counts, 2);
+    print_result(walk.rc, walk.missing, walk.cost, walk.joins, cycle8.n - 1, walk.counts, 5);
     return 0;
 }
 """
@@ -293,32 +282,22 @@ def _tokens(search, *args):
     return [cost, *itertools.chain.from_iterable(joins), *counts]
 
 
-def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
-    # The cycle-8 walk, the grouped clique-6 walk and a cycle-8 catalog walk
-    # that misses the pair of edge 0 (the even half fails in its first
-    # subtree, the odd one in subtree 3), each on two threads whatever CPUs
-    # the process may use;
-    # then an odd half started after the even one failed, which must stop
-    # (status 4, STOPPED) before it walks a node; then este's members and
-    # the DP on one clique-7 model problem, on two threads at once.
-    # The driver is a C program of its own: libtsan is never preloaded into
-    # python3.
+def test_searches_sharing_one_problem_run_clean_under_thread_sanitizer(tmp_path):
+    # este's members and the DP on one clique-7 model problem, and the
+    # cycle-8 walk, which expands its forests through a memo of its own, on
+    # three threads at once.  The driver is a C program of its own: libtsan
+    # is never preloaded into python3.
     cc = _compiler()
     runtime = subprocess.run([*cc, "-print-file-name=libtsan.so"], capture_output=True,
                              text=True).stdout.strip()
     if not os.path.isabs(runtime) or not os.path.exists(runtime):
         pytest.skip("no libtsan for the C compiler")
-    cycle, cycle_model = sp.gen_topology("cycle", 8, seed=1)
-    edge = cycle.edges[0]
-    entries = {m: c for m, c in _catalog(cycle, cycle_model).entries.items()
-               if m != 1 << edge.v1 | 1 << edge.v2}
-    instances = {"cycle8": CostContext(cycle, cycle_model).instance,
-                 "clique6": CostContext(*sp.gen_topology("clique", 6, seed=1)).instance,
-                 "failing": CostContext(cycle, sp.CardinalityCatalog(entries=entries)).instance}
+    cycle8 = CostContext(*sp.gen_topology("cycle", 8, seed=1)).instance
     graph, model = sp.gen_topology("clique", 7, seed=2)
     shared, runs, masks = CostContext(graph, model).instance, _greedy_runs(graph)[-1], \
         connected_subset_masks(graph)
-    definitions = [_c_problem(name, inst) for name, inst in {**instances, "shared": shared}.items()]
+    definitions = [_c_problem(name, inst) for name, inst in
+                   {"cycle8": cycle8, "shared": shared}.items()]
     definitions += [
         "static const int shared_runs[] = {%s};" % ", ".join(
             str(-1 if x is None else x) for run in runs for x in run),
@@ -334,15 +313,14 @@ def test_the_two_halves_run_clean_under_thread_sanitizer(tmp_path):
     assert proc.returncode == 0 and "ThreadSanitizer" not in proc.stderr, proc.stderr[-4000:]
     got = [[float.fromhex(t) if "x" in t else int(t) for t in line.split()]
            for line in proc.stdout.splitlines()]
-    want = [_tokens("brute_search", inst) for inst in instances.values()]
-    assert want[2][0] == 2
-    assert got == want + [[4, 0], _tokens("greedy_search", shared, runs),
-                          _tokens("dp_search", shared, masks)]
+    assert got == [_tokens("greedy_search", shared, runs), _tokens("dp_search", shared, masks),
+                   _tokens("brute_search", cycle8)]
 
 
 # Runs in a process that may use every CPU or, pinned, only the first: the
-# cycle-9 walk on the compiled backend at sys.argv[1], five times, while a
-# thread polls how many threads the process has.  Prints both.
+# cycle-10 and star-9 walks on the compiled backend at sys.argv[1], five
+# times each, while a thread polls how many threads the process has.
+# Prints both.
 THREAD_COUNT_RUN = """
 import os, sys, threading
 if sys.argv[2] == "pinned":
@@ -360,22 +338,22 @@ def poll():
 
 poller = threading.Thread(target=poll)
 poller.start()
-cycle = CostContext(*sp.gen_topology("cycle", 9, seed=1)).instance
-results = [lib.brute_search(cycle) for _ in range(5)]
+walks = [CostContext(*sp.gen_topology(kind, n, seed=1)).instance
+         for kind, n in (("cycle", 10), ("star", 9))]
+results = [lib.brute_search(inst) for inst in walks for _ in range(5)]
 done = True
 poller.join()
 print(repr((most, results)))
 """
 
 
-def test_a_process_pinned_to_one_cpu_walks_on_one_thread_with_equal_results(tmp_path):
-    # The kernels read the CPUs the process may use once, on the first long
-    # walk: pinned, no thread is ever seen beside the main one and the
-    # poller, and free, the walk's second thread is.
+def test_the_walk_never_starts_a_thread_pinned_or_free(tmp_path):
+    # Whatever CPUs the process may use, no thread is ever seen beside the
+    # main one and the poller, and the results are the same.
     if not hasattr(os, "sched_setaffinity") or not os.path.isdir("/proc/self/task"):
         pytest.skip("no CPU affinity or /proc/self/task to observe threads by")
     library = tmp_path / "kernels.so"
-    subprocess.run([*_compiler(), "-shared", "-fPIC", "-O2", "-pthread", "-ffp-contract=off",
+    subprocess.run([*_compiler(), "-shared", "-fPIC", "-O2", "-ffp-contract=off",
                     str(SOURCE), "-o", str(library), "-lm"], check=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     runs = {}
@@ -384,9 +362,7 @@ def test_a_process_pinned_to_one_cpu_walks_on_one_thread_with_equal_results(tmp_
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-4000:]
         runs[how] = ast.literal_eval(proc.stdout)
-    assert runs["pinned"][0] == 2
-    if len(os.sched_getaffinity(0)) >= 2:
-        assert runs["free"][0] == 3
+    assert runs["pinned"][0] == runs["free"][0] == 2
     assert runs["pinned"][1] == runs["free"][1]
 
 
@@ -437,7 +413,7 @@ def test_searches_on_threads_sharing_one_context_equal_the_sequential_run(tmp_pa
     # Every call on the context's instance reads its one flattened problem,
     # which no kernel writes.  A subprocess, so that a crash fails the test.
     library = tmp_path / "kernels.so"
-    subprocess.run([*_compiler(), "-shared", "-fPIC", "-O2", "-pthread", "-ffp-contract=off",
+    subprocess.run([*_compiler(), "-shared", "-fPIC", "-O2", "-ffp-contract=off",
                     str(SOURCE), "-o", str(library), "-lm"], check=True)
     proc = subprocess.run([sys.executable, "-c", SHARED_CONTEXT_RUN, str(library)],
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
@@ -681,10 +657,14 @@ def test_greedy_search_prices_each_evaluation_once(kind, n, seed, monkeypatch):
 
 @pytest.mark.parametrize("runs", [[], [(formula.KRUSKAL, 3)], [(formula.PRIM, 7)],
                                   [(formula.KRUSKAL, -2)], [(formula.PRIM, -1)], [(2, None)],
-                                  [(formula.PRIM, 0), (formula.KRUSKAL, 3)]])
+                                  [(formula.PRIM, 0), (formula.KRUSKAL, 3)],
+                                  [(formula.PRIM, True)], [(formula.KRUSKAL, 1.0)],
+                                  [(formula.PRIM, 1), (formula.PRIM, True)]])
 def test_greedy_search_rejects_a_run_list_it_cannot_run_on_both_backends(runs, compiled):
     # chain-4 has edges 0..2; the C kernel would index its edge arrays by
-    # the start, so a run list is checked before any C call.
+    # the start, so a run list is checked before any C call.  A start that
+    # only compares equal to an edge id (True, 1.0) would name edge 1 in
+    # compiled's joins and itself in pure's.
     graph, model = sp.gen_topology("chain", 4, seed=0)
     inst = CostContext(graph, model).instance
     for backend in (_kernels.pure, compiled):
@@ -850,18 +830,18 @@ def _arrangement_cost(inst, order):
 
 
 @pytest.mark.parametrize("kind, turn", [("cycle", 8), ("star", 7)])
-def test_brute_search_ties_across_the_halves_as_the_sequential_walk_breaks_them(kind, turn,
-                                                                                compiled):
+def test_brute_search_keeps_the_first_of_equally_cheap_arrangements(kind, turn, compiled):
     # Equal tables and selectivities: turning the graph by one edge (edge e
-    # to e + 1, mod turn) turns the optimal arrangement into another one
-    # that starts at an edge of the other parity, which the compiled walk's
-    # other half walks.  Both walks are long enough to run as two halves.
+    # to e + 1, mod turn) turns the optimal arrangement into another one of
+    # equal cost, which pure's walk meets later.  The compiled walk, which
+    # counts equivalent edges and forests it has expanded without walking
+    # them again, keeps the first.
     graph, model = sp.gen_topology(kind, 8, seed=0, base_range=(1000, 1000),
                                    sel_range=(0.01, 0.01))
     inst = CostContext(graph, model).instance
     pure = _kernels.pure.brute_search(inst)
     turned = [(eid + 1) % turn for eid, *_ in pure[1]]
-    assert turned[0] % 2 != pure[1][0][0] % 2
+    assert turned != [eid for eid, *_ in pure[1]]
     assert _arrangement_cost(inst, turned) == pure[0]
     assert compiled.brute_search(inst) == pure
 
@@ -881,9 +861,9 @@ STAR_LATE = 0b1011  # the centre, leaves 1 and 3: read after subtree (edge 0, ed
 
 
 @pytest.mark.parametrize("missing, named", [
-    ((STAR_PAIR[0],), STAR_PAIR[0]),                # an even subtree
-    ((STAR_PAIR[1],), STAR_PAIR[1]),                # an odd subtree
-    ((STAR_PAIR[1], STAR_PAIR[2]), STAR_PAIR[1]),   # both halves fail; the lower subtree wins
+    ((STAR_PAIR[0],), STAR_PAIR[0]),                # the first subtree
+    ((STAR_PAIR[1],), STAR_PAIR[1]),                # the second
+    ((STAR_PAIR[1], STAR_PAIR[2]), STAR_PAIR[1]),   # two subtrees would fail; the first does
     ((STAR_PAIR[0], STAR_PAIR[1]), STAR_PAIR[0]),
     ((STAR_LATE,), STAR_LATE),                      # late in the first subtree
 ])
@@ -908,10 +888,54 @@ def test_brute_search_misses_what_pure_misses_for_every_subset_of_a_cycle(compil
         assert fast.value.args == pure.value.args == (missing,)
 
 
-def test_a_walk_whose_first_subtree_fails_raises_without_walking_the_other_half(compiled):
+def _walk_case(shape, n, seed):
+    """A chain's, a cycle's or an irregular shape's graph and model on n
+    tables, or on the most tables below n that keep pure's walk short: at
+    most 12 edges and 50,000 valid arrangements (chain-9, cycle-8)."""
+    for size in range(n, 3, -1):
+        graph, model = (sp.gen_topology(shape, size, seed=seed) if shape in ("chain", "cycle")
+                        else irregular_graph(shape, size, seed))
+        if graph.n_edges <= 12 and \
+                _kernels.count_trees(size, graph.edge_u, graph.edge_v)[0] <= 50_000:
+            return graph, model
+    raise AssertionError(f"no {shape} graph of 4 to {n} tables is short enough to walk")
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(("chain", "cycle", *IRREGULAR_KINDS)), n=st.integers(5, 9),
+       seed=st.integers(0, 10**6), source=st.sampled_from(("model", "catalog", "missing")),
+       pick=st.integers(0, 10**6), past=st.booleans())
+def test_the_walk_that_expands_each_forest_once_equals_pure(compiled, shape, n, seed, source,
+                                                            pick, past):
+    # Chains, cycles and the irregular shapes reach many forests by more
+    # than one order of joins.  Under the model (its cardinalities computed
+    # in the kernel), a catalog of every connected subset, or that catalog
+    # less one subset, compiled returns pure's tuple or names pure's missing
+    # mask.  Past its deadline, compiled stops at its first node; pure reads
+    # the clock every 4096 nodes, so a short walk of pure's finishes.
+    graph, model = _walk_case(shape, n, seed)
+    masks = connected_subset_masks(graph)
+    missing = (masks[pick % len(masks)],) if source == "missing" else ()
+    inst = (CostContext(graph, model).instance if source == "model"
+            else _without(graph, model, *missing))
+
+    def outcome(backend, deadline=0.0):
+        try:
+            return backend.brute_search(inst, deadline)
+        except (KeyError, sp.OptimizeTimeout) as exc:
+            return type(exc), exc.args
+
+    want = outcome(_kernels.pure)
+    assert outcome(compiled) == want
+    if past:
+        assert outcome(compiled, 1e-9)[0] is sp.OptimizeTimeout
+        assert outcome(_kernels.pure, 1e-9) in (want, outcome(compiled, 1e-9))
+
+
+def test_a_walk_whose_first_subtree_fails_raises_without_walking_the_rest(compiled):
     # star-12 has 11! (39.9 million) arrangements, seconds of walking.  Its
     # first subtree misses the pair of edge 0 at once, and no other subtree
-    # ever reads it: the odd half stops as soon as it reads the clock.
+    # ever reads it.
     graph, model = sp.gen_topology("star", 12, seed=1)
     inst = _without(graph, model, STAR_PAIR[0])
     for backend in (_kernels.pure, compiled):
@@ -922,12 +946,11 @@ def test_a_walk_whose_first_subtree_fails_raises_without_walking_the_other_half(
         assert time.perf_counter() - t0 < 0.1, backend.name
 
 
-def test_a_half_stops_at_its_next_clock_read_once_the_other_fails(compiled):
-    # star-13: the even half misses STAR_LATE after walking the 10!
-    # arrangements under edges 0 and 1, while the odd half's first subtree
-    # holds 11! and never reads it.  Once the even half fails, the odd one
-    # stops at its next clock read, so the call takes about as long as 10!
-    # arrangements on one thread: twice star-11's whole walk (10!, on two).
+def test_a_walk_that_fails_late_stops_where_it_fails(compiled):
+    # star-13: the walk misses STAR_LATE after walking the 10! arrangements
+    # under edges 0 and 1, of the 12! (479 million) it would walk.  It
+    # stops there, so the call takes about as long as star-11's whole walk
+    # (10!).
     graph, model = sp.gen_topology("star", 11, seed=1)
     inst = _without(graph, model)
     t0 = time.perf_counter()
