@@ -31,8 +31,7 @@ class Instance:
     """One planning problem's inputs, as numbers; each caller keeps its own memo."""
 
     def __init__(self, n: int, edge_u, edge_v, scan, indexed, lam: float,
-                 edge_of: dict[int, int], model: tuple | None = None,
-                 catalog: dict[int, int] | None = None, card_arrays: tuple | None = None):
+                 edge_of, model: tuple | None = None, catalog=None):
         self.n = n
         self.edge_u = edge_u
         self.edge_v = edge_v
@@ -41,11 +40,10 @@ class Instance:
         self.lam = lam
         self.edge_of = edge_of        # 2-vertex edge mask -> its edge id
         # The source a kernel's memo reads: a selectivity model as (bases,
-        # edge masks, selectivities), which computes every mask, or a catalog
-        # (with its masks and counts as arrays, when its owner keeps them).
+        # edge masks, selectivities), which computes every mask, or a
+        # catalog's map of mask -> row count.
         self.model = model
         self.catalog = catalog
-        self.card_arrays = card_arrays
         # The compiled backend's view of this instance (loader._problem).
         self.problem = None
 

@@ -8,12 +8,11 @@ arguments and returning the same values.  Four of them run in C, and
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  The C searches price joins with the mirror of
 ``formula.merge``, the one Python cost formula.  An instance
-(``formula.Instance``) crosses the boundary as the addresses of its
-``array`` buffers behind one ``_Problem``, without what C derives (the
-inner table of a two-table join, from the edges).  A cost context's
-instance holds the arrays its graph and source built at load, so C reads
-those, not copies.  The ``_Problem`` is made on an instance's first call
-and serves every later one (``Instance.problem``).  No kernel writes it:
+(``formula.Instance``) crosses the boundary as C arrays behind one
+``_Problem``, without what C derives (the inner table of a two-table join,
+from the edges).  ``_problem`` builds them from the instance's tuples on
+its first call, once per cost context and so once per request, and the
+``_Problem`` serves every later one (``Instance.problem``).  No kernel writes it:
 each call keeps its cardinalities in its own state and returns the mask it
 misses through an argument, so calls on one instance may overlap (ctypes
 lets other threads run during a call).
@@ -57,10 +56,9 @@ def _addr(buf: array | None) -> int:
 
 
 def _buffer(values, code: str) -> array | None:
-    """values if None or an array of C type code, else a copy that is."""
-    if values is None or type(values) is array and values.typecode == code:
-        return values
-    return array(code, values)
+    """values as an array of C type code, or None for None.  ``struct``
+    packs a tuple about three times as fast as ``array`` converts it."""
+    return None if values is None else array(code, struct.pack(f"{len(values)}{code}", *values))
 
 
 def check_sizes(inst) -> None:
@@ -74,18 +72,16 @@ def check_sizes(inst) -> None:
 
 
 def _problem(inst) -> _Problem:
-    """inst's arrays and known cards behind one ``_Problem``, which keeps
-    them alive, kept as ``inst.problem`` for later calls."""
+    """C arrays of inst's inputs and known cards behind one ``_Problem``,
+    which keeps them alive, kept as ``inst.problem`` for later calls."""
     if inst.problem is None:
         check_sizes(inst)
         cards = inst.known_cards()
-        masks, rows = inst.card_arrays or (
-            (array("Q", cards), array("d", cards.values())) if cards else (None, None))
+        masks, rows = (cards, cards.values()) if cards else (None, None)
         bases, _masks, sels = inst.model or (None, None, None)
         buffers = tuple(map(_buffer, (inst.edge_u, inst.edge_v, inst.scan, inst.indexed, masks,
                                       rows, bases, sels), "iidbQddd"))
-        prob = _Problem(inst.n, len(inst.edge_u), len(masks or ()), inst.lam,
-                        *map(_addr, buffers))
+        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
         prob.buffers = buffers  # the kernel reads them; keep them alive with prob
         inst.problem = prob
     return inst.problem

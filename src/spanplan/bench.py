@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .cost import CardinalitySource, CostContext, CostParams
 from .enumerators import ALGORITHMS, run_algorithm
-from .errors import LimitExceededError, SpanPlanError
+from .errors import GraphFormatError, LimitExceededError, SpanPlanError
 from .graph import JoinGraph, TopologyKind, gen_topology, topology_kind
 from .plan import reevaluate_plan
 
@@ -137,11 +137,25 @@ def run_workload(queries, algorithms=ALGORITHMS, params: CostParams | None = Non
     return records
 
 
+# The most queries one topology sweep runs (sizes times seeds per size).
+# A sweep builds every graph before its first search, so a larger one is
+# refused before any work.
+MAX_SWEEP_QUERIES = 10_000
+
+
 def topology_sweep(kind: TopologyKind | str, sizes, seeds_per_size: int,
                    algorithms=ALGORITHMS, params: CostParams | None = None,
                    timeout: float = 60.0):
-    """Generate graphs for every (size, seed) and run the workload on them."""
+    """Generate graphs for every (size, seed) and run the workload on them.
+    Fewer than 1 seed per size raises GraphFormatError, and more than
+    MAX_SWEEP_QUERIES queries LimitExceededError, before any graph is built."""
     kind = topology_kind(kind)
+    sizes = list(sizes)
+    if seeds_per_size < 1:
+        raise GraphFormatError(f"a sweep needs at least 1 seed per size, got {seeds_per_size}")
+    if len(sizes) * seeds_per_size > MAX_SWEEP_QUERIES:
+        raise LimitExceededError(f"a sweep of sizes x seeds runs {len(sizes) * seeds_per_size}"
+                                 f" queries, above the limit of {MAX_SWEEP_QUERIES}")
     queries = []
     for n in sizes:
         for seed in range(seeds_per_size):

@@ -23,15 +23,15 @@ while its cardinalities change.  Both pass the formula the context's own
 memo, ``cards``, which looks a mask up in the source when first read;
 ``ensure_cards`` fills a selectivity model's cardinalities of many subsets
 with one call of the backend's ``model_cards`` kernel (pure or C).
-A context's ``formula.Instance`` holds the arrays its graph and source
-built at load, not copies, and a context refuses a source that does not
-fit its graph (``check_graph``).
+A catalog keeps a read-only map over its own copy of the counts and a
+model a tuple of selectivities.  A context's ``formula.Instance`` holds
+them and its graph's tuples, not copies, and a context refuses a source
+that does not fit its graph (``check_graph``).
 """
 from __future__ import annotations
 
 import math
-from array import array
-from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, NamedTuple, Union
 
 from . import _kernels
@@ -44,28 +44,42 @@ DEFAULT_LAMBDA = 2.0
 
 
 class CostParams:
-    """Scan discount and index-lookup factors of the cost model."""
+    """Scan discount and index-lookup factors of the cost model, as floats."""
 
     def __init__(self, tau: float = DEFAULT_TAU, lam: float = DEFAULT_LAMBDA):
-        if not 0 < tau < math.inf:
-            raise GraphFormatError(f"tau must be a finite number above 0, got {tau!r}")
-        if not 0 < lam < math.inf:
-            raise GraphFormatError(f"lambda must be a finite number above 0, got {lam!r}")
-        self.tau = tau
-        self.lam = lam
+        self.tau = _factor("tau", tau)
+        self.lam = _factor("lambda", lam)
+
+
+def _factor(name: str, value) -> float:
+    """value as a float; one line of GraphFormatError unless it is a number,
+    not a boolean, whose float is finite and above 0."""
+    refusal = f"{name} must be a finite number above 0, got"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphFormatError(f"{refusal} a {type(value).__name__}")
+    try:
+        factor = float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{refusal} an int past a float") from None
+    if not 0 < factor < math.inf:
+        raise GraphFormatError(f"{refusal} {value!r}")
+    return factor
 
 
 class CardinalityCatalog:
-    """Row counts for connected table subsets, keyed by vertex bitmask."""
+    """Row counts for connected table subsets, keyed by vertex bitmask, held
+    in a read-only ``entries`` map over the catalog's own copy."""
 
     def __init__(self, entries: dict):
+        entries = dict(entries)
         for mask, rows in entries.items():
             if type(mask) is not int or not 0 < mask < 1 << MAX_VERTICES:
                 raise GraphFormatError(f"cardinality key {mask!r} must be an int in"
                                        f" [1, 2**{MAX_VERTICES})")
             if not is_row_count(rows, 0):
                 raise GraphFormatError(f"cardinality of mask {mask} must be a non-negative integer")
-        self.entries = entries
+        self.entries = MappingProxyType(entries)
+        self.top = max(entries, default=0)  # the highest key
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
@@ -89,18 +103,7 @@ class CardinalityCatalog:
         for v in range(graph.n_vertices):
             if (1 << v) not in out:
                 raise MissingCardinalityError(graph.names[v])
-        # Every key and count was checked above, so __init__'s checks are skipped.
-        catalog = cls.__new__(cls)
-        catalog.entries = out
-        return catalog
-
-    @cached_property
-    def top(self) -> int:  # the highest key, found once
-        return max(self.entries, default=0)
-
-    @cached_property
-    def arrays(self) -> tuple[array, array]:  # the masks and the counts, as kernels read them
-        return array("Q", self.entries), array("d", self.entries.values())
+        return cls(out)
 
     def check_graph(self, graph: JoinGraph) -> None:
         """Raise GraphFormatError when a key names a table graph lacks."""
@@ -122,20 +125,18 @@ class CardinalityCatalog:
 
 class SelectivityModel:
     """Independence model: |S| = ceil(prod bases * prod selectivities in S),
-    over its graph's ``bases`` and ``edge_masks`` and its own ``sels``."""
+    over its graph's ``bases`` and ``edge_masks`` and its own
+    ``selectivities`` tuple, one per edge id."""
 
     def __init__(self, graph: JoinGraph, selectivities: tuple):
+        selectivities = tuple(selectivities)
         if len(selectivities) != graph.n_edges:
             raise GraphFormatError("one selectivity per join edge required")
         for s in selectivities:
             if type(s) not in (int, float) or not 0.0 < s <= 1.0:
                 raise GraphFormatError(f"selectivity {s!r} outside (0, 1]")
-        self._bind(graph, selectivities)
-
-    def _bind(self, graph: JoinGraph, selectivities) -> None:
         self.graph = graph
         self.selectivities = selectivities
-        self.sels = array("d", selectivities)
 
     @classmethod
     def from_key_map(cls, graph: JoinGraph, entries: dict):
@@ -162,7 +163,7 @@ class SelectivityModel:
             raise GraphFormatError(f"missing selectivity for edge {sels.index(None)}")
         # Every selectivity was checked above, so __init__'s checks are skipped.
         model = cls.__new__(cls)
-        model._bind(graph, tuple(sels))
+        model.graph, model.selectivities = graph, tuple(sels)
         return model
 
     def check_graph(self, graph: JoinGraph) -> None:
@@ -173,7 +174,7 @@ class SelectivityModel:
 
     def lookup(self, graph: JoinGraph, mask: int) -> int:
         own = self.graph
-        prod = formula.model_product(own.bases, own.edge_masks, self.sels, mask)
+        prod = formula.model_product(own.bases, own.edge_masks, self.selectivities, mask)
         if prod == math.inf:
             raise LimitExceededError(
                 f"cardinality of {{{graph.subset_key(mask)}}} overflows a float")
@@ -260,16 +261,16 @@ class CostContext:
         self.source = source
         self.params = params = params or CostParams()
         self.cards = _Cards(graph, source)
-        model = catalog = arrays = None
+        model = catalog = None
         if isinstance(source, SelectivityModel):
-            model = (graph.bases, graph.edge_masks, source.sels)
+            model = (graph.bases, graph.edge_masks, source.selectivities)
         else:
-            catalog, arrays = source.entries, source.arrays
+            catalog = source.entries
         tau = params.tau
-        scan = array("d", [tau * b for b in graph.bases])
+        scan = tuple([tau * b for b in graph.bases])  # a float tau keeps the products floats
         self.instance = formula.Instance(graph.n_vertices, graph.edge_u, graph.edge_v, scan,
                                          graph.indexed, params.lam, graph.edge_of, model,
-                                         catalog, arrays)
+                                         catalog)
         self._merge_memo: dict[tuple[int, int], MergeResult] = {}
 
     def card(self, mask: int) -> float:

@@ -2,6 +2,8 @@
 
 Tables are vertices, equi-join predicates are edges.  All subset-level
 machinery works on vertex bitmasks (bit i set = vertex with id i present).
+The constructor and ``load_document`` share one table check, so a graph
+either builds writes a document the loader takes back.
 """
 from __future__ import annotations
 
@@ -9,9 +11,9 @@ import json
 import math
 import sys
 import time
-from array import array
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -69,12 +71,12 @@ class JoinEdge(NamedTuple):
 class JoinGraph:
     """Undirected, simple, connected graph of tables and join predicates.
 
-    It keeps its tables and joins as flat arrays, built once and read, not
-    copied, by cost contexts and the kernels: per table ``names``, ``bases``
-    (as doubles) and ``indexed``, per edge ``edge_u``/``edge_v`` (v1 and v2)
-    and ``edge_masks``, and ``edge_of`` (edge mask -> id).  ``vertices``,
-    ``edges`` and ``pair_edge`` are built from them when first read.
-    Graphs compare equal when their tables and joins do.
+    It holds the one copy of its checked tables and joins, which no caller
+    can change: per table ``names``, ``bases`` (row counts) and ``indexed``,
+    per edge ``edge_u``/``edge_v`` (v1 and v2) and ``edge_masks`` as tuples,
+    and ``edge_of`` (edge mask -> id) and ``name_to_id`` as read-only maps.
+    ``vertices``, ``edges`` and ``pair_edge`` are derived from them when
+    read.  Graphs compare equal when their tables and joins do.
     """
 
     def __init__(self, vertices: tuple[TableInfo, ...], edges: tuple[JoinEdge, ...]):
@@ -82,49 +84,50 @@ class JoinGraph:
         n = len(vertices)
         if n == 0:
             raise GraphFormatError("graph has no tables")
-        names = [t.name for t in vertices]
-        if len(set(names)) != n:
+        names, bases, selected, indexed = zip(*vertices)
+        for i, (name, card) in enumerate(zip(names, bases)):
+            _check_table(i, name, card)
+        name_to_id = {name: i for i, name in enumerate(names)}
+        if len(name_to_id) != n:
             raise GraphFormatError("duplicate table names")
-        for t in vertices:
-            if not is_row_count(t.base_cardinality, 1):
-                raise GraphFormatError(f"table {t.name} has an invalid cardinality")
         edge_of = {}
-        for position, (eid, v1, v2, _predicate) in enumerate(edges):
+        for position, (eid, v1, v2, predicate) in enumerate(edges):
             if type(eid) is not int or eid != position:
                 raise GraphFormatError(f"edge {eid!r} is at position {position}; each edge's id"
                                        " must be its position")
-            if not (0 <= v1 < n and 0 <= v2 < n):
+            if not (type(v1) is type(v2) is int and 0 <= v1 < n and 0 <= v2 < n):
                 raise UnknownTableError(f"edge {eid} references an unknown vertex")
             if v1 == v2:
                 raise SelfLoopError(f"edge {eid} joins table {names[v1]} to itself")
+            if not isinstance(predicate, str):
+                raise GraphFormatError(f"edge {eid} must give its predicate as a string")
             mask = 1 << v1 | 1 << v2
             if mask in edge_of:
                 pair = sorted((v1, v2))
                 raise GraphFormatError(f"parallel edge {eid} on {names[pair[0]]}-{names[pair[1]]}")
             edge_of[mask] = len(edge_of)
-        self._bind(names, [t.base_cardinality for t in vertices],
-                   [bool(t.indexed) for t in vertices], [e.v1 for e in edges],
-                   [e.v2 for e in edges], edge_of)
-        self.vertices = vertices
-        self.edges = edges
+        self._bind(names, bases, map(bool, selected), map(bool, indexed), [e.v1 for e in edges],
+                   [e.v2 for e in edges], [e.predicate for e in edges], edge_of, name_to_id)
 
-    def _bind(self, names: list[str], cards: list[int], indexed: list[bool], edge_u: list[int],
-              edge_v: list[int], edge_of: dict[int, int]) -> None:
-        """Take the tables and joins as lists (edge_of's keys in edge-id
-        order), checking only the table limit and that the joins connect
-        every table.  ``_graph_from_dict`` binds a new graph this way,
-        having checked the rest itself."""
+    def _bind(self, names, bases, selected, indexed, edge_u, edge_v, predicates,
+              edge_of: dict[int, int], name_to_id: dict[str, int]) -> None:
+        """Take the tables and joins, and edge_of (keys in edge-id order) and
+        name_to_id as dicts no caller keeps, checking only the table limit
+        and that the joins connect every table.  ``_graph_from_dict`` binds
+        a new graph this way, having checked the rest itself."""
         n = len(names)
         if n > MAX_VERTICES:
             raise LimitExceededError(f"graph has {n} tables, limit is {MAX_VERTICES}")
-        self.names = names
-        self._cards = cards
-        self.bases = array("d", cards)
-        self.indexed = array("b", indexed)
-        self.edge_u = array("i", edge_u)
-        self.edge_v = array("i", edge_v)
-        self.edge_of = edge_of
+        self.names = tuple(names)
+        self.bases = tuple(bases)
+        self._selected = tuple(selected)
+        self.indexed = tuple(indexed)
+        self.edge_u = tuple(edge_u)
+        self.edge_v = tuple(edge_v)
+        self._predicates = tuple(predicates)
+        self.edge_of = MappingProxyType(edge_of)
         self.edge_masks = tuple(edge_of)
+        self.name_to_id = MappingProxyType(name_to_id)
         adj = [0] * n
         for v1, v2 in zip(edge_u, edge_v):
             adj[v1] |= 1 << v2
@@ -133,12 +136,11 @@ class JoinGraph:
         if self.reachable_mask(1) != (1 << n) - 1:
             raise DisconnectedGraphError("join graph is not connected")
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[TableInfo, ...]:
-        return tuple(map(TableInfo, self.names, self._cards, self._selected,
-                         map(bool, self.indexed)))
+        return tuple(map(TableInfo, self.names, self.bases, self._selected, self.indexed))
 
-    @cached_property
+    @property
     def edges(self) -> tuple[JoinEdge, ...]:
         return tuple(map(JoinEdge, range(self.n_edges), self.edge_u, self.edge_v,
                          self._predicates))
@@ -163,14 +165,11 @@ class JoinGraph:
     def full_mask(self) -> int:
         return (1 << self.n_vertices) - 1
 
-    @cached_property
-    def name_to_id(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
-
-    @cached_property
-    def pair_edge(self) -> dict[tuple[int, int], int]:
+    @property
+    def pair_edge(self) -> MappingProxyType:
         """The edge id joining each pair of tables, keyed (lower id, higher id)."""
-        return {(v1, v2) if v1 < v2 else (v2, v1): eid for eid, v1, v2, _predicate in self.edges}
+        return MappingProxyType({(v1, v2) if v1 < v2 else (v2, v1): eid
+                                 for eid, (v1, v2) in enumerate(zip(self.edge_u, self.edge_v))})
 
     def reachable_mask(self, seed_mask: int) -> int:
         """Vertices reachable from seed_mask (BFS over the whole graph)."""
@@ -186,7 +185,7 @@ class JoinGraph:
         return reach
 
     @cached_property
-    def _neighbour_tables(self) -> tuple[list[int], list[int], int, int]:
+    def _neighbour_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
         """(low, high, h, cut): every subset of the low h = ceil(n/2) tables
         with its neighbours (low, indexed by the subset's bits), the same for
         the other tables (high, indexed by the bits shifted down by h), and
@@ -203,7 +202,7 @@ class JoinGraph:
             for s in range(1, 1 << size):
                 low = s & -s
                 t[s] = t[s ^ low] | low << base | adj[base + low.bit_length() - 1]
-            tables.append(t)
+            tables.append(tuple(t))
         return tables[0], tables[1], h, (1 << h) - 1
 
     def is_connected_mask(self, mask: int) -> bool:
@@ -224,12 +223,8 @@ class JoinGraph:
 
     def crossing_edges(self, m1: int, m2: int) -> list[int]:
         """Edge ids with one endpoint in m1 and the other in m2."""
-        out = []
-        for e in self.edges:
-            b1, b2 = 1 << e.v1, 1 << e.v2
-            if (b1 & m1 and b2 & m2) or (b1 & m2 and b2 & m1):
-                out.append(e.id)
-        return out
+        return [eid for eid, (u, v) in enumerate(zip(self.edge_u, self.edge_v))
+                if m1 >> u & 1 and m2 >> v & 1 or m2 >> u & 1 and m1 >> v & 1]
 
     def mask_of_names(self, names: Iterable[str]) -> int:
         ids = self.name_to_id
@@ -319,21 +314,15 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
             card = t["cardinality"]
         except KeyError as exc:
             raise GraphFormatError(f"table #{i} is missing {exc}") from exc
-        if not isinstance(name, str) or not name:
-            raise GraphFormatError(f"table #{i} has an invalid name")
-        if "," in name:
-            # Catalog and selectivity keys join table names with commas.
-            raise GraphFormatError(f"table #{i} has a comma in its name")
-        if not is_row_count(card, 1):
-            raise GraphFormatError(f"table {name} has an invalid cardinality")
-        flags = (("selected", t.get("selected", False)), ("indexed", t.get("indexed", True)))
-        for flag, value in flags:
-            if type(value) is not bool:
-                raise GraphFormatError(f"table {name}: {flag!r} must be true or false")
+        _check_table(i, name, card)
+        sel, idx = t.get("selected", False), t.get("indexed", True)
+        if type(sel) is not bool or type(idx) is not bool:
+            flag = "selected" if type(sel) is not bool else "indexed"
+            raise GraphFormatError(f"table {name}: {flag!r} must be true or false")
         names.append(name)
         cards.append(card)
-        selected.append(flags[0][1])
-        indexed.append(flags[1][1])
+        selected.append(sel)
+        indexed.append(idx)
     name_to_id = {name: i for i, name in enumerate(names)}
     if len(name_to_id) != len(names):
         raise GraphFormatError("duplicate table names")
@@ -366,11 +355,20 @@ def _graph_from_dict(doc: dict) -> JoinGraph:
 
     # The tables and joins have passed every check of JoinGraph.__init__ but _bind's.
     graph = JoinGraph.__new__(JoinGraph)
-    graph._bind(names, cards, indexed, edge_u, edge_v, edge_of)
-    graph._selected = selected
-    graph._predicates = predicates
-    graph.name_to_id = name_to_id
+    graph._bind(names, cards, selected, indexed, edge_u, edge_v, predicates, edge_of, name_to_id)
     return graph
+
+
+def _check_table(i: int, name, card) -> None:
+    """Raise GraphFormatError unless table #i has a name that is a non-empty
+    string without a comma and a row count as its cardinality."""
+    if not isinstance(name, str) or not name:
+        raise GraphFormatError(f"table #{i} has an invalid name")
+    if "," in name:
+        # Catalog and selectivity keys join table names with commas.
+        raise GraphFormatError(f"table #{i} has a comma in its name")
+    if not is_row_count(card, 1):
+        raise GraphFormatError(f"table {name} has an invalid cardinality")
 
 
 def _join_error(j: int, item, name_to_id: dict) -> GraphFormatError:

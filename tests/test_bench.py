@@ -121,6 +121,22 @@ def test_repeated_or_unknown_algorithm_raises(q2a, monkeypatch):
     assert str(info.value) == "query id 'chain-04-s0' is listed twice"
 
 
+@pytest.mark.parametrize("sizes,seeds,error,message", [
+    ([3], 0, sp.GraphFormatError, "a sweep needs at least 1 seed per size, got 0"),
+    ([3], -2, sp.GraphFormatError, "a sweep needs at least 1 seed per size, got -2"),
+    ([3], 10**11, sp.LimitExceededError,
+     "a sweep of sizes x seeds runs 100000000000 queries, above the limit of 10000"),
+    ([3, 4], bench.MAX_SWEEP_QUERIES // 2 + 1, sp.LimitExceededError,
+     "a sweep of sizes x seeds runs 10002 queries, above the limit of 10000"),
+])
+def test_a_topology_sweep_is_refused_before_any_graph_is_built(monkeypatch, sizes, seeds, error,
+                                                               message):
+    monkeypatch.setattr(bench, "gen_topology", lambda *args: pytest.fail("a graph was built"))
+    with pytest.raises(sp.SpanPlanError) as info:
+        topology_sweep("chain", sizes, seeds)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_unknown_topology_is_a_graph_format_error():
     for call in (lambda: sp.gen_topology("bogus", 5), lambda: topology_sweep("bogus", [4], 1)):
         with pytest.raises(sp.GraphFormatError) as info:

@@ -345,6 +345,17 @@ def test_cost_factor_that_is_not_finite_and_positive_exits_1_with_one_line(capsy
     assert err == f"spanplan: error: {name} must be a finite number above 0, got {float(value)!r}\n"
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("100000000000", "a sweep of sizes x seeds runs 100000000000 queries, above the limit of"
+                     " 10000"),
+    ("0", "a sweep needs at least 1 seed per size, got 0"),
+])
+def test_bench_sweep_past_its_limit_exits_1_with_one_line(capsys, seeds, message):
+    code, out, err = run(capsys, "bench", "--topology", "chain", "--sizes", "3", "--seeds", seeds,
+                         "--timeout", "0.5")
+    assert (code, out, err) == (1, "", f"spanplan: error: {message}\n")
+
+
 def test_gen_counts_and_determinism(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
@@ -760,6 +771,18 @@ def test_start_up_loads_only_what_the_command_runs(tmp_path):
     after_optimize = [] if sp.HAVE_COMPILED else ["spanplan._kernels.pure"]
     runs = "".join(f"{algo} {after_optimize}\n" for algo in sp.ALGORITHMS)
     assert proc.stdout == f"[]\n{runs}count []\nbench []\nresolved\n"
+    # Only the compiled kernels' loader builds C arrays, so neither the
+    # import nor count, which runs no search kernel, loads array.
+    code = f"""if True:
+        import os, sys
+        import spanplan, spanplan.cli
+        print("array" in sys.modules)
+        spanplan.cli.main(["count", "--graph", {Q2A!r}, "--out", os.devnull])
+        print("array" in sys.modules)
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(DATA_DIR.parent / "src")))
+    assert proc.stdout == "False\nFalse\n"
 
 
 def _flags(parser) -> set[str]:

@@ -161,7 +161,8 @@ except sp.GraphFormatError:
     pass
 good = CostContext(graph, model).instance
 bad = formula.Instance(good.n, good.edge_u, good.edge_v, good.scan, good.indexed, good.lam,
-                       good.edge_of, model=(small.graph.bases, small.graph.edge_masks, small.sels))
+                       good.edge_of,
+                       model=(small.graph.bases, small.graph.edge_masks, small.selectivities))
 for call in (("greedy_search", bad, [(formula.KRUSKAL, None)]), ("model_cards", bad, [63]),
              ("dp_search", bad, connected_subset_masks(graph)), ("brute_search", bad)):
     assert outcome(lib, *call)[0] is ValueError, call[0]
@@ -426,29 +427,110 @@ def test_problem_struct_has_one_size_in_c_and_ctypes(compiled):
     assert compiled.problem_size == ctypes.sizeof(_Problem)
 
 
-def test_a_request_instance_and_its_problem_share_the_loaded_arrays(compiled, q2a_text):
-    # A cost context passes the arrays its graph and source built at load,
-    # and the compiled problem points at those arrays, not at copies.
+def test_a_request_instance_holds_its_graphs_and_sources_own_tuples(q2a_text):
+    # A cost context passes the read-only inputs its graph and source hold,
+    # not copies: only the scan costs are its own.
     graph, model = sp.load_document(sp.graph_to_json(*sp.gen_topology("clique", 6, seed=1)))
     inst = CostContext(graph, model).instance
-    assert (inst.edge_u, inst.edge_v, inst.indexed, inst.edge_of) == \
-        (graph.edge_u, graph.edge_v, graph.indexed, graph.edge_of)
     assert inst.edge_u is graph.edge_u and inst.edge_v is graph.edge_v
     assert inst.indexed is graph.indexed and inst.edge_of is graph.edge_of
     bases, edge_masks, sels = inst.model
-    assert bases is graph.bases and edge_masks is graph.edge_masks and sels is model.sels
-    compiled.greedy_search(inst, [(formula.PRIM, None)])
-    buffers = _problem(inst).buffers
-    assert [buffers[i] is arr for i, arr in enumerate(
-        (graph.edge_u, graph.edge_v, inst.scan, graph.indexed))] == [True] * 4
-    assert buffers[4:6] == (None, None) and buffers[6] is bases and buffers[7] is sels
+    assert bases is graph.bases and edge_masks is graph.edge_masks and sels is model.selectivities
+    assert type(inst.scan) is tuple and inst.catalog is None
     graph, catalog = sp.load_document(q2a_text)
     inst = CostContext(graph, catalog).instance
-    assert inst.card_arrays is catalog.arrays and inst.catalog is catalog.entries
+    assert inst.catalog is catalog.entries and inst.model is None
+
+
+def test_the_compiled_problem_holds_arrays_equal_to_its_instances_tuples(compiled, q2a_text):
+    graph, model = sp.load_document(sp.graph_to_json(*sp.gen_topology("clique", 6, seed=1)))
+    inst = CostContext(graph, model).instance
+    compiled.greedy_search(inst, [(formula.PRIM, None)])
+    buffers = _problem(inst).buffers
+    assert [tuple(buf) for buf in buffers[:4]] == \
+        [graph.edge_u, graph.edge_v, inst.scan, graph.indexed]
+    assert buffers[4:6] == (None, None)
+    assert (tuple(buffers[6]), tuple(buffers[7])) == (graph.bases, model.selectivities)
+    graph, catalog = sp.load_document(q2a_text)
+    inst = CostContext(graph, catalog).instance
     compiled.greedy_search(inst, [(formula.PRIM, None)])
     masks, rows = _problem(inst).buffers[4:6]
-    assert (masks, rows) == catalog.arrays and masks is catalog.arrays[0] and \
-        rows is catalog.arrays[1]
+    assert (tuple(masks), tuple(rows)) == (tuple(catalog.entries), tuple(catalog.entries.values()))
+    assert _problem(inst).n_cards == len(catalog.entries)
+
+
+def _exposed(graph, source, ctx) -> dict:
+    """Each container a graph, its source and a context's instance expose,
+    by where it is read."""
+    inst = ctx.instance
+    exposed = {f"graph.{name}": getattr(graph, name) for name in (
+        "names", "bases", "indexed", "edge_u", "edge_v", "edge_masks", "adjacency", "edge_of",
+        "name_to_id", "pair_edge", "vertices", "edges")}
+    exposed["graph.vertices[0]"] = graph.vertices[0]
+    exposed.update({f"instance.{name}": getattr(inst, name)
+                    for name in ("edge_u", "edge_v", "scan", "indexed", "edge_of")})
+    if isinstance(source, sp.SelectivityModel):
+        exposed.update({"model.selectivities": source.selectivities, "instance.model": inst.model})
+    else:
+        exposed.update({"catalog.entries": source.entries, "instance.catalog": inst.catalog})
+    return exposed
+
+
+def _takes_assignment(container) -> bool:
+    """False when assigning and deleting an item both raise TypeError."""
+    key = next(iter(container.keys())) if hasattr(container, "keys") else 0
+    try:
+        container[key] = 1
+        return True
+    except TypeError:
+        pass
+    try:
+        del container[key]
+        return True
+    except TypeError:
+        return False
+
+
+@pytest.mark.parametrize("backend_name", ["pure", "compiled"])
+def test_item_assignment_into_any_checked_input_raises_on_either_backend(compiled, q2a,
+                                                                        monkeypatch,
+                                                                        backend_name):
+    # Every algorithm and both backends read the inputs that were checked:
+    # none of them can be written once built, nor after a search has run.
+    backend = compiled if backend_name == "compiled" else _kernels.pure
+    monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+    for graph, source in (q2a, sp.gen_topology("clique", 6, seed=3)):
+        ctx = CostContext(graph, source)
+        plans = [sp.run_algorithm(name, graph, ctx)[0] for name in sp.ALGORITHMS]
+        exposed = _exposed(graph, source, ctx)
+        assert [where for where, container in exposed.items() if _takes_assignment(container)] \
+            == []
+        assert [sp.run_algorithm(name, graph, source)[0] for name in sp.ALGORITHMS] == plans
+
+
+def test_a_catalog_scaled_after_a_search_plans_alike_everywhere(compiled, q2a_text, monkeypatch):
+    # Multiplying q2a's multi-table counts by 7 in place after one prim run
+    # once left the compiled greedy search on the cached old counts
+    # (4,658,001), while pure and goo planned 4,191,001 and exhaustive
+    # refused a kernel cardinality.  A catalog now refuses the write, and a
+    # catalog built from the scaled counts plans alike on both backends.
+    graph, catalog = sp.load_document(q2a_text)
+    assert sp.prim(graph, catalog)[0].internal_cost == 4_658_001
+    multi = [m for m in catalog.entries if m & (m - 1)]
+    with pytest.raises(TypeError):
+        for m in multi:
+            catalog.entries[m] *= 7
+    counts = {m: rows * 7 if m in multi else rows for m, rows in catalog.entries.items()}
+    scaled = sp.CardinalityCatalog(counts)
+    counts.clear()  # the catalog holds its own copy
+    assert len(scaled.entries) == len(catalog.entries)
+    want = {"exhaustive": 3_666_001, "prim": 4_191_001, "kruskal": 4_191_001, "goo": 4_191_001,
+            "este": 3_666_001}
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        assert {name: sp.run_algorithm(name, graph, scaled)[0].internal_cost
+                for name in sp.ALGORITHMS} == want
+        assert sp.prim(graph, catalog)[0].internal_cost == 4_658_001
 
 
 def test_the_loader_refuses_arrays_shorter_than_the_kernels_read(compiled):
@@ -457,8 +539,8 @@ def test_the_loader_refuses_arrays_shorter_than_the_kernels_read(compiled):
     graph, _model = sp.gen_topology("chain", 6, seed=1)
     small, model = sp.gen_topology("chain", 4, seed=1)
     inst = CostContext(graph, _model).instance
-    short = [(small.bases, graph.edge_masks, _model.sels),
-             (graph.bases, graph.edge_masks, model.sels)]
+    short = [(small.bases, graph.edge_masks, _model.selectivities),
+             (graph.bases, graph.edge_masks, model.selectivities)]
     for arrays in short:
         bad = formula.Instance(inst.n, inst.edge_u, inst.edge_v, inst.scan, inst.indexed,
                                inst.lam, inst.edge_of, model=arrays)
