@@ -8,11 +8,12 @@ arguments and returning the same values.  Four of them run in C, and
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  The C searches price joins with the mirror of
 ``formula.merge``, the one Python cost formula.  An instance
-(``formula.Instance``) crosses the boundary as C arrays behind one
-``_Problem``, without what C derives (the inner table of a two-table join,
-from the edges).  ``_problem`` builds them from the instance's tuples on
-its first call, once per cost context and so once per request, and the
-``_Problem`` serves every later one (``Instance.problem``).  No kernel writes it:
+(``formula.Instance``) crosses the boundary as C arrays packed into bytes
+behind one ``_Problem``, without what C derives (the inner table of a
+two-table join, from the edges).  ``_problem`` packs them from the
+instance's tuples on its first call, once per cost context and so once
+per request, and the ``_Problem`` serves every later one
+(``Instance.problem``).  No kernel writes it:
 each call keeps its cardinalities in its own state and returns the mask it
 misses through an argument, so calls on one instance may overlap (ctypes
 lets other threads run during a call).
@@ -28,7 +29,7 @@ import os
 import struct
 import types
 from array import array
-from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64, c_void_p
+from ctypes import POINTER, byref, c_char_p, c_double, c_int, c_int64, c_uint64, c_void_p
 from functools import partial
 
 from ..errors import OptimizeTimeout
@@ -43,22 +44,19 @@ _SYMBOLS = ("sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_sear
 
 
 class _Problem(ctypes.Structure):
-    """kernels.c's ``problem``: a formula.Instance flattened into buffers."""
+    """kernels.c's ``problem``: a formula.Instance flattened into packed
+    arrays.  A ``c_char_p`` field points C at the bytes it is given and
+    keeps them alive; bytes cannot be written, and CPython starts their
+    data 16-byte aligned, as a double needs."""
 
     _fields_ = [("n", c_int), ("n_edges", c_int), ("n_cards", c_int), ("lam", c_double),
-                ("edge_u", c_void_p), ("edge_v", c_void_p), ("scan", c_void_p),
-                ("indexed", c_void_p), ("card_mask", c_void_p), ("card_val", c_void_p),
-                ("bases", c_void_p), ("sels", c_void_p)]
+                ("edge_u", c_char_p), ("edge_v", c_char_p), ("scan", c_char_p),
+                ("indexed", c_char_p), ("card_mask", c_char_p), ("card_val", c_char_p),
+                ("bases", c_char_p), ("sels", c_char_p)]
 
 
 def _addr(buf: array | None) -> int:
     return 0 if buf is None else buf.buffer_info()[0]
-
-
-def _buffer(values, code: str) -> array | None:
-    """values as an array of C type code, or None for None.  ``struct``
-    packs a tuple about three times as fast as ``array`` converts it."""
-    return None if values is None else array(code, struct.pack(f"{len(values)}{code}", *values))
 
 
 def check_sizes(inst) -> None:
@@ -72,17 +70,19 @@ def check_sizes(inst) -> None:
 
 
 def _problem(inst) -> _Problem:
-    """C arrays of inst's inputs and known cards behind one ``_Problem``,
-    which keeps them alive, kept as ``inst.problem`` for later calls."""
+    """inst's inputs and known cards packed as C arrays behind one
+    ``_Problem``, kept as ``inst.problem`` for later calls; ``buffers``
+    holds the bytes of each array field in order, None for an absent one."""
     if inst.problem is None:
         check_sizes(inst)
         cards = inst.known_cards()
         masks, rows = (cards, cards.values()) if cards else (None, None)
         bases, _masks, sels = inst.model or (None, None, None)
-        buffers = tuple(map(_buffer, (inst.edge_u, inst.edge_v, inst.scan, inst.indexed, masks,
-                                      rows, bases, sels), "iidbQddd"))
-        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *map(_addr, buffers))
-        prob.buffers = buffers  # the kernel reads them; keep them alive with prob
+        fields = (inst.edge_u, inst.edge_v, inst.scan, inst.indexed, masks, rows, bases, sels)
+        buffers = tuple(None if values is None else struct.pack(f"{len(values)}{code}", *values)
+                        for values, code in zip(fields, "iidbQddd"))
+        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *buffers)
+        prob.buffers = buffers
         inst.problem = prob
     return inst.problem
 

@@ -95,7 +95,7 @@ class JoinGraph:
             if type(eid) is not int or eid != position:
                 raise GraphFormatError(f"edge {eid!r} is at position {position}; each edge's id"
                                        " must be its position")
-            if not (type(v1) is type(v2) is int and 0 <= v1 < n and 0 <= v2 < n):
+            if not (type(v1) is int and type(v2) is int and 0 <= v1 < n and 0 <= v2 < n):
                 raise UnknownTableError(f"edge {eid} references an unknown vertex")
             if v1 == v2:
                 raise SelfLoopError(f"edge {eid} joins table {names[v1]} to itself")
@@ -223,8 +223,12 @@ class JoinGraph:
 
     def crossing_edges(self, m1: int, m2: int) -> list[int]:
         """Edge ids with one endpoint in m1 and the other in m2."""
-        return [eid for eid, (u, v) in enumerate(zip(self.edge_u, self.edge_v))
-                if m1 >> u & 1 and m2 >> v & 1 or m2 >> u & 1 and m1 >> v & 1]
+        out = []
+        for e in self.edges:
+            b1, b2 = 1 << e.v1, 1 << e.v2
+            if (b1 & m1 and b2 & m2) or (b1 & m2 and b2 & m1):
+                out.append(e.id)
+        return out
 
     def mask_of_names(self, names: Iterable[str]) -> int:
         ids = self.name_to_id

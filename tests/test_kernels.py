@@ -195,10 +195,10 @@ def _c_problem(name, inst):
     fields = ("edge_u", "edge_v", "scan", "indexed", "card_mask", "card_val", "bases", "sels")
     lines, inits = [], [f".n = {prob.n}", f".n_edges = {prob.n_edges}",
                         f".n_cards = {prob.n_cards}", f".lam = {prob.lam.hex()}"]
-    for field, buf in zip(fields, prob.buffers):
+    for field, code, buf in zip(fields, "iidbQddd", prob.buffers):
         if buf:  # absent (None) or empty
-            values = ", ".join(x.hex() if buf.typecode == "d" else str(x) for x in buf)
-            lines.append(f"static const {ctypes_of[buf.typecode]} {name}_{field}[] = {{{values}}};")
+            values = ", ".join(x.hex() if code == "d" else str(x) for x in memoryview(buf).cast(code))
+            lines.append(f"static const {ctypes_of[code]} {name}_{field}[] = {{{values}}};")
             inits.append(f".{field} = {name}_{field}")
     return "\n".join(lines + [f"static const problem {name} = {{{', '.join(inits)}}};"])
 
@@ -442,20 +442,23 @@ def test_a_request_instance_holds_its_graphs_and_sources_own_tuples(q2a_text):
     assert inst.catalog is catalog.entries and inst.model is None
 
 
+def _unpacked(prob) -> list:
+    """The values of each array field of a compiled problem, None for an absent one."""
+    return [buf if buf is None else tuple(memoryview(buf).cast(code))
+            for code, buf in zip("iidbQddd", prob.buffers)]
+
+
 def test_the_compiled_problem_holds_arrays_equal_to_its_instances_tuples(compiled, q2a_text):
     graph, model = sp.load_document(sp.graph_to_json(*sp.gen_topology("clique", 6, seed=1)))
     inst = CostContext(graph, model).instance
     compiled.greedy_search(inst, [(formula.PRIM, None)])
-    buffers = _problem(inst).buffers
-    assert [tuple(buf) for buf in buffers[:4]] == \
-        [graph.edge_u, graph.edge_v, inst.scan, graph.indexed]
-    assert buffers[4:6] == (None, None)
-    assert (tuple(buffers[6]), tuple(buffers[7])) == (graph.bases, model.selectivities)
+    assert _unpacked(_problem(inst)) == [graph.edge_u, graph.edge_v, inst.scan, graph.indexed,
+                                         None, None, graph.bases, model.selectivities]
     graph, catalog = sp.load_document(q2a_text)
     inst = CostContext(graph, catalog).instance
     compiled.greedy_search(inst, [(formula.PRIM, None)])
-    masks, rows = _problem(inst).buffers[4:6]
-    assert (tuple(masks), tuple(rows)) == (tuple(catalog.entries), tuple(catalog.entries.values()))
+    assert _unpacked(_problem(inst))[4:] == [tuple(catalog.entries),
+                                             tuple(catalog.entries.values()), None, None]
     assert _problem(inst).n_cards == len(catalog.entries)
 
 
@@ -473,6 +476,10 @@ def _exposed(graph, source, ctx) -> dict:
         exposed.update({"model.selectivities": source.selectivities, "instance.model": inst.model})
     else:
         exposed.update({"catalog.entries": source.entries, "instance.catalog": inst.catalog})
+    if inst.problem is not None:  # the compiled backend's packed arrays
+        exposed["instance.problem.buffers"] = inst.problem.buffers
+        exposed.update({f"instance.problem.buffers[{i}]": buf
+                        for i, buf in enumerate(inst.problem.buffers) if buf})
     return exposed
 
 
@@ -503,6 +510,7 @@ def test_item_assignment_into_any_checked_input_raises_on_either_backend(compile
         ctx = CostContext(graph, source)
         plans = [sp.run_algorithm(name, graph, ctx)[0] for name in sp.ALGORITHMS]
         exposed = _exposed(graph, source, ctx)
+        assert ("instance.problem.buffers" in exposed) == (backend is compiled)
         assert [where for where, container in exposed.items() if _takes_assignment(container)] \
             == []
         assert [sp.run_algorithm(name, graph, source)[0] for name in sp.ALGORITHMS] == plans
