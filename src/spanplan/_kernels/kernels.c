@@ -4,9 +4,9 @@
  * model_product mirror formula.py, the package's one Python cost formula;
  * model_cards, greedy_search, dp_search and brute_search mirror pure.py.
  * brute_search walks each group of equivalent edges once, prices the last
- * depth once and expands each forest of joins once, where pure's reference
- * walk takes every arrangement; both return the same results and counters
- * (see walk).
+ * depth once and walks a forest of joins again only when it comes back
+ * cheaper, where pure's reference walk takes every arrangement; both
+ * return the same results and counters (see walk).
  * (count_trees has no C kernel: every backend counts in closed form in
  * trees.py, whose Python ints stay exact where int64 would overflow.)
  * The three searches write the winner's cost and its joins as (edge, left
@@ -315,9 +315,10 @@ typedef struct { mask_t l, r; double cost, out; int edge, op, side; } step_t;
 #define DONE ((size_t)-1)
 typedef struct { step_t step; size_t next; } choice;
 
-/* A string's value: a greedy state's choice, or the valid and evals below
- * a forest of brute_search's walk. */
-typedef union { choice choice; int64_t below[2]; } value;
+/* A string's value: a greedy state's choice, or the valid, linear and evals
+ * below a forest of brute_search's walk (linear is -1 until a linear order
+ * has walked it). */
+typedef union { choice choice; struct { int64_t valid, linear, evals; } below; } value;
 
 /* Interned byte strings of one width, a multiple of 8, each with a value:
  * greedy_search's states (a member's kind, then its partition as each
@@ -870,21 +871,32 @@ int sp_dp_search(const problem *p, const mask_t *masks, int64_t n_masks, double 
  * two orders can differ in the last bit.  At the last depth every live edge
  * joins the two components left, and that join is priced once.
  *
- * It expands each forest once.  Two independent joins taken in either order
- * reach the same components at bit-identical costs, and the subtree below a
- * node depends only on those: its live edges, groups and edge order follow
- * from the partition, its costs from the components' costs (a single
- * table's is 0).  At a node with two or more components of two tables or
- * more, where no completion is linear, the walk looks the forest up in
- * forests; a forest seen before adds the valid and evals its first subtree
- * added, and is not walked again.  That is exact: a repeat cannot beat the
- * best under the strict <, so the first-found best is the same; a failure
- * in the first subtree ended the walk, so the missing mask is the same; and
- * subplans and splits come from the pair memo, which the first subtree
- * filled.  A forest's entry is made when the walk reaches it and valued
- * when its subtree returns OK; any other status ends the walk before the
- * entry is read.  pure.brute_search walks every arrangement as the
- * reference. */
+ * It walks a forest again only when it comes back cheaper.  A forest is
+ * the partition a node has reached, keyed by the masks of its components
+ * of two tables or more; its record holds the valid, linear and evals
+ * counted below it and, component by component, the costs it was walked
+ * at.  A node above the last depth with such a component looks its
+ * forest up, and one whose every component costs at least the recorded
+ * cost adds the recorded counts and is not walked again.  That is exact:
+ * the subtree below a node (its live edges, groups, edge order, pairs
+ * priced and counts) follows from the partition alone, and its costs from
+ * the components' costs (a single table's is 0) through IEEE additions,
+ * each monotone in both arguments.  So every completion of the revisit
+ * costs at least what it cost at the recorded walk, which compared it with
+ * the best; the best has only fallen since, so no completion beats it under
+ * the strict < and the first-found best is the same.  A missing
+ * cardinality in the recorded walk would have ended the search, so the
+ * missing mask is the same, and subplans and splits come from the pair
+ * memo, which that walk filled.  Only the linear count depends on the
+ * order that led to the node: a node is linear only while it has one
+ * component, and a single-component forest first reached by a non-linear
+ * order has no linear count yet, so a linear order reaching it walks it.
+ * A walk for a lower cost records its own costs; a walk for the linear
+ * count alone keeps the lower ones.  An entry is made, with its costs, when
+ * the walk reaches the forest, and its counts when the subtree returns OK;
+ * any other status ends the walk before the entry is read, and no forest
+ * comes back inside its own subtree.  pure.brute_search walks every
+ * arrangement as the reference. */
 typedef struct {
     state s;                  /* the walk's cardinalities, over the caller's problem */
     int slots;
@@ -902,8 +914,12 @@ typedef struct {
                                * the best; the walk leaves out cards to sp_brute_search */
     double best;
     table memo;               /* (smaller mask << 32 | larger mask) -> merge cost */
-    strings forests;          /* each expanded forest's key -> the valid and evals below it */
+    strings forests;          /* each walked forest's key -> the counts below it */
+    int key_len;              /* the most components a key holds: n / 2 */
+    double *walked;           /* per forest, the costs it was last walked at for them */
+    size_t walked_room;       /* the forests walked has room for */
     mask_t *key;              /* the key of the forest being looked up */
+    double *cost;             /* and its components' costs, in key order */
 } walk;
 
 static int find(const int *parent, int x) {
@@ -958,21 +974,49 @@ static int last(walk *w, int depth, mask_t choices, int linear) {
     return OK;
 }
 
-/* w->key becomes the forest's key: each component of two tables or more as
- * (mask, cost bits), ascending by mask, zero-padded to forests.width bytes.
- * Disjoint masks ascend as their highest tables do. */
-static void forest_key(walk *w) {
-    mask_t *key = w->key;
-    memset(key, 0, w->forests.width);
-    for (int v = 0; v <= w->slots; v++) {
-        int r = find(w->parent, v);
+/* w->key becomes the forest's key: the mask of each component of two
+ * tables or more, ascending, zero-padded to forests.width bytes; w->cost
+ * gets their costs in the same order.  Returns how many there are. */
+static int forest_key(walk *w) {
+    int k = 0;
+    memset(w->key, 0, w->forests.width);
+    for (int r = 0; r <= w->slots; r++) {
         mask_t m = w->comp_mask[r];
-        if (!SINGLE(m) && 63 - __builtin_clzll(m) == v) {
-            key[0] = m;
-            memcpy(key + 1, &w->comp_cost[r], sizeof *key);
-            key += 2;
+        int i = k;
+        if (w->parent[r] != r || SINGLE(m))
+            continue;
+        for (; i > 0 && w->key[i - 1] > m; i--) {
+            w->key[i] = w->key[i - 1];
+            w->cost[i] = w->cost[i - 1];
         }
+        w->key[i] = m;
+        w->cost[i] = w->comp_cost[r];
+        k++;
     }
+    return k;
+}
+
+/* Room in w->walked for each forest interned. */
+static int walked_room(walk *w) {
+    size_t room = w->forests.cap / 2;
+    double *walked;
+    if (w->walked_room >= w->forests.len)
+        return OK;
+    if (!(walked = realloc(w->walked, room * w->key_len * sizeof *walked)))
+        return NOMEM;
+    w->walked = walked;
+    w->walked_room = room;
+    return OK;
+}
+
+/* Whether some of the k components in w->cost costs less than when the
+ * forest at index was walked (or is NaN either time). */
+static int cheaper(const walk *w, size_t index, int k) {
+    const double *walked = w->walked + index * w->key_len;
+    for (int i = 0; i < k; i++)
+        if (!(w->cost[i] >= walked[i]))
+            return 1;
+    return 0;
 }
 
 /* The walk on from depth over the edges in choices, the live ones.  A node
@@ -983,20 +1027,25 @@ static void forest_key(walk *w) {
  * whether or not it is walked. */
 static int step(walk *w, int depth, mask_t choices, mask_t touched, int touched_cnt,
                 int linear) {
-    int64_t valid = w->counts[0], evals = w->counts[4];
+    int64_t valid = w->counts[0], linears = w->counts[1], evals = w->counts[4];
     size_t index = DONE;
-    int rc, fresh;
+    int rc, fresh, k;
     if ((++w->nodes & 4095) == 1 && w->deadline != 0.0 && now() > w->deadline)
         return TIMEOUT;
     if (depth + 1 == w->slots)
         return last(w, depth, choices, linear);
-    if (touched_cnt - depth >= 2) {  /* linear is 0 here and below */
-        forest_key(w);
-        if ((rc = intern(&w->forests, w->key, &index, &fresh)))
+    if (touched_cnt > depth) {
+        k = forest_key(w);
+        if ((rc = intern(&w->forests, w->key, &index, &fresh)) || (rc = walked_room(w)))
             return rc;
-        if (!fresh) {
-            w->counts[0] += w->forests.val[index].below[0];
-            w->counts[4] += w->forests.val[index].below[1];
+        if (fresh)
+            w->forests.val[index].below.linear = -1;
+        if (fresh || cheaper(w, index, k))
+            memcpy(w->walked + index * w->key_len, w->cost, k * sizeof *w->cost);
+        else if (!linear || w->forests.val[index].below.linear >= 0) {
+            w->counts[0] += w->forests.val[index].below.valid;
+            w->counts[1] += linear ? w->forests.val[index].below.linear : 0;
+            w->counts[4] += w->forests.val[index].below.evals;
             return OK;
         }
     }
@@ -1039,8 +1088,10 @@ static int step(walk *w, int depth, mask_t choices, mask_t touched, int touched_
         w->comp_cost[rv] = saved_cost;
     }
     if (index != DONE) {
-        w->forests.val[index].below[0] = w->counts[0] - valid;
-        w->forests.val[index].below[1] = w->counts[4] - evals;
+        w->forests.val[index].below.valid = w->counts[0] - valid;
+        w->forests.val[index].below.evals = w->counts[4] - evals;
+        if (linear)
+            w->forests.val[index].below.linear = w->counts[1] - linears;
     }
     return OK;
 }
@@ -1052,8 +1103,8 @@ int sp_brute_search(const problem *p, double deadline, double *best, mask_t *joi
                     int64_t counts[5], mask_t *missing) {
     int n = p->n, slots = n - 1, rc;
     walk w = { .s = { .p = p }, .slots = slots, .edge_u = p->edge_u, .edge_v = p->edge_v,
-               .deadline = deadline, .best = INFINITY,
-               .forests = { .width = 2 * sizeof(mask_t) * (size_t)(n / 2) } };
+               .deadline = deadline, .best = INFINITY, .key_len = n / 2,
+               .forests = { .width = sizeof(mask_t) * (size_t)(n / 2) } };
     if (n == 1) {  /* one empty arrangement, valid and linear */
         int64_t one[5] = { 1, 1, 0, 0, 0 };
         *best = 0.0;
@@ -1069,8 +1120,9 @@ int sp_brute_search(const problem *p, double deadline, double *best, mask_t *joi
     w.seq = calloc(4 * (size_t)slots, sizeof *w.seq);
     w.best_seq = malloc(4 * (size_t)slots * sizeof *w.best_seq);
     w.key = malloc(w.forests.width);
+    w.cost = malloc(w.key_len * sizeof *w.cost);
     if (rc == OK && (!w.parent || !w.cu || !w.cv || !w.comp_mask || !w.comp_cost || !w.seq
-                     || !w.best_seq || !w.key))
+                     || !w.best_seq || !w.key || !w.cost))
         rc = NOMEM;
     if (rc == OK) {
         for (int v = 0; v < n; v++) {
@@ -1112,5 +1164,7 @@ int sp_brute_search(const problem *p, double deadline, double *best, mask_t *joi
     free(w.seq);
     free(w.best_seq);
     free(w.key);
+    free(w.cost);
+    free(w.walked);
     return rc;
 }

@@ -8,12 +8,12 @@ arguments and returning the same values.  Four of them run in C, and
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
 ``_Problem``.  The C searches price joins with the mirror of
 ``formula.merge``, the one Python cost formula.  An instance
-(``formula.Instance``) crosses the boundary as C arrays packed into bytes
-behind one ``_Problem``, without what C derives (the inner table of a
-two-table join, from the edges).  ``_problem`` packs them from the
-instance's tuples on its first call, once per cost context and so once
-per request, and the ``_Problem`` serves every later one
-(``Instance.problem``).  No kernel writes it:
+(``formula.Instance``) crosses the boundary as C arrays packed by one
+``struct`` call into one bytes buffer behind one ``_Problem``, without what
+C derives (the inner table of a two-table join, from the edges).
+``_problem`` packs them from the instance's tuples on its first call, once
+per cost context and so once per request, and the ``_Problem`` serves every
+later one (``Instance.problem``).  No kernel writes it:
 each call keeps its cardinalities in its own state and returns the mask it
 misses through an argument, so calls on one instance may overlap (ctypes
 lets other threads run during a call).
@@ -29,8 +29,8 @@ import os
 import struct
 import types
 from array import array
-from ctypes import POINTER, byref, c_char_p, c_double, c_int, c_int64, c_uint64, c_void_p
-from functools import partial
+from ctypes import POINTER, byref, c_double, c_int, c_int64, c_uint64, c_void_p
+from functools import lru_cache, partial
 
 from ..errors import OptimizeTimeout
 from . import StaleLibraryError, count_trees
@@ -45,14 +45,34 @@ _SYMBOLS = ("sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_sear
 
 class _Problem(ctypes.Structure):
     """kernels.c's ``problem``: a formula.Instance flattened into packed
-    arrays.  A ``c_char_p`` field points C at the bytes it is given and
-    keeps them alive; bytes cannot be written, and CPython starts their
-    data 16-byte aligned, as a double needs."""
+    arrays.  Each array field points into ``buffer``, the bytes that
+    ``_problem`` packs and keeps on the instance; bytes cannot be written,
+    and CPython starts their data 16-byte aligned, as a double needs."""
 
     _fields_ = [("n", c_int), ("n_edges", c_int), ("n_cards", c_int), ("lam", c_double),
-                ("edge_u", c_char_p), ("edge_v", c_char_p), ("scan", c_char_p),
-                ("indexed", c_char_p), ("card_mask", c_char_p), ("card_val", c_char_p),
-                ("bases", c_char_p), ("sels", c_char_p)]
+                ("edge_u", c_void_p), ("edge_v", c_void_p), ("scan", c_void_p),
+                ("indexed", c_void_p), ("card_mask", c_void_p), ("card_val", c_void_p),
+                ("bases", c_void_p), ("sels", c_void_p)]
+
+
+# The struct code of each array field of _Problem, in field order, and the
+# order _problem's pack call lists them in: 8-byte items first, then the
+# ints, then the flags, so that every field starts aligned for its type.
+_CODES = "iidbQddd"
+_PACKED = (4, 5, 2, 6, 7, 0, 1, 3)
+
+
+@lru_cache(maxsize=64)
+def _layout(lengths: tuple) -> tuple:
+    """The Struct that packs arrays of these lengths (in field order) in
+    _PACKED order, and each field's offset in it, None for an empty one."""
+    fmt, offsets, at = "=", [None] * len(_CODES), 0
+    for i in _PACKED:
+        if lengths[i]:
+            fmt += f"{lengths[i]}{_CODES[i]}"
+            offsets[i] = at
+            at += lengths[i] * struct.calcsize(_CODES[i])
+    return struct.Struct(fmt), tuple(offsets)
 
 
 def _addr(buf: array | None) -> int:
@@ -70,19 +90,22 @@ def check_sizes(inst) -> None:
 
 
 def _problem(inst) -> _Problem:
-    """inst's inputs and known cards packed as C arrays behind one
-    ``_Problem``, kept as ``inst.problem`` for later calls; ``buffers``
-    holds the bytes of each array field in order, None for an absent one."""
+    """inst's inputs and known cards packed as C arrays into one bytes
+    ``buffer`` behind one ``_Problem``, kept as ``inst.problem`` for later
+    calls; an empty array's field is NULL."""
     if inst.problem is None:
         check_sizes(inst)
         cards = inst.known_cards()
-        masks, rows = (cards, cards.values()) if cards else (None, None)
-        bases, _masks, sels = inst.model or (None, None, None)
-        fields = (inst.edge_u, inst.edge_v, inst.scan, inst.indexed, masks, rows, bases, sels)
-        buffers = tuple(None if values is None else struct.pack(f"{len(values)}{code}", *values)
-                        for values, code in zip(fields, "iidbQddd"))
-        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam, *buffers)
-        prob.buffers = buffers
+        bases, _masks, sels = inst.model or ((), (), ())
+        packer, offsets = _layout((len(inst.edge_u), len(inst.edge_v), len(inst.scan),
+                                   len(inst.indexed), len(cards), len(cards), len(bases),
+                                   len(sels)))
+        buffer = packer.pack(*cards, *cards.values(), *inst.scan, *bases, *sels, *inst.edge_u,
+                             *inst.edge_v, *inst.indexed)
+        at = ctypes.cast(buffer, c_void_p).value
+        prob = _Problem(inst.n, len(inst.edge_u), len(cards), inst.lam,
+                        *[None if offset is None else at + offset for offset in offsets])
+        prob.buffer = buffer
         inst.problem = prob
     return inst.problem
 

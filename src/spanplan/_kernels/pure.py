@@ -335,9 +335,9 @@ def brute_search(inst: Instance, deadline: float = 0.0):
     This is the reference walk: it takes every arrangement, edge by edge.
     ``kernels.c`` walks only the lowest edge of each group of equivalent
     edges (same two components, same v1/v2 orientation), counts the rest of
-    the group from that subtree, prices the last depth once, and walks each
-    forest of components and costs once, however many orders of joins reach
-    it; its result is the same tuple.  An instance with more than ``formula.WALK_EDGES``
+    the group from that subtree, prices the last depth once, and walks a
+    forest of components again only when some component comes back
+    cheaper; its result is the same tuple.  An instance with more than ``formula.WALK_EDGES``
     edges raises ValueError on both backends.
 
     Returns (best_cost, joins, valid, linear, subplans, splits, evals): the

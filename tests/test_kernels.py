@@ -12,6 +12,7 @@ import itertools
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -19,15 +20,15 @@ import types
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanplan as sp
 from spanplan import _kernels
 from spanplan._kernels import formula
-from spanplan._kernels.loader import VERSION, _Problem, _problem, open_library
+from spanplan._kernels.loader import _CODES, VERSION, _Problem, _problem, open_library
 from spanplan.cost import CostContext
-from spanplan.graph import connected_subset_masks, iter_bits
+from spanplan.graph import JoinEdge, TableInfo, connected_subset_masks, iter_bits
 from spanplan.plan import replay
 
 from .conftest import (IRREGULAR_KINDS, ROOT, SOURCE, _compiler, irregular_graph,
@@ -49,9 +50,10 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 # model_cards over clique-20's three-word edge bitsets, one instance's
 # kept problem through a failing call, two searches and a passing call, a
 # grouped clique-6 walk, chain-9 and cycle-9 walks whose forest memo grows
-# many times, a clique-11 walk stopped by its deadline, a
-# clique-12 walk refused, masks check_masks refuses, searches on loaded
-# arrays after the document, the graph and the model are dropped, and a
+# many times, star-10 and cycle-10 walks whose record of walked costs grows
+# with it, a clique-11 walk stopped by its deadline, a clique-12 walk
+# refused, masks check_masks refuses, searches on loaded arrays after the
+# document, the graph and the model are dropped, and a
 # model of a smaller graph refused by its context and by the loader.
 SANITIZED_RUN = """
 import gc, sys, time
@@ -118,12 +120,21 @@ assert got[0][0] is got[1][0] is KeyError and got[0] != got[1] and len(got[3]) =
 assert _problem(inst) is _problem(inst)
 
 # The grouped walk of clique-6; the chain-9 and cycle-9 walks, whose memo
-# of expanded forests grows from room for 32 to over a thousand; the clique-11
+# of walked forests grows from room for 32 to over a thousand; the clique-11
 # walk (55 edges) stopped by its deadline; clique-12's 66 edges, more than
 # one word holds, refused before the walk.
 for kind, n in (("clique", 6), ("chain", 9), ("cycle", 9)):
     inst = CostContext(*sp.gen_topology(kind, n, seed=0)).instance
     assert outcome(lib, "brute_search", inst) == outcome(pure, "brute_search", inst), kind
+# The star-10 and cycle-10 walks, too long for pure, whose forests come back
+# cheaper and are walked again: their counts are the closed form's and
+# their cost the DP's.
+for kind, n in (("star", 10), ("cycle", 10)):
+    graph, model = sp.gen_topology(kind, n, seed=0)
+    inst = CostContext(graph, model).instance
+    cost, joins, valid, linear, *_ = lib.brute_search(inst)
+    assert (valid, linear) == _kernels.count_trees(n, graph.edge_u, graph.edge_v), kind
+    assert cost == lib.dp_search(inst, connected_subset_masks(graph))[0], kind
 graph, model = sp.gen_topology("clique", 11, seed=0)
 try:
     lib.brute_search(CostContext(graph, model).instance, time.perf_counter() + 0.01)
@@ -187,17 +198,35 @@ def test_every_kernel_runs_clean_under_address_and_undefined_behaviour_sanitizer
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr[-4000:]
 
 
+def _unpacked(prob) -> list:
+    """The values of each array field of a compiled problem, read from the
+    one buffer it keeps, None for a NULL field."""
+    at = ctypes.cast(prob.buffer, ctypes.c_void_p).value
+    lengths = (prob.n_edges, prob.n_edges, prob.n, prob.n, prob.n_cards, prob.n_cards, prob.n,
+               prob.n_edges)
+    out = []
+    for (field, _type), code, k in zip(_Problem._fields_[4:], _CODES, lengths):
+        start = getattr(prob, field)
+        if start is None:
+            out.append(None)
+            continue
+        start -= at
+        end = start + k * struct.calcsize(code)
+        assert 0 <= start <= end <= len(prob.buffer), field
+        out.append(tuple(memoryview(prob.buffer)[start:end].cast(code)))
+    return out
+
+
 def _c_problem(name, inst):
     """C definitions of a kernels.c problem called name, flattened from inst
     as the loader flattens it; each double is written exactly, in hex."""
     prob = _problem(inst)
     ctypes_of = {"i": "int", "d": "double", "b": "int8_t", "Q": "mask_t"}
-    fields = ("edge_u", "edge_v", "scan", "indexed", "card_mask", "card_val", "bases", "sels")
     lines, inits = [], [f".n = {prob.n}", f".n_edges = {prob.n_edges}",
                         f".n_cards = {prob.n_cards}", f".lam = {prob.lam.hex()}"]
-    for field, code, buf in zip(fields, "iidbQddd", prob.buffers):
-        if buf:  # absent (None) or empty
-            values = ", ".join(x.hex() if code == "d" else str(x) for x in memoryview(buf).cast(code))
+    for (field, _type), code, values in zip(_Problem._fields_[4:], _CODES, _unpacked(prob)):
+        if values:  # absent (None) or empty
+            values = ", ".join(x.hex() if code == "d" else str(x) for x in values)
             lines.append(f"static const {ctypes_of[code]} {name}_{field}[] = {{{values}}};")
             inits.append(f".{field} = {name}_{field}")
     return "\n".join(lines + [f"static const problem {name} = {{{', '.join(inits)}}};"])
@@ -285,7 +314,7 @@ def _tokens(search, *args):
 
 def test_searches_sharing_one_problem_run_clean_under_thread_sanitizer(tmp_path):
     # este's members and the DP on one clique-7 model problem, and the
-    # cycle-8 walk, which expands its forests through a memo of its own, on
+    # cycle-8 walk, which records its forests in a memo of its own, on
     # three threads at once.  The driver is a C program of its own: libtsan
     # is never preloaded into python3.
     cc = _compiler()
@@ -442,12 +471,6 @@ def test_a_request_instance_holds_its_graphs_and_sources_own_tuples(q2a_text):
     assert inst.catalog is catalog.entries and inst.model is None
 
 
-def _unpacked(prob) -> list:
-    """The values of each array field of a compiled problem, None for an absent one."""
-    return [buf if buf is None else tuple(memoryview(buf).cast(code))
-            for code, buf in zip("iidbQddd", prob.buffers)]
-
-
 def test_the_compiled_problem_holds_arrays_equal_to_its_instances_tuples(compiled, q2a_text):
     graph, model = sp.load_document(sp.graph_to_json(*sp.gen_topology("clique", 6, seed=1)))
     inst = CostContext(graph, model).instance
@@ -477,9 +500,7 @@ def _exposed(graph, source, ctx) -> dict:
     else:
         exposed.update({"catalog.entries": source.entries, "instance.catalog": inst.catalog})
     if inst.problem is not None:  # the compiled backend's packed arrays
-        exposed["instance.problem.buffers"] = inst.problem.buffers
-        exposed.update({f"instance.problem.buffers[{i}]": buf
-                        for i, buf in enumerate(inst.problem.buffers) if buf})
+        exposed["instance.problem.buffer"] = inst.problem.buffer
     return exposed
 
 
@@ -510,7 +531,7 @@ def test_item_assignment_into_any_checked_input_raises_on_either_backend(compile
         ctx = CostContext(graph, source)
         plans = [sp.run_algorithm(name, graph, ctx)[0] for name in sp.ALGORITHMS]
         exposed = _exposed(graph, source, ctx)
-        assert ("instance.problem.buffers" in exposed) == (backend is compiled)
+        assert ("instance.problem.buffer" in exposed) == (backend is compiled)
         assert [where for where, container in exposed.items() if _takes_assignment(container)] \
             == []
         assert [sp.run_algorithm(name, graph, source)[0] for name in sp.ALGORITHMS] == plans
@@ -861,11 +882,13 @@ def test_brute_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_
     assert _kernels.pure.brute_search(inst) == compiled.brute_search(inst)
 
 
-@pytest.mark.parametrize("kind, n", [("clique", 6), ("clique", 7), ("cycle", 9)])
+@pytest.mark.parametrize("kind, n", [("clique", 6), ("clique", 7), ("cycle", 9), ("cycle", 10),
+                                     ("chain", 11), ("star", 10), ("star", 11)])
 def test_the_grouped_walk_counts_every_arrangement_and_finds_the_optimum(compiled, kind, n):
-    # Walks too long for pure (clique-7: 13.8 million evaluations): the
-    # compiled walk's valid and linear counts, of which it walks only each
-    # group's lowest edge, equal the closed form's, and its cost the DP's.
+    # Walks too long for pure (clique-7: 13.8 million evaluations, star-11:
+    # 10! arrangements): the compiled walk's valid and linear counts, of
+    # which it walks only each group's lowest edge and each forest only when
+    # it comes back cheaper, equal the closed form's, and its cost the DP's.
     graph, model = sp.gen_topology(kind, n, seed=1)
     inst = _instance(graph, model)
     cost, joins, valid, linear, *_ = compiled.brute_search(inst)
@@ -924,8 +947,8 @@ def test_brute_search_keeps_the_first_of_equally_cheap_arrangements(kind, turn, 
     # Equal tables and selectivities: turning the graph by one edge (edge e
     # to e + 1, mod turn) turns the optimal arrangement into another one of
     # equal cost, which pure's walk meets later.  The compiled walk, which
-    # counts equivalent edges and forests it has expanded without walking
-    # them again, keeps the first.
+    # counts equivalent edges and forests that come back no cheaper without
+    # walking them again, keeps the first.
     graph, model = sp.gen_topology(kind, 8, seed=0, base_range=(1000, 1000),
                                    sel_range=(0.01, 0.01))
     inst = CostContext(graph, model).instance
@@ -978,12 +1001,42 @@ def test_brute_search_misses_what_pure_misses_for_every_subset_of_a_cycle(compil
         assert fast.value.args == pure.value.args == (missing,)
 
 
+# A chain whose edges are listed so that the walk first reaches the forest
+# {0, 1, 2, 3} by joining {0, 1} and {2, 3} (edges 0, 1, 2), a bushy order,
+# and only later by a linear one (edges 0, 2, 1).  With equal tables and
+# selectivities the linear order comes back at a cost no lower, so the
+# forest's record holds counts but no linear count yet.
+LATE_LINEAR = ((0, 1), (2, 3), (1, 2), (3, 4), (4, 5))
+
+
+def _late_linear_chain():
+    names = [f"t{v}" for v in range(6)]
+    graph = sp.JoinGraph(tuple(TableInfo(name, 1000) for name in names),
+                         tuple(JoinEdge(e, u, v, f"{names[u]}.a{e} = {names[v]}.a{e}")
+                               for e, (u, v) in enumerate(LATE_LINEAR)))
+    return graph, sp.SelectivityModel(graph, (0.01,) * len(LATE_LINEAR))
+
+
+def _equalized(graph):
+    """graph with every table of 1,000 rows, and a catalog that gives each
+    connected subset of k tables 1,000 * 10 ** (k - 1) rows, so that forests
+    of equal sizes come back at equal costs."""
+    graph = sp.JoinGraph(tuple(v._replace(base_cardinality=1000) for v in graph.vertices),
+                         graph.edges)
+    return graph, sp.CardinalityCatalog(entries={
+        m: 1000 * 10 ** (bin(m).count("1") - 1) for m in connected_subset_masks(graph)})
+
+
 def _walk_case(shape, n, seed):
-    """A chain's, a cycle's or an irregular shape's graph and model on n
-    tables, or on the most tables below n that keep pure's walk short: at
-    most 12 edges and 50,000 valid arrangements (chain-9, cycle-8)."""
+    """A chain's, a cycle's, a star's or an irregular shape's graph and
+    model on n tables, or on the most tables below n that keep pure's walk
+    short: at most 12 edges and 50,000 valid arrangements (chain-9,
+    cycle-8, star-9); or, for "late-linear", the LATE_LINEAR chain."""
+    if shape == "late-linear":
+        return _late_linear_chain()
     for size in range(n, 3, -1):
-        graph, model = (sp.gen_topology(shape, size, seed=seed) if shape in ("chain", "cycle")
+        graph, model = (sp.gen_topology(shape, size, seed=seed)
+                        if shape in ("chain", "cycle", "star")
                         else irregular_graph(shape, size, seed))
         if graph.n_edges <= 12 and \
                 _kernels.count_trees(size, graph.edge_u, graph.edge_v)[0] <= 50_000:
@@ -991,22 +1044,31 @@ def _walk_case(shape, n, seed):
     raise AssertionError(f"no {shape} graph of 4 to {n} tables is short enough to walk")
 
 
-@settings(max_examples=40, deadline=None)
-@given(shape=st.sampled_from(("chain", "cycle", *IRREGULAR_KINDS)), n=st.integers(5, 9),
-       seed=st.integers(0, 10**6), source=st.sampled_from(("model", "catalog", "missing")),
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(("chain", "cycle", "star", "late-linear", *IRREGULAR_KINDS)),
+       n=st.integers(5, 9), seed=st.integers(0, 10**6),
+       source=st.sampled_from(("model", "catalog", "missing", "equal")),
        pick=st.integers(0, 10**6), past=st.booleans())
+@example(shape="star", n=8, seed=1, source="model", pick=0, past=False)
+@example(shape="cycle", n=8, seed=1, source="equal", pick=0, past=False)
+@example(shape="late-linear", n=6, seed=0, source="model", pick=0, past=False)
 def test_the_walk_that_expands_each_forest_once_equals_pure(compiled, shape, n, seed, source,
                                                             pick, past):
-    # Chains, cycles and the irregular shapes reach many forests by more
-    # than one order of joins.  Under the model (its cardinalities computed
-    # in the kernel), a catalog of every connected subset, or that catalog
-    # less one subset, compiled returns pure's tuple or names pure's missing
-    # mask.  Past its deadline, compiled stops at its first node; pure reads
-    # the clock every 4096 nodes, so a short walk of pure's finishes.
+    # Chains, cycles, stars and the irregular shapes reach many forests by
+    # more than one order of joins, at costs higher, lower or, with the
+    # "equal" source's tables and counts, equal; the LATE_LINEAR chain
+    # reaches one by a linear order only after a bushy one.  Under the model
+    # (its cardinalities computed in the kernel), a catalog of every
+    # connected subset, that catalog less one subset, or the equal catalog,
+    # compiled returns pure's tuple or names pure's missing mask.  Past its
+    # deadline, compiled stops at its first node; pure reads the clock every
+    # 4096 nodes, so a short walk of pure's finishes.
     graph, model = _walk_case(shape, n, seed)
+    if source == "equal":
+        graph, model = _equalized(graph)
     masks = connected_subset_masks(graph)
     missing = (masks[pick % len(masks)],) if source == "missing" else ()
-    inst = (CostContext(graph, model).instance if source == "model"
+    inst = (CostContext(graph, model).instance if source in ("model", "equal")
             else _without(graph, model, *missing))
 
     def outcome(backend, deadline=0.0):
@@ -1037,10 +1099,11 @@ def test_a_walk_whose_first_subtree_fails_raises_without_walking_the_rest(compil
 
 
 def test_a_walk_that_fails_late_stops_where_it_fails(compiled):
-    # star-13: the walk misses STAR_LATE after walking the 10! arrangements
-    # under edges 0 and 1, of the 12! (479 million) it would walk.  It
-    # stops there, so the call takes about as long as star-11's whole walk
-    # (10!).
+    # star-13: the walk misses STAR_LATE after the subtree under edges 0
+    # and 1 (10! arrangements, of the 12! or 479 million it would count).
+    # It stops there, so the call takes about as long as star-11's whole
+    # walk, whose 10! arrangements span the same forests of a centre and
+    # ten leaves.
     graph, model = sp.gen_topology("star", 11, seed=1)
     inst = _without(graph, model)
     t0 = time.perf_counter()
