@@ -2,7 +2,9 @@
  *
  * A mirror of the Python kernels: merge (with the join_cost it inlines) and
  * model_product mirror formula.py, the package's one Python cost formula;
- * model_cards, greedy_search, dp_search and brute_search mirror pure.py.
+ * model_cards, merge_pairs, greedy_search, dp_search and brute_search
+ * mirror pure.py.  merge_pairs prices a batch of pairs for goo, whose loop
+ * runs in Python: one call per round.
  * brute_search walks each group of equivalent edges once, prices the last
  * depth once and walks a forest of joins again only when it comes back
  * cheaper, where pure's reference walk takes every arrangement; both
@@ -158,9 +160,12 @@ size_t sp_problem_size(void) {
 
 /* loader.VERSION: raise both when the problem struct or a kernel's
  * arguments or results change, so that a library built before is refused. */
-const int sp_version = 4;
+const int sp_version = 5;
 
-typedef struct { double cost, out; int op, side; } join;
+/* A priced join, in formula.merge's order: its step cost, operator and
+ * side (formula.OP_*, SIDE_*) and out card; sp_merge_pairs returns an array
+ * of them, 24 bytes each. */
+typedef struct { double cost; int op, side; double out; } join;
 
 #define SINGLE(m) (((m) & ((m) - 1)) == 0)
 #define BIT(m) __builtin_ctzll(m)
@@ -280,7 +285,7 @@ static join join_of(const problem *p, mask_t l, mask_t r, double out, double lc,
             side = inner_mask == l ? 0 : 1;
         }
     }
-    return (join){ cost, out, op, side };
+    return (join){ cost, op, side, out };
 }
 
 /* formula.merge: join_of over card(l | r), card(l) and card(r), read in
@@ -301,6 +306,20 @@ int sp_model_cards(const problem *p, const mask_t *masks, int64_t n_masks, doubl
     int rc = open_memo(&s);
     for (int64_t i = 0; rc == OK && i < n_masks; i++)
         rc = card(&s, masks[i], &cards[i]);
+    *missing = s.missing;
+    close_memo(&s);
+    return rc;
+}
+
+/* pure.merge_pairs: formula.merge of each (l, r) pair, read as pairs[2i]
+ * and pairs[2i + 1], into joins[i], in order, stopping at the first pair
+ * with a missing mask. */
+int sp_merge_pairs(const problem *p, const mask_t *pairs, int64_t n_pairs, join *joins,
+                   mask_t *missing) {
+    state s = { .p = p };
+    int rc = open_memo(&s);
+    for (int64_t i = 0; rc == OK && i < n_pairs; i++)
+        rc = merge(&s, pairs[2 * i], pairs[2 * i + 1], &joins[i]);
     *missing = s.missing;
     close_memo(&s);
     return rc;

@@ -1,8 +1,8 @@
 """ctypes front end of the compiled kernels in ``kernels.c``.
 
 ``open_library(path)`` opens a built copy of ``kernels.c`` and returns the
-``compiled`` backend: a module with ``pure``'s five kernels, taking the same
-arguments and returning the same values.  Four of them run in C, and
+``compiled`` backend: a module with ``pure``'s six kernels, taking the same
+arguments and returning the same values.  Five of them run in C, and
 ``count_trees`` is the closed form every backend shares.  It refuses, with
 ``StaleLibraryError``, a library that lacks a kernel, was built from
 another ``VERSION`` of ``kernels.c``, or lays out ``problem`` unlike
@@ -38,9 +38,9 @@ from .formula import check_masks, check_runs, check_walk
 
 _TIMEOUT, _MISSING = 1, 2
 # kernels.c's sp_version; the two are raised together.
-VERSION = 4
-_SYMBOLS = ("sp_model_cards", "sp_greedy_search", "sp_dp_search", "sp_brute_search",
-            "sp_problem_size", "sp_version")
+VERSION = 5
+_SYMBOLS = ("sp_model_cards", "sp_merge_pairs", "sp_greedy_search", "sp_dp_search",
+            "sp_brute_search", "sp_problem_size", "sp_version")
 
 
 class _Problem(ctypes.Structure):
@@ -131,6 +131,15 @@ def _model_cards(lib, inst, masks) -> list[float]:
     return cards.tolist()
 
 
+def _merge_pairs(lib, inst, pairs) -> list[tuple]:
+    masks = [m for pair in pairs for m in pair]
+    check_masks(inst, masks)
+    flat = array("Q", masks)
+    joins = array("d", bytes(24 * len(pairs)))  # kernels.c's join: (cost, op, side, out)
+    _call(lib.sp_merge_pairs, "merge_pairs", inst, _addr(flat), len(pairs), _addr(joins))
+    return list(struct.iter_unpack("diid", joins))
+
+
 def _join_buffer(inst) -> array:
     """Room for a plan's (edge, left mask, right mask, out card) joins, 32
     bytes each: three 64-bit words and a double."""
@@ -192,6 +201,7 @@ def open_library(path) -> types.ModuleType:
         raise refuse(f"has a {size}-byte problem struct, not {ctypes.sizeof(_Problem)}")
     problem, missing = POINTER(_Problem), POINTER(c_uint64)
     lib.sp_model_cards.argtypes = [problem, c_void_p, c_int64, c_void_p, missing]
+    lib.sp_merge_pairs.argtypes = [problem, c_void_p, c_int64, c_void_p, missing]
     lib.sp_greedy_search.argtypes = [problem, c_void_p, c_int, c_double, c_void_p, c_void_p,
                                      c_void_p, missing]
     lib.sp_dp_search.argtypes = [problem, c_void_p, c_int64, c_double, c_double, c_void_p,
@@ -200,7 +210,7 @@ def open_library(path) -> types.ModuleType:
     backend = types.ModuleType("compiled", __doc__)
     backend.name = "compiled"
     backend.problem_size = size
-    for kernel in (_model_cards, _greedy_search, _dp_search, _brute_search):
+    for kernel in (_model_cards, _merge_pairs, _greedy_search, _dp_search, _brute_search):
         setattr(backend, kernel.__name__[1:], partial(kernel, lib))
     backend.count_trees = count_trees  # read outside tests only by perfbench's tracer
     return backend

@@ -5,7 +5,9 @@ prim/kruskal members behind ``prim``, ``kruskal`` and ``este``
 (``greedy_search``), the subset dynamic program over the connected vertex
 sets it is given (``dp_search``), and the depth-first walk over ordered
 spanning-tree edge arrangements (``brute_search``), plus ``model_cards``,
-the selectivity model's cardinalities of many subsets in one call.  Its
+the selectivity model's cardinalities of many subsets in one call, and
+``merge_pairs``, the cost formula over many pairs in one call, which prices
+each round of goo's Python loop.  Its
 ``count_trees`` is the closed form every backend shares (``trees``).  Each
 search returns ``(cost, joins, counters...)``, ``joins`` being the
 winner's ``(edge, left mask, right mask, out card)`` list in replay order,
@@ -66,6 +68,17 @@ def model_cards(inst: Instance, masks) -> list[float]:
     check_masks(inst, masks)
     cards = _Cards(inst)
     return [cards[mask] for mask in masks]
+
+
+def merge_pairs(inst: Instance, pairs) -> list[tuple]:
+    """``formula.merge`` of each (left mask, right mask) pair, in order, as
+    (step cost, op, side, out card), over one ``_Cards`` memo: goo prices
+    each of its rounds with one call.  Raises KeyError(mask) at the first
+    mask neither source gives, read per pair as ``formula.merge`` reads
+    them, the union first (ValueError: check_masks)."""
+    check_masks(inst, [m for pair in pairs for m in pair])
+    cards = _Cards(inst)
+    return [_merge(inst, cards, l_mask, r_mask) for l_mask, r_mask in pairs]
 
 
 class _Greedy:

@@ -22,7 +22,9 @@ choice, which is how a re-evaluated plan keeps its operators and sides
 while its cardinalities change.  Both pass the formula the context's own
 memo, ``cards``, which looks a mask up in the source when first read;
 ``ensure_cards`` fills a selectivity model's cardinalities of many subsets
-with one call of the backend's ``model_cards`` kernel (pure or C).
+with one call of the backend's ``model_cards`` kernel (pure or C), and
+``merge_pairs`` memoizes ``merge`` of many pairs with one call of its
+``merge_pairs`` kernel, seeding each union's cardinality (``seed_card``).
 A catalog keeps a read-only map over its own copy of the counts and a
 model a tuple of selectivities.  A context's ``formula.Instance`` holds
 them and its graph's tuples, not copies, and a context refuses a source
@@ -36,7 +38,8 @@ from typing import Iterable, NamedTuple, Union
 
 from . import _kernels
 from ._kernels import formula
-from .errors import GraphFormatError, LimitExceededError, MissingCardinalityError, UnknownTableError
+from .errors import (GraphFormatError, LimitExceededError, MissingCardinalityError, SpanPlanError,
+                     UnknownTableError)
 from .graph import MAX_VERTICES, JoinGraph, is_row_count
 
 DEFAULT_TAU = 0.2
@@ -291,6 +294,34 @@ class CostContext:
             self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
             raise
         self.cards.update(zip(masks, cards))
+
+    def seed_card(self, mask: int, card: float) -> None:
+        """Memoize a kernel's cardinality of mask where the context lacks
+        one; raises SpanPlanError when the context holds another."""
+        held = self.cards.setdefault(mask, card)
+        if held != card:
+            raise SpanPlanError(f"kernel cardinality {card!r} of"
+                                f" {{{self.graph.subset_key(mask)}}} does not match"
+                                f" the context's {held!r}")
+
+    def merge_pairs(self, pairs) -> list[MergeResult]:
+        """merge(l, r) of each (l, r) pair, in order.  The pairs the merge
+        memo lacks are priced by one ``merge_pairs`` kernel call, which reads
+        each pair's union, then its two sides, as ``formula.merge`` does, so
+        the first missing or overflowing subset fails as ``source.lookup``
+        fails on it.  Each union's out card is checked by ``seed_card``."""
+        memo = self._merge_memo
+        lacking = [pair for pair in pairs if pair not in memo]
+        if lacking:
+            try:
+                priced = _kernels.get_backend().merge_pairs(self.instance, lacking)
+            except KeyError as exc:
+                self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
+                raise
+            for (l_mask, r_mask), (cost, op, side, out) in zip(lacking, priced):
+                self.seed_card(l_mask | r_mask, out)
+                memo[l_mask, r_mask] = MergeResult(cost, _CHOICES[op][side], out)
+        return [memo[pair] for pair in pairs]
 
     def scan_cost(self, vertex: int) -> float:
         return self.instance.scan[vertex]

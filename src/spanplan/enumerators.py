@@ -21,13 +21,12 @@ pair's (lower mask, higher mask).
 restricted to the pairs that hold its component.  Members share the choice
 made at each state in one memo keyed by (kind, partition).  ``exhaustive``
 runs the ``dp_search`` kernel over the connected subsets.  ``goo`` runs its
-loop in Python and prices each pair through ``CostContext.merge``, but each
-of its rounds takes the cardinalities it reads from one
-``CostContext.ensure_cards`` call (one ``model_cards`` kernel call under a
-selectivity model).  Each supplies only its search: ``plan._run_search``
-builds the context, starts the deadline, names a timeout, replays the
-joins the search emits (checking that the plan costs what the search
-reported) and returns ``(plan, stats)``.  Every join is priced by the one
+loop in Python, but prices each round's pairs with one
+``CostContext.merge_pairs`` call, which is one ``merge_pairs`` kernel call
+for the pairs the context has not priced.  Each supplies only its search:
+``plan._run_search`` builds the context, starts the deadline, names a
+timeout, replays the joins the search emits (checking that the plan costs
+what the search reported) and returns ``(plan, stats)``.  Every join is priced by the one
 cost formula (``formula.merge``, mirrored in ``kernels.c``), so costs are
 exactly comparable.
 ``EnumStats.subplans_reached`` and ``join_costs_computed`` count the
@@ -86,16 +85,15 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     ranked by (step cost, smaller mask, larger mask).  Each component keeps
     the mask of its neighbouring vertices, so adjacency is one AND; only the
     winning pair looks up its lowest crossing edge.  Every pair is priced
-    once, through ``CostContext.merge``: after the first round, a round
-    prices only the component the last one made against its neighbours.
-    Before it prices, a round fills the cardinalities its pairs read that
-    the context lacks with one ``ensure_cards`` call, in the order the
-    merges would read them, so under a selectivity model a round is one
-    ``model_cards`` kernel call and a missing or overflowing subset is
-    named as its merge would name it.  The deadline is checked between
-    rounds."""
+    once: after the first round, a round prices only the component the last
+    one made against its neighbours.  A round prices its pairs with one
+    ``CostContext.merge_pairs`` call, so one ``merge_pairs`` kernel call for
+    the pairs the context has not priced, which reads each pair's union,
+    then its sides, so a missing or overflowing subset is named as
+    ``CostContext.merge`` would name it.  A round with no pairs calls no
+    kernel.  The deadline is checked between rounds."""
     def search(ctx, deadline):
-        cards, edge_masks = ctx.cards, graph.edge_masks
+        edge_masks = graph.edge_masks
         # Each component, oldest first, with the vertices adjacent to it and its cost.
         comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
         costs = dict.fromkeys(comps, 0.0)
@@ -106,13 +104,8 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
         def price(pairs: list) -> None:
             nonlocal evals
             pairs = [(a, b) if a < b else (b, a) for a, b in pairs]
-            # The masks each merge reads, in its order (result, then sides).
-            lacking = dict.fromkeys(m for lo, hi in pairs for m in (lo | hi, lo, hi)
-                                    if m not in cards)
-            if lacking:
-                ctx.ensure_cards(lacking)
-            for lo, hi in pairs:
-                keys.add((ctx.merge(lo, hi).step_cost, lo, hi))
+            for (lo, hi), res in zip(pairs, ctx.merge_pairs(pairs)):
+                keys.add((res.step_cost, lo, hi))
             evals += len(pairs)
 
         opening = list(comps.items())
@@ -161,16 +154,21 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
     best(S) = min over connected splits (S1, S2) of
     merge(S1, S2) + best(S1) + best(S2).  With prune=True, a first greedy
     pass supplies an upper bound and subsets costing more than it are never
-    extended (safe: increments are non-negative).  The deadline is checked
-    inside the subset scan and the bound, between the phases, and inside
-    the DP.
+    extended (safe: increments are non-negative).  ``stats.bound`` is the
+    bound used, goo's cost, or inf with prune=False.  The deadline is
+    checked inside the subset scan and the bound, between the phases, and
+    inside the DP.
     """
     if graph.n_vertices > EXHAUSTIVE_VERTEX_LIMIT:
         raise LimitExceededError(f"exhaustive enumeration limited to {EXHAUSTIVE_VERTEX_LIMIT}"
                                  f" tables; got {graph.n_vertices}")
     from .graph import connected_subset_masks
 
+    bound = math.inf
+
     def search(ctx, deadline):
+        nonlocal bound
+
         def check_deadline() -> None:
             if deadline and time.perf_counter() > deadline:
                 raise OptimizeTimeout
@@ -179,7 +177,6 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
         check_deadline()
         ctx.ensure_cards(masks)
         check_deadline()
-        bound = float("inf")
         if prune:
             remaining = deadline - time.perf_counter() if deadline else None
             bound = goo(graph, ctx, timeout=remaining)[0].internal_cost
@@ -190,8 +187,10 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
             raise LimitExceededError("the optimal plan's cost overflows a float")
         return cost, joins, subplans, splits, splits, 1
 
-    return _run_search("exhaustive", "exhaustive enumeration", graph, source, params, timeout,
-                       search)
+    plan, stats = _run_search("exhaustive", "exhaustive enumeration", graph, source, params,
+                              timeout, search)
+    stats.bound = bound
+    return plan, stats
 
 
 ALGORITHMS = ("exhaustive", "prim", "kruskal", "goo", "este")

@@ -53,12 +53,16 @@ class EnumStats:
     """Search-effort counters for one enumeration run."""
 
     def __init__(self, subplans_reached: int = 0, join_costs_computed: int = 0,
-                 plans_enumerated: int = 0, evaluations: int = 0, elapsed: float = 0.0):
+                 plans_enumerated: int = 0, evaluations: int = 0, elapsed: float = 0.0,
+                 bound: float | None = None):
         self.subplans_reached = subplans_reached
         self.join_costs_computed = join_costs_computed
         self.plans_enumerated = plans_enumerated
         self.evaluations = evaluations
         self.elapsed = elapsed
+        # exhaustive's pruning bound (inf without pruning), None for the
+        # other searches; no output prints it.
+        self.bound = bound
 
 
 class PlanBuilder:
@@ -119,14 +123,11 @@ def replay(graph: JoinGraph, ctx: CostContext, algorithm: str, joins, cost: floa
     card) in order.  Each out card seeds the context's cardinality of
     its join's union, so the context need not compute it again.  Raises
     SpanPlanError when the context already holds another cardinality of a
-    union, or unless the plan costs what the search reported."""
+    union (``CostContext.seed_card``), or unless the plan costs what the
+    search reported."""
     builder = PlanBuilder(graph, ctx, algorithm)
     for edge_id, l_mask, r_mask, out in joins:
-        held = ctx.cards.setdefault(l_mask | r_mask, out)
-        if held != out:
-            raise SpanPlanError(f"kernel cardinality {out!r} of"
-                                f" {{{graph.subset_key(l_mask | r_mask)}}} does not match"
-                                f" the context's {held!r}")
+        ctx.seed_card(l_mask | r_mask, out)
         builder.add_step(edge_id, l_mask, r_mask)
     plan = builder.build()
     if plan.internal_cost != cost:

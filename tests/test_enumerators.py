@@ -297,39 +297,70 @@ def _recording(monkeypatch, owner, name: str, record) -> None:
     monkeypatch.setattr(owner, name, wrapper)
 
 
-def test_goo_fills_each_round_s_cardinalities_in_one_model_cards_call(compiled, monkeypatch):
+def test_goo_prices_each_round_with_one_merge_pairs_call(compiled, monkeypatch):
     # The opening round, then each join that leaves more than one component:
-    # n - 1 kernel calls on clique-n, and no union priced by the model's
-    # lookup.  Under exhaustive the context already holds every connected
-    # subset, so the bound adds no call to ensure_cards' one.
+    # n - 1 kernel calls on clique-n, and no subset of more than one table
+    # looked up in the model.  Under exhaustive, one model_cards call fills
+    # every connected subset, and the bound's rounds add their n - 1 calls.
     graph, model = sp.gen_topology("clique", 8, seed=8)
+    rounds = graph.n_vertices - 1
     looked = []
     _recording(monkeypatch, sp.SelectivityModel, "lookup",
                lambda _model, _graph, mask: looked.append(mask))
     for backend in (_kernels.pure, compiled):
         calls = []
-        _recording(monkeypatch, backend, "model_cards", lambda _inst, masks: calls.append(masks))
+        for kernel in ("model_cards", "merge_pairs"):
+            _recording(monkeypatch, backend, kernel,
+                       lambda _inst, _masks, kernel=kernel: calls.append(kernel))
         monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
         sp.goo(graph, model)
-        assert len(calls) == graph.n_vertices - 1, backend.name
+        assert calls == ["merge_pairs"] * rounds, backend.name
         assert [mask for mask in looked if mask & (mask - 1)] == [], backend.name
         calls.clear()
         sp.exhaustive(graph, model)
-        assert len(calls) == 1, backend.name
+        assert calls == ["model_cards"] + ["merge_pairs"] * rounds, backend.name
 
 
-def test_goo_looks_a_catalog_up_in_the_order_its_merges_read(monkeypatch):
-    # Each subset is looked up once, when the first merge that reads it
-    # would read it: the union, then the two sides.
+def test_goo_names_the_first_subset_its_merges_read_that_a_catalog_lacks(compiled,
+                                                                         monkeypatch):
+    # Each merge reads its union, then its two sides.  Without one subset
+    # of clique-7's catalog, goo fails on it if a merge reads it, and plans
+    # as with the whole catalog if none does, alike on both backends.
     graph, model = sp.gen_topology("clique", 7, seed=3)
-    catalog = sp.CardinalityCatalog(
-        entries={m: model.lookup(graph, m) for m in connected_subset_masks(graph)})
-    looked, merged = [], []
-    _recording(monkeypatch, sp.CardinalityCatalog, "lookup",
-               lambda _catalog, _graph, mask: looked.append(mask))
-    _recording(monkeypatch, CostContext, "merge", lambda _ctx, l, r: merged.append((l, r)))
-    sp.goo(graph, catalog)
-    assert looked == list(dict.fromkeys(m for l, r in merged for m in (l | r, l, r)))
+    entries = {m: model.lookup(graph, m) for m in connected_subset_masks(graph)}
+    outcomes = {}
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        priced = []
+        _recording(monkeypatch, backend, "merge_pairs",
+                   lambda _inst, pairs: priced.extend(pairs))
+        whole = sp.goo(graph, sp.CardinalityCatalog(entries))[0]
+        read = {m for l, r in priced for m in (l | r, l, r)}
+        outcomes[backend.name] = got = []
+        for missing in (m for m in entries if m & (m - 1)):
+            catalog = sp.CardinalityCatalog({m: c for m, c in entries.items() if m != missing})
+            if missing in read:
+                with pytest.raises(sp.MissingCardinalityError) as info:
+                    sp.goo(graph, catalog)
+                assert str(info.value) == ("no cardinality for table subset"
+                                           f" {{{graph.subset_key(missing)}}}"), backend.name
+                got.append(missing)
+            else:
+                assert sp.goo(graph, catalog)[0] == whole, backend.name
+        assert 0 < len(got) < len(entries) - graph.n_vertices, backend.name
+    assert outcomes["pure"] == outcomes["compiled"]
+
+
+def test_exhaustive_records_the_bound_it_pruned_with(q2a):
+    cases = [q2a] + [sp.gen_topology(kind, 8, seed=5) for kind in ("chain", "cycle", "star",
+                                                                    "clique")]
+    for graph, source in cases:
+        plan, stats = sp.exhaustive(graph, source)
+        assert stats.bound == sp.goo(graph, source)[0].internal_cost >= plan.internal_cost
+        assert sp.exhaustive(graph, source, prune=False)[1].bound == float("inf")
+        assert sp.prim(graph, source)[1].bound is None
+        for timing in (False, True):
+            assert '"bound"' not in sp.plan_to_json(plan, graph, stats, timing=timing)
 
 
 def test_exhaustive_vertex_limit():

@@ -47,7 +47,8 @@ def test_kernels_c_compiles_without_warnings(tmp_path):
 
 # Run in a process whose allocator ASan replaces: every kernel against pure
 # on small graphs, each search's joins filling its buffer, greedy_search and
-# model_cards over clique-20's three-word edge bitsets, one instance's
+# model_cards over clique-20's three-word edge bitsets, merge_pairs on
+# every edge's two tables, one instance's
 # kept problem through a failing call, two searches and a passing call, a
 # grouped clique-6 walk, chain-9 and cycle-9 walks whose forest memo grows
 # many times, star-10 and cycle-10 walks whose record of walked costs grows
@@ -84,8 +85,10 @@ for graph, model in cases:
         inst = CostContext(graph, source).instance
         runs = [(kind, e) for kind in (formula.PRIM, formula.KRUSKAL)
                 for e in (None, *range(graph.n_edges))]
+        pairs = [(1 << u, 1 << v) for u, v in zip(graph.edge_u, graph.edge_v)]
         calls = [("model_cards", inst, masks), ("greedy_search", inst, runs),
-                 ("dp_search", inst, masks), ("brute_search", inst)]
+                 ("dp_search", inst, masks), ("brute_search", inst),
+                 ("merge_pairs", inst, pairs)]
         for call in calls:
             assert outcome(lib, *call) == outcome(pure, *call), call[0]
         if isinstance(source, sp.SelectivityModel):
@@ -620,15 +623,38 @@ def test_merge_equivalence(q2a, compiled):
                 compiled.greedy_search(inst, _greedy_runs(graph)[-1]),
                 compiled.brute_search(inst)):
             assert _joins_cost(inst, joins) == cost, (kind, n)
+    # merge_pairs on every ordered split of a connected subset into two
+    # connected sides: its (cost, op, side, out card) are formula.merge's,
+    # bit for bit, on both backends, under the model and under a catalog.
+    for kind, n, graph, model in mixed_instances(12, base_seed=6000):
+        pairs = _splits(graph)
+        for source in (model, _catalog(graph, model)):
+            inst = CostContext(graph, source).instance
+            want = repr([_merge(inst, left, right) for left, right in pairs])
+            assert repr(_kernels.pure.merge_pairs(inst, pairs)) == want, (kind, n)
+            assert repr(compiled.merge_pairs(inst, pairs)) == want, (kind, n)
     # A catalog instance whose context has priced nothing: the kernels read
     # the catalog, and none fills the context's cardinalities.
     graph, catalog = q2a
     ctx = CostContext(graph, catalog)
     inst = ctx.instance
     assert _merge(inst, 1, 2) == (1100001.0, 0, 1, 42000.0)
+    assert compiled.merge_pairs(inst, [(1, 2)]) == [(1100001.0, 0, 1, 42000.0)]
     cost, joins, *_counts = compiled.brute_search(inst)
     assert _joins_cost(inst, joins) == cost == 1617001.0
     assert ctx.cards == {}
+
+
+def _splits(graph):
+    """Every ordered split of a connected subset into two connected sides."""
+    connected = set(connected_subset_masks(graph))
+    pairs = []
+    for mask in sorted(connected):
+        left = mask
+        while left := (left - 1) & mask:
+            if left in connected and mask ^ left in connected:
+                pairs.append((left, mask ^ left))
+    return pairs
 
 
 def test_merge_equivalence_on_equal_cardinalities(compiled):
@@ -1244,14 +1270,22 @@ def test_each_join_carries_the_out_card_its_source_gives(compiled, kind, n, seed
 
 
 def _corrupting(backend, kernel: str, index: int):
-    """backend with kernel's join at index given twice its out card."""
+    """backend's kernel, with the join it returns at index (merge_pairs: the
+    pair at index of each call that prices that many) given twice its out
+    card, and backend's merge_pairs, which goo runs on."""
     def run(*args, **kwargs):
+        if kernel == "merge_pairs":
+            priced = backend.merge_pairs(*args, **kwargs)
+            if index < len(priced):
+                cost, op, side, out = priced[index]
+                priced[index] = (cost, op, side, 2 * out)
+            return priced
         cost, joins, *counters = getattr(backend, kernel)(*args, **kwargs)
         edge, left, right, out = joins[index]
         joins[index] = (edge, left, right, 2 * out)
         return (cost, joins, *counters)
 
-    return types.SimpleNamespace(**{kernel: run})
+    return types.SimpleNamespace(**{"merge_pairs": backend.merge_pairs, kernel: run})
 
 
 def test_replay_refuses_a_kernel_cardinality_the_context_holds_otherwise(q2a, compiled,
@@ -1286,11 +1320,50 @@ def test_bench_replay_checks_a_kernel_cardinality_against_its_shared_context(q2a
     monkeypatch.setattr(_kernels, "get_backend",
                         lambda name="auto": types.SimpleNamespace(
                             dp_search=compiled.dp_search, model_cards=compiled.model_cards,
+                            merge_pairs=compiled.merge_pairs,
                             greedy_search=_corrupting(compiled, "greedy_search", 2).greedy_search))
     ctx = CostContext(graph, catalog)
     sp.exhaustive(graph, ctx)
     with pytest.raises(sp.SpanPlanError, match="^kernel cardinality .* does not match"):
         sp.prim(graph, ctx)
+
+
+def test_goo_checks_a_kernel_cardinality_against_its_shared_context(q2a, compiled,
+                                                                    monkeypatch):
+    # exhaustive fills the context with every connected subset before its
+    # bound, goo, prices: a merge_pairs out card that differs is refused.
+    # goo seeds only the unions it prices, and a context never prices a
+    # pair twice, so goo after exhaustive on one context calls no kernel.
+    graph, catalog = q2a
+    for backend in (_kernels.pure, compiled):
+        calls = []
+        corrupt = _corrupting(backend, "merge_pairs", 1)
+        recording = types.SimpleNamespace(
+            merge_pairs=lambda inst, pairs: calls.append(pairs) or corrupt.merge_pairs(inst, pairs))
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": recording)
+        ctx = CostContext(graph, catalog)
+        with pytest.raises(sp.SpanPlanError) as info:
+            sp.exhaustive(graph, ctx)
+        left, right = calls[0][1]
+        out = ctx.cards[left | right]
+        assert str(info.value) == (f"kernel cardinality {2 * out!r} of"
+                                   f" {{{graph.subset_key(left | right)}}} does not match"
+                                   f" the context's {out!r}"), backend.name
+
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        alone = CostContext(graph, catalog)
+        want = sp.goo(graph, alone)[0]
+        shared = CostContext(graph, catalog)
+        sp.exhaustive(graph, shared)
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": recording)
+        calls.clear()
+        assert sp.goo(graph, shared)[0] == want and calls == [], backend.name
+        # A fresh context takes each union's out card, the corrupted one too.
+        priced = CostContext(graph, catalog)
+        sp.goo(graph, priced)
+        unions = [left | right for pairs in calls for left, right in pairs]
+        assert set(priced.cards) == set(unions), backend.name
+        assert priced.cards[unions[1]] == 2 * catalog.entries[unions[1]], backend.name
 
 
 # The subset each search names when clique-7's estimates overflow a float
@@ -1484,6 +1557,7 @@ def test_timeouts_raise_optimize_timeout_on_both_backends(compiled):
 # free slot's value.
 BAD_MASKS = {
     "model_cards": [([1 << 20],), ([0],), ([1, 2, 1 << 5],)],
+    "merge_pairs": [([(1, 1 << 20)],), ([(0, 1)],), ([(1, 2), (4, 1 << 5)],)],
     "dp_search": [([1, 2, 3, 1 << 20],), ([0, 1, 2, 3],), ([1, 2, 3, 1 << 5],)],
 }
 
