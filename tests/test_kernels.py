@@ -1337,9 +1337,9 @@ def test_goo_checks_a_kernel_cardinality_against_its_shared_context(q2a, compile
     graph, catalog = q2a
     for backend in (_kernels.pure, compiled):
         calls = []
-        corrupt = _corrupting(backend, "merge_pairs", 1)
+        corrupt = _corrupting(backend, "merge_pairs", 1).merge_pairs
         recording = types.SimpleNamespace(
-            merge_pairs=lambda inst, pairs: calls.append(pairs) or corrupt.merge_pairs(inst, pairs))
+            merge_pairs=lambda inst, pairs: calls.append(pairs) or corrupt(inst, pairs))
         monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": recording)
         ctx = CostContext(graph, catalog)
         with pytest.raises(sp.SpanPlanError) as info:
@@ -1351,8 +1351,7 @@ def test_goo_checks_a_kernel_cardinality_against_its_shared_context(q2a, compile
                                    f" the context's {out!r}"), backend.name
 
         monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
-        alone = CostContext(graph, catalog)
-        want = sp.goo(graph, alone)[0]
+        want = sp.goo(graph, catalog)[0]
         shared = CostContext(graph, catalog)
         sp.exhaustive(graph, shared)
         monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": recording)
@@ -1460,7 +1459,8 @@ def test_a_missing_join_result_is_named_before_its_missing_side_on_both_backends
     entries = {m: c for m, c in catalog.entries.items() if m not in (0b01, 0b11)}
     inst = CostContext(graph, sp.CardinalityCatalog(entries=entries)).instance
     runs = _greedy_runs(graph)[-1]
-    for kernel, args in (("brute_search", (inst,)), ("greedy_search", (inst, runs))):
+    for kernel, args in (("brute_search", (inst,)), ("greedy_search", (inst, runs)),
+                         ("merge_pairs", (inst, [(0b01, 0b10)]))):
         for backend in (_kernels.pure, compiled):
             with pytest.raises(KeyError) as info:
                 getattr(backend, kernel)(*args)
