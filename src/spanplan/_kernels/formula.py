@@ -2,7 +2,8 @@
 
 ``join_cost`` prices one join with a given operator and side, ``merge``
 chooses the operator and side with it, and ``model_product`` is the
-selectivity model's estimate of a subset.  An ``Instance`` holds inputs
+selectivity model's estimate of a subset.  ``lowest_edge`` is the one rule
+for the edge a join of two sides takes.  An ``Instance`` holds inputs
 only: the first two read the cardinality memo their caller passes.
 ``cost.CostContext`` prices every join through this module, and the search
 kernels (``pure.py`` and its C mirror ``kernels.c``) use the same operations
@@ -80,6 +81,13 @@ def check_walk(inst: Instance) -> None:
     if len(inst.edge_u) > WALK_EDGES:
         raise ValueError(f"brute_search walks at most {WALK_EDGES} edges, not"
                          f" {len(inst.edge_u)}")
+
+
+def lowest_edge(edge_u, edge_v, s1: int, s2: int) -> int | None:
+    """The lowest edge id with one end in s1 and the other in s2, two
+    disjoint sets of tables, or None when no edge joins them."""
+    ends = (1 << u | 1 << v for u, v in zip(edge_u, edge_v))
+    return next((eid for eid, both in enumerate(ends) if both & s1 and both & s2), None)
 
 
 def model_product(bases, edge_masks, sels, mask: int) -> float:

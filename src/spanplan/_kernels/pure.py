@@ -34,7 +34,7 @@ from ..errors import OptimizeTimeout
 from ..graph import iter_bits
 from . import count_trees  # noqa: F401  (read outside tests only by perfbench's tracer)
 from .formula import (PRIM, SIDE_LEFT, Instance, check_masks, check_runs, check_walk,
-                      model_product)
+                      lowest_edge, model_product)
 from .formula import merge as _merge
 
 name = "pure"
@@ -258,12 +258,6 @@ def greedy_search(inst: Instance, runs, deadline: float = 0.0):
             len(search.tags), splits, search.evals, len(encodings))
 
 
-def _lowest_edge(inst: Instance, s1: int, s2: int) -> int:
-    """The lowest edge id with one end in s1 and the other in s2."""
-    ends = (1 << u | 1 << v for u, v in zip(inst.edge_u, inst.edge_v))
-    return next(eid for eid, both in enumerate(ends) if both & s1 and both & s2)
-
-
 def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline: float = 0.0):
     """Optimal join over the connected subsets ``masks`` (ascending) via
     dynamic programming.
@@ -332,7 +326,7 @@ def dp_search(inst: Instance, masks, prune_bound: float = float("inf"), deadline
             s2 = mask ^ s1
             emit(s1)
             emit(s2)
-            joins.append((_lowest_edge(inst, s1, s2), s1, s2, cards[mask]))
+            joins.append((lowest_edge(inst.edge_u, inst.edge_v, s1, s2), s1, s2, cards[mask]))
 
     emit(full)
     return best[full], joins, subplans, splits

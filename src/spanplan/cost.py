@@ -20,11 +20,12 @@ for operation (tests/test_kernels.py holds them bit-for-bit equal).
 ``CostContext.merge`` chooses; ``CostContext.join_cost`` prices a given
 choice, which is how a re-evaluated plan keeps its operators and sides
 while its cardinalities change.  Both pass the formula the context's own
-memo, ``cards``, which looks a mask up in the source when first read;
-``ensure_cards`` fills a selectivity model's cardinalities of many subsets
-with one call of the backend's ``model_cards`` kernel (pure or C), and
-``merge_pairs`` memoizes ``merge`` of many pairs with one call of its
-``merge_pairs`` kernel, seeding each union's cardinality (``seed_card``).
+memo, ``cards``, which looks a mask up in the source when first read.
+Every kernel (pure or C) runs through ``run_kernel``, which names a
+kernel's missing mask as the source does: ``ensure_cards`` fills a
+selectivity model's cardinalities of many subsets with one ``model_cards``
+call, and ``merge_pairs`` memoizes ``merge`` of many pairs with one
+``merge_pairs`` call, seeding each union's cardinality (``seed_card``).
 A catalog keeps a read-only map over its own copy of the counts and a
 model a tuple of selectivities.  A context's ``formula.Instance`` holds
 them and its graph's tuples, not copies, and a context refuses a source
@@ -276,24 +277,28 @@ class CostContext:
                                          catalog)
         self._merge_memo: dict[tuple[int, int], MergeResult] = {}
 
-    def card(self, mask: int) -> float:
-        return self.cards[mask]
+    def run_kernel(self, name: str, *args):
+        """The backend's kernel ``name`` run on this context's instance and
+        args.  The backend is looked up at each call, so a rebound backend or
+        kernel runs, and a kernel's KeyError(mask) becomes the error the
+        source raises for that mask."""
+        try:
+            return getattr(_kernels.get_backend(), name)(self.instance, *args)
+        except KeyError as exc:
+            self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
+            raise
 
     def ensure_cards(self, masks: Iterable[int]) -> None:
         """Memoize the cardinality of every mask.  Under a selectivity model
         they come from one ``model_cards`` kernel call, and the first mask
         whose estimate overflows fails as ``source.lookup`` fails on it."""
+        cards = self.cards
         if self.instance.model is None:
             for m in masks:
-                self.card(m)
+                cards[m]  # looked up in the catalog when the memo lacks it
             return
         masks = list(masks)
-        try:
-            cards = _kernels.get_backend().model_cards(self.instance, masks)
-        except KeyError as exc:
-            self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
-            raise
-        self.cards.update(zip(masks, cards))
+        cards.update(zip(masks, self.run_kernel("model_cards", masks)))
 
     def seed_card(self, mask: int, card: float) -> None:
         """Memoize a kernel's cardinality of mask where the context lacks
@@ -313,11 +318,7 @@ class CostContext:
         memo = self._merge_memo
         lacking = [pair for pair in pairs if pair not in memo]
         if lacking:
-            try:
-                priced = _kernels.get_backend().merge_pairs(self.instance, lacking)
-            except KeyError as exc:
-                self.source.lookup(self.graph, exc.args[0])  # raises the source's own error
-                raise
+            priced = self.run_kernel("merge_pairs", lacking)
             for (l_mask, r_mask), (cost, op, side, out) in zip(lacking, priced):
                 self.seed_card(l_mask | r_mask, out)
                 memo[l_mask, r_mask] = MergeResult(cost, _CHOICES[op][side], out)
@@ -338,10 +339,10 @@ class CostContext:
     def join_cost(self, l_mask: int, r_mask: int, op: OperatorChoice) -> MergeResult:
         """Price a join with its operator and side given, not chosen.  All
         three masks are read first, so one the formula skips still must exist."""
-        self.card(l_mask | r_mask)
-        self.card(l_mask)
-        self.card(r_mask)
-        cost, out = formula.join_cost(self.instance, self.cards, l_mask, r_mask,
+        cards = self.cards
+        for mask in (l_mask | r_mask, l_mask, r_mask):
+            cards[mask]
+        cost, out = formula.join_cost(self.instance, cards, l_mask, r_mask,
                                       _OP_NAMES.index(op.kind), _SIDE_NAMES.index(op.side))
         return MergeResult(cost, op, out)
 
@@ -393,7 +394,7 @@ def choose_operator(graph: JoinGraph, source: CardinalitySource, params: CostPar
     r_mask = _as_mask(graph, right_subset)
     if l_mask & r_mask:
         raise GraphFormatError("join sides overlap")
-    if not graph.crossing_edges(l_mask, r_mask):
+    if formula.lowest_edge(graph.edge_u, graph.edge_v, l_mask, r_mask) is None:
         raise GraphFormatError("no join edge between the two sides (cross-join)")
     res = ctx.merge(l_mask, r_mask)
     return res.op, res.step_cost, res.out_card

@@ -23,12 +23,14 @@ made at each state in one memo keyed by (kind, partition).  ``exhaustive``
 runs the ``dp_search`` kernel over the connected subsets.  ``goo`` runs its
 loop in Python, but prices each round's pairs with one
 ``CostContext.merge_pairs`` call, which is one ``merge_pairs`` kernel call
-for the pairs the context has not priced.  Each supplies only its search:
-``plan._run_search`` builds the context, starts the deadline, names a
-timeout, replays the joins the search emits (checking that the plan costs
-what the search reported) and returns ``(plan, stats)``.  Every join is priced by the one
-cost formula (``formula.merge``, mirrored in ``kernels.c``), so costs are
-exactly comparable.
+for the pairs the context has not priced.  Every kernel runs through
+``CostContext.run_kernel``, which names a kernel's missing mask as the
+source does.  Each supplies only its search: ``plan._run_search`` builds
+the context, starts the deadline, names a timeout, replays the joins the
+search emits (checking that the plan costs what the search reported) and
+returns ``(plan, stats)``.  Every join is priced by the one cost formula
+(``formula.merge``, mirrored in ``kernels.c``), so costs are exactly
+comparable.
 ``EnumStats.subplans_reached`` and ``join_costs_computed`` count the
 distinct subsets and splits costed; ``evaluations`` counts the evaluations
 actually performed.
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import time
 
-from . import _kernels
 from ._kernels import formula
 from .cost import CardinalitySource, CostParams
 from .errors import LimitExceededError, OptimizeTimeout, SpanPlanError
@@ -52,7 +53,7 @@ def _greedy(name: str, graph: JoinGraph, source: CardinalitySource, params: Cost
             runs, timeout: float | None):
     """Run greedy members in the search kernel."""
     def search(ctx, deadline):
-        return _kernels.get_backend().greedy_search(ctx.instance, runs, deadline)
+        return ctx.run_kernel("greedy_search", runs, deadline)
     return _run_search(name, name, graph, source, params, timeout, search)
 
 
@@ -84,7 +85,7 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     """Greedy cheapest-merge baseline over all joinable component pairs,
     ranked by (step cost, smaller mask, larger mask).  Each component keeps
     the mask of its neighbouring vertices, so adjacency is one AND; only the
-    winning pair looks up its lowest crossing edge.  Every pair is priced
+    winning pair looks up its ``formula.lowest_edge``.  Every pair is priced
     once: after the first round, a round prices only the component the last
     one made against its neighbours.  A round prices its pairs with one
     ``CostContext.merge_pairs`` call, so one ``merge_pairs`` kernel call for
@@ -93,7 +94,6 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
     ``CostContext.merge`` would name it.  A round with no pairs calls no
     kernel.  The deadline is checked between rounds."""
     def search(ctx, deadline):
-        edge_masks = graph.edge_masks
         # Each component, oldest first, with the vertices adjacent to it and its cost.
         comps = {1 << v: adj for v, adj in enumerate(graph.adjacency)}
         costs = dict.fromkeys(comps, 0.0)
@@ -116,8 +116,8 @@ def goo(graph: JoinGraph, source: CardinalitySource, params: CostParams | None =
                 raise SpanPlanError("graph became disconnected during enumeration")
             step, lo, hi = min(keys)
             merged = lo | hi
-            edge = next(e for e, m in enumerate(edge_masks) if m & lo and m & hi)
-            joins.append((edge, lo, hi, ctx.card(merged)))
+            edge = formula.lowest_edge(graph.edge_u, graph.edge_v, lo, hi)
+            joins.append((edge, lo, hi, ctx.cards[merged]))
             costs[merged] = step + costs.pop(lo) + costs.pop(hi)
             nbr = (comps.pop(lo) | comps.pop(hi)) & ~merged
             keys = {key for key in keys if not (key[1] | key[2]) & merged}
@@ -181,8 +181,7 @@ def exhaustive(graph: JoinGraph, source: CardinalitySource, params: CostParams |
             remaining = deadline - time.perf_counter() if deadline else None
             bound = goo(graph, ctx, timeout=remaining)[0].internal_cost
             check_deadline()
-        cost, joins, subplans, splits = _kernels.get_backend().dp_search(
-            ctx.instance, masks, bound, deadline)
+        cost, joins, subplans, splits = ctx.run_kernel("dp_search", masks, bound, deadline)
         if not math.isfinite(cost):
             raise LimitExceededError("the optimal plan's cost overflows a float")
         return cost, joins, subplans, splits, splits, 1

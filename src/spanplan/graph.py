@@ -75,8 +75,8 @@ class JoinGraph:
     can change: per table ``names``, ``bases`` (row counts) and ``indexed``,
     per edge ``edge_u``/``edge_v`` (v1 and v2) and ``edge_masks`` as tuples,
     and ``edge_of`` (edge mask -> id) and ``name_to_id`` as read-only maps.
-    ``vertices``, ``edges`` and ``pair_edge`` are derived from them when
-    read.  Graphs compare equal when their tables and joins do.
+    ``vertices`` and ``edges`` are derived from them when read.  Graphs
+    compare equal when their tables and joins do.
     """
 
     def __init__(self, vertices: tuple[TableInfo, ...], edges: tuple[JoinEdge, ...]):
@@ -133,7 +133,14 @@ class JoinGraph:
             adj[v1] |= 1 << v2
             adj[v2] |= 1 << v1
         self.adjacency = tuple(adj)
-        if self.reachable_mask(1) != (1 << n) - 1:
+        reach = frontier = 1  # a search over the joins from table 0
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            grow = adj[v] & ~reach
+            reach |= grow
+            frontier |= grow
+        if reach != (1 << n) - 1:
             raise DisconnectedGraphError("join graph is not connected")
 
     @property
@@ -145,13 +152,17 @@ class JoinGraph:
         return tuple(map(JoinEdge, range(self.n_edges), self.edge_u, self.edge_v,
                          self._predicates))
 
+    def _key(self) -> tuple:
+        return (self.names, self.bases, self._selected, self.indexed, self.edge_u, self.edge_v,
+                self._predicates)
+
     def __eq__(self, other):
         if not isinstance(other, JoinGraph):
             return NotImplemented
-        return (self.vertices, self.edges) == (other.vertices, other.edges)
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash(self._key())
 
     @property
     def n_vertices(self) -> int:
@@ -164,25 +175,6 @@ class JoinGraph:
     @property
     def full_mask(self) -> int:
         return (1 << self.n_vertices) - 1
-
-    @property
-    def pair_edge(self) -> MappingProxyType:
-        """The edge id joining each pair of tables, keyed (lower id, higher id)."""
-        return MappingProxyType({(v1, v2) if v1 < v2 else (v2, v1): eid
-                                 for eid, (v1, v2) in enumerate(zip(self.edge_u, self.edge_v))})
-
-    def reachable_mask(self, seed_mask: int) -> int:
-        """Vertices reachable from seed_mask (BFS over the whole graph)."""
-        adj = self.adjacency
-        reach = seed_mask
-        frontier = seed_mask
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            grow = adj[v] & ~reach
-            reach |= grow
-            frontier |= grow
-        return reach
 
     @cached_property
     def _neighbour_tables(self) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
@@ -220,15 +212,6 @@ class JoinGraph:
             if grown == reach:
                 return reach == mask
             reach = grown
-
-    def crossing_edges(self, m1: int, m2: int) -> list[int]:
-        """Edge ids with one endpoint in m1 and the other in m2."""
-        out = []
-        for e in self.edges:
-            b1, b2 = 1 << e.v1, 1 << e.v2
-            if (b1 & m1 and b2 & m2) or (b1 & m2 and b2 & m1):
-                out.append(e.id)
-        return out
 
     def mask_of_names(self, names: Iterable[str]) -> int:
         ids = self.name_to_id

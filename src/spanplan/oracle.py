@@ -6,8 +6,9 @@ arrangement is linear iff every prefix forms a single connected component.
 This module counts the arrangement space exactly, in closed form, and
 certifies optimality of the dynamic-programming search by exhaustive
 comparison: its walk emits the winning joins, and ``plan._run_search``
-builds the plan and the stats as it does for every enumerator.  Only the
-walk is bounded by the arrangement count; the count is bounded by the
+builds the plan and the stats as it does for every enumerator; the walk
+runs through ``CostContext.run_kernel``, which names a missing mask.  Only
+the walk is bounded by the arrangement count; the count is bounded by the
 connected table sets it reaches (``trees``).
 """
 from __future__ import annotations
@@ -82,8 +83,8 @@ def brute_force_optimal(graph: JoinGraph, source: CardinalitySource,
 
     def search(ctx, deadline):
         ctx.ensure_cards(connected_subset_masks(graph, deadline))
-        cost, joins, valid, _linear, subplans, splits, evals = _kernels.get_backend().brute_search(
-            ctx.instance, deadline)
+        cost, joins, valid, _linear, subplans, splits, evals = ctx.run_kernel("brute_search",
+                                                                              deadline)
         if not math.isfinite(cost):
             raise LimitExceededError("the optimal plan's cost overflows a float")
         return cost, joins, subplans, splits, evals, valid

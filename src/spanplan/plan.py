@@ -139,17 +139,15 @@ def _run_search(name: str, what: str, graph: JoinGraph, source, params, timeout:
                 search) -> tuple[Plan, EnumStats]:
     """The one driver of every search, which ``search(ctx, deadline)``
     runs to give (cost, joins, subplans, splits, evaluations, plans).
-    ``source`` may be a CostContext to reuse.  A kernel's KeyError(mask)
-    becomes the source's own error, a timeout is named ``what``'s, and the
-    joins are replayed as algorithm ``name``'s plan; returns (plan, stats)."""
+    ``source`` may be a CostContext to reuse.  A timeout is named
+    ``what``'s, and the joins are replayed as algorithm ``name``'s plan;
+    returns (plan, stats).  A search runs its kernels through
+    ``CostContext.run_kernel``, which names a kernel's missing mask."""
     ctx = source if isinstance(source, CostContext) else CostContext(graph, source, params)
     t0 = time.perf_counter()
     deadline = _kernels.deadline(t0, timeout)
     try:
         cost, joins, subplans, splits, evals, plans = search(ctx, deadline)
-    except KeyError as exc:
-        ctx.source.lookup(graph, exc.args[0])  # raises the source's own error
-        raise
     except OptimizeTimeout:
         raise OptimizeTimeout(f"{what} ran past its deadline") from None
     plan = replay(graph, ctx, name, joins, cost)

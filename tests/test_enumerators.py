@@ -173,10 +173,10 @@ def test_goo_chain4_matches_independent_greedy_simulation():
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):
                 a, b = comps[i], comps[j]
-                if not graph.crossing_edges(sum(1 << v for v in a), sum(1 << v for v in b)):
+                am, bm = sum(1 << v for v in a), sum(1 << v for v in b)
+                if not any(m & am and m & bm for m in graph.edge_masks):
                     continue
                 _, step, _ = sp.choose_operator(graph, model, None, tuple(a), tuple(b))
-                am, bm = sum(1 << v for v in a), sum(1 << v for v in b)
                 lo, hi = min(am, bm), max(am, bm)
                 if best is None or (step, lo, hi) < best[0]:
                     best = ((step, lo, hi), a, b)
@@ -349,6 +349,19 @@ def test_goo_names_the_first_subset_its_merges_read_that_a_catalog_lacks(compile
                 assert sp.goo(graph, catalog)[0] == whole, backend.name
         assert 0 < len(got) < len(entries) - graph.n_vertices, backend.name
     assert outcomes["pure"] == outcomes["compiled"]
+
+
+def test_a_key_error_no_kernel_raised_propagates_as_itself(q2a, monkeypatch):
+    # Only a kernel's KeyError names a missing mask: one raised elsewhere in
+    # a search is not handed to the source as a mask.
+    def broken(_ctx, _pairs):
+        raise KeyError("not a mask")
+
+    monkeypatch.setattr(CostContext, "merge_pairs", broken)
+    for graph, source in (q2a, sp.gen_topology("chain", 5, seed=1)):
+        with pytest.raises(KeyError) as info:
+            sp.goo(graph, source)
+        assert info.value.args == ("not a mask",)
 
 
 def test_exhaustive_records_the_bound_it_pruned_with(q2a):

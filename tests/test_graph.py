@@ -278,7 +278,7 @@ def test_a_loaded_graph_has_the_name_and_pair_maps_a_built_graph_derives(q2a_tex
         loaded, _ = sp.load_document(text)
         built = sp.JoinGraph(loaded.vertices, loaded.edges)
         assert loaded == built
-        assert (loaded.name_to_id, loaded.pair_edge) == (built.name_to_id, built.pair_edge)
+        assert (loaded.name_to_id, loaded.edge_of) == (built.name_to_id, built.edge_of)
 
 
 @st.composite
@@ -327,8 +327,8 @@ def _irregular_documents(draw):
 
 def _derived(graph):
     return (graph.names, graph.bases, graph.indexed, graph.edge_u, graph.edge_v,
-            graph.edge_masks, graph.edge_of, graph.adjacency, graph.name_to_id, graph.pair_edge,
-            graph.n_vertices, graph.n_edges, graph.full_mask)
+            graph.edge_masks, graph.edge_of, graph.adjacency, graph.name_to_id, graph.n_vertices,
+            graph.n_edges, graph.full_mask)
 
 
 @settings(max_examples=150, deadline=None)

@@ -494,7 +494,7 @@ def _exposed(graph, source, ctx) -> dict:
     inst = ctx.instance
     exposed = {f"graph.{name}": getattr(graph, name) for name in (
         "names", "bases", "indexed", "edge_u", "edge_v", "edge_masks", "adjacency", "edge_of",
-        "name_to_id", "pair_edge", "vertices", "edges")}
+        "name_to_id", "vertices", "edges")}
     exposed["graph.vertices[0]"] = graph.vertices[0]
     exposed.update({f"instance.{name}": getattr(inst, name)
                     for name in ("edge_u", "edge_v", "scan", "indexed", "edge_of")})
@@ -894,9 +894,30 @@ def test_dp_equivalence_on_any_irregular_graph(compiled, kind, n, seed, full_cat
     source = _catalog(graph, model) if full_catalog else model
     inst = _instance(graph, source)
     masks = connected_subset_masks(graph)
-    for bound in (math.inf, sp.goo(graph, source)[0].internal_cost):
-        assert _kernels.pure.dp_search(inst, masks, bound) == \
-            compiled.dp_search(inst, masks, bound), bound
+    goo = sp.goo(graph, source)[0]
+
+    def lowest(s1, s2):
+        return formula.lowest_edge(graph.edge_u, graph.edge_v, s1, s2)
+
+    # Every join of exhaustive's kernel on either backend and of goo takes
+    # the lowest edge between its sides.
+    for bound in (math.inf, goo.internal_cost):
+        pure = _kernels.pure.dp_search(inst, masks, bound)
+        assert pure == compiled.dp_search(inst, masks, bound), bound
+        assert all(edge == lowest(l, r) for edge, l, r, _out in pure[1]), bound
+    assert all(step.edge == lowest(step.left_mask, step.right_mask) for step in goo.steps)
+    # choose_operator refuses exactly the disjoint sides that no edge joins.
+    small = [m for m in masks if bin(m).count("1") <= 2]
+    for l_mask, r_mask in itertools.combinations(small, 2):
+        if l_mask & r_mask:
+            continue
+        joined = any(l_mask >> u & r_mask >> v & 1 or l_mask >> v & r_mask >> u & 1
+                     for u, v in zip(graph.edge_u, graph.edge_v))
+        if joined:
+            sp.choose_operator(graph, source, None, l_mask, r_mask)
+        else:
+            with pytest.raises(sp.GraphFormatError, match="cross-join"):
+                sp.choose_operator(graph, source, None, l_mask, r_mask)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1389,6 +1410,14 @@ def test_a_missing_or_overflowing_cardinality_names_the_same_subset(q2a, compile
                                        f" {{{graph.subset_key(missing)}}}", algorithm
                     errors += 1
         assert errors == 55, backend.name
+        # The oracle reads every connected subset, so it names each one missing.
+        for missing in (m for m in catalog.entries if m & (m - 1)):
+            source = sp.CardinalityCatalog(
+                entries={m: c for m, c in catalog.entries.items() if m != missing})
+            with pytest.raises(sp.MissingCardinalityError) as info:
+                sp.brute_force_optimal(graph, source)
+            assert str(info.value) == f"no cardinality for table subset" \
+                                      f" {{{graph.subset_key(missing)}}}", backend.name
         big, model = sp.gen_topology("clique", 7, seed=1, base_range=(10**80, 10**81),
                                      sel_range=(0.5, 1.0))
         for algorithm, subset in OVERFLOW_NAMED.items():
@@ -1396,6 +1425,27 @@ def test_a_missing_or_overflowing_cardinality_names_the_same_subset(q2a, compile
                 sp.run_algorithm(algorithm, big, model)
             assert str(info.value) == f"cardinality of {{{subset}}} overflows a float", \
                 (backend.name, algorithm)
+
+
+def test_run_kernel_names_a_kernel_s_missing_mask_as_the_source_does(q2a, compiled,
+                                                                     monkeypatch):
+    # Every kernel that reads q2a's full set, run through the context
+    # without it, raises the catalog's own error for it on both backends.
+    graph, catalog = q2a
+    full = graph.full_mask
+    source = sp.CardinalityCatalog({m: c for m, c in catalog.entries.items() if m != full})
+    masks = connected_subset_masks(graph)
+    last = 1 << graph.edge_u[0]
+    calls = [("model_cards", [full]), ("merge_pairs", [(last, full ^ last)]),
+             ("greedy_search", [(formula.PRIM, None)], 0.0),
+             ("dp_search", masks, math.inf, 0.0), ("brute_search", 0.0)]
+    for backend in (_kernels.pure, compiled):
+        monkeypatch.setattr(_kernels, "get_backend", lambda name="auto": backend)
+        for name, *args in calls:
+            with pytest.raises(sp.MissingCardinalityError) as info:
+                CostContext(graph, source).run_kernel(name, *args)
+            assert str(info.value) == f"no cardinality for table subset" \
+                                      f" {{{graph.subset_key(full)}}}", (backend.name, name)
 
 
 def test_count_trees_equals_the_counts_of_the_brute_walk(compiled):
